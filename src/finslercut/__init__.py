@@ -15,7 +15,7 @@ from .errors import (AtlasExitError, ConvexityError, CutLocusError,
 from .metric import (CustomMetric, MetricField, MetricReport,
                      MinkowskiQuarticMetric, RandersMetric, ReversedMetric,
                      RiemannianMetric, ValidationPlan, cartan_tensor,
-                     eval_F, euclidean_metric, fundamental_tensor, legendre,
+                     euclidean_metric, fundamental_tensor, legendre,
                      legendre_inverse, reverse_metric, sphere_metric,
                      validate_metric)
 from .geodesic import (GeodesicPath, LinearizedFrame, PathSegment,
@@ -32,9 +32,7 @@ from .submanifold import (NormalJacobiFlow, NormalRay, SubmanifoldSpec,
 from .cutlocus import (CutRecord, CutTimeResult, DistanceWitness, Minimizer,
                        NormalShooting, Report, ShootingPlan,
                        check_rho_continuity, check_rho_leq_lambda,
-                       check_se_dense, classify_cut_point, cut_locus,
-                       cut_time, distance_to, focal_time, get_field,
-                       is_minimizing, point_distance)
+                       check_se_dense, cut_locus, focal_time, point_distance)
 from .topology import (InverseExpResult, VariationReport,
                        check_first_variation, distance_sq_differential,
                        homotopy_trace, inverse_normal_exp, one_sided_spread,

@@ -141,21 +141,6 @@ class ManifoldAtlas:
             return self.wrap(np.asarray(x, dtype=float))
         return self._embed_fn(point)
 
-    def check_transition_roundtrips(self, samples=8, seed=0):
-        """Max roundtrip residual of each declared transition pair."""
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for (src, dst), tr in self.transitions.items():
-            if (dst, src) not in self.transitions:
-                continue
-            back = self.transitions[(dst, src)]
-            for _ in range(samples):
-                x = rng.uniform(0.6, 1.2, size=self.dim)
-                x *= rng.choice([-1.0, 1.0], size=self.dim)
-                r = np.linalg.norm(back.apply(tr.apply(x)) - x)
-                worst = max(worst, r)
-        return worst
-
 
 # -- factories -----------------------------------------------------------
 

@@ -38,8 +38,7 @@ def _cmd_run(args):
     if args.seed is not None:
         sc.seed = args.seed
     out_dir = args.out_dir or sc.output.get("directory", "out")
-    bundle = run_scenario(sc, out_dir=out_dir, jobs=args.jobs,
-                          refine=args.refine)
+    bundle = run_scenario(sc, out_dir=out_dir, refine=args.refine)
     for task, doc in bundle.documents.items():
         status = "ok"
         if task == "classify" and doc.get("violations"):
@@ -80,7 +79,7 @@ def _cmd_golden(args):
     sc = _load_scenario(args.scenario)
     if args.seed is not None:
         sc.seed = args.seed
-    bundle = run_scenario(sc, jobs=args.jobs, refine=args.refine)
+    bundle = run_scenario(sc, refine=args.refine)
     if bundle.numerical_failure:
         for err in bundle.errors:
             print(f"{err['task']}: {err['error']}", file=sys.stderr)
@@ -109,8 +108,6 @@ def build_parser():
                         help="override the scenario seed")
     common.add_argument("--out-dir", default=None,
                         help="output directory (run command)")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker count (accepted; execution is serial)")
     common.add_argument("--refine", type=int, default=None,
                         help="override the grid refinement level count")
     sub = p.add_subparsers(dest="command", required=True)

@@ -1,11 +1,15 @@
 """Distances from a submanifold by multistart normal shooting, focal and cut
 times, the cut locus, and the numerical checks of the structural theorems.
 
-A ``NormalShooting`` field caches one dense geodesic per grid ray and reuses
-them across distance queries: closest-approach search over the ray fan picks
-candidates, Gauss-Newton on (cone parameter, time) polishes each to an exact
-arrival.  Cut times come from bisection on the minimality predicate, with
-the first focal time as an upper bracket.
+A ``NormalShooting`` field is the one owner of shooting state for a
+submanifold under a plan.  Its fan of grid rays is fixed at construction,
+and one dense geodesic per fan ray is reused across distance queries:
+closest-approach search over the fan picks candidates, Gauss-Newton on
+(cone parameter, time) polishes each to an exact arrival.  Cut times come
+from bisection on the minimality predicate, with the first focal time as an
+upper bracket.  Rays off the grid are queried as transients: their paths,
+flows and cut times are cached by exact cone coordinates, but they never
+join the fan.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .atlas import TangentVec
-from .errors import NumericalFailure, UnreachedPointError
+from .errors import FinslerError, NumericalFailure, UnreachedPointError
 from .geodesic import first_degeneracy, integrate_geodesic
 from .submanifold import (NormalJacobiFlow, NormalRay, point_submanifold,
                           sample_unit_cone, unit_normal)
@@ -25,7 +29,7 @@ SEPARATING = "Separating"
 FIRST_FOCAL = "FirstFocal"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShootingPlan:
     theta_count: int = 128
     psi_count: int = 64
@@ -46,13 +50,6 @@ class ShootingPlan:
     max_candidates: int = 8
     quick_candidates: int = 4
     sample_dt_frac: float = 1.0 / 128.0
-
-    def key(self):
-        return (self.theta_count, self.psi_count, self.horizon,
-                str(self.sides), self.ode_rtol, self.ode_atol,
-                self.query_rtol, self.query_atol,
-                self.newton_tol, self.bisect_tol, self.min_slack,
-                self.distinct_angle, self.seed)
 
 
 @dataclass
@@ -112,21 +109,35 @@ class _LinePath:
         return TangentVec(self.chart, self.x0 + t * self.v, self.v)
 
 
-class NormalShooting:
-    """Cached shooting field from a submanifold under one sampling plan."""
+def _ray_key(ray: NormalRay):
+    """Exact cone coordinates of a ray, the key of every per-ray cache."""
+    return (tuple(ray.theta), tuple(ray.psi))
 
-    def __init__(self, metric, N, plan: ShootingPlan):
+
+class NormalShooting:
+    """Shooting session from a submanifold under one sampling plan."""
+
+    def __init__(self, metric, N, plan: ShootingPlan = None):
+        plan = plan or ShootingPlan()
         self.metric = metric
         self.N = N
         self.plan = plan
         self.atlas = metric.atlas
-        self.rays, self.sample_failures = sample_unit_cone(
+        rays, self.sample_failures = sample_unit_cone(
             metric, N, (plan.theta_count, plan.psi_count), sides=plan.sides)
-        if not self.rays:
+        if not rays:
             raise NumericalFailure("unit cone sampling produced no rays")
+        self.rays = tuple(rays)
+        # per-ray caches, keyed by _ray_key
         self._paths = {}
-        self._samples = {}
         self._flows = {}
+        self._cut_times = {}
+        self._samples = {}          # fan rays only
+        self._stack = None          # fan samples stacked per chart
+        # cut point rounded to 1e-6 -> DistanceWitness (classify)
+        self._classify_cache = {}
+        # query point -> InverseExpResult (topology.inverse_normal_exp)
+        self._inverse_cache = {}
         self._build_branches()
 
     # -- ray bookkeeping -------------------------------------------------
@@ -172,14 +183,16 @@ class NormalShooting:
 
     # -- cached geodesics ------------------------------------------------
 
-    def path(self, i, span=None):
+    def path(self, ray: NormalRay, span=None):
         span = span or self.plan.horizon
-        cached = self._paths.get(i)
+        key = _ray_key(ray)
+        cached = self._paths.get(key)
         if cached is None or cached.t1 < span - 1e-12:
-            cached = self._integrate_ray(self.rays[i], span)
-            self._paths[i] = cached
-            self._samples.pop(i, None)
-            self._stack = None
+            cached = self._integrate_ray(ray, span)
+            self._paths[key] = cached
+            # a longer fan path resamples its ray and restacks the fan
+            if self._samples.pop(key, None) is not None:
+                self._stack = None
         return cached
 
     def _integrate_ray(self, ray, span):
@@ -188,9 +201,11 @@ class NormalShooting:
                                   atol=self.plan.ode_atol)
 
     def samples(self, i):
-        got = self._samples.get(i)
+        ray = self.rays[i]
+        key = _ray_key(ray)
+        got = self._samples.get(key)
         if got is None:
-            path = self.path(i)
+            path = self.path(ray)
             dt = self.plan.horizon * self.plan.sample_dt_frac
             blocks = []
             for seg in path.segments:
@@ -202,7 +217,7 @@ class NormalShooting:
                     xs[j] = seg.eval(t)[:n]
                 blocks.append((seg.chart, ts, xs))
             got = blocks
-            self._samples[i] = got
+            self._samples[key] = got
         return got
 
     # -- closest approach ------------------------------------------------
@@ -227,9 +242,8 @@ class NormalShooting:
 
     def _stacked(self):
         """Fan samples of every ray stacked per chart for vectorized search."""
-        got = getattr(self, "_stack", None)
-        if got is not None and got[0] == len(self.rays):
-            return got[1]
+        if self._stack is not None:
+            return self._stack
         per_chart = {}
         for i in range(len(self.rays)):
             for chart, ts, xs in self.samples(i):
@@ -248,7 +262,7 @@ class NormalShooting:
                 pos += len(b[1])
                 ends[pos - 1] = True
             stacked[chart] = (xs, ts, rid, starts, ends)
-        self._stack = (len(self.rays), stacked)
+        self._stack = stacked
         return stacked
 
     def approach(self, q):
@@ -349,7 +363,7 @@ class NormalShooting:
 
         try:
             r, ray, path = residual(mu, t)
-        except Exception:
+        except (FinslerError, np.linalg.LinAlgError):
             return None
         best = (np.linalg.norm(r), ray, float(t), path)
         stalls = 0
@@ -383,7 +397,7 @@ class NormalShooting:
                     mu2[j] += h
                     r2, _, _ = residual(mu2, t)
                     cols.append((r2 - r) / h)
-            except Exception:
+            except (FinslerError, np.linalg.LinAlgError):
                 return None
             J = np.column_stack(cols)  # d r / d(t, mu)
             try:
@@ -398,7 +412,7 @@ class NormalShooting:
                 t = 1e-9
             try:
                 r, ray, path = residual(mu, t)
-            except Exception:
+            except (FinslerError, np.linalg.LinAlgError):
                 return None
         if best[0] <= 30.0 * tol:
             rn, ray, t, path = best
@@ -459,28 +473,36 @@ class NormalShooting:
 
     # -- focal and cut times ---------------------------------------------
 
-    def flow(self, i, span=None):
+    def flow(self, ray: NormalRay, span=None):
         span = span or self.plan.horizon
-        cached = self._flows.get(i)
+        key = _ray_key(ray)
+        cached = self._flows.get(key)
         if cached is None or cached.T < span - 1e-12:
-            cached = NormalJacobiFlow(self.metric, self.N, self.rays[i], span,
+            cached = NormalJacobiFlow(self.metric, self.N, ray, span,
                                       rtol=self.plan.ode_rtol,
                                       atol=self.plan.ode_atol)
-            self._flows[i] = cached
+            self._flows[key] = cached
         return cached
 
-    def focal_time(self, i, T_max=None):
+    def focal_time(self, ray: NormalRay, T_max=None):
         T_max = T_max or self.plan.horizon
-        fl = self.flow(i, T_max)
+        fl = self.flow(ray, T_max)
         return first_degeneracy(fl.frame, fl.matrix,
                                 self.plan.focal_floor, T_max,
                                 sv_rel=self.plan.sv_rel)
 
-    def cut_time(self, i) -> CutTimeResult:
+    def cut_time(self, ray: NormalRay) -> CutTimeResult:
+        key = _ray_key(ray)
+        got = self._cut_times.get(key)
+        if got is None:
+            got = self._cut_times[key] = self._bisect_cut_time(ray)
+        return got
+
+    def _bisect_cut_time(self, ray) -> CutTimeResult:
         plan = self.plan
-        lam = self.focal_time(i)
+        lam = self.focal_time(ray)
         hi = min(lam, plan.horizon)
-        path = self.path(i, hi)
+        path = self.path(ray, hi)
         iters = 0
         if self.is_minimizing(path, hi):
             if lam <= plan.horizon:
@@ -488,8 +510,8 @@ class NormalShooting:
                 return CutTimeResult(float(lam), float(lam))
             # horizon binds: probe a doubled horizon before declaring
             span2 = 2 * plan.horizon
-            lam2 = self.focal_time(i, span2)
-            path2 = self.path(i, span2)
+            lam2 = self.focal_time(ray, span2)
+            path2 = self.path(ray, span2)
             if lam2 == np.inf and self.is_minimizing(path2, span2):
                 return CutTimeResult(np.inf, np.inf, unbounded=True)
             if lam2 <= span2:
@@ -521,31 +543,27 @@ class NormalShooting:
             hi = rho
         return CutTimeResult(rho, float(lam), bisection_iters=iters)
 
-    def record(self, i, classify=True) -> CutRecord:
-        res = self.cut_time(i)
-        rec = CutRecord(self.rays[i], res.rho, res.lam,
+    def record(self, ray: NormalRay, classify=True) -> CutRecord:
+        res = self.cut_time(ray)
+        rec = CutRecord(ray, res.rho, res.lam,
                         horizon_limited=res.horizon_limited,
                         unbounded=res.unbounded,
                         diagnostics={"bisection_iters": res.bisection_iters})
         if np.isfinite(res.rho):
-            rec.cut_point = self.path(i, res.rho).position(res.rho)
+            rec.cut_point = self.path(ray, res.rho).position(res.rho)
             if classify:
                 self.classify(rec)
         return rec
 
     def classify(self, rec: CutRecord):
-        plan = self.plan
         # cut points of nearby rays often coincide (poles, antipodes);
         # reuse the witness below the classification tolerance scale
-        cache = getattr(self, "_classify_cache", None)
-        if cache is None:
-            cache = self._classify_cache = {}
         chart, x = rec.cut_point
         key = (chart, tuple(np.round(np.asarray(x, float), 6)))
-        wit = cache.get(key)
+        wit = self._classify_cache.get(key)
         if wit is None:
             wit = self.distance(rec.cut_point, full=True)
-            cache[key] = wit
+            self._classify_cache[key] = wit
         cls = set()
         if len(wit.minimizers) >= 2:
             cls.add(SEPARATING)
@@ -566,28 +584,7 @@ class NormalShooting:
         return rec.classification
 
 
-# -- module-level operations (cached fields) ------------------------------
-
-_FIELDS = {}
-
-
-def get_field(metric, N, plan=None) -> NormalShooting:
-    plan = plan or ShootingPlan()
-    key = (id(metric), id(N), plan.key())
-    fld = _FIELDS.get(key)
-    if fld is None:
-        fld = NormalShooting(metric, N, plan)
-        _FIELDS[key] = fld
-    return fld
-
-
-def _ray_index(field, ray):
-    for i, r in enumerate(field.rays):
-        if (np.array_equal(r.theta, ray.theta)
-                and np.array_equal(r.psi, ray.psi)):
-            return i
-    field.rays.append(ray)
-    return len(field.rays) - 1
+# -- module-level operations ---------------------------------------------
 
 
 def focal_time(metric, N, ray, T_max, plan=None):
@@ -599,50 +596,26 @@ def focal_time(metric, N, ray, T_max, plan=None):
                             sv_rel=plan.sv_rel)
 
 
-def distance_to(metric, N, q, plan=None) -> DistanceWitness:
-    return get_field(metric, N, plan).distance(q)
-
-
 def point_distance(metric, p, q, plan=None) -> DistanceWitness:
-    plan = plan or ShootingPlan()
-    N = point_submanifold(*p)
-    return get_field(metric, N, plan).distance(q)
+    """d(p, q) from a one-off shooting field at the point p."""
+    return NormalShooting(metric, point_submanifold(*p), plan).distance(q)
 
 
-def is_minimizing(metric, N, ray, t, plan=None) -> bool:
-    field = get_field(metric, N, plan)
-    i = _ray_index(field, ray)
-    return field.is_minimizing(field.path(i, t), t)
-
-
-def cut_time(metric, N, ray, plan=None) -> CutTimeResult:
-    field = get_field(metric, N, plan)
-    return field.cut_time(_ray_index(field, ray))
-
-
-def classify_cut_point(metric, N, record: CutRecord, plan=None):
-    return get_field(metric, N, plan).classify(record)
-
-
-def cut_locus(metric, N, grid=None, plan=None, classify=True, side=None):
-    """Cut records over the sampled unit cone; per-ray failures collected.
+def cut_locus(field: NormalShooting, classify=True, side=None):
+    """Cut records over the field's fan; per-ray failures collected.
 
     The fan always covers the whole cone (both sides of a hypersurface),
     since distance queries need every competitor; ``side`` only restricts
     which rays get records.
     """
-    plan = plan or ShootingPlan()
-    if grid is not None:
-        plan.theta_count, plan.psi_count = grid
-    field = get_field(metric, N, plan)
     records = []
-    for i in range(len(field.rays)):
-        if side is not None and np.sign(field.rays[i].psi[0]) != side:
+    for ray in field.rays:
+        if side is not None and np.sign(ray.psi[0]) != side:
             continue
         try:
-            records.append(field.record(i, classify=classify))
-        except Exception as exc:
-            rec = CutRecord(field.rays[i], np.nan, np.nan)
+            records.append(field.record(ray, classify=classify))
+        except (FinslerError, np.linalg.LinAlgError) as exc:
+            rec = CutRecord(ray, np.nan, np.nan)
             rec.diagnostics["error"] = repr(exc)
             records.append(rec)
     return records

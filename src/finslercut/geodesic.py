@@ -10,6 +10,7 @@ base geodesic; the spray derivatives come from dual-number evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import RK45
@@ -60,11 +61,11 @@ class GeodesicPath:
         self.state_dim = state_dim
         self.t0 = segments[0].t0
         self.t1 = segments[-1].t1
-        n = metric.atlas.dim
-        s0 = self.state(self.t0)
-        self.speed0 = metric.F(s0)
-        self.knot_speeds = [
-            (t, metric.F(self.state(t))) for t in self.knot_times()]
+
+    @cached_property
+    def knot_speeds(self):
+        """(t, F(state)) at every accepted step time."""
+        return [(t, self.metric.F(self.state(t))) for t in self.knot_times()]
 
     @property
     def t_span(self):
@@ -101,22 +102,6 @@ class GeodesicPath:
             ts.extend(seg.knots[:-1])
         ts.append(self.segments[-1].knots[-1])
         return np.array(ts)
-
-    def sample(self, per_step=2):
-        """Chart-tagged dense samples (ts, xs) per segment, for searches."""
-        n = self.metric.atlas.dim
-        out = []
-        for seg in self.segments:
-            ts = []
-            for a, b in zip(seg.knots[:-1], seg.knots[1:]):
-                ts.extend(np.linspace(a, b, per_step + 1)[:-1])
-            ts.append(seg.knots[-1])
-            ts = np.array(ts)
-            xs = np.empty((len(ts), n))
-            for i, t in enumerate(ts):
-                xs[i] = seg.eval(t)[:n]
-            out.append((seg.chart, ts, xs))
-        return out
 
 
 def _geodesic_rhs(metric, chart):

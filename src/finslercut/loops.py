@@ -10,9 +10,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .cutlocus import (Report, ShootingPlan, _ray_index, cut_locus,
-                       get_field)
-from .errors import NumericalFailure, ReversibilityError
+from .cutlocus import NormalShooting, Report, cut_locus
+from .errors import FinslerError, NumericalFailure, ReversibilityError
 from .submanifold import point_submanifold
 
 SMOOTH_TOL = 1e-4
@@ -55,13 +54,13 @@ def require_reversible(metric, tol=1e-8):
             f"{defect:.3g}); reversed segments are not geodesics")
 
 
-def _reverse_field(metric, q, plan):
+def _reverse_field(field, q):
     """Shooting field whose distances give d_metric(x, q) for varying x."""
-    rev = metric.reversed_()
-    return get_field(rev, point_submanifold(*q), plan)
+    return NormalShooting(field.metric.reversed_(), point_submanifold(*q),
+                          field.plan)
 
 
-def min_M_on_cut(metric, N, q, records, plan=None):
+def min_M_on_cut(field: NormalShooting, q, records):
     """Minimize M_q(x) = d(N, x) + d(x, q) over the sampled cut locus.
 
     Grid argmin plus parabolic refinement in the ray parameter.
@@ -72,14 +71,12 @@ def min_M_on_cut(metric, N, q, records, plan=None):
             "M is undefined: the cut locus has unbounded directions")
     if not finite:
         raise NumericalFailure("no finite cut records to minimize over")
-    plan = plan or ShootingPlan()
-    rq = _reverse_field(metric, q, plan)
+    rq = _reverse_field(field, q)
     vals = np.array([r.rho + rq.distance(r.cut_point, full=False).d
                      for r in finite])
     k = int(np.argmin(vals))
     best_x, best_v = finite[k].cut_point, float(vals[k])
 
-    field = get_field(metric, N, plan)
     if 0 < k < len(finite) - 1:
         a, b, c = vals[k - 1], vals[k], vals[k + 1]
         den = a - 2 * b + c
@@ -90,24 +87,22 @@ def min_M_on_cut(metric, N, q, records, plan=None):
             mu = mu0 + s * (mu1 - mu0)
             try:
                 ray = field.ray_at(mu, finite[k].ray)
-                i = _ray_index(field, ray)
-                rho = field.cut_time(i).rho
-                x = field.path(i, rho).position(rho)
+                rho = field.cut_time(ray).rho
+                x = field.path(ray, rho).position(rho)
                 v = rho + rq.distance(x, full=False).d
                 if v < best_v:
                     best_x, best_v = x, float(v)
-            except Exception:
+            except (FinslerError, np.linalg.LinAlgError):
                 pass
     return best_x, best_v
 
 
-def verify_two_segments(metric, N, x0, plan=None, classification=None):
+def verify_two_segments(field: NormalShooting, x0, classification=None):
     """Exactly-two-segments dichotomy at a non-focal minimizer."""
     if classification and "FirstFocal" in classification:
         raise NumericalFailure(
             "two-segments check refused: x0 is classified FirstFocal, "
             "outside the dichotomy's hypotheses")
-    field = get_field(metric, N, plan)
     wit = field.distance(x0, full=True)
     detail = {
         "count": len(wit.minimizers),
@@ -132,22 +127,20 @@ def _terminal_in_chart(atlas, m, chart):
 
 
 def _sample_segment(field, m, n_samples=64):
-    i = _ray_index(field, m.ray)
-    path = field.path(i, max(m.t, 1e-9))
+    path = field.path(m.ray, max(m.t, 1e-9))
     ts = np.linspace(0.0, m.t, n_samples + 1)
     return [(float(t),) + tuple([path.position(t)[0],
                                  path.position(t)[1]]) for t in ts]
 
 
-def find_geodesic_loop(metric, N, plan=None, records=None) -> LoopResult:
+def find_geodesic_loop(field: NormalShooting, records=None) -> LoopResult:
     """Unit-speed geodesic loop through N via the minimum of d(N, .) on the
     cut locus; requires a reversible metric.  At focal minima, returns the
     focal branch instead of a loop."""
+    metric = field.metric
     require_reversible(metric)
-    plan = plan or ShootingPlan()
     if records is None:
-        records = cut_locus(metric, N, plan=plan, classify=False)
-    field = get_field(metric, N, plan)
+        records = cut_locus(field, classify=False)
 
     finite = [(i, r) for i, r in enumerate(records)
               if r.cut_point is not None and np.isfinite(r.rho)]
@@ -208,13 +201,12 @@ class TwoGeodesics:
     diagnostics: dict = dc_field(default_factory=dict)
 
 
-def two_geodesics_to(metric, N, q, plan=None, records=None) -> TwoGeodesics:
+def two_geodesics_to(field: NormalShooting, q, records=None) -> TwoGeodesics:
     """The minimizing segment to q plus a second geodesic through the
     minimizer x0 of M_q on the cut locus."""
-    plan = plan or ShootingPlan()
-    field = get_field(metric, N, plan)
+    metric = field.metric
     if records is None:
-        records = cut_locus(metric, N, plan=plan)
+        records = cut_locus(field)
     focal_only = [r for r in records
                   if r.classification == {"FirstFocal"}]
     if focal_only:
@@ -225,10 +217,9 @@ def two_geodesics_to(metric, N, q, plan=None, records=None) -> TwoGeodesics:
 
     wit = field.distance(q, full=True)
     direct = wit.minimizers[0]
-    x0, M_val = min_M_on_cut(metric, N, q, records, plan)
+    x0, M_val = min_M_on_cut(field, q, records)
 
     wit_x0 = field.distance(x0, full=True)
-    pf = get_field(metric, point_submanifold(*x0), plan)
     if field.atlas.coord_distance(x0, q) < 1e-9:
         # q is itself the minimizer: second geodesic degenerates to the pair
         # of N-segments meeting at q
@@ -239,6 +230,7 @@ def two_geodesics_to(metric, N, q, plan=None, records=None) -> TwoGeodesics:
         return TwoGeodesics(q, direct, x0, [a, b], float(resid),
                             (direct.t, a.t + b.t), "at-cut",
                             {"M": M_val})
+    pf = NormalShooting(metric, point_submanifold(*x0), field.plan)
     wit_q = pf.distance(q, full=True)
     best = None
     pairs = []

@@ -272,19 +272,14 @@ def sphere_metric(atlas):
         phi = 4.0 / ((1.0 + r2) * (1.0 + r2))
         return [[phi, 0.0], [0.0, phi]]
 
-    def dmat(chart, x):
-        r2 = x[0] * x[0] + x[1] * x[1]
-        c = -16.0 / ((1.0 + r2) ** 3)
-        return [[[c * x[j], 0.0], [0.0, c * x[j]]] for j in range(2)]
-
     # dmat[j][i][l]: diagonal conformal, so d a_il / d x_j = c x_j delta_il
-    def dmat_fixed(chart, x):
+    def dmat(chart, x):
         r2 = x[0] * x[0] + x[1] * x[1]
         c = -16.0 / ((1.0 + r2) ** 3)
         return [[[c * x[j] if i == l else 0.0 for l in range(2)]
                  for i in range(2)] for j in range(2)]
 
-    return RiemannianMetric(atlas, mat, dmatrix_fn=dmat_fixed)
+    return RiemannianMetric(atlas, mat, dmatrix_fn=dmat)
 
 
 class RandersMetric(MetricField):
@@ -391,10 +386,6 @@ class ReversedMetric(MetricField):
 
 
 # -- module-level operations ---------------------------------------------
-
-
-def eval_F(metric, p: TangentVec) -> float:
-    return metric.F(p)
 
 
 def fundamental_tensor(metric, p: TangentVec) -> FundamentalTensor:

@@ -4,6 +4,7 @@ output emission (JSON, CSV, SVG, run manifest, golden summaries).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -20,8 +21,8 @@ except ImportError:     # pragma: no cover
 
 from . import __version__ as _pkg_version
 from .atlas import flat_atlas, sphere_atlas, torus_atlas
-from .cutlocus import (ShootingPlan, check_rho_continuity, check_rho_leq_lambda,
-                       check_se_dense, cut_locus, get_field)
+from .cutlocus import (NormalShooting, ShootingPlan, check_rho_continuity,
+                       check_rho_leq_lambda, check_se_dense, cut_locus)
 from .errors import FinslerError, ReversibilityError, ScenarioError
 from .metric import (MinkowskiQuarticMetric, RandersMetric, ValidationPlan,
                      euclidean_metric, sphere_metric, validate_metric)
@@ -501,10 +502,8 @@ def _probe_points(field, records, rng, count, lo=0.15, hi=0.85):
     while len(probes) < count and finite:
         rec = finite[rng.integers(len(finite))]
         u = rng.uniform(lo, hi)
-        from .cutlocus import _ray_index
-        i = _ray_index(field, rec.ray)
         t = u * rec.rho
-        probes.append((field.path(i, max(t, 1e-9)).position(t), rec, t))
+        probes.append((field.path(rec.ray, max(t, 1e-9)).position(t), rec, t))
     return probes
 
 
@@ -521,8 +520,8 @@ def _task_validate(metric, plan):
     }, not rep.passed
 
 
-def _task_cutlocus(metric, N, plan, side):
-    records = cut_locus(metric, N, plan=plan, classify=False, side=side)
+def _task_cutlocus(field, side):
+    records = cut_locus(field, classify=False, side=side)
     finite = [r.rho for r in records if np.isfinite(r.rho)]
     doc = {
         "n_records": len(records),
@@ -549,28 +548,27 @@ def _task_classify(field, records):
     return {"histogram": hist, "violations": violations}, bool(violations)
 
 
-def _task_retracts(metric, N, field, records, plan, rng, n_probes=50):
+def _task_retracts(field, records, rng, n_probes=50):
     worst_n0 = worst_n1 = worst_c0 = worst_c1 = 0.0
     traces = []
-    atlas = metric.atlas
+    atlas = field.atlas
     for k, (q, rec, t) in enumerate(
             _probe_points(field, records, rng, n_probes)):
-        p0 = topo_mod.retract_to_N(metric, N, q, 0.0, plan)
+        p0 = topo_mod.retract_to_N(field, q, 0.0)
         worst_n0 = max(worst_n0, atlas.coord_distance(p0, q))
-        p1 = topo_mod.retract_to_N(metric, N, q, 1.0, plan)
-        inv = topo_mod.inverse_normal_exp(metric, N, q, plan)
+        p1 = topo_mod.retract_to_N(field, q, 1.0)
+        inv = topo_mod.inverse_normal_exp(field, q)
         base = (inv.ray.chart, inv.ray.x)
         worst_n1 = max(worst_n1, atlas.coord_distance(p1, base))
-        c0 = topo_mod.retract_to_cut(metric, N, q, 0.0, plan)
+        c0 = topo_mod.retract_to_cut(field, q, 0.0)
         worst_c0 = max(worst_c0, atlas.coord_distance(c0, q))
-        c1 = topo_mod.retract_to_cut(metric, N, q, 1.0, plan)
+        c1 = topo_mod.retract_to_cut(field, q, 1.0)
         worst_c1 = max(worst_c1, atlas.coord_distance(c1, rec.cut_point))
         if k < 3:
             traces.append([(s, c, list(x)) for s, c, x in
-                           topo_mod.homotopy_trace(metric, N, q, "N",
-                                                   plan=plan)])
+                           topo_mod.homotopy_trace(field, q, "N")])
     fixed_cut = atlas.coord_distance(
-        topo_mod.retract_to_cut(metric, N, records[0].cut_point, 0.7, plan),
+        topo_mod.retract_to_cut(field, records[0].cut_point, 0.7),
         records[0].cut_point)
     doc = {
         "n_probes": n_probes,
@@ -585,7 +583,7 @@ def _task_retracts(metric, N, field, records, plan, rng, n_probes=50):
     return doc, bad
 
 
-def _task_dfcheck(metric, N, field, records, plan, rng, n_probes=24):
+def _task_dfcheck(field, records, rng, n_probes=24):
     if records is None:
         # point sources without a cut-locus task: probe a disk around N
         base = field.rays[0].x
@@ -603,16 +601,16 @@ def _task_dfcheck(metric, N, field, records, plan, rng, n_probes=24):
     for q, _, _ in probes:
         angs = rng.uniform(0, 2 * np.pi, 3)
         dirs = [np.array([np.cos(a), np.sin(a)]) for a in angs]
-        rep = topo_mod.check_first_variation(metric, N, q, dirs, plan=plan)
+        rep = topo_mod.check_first_variation(field, q, dirs)
         worst = max(worst, rep.max_deviation)
         rows.append({"q": _doc(q[1]), "max_dev": _num(rep.max_deviation)})
     return ({"n_probes": len(probes), "max_deviation": _num(worst),
              "probes": rows}, worst > 1e-4)
 
 
-def _task_loops(metric, N, plan, records):
+def _task_loops(field, records):
     try:
-        res = loops_mod.find_geodesic_loop(metric, N, plan, records=records)
+        res = loops_mod.find_geodesic_loop(field, records=records)
     except ReversibilityError as exc:
         return {"branch": "rejected-irreversible", "error": str(exc)}, False
     doc = {
@@ -627,7 +625,7 @@ def _task_loops(metric, N, plan, records):
     loop_csv = None
     if res.loop:
         lines = ["s,chart," + ",".join(
-            f"x{i+1}" for i in range(metric.atlas.dim))]
+            f"x{i+1}" for i in range(field.atlas.dim))]
         for t, c, x in res.loop:
             lines.append(f"{t:.12g},{c}," + ",".join(f"{v:.12g}" for v in x))
         loop_csv = "\n".join(lines) + "\n"
@@ -636,19 +634,19 @@ def _task_loops(metric, N, plan, records):
     return doc, bad, loop_csv
 
 
-def _task_theorems(metric, N, plan, records, side, atlas):
+def _task_theorems(field, records, side):
+    plan = field.plan
     reports = []
     reports.append(check_rho_leq_lambda(records))
     classified = [r for r in records if r.classification]
     if classified:
-        reports.append(check_se_dense(records, atlas=atlas))
+        reports.append(check_se_dense(records, atlas=field.atlas))
     if plan.refine_levels > 1:
-        import copy
-        coarse_plan = copy.copy(plan)
-        coarse_plan.theta_count = max(1, plan.theta_count // 2)
-        coarse_plan.psi_count = max(1, plan.psi_count // 2)
-        coarse = cut_locus(metric, N, plan=coarse_plan, classify=False,
-                           side=side)
+        coarse_plan = dataclasses.replace(
+            plan, theta_count=max(1, plan.theta_count // 2),
+            psi_count=max(1, plan.psi_count // 2))
+        coarse = cut_locus(NormalShooting(field.metric, field.N, coarse_plan),
+                           classify=False, side=side)
         reports.append(check_rho_continuity([coarse, records]))
     doc = [{"name": r.name, "passed": bool(r.passed),
             "detail": _doc(r.detail)} for r in reports]
@@ -702,12 +700,16 @@ def summary_document(bundle: OutputBundle) -> dict:
             "tasks": keep}
 
 
-def run_scenario(sc: Scenario, out_dir=None, jobs=1, refine=None):
-    """Execute the scenario's tasks in order with shared caches."""
+def run_scenario(sc: Scenario, out_dir=None, refine=None):
+    """Execute the scenario's tasks in order on one shooting field.
+
+    The field is built by the first task that needs it, so a cone-sampling
+    failure is recorded against that task.  ``sc`` is not modified.
+    """
     t_start = time.time()
-    if refine is not None:
-        sc.grids["refine_levels"] = refine
     atlas, metric, N, plan = build_geometry(sc)
+    if refine is not None:
+        plan = dataclasses.replace(plan, refine_levels=refine)
     rng = np.random.default_rng(sc.seed)
     side = sc.grids.get("side")
     bundle = OutputBundle(sc)
@@ -716,13 +718,14 @@ def run_scenario(sc: Scenario, out_dir=None, jobs=1, refine=None):
 
     for task in sc.tasks:
         try:
+            if task != "validate" and field is None:
+                field = NormalShooting(metric, N, plan)
             if task == "validate":
                 doc, bad = _task_validate(metric, plan)
                 bundle.documents[task] = doc
                 bundle.violations |= bad
             elif task == "cutlocus":
-                records, doc = _task_cutlocus(metric, N, plan, side)
-                field = get_field(metric, N, plan)
+                records, doc = _task_cutlocus(field, side)
                 bundle.documents[task] = doc
                 bundle.files[f"{sc.name}_cutlocus.csv"] = records_csv(
                     records, atlas.dim)
@@ -738,19 +741,15 @@ def run_scenario(sc: Scenario, out_dir=None, jobs=1, refine=None):
             elif task == "retracts":
                 if records is None:
                     raise ScenarioError("retracts requires cutlocus first")
-                doc, bad = _task_retracts(metric, N, field, records, plan,
-                                          rng)
+                doc, bad = _task_retracts(field, records, rng)
                 bundle.documents[task] = doc
                 bundle.violations |= bad
             elif task == "dfcheck":
-                if field is None:
-                    field = get_field(metric, N, plan)
-                doc, bad = _task_dfcheck(metric, N, field, records, plan,
-                                         rng)
+                doc, bad = _task_dfcheck(field, records, rng)
                 bundle.documents[task] = doc
                 bundle.violations |= bad
             elif task == "loops":
-                got = _task_loops(metric, N, plan, records)
+                got = _task_loops(field, records)
                 doc, bad = got[0], got[1]
                 if len(got) > 2 and got[2]:
                     bundle.files[f"{sc.name}_loop.csv"] = got[2]
@@ -758,10 +757,8 @@ def run_scenario(sc: Scenario, out_dir=None, jobs=1, refine=None):
                 bundle.violations |= bad
             elif task == "theorems":
                 if records is None:
-                    records, doc0 = _task_cutlocus(metric, N, plan, side)
-                    field = get_field(metric, N, plan)
-                doc, bad = _task_theorems(metric, N, plan, records, side,
-                                          atlas)
+                    records, _ = _task_cutlocus(field, side)
+                doc, bad = _task_theorems(field, records, side)
                 bundle.documents[task] = doc
                 bundle.violations |= bad
         except ScenarioError:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutlocus import ShootingPlan, get_field
+from .cutlocus import NormalShooting
 from .errors import (CutLocusError, NondifferentiableError,
                      NumericalFailure, RetractionUndefinedError)
 from .submanifold import NormalRay
@@ -33,18 +33,14 @@ def _q_key(q):
     return (chart, tuple(np.round(np.asarray(x, dtype=float), 12)))
 
 
-def inverse_normal_exp(metric, N, q, plan=None) -> InverseExpResult:
+def inverse_normal_exp(field: NormalShooting, q) -> InverseExpResult:
     """Unique (ray, t) with exp^nu(t, ray) = q, for q off the cut locus.
 
     A posteriori check: the minimizer is unique and t stays below the cut
     time of its ray.
     """
-    field = get_field(metric, N, plan)
-    cache = getattr(field, "_inverse_cache", None)
-    if cache is None:
-        cache = field._inverse_cache = {}
     key = _q_key(q)
-    got = cache.get(key)
+    got = field._inverse_cache.get(key)
     if got is not None:
         return got
 
@@ -54,54 +50,37 @@ def inverse_normal_exp(metric, N, q, plan=None) -> InverseExpResult:
             f"q={q} lies on the cut locus: {len(wit.minimizers)} distinct "
             f"minimizers at distance {wit.d:.10g}")
     m = wit.minimizers[0]
-    rho = _ray_cut_time(field, m.ray)
+    rho = field.cut_time(m.ray).rho
     if m.t >= rho - 1e-6 and m.t > 1e-9:
         raise CutLocusError(
             f"inconsistent inverse at q={q}: minimizer time {m.t:.10g} "
             f"reaches the cut time {rho:.10g} of its ray")
     res = InverseExpResult(q, m.ray, m.t, m.residual, rho)
-    cache[key] = res
+    field._inverse_cache[key] = res
     return res
 
 
-def _ray_cut_time(field, ray):
-    cache = getattr(field, "_ray_rho_cache", None)
-    if cache is None:
-        cache = field._ray_rho_cache = {}
-    key = (tuple(np.round(ray.theta, 12)), tuple(np.round(ray.psi, 12)))
-    rho = cache.get(key)
-    if rho is None:
-        from .cutlocus import _ray_index
-        i = _ray_index(field, ray)
-        rho = field.cut_time(i).rho
-        cache[key] = rho
-    return rho
-
-
-def retract_to_N(metric, N, q, s, plan=None):
+def retract_to_N(field: NormalShooting, q, s):
     """Deformation retraction of the cut-locus complement onto N.
 
     h(s, q) = exp^nu((1-s) t v); s=0 is the identity, s=1 projects to the
     base point on N.
     """
-    inv = inverse_normal_exp(metric, N, q, plan)
-    field = get_field(metric, N, plan)
-    from .cutlocus import _ray_index
-    i = _ray_index(field, inv.ray)
+    inv = inverse_normal_exp(field, q)
     t = (1.0 - s) * inv.t
     if t <= 0.0:
         return (inv.ray.chart, inv.ray.x.copy())
-    return field.path(i, max(inv.t, 1e-9)).position(t)
+    return field.path(inv.ray, max(inv.t, 1e-9)).position(t)
 
 
-def retract_to_cut(metric, N, q, s, plan=None):
+def retract_to_cut(field: NormalShooting, q, s):
     """Deformation retraction of the complement of N onto the cut locus.
 
     H(s, q) = exp^nu((s rho + (1-s) t) v); cut points stay fixed, and a ray
     with infinite cut time has no retraction target.
     """
     try:
-        inv = inverse_normal_exp(metric, N, q, plan)
+        inv = inverse_normal_exp(field, q)
     except CutLocusError:
         # q already on the cut locus: fixed for all s
         return q
@@ -112,22 +91,18 @@ def retract_to_cut(metric, N, q, s, plan=None):
     if inv.t <= 1e-12:
         raise NumericalFailure(f"q={q} lies on N; the retraction onto the "
                                "cut locus is undefined there")
-    field = get_field(metric, N, plan)
-    from .cutlocus import _ray_index
-    i = _ray_index(field, inv.ray)
     t = s * inv.rho + (1.0 - s) * inv.t
-    return field.path(i, t).position(t)
+    return field.path(inv.ray, t).position(t)
 
 
-def distance_sq_differential(metric, N, q, X, plan=None) -> float:
+def distance_sq_differential(field: NormalShooting, q, X) -> float:
     """df(X) for f = d(N, .)^2: equals 2 l g_{v}(v, X) at the terminal
     velocity v of the unique minimizing segment of length l."""
-    field = get_field(metric, N, plan)
     wit = field.distance(q, full=True)
     values = []
     for m in wit.minimizers:
         term = m.terminal
-        g = metric.fundamental(term)
+        g = field.metric.fundamental(term)
         values.append(2.0 * m.t * float(term.v @ g @ np.asarray(X, float)))
     if len(wit.minimizers) >= 2:
         raise NondifferentiableError(
@@ -144,17 +119,16 @@ class VariationReport:
     rows: list      # (direction, analytic, finite difference)
 
 
-def check_first_variation(metric, N, q, directions, h=1e-5,
-                          plan=None) -> VariationReport:
+def check_first_variation(field: NormalShooting, q, directions,
+                          h=1e-5) -> VariationReport:
     """Central finite differences of d(N, .)^2 against the analytic df."""
-    field = get_field(metric, N, plan)
     chart, x = q
     x = np.asarray(x, dtype=float)
     rows = []
     worst = 0.0
     for X in directions:
         X = np.asarray(X, dtype=float)
-        analytic = distance_sq_differential(metric, N, q, X, plan)
+        analytic = distance_sq_differential(field, q, X)
         dp = field.distance((chart, x + h * X), full=False).d
         dm = field.distance((chart, x - h * X), full=False).d
         fd = (dp * dp - dm * dm) / (2.0 * h)
@@ -163,10 +137,9 @@ def check_first_variation(metric, N, q, directions, h=1e-5,
     return VariationReport(q, worst, rows)
 
 
-def one_sided_spread(metric, N, q, X, h=1e-5, plan=None) -> float:
+def one_sided_spread(field: NormalShooting, q, X, h=1e-5) -> float:
     """Spread between forward and backward difference quotients of d^2 at q;
     large values witness nondifferentiability on the separating set."""
-    field = get_field(metric, N, plan)
     chart, x = q
     x = np.asarray(x, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -178,13 +151,13 @@ def one_sided_spread(metric, N, q, X, h=1e-5, plan=None) -> float:
     return abs(fwd - bwd)
 
 
-def homotopy_trace(metric, N, q, target="N", s_grid=None, plan=None):
+def homotopy_trace(field: NormalShooting, q, target="N", s_grid=None):
     """Retraction path of one probe point, rows (s, x1..xn) for export."""
     if s_grid is None:
         s_grid = np.linspace(0.0, 1.0, 11)
     fn = retract_to_N if target == "N" else retract_to_cut
     rows = []
     for s in s_grid:
-        chart, x = fn(metric, N, q, float(s), plan)
+        chart, x = fn(field, q, float(s))
         rows.append((float(s), chart, np.asarray(x, dtype=float)))
     return rows

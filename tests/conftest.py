@@ -31,9 +31,14 @@ def torus_setup():
 
 
 @pytest.fixture(scope="session")
-def torus_records(torus_setup):
+def torus_field(torus_setup):
     atlas, metric, N, plan = torus_setup
-    return _timed("torus", lambda: fc.cut_locus(metric, N, plan=plan))
+    return fc.NormalShooting(metric, N, plan)
+
+
+@pytest.fixture(scope="session")
+def torus_records(torus_field):
+    return _timed("torus", lambda: fc.cut_locus(torus_field))
 
 
 @pytest.fixture(scope="session")
@@ -49,9 +54,14 @@ def sphere_setup():
 
 
 @pytest.fixture(scope="session")
-def sphere_records(sphere_setup):
+def sphere_field(sphere_setup):
     atlas, metric, N, plan = sphere_setup
-    return _timed("sphere", lambda: fc.cut_locus(metric, N, plan=plan))
+    return fc.NormalShooting(metric, N, plan)
+
+
+@pytest.fixture(scope="session")
+def sphere_records(sphere_field):
+    return _timed("sphere", lambda: fc.cut_locus(sphere_field))
 
 
 @pytest.fixture(scope="session")
@@ -65,9 +75,14 @@ def circle_setup():
 
 
 @pytest.fixture(scope="session")
-def circle_records(circle_setup):
+def circle_field(circle_setup):
     atlas, metric, N, plan = circle_setup
-    return _timed("circle", lambda: fc.cut_locus(metric, N, plan=plan, side=1))
+    return fc.NormalShooting(metric, N, plan)
+
+
+@pytest.fixture(scope="session")
+def circle_records(circle_field):
+    return _timed("circle", lambda: fc.cut_locus(circle_field, side=1))
 
 
 @pytest.fixture(scope="session")
@@ -80,9 +95,14 @@ def ellipse_setup():
 
 
 @pytest.fixture(scope="session")
-def ellipse_records(ellipse_setup):
+def ellipse_field(ellipse_setup):
     atlas, metric, N, plan = ellipse_setup
-    return _timed("ellipse", lambda: fc.cut_locus(metric, N, plan=plan, side=1))
+    return fc.NormalShooting(metric, N, plan)
+
+
+@pytest.fixture(scope="session")
+def ellipse_records(ellipse_field):
+    return _timed("ellipse", lambda: fc.cut_locus(ellipse_field, side=1))
 
 
 @pytest.fixture(scope="session")

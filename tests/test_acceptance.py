@@ -104,7 +104,7 @@ def test_criterion_2_torus(torus_setup, torus_records, timings):
 # -- 3: plane circle ------------------------------------------------------
 
 
-def test_criterion_3_circle(circle_setup, circle_records):
+def test_criterion_3_circle(circle_setup, circle_field, circle_records):
     atlas, metric, N, plan = circle_setup
     rho_err = max(abs(r.rho - 1.0) for r in circle_records)
     lam_err = max(abs(r.lam - 1.0) for r in circle_records)
@@ -112,8 +112,7 @@ def test_criterion_3_circle(circle_setup, circle_records):
                                                      "FirstFocal"}
     outward_ok = True
     for theta in (0.2, 2.3, 4.1):
-        res = fc.cut_time(metric, N,
-                          fc.unit_normal(metric, N, theta, -1.0), plan)
+        res = circle_field.cut_time(fc.unit_normal(metric, N, theta, -1.0))
         outward_ok &= bool(res.unbounded and math.isinf(res.rho))
     ok = rho_err < 1e-6 and lam_err < 1e-6 and center_ok and outward_ok
     _line(3, "plane circle",
@@ -191,33 +190,30 @@ def test_criterion_5_randers(randers_setup):
 # -- 6: distance-squared differential ------------------------------------
 
 
-def test_criterion_6_differential(circle_setup, torus_setup, randers_setup):
+def test_criterion_6_differential(circle_field, torus_field, randers_setup):
     rng = np.random.default_rng(21)
     worst = 0.0
 
-    def probe(metric, N, plan, qs):
+    def probe(field, qs):
         nonlocal worst
         for q in qs:
             angs = rng.uniform(0, 2 * math.pi, 2)
             dirs = [np.array([math.cos(a), math.sin(a)]) for a in angs]
-            rep = fc.check_first_variation(metric, N, q, dirs, h=1e-5,
-                                           plan=plan)
+            rep = fc.check_first_variation(field, q, dirs, h=1e-5)
             worst = max(worst, rep.max_deviation)
 
-    atlas, metric, N, plan = circle_setup
     qs = []
     while len(qs) < 24:
         r, a = rng.uniform(0.15, 0.85), rng.uniform(0, 2 * math.pi)
         qs.append((0, r * np.array([math.cos(a), math.sin(a)])))
-    probe(metric, N, plan, qs)
+    probe(circle_field, qs)
 
-    atlas_t, metric_t, N_t, plan_t = torus_setup
     qs = []
     while len(qs) < 24:
         x = rng.uniform(-0.4, 0.4, 2)
         if 0.05 < np.max(np.abs(x)):
             qs.append((0, x))
-    probe(metric_t, N_t, plan_t, qs)
+    probe(torus_field, qs)
 
     atlas_r, metric_r = randers_setup
     N_r = fc.point_submanifold(0, np.zeros(2))
@@ -227,10 +223,10 @@ def test_criterion_6_differential(circle_setup, torus_setup, randers_setup):
         x = rng.uniform(-0.8, 0.8, 2)
         if np.linalg.norm(x) > 0.1:
             qs.append((0, x))
-    probe(metric_r, N_r, plan_r, qs)
+    probe(fc.NormalShooting(metric_r, N_r, plan_r), qs)
 
-    spread = fc.one_sided_spread(metric, N, (0, np.zeros(2)),
-                                 np.array([1.0, 0.0]), plan=plan)
+    spread = fc.one_sided_spread(circle_field, (0, np.zeros(2)),
+                                 np.array([1.0, 0.0]))
     ok = worst <= 1e-4 and spread > 1.0
     _line(6, "distance-squared differential",
           ok, f"max|df-fd|={worst:.2e} over 72 probes, center "
@@ -240,43 +236,36 @@ def test_criterion_6_differential(circle_setup, torus_setup, randers_setup):
 # -- 7: retraction endpoints ---------------------------------------------
 
 
-def test_criterion_7_retractions(torus_setup, torus_records,
-                                 ellipse_setup, ellipse_records):
+def test_criterion_7_retractions(torus_field, torus_records,
+                                 ellipse_field, ellipse_records):
     rng = np.random.default_rng(22)
     worst = 0.0
     fixed_worst = 0.0
 
-    def probe(atlas, metric, N, plan, records, n=50):
+    def probe(field, records, n=50):
         nonlocal worst, fixed_worst
-        field = fc.get_field(metric, N, plan)
-        from finslercut.cutlocus import _ray_index
+        atlas = field.atlas
         recs = [r for r in records if np.isfinite(r.rho)]
         for _ in range(n):
             rec = recs[rng.integers(len(recs))]
             u = rng.uniform(0.2, 0.8)
-            i = _ray_index(field, rec.ray)
-            q = field.path(i, max(u * rec.rho, 1e-9)).position(u * rec.rho)
-            inv = fc.inverse_normal_exp(metric, N, q, plan)
+            q = field.path(rec.ray, max(u * rec.rho, 1e-9)).position(
+                u * rec.rho)
+            inv = fc.inverse_normal_exp(field, q)
             base = (inv.ray.chart, inv.ray.x)
             worst = max(
                 worst,
-                atlas.coord_distance(fc.retract_to_N(metric, N, q, 0.0,
-                                                     plan), q),
-                atlas.coord_distance(fc.retract_to_N(metric, N, q, 1.0,
-                                                     plan), base),
-                atlas.coord_distance(fc.retract_to_cut(metric, N, q, 0.0,
-                                                       plan), q),
-                atlas.coord_distance(fc.retract_to_cut(metric, N, q, 1.0,
-                                                       plan),
+                atlas.coord_distance(fc.retract_to_N(field, q, 0.0), q),
+                atlas.coord_distance(fc.retract_to_N(field, q, 1.0), base),
+                atlas.coord_distance(fc.retract_to_cut(field, q, 0.0), q),
+                atlas.coord_distance(fc.retract_to_cut(field, q, 1.0),
                                      rec.cut_point))
         cut_q = records[0].cut_point
         fixed_worst = max(fixed_worst, atlas.coord_distance(
-            fc.retract_to_cut(metric, N, cut_q, 0.6, plan), cut_q))
+            fc.retract_to_cut(field, cut_q, 0.6), cut_q))
 
-    atlas, metric, N, plan = torus_setup
-    probe(atlas, metric, N, plan, torus_records)
-    atlas_e, metric_e, N_e, plan_e = ellipse_setup
-    probe(atlas_e, metric_e, N_e, plan_e, ellipse_records)
+    probe(torus_field, torus_records)
+    probe(ellipse_field, ellipse_records)
     ok = worst <= 1e-5 and fixed_worst <= 1e-6
     _line(7, "retraction endpoints",
           ok, f"max endpoint defect={worst:.2e} over 100 probes, cut fixed "
@@ -286,10 +275,10 @@ def test_criterion_7_retractions(torus_setup, torus_records,
 # -- 8: geodesic loops ----------------------------------------------------
 
 
-def test_criterion_8_loops(torus_setup, torus_records, sphere_setup,
+def test_criterion_8_loops(torus_field, torus_records, sphere_setup,
                            randers_setup):
-    atlas, metric, N, plan = torus_setup
-    res = fc.find_geodesic_loop(metric, N, plan, records=torus_records)
+    atlas = torus_field.atlas
+    res = fc.find_geodesic_loop(torus_field, records=torus_records)
     torus_ok = (res.branch == "loop" and abs(res.length - 1.0) < 1e-5
                 and res.smoothness_residual <= 1e-4
                 and atlas.coord_distance(res.x0,
@@ -300,7 +289,7 @@ def test_criterion_8_loops(torus_setup, torus_records, sphere_setup,
     q_N = fc.point_submanifold(0, np.zeros(2))
     q_plan = fc.ShootingPlan(psi_count=64, horizon=1.5,
                              bisect_tol=1e-8, min_slack=1e-7, seed=14)
-    q_res = fc.find_geodesic_loop(q_metric, q_N, q_plan)
+    q_res = fc.find_geodesic_loop(fc.NormalShooting(q_metric, q_N, q_plan))
     oracle = min(
         q_metric.F(TangentVec(0, np.zeros(2), np.array([i, j], float)))
         for i in range(-2, 3) for j in range(-2, 3) if (i, j) != (0, 0))
@@ -310,7 +299,8 @@ def test_criterion_8_loops(torus_setup, torus_records, sphere_setup,
 
     atlas_r, metric_r = randers_setup
     try:
-        fc.find_geodesic_loop(metric_r, fc.point_submanifold(0, np.zeros(2)))
+        fc.find_geodesic_loop(fc.NormalShooting(
+            metric_r, fc.point_submanifold(0, np.zeros(2))))
         randers_ok = False
     except fc.ReversibilityError:
         randers_ok = True
@@ -319,7 +309,8 @@ def test_criterion_8_loops(torus_setup, torus_records, sphere_setup,
     equator = fc.circle_submanifold(0, (0.0, 0.0), 1.0)
     import dataclasses
     eq_plan = dataclasses.replace(s_plan, theta_count=32, psi_count=2)
-    eq_res = fc.find_geodesic_loop(s_metric, equator, eq_plan)
+    eq_res = fc.find_geodesic_loop(fc.NormalShooting(s_metric, equator,
+                                                     eq_plan))
     equator_ok = eq_res.branch == "focal"
 
     ok = torus_ok and quartic_ok and randers_ok and equator_ok
@@ -332,21 +323,20 @@ def test_criterion_8_loops(torus_setup, torus_records, sphere_setup,
 # -- 9: property suites ---------------------------------------------------
 
 
-def test_criterion_9_properties(sphere_setup, sphere_records,
-                                torus_setup, torus_records,
-                                circle_setup, circle_records,
-                                ellipse_setup, ellipse_records,
+def test_criterion_9_properties(sphere_setup, sphere_field, sphere_records,
+                                torus_setup, torus_field, torus_records,
+                                circle_setup, circle_field, circle_records,
+                                ellipse_field, ellipse_records,
                                 randers_setup):
     scenarios = [
-        ("sphere", sphere_setup, sphere_records),
-        ("torus", torus_setup, torus_records),
-        ("circle", circle_setup, circle_records),
-        ("ellipse", ellipse_setup, ellipse_records),
+        ("sphere", sphere_field, sphere_records),
+        ("torus", torus_field, torus_records),
+        ("circle", circle_field, circle_records),
+        ("ellipse", ellipse_field, ellipse_records),
     ]
     violations = []
     speed_worst = 0.0
-    for name, setup, records in scenarios:
-        atlas, metric, N, plan = setup
+    for name, field, records in scenarios:
         rep = fc.check_rho_leq_lambda(records)
         if not rep.passed:
             violations.append(f"{name}: rho > lambda")
@@ -358,9 +348,8 @@ def test_criterion_9_properties(sphere_setup, sphere_records,
             if np.isfinite(r.rho) and not r.classification:
                 violations.append(f"{name}: empty classification")
                 break
-        field = fc.get_field(metric, N, plan)
         for i in (0, len(field.rays) // 2):
-            path = field.path(i)
+            path = field.path(field.rays[i])
             if hasattr(path, "knot_speeds"):
                 speeds = np.array([s for _, s in path.knot_speeds])
                 speed_worst = max(speed_worst,

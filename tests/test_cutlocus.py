@@ -1,33 +1,34 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import finslercut as fc
+from finslercut.cutlocus import ShootingPlan
 
 
-def _torus_small():
+@pytest.fixture(scope="module")
+def small_torus():
     atlas = fc.torus_atlas([1.0, 1.0])
     metric = fc.euclidean_metric(atlas)
     N = fc.point_submanifold(0, np.zeros(2))
     plan = fc.ShootingPlan(psi_count=64, horizon=1.5,
                            bisect_tol=1e-8, min_slack=1e-7, seed=1)
-    return metric, N, plan
+    return fc.NormalShooting(metric, N, plan)
 
 
-def test_torus_cut_time_along_axis():
-    metric, N, plan = _torus_small()
-    ray = fc.unit_normal(metric, N, 0.0, (1.0, 0.0))
-    res = fc.cut_time(metric, N, ray, plan)
+def test_torus_cut_time_along_axis(small_torus):
+    ray = fc.unit_normal(small_torus.metric, small_torus.N, 0.0, (1.0, 0.0))
+    res = small_torus.cut_time(ray)
     assert abs(res.rho - 0.5) < 1e-6
     assert not res.horizon_limited and not res.unbounded
 
 
-def test_torus_cut_time_along_diagonal():
-    metric, N, plan = _torus_small()
+def test_torus_cut_time_along_diagonal(small_torus):
     s = 1 / math.sqrt(2)
-    ray = fc.unit_normal(metric, N, 0.0, (s, s))
-    res = fc.cut_time(metric, N, ray, plan)
+    ray = fc.unit_normal(small_torus.metric, small_torus.N, 0.0, (s, s))
+    res = small_torus.cut_time(ray)
     assert abs(res.rho - s) < 1e-6
 
 
@@ -49,11 +50,10 @@ def test_torus_classification_all_separating(torus_records):
         assert "Separating" in rec.classification
 
 
-def test_distance_witness_on_torus():
-    metric, N, plan = _torus_small()
-    wit = fc.distance_to(metric, N, (0, np.array([0.3, 0.0])), plan)
+def test_distance_witness_on_torus(small_torus):
+    wit = small_torus.distance((0, np.array([0.3, 0.0])))
     assert abs(wit.d - 0.3) < 1e-7
-    wit2 = fc.distance_to(metric, N, (0, np.array([0.9, 0.0])), plan)
+    wit2 = small_torus.distance((0, np.array([0.9, 0.0])))
     assert abs(wit2.d - 0.1) < 1e-7   # wraps through the identification
 
 
@@ -66,11 +66,11 @@ def test_point_distance_plane():
     assert abs(wit.d - 1.0) < 1e-7
 
 
-def test_is_minimizing_flags_past_cut():
-    metric, N, plan = _torus_small()
-    ray = fc.unit_normal(metric, N, 0.0, (1.0, 0.0))
-    assert fc.is_minimizing(metric, N, ray, 0.4, plan)
-    assert not fc.is_minimizing(metric, N, ray, 0.7, plan)
+def test_is_minimizing_flags_past_cut(small_torus):
+    ray = fc.unit_normal(small_torus.metric, small_torus.N, 0.0, (1.0, 0.0))
+    path = small_torus.path(ray, 0.7)
+    assert small_torus.is_minimizing(path, 0.4)
+    assert not small_torus.is_minimizing(path, 0.7)
 
 
 def test_circle_inward_rho_equals_focal(circle_setup, circle_records):
@@ -86,10 +86,9 @@ def test_circle_center_is_both_classes(circle_records):
     assert rec.classification == {"Separating", "FirstFocal"}
 
 
-def test_circle_outward_unbounded(circle_setup):
-    atlas, metric, N, plan = circle_setup
-    ray = fc.unit_normal(metric, N, 0.5, -1.0)
-    res = fc.cut_time(metric, N, ray, plan)
+def test_circle_outward_unbounded(circle_field):
+    ray = fc.unit_normal(circle_field.metric, circle_field.N, 0.5, -1.0)
+    res = circle_field.cut_time(ray)
     assert math.isinf(res.rho)
     assert res.unbounded and not res.horizon_limited
 
@@ -99,8 +98,9 @@ def test_unreached_point_raises():
     metric = fc.euclidean_metric(atlas)
     N = fc.point_submanifold(0, np.zeros(2))
     plan = fc.ShootingPlan(psi_count=16, horizon=1.0)
+    field = fc.NormalShooting(metric, N, plan)
     with pytest.raises(fc.UnreachedPointError):
-        fc.distance_to(metric, N, (0, np.array([5.0, 0.0])), plan)
+        field.distance((0, np.array([5.0, 0.0])))
 
 
 def test_rho_leq_lambda_report(circle_records):
@@ -115,13 +115,12 @@ def test_se_dense_report(ellipse_setup, ellipse_records):
     assert report.passed
 
 
-def test_rho_continuity_report():
-    metric, N, plan = _torus_small()
-    import copy
-    coarse_plan = copy.copy(plan)
-    coarse_plan.psi_count = 32
-    coarse = fc.cut_locus(metric, N, plan=coarse_plan, classify=False)
-    fine = fc.cut_locus(metric, N, plan=plan, classify=False)
+def test_rho_continuity_report(small_torus):
+    coarse_plan = dataclasses.replace(small_torus.plan, psi_count=32)
+    coarse_field = fc.NormalShooting(small_torus.metric, small_torus.N,
+                                     coarse_plan)
+    coarse = fc.cut_locus(coarse_field, classify=False)
+    fine = fc.cut_locus(small_torus, classify=False)
     report = fc.check_rho_continuity([coarse, fine])
     assert report.passed
 
@@ -131,3 +130,33 @@ def test_cut_record_has_competitor(torus_records):
     assert rec.competitor is not None
     ray, t = rec.competitor
     assert t > 0
+
+
+def test_shooting_plan_is_frozen():
+    plan = ShootingPlan()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.psi_count = 8
+
+
+def test_answers_do_not_depend_on_call_order():
+    atlas = fc.torus_atlas([1.0, 1.0])
+    metric = fc.euclidean_metric(atlas)
+    N = fc.point_submanifold(0, np.zeros(2))
+    field = fc.NormalShooting(metric, N, fc.ShootingPlan(
+        psi_count=32, horizon=1.5, bisect_tol=1e-8, min_slack=1e-7))
+    n_rays = len(field.rays)
+    q = (0, np.array([0.27, 0.31]))
+    before = field.distance(q)
+
+    # an off-grid ray, halfway between two fan rays, and an inverse query
+    mu = 0.5 * (field.ray_param(field.rays[0]) + field.ray_param(field.rays[1]))
+    off_grid = field.ray_at(mu, field.rays[0])
+    assert not any(np.array_equal(off_grid.psi, r.psi) for r in field.rays)
+    assert abs(field.cut_time(off_grid).rho - 0.5 / math.cos(mu[0])) < 1e-6
+    fc.inverse_normal_exp(field, (0, np.array([0.2, -0.13])))
+
+    assert isinstance(field.rays, tuple) and len(field.rays) == n_rays
+    after = field.distance(q)
+    assert after.d == before.d
+    assert [(m.t, m.residual) for m in after.minimizers] == \
+        [(m.t, m.residual) for m in before.minimizers]

@@ -116,3 +116,13 @@ def test_cli_run_tiny(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "cutlocus: ok" in out
+
+
+def test_refine_leaves_the_scenario_unchanged():
+    sc = fc.parse_scenario(json.dumps(TINY))
+    grids = dict(sc.grids)
+    bundle = run_scenario(sc, refine=2)
+    assert sc.grids == grids
+    assert not bundle.errors
+    names = [r["name"] for r in bundle.documents["theorems"]]
+    assert "rho_continuity" in names
