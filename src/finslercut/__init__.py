@@ -20,8 +20,8 @@ from .metric import (CustomMetric, MetricField, MetricReport,
                      validate_metric)
 from .geodesic import (GeodesicPath, LinearizedFrame, PathSegment,
                        conjugate_time, exp_map, first_degeneracy,
-                       integrate_geodesic, linearized_flow,
-                       parallelism_residual, path_energy, path_length)
+                       integrate_geodesic, linearized_flow, path_energy,
+                       path_length)
 from .submanifold import (NormalJacobiFlow, NormalRay, SubmanifoldSpec,
                           annihilator_basis, axis_line_submanifold,
                           circle_submanifold, cone_variation_data,

@@ -67,7 +67,7 @@ class ManifoldAtlas:
     """Boxes-and-transitions chart model with optional lattice periodicity."""
 
     def __init__(self, dim, boxes, transitions=(), periodic_lattice=None,
-                 safe_margin=0.5, switch_rule=None, embed_fn=None):
+                 safe_margin=0.5, switch_rule=None):
         self.dim = dim
         self.boxes = [np.asarray(b, dtype=float) for b in boxes]  # (2, n) rows lo/hi
         self.transitions = {(t.src, t.dst): t for t in transitions}
@@ -78,7 +78,6 @@ class ManifoldAtlas:
         self.periodic_lattice = periodic_lattice
         self.safe_margin = safe_margin
         self._switch_rule = switch_rule
-        self._embed_fn = embed_fn
 
     @property
     def n_charts(self):
@@ -92,13 +91,6 @@ class ManifoldAtlas:
         if not self.contains(chart, x):
             raise DomainError(
                 f"point {np.asarray(x)} outside chart {chart} box")
-
-    def wrap(self, x):
-        """Reduce coordinates modulo the periodic lattice (identity otherwise)."""
-        x = np.asarray(x, dtype=float)
-        if self.periodic_lattice is None:
-            return x
-        return np.mod(x, self.periodic_lattice)
 
     def switch_target(self, chart, x):
         """Chart to switch to when (chart, x) leaves the safe interior, else None."""
@@ -133,13 +125,6 @@ class ManifoldAtlas:
 
     def coord_distance(self, point, target):
         return float(np.linalg.norm(self.displacement(point, target)))
-
-    def embed(self, point):
-        """Ambient-space embedding, if the model has one (tests/plots only)."""
-        if self._embed_fn is None:
-            chart, x = point
-            return self.wrap(np.asarray(x, dtype=float))
-        return self._embed_fn(point)
 
 
 # -- factories -----------------------------------------------------------
@@ -183,15 +168,6 @@ def sphere_atlas(switch_radius=1.4, chart_radius=3.0):
             return 1 - chart
         return None
 
-    def embed(point):
-        chart, x = point
-        x = np.asarray(x, dtype=float)
-        r2 = float(np.dot(x, x))
-        p = np.array([2 * x[0], 2 * x[1], r2 - 1.0]) / (1.0 + r2)
-        if chart == 1:
-            p[2] = -p[2]
-        return p
-
     return ManifoldAtlas(2, [box, box], [t01, t10],
                          safe_margin=chart_radius - switch_radius,
-                         switch_rule=switch, embed_fn=embed)
+                         switch_rule=switch)

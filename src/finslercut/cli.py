@@ -37,14 +37,10 @@ def _cmd_run(args):
     sc = _load_scenario(args.scenario)
     if args.seed is not None:
         sc.seed = args.seed
-    out_dir = args.out_dir or sc.output.get("directory", "out")
+    out_dir = args.out_dir or sc.output["directory"]
     bundle = run_scenario(sc, out_dir=out_dir, refine=args.refine)
-    for task, doc in bundle.documents.items():
-        status = "ok"
-        if task == "classify" and doc.get("violations"):
-            status = "VIOLATION"
-        if task == "theorems" and any(not r["passed"] for r in doc):
-            status = "VIOLATION"
+    for task in bundle.documents:
+        status = "VIOLATION" if task in bundle.violations else "ok"
         print(f"[{sc.name}] {task}: {status}")
     for err in bundle.errors:
         print(f"[{sc.name}] {err['task']}: ERROR {err['error']}",
@@ -53,7 +49,7 @@ def _cmd_run(args):
           f"({bundle.wall_time:.1f}s)")
     if bundle.violations:
         return EXIT_VIOLATION
-    if bundle.numerical_failure:
+    if bundle.errors:
         return EXIT_NUMERICAL
     return EXIT_OK
 
@@ -80,7 +76,7 @@ def _cmd_golden(args):
     if args.seed is not None:
         sc.seed = args.seed
     bundle = run_scenario(sc, refine=args.refine)
-    if bundle.numerical_failure:
+    if bundle.errors:
         for err in bundle.errors:
             print(f"{err['task']}: {err['error']}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -28,13 +28,17 @@ from .submanifold import (NormalJacobiFlow, NormalRay, point_submanifold,
 SEPARATING = "Separating"
 FIRST_FOCAL = "FirstFocal"
 
+FOCAL_FLOOR = 0.02          # focal times are searched in (FOCAL_FLOOR, T]
+MAX_CANDIDATES = 8          # fan rays polished per full distance query
+QUICK_CANDIDATES = 4        # ... per quick (bisection) distance query
+SAMPLE_DT_FRAC = 1.0 / 128.0    # fan sample spacing, as a horizon fraction
+
 
 @dataclass(frozen=True)
 class ShootingPlan:
     theta_count: int = 128
     psi_count: int = 64
     horizon: float = 3.0
-    sides: object = None
     ode_rtol: float = 1e-9
     ode_atol: float = 1e-11
     query_rtol: float = None    # arrival-refinement integrations only
@@ -43,13 +47,6 @@ class ShootingPlan:
     bisect_tol: float = 1e-6
     min_slack: float = 1e-6
     distinct_angle: float = 1e-3
-    refine_levels: int = 2
-    seed: int = 0
-    focal_floor: float = 0.02
-    sv_rel: float = 1e-7
-    max_candidates: int = 8
-    quick_candidates: int = 4
-    sample_dt_frac: float = 1.0 / 128.0
 
 
 @dataclass
@@ -124,7 +121,7 @@ class NormalShooting:
         self.plan = plan
         self.atlas = metric.atlas
         rays, self.sample_failures = sample_unit_cone(
-            metric, N, (plan.theta_count, plan.psi_count), sides=plan.sides)
+            metric, N, (plan.theta_count, plan.psi_count))
         if not rays:
             raise NumericalFailure("unit cone sampling produced no rays")
         self.rays = tuple(rays)
@@ -206,7 +203,7 @@ class NormalShooting:
         got = self._samples.get(key)
         if got is None:
             path = self.path(ray)
-            dt = self.plan.horizon * self.plan.sample_dt_frac
+            dt = self.plan.horizon * SAMPLE_DT_FRAC
             blocks = []
             for seg in path.segments:
                 m = max(2, int(math.ceil((seg.t1 - seg.t0) / dt)) + 1)
@@ -298,7 +295,7 @@ class NormalShooting:
                         d = max(0.0, b - 0.25 * (a - c) * s)
                 dips[rid[j]].append((t, d))
         out = np.empty((nrays, 3))
-        dt = self.plan.horizon * self.plan.sample_dt_frac
+        dt = self.plan.horizon * SAMPLE_DT_FRAC
         for i in range(nrays):
             if not dips[i]:
                 out[i] = (0.0, np.inf, 0.0)
@@ -442,7 +439,7 @@ class NormalShooting:
 
     def distance(self, q, full=True) -> DistanceWitness:
         plan = self.plan
-        limit = plan.max_candidates if full else plan.quick_candidates
+        limit = MAX_CANDIDATES if full else QUICK_CANDIDATES
         cands, score = self._candidates(q, limit)
         arrivals = []
         for i, t_early, t_deep in cands:
@@ -487,9 +484,7 @@ class NormalShooting:
     def focal_time(self, ray: NormalRay, T_max=None):
         T_max = T_max or self.plan.horizon
         fl = self.flow(ray, T_max)
-        return first_degeneracy(fl.frame, fl.matrix,
-                                self.plan.focal_floor, T_max,
-                                sv_rel=self.plan.sv_rel)
+        return first_degeneracy(fl.frame, fl.matrix, FOCAL_FLOOR, T_max)
 
     def cut_time(self, ray: NormalRay) -> CutTimeResult:
         key = _ray_key(ray)
@@ -592,8 +587,7 @@ def focal_time(metric, N, ray, T_max, plan=None):
     plan = plan or ShootingPlan(horizon=T_max)
     fl = NormalJacobiFlow(metric, N, ray, T_max,
                           rtol=plan.ode_rtol, atol=plan.ode_atol)
-    return first_degeneracy(fl.frame, fl.matrix, plan.focal_floor, T_max,
-                            sv_rel=plan.sv_rel)
+    return first_degeneracy(fl.frame, fl.matrix, FOCAL_FLOOR, T_max)
 
 
 def point_distance(metric, p, q, plan=None) -> DistanceWitness:

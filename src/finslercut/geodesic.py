@@ -26,15 +26,6 @@ DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11
 
 
-def spray(metric, p: TangentVec) -> np.ndarray:
-    """2G(x, v); positively 2-homogeneous in v."""
-    if np.linalg.norm(p.v) < V_FLOOR:
-        raise DegenerateDirectionError("spray needs v != 0")
-    out = metric.spray_generic(p.chart, list(map(float, p.x)),
-                               list(map(float, p.v)))
-    return np.array([dual.real(c) for c in out])
-
-
 @dataclass
 class PathSegment:
     chart: int
@@ -436,25 +427,3 @@ def conjugate_time(metric, point, v, T_max,
                             rtol=rtol, atol=atol)
     t_floor = 1e-3 * T_max
     return first_degeneracy(frame, frame.J, t_floor, T_max)
-
-
-def parallelism_residual(metric, path) -> float:
-    """Max |x'' + 2G(x, x')| over interior sample times."""
-    worst = 0.0
-    pieces = _as_curve(metric, path)
-    t_lo = pieces[0][1]
-    t_hi = pieces[-1][2]
-    h = 1e-6 * max(t_hi - t_lo, 1.0)
-    for chart, a, b, state_fn in pieces:
-        for t in (0.5 * (a + b),):
-            if t - h < t_lo or t + h > t_hi:
-                continue
-            s = state_fn(t)
-            sm = state_fn(t - h)
-            sp = state_fn(t + h)
-            if sm.chart != sp.chart:
-                continue
-            acc = (sp.v - sm.v) / (2 * h)
-            g2 = spray(metric, s)
-            worst = max(worst, float(np.linalg.norm(acc + g2)))
-    return worst

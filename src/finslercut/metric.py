@@ -92,38 +92,6 @@ class MetricField:
         t = dual.third_tensor(f2, [float(c) for c in p.v])
         return 0.25 * np.array(t)
 
-    def dF2_dx(self, p: TangentVec) -> np.ndarray:
-        v = [float(c) for c in p.v]
-
-        def f2(xx):
-            val = self.value_generic(p.chart, xx, v)
-            return val * val
-
-        if self.x_independent:
-            return np.zeros(self.atlas.dim)
-        return np.array(dual.gradient(f2, [float(c) for c in p.x]))
-
-    def d2F2_dvdx(self, p: TangentVec) -> np.ndarray:
-        """Mixed matrix M[i, j] = d^2 F^2 / dv_i dx_j."""
-        n = self.atlas.dim
-        if self.x_independent:
-            return np.zeros((n, n))
-        x = [float(c) for c in p.x]
-        v = [float(c) for c in p.v]
-        M = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                ev = [1.0 if a == i else 0.0 for a in range(n)]
-                ex = [1.0 if a == j else 0.0 for a in range(n)]
-
-                def f2(z):
-                    val = self.value_generic(p.chart, z[:n], z[n:])
-                    return val * val
-
-                M[i, j] = dual.nested_directional(
-                    f2, x + v, [[0.0] * n + ev, ex + [0.0] * n])
-        return M
-
     # -- spray (dual-safe; consumed by the geodesic engine) --------------
 
     def spray_generic(self, chart, x, v):

@@ -1,5 +1,8 @@
 """Scenario configuration, the builtin registry, task orchestration, and
 output emission (JSON, CSV, SVG, run manifest, golden summaries).
+
+Manifold types, metric and submanifold families, and tasks are tables keyed
+by the names a scenario document uses; the schema's enums come from them.
 """
 
 from __future__ import annotations
@@ -10,20 +13,18 @@ import json
 import math
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from pathlib import Path
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:     # pragma: no cover
-    jsonschema = None
 
 from . import __version__ as _pkg_version
 from .atlas import flat_atlas, sphere_atlas, torus_atlas
 from .cutlocus import (NormalShooting, ShootingPlan, check_rho_continuity,
                        check_rho_leq_lambda, check_se_dense, cut_locus)
-from .errors import FinslerError, ReversibilityError, ScenarioError
+from .errors import (FinslerError, RetractionUndefinedError,
+                     ReversibilityError, ScenarioError)
 from .metric import (MinkowskiQuarticMetric, RandersMetric, ValidationPlan,
                      euclidean_metric, sphere_metric, validate_metric)
 from .submanifold import (axis_line_submanifold, circle_submanifold,
@@ -33,11 +34,396 @@ from . import topology as topo_mod
 
 SCHEMA_VERSION = "1.0"
 
-METRIC_FAMILIES = ("euclidean", "sphere-round", "randers", "minkowski-quartic")
-SUBMANIFOLD_FAMILIES = ("point", "circle", "ellipse", "axis-line")
-MANIFOLD_TYPES = ("flat", "torus", "sphere-stereo")
-TASKS = ("validate", "cutlocus", "classify", "retracts", "dfcheck",
-         "loops", "theorems")
+
+# -- geometry construction ------------------------------------------------
+
+
+def _sphere_round_metric(sc, atlas):
+    if sc.manifold["type"] != "sphere-stereo":
+        raise ScenarioError("sphere-round metric needs sphere-stereo "
+                            "manifold", pointer="/metric/family")
+    return sphere_metric(atlas)
+
+
+# manifold type -> atlas builder(manifold section)
+MANIFOLD_TYPES = {
+    "flat": lambda man: flat_atlas(man["dim"]),
+    "torus": lambda man: torus_atlas(man["periods"]),
+    "sphere-stereo": lambda man: sphere_atlas(),
+}
+
+# metric family -> metric builder(scenario, atlas)
+METRIC_FAMILIES = {
+    "euclidean": lambda sc, atlas: euclidean_metric(atlas),
+    "sphere-round": _sphere_round_metric,
+    "randers": lambda sc, atlas: RandersMetric(
+        atlas, np.asarray(sc.metric.get("b", [0.0, 0.0]))),
+    "minkowski-quartic": lambda sc, atlas: MinkowskiQuarticMetric(
+        atlas, eps=sc.metric.get("eps", 0.1)),
+}
+
+# submanifold family -> submanifold builder(submanifold section)
+SUBMANIFOLD_FAMILIES = {
+    "point": lambda sub: point_submanifold(
+        sub["chart"], np.asarray(sub.get("point", [0.0, 0.0]))),
+    "circle": lambda sub: circle_submanifold(
+        sub["chart"], tuple(sub.get("center", (0.0, 0.0))),
+        sub.get("radius", 1.0)),
+    "ellipse": lambda sub: ellipse_submanifold(
+        sub["chart"], a=sub.get("a", 2.0), b=sub.get("b", 1.0),
+        center=tuple(sub.get("center", (0.0, 0.0)))),
+    "axis-line": lambda sub: axis_line_submanifold(
+        sub["chart"], tuple(sub.get("point", (0.0, 0.0))),
+        tuple(sub.get("direction", (0.0, 1.0))),
+        half_extent=sub.get("halfwidth", 4.0)),
+}
+
+
+def build_geometry(sc: Scenario):
+    """Atlas, metric, submanifold, and shooting plan from a scenario."""
+    atlas = MANIFOLD_TYPES[sc.manifold["type"]](sc.manifold)
+    metric = METRIC_FAMILIES[sc.metric["family"]](sc, atlas)
+    N = SUBMANIFOLD_FAMILIES[sc.submanifold["family"]](sc.submanifold)
+    g, tol = sc.grids, sc.tolerances
+    plan = ShootingPlan(
+        theta_count=g["theta_count"],
+        psi_count=g["psi_count"],
+        horizon=g["horizon"],
+        ode_rtol=tol["ode_rel"],
+        ode_atol=tol["ode_abs"],
+        query_rtol=tol.get("query_rel"),
+        query_atol=tol.get("query_abs"),
+        newton_tol=tol["newton"],
+        bisect_tol=tol["bisection"],
+        min_slack=tol["min_slack"],
+        distinct_angle=tol["distinct_angle"],
+    )
+    return atlas, metric, N, plan
+
+
+# -- serialization --------------------------------------------------------
+
+
+def _num(x):
+    """Numeric payload normalized to 12 significant digits."""
+    x = float(x)
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    if math.isnan(x):
+        return "nan"
+    return float(f"{x:.12g}")
+
+
+def _doc(obj):
+    if isinstance(obj, dict):
+        return {str(k): _doc(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_doc(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_doc(v) for v in obj.tolist()]
+    if isinstance(obj, (float, np.floating)):
+        return _num(obj)
+    if isinstance(obj, (int, np.integer, bool, str)) or obj is None:
+        return obj
+    if isinstance(obj, (set, frozenset)):
+        return sorted(obj)
+    return str(obj)
+
+
+def record_doc(rec):
+    doc = {
+        "theta": _doc(rec.ray.theta),
+        "psi": _doc(rec.ray.psi),
+        "rho": _num(rec.rho) if not np.isnan(rec.rho) else "nan",
+        "lambda": _num(rec.lam) if not np.isnan(rec.lam) else "nan",
+        "horizon_limited": bool(rec.horizon_limited),
+        "unbounded": bool(rec.unbounded),
+        "cut_point": None, "tangent_cut": None,
+        "class": sorted(rec.classification),
+        "competitor": None,
+    }
+    if rec.cut_point is not None:
+        doc["cut_point"] = [rec.cut_point[0]] + _doc(rec.cut_point[1])
+        doc["tangent_cut"] = _doc(rec.rho * rec.ray.v)
+    if rec.competitor is not None:
+        ray, t = rec.competitor
+        doc["competitor"] = {"theta": _doc(ray.theta), "psi": _doc(ray.psi),
+                             "t": _num(t)}
+    return doc
+
+
+def records_csv(records, dim):
+    kmax = max((len(r.ray.theta) for r in records), default=0)
+    cmax = max((len(r.ray.psi) for r in records), default=1)
+    head = ([f"theta{i+1}" for i in range(kmax)]
+            + [f"psi{i+1}" for i in range(cmax)]
+            + ["rho", "lambda"]
+            + [f"x{i+1}" for i in range(dim)] + ["class"])
+    lines = [",".join(head)]
+    for r in records:
+        row = [f"{v:.12g}" for v in r.ray.theta]
+        row += [f"{v:.12g}" for v in r.ray.psi]
+        row += [f"{r.rho:.12g}", f"{r.lam:.12g}"]
+        if r.cut_point is not None:
+            row += [f"{v:.12g}" for v in r.cut_point[1]]
+        else:
+            row += [""] * dim
+        row.append("|".join(sorted(r.classification)))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _svg_polyline(points, color, width=0.01):
+    pts = " ".join(f"{p[0]:.6g},{p[1]:.6g}" for p in points)
+    return (f'<polyline points="{pts}" fill="none" stroke="{color}" '
+            f'stroke-width="{width}" />')
+
+
+def records_svg(atlas, N, records):
+    """Plain SVG 1.1 diagram of N, the cut points, and a few geodesics."""
+    pts = [r.cut_point[1] for r in records if r.cut_point is not None]
+    npts = []
+    if N.k > 0:
+        thetas = np.linspace(N.theta_box[0], N.theta_box[1], 181)
+        npts = [N.point(np.atleast_1d(t)) for t in thetas]
+    else:
+        npts = [N.point(np.zeros(0))]
+    allp = [np.asarray(p) for p in pts] + [np.asarray(p) for p in npts]
+    if not allp:
+        allp = [np.zeros(2)]
+    arr = np.array(allp)
+    lo = arr.min(axis=0) - 0.3
+    hi = arr.max(axis=0) + 0.3
+    w, h = hi - lo
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'viewBox="{lo[0]:.4g} {lo[1]:.4g} {w:.4g} {h:.4g}" '
+        f'width="480" height="480">',
+        f'<g transform="translate(0,{(lo[1] + hi[1]):.6g}) scale(1,-1)">',
+    ]
+    if len(npts) > 1:
+        parts.append(_svg_polyline(npts, "#336699", 0.012))
+    else:
+        p = npts[0]
+        parts.append(f'<circle cx="{p[0]:.6g}" cy="{p[1]:.6g}" r="0.02" '
+                     f'fill="#336699" />')
+    for p in pts:
+        parts.append(f'<circle cx="{p[0]:.6g}" cy="{p[1]:.6g}" r="0.008" '
+                     f'fill="#cc3333" />')
+    parts.append("</g></svg>")
+    return "\n".join(parts) + "\n"
+
+
+# -- task runners ---------------------------------------------------------
+
+
+def _probe_points(field, records, rng, count, lo=0.15, hi=0.85):
+    """Off-cut probe points along finite-rho rays, with their records."""
+    finite = [r for r in records
+              if r.cut_point is not None and np.isfinite(r.rho)]
+    probes = []
+    while len(probes) < count and finite:
+        rec = finite[rng.integers(len(finite))]
+        u = rng.uniform(lo, hi)
+        t = u * rec.rho
+        probes.append((field.path(rec.ray, max(t, 1e-9)).position(t), rec, t))
+    return probes
+
+
+@dataclass
+class TaskRun:
+    """State that the task runners of one scenario run share."""
+    sc: Scenario
+    metric: object
+    N: object
+    plan: ShootingPlan
+    rng: np.random.Generator
+    side: object                # hypersurface side that gets records, or None
+    refine_levels: int          # grid levels of the rho-continuity check
+    files: dict                 # output file name -> text payload
+    records: list = None        # cut records, once a task has computed them
+
+    @cached_property
+    def field(self):
+        """The shooting field, built by the first task that needs it."""
+        return NormalShooting(self.metric, self.N, self.plan)
+
+
+def _task_validate(run):
+    rep = validate_metric(run.metric, ValidationPlan(seed=run.sc.seed))
+    return {
+        "passed": bool(rep.passed),
+        "homogeneity_max": _num(rep.homogeneity_max),
+        "min_eigenvalue": _num(rep.min_eigenvalue),
+        "cartan_contraction_max": _num(rep.cartan_contraction_max),
+        "reversibility_max": _num(rep.reversibility_max),
+        "identity_max": _num(rep.identity_max),
+        "failures": list(rep.failures),
+    }, not rep.passed
+
+
+def _task_cutlocus(run):
+    records = run.records = cut_locus(run.field, classify=False,
+                                      side=run.side)
+    atlas, name = run.metric.atlas, run.sc.name
+    run.files[f"{name}_cutlocus.csv"] = records_csv(records, atlas.dim)
+    if atlas.dim == 2 and "svg" in run.sc.output["formats"]:
+        run.files[f"{name}_cutlocus.svg"] = records_svg(atlas, run.N, records)
+    finite = [r.rho for r in records if np.isfinite(r.rho)]
+    return {
+        "n_records": len(records),
+        "n_finite": len(finite),
+        "rho_min": _num(min(finite)) if finite else None,
+        "rho_max": _num(max(finite)) if finite else None,
+        "records": [record_doc(r) for r in records],
+    }, False
+
+
+def _task_classify(run):
+    field = run.field
+    violations = []
+    for rec in run.records:
+        if rec.cut_point is None:
+            continue
+        field.classify(rec)
+        if not rec.classification:
+            violations.append(rec.diagnostics.get("violation", "empty"))
+    hist = {}
+    for rec in run.records:
+        key = "+".join(sorted(rec.classification)) or "(none)"
+        hist[key] = hist.get(key, 0) + 1
+    return {"histogram": hist, "violations": violations}, bool(violations)
+
+
+def _task_retracts(run, n_probes=50):
+    field, records = run.field, run.records
+    cut = next((r.cut_point for r in records if r.cut_point is not None),
+               None)
+    if cut is None:
+        raise RetractionUndefinedError("no normal ray has a finite cut time")
+    worst_n0 = worst_n1 = worst_c0 = worst_c1 = 0.0
+    traces = []
+    atlas = field.atlas
+    for k, (q, rec, t) in enumerate(
+            _probe_points(field, records, run.rng, n_probes)):
+        p0 = topo_mod.retract_to_N(field, q, 0.0)
+        worst_n0 = max(worst_n0, atlas.coord_distance(p0, q))
+        p1 = topo_mod.retract_to_N(field, q, 1.0)
+        inv = topo_mod.inverse_normal_exp(field, q)
+        base = (inv.ray.chart, inv.ray.x)
+        worst_n1 = max(worst_n1, atlas.coord_distance(p1, base))
+        c0 = topo_mod.retract_to_cut(field, q, 0.0)
+        worst_c0 = max(worst_c0, atlas.coord_distance(c0, q))
+        c1 = topo_mod.retract_to_cut(field, q, 1.0)
+        worst_c1 = max(worst_c1, atlas.coord_distance(c1, rec.cut_point))
+        if k < 3:
+            traces.append([(s, c, list(x)) for s, c, x in
+                           topo_mod.homotopy_trace(field, q, "N")])
+    fixed_cut = atlas.coord_distance(
+        topo_mod.retract_to_cut(field, cut, 0.7), cut)
+    doc = {
+        "n_probes": n_probes,
+        "retract_to_N_s0_max": _num(worst_n0),
+        "retract_to_N_s1_max": _num(worst_n1),
+        "retract_to_cut_s0_max": _num(worst_c0),
+        "retract_to_cut_s1_max": _num(worst_c1),
+        "cut_point_fixed_residual": _num(fixed_cut),
+        "traces": _doc(traces),
+    }
+    bad = max(worst_n0, worst_n1, worst_c0, worst_c1, fixed_cut) > 1e-5
+    return doc, bad
+
+
+def _task_dfcheck(run, n_probes=24):
+    field, records, rng = run.field, run.records, run.rng
+    if records is None:
+        # point sources without a cut-locus task: probe a disk around N
+        base = field.rays[0].x
+        probes = []
+        for _ in range(n_probes):
+            ang = rng.uniform(0, 2 * np.pi)
+            rad = rng.uniform(0.2, 1.2)
+            probes.append(((0, base + rad * np.array([np.cos(ang),
+                                                      np.sin(ang)])),
+                           None, rad))
+    else:
+        probes = _probe_points(field, records, rng, n_probes, lo=0.1, hi=0.8)
+    worst = 0.0
+    rows = []
+    for q, _, _ in probes:
+        angs = rng.uniform(0, 2 * np.pi, 3)
+        dirs = [np.array([np.cos(a), np.sin(a)]) for a in angs]
+        rep = topo_mod.check_first_variation(field, q, dirs)
+        worst = max(worst, rep.max_deviation)
+        rows.append({"q": _doc(q[1]), "max_dev": _num(rep.max_deviation)})
+    return ({"n_probes": len(probes), "max_deviation": _num(worst),
+             "probes": rows}, worst > 1e-4)
+
+
+def _task_loops(run):
+    field = run.field
+    try:
+        res = loops_mod.find_geodesic_loop(field, records=run.records)
+    except ReversibilityError as exc:
+        return {"branch": "rejected-irreversible", "error": str(exc)}, False
+    doc = {
+        "branch": res.branch,
+        "x0": [res.x0[0]] + _doc(np.asarray(res.x0[1])),
+        "d_min": _num(res.d_min),
+        "length": _num(res.length),
+        "smoothness_residual": _num(res.smoothness_residual),
+        "midpoint_gap": _num(res.midpoint_gap),
+        "loop_csv_rows": len(res.loop),
+    }
+    if res.loop:
+        lines = ["s,chart," + ",".join(
+            f"x{i+1}" for i in range(field.atlas.dim))]
+        for t, c, x in res.loop:
+            lines.append(f"{t:.12g},{c}," + ",".join(f"{v:.12g}" for v in x))
+        run.files[f"{run.sc.name}_loop.csv"] = "\n".join(lines) + "\n"
+    bad = res.branch == "loop" and (res.smoothness_residual > 1e-4
+                                    or res.midpoint_gap > 1e-5)
+    return doc, bad
+
+
+def _task_theorems(run):
+    field = run.field
+    if run.records is None:
+        run.records = cut_locus(field, classify=False, side=run.side)
+    records = run.records
+    plan = field.plan
+    reports = []
+    reports.append(check_rho_leq_lambda(records))
+    classified = [r for r in records if r.classification]
+    if classified:
+        reports.append(check_se_dense(records, atlas=field.atlas))
+    if run.refine_levels > 1:
+        coarse_plan = dataclasses.replace(
+            plan, theta_count=max(1, plan.theta_count // 2),
+            psi_count=max(1, plan.psi_count // 2))
+        coarse = cut_locus(NormalShooting(field.metric, field.N, coarse_plan),
+                           classify=False, side=run.side)
+        reports.append(check_rho_continuity([coarse, records]))
+    doc = [{"name": r.name, "passed": bool(r.passed),
+            "detail": _doc(r.detail)} for r in reports]
+    return doc, any(not r.passed for r in reports)
+
+
+# task name -> runner(TaskRun) -> (document, whether it flagged a violation)
+TASKS = {
+    "validate": _task_validate,
+    "cutlocus": _task_cutlocus,
+    "classify": _task_classify,
+    "retracts": _task_retracts,
+    "dfcheck": _task_dfcheck,
+    "loops": _task_loops,
+    "theorems": _task_theorems,
+}
+# tasks that read the cut records, so "cutlocus" must be listed before them
+_NEEDS_CUTLOCUS = ("classify", "retracts")
+
+
+# -- scenario documents -------------------------------------------------
 
 SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -191,6 +577,12 @@ def parse_scenario(text) -> Scenario:
             msg = f"unknown family {exc.instance!r}; valid: {', '.join(opts)}"
         raise ScenarioError(f"invalid scenario at {pointer}: {msg}",
                             pointer=pointer) from exc
+    tasks = list(data.get("tasks", _DEFAULTS["tasks"]))
+    for i, task in enumerate(tasks):
+        if task in _NEEDS_CUTLOCUS and "cutlocus" not in tasks[:i]:
+            raise ScenarioError(
+                f"invalid scenario at /tasks/{i}: {task} needs cutlocus "
+                f"listed before it", pointer=f"/tasks/{i}")
     return Scenario(
         name=data["name"],
         manifold=_merged("manifold", data),
@@ -198,8 +590,8 @@ def parse_scenario(text) -> Scenario:
         submanifold=_merged("submanifold", data),
         grids=_merged("grids", data),
         tolerances=_merged("tolerances", data),
-        tasks=list(data.get("tasks", _DEFAULTS["tasks"])),
-        seed=int(data.get("seed", 0)),
+        tasks=tasks,
+        seed=int(data.get("seed", _DEFAULTS["seed"])),
         output=_merged("output", data),
     )
 
@@ -315,344 +707,6 @@ def builtin_scenario(name) -> Scenario:
     return parse_scenario(json.dumps(BUILTINS[name]))
 
 
-# -- geometry construction ------------------------------------------------
-
-
-def build_geometry(sc: Scenario):
-    """Atlas, metric, submanifold, and shooting plan from a scenario."""
-    man = sc.manifold
-    if man["type"] == "flat":
-        atlas = flat_atlas(man.get("dim", 2))
-    elif man["type"] == "torus":
-        atlas = torus_atlas(man.get("periods", [1.0, 1.0]))
-    else:
-        atlas = sphere_atlas()
-
-    met = sc.metric
-    fam = met["family"]
-    if fam == "euclidean":
-        metric = euclidean_metric(atlas)
-    elif fam == "sphere-round":
-        if man["type"] != "sphere-stereo":
-            raise ScenarioError("sphere-round metric needs sphere-stereo "
-                                "manifold", pointer="/metric/family")
-        metric = sphere_metric(atlas)
-    elif fam == "randers":
-        metric = RandersMetric(atlas, np.asarray(met.get("b", [0.0, 0.0])))
-    else:
-        metric = MinkowskiQuarticMetric(atlas, eps=met.get("eps", 0.1))
-
-    sub = sc.submanifold
-    sfam = sub["family"]
-    chart = sub.get("chart", 0)
-    if sfam == "point":
-        N = point_submanifold(chart, np.asarray(sub.get("point", [0.0, 0.0])))
-    elif sfam == "circle":
-        N = circle_submanifold(chart, tuple(sub.get("center", (0.0, 0.0))),
-                               sub.get("radius", 1.0))
-    elif sfam == "ellipse":
-        N = ellipse_submanifold(chart, a=sub.get("a", 2.0),
-                                b=sub.get("b", 1.0),
-                                center=tuple(sub.get("center", (0.0, 0.0))))
-    else:
-        N = axis_line_submanifold(chart, tuple(sub.get("point", (0.0, 0.0))),
-                                  tuple(sub.get("direction", (0.0, 1.0))),
-                                  half_extent=sub.get("halfwidth", 4.0))
-
-    g, tol = sc.grids, sc.tolerances
-    plan = ShootingPlan(
-        theta_count=g.get("theta_count", 128),
-        psi_count=g.get("psi_count", 64),
-        horizon=g.get("horizon", 3.0),
-        ode_rtol=tol.get("ode_rel", 1e-9),
-        ode_atol=tol.get("ode_abs", 1e-11),
-        query_rtol=tol.get("query_rel"),
-        query_atol=tol.get("query_abs"),
-        newton_tol=tol.get("newton", 1e-9),
-        bisect_tol=tol.get("bisection", 1e-6),
-        min_slack=tol.get("min_slack", 1e-6),
-        distinct_angle=tol.get("distinct_angle", 1e-3),
-        refine_levels=g.get("refine_levels", 1),
-        seed=sc.seed,
-    )
-    return atlas, metric, N, plan
-
-
-# -- serialization --------------------------------------------------------
-
-
-def _num(x):
-    """Numeric payload normalized to 12 significant digits."""
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return float(f"{x:.12g}")
-
-
-def _doc(obj):
-    if isinstance(obj, dict):
-        return {str(k): _doc(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_doc(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_doc(v) for v in obj.tolist()]
-    if isinstance(obj, (float, np.floating)):
-        return _num(obj)
-    if isinstance(obj, (int, np.integer, bool, str)) or obj is None:
-        return obj
-    if isinstance(obj, (set, frozenset)):
-        return sorted(obj)
-    return str(obj)
-
-
-def record_doc(rec):
-    doc = {
-        "theta": _doc(rec.ray.theta),
-        "psi": _doc(rec.ray.psi),
-        "rho": _num(rec.rho) if not np.isnan(rec.rho) else "nan",
-        "lambda": _num(rec.lam) if not np.isnan(rec.lam) else "nan",
-        "horizon_limited": bool(rec.horizon_limited),
-        "unbounded": bool(rec.unbounded),
-        "cut_point": None, "tangent_cut": None,
-        "class": sorted(rec.classification),
-        "competitor": None,
-    }
-    if rec.cut_point is not None:
-        doc["cut_point"] = [rec.cut_point[0]] + _doc(rec.cut_point[1])
-        doc["tangent_cut"] = _doc(rec.rho * rec.ray.v)
-    if rec.competitor is not None:
-        ray, t = rec.competitor
-        doc["competitor"] = {"theta": _doc(ray.theta), "psi": _doc(ray.psi),
-                             "t": _num(t)}
-    return doc
-
-
-def records_csv(records, dim):
-    kmax = max((len(r.ray.theta) for r in records), default=0)
-    cmax = max((len(r.ray.psi) for r in records), default=1)
-    head = ([f"theta{i+1}" for i in range(kmax)]
-            + [f"psi{i+1}" for i in range(cmax)]
-            + ["rho", "lambda"]
-            + [f"x{i+1}" for i in range(dim)] + ["class"])
-    lines = [",".join(head)]
-    for r in records:
-        row = [f"{v:.12g}" for v in r.ray.theta]
-        row += [f"{v:.12g}" for v in r.ray.psi]
-        row += [f"{r.rho:.12g}", f"{r.lam:.12g}"]
-        if r.cut_point is not None:
-            row += [f"{v:.12g}" for v in r.cut_point[1]]
-        else:
-            row += [""] * dim
-        row.append("|".join(sorted(r.classification)))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def _svg_polyline(points, color, width=0.01):
-    pts = " ".join(f"{p[0]:.6g},{p[1]:.6g}" for p in points)
-    return (f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="{width}" />')
-
-
-def records_svg(atlas, N, records):
-    """Plain SVG 1.1 diagram of N, the cut points, and a few geodesics."""
-    pts = [r.cut_point[1] for r in records if r.cut_point is not None]
-    npts = []
-    if N.k > 0:
-        thetas = np.linspace(N.theta_box[0], N.theta_box[1], 181)
-        npts = [N.point(np.atleast_1d(t)) for t in thetas]
-    else:
-        npts = [N.point(np.zeros(0))]
-    allp = [np.asarray(p) for p in pts] + [np.asarray(p) for p in npts]
-    if not allp:
-        allp = [np.zeros(2)]
-    arr = np.array(allp)
-    lo = arr.min(axis=0) - 0.3
-    hi = arr.max(axis=0) + 0.3
-    w, h = hi - lo
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{lo[0]:.4g} {lo[1]:.4g} {w:.4g} {h:.4g}" '
-        f'width="480" height="480">',
-        f'<g transform="translate(0,{(lo[1] + hi[1]):.6g}) scale(1,-1)">',
-    ]
-    if len(npts) > 1:
-        parts.append(_svg_polyline(npts, "#336699", 0.012))
-    else:
-        p = npts[0]
-        parts.append(f'<circle cx="{p[0]:.6g}" cy="{p[1]:.6g}" r="0.02" '
-                     f'fill="#336699" />')
-    for p in pts:
-        parts.append(f'<circle cx="{p[0]:.6g}" cy="{p[1]:.6g}" r="0.008" '
-                     f'fill="#cc3333" />')
-    parts.append("</g></svg>")
-    return "\n".join(parts) + "\n"
-
-
-# -- task runners ---------------------------------------------------------
-
-
-def _probe_points(field, records, rng, count, lo=0.15, hi=0.85):
-    """Off-cut probe points along finite-rho rays, with their records."""
-    finite = [r for r in records
-              if r.cut_point is not None and np.isfinite(r.rho)]
-    probes = []
-    while len(probes) < count and finite:
-        rec = finite[rng.integers(len(finite))]
-        u = rng.uniform(lo, hi)
-        t = u * rec.rho
-        probes.append((field.path(rec.ray, max(t, 1e-9)).position(t), rec, t))
-    return probes
-
-
-def _task_validate(metric, plan):
-    rep = validate_metric(metric, ValidationPlan(seed=plan.seed))
-    return {
-        "passed": bool(rep.passed),
-        "homogeneity_max": _num(rep.homogeneity_max),
-        "min_eigenvalue": _num(rep.min_eigenvalue),
-        "cartan_contraction_max": _num(rep.cartan_contraction_max),
-        "reversibility_max": _num(rep.reversibility_max),
-        "identity_max": _num(rep.identity_max),
-        "failures": list(rep.failures),
-    }, not rep.passed
-
-
-def _task_cutlocus(field, side):
-    records = cut_locus(field, classify=False, side=side)
-    finite = [r.rho for r in records if np.isfinite(r.rho)]
-    doc = {
-        "n_records": len(records),
-        "n_finite": len(finite),
-        "rho_min": _num(min(finite)) if finite else None,
-        "rho_max": _num(max(finite)) if finite else None,
-        "records": [record_doc(r) for r in records],
-    }
-    return records, doc
-
-
-def _task_classify(field, records):
-    violations = []
-    for rec in records:
-        if rec.cut_point is None:
-            continue
-        field.classify(rec)
-        if not rec.classification:
-            violations.append(rec.diagnostics.get("violation", "empty"))
-    hist = {}
-    for rec in records:
-        key = "+".join(sorted(rec.classification)) or "(none)"
-        hist[key] = hist.get(key, 0) + 1
-    return {"histogram": hist, "violations": violations}, bool(violations)
-
-
-def _task_retracts(field, records, rng, n_probes=50):
-    worst_n0 = worst_n1 = worst_c0 = worst_c1 = 0.0
-    traces = []
-    atlas = field.atlas
-    for k, (q, rec, t) in enumerate(
-            _probe_points(field, records, rng, n_probes)):
-        p0 = topo_mod.retract_to_N(field, q, 0.0)
-        worst_n0 = max(worst_n0, atlas.coord_distance(p0, q))
-        p1 = topo_mod.retract_to_N(field, q, 1.0)
-        inv = topo_mod.inverse_normal_exp(field, q)
-        base = (inv.ray.chart, inv.ray.x)
-        worst_n1 = max(worst_n1, atlas.coord_distance(p1, base))
-        c0 = topo_mod.retract_to_cut(field, q, 0.0)
-        worst_c0 = max(worst_c0, atlas.coord_distance(c0, q))
-        c1 = topo_mod.retract_to_cut(field, q, 1.0)
-        worst_c1 = max(worst_c1, atlas.coord_distance(c1, rec.cut_point))
-        if k < 3:
-            traces.append([(s, c, list(x)) for s, c, x in
-                           topo_mod.homotopy_trace(field, q, "N")])
-    fixed_cut = atlas.coord_distance(
-        topo_mod.retract_to_cut(field, records[0].cut_point, 0.7),
-        records[0].cut_point)
-    doc = {
-        "n_probes": n_probes,
-        "retract_to_N_s0_max": _num(worst_n0),
-        "retract_to_N_s1_max": _num(worst_n1),
-        "retract_to_cut_s0_max": _num(worst_c0),
-        "retract_to_cut_s1_max": _num(worst_c1),
-        "cut_point_fixed_residual": _num(fixed_cut),
-        "traces": _doc(traces),
-    }
-    bad = max(worst_n0, worst_n1, worst_c0, worst_c1, fixed_cut) > 1e-5
-    return doc, bad
-
-
-def _task_dfcheck(field, records, rng, n_probes=24):
-    if records is None:
-        # point sources without a cut-locus task: probe a disk around N
-        base = field.rays[0].x
-        probes = []
-        for _ in range(n_probes):
-            ang = rng.uniform(0, 2 * np.pi)
-            rad = rng.uniform(0.2, 1.2)
-            probes.append(((0, base + rad * np.array([np.cos(ang),
-                                                      np.sin(ang)])),
-                           None, rad))
-    else:
-        probes = _probe_points(field, records, rng, n_probes, lo=0.1, hi=0.8)
-    worst = 0.0
-    rows = []
-    for q, _, _ in probes:
-        angs = rng.uniform(0, 2 * np.pi, 3)
-        dirs = [np.array([np.cos(a), np.sin(a)]) for a in angs]
-        rep = topo_mod.check_first_variation(field, q, dirs)
-        worst = max(worst, rep.max_deviation)
-        rows.append({"q": _doc(q[1]), "max_dev": _num(rep.max_deviation)})
-    return ({"n_probes": len(probes), "max_deviation": _num(worst),
-             "probes": rows}, worst > 1e-4)
-
-
-def _task_loops(field, records):
-    try:
-        res = loops_mod.find_geodesic_loop(field, records=records)
-    except ReversibilityError as exc:
-        return {"branch": "rejected-irreversible", "error": str(exc)}, False
-    doc = {
-        "branch": res.branch,
-        "x0": [res.x0[0]] + _doc(np.asarray(res.x0[1])),
-        "d_min": _num(res.d_min),
-        "length": _num(res.length),
-        "smoothness_residual": _num(res.smoothness_residual),
-        "midpoint_gap": _num(res.midpoint_gap),
-        "loop_csv_rows": len(res.loop),
-    }
-    loop_csv = None
-    if res.loop:
-        lines = ["s,chart," + ",".join(
-            f"x{i+1}" for i in range(field.atlas.dim))]
-        for t, c, x in res.loop:
-            lines.append(f"{t:.12g},{c}," + ",".join(f"{v:.12g}" for v in x))
-        loop_csv = "\n".join(lines) + "\n"
-    bad = res.branch == "loop" and (res.smoothness_residual > 1e-4
-                                    or res.midpoint_gap > 1e-5)
-    return doc, bad, loop_csv
-
-
-def _task_theorems(field, records, side):
-    plan = field.plan
-    reports = []
-    reports.append(check_rho_leq_lambda(records))
-    classified = [r for r in records if r.classification]
-    if classified:
-        reports.append(check_se_dense(records, atlas=field.atlas))
-    if plan.refine_levels > 1:
-        coarse_plan = dataclasses.replace(
-            plan, theta_count=max(1, plan.theta_count // 2),
-            psi_count=max(1, plan.psi_count // 2))
-        coarse = cut_locus(NormalShooting(field.metric, field.N, coarse_plan),
-                           classify=False, side=side)
-        reports.append(check_rho_continuity([coarse, records]))
-    doc = [{"name": r.name, "passed": bool(r.passed),
-            "detail": _doc(r.detail)} for r in reports]
-    return doc, any(not r.passed for r in reports)
-
-
 # -- orchestration --------------------------------------------------------
 
 
@@ -662,8 +716,7 @@ class OutputBundle:
     documents: dict = dc_field(default_factory=dict)
     files: dict = dc_field(default_factory=dict)      # name -> text payload
     errors: list = dc_field(default_factory=list)
-    violations: bool = False
-    numerical_failure: bool = False
+    violations: list = dc_field(default_factory=list)  # sorted task names
     wall_time: float = 0.0
     manifest: dict = dc_field(default_factory=dict)
 
@@ -681,21 +734,30 @@ class OutputBundle:
         return out
 
 
+def _cutlocus_summary(doc):
+    keep = {k: v for k, v in doc.items() if k != "records"}
+    keep["rho_values"] = [r["rho"] for r in doc["records"]]
+    keep["lambda_values"] = [r["lambda"] for r in doc["records"]]
+    return keep
+
+
+def _without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+# task -> its document as the golden summary keeps it: per-record and
+# per-probe detail is left out, the cut and focal times are kept
+_SUMMARIES = {
+    "cutlocus": _cutlocus_summary,
+    "retracts": _without("traces"),
+    "dfcheck": _without("probes"),
+}
+
+
 def summary_document(bundle: OutputBundle) -> dict:
     """Stable numeric summary used for golden-file comparison."""
-    keep = {}
-    for task, doc in bundle.documents.items():
-        if task == "cutlocus":
-            keep[task] = {k: v for k, v in doc.items() if k != "records"}
-            keep[task]["rho_values"] = [r["rho"] for r in doc["records"]]
-            keep[task]["lambda_values"] = [r["lambda"]
-                                           for r in doc["records"]]
-        elif task == "retracts":
-            keep[task] = {k: v for k, v in doc.items() if k != "traces"}
-        elif task == "dfcheck":
-            keep[task] = {k: v for k, v in doc.items() if k != "probes"}
-        else:
-            keep[task] = doc
+    keep = {task: _SUMMARIES[task](doc) if task in _SUMMARIES else doc
+            for task, doc in bundle.documents.items()}
     return {"name": bundle.scenario.name, "seed": bundle.scenario.seed,
             "tasks": keep}
 
@@ -704,73 +766,31 @@ def run_scenario(sc: Scenario, out_dir=None, refine=None):
     """Execute the scenario's tasks in order on one shooting field.
 
     The field is built by the first task that needs it, so a cone-sampling
-    failure is recorded against that task.  ``sc`` is not modified.
+    failure is recorded against that task.  A task that raises a numerical
+    error is recorded in ``errors`` and the run goes on; any other exception
+    propagates.  ``sc`` is not modified.
     """
-    t_start = time.time()
-    atlas, metric, N, plan = build_geometry(sc)
-    if refine is not None:
-        plan = dataclasses.replace(plan, refine_levels=refine)
-    rng = np.random.default_rng(sc.seed)
-    side = sc.grids.get("side")
+    t_start = time.perf_counter()
+    _, metric, N, plan = build_geometry(sc)
     bundle = OutputBundle(sc)
-    records = None
-    field = None
-
+    run = TaskRun(sc, metric, N, plan, rng=np.random.default_rng(sc.seed),
+                  side=sc.grids["side"],
+                  refine_levels=(sc.grids["refine_levels"] if refine is None
+                                 else refine),
+                  files=bundle.files)
+    flagged = set()
     for task in sc.tasks:
         try:
-            if task != "validate" and field is None:
-                field = NormalShooting(metric, N, plan)
-            if task == "validate":
-                doc, bad = _task_validate(metric, plan)
-                bundle.documents[task] = doc
-                bundle.violations |= bad
-            elif task == "cutlocus":
-                records, doc = _task_cutlocus(field, side)
-                bundle.documents[task] = doc
-                bundle.files[f"{sc.name}_cutlocus.csv"] = records_csv(
-                    records, atlas.dim)
-                if atlas.dim == 2 and "svg" in sc.output.get("formats", []):
-                    bundle.files[f"{sc.name}_cutlocus.svg"] = records_svg(
-                        atlas, N, records)
-            elif task == "classify":
-                if records is None:
-                    raise ScenarioError("classify requires cutlocus first")
-                doc, bad = _task_classify(field, records)
-                bundle.documents[task] = doc
-                bundle.violations |= bad
-            elif task == "retracts":
-                if records is None:
-                    raise ScenarioError("retracts requires cutlocus first")
-                doc, bad = _task_retracts(field, records, rng)
-                bundle.documents[task] = doc
-                bundle.violations |= bad
-            elif task == "dfcheck":
-                doc, bad = _task_dfcheck(field, records, rng)
-                bundle.documents[task] = doc
-                bundle.violations |= bad
-            elif task == "loops":
-                got = _task_loops(field, records)
-                doc, bad = got[0], got[1]
-                if len(got) > 2 and got[2]:
-                    bundle.files[f"{sc.name}_loop.csv"] = got[2]
-                bundle.documents[task] = doc
-                bundle.violations |= bad
-            elif task == "theorems":
-                if records is None:
-                    records, _ = _task_cutlocus(field, side)
-                doc, bad = _task_theorems(field, records, side)
-                bundle.documents[task] = doc
-                bundle.violations |= bad
-        except ScenarioError:
-            raise
-        except FinslerError as exc:
+            doc, bad = TASKS[task](run)
+        except (FinslerError, np.linalg.LinAlgError) as exc:
             bundle.errors.append({"task": task, "error": repr(exc)})
-            bundle.numerical_failure = True
-        except Exception as exc:   # defensive: record, do not crash the run
-            bundle.errors.append({"task": task, "error": repr(exc)})
-            bundle.numerical_failure = True
+            continue
+        bundle.documents[task] = doc
+        if bad:
+            flagged.add(task)
+    bundle.violations = sorted(flagged)
 
-    bundle.wall_time = time.time() - t_start
+    bundle.wall_time = time.perf_counter() - t_start
     summary = summary_document(bundle)
     bundle.files[f"{sc.name}_summary.json"] = (
         json.dumps(_doc(summary), indent=2, sort_keys=True) + "\n")

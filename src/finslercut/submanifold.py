@@ -18,7 +18,7 @@ from scipy.linalg import null_space
 
 from . import dual
 from .atlas import TangentVec
-from .errors import ImmersionError, NumericalFailure
+from .errors import FinslerError, ImmersionError, NumericalFailure
 from .geodesic import exp_map, linearized_flow, integrate_geodesic
 from .metric import legendre_inverse
 
@@ -221,12 +221,12 @@ def unit_normal(metric, N: SubmanifoldSpec, theta, psi) -> NormalRay:
     return ray
 
 
-def sample_unit_cone(metric, N: SubmanifoldSpec, grid, sides=None):
+def sample_unit_cone(metric, N: SubmanifoldSpec, grid):
     """Deterministic product grid over Theta and the annihilator sphere.
 
     grid = (theta_count, psi_count).  For hypersurfaces the psi sphere is
-    {+1, -1}, optionally restricted by ``sides``.  Per-ray failures are
-    collected, not fatal; returns (rays, failures).
+    {+1, -1}.  Per-ray failures are collected, not fatal; returns
+    (rays, failures).
     """
     theta_count, psi_count = grid
     n = metric.atlas.dim
@@ -242,12 +242,7 @@ def sample_unit_cone(metric, N: SubmanifoldSpec, grid, sides=None):
             thetas = [np.array([t])
                       for t in np.linspace(lo, hi, theta_count)]
     if codim == 1:
-        if sides is None:
-            psis = [np.array([1.0]), np.array([-1.0])]
-        else:
-            chosen = sides if isinstance(sides, (list, tuple)) else [sides]
-            psis = [np.array([1.0 if s in ("+", 1, 1.0) else -1.0])
-                    for s in chosen]
+        psis = [np.array([1.0]), np.array([-1.0])]
     elif codim == 2:
         angles = 2 * np.pi * np.arange(psi_count) / psi_count
         psis = [np.array([np.cos(a), np.sin(a)]) for a in angles]
@@ -259,7 +254,7 @@ def sample_unit_cone(metric, N: SubmanifoldSpec, grid, sides=None):
         for psi in psis:
             try:
                 rays.append(unit_normal(metric, N, theta, psi))
-            except Exception as exc:  # collected per spec
+            except (FinslerError, np.linalg.LinAlgError) as exc:
                 failures.append((theta, psi, exc))
     return rays, failures
 

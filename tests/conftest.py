@@ -26,7 +26,7 @@ def torus_setup():
     metric = fc.euclidean_metric(atlas)
     N = fc.point_submanifold(0, np.zeros(2))
     plan = fc.ShootingPlan(psi_count=128, horizon=1.5,
-                           bisect_tol=1e-8, min_slack=1e-7, seed=13)
+                           bisect_tol=1e-8, min_slack=1e-7)
     return atlas, metric, N, plan
 
 
@@ -49,7 +49,7 @@ def sphere_setup():
     plan = fc.ShootingPlan(psi_count=64, horizon=4.0,
                            ode_rtol=1e-8, ode_atol=1e-10,
                            query_rtol=1e-7, query_atol=1e-9,
-                           min_slack=1e-5, seed=11)
+                           min_slack=1e-5)
     return atlas, metric, N, plan
 
 
@@ -70,7 +70,7 @@ def circle_setup():
     metric = fc.euclidean_metric(atlas)
     N = fc.circle_submanifold(0, (0.0, 0.0), 1.0)
     plan = fc.ShootingPlan(theta_count=128, horizon=3.0,
-                           bisect_tol=1e-8, min_slack=1e-7, seed=15)
+                           bisect_tol=1e-8, min_slack=1e-7)
     return atlas, metric, N, plan
 
 
@@ -90,7 +90,7 @@ def ellipse_setup():
     atlas = fc.flat_atlas(2)
     metric = fc.euclidean_metric(atlas)
     N = fc.ellipse_submanifold(0, a=2.0, b=1.0)
-    plan = fc.ShootingPlan(theta_count=256, horizon=3.0, seed=16)
+    plan = fc.ShootingPlan(theta_count=256, horizon=3.0)
     return atlas, metric, N, plan
 
 

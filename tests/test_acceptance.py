@@ -161,7 +161,7 @@ def test_criterion_4_ellipse(ellipse_setup, ellipse_records, timings):
 
 def test_criterion_5_randers(randers_setup):
     atlas, metric = randers_setup
-    plan = fc.ShootingPlan(psi_count=64, horizon=3.0, seed=17)
+    plan = fc.ShootingPlan(psi_count=64, horizon=3.0)
     d_fwd = fc.point_distance(metric, (0, np.zeros(2)),
                               (0, np.array([1.0, 0.0])), plan).d
     d_bwd = fc.point_distance(metric, (0, np.array([1.0, 0.0])),
@@ -217,7 +217,7 @@ def test_criterion_6_differential(circle_field, torus_field, randers_setup):
 
     atlas_r, metric_r = randers_setup
     N_r = fc.point_submanifold(0, np.zeros(2))
-    plan_r = fc.ShootingPlan(psi_count=64, horizon=3.0, seed=17)
+    plan_r = fc.ShootingPlan(psi_count=64, horizon=3.0)
     qs = []
     while len(qs) < 24:
         x = rng.uniform(-0.8, 0.8, 2)
@@ -288,7 +288,7 @@ def test_criterion_8_loops(torus_field, torus_records, sphere_setup,
     q_metric = fc.MinkowskiQuarticMetric(q_atlas, eps=0.1)
     q_N = fc.point_submanifold(0, np.zeros(2))
     q_plan = fc.ShootingPlan(psi_count=64, horizon=1.5,
-                             bisect_tol=1e-8, min_slack=1e-7, seed=14)
+                             bisect_tol=1e-8, min_slack=1e-7)
     q_res = fc.find_geodesic_loop(fc.NormalShooting(q_metric, q_N, q_plan))
     oracle = min(
         q_metric.F(TangentVec(0, np.zeros(2), np.array([i, j], float)))

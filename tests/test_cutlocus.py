@@ -14,7 +14,7 @@ def small_torus():
     metric = fc.euclidean_metric(atlas)
     N = fc.point_submanifold(0, np.zeros(2))
     plan = fc.ShootingPlan(psi_count=64, horizon=1.5,
-                           bisect_tol=1e-8, min_slack=1e-7, seed=1)
+                           bisect_tol=1e-8, min_slack=1e-7)
     return fc.NormalShooting(metric, N, plan)
 
 

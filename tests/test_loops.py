@@ -28,7 +28,7 @@ def test_quartic_torus_loop_matches_lattice_oracle():
     metric = fc.MinkowskiQuarticMetric(atlas, eps=0.1)
     N = fc.point_submanifold(0, np.zeros(2))
     plan = fc.ShootingPlan(psi_count=64, horizon=1.5,
-                           bisect_tol=1e-8, min_slack=1e-7, seed=2)
+                           bisect_tol=1e-8, min_slack=1e-7)
     res = fc.find_geodesic_loop(fc.NormalShooting(metric, N, plan))
     assert res.branch == "loop"
     # shortest lattice loop runs along an axis: length = F(e1) = sqrt(1.1)

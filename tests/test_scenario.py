@@ -3,8 +3,8 @@ import json
 import pytest
 
 import finslercut as fc
-from finslercut import cli
-from finslercut.errors import ScenarioError
+from finslercut import cli, scenario
+from finslercut.errors import ScenarioError, UnreachedPointError
 from finslercut.scenario import (SCHEMA, builtin_scenario, run_scenario,
                                  summary_document)
 
@@ -126,3 +126,61 @@ def test_refine_leaves_the_scenario_unchanged():
     assert not bundle.errors
     names = [r["name"] for r in bundle.documents["theorems"]]
     assert "rho_continuity" in names
+
+
+def test_cli_run_prints_violation_for_each_flagging_task(tmp_path, capsys,
+                                                          monkeypatch):
+    monkeypatch.setitem(scenario.TASKS, "validate",
+                        lambda run: ({"passed": False}, True))
+    monkeypatch.setitem(scenario.TASKS, "loops",
+                        lambda run: ({"branch": "none"}, False))
+    f = tmp_path / "sc.json"
+    f.write_text(json.dumps(dict(TINY, tasks=["validate", "loops"])))
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", str(f), "--out-dir", str(out_dir)]) == 3
+    out = capsys.readouterr().out
+    assert "[tiny] validate: VIOLATION" in out
+    assert "[tiny] loops: ok" in out
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["violations"] == ["validate"]
+
+
+def test_task_errors_are_recorded_and_bugs_propagate(monkeypatch):
+    def unreached(run):
+        raise UnreachedPointError("no root")
+
+    def bug(run):
+        raise TypeError("bad argument")
+
+    sc = fc.parse_scenario(json.dumps(dict(TINY, tasks=["loops",
+                                                        "validate"])))
+    monkeypatch.setitem(scenario.TASKS, "loops", unreached)
+    monkeypatch.setitem(scenario.TASKS, "validate",
+                        lambda run: ({"passed": True}, False))
+    bundle = run_scenario(sc)
+    assert [e["task"] for e in bundle.errors] == ["loops"]
+    assert list(bundle.documents) == ["validate"]
+    monkeypatch.setitem(scenario.TASKS, "loops", bug)
+    with pytest.raises(TypeError):
+        run_scenario(sc)
+
+
+@pytest.mark.parametrize("tasks", [["validate", "classify", "cutlocus"],
+                                   ["validate", "retracts"]])
+def test_tasks_reading_records_need_cutlocus_first(tmp_path, tasks):
+    bad = dict(TINY, tasks=tasks)
+    with pytest.raises(ScenarioError) as err:
+        fc.parse_scenario(json.dumps(bad))
+    assert err.value.pointer == "/tasks/1"
+    f = tmp_path / "sc.json"
+    f.write_text(json.dumps(bad))
+    assert cli.main(["validate", str(f)]) == 1
+
+
+def test_retracts_without_finite_cut_time_is_recorded():
+    plane = dict(TINY, manifold={"type": "flat"},
+                 grids={"psi_count": 8, "horizon": 1.0},
+                 tasks=["cutlocus", "retracts"])
+    bundle = run_scenario(fc.parse_scenario(json.dumps(plane)))
+    assert [e["task"] for e in bundle.errors] == ["retracts"]
+    assert "RetractionUndefinedError" in bundle.errors[0]["error"]
