@@ -71,28 +71,44 @@ def _cmd_validate(args):
     return EXIT_OK
 
 
-def _cmd_golden(args):
-    sc = _load_scenario(args.scenario)
+def _golden_one(sc, args):
+    """Run one scenario against its golden summary (or record it); returns
+    the exit code and the lines to print, the first one a summary."""
     if args.seed is not None:
         sc.seed = args.seed
     bundle = run_scenario(sc, refine=args.refine)
     if bundle.errors:
-        for err in bundle.errors:
-            print(f"{err['task']}: {err['error']}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return EXIT_NUMERICAL, [f"{sc.name}: {err['task']}: {err['error']}"
+                                for err in bundle.errors]
     summary = summary_document(bundle)
     if args.write:
         write_golden(summary, sc.name)
-        print(f"wrote golden summary for {sc.name}")
-        return EXIT_OK
+        return EXIT_OK, [f"wrote golden summary for {sc.name}"]
     diffs = compare_to_golden(summary, sc.name)
     if diffs:
-        print(f"{sc.name}: {len(diffs)} difference(s) from golden:")
-        for d in diffs[:20]:
-            print(f"  {d}")
-        return EXIT_VIOLATION
-    print(f"{sc.name}: matches golden summary")
-    return EXIT_OK
+        return EXIT_VIOLATION, (
+            [f"{sc.name}: {len(diffs)} difference(s) from golden, first: "
+             f"{diffs[0]}"] + [f"  {d}" for d in diffs[1:20]])
+    return EXIT_OK, [f"{sc.name}: matches golden summary"]
+
+
+def _cmd_golden(args):
+    if args.all == (args.scenario is not None):
+        raise ScenarioError("golden needs one scenario or --all")
+    if args.all and args.write:
+        raise ScenarioError("golden --write takes one scenario, not --all")
+    if not args.all:
+        code, lines = _golden_one(_load_scenario(args.scenario), args)
+        out = sys.stderr if code == EXIT_NUMERICAL else sys.stdout
+        print("\n".join(lines), file=out)
+        return code
+    # one line per builtin; a difference (3) outranks a failure (2)
+    codes = []
+    for name, _ in list_builtin_scenarios():
+        code, lines = _golden_one(builtin_scenario(name), args)
+        codes.append(code)
+        print(lines[0], flush=True)
+    return max(codes)
 
 
 def build_parser():
@@ -122,7 +138,9 @@ def build_parser():
 
     pg = sub.add_parser("golden", parents=[common],
                         help="compare a run against its golden summary")
-    pg.add_argument("scenario")
+    pg.add_argument("scenario", nargs="?")
+    pg.add_argument("--all", action="store_true",
+                    help="compare every builtin; exit 3 if any differs")
     pg.add_argument("--write", action="store_true",
                     help="record the current run as the golden summary")
     pg.set_defaults(fn=_cmd_golden)

@@ -135,6 +135,9 @@ class NormalShooting:
         self._classify_cache = {}
         # query point -> InverseExpResult (topology.inverse_normal_exp)
         self._inverse_cache = {}
+        # fan index -> {k: ray}: the Gauss-Newton seed ray (k = 0) and its
+        # first finite-difference neighbours (k = j + 1), see _seed_ray
+        self._seed_rays = {}
         self._build_branches()
 
     # -- ray bookkeeping -------------------------------------------------
@@ -177,6 +180,17 @@ class NormalShooting:
         else:
             psi = template.psi
         return unit_normal(self.metric, self.N, theta, psi)
+
+    def _seed_ray(self, i, k, mu):
+        """ray_at(mu) where mu is fan ray i's cone parameters (k = 0) or
+        those moved along axis k - 1 by the finite-difference step; every
+        Gauss-Newton run seeded at ray i starts from these same rays.
+        Failures are not memoized."""
+        got = self._seed_rays.get(i, {}).get(k)
+        if got is None:
+            got = self.ray_at(mu, self.rays[i])
+            self._seed_rays.setdefault(i, {})[k] = got
+        return got
 
     # -- cached geodesics ------------------------------------------------
 
@@ -269,8 +283,8 @@ class NormalShooting:
         distance profile within sampling resolution of the deepest one,
         the earliest is kept, so later re-arrivals cannot shadow it.
         """
-        nrays = len(self.rays)
-        dips = [[] for _ in range(nrays)]
+        # dips of every chart block, in scan order (chart, then sample)
+        rids, tds = [], []
         for chart, (xs, ts, rid, starts, ends) in self._stacked().items():
             dd = self._block_distances(q, chart, xs)
             if not np.any(np.isfinite(dd)):
@@ -281,29 +295,50 @@ class NormalShooting:
             right = np.empty_like(dd)
             right[:-1] = dd[1:]
             right[ends] = np.inf
-            for j in np.flatnonzero((dd <= left) & (dd <= right)):
-                t, d = float(ts[j]), float(dd[j])
-                if np.isfinite(left[j]) and np.isfinite(right[j]):
-                    # parabolic dip refinement recovers near-zero misses
-                    # hidden by the sample spacing
-                    a, b, c = left[j], d, right[j]
-                    den = a - 2 * b + c
-                    if den > 1e-300:
-                        s = 0.5 * (a - c) / den
-                        s = min(1.0, max(-1.0, s))
-                        t = t + s * (float(ts[min(j + 1, len(ts) - 1)]) - t)
-                        d = max(0.0, b - 0.25 * (a - c) * s)
-                dips[rid[j]].append((t, d))
-        out = np.empty((nrays, 3))
+            j = np.flatnonzero((dd <= left) & (dd <= right))
+            a, b, c = left[j], dd[j], right[j]
+            t = ts[j]
+            # parabolic dip refinement recovers near-zero misses hidden by
+            # the sample spacing; a dip with both neighbours finite is never
+            # a block end, so ts[j + 1] is its right neighbour
+            with np.errstate(invalid="ignore", divide="ignore",
+                             over="ignore"):
+                den = a - 2 * b + c
+                ok = np.isfinite(a) & np.isfinite(c) & (den > 1e-300)
+                s = np.clip(0.5 * (a - c) / den, -1.0, 1.0)
+                t_next = ts[np.minimum(j + 1, len(ts) - 1)]
+                t_fit = t + s * (t_next - t)
+                d_fit = b - 0.25 * (a - c) * s
+            d_fit = np.where(d_fit > 0.0, d_fit, 0.0)
+            rids.append(rid[j])
+            tds.append(np.stack([np.where(ok, t_fit, t),
+                                 np.where(ok, d_fit, b)]))
+        out = np.tile([0.0, np.inf, 0.0], (len(self.rays), 1))
+        if not rids:
+            return out
+        rid = np.concatenate(rids)
+        t, d = np.concatenate(tds, axis=1)
+        order = np.arange(len(rid))
+
+        def first_per_ray(sel):
+            """Index of the first dip of each ray in a sorted selection."""
+            head = np.ones(len(sel), dtype=bool)
+            head[1:] = rid[sel[1:]] != rid[sel[:-1]]
+            return sel[head]
+
+        # deepest dip per ray, the earlier one on ties
+        deep = first_per_ray(np.lexsort((order, d, rid)))
+        deep_d = np.empty(len(self.rays))
+        deep_d[rid[deep]] = d[deep]
+        # among dips within sampling resolution of the deepest one, the
+        # earliest (then shallowest) is kept, so later re-arrivals cannot
+        # shadow it
         dt = self.plan.horizon * SAMPLE_DT_FRAC
-        for i in range(nrays):
-            if not dips[i]:
-                out[i] = (0.0, np.inf, 0.0)
-                continue
-            deep_t, deep_d = min(dips[i], key=lambda p: p[1])
-            early_t, early_d = min(p for p in dips[i]
-                                   if p[1] <= deep_d + 4.0 * dt)
-            out[i] = (early_t, early_d, deep_t)
+        near = np.flatnonzero(d <= deep_d[rid] + 4.0 * dt)
+        early = first_per_ray(near[np.lexsort((d[near], t[near], rid[near]))])
+        out[rid[early], 0] = t[early]
+        out[rid[early], 1] = d[early]
+        out[rid[deep], 2] = t[deep]
         return out
 
     def _candidates(self, q, limit):
@@ -351,20 +386,22 @@ class NormalShooting:
         tol = max(plan.newton_tol, 10.0 * rtol) * (1.0 + abs(t0))
         nm = len(mu)
 
-        def residual(mu_, t_):
-            ray = self.ray_at(mu_, template)
+        def residual(mu_, t_, k=None):
+            # k: memo slot of a seed ray (first iteration only), see _seed_ray
+            ray = (self.ray_at(mu_, template) if k is None
+                   else self._seed_ray(i, k, mu_))
             path = self._arrival_path(ray, t_)
             pos = path.position(t_)
             r = -self.atlas.displacement(pos, q)
             return r, ray, path
 
         try:
-            r, ray, path = residual(mu, t)
+            r, ray, path = residual(mu, t, 0)
         except (FinslerError, np.linalg.LinAlgError):
             return None
         best = (np.linalg.norm(r), ray, float(t), path)
         stalls = 0
-        for _ in range(max_iter):
+        for it in range(max_iter):
             rn = np.linalg.norm(r)
             if rn <= tol:
                 term = path.state(min(t, path.t1))
@@ -392,7 +429,7 @@ class NormalShooting:
                 for j in range(nm):
                     mu2 = mu.copy()
                     mu2[j] += h
-                    r2, _, _ = residual(mu2, t)
+                    r2, _, _ = residual(mu2, t, j + 1 if it == 0 else None)
                     cols.append((r2 - r) / h)
             except (FinslerError, np.linalg.LinAlgError):
                 return None

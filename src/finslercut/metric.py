@@ -2,7 +2,9 @@
 
 Derivatives of F^2 come from nested dual-number evaluation of the metric's
 generic evaluator; families override hot oracles with closed forms where the
-algebra is cheap (Riemannian, Randers).
+algebra is cheap (Riemannian, Randers, and the fundamental tensor of the
+quartic Minkowski norm).  The dual-number oracles stay as the fallback for
+custom metrics and as the reference the closed forms are tested against.
 """
 
 from __future__ import annotations
@@ -311,6 +313,23 @@ class MinkowskiQuarticMetric(MetricField):
             q = q + c2
             s = s + c2 * c2
         return dual.sqrt(q + self.eps * s / q)
+
+    def fundamental(self, p):
+        """Hessian of L = F^2/2.  With q = |v|^2 and s = sum v_i^4,
+        g = (1 - eps s/q^2) I + diag(6 eps v^2/q) + (4 eps s/q^3) v v^T
+            - (4 eps/q^2)(v^3 v^T + v v^3^T),
+        evaluated as the diagonal minus the rank-2 term v w^T + w v^T."""
+        v = _check_dir(p.v)
+        eps = self.eps
+        v2 = v * v
+        q = float(v2.sum())
+        s = float(v2 @ v2)
+        w = (4.0 * eps / (q * q)) * (v2 - 0.5 * s / q) * v
+        vw = np.outer(v, w)
+        g = np.diag((1.0 - eps * s / (q * q)) + (6.0 * eps / q) * v2)
+        g -= vw
+        g -= vw.T
+        return g
 
 
 class CustomMetric(MetricField):

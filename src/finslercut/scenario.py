@@ -38,13 +38,6 @@ SCHEMA_VERSION = "1.0"
 # -- geometry construction ------------------------------------------------
 
 
-def _sphere_round_metric(sc, atlas):
-    if sc.manifold["type"] != "sphere-stereo":
-        raise ScenarioError("sphere-round metric needs sphere-stereo "
-                            "manifold", pointer="/metric/family")
-    return sphere_metric(atlas)
-
-
 # manifold type -> atlas builder(manifold section)
 MANIFOLD_TYPES = {
     "flat": lambda man: flat_atlas(man["dim"]),
@@ -55,7 +48,7 @@ MANIFOLD_TYPES = {
 # metric family -> metric builder(scenario, atlas)
 METRIC_FAMILIES = {
     "euclidean": lambda sc, atlas: euclidean_metric(atlas),
-    "sphere-round": _sphere_round_metric,
+    "sphere-round": lambda sc, atlas: sphere_metric(atlas),
     "randers": lambda sc, atlas: RandersMetric(
         atlas, np.asarray(sc.metric.get("b", [0.0, 0.0]))),
     "minkowski-quartic": lambda sc, atlas: MinkowskiQuarticMetric(
@@ -583,6 +576,11 @@ def parse_scenario(text) -> Scenario:
             raise ScenarioError(
                 f"invalid scenario at /tasks/{i}: {task} needs cutlocus "
                 f"listed before it", pointer=f"/tasks/{i}")
+    if (data["metric"]["family"] == "sphere-round"
+            and data["manifold"]["type"] != "sphere-stereo"):
+        raise ScenarioError(
+            "invalid scenario at /metric/family: sphere-round metric needs "
+            "a sphere-stereo manifold", pointer="/metric/family")
     return Scenario(
         name=data["name"],
         manifold=_merged("manifold", data),

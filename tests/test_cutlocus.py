@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import finslercut as fc
-from finslercut.cutlocus import ShootingPlan
+from finslercut.cutlocus import SAMPLE_DT_FRAC, ShootingPlan
 
 
 @pytest.fixture(scope="module")
@@ -16,6 +16,84 @@ def small_torus():
     plan = fc.ShootingPlan(psi_count=64, horizon=1.5,
                            bisect_tol=1e-8, min_slack=1e-7)
     return fc.NormalShooting(metric, N, plan)
+
+
+@pytest.fixture(scope="module")
+def torus32():
+    atlas = fc.torus_atlas([1.0, 1.0])
+    metric = fc.euclidean_metric(atlas)
+    N = fc.point_submanifold(0, np.zeros(2))
+    return fc.NormalShooting(metric, N, fc.ShootingPlan(
+        psi_count=32, horizon=1.5, bisect_tol=1e-8, min_slack=1e-7))
+
+
+def _reference_approach(field, q):
+    """The per-dip loop that NormalShooting.approach replaced."""
+    nrays = len(field.rays)
+    dips = [[] for _ in range(nrays)]
+    for chart, (xs, ts, rid, starts, ends) in field._stacked().items():
+        dd = field._block_distances(q, chart, xs)
+        if not np.any(np.isfinite(dd)):
+            continue
+        left = np.empty_like(dd)
+        left[1:] = dd[:-1]
+        left[starts] = np.inf
+        right = np.empty_like(dd)
+        right[:-1] = dd[1:]
+        right[ends] = np.inf
+        for j in np.flatnonzero((dd <= left) & (dd <= right)):
+            t, d = float(ts[j]), float(dd[j])
+            if np.isfinite(left[j]) and np.isfinite(right[j]):
+                a, b, c = left[j], d, right[j]
+                den = a - 2 * b + c
+                if den > 1e-300:
+                    s = 0.5 * (a - c) / den
+                    s = min(1.0, max(-1.0, s))
+                    t = t + s * (float(ts[min(j + 1, len(ts) - 1)]) - t)
+                    d = max(0.0, b - 0.25 * (a - c) * s)
+            dips[rid[j]].append((t, d))
+    out = np.empty((nrays, 3))
+    dt = field.plan.horizon * SAMPLE_DT_FRAC
+    for i in range(nrays):
+        if not dips[i]:
+            out[i] = (0.0, np.inf, 0.0)
+            continue
+        deep_t, deep_d = min(dips[i], key=lambda p: p[1])
+        early_t, early_d = min(p for p in dips[i]
+                               if p[1] <= deep_d + 4.0 * dt)
+        out[i] = (early_t, early_d, deep_t)
+    return out
+
+
+def test_approach_matches_reference_loop(torus32, sphere_field):
+    rng = np.random.default_rng(5)
+    queries = [(0, rng.uniform(-0.5, 0.5, 2)) for _ in range(20)]
+    # on this grid some rays have two dips of exactly equal depth, which
+    # pins the tie-breaking; (0, 0) is the fan base point
+    grid = np.linspace(-0.5, 0.5, 9)
+    queries += [(0, np.array([a, b])) for a in grid for b in grid]
+    assert len(sphere_field._stacked()) == 2        # both charts sampled
+    sphere_queries = [(int(rng.integers(2)), rng.uniform(-1.5, 1.5, 2))
+                      for _ in range(20)]
+    # chart origins: the other chart's conversion is infinite there
+    sphere_queries += [(0, np.zeros(2)), (1, np.zeros(2))]
+    for field, qs in ((torus32, queries), (sphere_field, sphere_queries)):
+        for q in qs:
+            new, ref = field.approach(q), _reference_approach(field, q)
+            assert np.array_equal(new, ref), q
+
+
+def test_seed_ray_memo_is_bounded_and_order_independent(torus32):
+    fc.cut_locus(torus32, classify=False)
+    memo = torus32._seed_rays
+    assert 0 < len(memo) <= len(torus32.rays)
+    assert all(set(slots) <= {0, 1} for slots in memo.values())
+    fresh = fc.NormalShooting(torus32.metric, torus32.N, torus32.plan)
+    for q in [(0, np.array([0.27, 0.31])), (0, np.array([-0.45, 0.12]))]:
+        warm, cold = torus32.distance(q), fresh.distance(q)
+        assert warm.d == cold.d
+        assert [(m.t, m.residual) for m in warm.minimizers] == \
+            [(m.t, m.residual) for m in cold.minimizers]
 
 
 def test_torus_cut_time_along_axis(small_torus):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import finslercut as fc
 from finslercut.atlas import TangentVec
+from finslercut.metric import MetricField
 
 unit_dir = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(
     lambda v: math.hypot(*v) > 0.1)
@@ -47,6 +48,33 @@ def test_cartan_vanishes_on_radial_contraction(name, metric):
     C = fc.cartan_tensor(metric, p).C
     contr = np.einsum("ijk,i->jk", np.asarray(C), p.v)
     assert np.max(np.abs(contr)) < 1e-9
+
+
+def _relative_gap(g, ref):
+    return float(np.max(np.abs(g - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.3])
+def test_quartic_fundamental_matches_dual_oracle(eps):
+    # the closed form against the nested-dual Hessian of F^2/2, off-diagonal
+    # terms included, over six decades of |v|
+    metric = fc.MinkowskiQuarticMetric(fc.flat_atlas(2), eps=eps)
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        v = rng.standard_normal(2)
+        v *= 10.0 ** rng.uniform(-6.0, 3.0) / np.linalg.norm(v)
+        p = TangentVec(0, rng.uniform(-0.5, 0.5, 2), v)
+        gap = _relative_gap(metric.fundamental(p),
+                            MetricField.fundamental(metric, p))
+        assert gap <= 1e-13, (v, gap)
+
+
+def test_reversed_quartic_fundamental_matches_dual_oracle():
+    rev = fc.reverse_metric(fc.MinkowskiQuarticMetric(fc.flat_atlas(2),
+                                                      eps=0.3))
+    p = TangentVec(0, np.zeros(2), np.array([0.9, -0.35]))
+    assert _relative_gap(rev.fundamental(p),
+                         MetricField.fundamental(rev, p)) <= 1e-13
 
 
 def test_randers_closed_form_values():

@@ -184,3 +184,36 @@ def test_retracts_without_finite_cut_time_is_recorded():
     bundle = run_scenario(fc.parse_scenario(json.dumps(plane)))
     assert [e["task"] for e in bundle.errors] == ["retracts"]
     assert "RetractionUndefinedError" in bundle.errors[0]["error"]
+
+
+def test_sphere_round_metric_needs_sphere_manifold(tmp_path, capsys):
+    bad = dict(TINY, metric={"family": "sphere-round"})
+    with pytest.raises(ScenarioError) as err:
+        fc.parse_scenario(json.dumps(bad))
+    assert err.value.pointer == "/metric/family"
+    f = tmp_path / "sc.json"
+    f.write_text(json.dumps(bad))
+    assert cli.main(["validate", str(f)]) == 1
+
+
+def test_cli_golden_all_reports_each_builtin(monkeypatch, capsys):
+    names = ["torus-point", "sphere-point", "plane-circle"]
+    monkeypatch.setattr(cli, "list_builtin_scenarios",
+                        lambda: [(n, "") for n in names])
+    monkeypatch.setattr(cli, "run_scenario",
+                        lambda sc, refine=None: scenario.OutputBundle(sc))
+    monkeypatch.setattr(cli, "summary_document", lambda bundle: bundle)
+    differs = {"sphere-point": ["/classify: 1 vs 2", "/rho: 3 vs 4"]}
+    monkeypatch.setattr(cli, "compare_to_golden",
+                        lambda summary, name: differs.get(name, []))
+    assert cli.main(["golden", "--all"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "torus-point: matches golden summary",
+        "sphere-point: 2 difference(s) from golden, first: /classify: 1 vs 2",
+        "plane-circle: matches golden summary"]
+    differs.clear()
+    assert cli.main(["golden", "--all"]) == 0
+    assert cli.main(["golden", "--all", "torus-point"]) == 1
+    assert cli.main(["golden"]) == 1
+    assert cli.main(["golden", "--all", "--write"]) == 1
