@@ -521,7 +521,7 @@ class NormalShooting:
     def focal_time(self, ray: NormalRay, T_max=None):
         T_max = T_max or self.plan.horizon
         fl = self.flow(ray, T_max)
-        return first_degeneracy(fl.frame, fl.matrix, FOCAL_FLOOR, T_max)
+        return first_degeneracy(fl.frame, fl.signed_matrix, FOCAL_FLOOR, T_max)
 
     def cut_time(self, ray: NormalRay) -> CutTimeResult:
         key = _ray_key(ray)
@@ -624,7 +624,7 @@ def focal_time(metric, N, ray, T_max, plan=None):
     plan = plan or ShootingPlan(horizon=T_max)
     fl = NormalJacobiFlow(metric, N, ray, T_max,
                           rtol=plan.ode_rtol, atol=plan.ode_atol)
-    return first_degeneracy(fl.frame, fl.matrix, FOCAL_FLOOR, T_max)
+    return first_degeneracy(fl.frame, fl.signed_matrix, FOCAL_FLOOR, T_max)
 
 
 def point_distance(metric, p, q, plan=None) -> DistanceWitness:

@@ -4,7 +4,10 @@ The geodesic equation x'' + 2G(x, x') = 0 is integrated with an embedded
 Runge-Kutta 5(4) scheme (Dormand-Prince, PI step control, quartic dense
 output) with chart switching at the atlas safe margin.  Jacobi fields are
 obtained by integrating the linearization of the spray flow alongside the
-base geodesic; the spray derivatives come from dual-number evaluation.
+base geodesic.  The right-hand sides read the spray only through the
+metric's float oracles: ``metric.spray`` gives 2G and ``metric.spray_jvp``
+gives 2G together with its directional derivatives along the Jacobi columns
+(closed forms on the round sphere, dual-number evaluation by default).
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import numpy as np
 from scipy.integrate import RK45
 from scipy.interpolate import CubicSpline
 
-from . import dual
 from .atlas import TangentVec
 from .errors import (AtlasExitError, DegenerateDirectionError,
                      IntegrationError)
@@ -105,8 +107,8 @@ def _geodesic_rhs(metric, chart):
         return rhs
 
     def rhs(t, y):
-        g2 = metric.spray_generic(chart, list(y[:n]), list(y[n:]))
-        return np.concatenate([y[n:], [-dual.real(c) for c in g2]])
+        s = metric.spray(chart, y[:n], y[n:])
+        return np.concatenate([y[n:], [-c for c in s]])
     return rhs
 
 
@@ -123,33 +125,16 @@ def _linearized_rhs(metric, chart, m):
         return rhs
 
     def rhs(t, y):
-        x = list(y[:n])
-        v = list(y[n:2 * n])
         J = y[2 * n:2 * n + n * m].reshape(n, m)
         Jd = y[2 * n + n * m:].reshape(n, m)
-        g2 = metric.spray_generic(chart, x, v)
+        s, ds = metric.spray_jvp(chart, y[:n], y[n:2 * n], J, Jd)
         dy = np.empty_like(y)
         dy[:n] = y[n:2 * n]
-        dy[n:2 * n] = [-dual.real(c) for c in g2]
-        Jdd = np.empty((n, m))
-        z = x + v
-        for c in range(m):
-            d = list(J[:, c]) + list(Jd[:, c])
-            out = metric.spray_generic(chart, *_split_seed(z, d, n))
-            Jdd[:, c] = [-_d1(o) for o in out]
-        dy[2 * n:2 * n + n * m] = Jd.ravel()
-        dy[2 * n + n * m:] = Jdd.ravel()
+        dy[n:2 * n] = [-c for c in s]
+        dy[2 * n:2 * n + n * m] = y[2 * n + n * m:]
+        dy[2 * n + n * m:] = (-ds).ravel()
         return dy
     return rhs
-
-
-def _split_seed(z, d, n):
-    zz = dual.seed(z, [d])
-    return zz[:n], zz[n:]
-
-
-def _d1(o):
-    return dual.real(dual.dpart(o))
 
 
 def _transform_state(metric, tr, y, n, m):
@@ -306,8 +291,10 @@ class LinearizedFrame:
     def Jdot(self, t):
         return self._blocks(t)[4]
 
-    def sign(self, t):
-        return self._blocks(t)[5]
+    def signed_J(self, t):
+        """(J(t), orientation sign of the chart at t) from one path read."""
+        _, _, _, J, _, sign = self._blocks(t)
+        return J, sign
 
     def state(self, t):
         chart, x, v, _, _, _ = self._blocks(t)
@@ -321,7 +308,6 @@ class LinearizedFrame:
         ts = np.linspace(self.t0, self.t1, samples + 2)[1:-1]
         worst = 0.0
         h = 1e-5 * (self.t1 - self.t0)
-        rhs_cache = {}
         for t in ts:
             if t - h < self.t0 or t + h > self.t1:
                 continue
@@ -334,13 +320,7 @@ class LinearizedFrame:
             if self.metric.x_independent:
                 expect = np.zeros_like(Jdd)
             else:
-                expect = np.empty_like(Jdd)
-                z = list(x) + list(v)
-                for c in range(self.m):
-                    d = list(J[:, c]) + list(Jd[:, c])
-                    out = self.metric.spray_generic(
-                        chart, *_split_seed(z, d, self.n))
-                    expect[:, c] = [-_d1(o) for o in out]
+                expect = -self.metric.spray_jvp(chart, x, v, J, Jd)[1]
             worst = max(worst, float(np.max(np.abs(Jdd - expect))))
         return worst
 
@@ -361,39 +341,41 @@ def linearized_flow(metric, start: TangentVec, T, J0, Jd0,
     return LinearizedFrame(metric, segs, m)
 
 
-def first_degeneracy(frame: LinearizedFrame, matrix_fn, t_floor, T_max,
-                     sv_rel=1e-7, refine_tol=1e-8):
-    """First t in (t_floor, T_max] where matrix_fn(t) degenerates.
+def first_degeneracy(frame: LinearizedFrame, signed_matrix_fn, t_floor,
+                     T_max, sv_rel=1e-7, refine_tol=1e-8):
+    """First t in (t_floor, T_max] where the matrix M(t) degenerates.
 
-    Tracks the sign of det (chart-transition orientation corrected) and a
-    relative smallest-singular-value threshold, then bisection-refines.
-    Returns +inf when no degeneracy is found.
+    ``signed_matrix_fn(t)`` returns ``(M(t), sign)``, the sign being the
+    orientation of the chart transitions up to t (``frame.signed_J`` or
+    ``NormalJacobiFlow.signed_matrix``), so each probe reads the frame once.
+    Tracks the sign of the corrected det and a relative smallest-singular-
+    value threshold, then bisection-refines.  Returns +inf when no
+    degeneracy is found.
     """
     ts = [t for t in frame.knot_times() if t_floor < t <= T_max]
     grid = sorted(set(np.concatenate([
         ts, np.linspace(t_floor, min(T_max, frame.t1), 80)])))
     grid = [t for t in grid if t_floor <= t <= min(T_max, frame.t1)]
 
-    def signed_det(t):
-        M = matrix_fn(t)
-        return frame.sign(t) * float(np.linalg.det(M))
+    def probe(t):
+        M, sign = signed_matrix_fn(t)
+        return sign * float(np.linalg.det(M)), M
 
-    def sv_ratio(t):
-        M = matrix_fn(t)
+    def sv_ratio(M):
         sv = np.linalg.svd(M, compute_uv=False)
         return sv[-1] / max(sv[0], 1e-300)
 
     prev_t = grid[0]
-    prev_d = signed_det(prev_t)
-    if sv_ratio(prev_t) < sv_rel:
+    prev_d, M = probe(prev_t)
+    if sv_ratio(M) < sv_rel:
         return prev_t
     for t in grid[1:]:
-        d = signed_det(t)
+        d, M = probe(t)
         if d == 0.0 or (d < 0) != (prev_d < 0):
             lo, hi = prev_t, t
             while hi - lo > refine_tol:
                 mid = 0.5 * (lo + hi)
-                dm = signed_det(mid)
+                dm = probe(mid)[0]
                 if dm == 0.0:
                     return mid
                 if (dm < 0) == (prev_d < 0):
@@ -401,13 +383,14 @@ def first_degeneracy(frame: LinearizedFrame, matrix_fn, t_floor, T_max,
                 else:
                     hi = mid
             return 0.5 * (lo + hi)
-        if sv_ratio(t) < sv_rel:
+        if sv_ratio(M) < sv_rel:
             # even-multiplicity kernel: refine on the singular-value dip
             lo, hi = prev_t, t
             while hi - lo > refine_tol:
                 m1 = lo + (hi - lo) / 3
                 m2 = hi - (hi - lo) / 3
-                if sv_ratio(m1) < sv_ratio(m2):
+                if (sv_ratio(signed_matrix_fn(m1)[0])
+                        < sv_ratio(signed_matrix_fn(m2)[0])):
                     hi = m2
                 else:
                     lo = m1
@@ -426,4 +409,4 @@ def conjugate_time(metric, point, v, T_max,
                             np.zeros((n, n)), np.eye(n),
                             rtol=rtol, atol=atol)
     t_floor = 1e-3 * T_max
-    return first_degeneracy(frame, frame.J, t_floor, T_max)
+    return first_degeneracy(frame, frame.signed_J, t_floor, T_max)

@@ -3,8 +3,14 @@
 Derivatives of F^2 come from nested dual-number evaluation of the metric's
 generic evaluator; families override hot oracles with closed forms where the
 algebra is cheap (Riemannian, Randers, and the fundamental tensor of the
-quartic Minkowski norm).  The dual-number oracles stay as the fallback for
-custom metrics and as the reference the closed forms are tested against.
+quartic Minkowski norm).  The geodesic engine reads the spray only through
+two float oracles, ``spray`` (2G) and ``spray_jvp`` (2G and its directional
+derivative); by default both evaluate ``spray_generic``, the latter on
+dual numbers.  The round sphere overrides them with closed forms that repeat
+the floating-point operations of that default, so its geodesics and Jacobi
+fields are the same to the last bit.  The dual-number oracles stay as the
+fallback for custom metrics and as the reference the closed forms are
+tested against.
 """
 
 from __future__ import annotations
@@ -94,7 +100,7 @@ class MetricField:
         t = dual.third_tensor(f2, [float(c) for c in p.v])
         return 0.25 * np.array(t)
 
-    # -- spray (dual-safe; consumed by the geodesic engine) --------------
+    # -- spray (consumed by the geodesic engine) -------------------------
 
     def spray_generic(self, chart, x, v):
         """2G(x, v) with generic scalars; geodesic equation x'' + 2G = 0."""
@@ -120,6 +126,29 @@ class MetricField:
         rhs = [sum(M[i][j] * v[j] for j in range(n)) - Lx[i] for i in range(n)]
         return _solve_generic(g, rhs)
 
+    def spray(self, chart, x, v):
+        """2G(x, v) as a list of floats."""
+        return [dual.real(c) for c in self.spray_generic(chart, list(x),
+                                                          list(v))]
+
+    def spray_jvp(self, chart, x, v, dx, dv):
+        """2G(x, v) and its derivative along each column of (dx, dv).
+
+        Returns ``(s, ds)``: ``s`` is ``spray(chart, x, v)`` and ``ds[:, c]``
+        is d/dt 2G(x + t dx[:, c], v + t dv[:, c]) at t = 0, from one
+        dual-number evaluation of ``spray_generic`` per column.
+        """
+        n = self.atlas.dim
+        dx = np.asarray(dx, dtype=float)
+        dv = np.asarray(dv, dtype=float)
+        z = list(x) + list(v)
+        ds = np.empty(dx.shape)
+        for c in range(dx.shape[1]):
+            d = list(dx[:, c]) + list(dv[:, c])
+            out = self.spray_generic(chart, *_split_seed(z, d, n))
+            ds[:, c] = [_d1(o) for o in out]
+        return self.spray(chart, x, v), ds
+
     # -- misc ------------------------------------------------------------
 
     def unit(self, p: TangentVec) -> TangentVec:
@@ -138,6 +167,16 @@ def _nested(f, z, dirs):
     for _ in range(len(dirs)):
         out = dual.dpart(out)
     return out
+
+
+def _split_seed(z, d, n):
+    """(x, v) halves of the point z lifted to duals along the direction d."""
+    zz = dual.seed(z, [d])
+    return zz[:n], zz[n:]
+
+
+def _d1(o):
+    return dual.real(dual.dpart(o))
 
 
 def _solve_generic(A, b):
@@ -234,22 +273,106 @@ def euclidean_metric(atlas):
     return m
 
 
+def _round_matrix(chart, x):
+    r2 = x[0] * x[0] + x[1] * x[1]
+    phi = 4.0 / ((1.0 + r2) * (1.0 + r2))
+    return [[phi, 0.0], [0.0, phi]]
+
+
+def _round_dmatrix(chart, x):
+    # dmat[j][i][l]: diagonal conformal, so d a_il / d x_j = c x_j delta_il
+    r2 = x[0] * x[0] + x[1] * x[1]
+    c = -16.0 / ((1.0 + r2) ** 3)
+    return [[[c * x[j] if i == l else 0.0 for l in range(2)]
+             for i in range(2)] for j in range(2)]
+
+
+class RoundSphereMetric(RiemannianMetric):
+    """Round metric 4/(1+|x|^2)^2 dx^2 on the two-chart stereographic atlas.
+
+    ``spray`` and ``spray_jvp`` write out the analytic ``spray_generic``
+    branch for a = phi(x) I.  They repeat, in the same order, the
+    floating-point operations of its float evaluation (``spray`` and the
+    value half of ``spray_jvp``) and of the dual parts of its dual-number
+    evaluation (the derivative half).  The only operations left out are the
+    additions of the exactly-zero off-diagonal terms of d a; for finite
+    inputs they change no value, at most the sign of a zero.  The results
+    therefore equal the dual-number path's.
+    """
+
+    def __init__(self, atlas):
+        super().__init__(atlas, _round_matrix, dmatrix_fn=_round_dmatrix)
+
+    def spray(self, chart, x, v):
+        x0, x1 = float(x[0]), float(x[1])
+        v0, v1 = float(v[0]), float(v[1])
+        r2 = x0 * x0 + x1 * x1
+        phi = 4.0 / ((1.0 + r2) * (1.0 + r2))
+        c = -16.0 / ((1.0 + r2) ** 3)
+        d0 = c * x0
+        d1 = c * x1
+        s0 = (0.0 + d0 * v0 * v0 + d1 * v1 * v0
+              - 0.5 * d0 * v0 * v0 - 0.5 * d0 * v1 * v1)
+        s1 = (0.0 + d0 * v0 * v1 + d1 * v1 * v1
+              - 0.5 * d1 * v0 * v0 - 0.5 * d1 * v1 * v1)
+        return [s0 / phi, s1 / phi]
+
+    def spray_jvp(self, chart, x, v, dx, dv):
+        x0, x1 = float(x[0]), float(x[1])
+        v0, v1 = float(v[0]), float(v[1])
+        # real parts of the dual evaluation; there (1 + r2) ** 3 is
+        # Dual.__pow__'s b * (b * b), not the float pow of ``spray``
+        r2 = x0 * x0 + x1 * x1
+        b = r2 + 1.0
+        bb = b * b
+        phi = 4.0 / bb
+        b3 = b * bb
+        c = -16.0 / b3
+        d0 = c * x0
+        d1 = c * x1
+        h0 = d0 * 0.5
+        h1 = d1 * 0.5
+        p0 = d0 * v0
+        p1 = d1 * v1
+        q00 = h0 * v0
+        q01 = h0 * v1
+        q10 = h1 * v0
+        q11 = h1 * v1
+        s0 = p0 * v0 + 0.0 + p1 * v0 - q00 * v0 - q01 * v1
+        s1 = p0 * v1 + 0.0 + p1 * v1 - q10 * v0 - q11 * v1
+        pp = phi * phi
+        (a0s, a1s), (w0s, w1s) = (np.asarray(dx, dtype=float).tolist(),
+                                  np.asarray(dv, dtype=float).tolist())
+        out0 = []
+        out1 = []
+        for a0, a1, w0, w1 in zip(a0s, a1s, w0s, w1s):
+            # dual parts, operand for operand as Dual.__mul__/__truediv__
+            bd = (x0 * a0 + a0 * x0) + (x1 * a1 + a1 * x1)
+            bbd = b * bd + bd * b
+            phid = -4.0 * bbd / (bb * bb)
+            cd = 16.0 * (b * bbd + bd * bb) / (b3 * b3)
+            d0d = c * a0 + cd * x0
+            d1d = c * a1 + cd * x1
+            h0d = d0d * 0.5
+            h1d = d1d * 0.5
+            p0d = d0 * w0 + d0d * v0
+            p1d = d1 * w1 + d1d * v1
+            q00d = h0 * w0 + h0d * v0
+            q01d = h0 * w1 + h0d * v1
+            q10d = h1 * w0 + h1d * v0
+            q11d = h1 * w1 + h1d * v1
+            s0d = ((p0 * w0 + p0d * v0) + (p1 * w0 + p1d * v0)
+                   - (q00 * w0 + q00d * v0) - (q01 * w1 + q01d * v1))
+            s1d = ((p0 * w1 + p0d * v1) + (p1 * w1 + p1d * v1)
+                   - (q10 * w0 + q10d * v0) - (q11 * w1 + q11d * v1))
+            out0.append((s0d * phi - s0 * phid) / pp)
+            out1.append((s1d * phi - s1 * phid) / pp)
+        return self.spray(chart, x, v), np.array([out0, out1])
+
+
 def sphere_metric(atlas):
     """Round metric 4/(1+|x|^2)^2 dx^2 on the two-chart stereographic atlas."""
-
-    def mat(chart, x):
-        r2 = x[0] * x[0] + x[1] * x[1]
-        phi = 4.0 / ((1.0 + r2) * (1.0 + r2))
-        return [[phi, 0.0], [0.0, phi]]
-
-    # dmat[j][i][l]: diagonal conformal, so d a_il / d x_j = c x_j delta_il
-    def dmat(chart, x):
-        r2 = x[0] * x[0] + x[1] * x[1]
-        c = -16.0 / ((1.0 + r2) ** 3)
-        return [[[c * x[j] if i == l else 0.0 for l in range(2)]
-                 for i in range(2)] for j in range(2)]
-
-    return RiemannianMetric(atlas, mat, dmatrix_fn=dmat)
+    return RoundSphereMetric(atlas)
 
 
 class RandersMetric(MetricField):
@@ -364,9 +487,16 @@ class ReversedMetric(MetricField):
     def cartan(self, p):
         return -self.base.cartan(TangentVec(p.chart, p.x, -p.v))
 
+    # a reversed F-geodesic c(t) = gamma(-t) solves c'' + 2G(c, -c') = 0
     def spray_generic(self, chart, x, v):
-        neg = self.base.spray_generic(chart, x, [-c for c in v])
-        return [-c for c in neg]
+        return self.base.spray_generic(chart, x, [-c for c in v])
+
+    def spray(self, chart, x, v):
+        return self.base.spray(chart, x, [-c for c in v])
+
+    def spray_jvp(self, chart, x, v, dx, dv):
+        return self.base.spray_jvp(chart, x, [-c for c in v], dx,
+                                   -np.asarray(dv, dtype=float))
 
     def reversed_(self):
         return self.base

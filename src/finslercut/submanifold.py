@@ -323,13 +323,13 @@ class NormalJacobiFlow:
         self.frame = linearized_flow(metric, ray.tangent(), self.T,
                                      J0, Jd0, **kwargs)
 
-    def matrix(self, t) -> np.ndarray:
-        cols = self.frame.J(t)
-        chart, x, v, _, _, _ = self.frame._blocks(t)
-        return np.column_stack([cols, v])
+    def signed_matrix(self, t):
+        """(matrix(t), orientation sign of the chart at t), one path read."""
+        _, _, v, J, _, sign = self.frame._blocks(t)
+        return np.column_stack([J, v]), sign
 
-    def sign(self, t):
-        return self.frame.sign(t)
+    def matrix(self, t) -> np.ndarray:
+        return self.signed_matrix(t)[0]
 
     def point(self, t):
         st = self.frame.state(t)

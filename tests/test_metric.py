@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import finslercut as fc
+from finslercut import dual
 from finslercut.atlas import TangentVec
-from finslercut.metric import MetricField
+from finslercut.metric import (MetricField, RiemannianMetric, _d1,
+                               _split_seed)
 
 unit_dir = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(
     lambda v: math.hypot(*v) > 0.1)
@@ -157,3 +159,80 @@ def test_degenerate_direction_rejected():
     with pytest.raises(fc.DegenerateDirectionError):
         fc.fundamental_tensor(metric,
                               TangentVec(0, np.zeros(2), np.zeros(2)))
+
+
+def _round_states(rng, count):
+    """Sphere states (chart, x, v, dx, dv) in both charts, |v| from 1e-6 to
+    1e2, every fourth with a zero entry in v, dx or dv, and every other one
+    as Python floats instead of np.float64."""
+    states = []
+    for k in range(count):
+        chart = k % 2
+        x = rng.uniform(-3.0, 3.0, 2)
+        v = rng.standard_normal(2)
+        v *= 10.0 ** rng.uniform(-6.0, 2.0) / np.linalg.norm(v)
+        dx = rng.standard_normal((2, 1)) * 10.0 ** rng.uniform(-3.0, 1.0)
+        dv = rng.standard_normal((2, 1)) * 10.0 ** rng.uniform(-3.0, 1.0)
+        if k % 4 == 3:
+            (v, dx[:, 0], dv[:, 0])[k % 3][k % 2] = 0.0
+        x, v = list(x), list(v)
+        if k % 4 < 2:
+            x, v = [float(c) for c in x], [float(c) for c in v]
+        states.append((chart, x, v, dx, dv))
+    return states
+
+
+def test_round_sphere_spray_equals_dual_path():
+    # the closed forms must give the analytic spray_generic branch's numbers
+    # exactly, both its float evaluation and its dual parts
+    metric = fc.sphere_metric(fc.sphere_atlas())
+    assert isinstance(metric, RiemannianMetric)
+    assert metric.spray_generic.__func__ is RiemannianMetric.spray_generic
+    for chart, x, v, dx, dv in _round_states(np.random.default_rng(5), 3000):
+        ref = [dual.real(c) for c in metric.spray_generic(chart, x, v)]
+        seeded = _split_seed(x + v, list(dx[:, 0]) + list(dv[:, 0]), 2)
+        dref = [_d1(o) for o in metric.spray_generic(chart, *seeded)]
+        assert np.array_equal(metric.spray(chart, x, v), ref), (x, v)
+        s, ds = metric.spray_jvp(chart, x, v, dx, dv)
+        assert np.array_equal(s, ref), (x, v)
+        assert ds.shape == (2, 1)
+        assert np.array_equal(ds[:, 0], dref), (x, v, dx, dv)
+
+
+def test_round_sphere_spray_jvp_takes_columns():
+    metric = fc.sphere_metric(fc.sphere_atlas())
+    rng = np.random.default_rng(8)
+    x, v = rng.uniform(-1.0, 1.0, 2), rng.standard_normal(2)
+    dx, dv = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
+    s, ds = metric.spray_jvp(0, x, v, dx, dv)
+    ref_s, ref_ds = MetricField.spray_jvp(metric, 0, x, v, dx, dv)
+    assert np.array_equal(s, ref_s)
+    assert np.array_equal(ds, ref_ds)
+
+
+def test_reversed_sphere_geodesic_matches_forward():
+    # the round metric is reversible, so reversing it changes no geodesic
+    metric = fc.sphere_metric(fc.sphere_atlas())
+    point, v = (0, np.array([0.3, -0.2])), np.array([0.5, 0.7])
+    chart, x = fc.exp_map(metric, point, v)
+    rchart, rx = fc.exp_map(fc.reverse_metric(metric), point, v)
+    assert rchart == chart
+    assert np.allclose(rx, x, atol=1e-12), (rx, x)
+
+
+def test_reversed_metric_retraces_geodesics():
+    # an irreversible, x-dependent Randers-type metric on the default dual
+    # path: the reversed geodesic from (q, -w) runs back to the start
+    atlas = fc.flat_atlas(2)
+
+    def F(chart, x, v):
+        return (dual.sqrt(v[0] * v[0] + v[1] * v[1])
+                + 0.2 * x[1] * v[0] - 0.1 * x[0] * x[0] * v[1])
+
+    metric = fc.CustomMetric(atlas, F)
+    start = TangentVec(0, np.array([0.1, -0.2]), np.array([0.6, 0.3]))
+    end = fc.integrate_geodesic(metric, start, 1.0).state(1.0)
+    back = fc.integrate_geodesic(fc.reverse_metric(metric),
+                                 TangentVec(0, end.x, -end.v), 1.0)
+    assert np.allclose(back.position(1.0)[1], start.x, atol=1e-8)
+    assert np.allclose(back.velocity(1.0), -start.v, atol=1e-8)

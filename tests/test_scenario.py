@@ -217,3 +217,11 @@ def test_cli_golden_all_reports_each_builtin(monkeypatch, capsys):
     assert cli.main(["golden", "--all", "torus-point"]) == 1
     assert cli.main(["golden"]) == 1
     assert cli.main(["golden", "--all", "--write"]) == 1
+
+
+@pytest.mark.parametrize("name", ["sphere-point", "sphere-equator"])
+def test_sphere_builtin_matches_golden(name):
+    # sphere-equator's delta (about 3.9e9) and the focal times move past the
+    # 1e-9 tolerance on a last-bit change of the spray
+    summary = summary_document(run_scenario(builtin_scenario(name)))
+    assert scenario.compare_to_golden(summary, name) == []

@@ -124,3 +124,28 @@ def test_sampled_curve_matches_circle():
     N = fc.sampled_curve_submanifold(thetas, pts)
     ray = fc.unit_normal(metric, N, 0.0, 1.0)
     assert np.allclose(ray.v, [-1.0, 0.0], atol=1e-3)
+
+
+def test_first_degeneracy_reads_the_frame_once_per_time():
+    atlas = fc.sphere_atlas()
+    metric = fc.sphere_metric(atlas)
+    N = fc.point_submanifold(0, (0.3, -0.2))
+    flow = fc.NormalJacobiFlow(metric, N, fc.unit_normal(metric, N, (),
+                                                      (0.6, 0.8)), 3.5)
+    path = flow.frame.path
+    reads, probes = [], []
+    raw = path.raw
+
+    def counted_raw(t):
+        reads.append(t)
+        return raw(t)
+
+    def probe(t):
+        probes.append(t)
+        return flow.signed_matrix(t)
+
+    path.raw = counted_raw
+    lam = fc.first_degeneracy(flow.frame, probe, 1e-3, 3.5)
+    assert abs(lam - math.pi) < 1e-6
+    assert len(set(probes)) == len(probes)
+    assert reads == probes
