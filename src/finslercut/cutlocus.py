@@ -5,15 +5,19 @@ A ``NormalShooting`` field is the one owner of shooting state for a
 submanifold under a plan.  Its fan of grid rays is fixed at construction,
 and one dense geodesic per fan ray is reused across distance queries:
 closest-approach search over the fan picks candidates, Gauss-Newton on
-(cone parameter, time) polishes each to an exact arrival.  Cut times come
-from bisection on the minimality predicate, with the first focal time as an
-upper bracket.  Rays off the grid are queried as transients: their paths,
-flows and cut times are cached by exact cone coordinates, but they never
-join the fan.
+(cone parameter, time) polishes each to an exact arrival.  A point source
+under an x-independent metric on a one-chart atlas of dimension 2 (the flat
+plane or torus) skips the search: its normal geodesics are straight lines,
+so ``distance`` is the least F over the lattice shifts of q - p, in closed
+form.  Cut times come from bisection on the minimality predicate, with the
+first focal time as an upper bracket.  Rays off the grid are queried as
+transients: their paths, flows and cut times are cached by exact cone
+coordinates, but they never join the fan.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -22,6 +26,7 @@ import numpy as np
 from .atlas import TangentVec
 from .errors import FinslerError, NumericalFailure, UnreachedPointError
 from .geodesic import first_degeneracy, integrate_geodesic
+from .metric import V_FLOOR
 from .submanifold import (NormalJacobiFlow, NormalRay, point_submanifold,
                           sample_unit_cone, unit_normal)
 
@@ -32,6 +37,7 @@ FOCAL_FLOOR = 0.02          # focal times are searched in (FOCAL_FLOOR, T]
 MAX_CANDIDATES = 8          # fan rays polished per full distance query
 QUICK_CANDIDATES = 4        # ... per quick (bisection) distance query
 SAMPLE_DT_FRAC = 1.0 / 128.0    # fan sample spacing, as a horizon fraction
+FLOOR_DIRS = 256            # unit directions bounding F from below
 
 
 @dataclass(frozen=True)
@@ -111,6 +117,21 @@ def _ray_key(ray: NormalRay):
     return (tuple(ray.theta), tuple(ray.psi))
 
 
+def _unit_circle_floor(metric, chart, p):
+    """A lower bound of F(p, u) over the Euclidean unit circle.
+
+    F is subadditive, so F(u) >= F(u_j) - F_max |u - u_j| for the nearest
+    of FLOOR_DIRS equally spaced unit vectors u_j, which lies within the
+    chord 2 sin(pi / 2 FLOOR_DIRS); the same inequality bounds F_max by the
+    largest sample.
+    """
+    angles = 2 * np.pi * np.arange(FLOOR_DIRS) / FLOOR_DIRS
+    vals = [metric.F(TangentVec(chart, p, [math.cos(a), math.sin(a)]))
+            for a in angles]
+    chord = 2.0 * math.sin(math.pi / (2 * FLOOR_DIRS))
+    return min(vals) - max(vals) * chord / (1.0 - chord)
+
+
 class NormalShooting:
     """Shooting session from a submanifold under one sampling plan."""
 
@@ -139,6 +160,16 @@ class NormalShooting:
         # first finite-difference neighbours (k = j + 1), see _seed_ray
         self._seed_rays = {}
         self._build_branches()
+        # a point source whose normal geodesics are straight lines in one
+        # 2-dimensional chart gets distance in closed form (_line_distance);
+        # _line_floor > 0 bounds F on unit vectors from below, else None
+        self._line_floor = None
+        if (N.k == 0 and metric.x_independent and self.atlas.n_charts == 1
+                and self.atlas.dim == 2):
+            self._base = N.point(np.zeros(0))
+            floor = _unit_circle_floor(metric, N.chart, self._base)
+            if floor > 0.0:
+                self._line_floor = floor
 
     # -- ray bookkeeping -------------------------------------------------
 
@@ -153,12 +184,12 @@ class NormalShooting:
             for side in sorted(by_side):
                 idx = sorted(by_side[side], key=lambda i: self.rays[i].theta[0])
                 cyclic = bool(self.N.k and self.N.periodic[0])
-                self.branches.append((idx, cyclic))
+                self.branches.append((np.array(idx), cyclic))
         else:
             idx = sorted(range(len(self.rays)),
                          key=lambda i: math.atan2(self.rays[i].psi[1],
                                                   self.rays[i].psi[0]))
-            self.branches.append((idx, True))
+            self.branches.append((np.array(idx), True))
 
     def ray_param(self, ray: NormalRay):
         """Cone parameters (theta..., psi angle) driving Gauss-Newton."""
@@ -348,24 +379,23 @@ class NormalShooting:
         # whose only miss is the angular grid gap
         score = app[:, 1] + 0.05 * app[:, 0]
         picks = []
+        # local minima of the score along each branch, in branch order
         for idx, cyclic in self.branches:
-            m = len(idx)
-            for pos, i in enumerate(idx):
-                if m == 1:
-                    picks.append(i)
-                    continue
-                left = idx[(pos - 1) % m] if (cyclic or pos > 0) else None
-                right = idx[(pos + 1) % m] if (cyclic or pos < m - 1) else None
-                sl = score[left] if left is not None else np.inf
-                sr = score[right] if right is not None else np.inf
-                tie = 1e-7 * (1.0 + score[i])
-                if score[i] < sl + tie and score[i] <= sr + tie:
-                    picks.append(i)
+            if len(idx) == 1:
+                picks.append(idx)
+                continue
+            s = score[idx]
+            sl, sr = np.roll(s, 1), np.roll(s, -1)
+            if not cyclic:
+                sl[0] = sr[-1] = np.inf
+            tie = 1e-7 * (1.0 + s)
+            picks.append(idx[(s < sl + tie) & (s <= sr + tie)])
+        picks = np.concatenate(picks)
         best = int(np.argmin(score))
         if best not in picks:
-            picks.append(best)
-        picks.sort(key=lambda i: score[i])
-        return [(i, app[i, 0], app[i, 2]) for i in picks[:limit]], score
+            picks = np.append(picks, best)
+        picks = picks[np.argsort(score[picks], kind="stable")]
+        return [(int(i), app[i, 0], app[i, 2]) for i in picks[:limit]], score
 
     # -- Gauss-Newton arrival --------------------------------------------
 
@@ -475,6 +505,69 @@ class NormalShooting:
         return math.acos(min(1.0, max(-1.0, c))) > self.plan.distinct_angle
 
     def distance(self, q, full=True) -> DistanceWitness:
+        """d(N, q) and its distinct minimizers.  ``full`` widens the
+        shooting candidate set; the closed form is exact either way."""
+        if self._line_floor is not None:
+            return self._line_distance(q)
+        return self._shoot_distance(q, full)
+
+    def _line_distance(self, q) -> DistanceWitness:
+        """Closed-form distance from a point source along straight lines.
+
+        Every lattice shift w = q - p - kL whose Euclidean length allows
+        F(w) <= F(w0) + window, w0 the minimum image, is evaluated; each
+        shift within the window of the least F gives a minimizer with
+        direction w / F(w) and covector g_v(v).
+        """
+        plan = self.plan
+        chart, p = self.N.chart, self._base
+        window = max(1e-6, 2 * plan.bisect_tol)
+        w0 = self.atlas.displacement((chart, p), q)
+        if np.linalg.norm(w0) < V_FLOOR:
+            # q is the source: the zero-length segment along fan ray 0
+            ray = self.rays[0]
+            term = TangentVec(chart, p + w0, ray.v)
+            res = float(np.linalg.norm(w0))
+            return DistanceWitness(q, 0.0, [Minimizer(ray, 0.0, term, res)])
+
+        def length(w):
+            return self.metric.F(TangentVec(chart, p, w))
+
+        shifts = [w0]
+        lat = self.atlas.periodic_lattice
+        if lat is not None:
+            reach = (length(w0) + window) / self._line_floor
+            axes = [range(math.ceil((-reach - c) / L),
+                          math.floor((reach - c) / L) + 1)
+                    for c, L in zip(w0, lat)]
+            shifts = [w for w in (w0 + np.array(k) * lat
+                                  for k in itertools.product(*axes))
+                      if np.linalg.norm(w) <= reach]
+        ts = [length(w) for w in shifts]
+        d = min(ts)
+        if d > 2 * plan.horizon + plan.min_slack:
+            # beyond the doubled-horizon probe, the longest span integrated
+            raise UnreachedPointError(
+                f"q={q} lies at distance {d:.6g}, beyond twice the horizon "
+                f"{plan.horizon}")
+        minimizers = []
+        for i in sorted(range(len(ts)), key=ts.__getitem__):
+            t, w = ts[i], shifts[i]
+            if t > d + window:
+                break
+            v = w / t
+            omega = self.metric.fundamental(TangentVec(chart, p, v)) @ v
+            ray = NormalRay(np.zeros(0), omega / np.linalg.norm(omega),
+                            chart, p, v)
+            res = float(np.linalg.norm(
+                self.atlas.displacement((chart, p + t * v), q)))
+            a = Minimizer(ray, t, TangentVec(chart, p + w, v), res)
+            if all(self.distinct(a, b) for b in minimizers):
+                minimizers.append(a)
+        return DistanceWitness(q, float(d), minimizers)
+
+    def _shoot_distance(self, q, full=True) -> DistanceWitness:
+        """Distance by fan closest approach and Gauss-Newton arrival."""
         plan = self.plan
         limit = MAX_CANDIDATES if full else QUICK_CANDIDATES
         cands, score = self._candidates(q, limit)

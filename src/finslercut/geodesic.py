@@ -303,27 +303,6 @@ class LinearizedFrame:
     def knot_times(self):
         return self.path.knot_times()
 
-    def residual(self, samples=25):
-        """Max re-substitution residual of the linearized equation."""
-        ts = np.linspace(self.t0, self.t1, samples + 2)[1:-1]
-        worst = 0.0
-        h = 1e-5 * (self.t1 - self.t0)
-        for t in ts:
-            if t - h < self.t0 or t + h > self.t1:
-                continue
-            cm, _, _, Jm, Jdm, _ = self._blocks(t - h)
-            cp, _, _, Jp, Jdp, _ = self._blocks(t + h)
-            if cm != cp:
-                continue
-            chart, x, v, J, Jd, _ = self._blocks(t)
-            Jdd = (Jdp - Jdm) / (2 * h)
-            if self.metric.x_independent:
-                expect = np.zeros_like(Jdd)
-            else:
-                expect = -self.metric.spray_jvp(chart, x, v, J, Jd)[1]
-            worst = max(worst, float(np.max(np.abs(Jdd - expect))))
-        return worst
-
 
 def linearized_flow(metric, start: TangentVec, T, J0, Jd0,
                     rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,

@@ -93,7 +93,9 @@ def circle_submanifold(chart=0, center=(0.0, 0.0), radius=1.0):
         return [cx + radius * cos(t), cy + radius * sin(t)]
 
     N = SubmanifoldSpec(chart, 1, [[0.0], [2 * np.pi]], imm,
-                        periodic=[True], closed=True)
+                        periodic=[True], closed=True,
+                        jacobian_fn=lambda th: _ellipse_jacobian(
+                            radius, radius, th[0]))
     N.family = "circle"
     return N
 
@@ -106,7 +108,8 @@ def ellipse_submanifold(chart=0, a=2.0, b=1.0, center=(0.0, 0.0)):
         return [cx + a * _dcos(t), cy + b * _dsin(t)]
 
     N = SubmanifoldSpec(chart, 1, [[0.0], [2 * np.pi]], imm,
-                        periodic=[True], closed=True)
+                        periodic=[True], closed=True,
+                        jacobian_fn=lambda th: _ellipse_jacobian(a, b, th[0]))
     N.family = "ellipse"
     return N
 
@@ -139,6 +142,12 @@ def sampled_curve_submanifold(thetas, points, chart=0, periodic=True):
                         jacobian_fn=lambda th: dsp(th[0]).reshape(-1, 1))
     N.family = "sampled-curve"
     return N
+
+
+def _ellipse_jacobian(a, b, t):
+    """d/dt (a cos t, b sin t) as a 2 x 1 matrix, with the floating-point
+    operations of the dual evaluation through _dcos and _dsin."""
+    return [[-float(np.sin(t)) * a], [float(np.cos(t)) * b]]
 
 
 def _dsin(t):

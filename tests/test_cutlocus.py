@@ -6,6 +6,7 @@ import pytest
 
 import finslercut as fc
 from finslercut.cutlocus import SAMPLE_DT_FRAC, ShootingPlan
+from finslercut.metric import ReversedMetric
 
 
 @pytest.fixture(scope="module")
@@ -83,14 +84,83 @@ def test_approach_matches_reference_loop(torus32, sphere_field):
             assert np.array_equal(new, ref), q
 
 
+def _reference_candidates(field, q, limit):
+    """The per-ray loop that NormalShooting._candidates replaced."""
+    app = field.approach(q)
+    score = app[:, 1] + 0.05 * app[:, 0]
+    picks = []
+    for idx, cyclic in field.branches:
+        m = len(idx)
+        for pos, i in enumerate(idx):
+            if m == 1:
+                picks.append(i)
+                continue
+            left = idx[(pos - 1) % m] if (cyclic or pos > 0) else None
+            right = idx[(pos + 1) % m] if (cyclic or pos < m - 1) else None
+            sl = score[left] if left is not None else np.inf
+            sr = score[right] if right is not None else np.inf
+            tie = 1e-7 * (1.0 + score[i])
+            if score[i] < sl + tie and score[i] <= sr + tie:
+                picks.append(i)
+    best = int(np.argmin(score))
+    if best not in picks:
+        picks.append(best)
+    picks.sort(key=lambda i: score[i])
+    return [(i, app[i, 0], app[i, 2]) for i in picks[:limit]]
+
+
+def test_candidates_match_reference_loop(torus32, ellipse_field):
+    plane = fc.flat_atlas(2)
+    axis_field = fc.NormalShooting(
+        fc.RandersMetric(plane, np.array([0.5, 0.0])),
+        fc.axis_line_submanifold(0, (0.0, 0.0), (0.0, 1.0), half_extent=4.0),
+        fc.ShootingPlan(theta_count=33, horizon=3.0))
+    # an open three-quarter circle: near the gap both ends of a branch are
+    # local minima, so wrapping the ends around would change the picks
+    arc = np.linspace(0.0, 1.5 * np.pi, 49)
+    arc_field = fc.NormalShooting(
+        fc.euclidean_metric(plane),
+        fc.sampled_curve_submanifold(
+            arc, np.column_stack([np.cos(arc), np.sin(arc)]), periodic=False),
+        fc.ShootingPlan(theta_count=40, horizon=3.0))
+    gap = 1.75 * np.pi
+    rng = np.random.default_rng(8)
+    grid = np.linspace(-0.5, 0.5, 5)
+    # (field, cyclic flag of each branch, queries): the point fan is one
+    # cyclic branch, the ellipse, axis-line and arc fans have one branch per
+    # side, closed or open
+    fields = (
+        (torus32, [True], [rng.uniform(-0.5, 0.5, 2) for _ in range(15)]
+         + [np.array([a, b]) for a in grid for b in grid]),
+        (ellipse_field, [True, True],
+         [rng.uniform([-2.5, -1.5], [2.5, 1.5]) for _ in range(15)]
+         + [np.array([0.0, 0.0]), np.array([1.0, 0.0])]),
+        (axis_field, [False, False],
+         [rng.uniform(-3.0, 3.0, 2) for _ in range(15)]
+         + [np.array([1.0, 4.5]), np.array([-1.0, -6.0])]),
+        (arc_field, [False, False],
+         [r * np.array([np.cos(gap + a), np.sin(gap + a)])
+          for r in (0.5, 1.5, 2.5) for a in (-0.2, 0.0, 0.1)]),
+    )
+    for field, cyclic, qs in fields:
+        assert [c for _, c in field.branches] == cyclic
+        for q in qs:
+            for limit in (4, 8, 1000):
+                got, _ = field._candidates((0, q), limit)
+                assert got == _reference_candidates(field, (0, q), limit), q
+
+
 def test_seed_ray_memo_is_bounded_and_order_independent(torus32):
-    fc.cut_locus(torus32, classify=False)
+    # the torus field answers distance in closed form, so the shooting
+    # path is called directly, at every cut point of the fan
+    for rec in fc.cut_locus(torus32, classify=False):
+        torus32._shoot_distance(rec.cut_point)
     memo = torus32._seed_rays
     assert 0 < len(memo) <= len(torus32.rays)
     assert all(set(slots) <= {0, 1} for slots in memo.values())
     fresh = fc.NormalShooting(torus32.metric, torus32.N, torus32.plan)
     for q in [(0, np.array([0.27, 0.31])), (0, np.array([-0.45, 0.12]))]:
-        warm, cold = torus32.distance(q), fresh.distance(q)
+        warm, cold = torus32._shoot_distance(q), fresh._shoot_distance(q)
         assert warm.d == cold.d
         assert [(m.t, m.residual) for m in warm.minimizers] == \
             [(m.t, m.residual) for m in cold.minimizers]
@@ -238,3 +308,79 @@ def test_answers_do_not_depend_on_call_order():
     assert after.d == before.d
     assert [(m.t, m.residual) for m in after.minimizers] == \
         [(m.t, m.residual) for m in before.minimizers]
+
+
+def _line_metrics(atlas):
+    randers = fc.RandersMetric(atlas, np.array([0.5, 0.0]))
+    return {"euclidean": fc.euclidean_metric(atlas),
+            "quartic": fc.MinkowskiQuarticMetric(atlas, eps=0.1),
+            "randers": randers,
+            "reversed-randers": ReversedMetric(randers)}
+
+
+@pytest.mark.parametrize("family", ["euclidean", "quartic", "randers",
+                                    "reversed-randers"])
+@pytest.mark.parametrize("manifold", ["torus", "plane"])
+def test_line_distance_matches_shooting(manifold, family):
+    atlas = (fc.torus_atlas([1.0, 1.0]) if manifold == "torus"
+             else fc.flat_atlas(2))
+    N = fc.point_submanifold(0, np.array([0.1, 0.2]))
+    # ode_rtol 1e-10 makes the Gauss-Newton stop tolerance newton_tol
+    plan = fc.ShootingPlan(psi_count=64, horizon=1.5, ode_rtol=1e-10)
+    field = fc.NormalShooting(_line_metrics(atlas)[family], N, plan)
+    assert field._line_floor is not None
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        q = (0, rng.uniform(-1.0, 1.0, 2))
+        exact, shot = field.distance(q), field._shoot_distance(q)
+        assert abs(exact.d - shot.d) <= plan.newton_tol * (1.0 + exact.d), q
+        assert len(exact.minimizers) == len(shot.minimizers), q
+        for a, b in zip(exact.minimizers, shot.minimizers):
+            assert np.allclose(a.ray.v, b.ray.v, atol=1e-6), q
+            assert np.allclose(a.ray.psi, b.ray.psi, atol=1e-6), q
+            assert a.residual < 1e-12
+
+
+def test_line_distance_is_not_used_off_its_domain(sphere_field, circle_field):
+    assert sphere_field._line_floor is None     # two charts
+    assert circle_field._line_floor is None     # curve source
+
+
+def test_plane_point_ray_is_unbounded():
+    atlas = fc.flat_atlas(2)
+    field = fc.NormalShooting(fc.euclidean_metric(atlas),
+                              fc.point_submanifold(0, np.zeros(2)),
+                              fc.ShootingPlan(psi_count=16, horizon=1.0))
+    for ray in field.rays[:3]:
+        res = field.cut_time(ray)
+        assert math.isinf(res.rho)
+        assert res.unbounded and not res.horizon_limited
+
+
+def test_line_distance_at_the_source(small_torus):
+    p = (0, np.zeros(2))
+    wit = small_torus.distance(p)
+    assert wit.d == 0.0
+    [m] = wit.minimizers
+    assert m.t == 0.0 and m.residual == 0.0
+    assert np.array_equal(m.terminal.x, p[1])
+    inv = fc.inverse_normal_exp(small_torus, p)
+    assert inv.t == 0.0
+    assert fc.distance_sq_differential(small_torus, p, [1.0, 0.0]) == 0.0
+    # a lattice copy of the source is the source
+    assert small_torus.distance((0, np.array([1.0, -2.0]))).d == 0.0
+
+
+def test_torus_voronoi_vertex_has_four_minimizers(small_torus):
+    wit = small_torus.distance((0, np.array([0.5, 0.5])))
+    assert abs(wit.d - math.sqrt(0.5)) < 1e-15
+    dirs = sorted(tuple(np.sign(m.ray.v)) for m in wit.minimizers)
+    assert dirs == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+    for m in wit.minimizers:
+        assert m.t == wit.d
+        assert abs(abs(m.ray.v[0]) - math.sqrt(0.5)) < 1e-15
+    # lengths within the tie window of the shooting path still tie
+    near = small_torus.distance((0, np.array([0.5 + 1e-8, 0.5])))
+    assert len(near.minimizers) == 4
+    assert len(small_torus.distance((0, np.array([0.5 + 1e-3, 0.5])))
+               .minimizers) == 2

@@ -225,3 +225,10 @@ def test_sphere_builtin_matches_golden(name):
     # 1e-9 tolerance on a last-bit change of the spray
     summary = summary_document(run_scenario(builtin_scenario(name)))
     assert scenario.compare_to_golden(summary, name) == []
+
+
+@pytest.mark.parametrize("name", ["torus-point", "torus-quartic-point",
+                                  "randers-plane-axis"])
+def test_builtin_matches_golden(name):
+    summary = summary_document(run_scenario(builtin_scenario(name)))
+    assert scenario.compare_to_golden(summary, name) == []

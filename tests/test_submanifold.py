@@ -149,3 +149,21 @@ def test_first_degeneracy_reads_the_frame_once_per_time():
     assert abs(lam - math.pi) < 1e-6
     assert len(set(probes)) == len(probes)
     assert reads == probes
+
+
+@pytest.mark.parametrize("N", [
+    fc.circle_submanifold(0, (0.3, -0.1), 1.7),
+    fc.circle_submanifold(0, (0.0, 0.0), 1.0),
+    fc.ellipse_submanifold(0, a=2.0, b=1.0, center=(0.5, 0.2)),
+], ids=["circle", "unit-circle", "ellipse"])
+def test_curve_jacobian_equals_dual_path(N):
+    # the same immersion without its jacobian_fn differentiates on duals
+    dual_N = fc.SubmanifoldSpec(N.chart, N.k, N.theta_box, N.immersion_fn,
+                                periodic=N.periodic, closed=N.closed)
+    rng = np.random.default_rng(3)
+    thetas = np.concatenate([[0.0, -0.0, np.pi / 2, np.pi, 2 * np.pi],
+                             rng.uniform(-10.0, 10.0, 1000)])
+    for theta in thetas:
+        closed, dual = N.jacobian(theta), dual_N.jacobian(theta)
+        assert np.array_equal(closed, dual), theta
+        assert np.array_equal(np.signbit(closed), np.signbit(dual)), theta
