@@ -1,13 +1,14 @@
 """Geodesic integration, the exponential map, and the linearized flow.
 
 The geodesic equation x'' + 2G(x, x') = 0 is integrated with an embedded
-Runge-Kutta 5(4) scheme (Dormand-Prince, PI step control, quartic dense
-output) with chart switching at the atlas safe margin.  Jacobi fields are
-obtained by integrating the linearization of the spray flow alongside the
-base geodesic.  The right-hand sides read the spray only through the
-metric's float oracles: ``metric.spray`` gives 2G and ``metric.spray_jvp``
-gives 2G together with its directional derivatives along the Jacobi columns
-(closed forms on the round sphere, dual-number evaluation by default).
+Runge-Kutta 5(4) scheme (Dormand-Prince, elementary step control, quartic
+dense output; ``dopri.py``) with chart switching at the atlas safe margin.
+Jacobi fields are obtained by integrating the linearization of the spray
+flow alongside the base geodesic.  The right-hand sides read the spray only
+through the metric's float oracles: ``metric.spray`` gives 2G and
+``metric.spray_jvp`` gives 2G together with its directional derivatives
+along the Jacobi columns (closed forms on the round sphere, dual-number
+evaluation by default).
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import RK45
-from scipy.interpolate import CubicSpline
 
 from .atlas import TangentVec
+from .dopri import DormandPrince
 from .errors import (AtlasExitError, DegenerateDirectionError,
                      IntegrationError)
 from .metric import V_FLOOR
@@ -33,16 +33,22 @@ class PathSegment:
     chart: int
     t0: float
     t1: float
-    interpolants: list          # scipy dense-output pieces, one per step
     knots: np.ndarray           # accepted step times
+    y_old: np.ndarray           # (steps, dim) state at the start of each step
+    Q: np.ndarray               # (steps, dim, 4) dense-output coefficients
     sign: float = 1.0           # accumulated transition-orientation factor
 
     def eval(self, t):
-        # binary search over step intervals
-        ts = self.knots
-        i = int(np.searchsorted(ts, t, side="right")) - 1
-        i = min(max(i, 0), len(self.interpolants) - 1)
-        return self.interpolants[i](t)
+        # binary search over step intervals, then the step's quartic
+        i = int(np.searchsorted(self.knots, t, side="right")) - 1
+        i = min(max(i, 0), len(self.Q) - 1)
+        t_old = self.knots[i]
+        h = self.knots[i + 1] - t_old
+        x = (t - t_old) / h
+        p = np.cumprod(np.tile(x, 4))
+        y = h * np.dot(self.Q[i], p)
+        y += self.y_old[i]
+        return y
 
 
 class GeodesicPath:
@@ -167,18 +173,18 @@ def _integrate(metric, chart, y0, T, rtol, atol, m=0, max_step=None):
     y = np.asarray(y0, dtype=float)
     sign = 1.0
     while t < T - 1e-14:
-        solver = RK45(make_rhs(metric, chart), t, y, T,
-                      rtol=rtol, atol=atol, max_step=max_step)
-        interps = []
-        knots = [t]
+        solver = DormandPrince(make_rhs(metric, chart), t, y, T,
+                               rtol, atol, max_step)
+        knots, y_old, Q = [t], [], []
         while solver.status == "running":
             msg = solver.step()
             if solver.status == "failed":
                 raise IntegrationError(
                     f"step-size underflow at t={solver.t:.6g}: {msg}",
                     t=solver.t, x=solver.y[:n])
-            interps.append(solver.dense_output())
             knots.append(solver.t)
+            y_old.append(solver.y_old)
+            Q.append(solver.dense_Q())
             x = solver.y[:n]
             if not atlas.contains(chart, x):
                 raise AtlasExitError(
@@ -188,7 +194,8 @@ def _integrate(metric, chart, y0, T, rtol, atol, m=0, max_step=None):
             if target is not None:
                 break
         segments.append(PathSegment(chart, knots[0], solver.t,
-                                    interps, np.array(knots), sign))
+                                    np.array(knots), np.array(y_old),
+                                    np.array(Q), sign))
         t = solver.t
         y = solver.y
         if t < T - 1e-14:
@@ -244,6 +251,8 @@ def _as_curve(metric, path):
             for a, b in zip(seg.knots[:-1], seg.knots[1:]):
                 pieces.append((seg.chart, a, b, state_fn))
         return pieces
+    # imported here so that the package itself loads no scipy
+    from scipy.interpolate import CubicSpline
     chart, ts, xs = path
     sp = CubicSpline(ts, np.asarray(xs, dtype=float), axis=0)
     dsp = sp.derivative()

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib.metadata
 import json
 import math
+import platform
 import time
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -801,6 +803,9 @@ def run_scenario(sc: Scenario, out_dir=None, refine=None):
         "schema_version": SCHEMA_VERSION,
         "package_version": _pkg_version,
         "numpy": np.__version__,
+        # read from package metadata: running a scenario imports no scipy
+        "scipy": importlib.metadata.version("scipy"),
+        "python": platform.python_version(),
         "wall_time_s": round(bundle.wall_time, 3),
         "errors": bundle.errors,
         "violations": bundle.violations,

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import null_space
 
 from . import dual
 from .atlas import TangentVec
@@ -131,6 +129,8 @@ def axis_line_submanifold(chart=0, point=(0.0, 0.0), direction=(0.0, 1.0),
 
 
 def sampled_curve_submanifold(thetas, points, chart=0, periodic=True):
+    # imported here so that the package itself loads no scipy
+    from scipy.interpolate import CubicSpline
     thetas = np.asarray(thetas, dtype=float)
     points = np.asarray(points, dtype=float)
     bc = "periodic" if periodic else "not-a-knot"
@@ -203,6 +203,7 @@ def annihilator_basis(N: SubmanifoldSpec, theta) -> np.ndarray:
     if n == 2 and N.k == 1:
         t = J[:, 0] / np.linalg.norm(J[:, 0])
         return np.array([[-t[1]], [t[0]]])
+    from scipy.linalg import null_space     # only n >= 3 gets here
     return null_space(J.T)
 
 

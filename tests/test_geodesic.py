@@ -5,6 +5,9 @@ import pytest
 
 import finslercut as fc
 from finslercut.atlas import TangentVec
+from finslercut.dopri import DormandPrince
+from finslercut.geodesic import (PathSegment, _geodesic_rhs, _integrate,
+                                 _linearized_rhs)
 
 
 def test_flat_geodesics_are_straight_lines():
@@ -55,6 +58,19 @@ def test_path_length_matches_parameter_for_unit_speed():
     path = fc.integrate_geodesic(metric, start, 1.7)
     assert math.isclose(fc.path_length(metric, path), 1.7, rel_tol=1e-9)
     assert math.isclose(fc.path_energy(metric, path), 0.5 * 1.7,
+                        rel_tol=1e-9)
+
+
+def test_path_length_of_sampled_segment():
+    # the discrete (chart, ts, xs) form is splined; a straight segment of
+    # length L run over unit time has energy L^2 / 2
+    metric = fc.euclidean_metric(fc.flat_atlas(2))
+    a, b = np.array([0.1, -0.3]), np.array([1.3, 0.6])
+    L = float(np.linalg.norm(b - a))
+    ts = np.linspace(0.0, 1.0, 7)
+    path = (0, ts, a + ts[:, None] * (b - a))
+    assert math.isclose(fc.path_length(metric, path), L, rel_tol=1e-9)
+    assert math.isclose(fc.path_energy(metric, path), 0.5 * L * L,
                         rel_tol=1e-9)
 
 
@@ -119,3 +135,97 @@ def test_integration_beyond_chart_raises():
     start = TangentVec(0, np.zeros(2), np.array([1.0, 0.0]))
     with pytest.raises(fc.AtlasExitError):
         fc.integrate_geodesic(metric, start, 5.0)
+
+
+def _run_against_rk45(fun, y0, T, rtol, atol, max_step=np.inf):
+    """Step DormandPrince and scipy's RK45 side by side; every accepted t,
+    y and dense-output value must be equal.  Returns RK45's rejections."""
+    from scipy.integrate import RK45
+    ours = DormandPrince(fun, 0.0, y0, T, rtol, atol, max_step)
+    ref = RK45(fun, 0.0, y0, T, rtol=rtol, atol=atol, max_step=max_step)
+    steps = 0
+    while ref.status == "running":
+        assert ours.status == "running"
+        assert ours.step() == ref.step()
+        assert ours.status == ref.status
+        if ref.status == "failed":
+            break
+        steps += 1
+        assert ours.t == ref.t and ours.t_old == ref.t_old
+        assert np.array_equal(ours.y, ref.y)
+        seg = PathSegment(0, ours.t_old, ours.t,
+                          np.array([ours.t_old, ours.t]),
+                          ours.y_old[None], ours.dense_Q()[None])
+        dense = ref.dense_output()
+        for t in np.linspace(ref.t_old, ref.t, 9)[1:-1]:
+            assert np.array_equal(seg.eval(t), dense(t))
+    assert ours.status == ref.status
+    assert ours.t == ref.t and np.array_equal(ours.y, ref.y)
+    return (ref.nfev - 2) // 6 - steps
+
+
+def test_stepper_matches_scipy_rk45():
+    sphere = fc.sphere_metric(fc.sphere_atlas())
+    flat = fc.euclidean_metric(fc.flat_atlas(2))
+    geo0 = np.array([0.3, -0.2, 0.45, 0.1])
+    cases = [(_geodesic_rhs(sphere, chart), geo0) for chart in (0, 1)]
+    for m in (1, 2):
+        jac0 = np.concatenate([np.zeros(2 * m), np.eye(2)[:, :m].ravel()])
+        cases.append((_linearized_rhs(sphere, 0, m),
+                      np.concatenate([geo0, jac0])))
+    cases.append((_geodesic_rhs(flat, 0), geo0))
+    rejected = 0
+    for fun, y0 in cases:
+        for max_step in (0.2, np.inf):
+            _run_against_rk45(fun, y0, 2.5, fc.geodesic.DEFAULT_RTOL,
+                              fc.geodesic.DEFAULT_ATOL, max_step)
+            rejected += _run_against_rk45(fun, y0, 2.5, 1e-3, 1e-6,
+                                          max_step)
+    assert rejected > 0     # the loose runs exercise step rejection
+
+
+def test_stepper_blow_up_fails_where_rk45_does():
+    # y' = y^2, y(0) = 1 blows up at t = 1
+    _run_against_rk45(lambda t, y: y * y, np.array([1.0]), 2.0, 1e-9, 1e-11)
+
+    class BlowUpMetric:     # a 1-D "spray" whose velocity obeys v' = v^2
+        atlas = fc.flat_atlas(1)
+        x_independent = False
+
+        def spray(self, chart, x, v):
+            return [-v[0] ** 2]
+
+    from scipy.integrate import RK45
+    metric = BlowUpMetric()
+    y0 = np.array([0.0, 1.0])
+    ref = RK45(_geodesic_rhs(metric, 0), 0.0, y0, 2.0, rtol=1e-9,
+               atol=1e-11, max_step=np.inf)
+    while ref.status == "running":
+        ref.step()
+    assert ref.status == "failed" and 0.99 < ref.t < 1.0
+    with pytest.raises(fc.IntegrationError) as err:
+        _integrate(metric, 0, y0, 2.0, 1e-9, 1e-11)
+    assert err.value.t == ref.t
+    assert np.array_equal(err.value.x, ref.y[:1])
+
+
+def test_stepper_clamps_tiny_rtol_like_rk45():
+    sphere = fc.sphere_metric(fc.sphere_atlas())
+    fun = _geodesic_rhs(sphere, 0)
+    y0 = np.array([0.3, -0.2, 0.45, 0.1])
+    with pytest.warns(UserWarning, match="rtol"):
+        _run_against_rk45(fun, y0, 0.5, 1e-17, 1e-11)
+    with pytest.warns(UserWarning, match="rtol"):
+        fc.integrate_geodesic(sphere, TangentVec(0, y0[:2], y0[2:]), 0.1,
+                              rtol=1e-17)
+
+
+def test_stepper_rejects_bad_input_like_rk45():
+    fun = _geodesic_rhs(fc.euclidean_metric(fc.flat_atlas(2)), 0)
+    with pytest.raises(ValueError, match="1-dimensional"):
+        DormandPrince(fun, 0.0, np.zeros((2, 2)), 1.0, 1e-9, 1e-11)
+    with pytest.raises(ValueError, match="finite"):
+        DormandPrince(fun, 0.0, np.array([0.0, np.nan, 1.0, 0.0]), 1.0,
+                      1e-9, 1e-11)
+    with pytest.raises(ValueError, match="atol"):
+        DormandPrince(fun, 0.0, np.zeros(4), 1.0, 1e-9, -1.0)

@@ -1,5 +1,12 @@
+import importlib.metadata
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import finslercut as fc
@@ -77,6 +84,9 @@ def test_run_tiny_scenario(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["seed"] == 5
     assert "tiny_summary.json" in manifest["files"]
+    assert manifest["numpy"] == np.__version__
+    assert manifest["scipy"] == importlib.metadata.version("scipy")
+    assert manifest["python"] == platform.python_version()
 
 
 def test_run_is_deterministic():
@@ -116,6 +126,26 @@ def test_cli_run_tiny(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "cutlocus: ok" in out
+
+
+def test_running_a_builtin_imports_no_scipy(tmp_path):
+    # scipy's import is most of the package's start-up time; only
+    # sampled curves, n >= 3 normal spaces and discrete paths load it
+    code = (
+        "import sys\n"
+        "import finslercut, finslercut.cli, finslercut.scenario\n"
+        "assert finslercut.cli.main(['run', 'randers-plane-point', "
+        f"'--out-dir', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules"
+        " if m == 'scipy' or m.startswith('scipy.')))\n")
+    src = str(Path(fc.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(
+        os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "manifest.json").exists()
 
 
 def test_refine_leaves_the_scenario_unchanged():
