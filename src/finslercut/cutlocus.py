@@ -10,9 +10,16 @@ under an x-independent metric on a one-chart atlas of dimension 2 (the flat
 plane or torus) skips the search: its normal geodesics are straight lines,
 so ``distance`` is the least F over the lattice shifts of q - p, in closed
 form.  Cut times come from bisection on the minimality predicate, with the
-first focal time as an upper bracket.  Rays off the grid are queried as
-transients: their paths, flows and cut times are cached by exact cone
-coordinates, but they never join the fan.
+first focal time as an upper bracket.
+
+Every cache of a field follows one rule: a value is keyed by exactly what
+determines it, and it is never replaced or invalidated.  Paths and Jacobi
+flows are keyed by the ray's exact cone coordinates and the whole number of
+horizons that covers the span asked for, and are integrated to exactly that
+many horizons; cut times are keyed by the ray; the fan is sampled once, from
+its one-horizon paths, and stacked once.  Rays off the grid, such as
+``ray_at(mu, template)``, share the path, flow and cut-time caches but never
+join the fan, so no answer depends on which queries came before.
 """
 
 from __future__ import annotations
@@ -34,6 +41,8 @@ SEPARATING = "Separating"
 FIRST_FOCAL = "FirstFocal"
 
 FOCAL_FLOOR = 0.02          # focal times are searched in (FOCAL_FLOOR, T]
+NEWTON_TOL = 1e-9           # Gauss-Newton arrival stop, floored at 10 rtol
+DISTINCT_ANGLE = 1e-3       # g-angle that tells two minimizers at one base apart
 MAX_CANDIDATES = 8          # fan rays polished per full distance query
 QUICK_CANDIDATES = 4        # ... per quick (bisection) distance query
 SAMPLE_DT_FRAC = 1.0 / 128.0    # fan sample spacing, as a horizon fraction
@@ -49,10 +58,8 @@ class ShootingPlan:
     ode_atol: float = 1e-11
     query_rtol: float = None    # arrival-refinement integrations only
     query_atol: float = None
-    newton_tol: float = 1e-9
     bisect_tol: float = 1e-6
     min_slack: float = 1e-6
-    distinct_angle: float = 1e-3
 
 
 @dataclass
@@ -146,12 +153,11 @@ class NormalShooting:
         if not rays:
             raise NumericalFailure("unit cone sampling produced no rays")
         self.rays = tuple(rays)
-        # per-ray caches, keyed by _ray_key
+        # (_ray_key, whole-horizon span) -> path or flow, see _span_key
         self._paths = {}
         self._flows = {}
-        self._cut_times = {}
-        self._samples = {}          # fan rays only
-        self._stack = None          # fan samples stacked per chart
+        self._cut_times = {}        # _ray_key -> CutTimeResult
+        self._stack = None          # fan samples per chart, stacked once
         # cut point rounded to 1e-6 -> DistanceWitness (classify)
         self._classify_cache = {}
         # query point -> InverseExpResult (topology.inverse_normal_exp)
@@ -225,42 +231,38 @@ class NormalShooting:
 
     # -- cached geodesics ------------------------------------------------
 
-    def path(self, ray: NormalRay, span=None):
-        span = span or self.plan.horizon
-        key = _ray_key(ray)
-        cached = self._paths.get(key)
-        if cached is None or cached.t1 < span - 1e-12:
-            cached = self._integrate_ray(ray, span)
-            self._paths[key] = cached
-            # a longer fan path resamples its ray and restacks the fan
-            if self._samples.pop(key, None) is not None:
-                self._stack = None
-        return cached
+    def _span_key(self, ray, span):
+        """Cache key of a path or flow covering ``span`` (default: one
+        horizon): the ray and the whole number of horizons that covers the
+        span, to 1e-12; the cached value is integrated to exactly that."""
+        H = self.plan.horizon
+        whole = H * max(1, math.ceil(((span or H) - 1e-12) / H))
+        return _ray_key(ray), whole
 
-    def _integrate_ray(self, ray, span):
-        return integrate_geodesic(self.metric, ray.tangent(), span,
-                                  rtol=self.plan.ode_rtol,
-                                  atol=self.plan.ode_atol)
+    def path(self, ray: NormalRay, span=None):
+        key = self._span_key(ray, span)
+        got = self._paths.get(key)
+        if got is None:
+            got = self._paths[key] = integrate_geodesic(
+                self.metric, ray.tangent(), key[1],
+                rtol=self.plan.ode_rtol, atol=self.plan.ode_atol)
+        return got
 
     def samples(self, i):
-        ray = self.rays[i]
-        key = _ray_key(ray)
-        got = self._samples.get(key)
-        if got is None:
-            path = self.path(ray)
-            dt = self.plan.horizon * SAMPLE_DT_FRAC
-            blocks = []
-            for seg in path.segments:
-                m = max(2, int(math.ceil((seg.t1 - seg.t0) / dt)) + 1)
-                ts = np.linspace(seg.t0, seg.t1, m)
-                n = self.atlas.dim
-                xs = np.empty((m, n))
-                for j, t in enumerate(ts):
-                    xs[j] = seg.eval(t)[:n]
-                blocks.append((seg.chart, ts, xs))
-            got = blocks
-            self._samples[key] = got
-        return got
+        """Fan ray i's one-horizon path, sampled per segment as
+        (chart, ts, xs) blocks."""
+        path = self.path(self.rays[i])
+        dt = self.plan.horizon * SAMPLE_DT_FRAC
+        n = self.atlas.dim
+        blocks = []
+        for seg in path.segments:
+            m = max(2, int(math.ceil((seg.t1 - seg.t0) / dt)) + 1)
+            ts = np.linspace(seg.t0, seg.t1, m)
+            xs = np.empty((m, n))
+            for j, t in enumerate(ts):
+                xs[j] = seg.eval(t)[:n]
+            blocks.append((seg.chart, ts, xs))
+        return blocks
 
     # -- closest approach ------------------------------------------------
 
@@ -413,7 +415,7 @@ class NormalShooting:
         t = max(float(t0), 1e-9)
         h = 1e-6
         rtol = plan.query_rtol or plan.ode_rtol
-        tol = max(plan.newton_tol, 10.0 * rtol) * (1.0 + abs(t0))
+        tol = max(NEWTON_TOL, 10.0 * rtol) * (1.0 + abs(t0))
         nm = len(mu)
 
         def residual(mu_, t_, k=None):
@@ -502,7 +504,7 @@ class NormalShooting:
         g = self.metric.fundamental(m1.ray.tangent())
         v1, v2 = m1.ray.v, m2.ray.v
         c = (v1 @ g @ v2) / math.sqrt((v1 @ g @ v1) * (v2 @ g @ v2))
-        return math.acos(min(1.0, max(-1.0, c))) > self.plan.distinct_angle
+        return math.acos(min(1.0, max(-1.0, c))) > DISTINCT_ANGLE
 
     def distance(self, q, full=True) -> DistanceWitness:
         """d(N, q) and its distinct minimizers.  ``full`` widens the
@@ -601,15 +603,13 @@ class NormalShooting:
     # -- focal and cut times ---------------------------------------------
 
     def flow(self, ray: NormalRay, span=None):
-        span = span or self.plan.horizon
-        key = _ray_key(ray)
-        cached = self._flows.get(key)
-        if cached is None or cached.T < span - 1e-12:
-            cached = NormalJacobiFlow(self.metric, self.N, ray, span,
-                                      rtol=self.plan.ode_rtol,
-                                      atol=self.plan.ode_atol)
-            self._flows[key] = cached
-        return cached
+        key = self._span_key(ray, span)
+        got = self._flows.get(key)
+        if got is None:
+            got = self._flows[key] = NormalJacobiFlow(
+                self.metric, self.N, ray, key[1], rtol=self.plan.ode_rtol,
+                atol=self.plan.ode_atol)
+        return got
 
     def focal_time(self, ray: NormalRay, T_max=None):
         T_max = T_max or self.plan.horizon
@@ -767,10 +767,6 @@ def check_rho_leq_lambda(records) -> Report:
                   {"violations": violations, "count": len(records)})
 
 
-def _cut_point_gap(atlas, a, b):
-    return atlas.coord_distance(a, b)
-
-
 def check_se_dense(records, delta=None, atlas=None) -> Report:
     """Every FirstFocal-only cut point has a Separating neighbor within delta."""
     recs = [r for r in records if r.cut_point is not None and r.classification]
@@ -781,7 +777,7 @@ def check_se_dense(records, delta=None, atlas=None) -> Report:
         # 3x the sampling pitch along the computed cut locus
         gaps = []
         for a, b in zip(recs[:-1], recs[1:]):
-            gaps.append(_cut_point_gap(atlas, a.cut_point, b.cut_point))
+            gaps.append(atlas.coord_distance(a.cut_point, b.cut_point))
         delta = 3.0 * (np.median(gaps) if gaps else 0.1)
     violations = []
     for r in recs:
@@ -790,7 +786,7 @@ def check_se_dense(records, delta=None, atlas=None) -> Report:
         if not seps:
             violations.append(r.ray.theta.tolist())
             continue
-        gap = min(_cut_point_gap(atlas, r.cut_point, s.cut_point)
+        gap = min(atlas.coord_distance(r.cut_point, s.cut_point)
                   for s in seps)
         if gap > delta:
             violations.append((r.ray.theta.tolist(), gap))

@@ -95,10 +95,6 @@ def _div(a, b):
     return a / b
 
 
-def _recip(a):
-    return _div(1.0, a)
-
-
 def sqrt(z):
     """Square root, differentiable through nested duals."""
     if isinstance(z, Dual):
@@ -141,10 +137,13 @@ def extract(out, order):
 def nested_directional(f, x, dirs):
     """Mixed partial d^k/dt_1..dt_k of f(x + sum t_j dirs[j]) at t = 0.
 
-    f maps a list of scalars to a scalar.
+    f maps a list of scalars to a scalar.  x may itself hold duals (a
+    derivative taken on top of another); the result keeps their structure.
     """
     out = f(seed(x, dirs))
-    return extract(out, len(dirs))
+    for _ in dirs:
+        out = dpart(out)
+    return out
 
 
 def gradient(f, x):

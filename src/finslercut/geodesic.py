@@ -297,17 +297,10 @@ class LinearizedFrame:
     def J(self, t):
         return self._blocks(t)[3]
 
-    def Jdot(self, t):
-        return self._blocks(t)[4]
-
     def signed_J(self, t):
         """(J(t), orientation sign of the chart at t) from one path read."""
         _, _, _, J, _, sign = self._blocks(t)
         return J, sign
-
-    def state(self, t):
-        chart, x, v, _, _, _ = self._blocks(t)
-        return TangentVec(chart, x, v)
 
     def knot_times(self):
         return self.path.knot_times()

@@ -118,11 +118,12 @@ class MetricField:
         ex = [[1.0 if a == j else 0.0 for a in range(2 * n)] for j in range(n)]
         ev = [[1.0 if a == n + i else 0.0 for a in range(2 * n)]
               for i in range(n)]
-        Lx = [0.5 * _nested(f2, z, [ex[j]]) for j in range(n)]
-        g = [[0.5 * _nested(f2, z, [ev[i], ev[j]]) for j in range(n)]
-             for i in range(n)]
-        M = [[0.5 * _nested(f2, z, [ev[i], ex[j]]) for j in range(n)]
-             for i in range(n)]
+        Lx = [0.5 * dual.nested_directional(f2, z, [ex[j]])
+              for j in range(n)]
+        g = [[0.5 * dual.nested_directional(f2, z, [ev[i], ev[j]])
+              for j in range(n)] for i in range(n)]
+        M = [[0.5 * dual.nested_directional(f2, z, [ev[i], ex[j]])
+              for j in range(n)] for i in range(n)]
         rhs = [sum(M[i][j] * v[j] for j in range(n)) - Lx[i] for i in range(n)]
         return _solve_generic(g, rhs)
 
@@ -151,22 +152,8 @@ class MetricField:
 
     # -- misc ------------------------------------------------------------
 
-    def unit(self, p: TangentVec) -> TangentVec:
-        f = self.F(p)
-        if f <= 0:
-            raise DegenerateDirectionError("cannot normalize zero vector")
-        return TangentVec(p.chart, p.x, p.v / f)
-
     def reversed_(self) -> "MetricField":
         return ReversedMetric(self)
-
-
-def _nested(f, z, dirs):
-    """nested_directional that tolerates dual-valued base points."""
-    out = f(dual.seed(z, dirs))
-    for _ in range(len(dirs)):
-        out = dual.dpart(out)
-    return out
 
 
 def _split_seed(z, d, n):

@@ -42,7 +42,7 @@ SCHEMA_VERSION = "1.0"
 
 # manifold type -> atlas builder(manifold section)
 MANIFOLD_TYPES = {
-    "flat": lambda man: flat_atlas(man["dim"]),
+    "flat": lambda man: flat_atlas(2),
     "torus": lambda man: torus_atlas(man["periods"]),
     "sphere-stereo": lambda man: sphere_atlas(),
 }
@@ -88,10 +88,8 @@ def build_geometry(sc: Scenario):
         ode_atol=tol["ode_abs"],
         query_rtol=tol.get("query_rel"),
         query_atol=tol.get("query_abs"),
-        newton_tol=tol["newton"],
         bisect_tol=tol["bisection"],
         min_slack=tol["min_slack"],
-        distinct_angle=tol["distinct_angle"],
     )
     return atlas, metric, N, plan
 
@@ -262,8 +260,7 @@ def _task_cutlocus(run):
                                       side=run.side)
     atlas, name = run.metric.atlas, run.sc.name
     run.files[f"{name}_cutlocus.csv"] = records_csv(records, atlas.dim)
-    if atlas.dim == 2 and "svg" in run.sc.output["formats"]:
-        run.files[f"{name}_cutlocus.svg"] = records_svg(atlas, run.N, records)
+    run.files[f"{name}_cutlocus.svg"] = records_svg(atlas, run.N, records)
     finite = [r.rho for r in records if np.isfinite(r.rho)]
     return {
         "n_records": len(records),
@@ -420,6 +417,10 @@ _NEEDS_CUTLOCUS = ("classify", "retracts")
 
 # -- scenario documents -------------------------------------------------
 
+# every manifold is 2-dimensional: points, vectors and periods are pairs
+_PAIR = {"type": "array", "minItems": 2, "maxItems": 2}
+_VECTOR = {**_PAIR, "items": {"type": "number"}}
+
 SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "scenario",
@@ -435,10 +436,8 @@ SCHEMA = {
             "required": ["type"],
             "properties": {
                 "type": {"enum": list(MANIFOLD_TYPES)},
-                "dim": {"type": "integer", "minimum": 2},
-                "periods": {"type": "array",
-                            "items": {"type": "number",
-                                      "exclusiveMinimum": 0}},
+                "periods": {**_PAIR, "items": {"type": "number",
+                                               "exclusiveMinimum": 0}},
             },
         },
         "metric": {
@@ -447,7 +446,7 @@ SCHEMA = {
             "required": ["family"],
             "properties": {
                 "family": {"enum": list(METRIC_FAMILIES)},
-                "b": {"type": "array", "items": {"type": "number"}},
+                "b": _VECTOR,
                 "eps": {"type": "number", "exclusiveMinimum": 0},
             },
         },
@@ -458,12 +457,12 @@ SCHEMA = {
             "properties": {
                 "family": {"enum": list(SUBMANIFOLD_FAMILIES)},
                 "chart": {"type": "integer", "minimum": 0},
-                "point": {"type": "array", "items": {"type": "number"}},
-                "center": {"type": "array", "items": {"type": "number"}},
+                "point": _VECTOR,
+                "center": _VECTOR,
                 "radius": {"type": "number", "exclusiveMinimum": 0},
                 "a": {"type": "number", "exclusiveMinimum": 0},
                 "b": {"type": "number", "exclusiveMinimum": 0},
-                "direction": {"type": "array", "items": {"type": "number"}},
+                "direction": _VECTOR,
                 "halfwidth": {"type": "number", "exclusiveMinimum": 0},
             },
         },
@@ -486,10 +485,8 @@ SCHEMA = {
                 "ode_abs": {"type": "number", "exclusiveMinimum": 0},
                 "query_rel": {"type": "number", "exclusiveMinimum": 0},
                 "query_abs": {"type": "number", "exclusiveMinimum": 0},
-                "newton": {"type": "number", "exclusiveMinimum": 0},
                 "bisection": {"type": "number", "exclusiveMinimum": 0},
                 "min_slack": {"type": "number", "exclusiveMinimum": 0},
-                "distinct_angle": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "tasks": {"type": "array", "items": {"enum": list(TASKS)}},
@@ -499,8 +496,6 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "formats": {"type": "array",
-                            "items": {"enum": ["json", "csv", "svg"]}},
                 "directory": {"type": "string"},
             },
         },
@@ -509,17 +504,16 @@ SCHEMA = {
 
 _DEFAULTS = {
     "schema_version": SCHEMA_VERSION,
-    "manifold": {"dim": 2, "periods": [1.0, 1.0]},
+    "manifold": {"periods": [1.0, 1.0]},
     "metric": {},
     "submanifold": {"chart": 0},
     "grids": {"theta_count": 128, "psi_count": 64, "horizon": 3.0,
               "refine_levels": 1, "side": None},
     "tolerances": {"ode_rel": 1e-9, "ode_abs": 1e-11,
-                   "newton": 1e-9, "bisection": 1e-6,
-                   "min_slack": 1e-6, "distinct_angle": 1e-3},
+                   "bisection": 1e-6, "min_slack": 1e-6},
     "tasks": ["validate", "cutlocus", "classify", "theorems"],
     "seed": 0,
-    "output": {"formats": ["json", "csv", "svg"], "directory": "out"},
+    "output": {"directory": "out"},
 }
 
 
@@ -534,15 +528,6 @@ class Scenario:
     tasks: list
     seed: int
     output: dict
-
-    def raw(self):
-        return {
-            "schema_version": SCHEMA_VERSION, "name": self.name,
-            "manifold": self.manifold, "metric": self.metric,
-            "submanifold": self.submanifold, "grids": self.grids,
-            "tolerances": self.tolerances, "tasks": self.tasks,
-            "seed": self.seed, "output": self.output,
-        }
 
 
 def _merged(section, data):

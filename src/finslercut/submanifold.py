@@ -341,13 +341,6 @@ class NormalJacobiFlow:
     def matrix(self, t) -> np.ndarray:
         return self.signed_matrix(t)[0]
 
-    def point(self, t):
-        st = self.frame.state(t)
-        return (st.chart, st.x)
-
-    def velocity(self, t):
-        return self.frame.state(t).v
-
 
 def normal_jacobian(metric, N, ray: NormalRay, t) -> np.ndarray:
     """Differential of exp^nu at t v in the (theta, psi, radial) basis."""

@@ -23,14 +23,10 @@ class InverseExpResult:
     residual: float
     rho: float
 
-    @property
-    def tv(self):
-        return (self.ray, self.t)
-
 
 def _q_key(q):
     chart, x = q
-    return (chart, tuple(np.round(np.asarray(x, dtype=float), 12)))
+    return (chart, tuple(np.asarray(x, dtype=float).tolist()))
 
 
 def inverse_normal_exp(field: NormalShooting, q) -> InverseExpResult:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import finslercut as fc
-from finslercut.cutlocus import SAMPLE_DT_FRAC, ShootingPlan
+from finslercut import cutlocus
+from finslercut.cutlocus import NEWTON_TOL, SAMPLE_DT_FRAC, ShootingPlan
 from finslercut.metric import ReversedMetric
 
 
@@ -309,6 +310,63 @@ def test_answers_do_not_depend_on_call_order():
     assert [(m.t, m.residual) for m in after.minimizers] == \
         [(m.t, m.residual) for m in before.minimizers]
 
+    # cut times over the fan integrate doubled-horizon paths of the rays
+    # that still minimize at the horizon; the fan samples stay one horizon
+    plane = fc.flat_atlas(2)
+    field = fc.NormalShooting(
+        fc.RandersMetric(plane, np.array([0.5, 0.0])),
+        fc.axis_line_submanifold(0, (0.0, 0.0), (0.0, 1.0), half_extent=4.0),
+        fc.ShootingPlan(theta_count=33, horizon=3.0))
+    q = (0, np.array([2.2, 0.7]))
+    before = field.distance(q)
+    for ray in field.rays:
+        field.cut_time(ray)
+    after = field.distance(q)
+    assert after.d == before.d
+    assert [(m.t, m.residual) for m in after.minimizers] == \
+        [(m.t, m.residual) for m in before.minimizers]
+
+    # a path asked for a longer span is a second path, not a replacement
+    field = fc.NormalShooting(fc.euclidean_metric(plane),
+                              fc.ellipse_submanifold(0, a=2.0, b=1.0),
+                              fc.ShootingPlan(theta_count=32, horizon=3.0))
+    ray = field.ray_at([0.37], field.rays[0])
+    fresh = field.path(ray, 0.4).position(0.3)
+    field.path(ray, 2.0)
+    again = field.path(ray, 0.4).position(0.3)
+    assert fresh[0] == again[0] and np.array_equal(fresh[1], again[1])
+
+
+def test_cut_time_cross_check_repairs_a_quick_miss(monkeypatch):
+    # the ray from the minor vertex (0, 1) of a 2x1 ellipse is cut at the
+    # center, rho = 1, by the mirror ray from (0, -1); its focal time, the
+    # radius of curvature 4, lies beyond the horizon
+    plane = fc.flat_atlas(2)
+    metric = fc.euclidean_metric(plane)
+    N = fc.ellipse_submanifold(0, a=2.0, b=1.0)
+    plan = fc.ShootingPlan(theta_count=32, horizon=3.0)
+    ref = fc.NormalShooting(metric, N, plan)
+    ray = min((r for r in ref.rays if r.psi[0] > 0),
+              key=lambda r: abs(r.theta[0] - 0.5 * math.pi))
+    want = ref.cut_time(ray)
+    assert abs(want.rho - 1.0) < 2 * plan.bisect_tol
+    assert want.rho < want.lam
+
+    # one quick candidate misses the competitor, so the quick bisection
+    # overshoots and the full cross-check sends it to the second pass
+    monkeypatch.setattr(cutlocus, "QUICK_CANDIDATES", 1)
+    field = fc.NormalShooting(metric, N, plan)
+    modes = []
+
+    def is_minimizing(path, t, full=False):
+        modes.append(full)
+        return fc.NormalShooting.is_minimizing(field, path, t, full)
+
+    monkeypatch.setattr(field, "is_minimizing", is_minimizing)
+    got = field.cut_time(ray)
+    assert any(modes)                   # the full-candidate pass ran
+    assert abs(got.rho - want.rho) <= 2 * plan.bisect_tol
+
 
 def _line_metrics(atlas):
     randers = fc.RandersMetric(atlas, np.array([0.5, 0.0]))
@@ -325,7 +383,7 @@ def test_line_distance_matches_shooting(manifold, family):
     atlas = (fc.torus_atlas([1.0, 1.0]) if manifold == "torus"
              else fc.flat_atlas(2))
     N = fc.point_submanifold(0, np.array([0.1, 0.2]))
-    # ode_rtol 1e-10 makes the Gauss-Newton stop tolerance newton_tol
+    # ode_rtol 1e-10 makes the Gauss-Newton stop tolerance NEWTON_TOL
     plan = fc.ShootingPlan(psi_count=64, horizon=1.5, ode_rtol=1e-10)
     field = fc.NormalShooting(_line_metrics(atlas)[family], N, plan)
     assert field._line_floor is not None
@@ -333,7 +391,7 @@ def test_line_distance_matches_shooting(manifold, family):
     for _ in range(25):
         q = (0, rng.uniform(-1.0, 1.0, 2))
         exact, shot = field.distance(q), field._shoot_distance(q)
-        assert abs(exact.d - shot.d) <= plan.newton_tol * (1.0 + exact.d), q
+        assert abs(exact.d - shot.d) <= NEWTON_TOL * (1.0 + exact.d), q
         assert len(exact.minimizers) == len(shot.minimizers), q
         for a, b in zip(exact.minimizers, shot.minimizers):
             assert np.allclose(a.ray.v, b.ray.v, atol=1e-6), q

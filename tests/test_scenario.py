@@ -115,6 +115,35 @@ def test_cli_validate(tmp_path, capsys):
     assert cli.main(["validate", str(f)]) == 1
 
 
+@pytest.mark.parametrize("section, value, pointer", [
+    ("manifold", {"type": "flat", "dim": 3}, "/manifold"),
+    ("manifold", {"type": "torus", "periods": [1.0, 1.0, 1.0]},
+     "/manifold/periods"),
+    ("metric", {"family": "randers", "b": [0.5]}, "/metric/b"),
+    ("submanifold", {"family": "point", "point": [0.0, 0.0, 0.0]},
+     "/submanifold/point"),
+    ("submanifold", {"family": "circle", "center": [0.0]},
+     "/submanifold/center"),
+    ("submanifold", {"family": "axis-line", "direction": [0.0, 1.0, 0.0]},
+     "/submanifold/direction"),
+    ("output", {"formats": ["json"]}, "/output"),
+    ("tolerances", {"newton": 1e-9}, "/tolerances"),
+    ("tolerances", {"distinct_angle": 1e-3}, "/tolerances"),
+], ids=["dim", "periods", "b", "point", "center", "direction", "formats",
+        "newton", "distinct_angle"])
+def test_validate_rejects_what_cannot_run(tmp_path, capsys, section, value,
+                                          pointer):
+    # every manifold is 2-dimensional; a key that changes no output is gone
+    bad = dict(TINY, **{section: value})
+    with pytest.raises(ScenarioError) as err:
+        fc.parse_scenario(json.dumps(bad))
+    assert err.value.pointer == pointer
+    f = tmp_path / "sc.json"
+    f.write_text(json.dumps(bad))
+    assert cli.main(["validate", str(f)]) == 1
+    assert f"invalid scenario at {pointer}:" in capsys.readouterr().err
+
+
 def test_cli_run_unknown_scenario_is_config_error(capsys):
     assert cli.main(["run", "no-such-builtin"]) == 1
 
