@@ -85,7 +85,9 @@ class ManifoldAtlas:
 
     def contains(self, chart, x):
         lo, hi = self.boxes[chart]
-        return bool(np.all(x >= lo) and np.all(x <= hi))
+        # scalar comparisons: NaN compares false, so it stays outside
+        return all(a <= c <= b for a, c, b in
+                   zip(lo.tolist(), np.asarray(x).tolist(), hi.tolist()))
 
     def require(self, chart, x):
         if not self.contains(chart, x):

@@ -5,7 +5,9 @@ A ``NormalShooting`` field is the one owner of shooting state for a
 submanifold under a plan.  Its fan of grid rays is fixed at construction,
 and one dense geodesic per fan ray is reused across distance queries:
 closest-approach search over the fan picks candidates, Gauss-Newton on
-(cone parameter, time) polishes each to an exact arrival.  A point source
+(cone parameter, time) polishes each to an exact arrival.  Its first
+iteration reads the session's path cache: the fan ray's own path and the
+cached paths of its memoized finite-difference neighbours.  A point source
 under an x-independent metric on a one-chart atlas of dimension 2 (the flat
 plane or torus) skips the search: its normal geodesics are straight lines,
 so ``distance`` is the least F over the lattice shifts of q - p, in closed
@@ -162,8 +164,8 @@ class NormalShooting:
         self._classify_cache = {}
         # query point -> InverseExpResult (topology.inverse_normal_exp)
         self._inverse_cache = {}
-        # fan index -> {k: ray}: the Gauss-Newton seed ray (k = 0) and its
-        # first finite-difference neighbours (k = j + 1), see _seed_ray
+        # fan index -> {k: ray}: the first finite-difference neighbours
+        # (k = j + 1) of a Gauss-Newton seed, see _seed_ray
         self._seed_rays = {}
         self._build_branches()
         # a point source whose normal geodesics are straight lines in one
@@ -219,10 +221,11 @@ class NormalShooting:
         return unit_normal(self.metric, self.N, theta, psi)
 
     def _seed_ray(self, i, k, mu):
-        """ray_at(mu) where mu is fan ray i's cone parameters (k = 0) or
-        those moved along axis k - 1 by the finite-difference step; every
-        Gauss-Newton run seeded at ray i starts from these same rays.
-        Failures are not memoized."""
+        """ray_at(mu) where mu is fan ray i's cone parameters moved along
+        axis k - 1 by the finite-difference step (k >= 1); every
+        Gauss-Newton run seeded at ray i takes its first Jacobian from
+        these same rays and their cached paths.  Failures are not
+        memoized."""
         got = self._seed_rays.get(i, {}).get(k)
         if got is None:
             got = self.ray_at(mu, self.rays[i])
@@ -404,6 +407,12 @@ class NormalShooting:
     def refine_arrival(self, q, i, t0, max_iter=25):
         """Solve exp^nu(t, ray(mu)) = q from the grid ray i at time t0.
 
+        The first iteration reads paths the session owns: the seed residual
+        is fan ray i on its cached path, and each finite-difference
+        neighbour is a memoized ray on its cached path, both from ``path``
+        at the plan's ODE tolerances.  Later iterations integrate fresh
+        arrivals at query tolerances.
+
         Convergence bottoms out at the query-integration noise floor, so
         the stop tolerance tracks it; a stalled iteration (rank-deficient
         Jacobian at a conjugate arrival) accepts the best residual if it
@@ -419,10 +428,13 @@ class NormalShooting:
         nm = len(mu)
 
         def residual(mu_, t_, k=None):
-            # k: memo slot of a seed ray (first iteration only), see _seed_ray
-            ray = (self.ray_at(mu_, template) if k is None
-                   else self._seed_ray(i, k, mu_))
-            path = self._arrival_path(ray, t_)
+            # k, first iteration only: the fan ray (k = 0) or its memoized
+            # neighbour (k = j + 1), see _seed_ray
+            if k is None:
+                ray = self.ray_at(mu_, template)
+            else:
+                ray = template if k == 0 else self._seed_ray(i, k, mu_)
+            path = self._arrival_path(ray, t_, cached=k is not None)
             pos = path.position(t_)
             r = -self.atlas.displacement(pos, q)
             return r, ray, path
@@ -486,10 +498,15 @@ class NormalShooting:
             return Minimizer(ray, float(t), term, float(rn))
         return None
 
-    def _arrival_path(self, ray, t):
+    def _arrival_path(self, ray, t, cached=False):
+        """Path of ``ray`` past time t: a straight line when the spray
+        vanishes, else the session's cached path (``cached``) or a fresh
+        integration at query tolerances."""
         span = max(t * 1.05, 1e-6)
         if self.metric.x_independent and self.atlas.n_charts == 1:
             return _LinePath(ray.chart, ray.x, ray.v, span)
+        if cached:
+            return self.path(ray, span)
         return integrate_geodesic(self.metric, ray.tangent(), span,
                                   rtol=self.plan.query_rtol or self.plan.ode_rtol,
                                   atol=self.plan.query_atol or self.plan.ode_atol)

@@ -45,7 +45,10 @@ class PathSegment:
         t_old = self.knots[i]
         h = self.knots[i + 1] - t_old
         x = (t - t_old) / h
-        p = np.cumprod(np.tile(x, 4))
+        # the powers x..x^4 as np.cumprod forms them, in the same order
+        x2 = x * x
+        x3 = x2 * x
+        p = [x, x2, x3, x3 * x]
         y = h * np.dot(self.Q[i], p)
         y += self.y_old[i]
         return y

@@ -151,6 +151,14 @@ def test_candidates_match_reference_loop(torus32, ellipse_field):
                 assert got == _reference_candidates(field, (0, q), limit), q
 
 
+def _assert_same_shooting(warm, cold, queries):
+    for q in queries:
+        a, b = warm._shoot_distance(q), cold._shoot_distance(q)
+        assert a.d == b.d, q
+        assert [(m.t, m.residual) for m in a.minimizers] == \
+            [(m.t, m.residual) for m in b.minimizers], q
+
+
 def test_seed_ray_memo_is_bounded_and_order_independent(torus32):
     # the torus field answers distance in closed form, so the shooting
     # path is called directly, at every cut point of the fan
@@ -158,13 +166,49 @@ def test_seed_ray_memo_is_bounded_and_order_independent(torus32):
         torus32._shoot_distance(rec.cut_point)
     memo = torus32._seed_rays
     assert 0 < len(memo) <= len(torus32.rays)
-    assert all(set(slots) <= {0, 1} for slots in memo.values())
+    # the seed residual is the fan ray itself: only neighbours are memoized
+    assert all(set(slots) == {1} for slots in memo.values())
     fresh = fc.NormalShooting(torus32.metric, torus32.N, torus32.plan)
-    for q in [(0, np.array([0.27, 0.31])), (0, np.array([-0.45, 0.12]))]:
-        warm, cold = torus32._shoot_distance(q), fresh._shoot_distance(q)
-        assert warm.d == cold.d
-        assert [(m.t, m.residual) for m in warm.minimizers] == \
-            [(m.t, m.residual) for m in cold.minimizers]
+    _assert_same_shooting(torus32, fresh, [(0, np.array([0.27, 0.31])),
+                                           (0, np.array([-0.45, 0.12]))])
+
+
+def test_cached_seed_paths_are_order_independent(sphere_records,
+                                                 sphere_field):
+    # the sphere field shoots: after its cut locus, the first Gauss-Newton
+    # iteration of every query reads paths cached by earlier queries
+    warm = sphere_field
+    assert warm._seed_rays
+    fresh = fc.NormalShooting(warm.metric, warm.N, warm.plan)
+    antipode = (1, np.zeros(2))
+    _assert_same_shooting(warm, fresh, [antipode,
+                                        (1, np.array([0.1, 0.05])),
+                                        (0, np.array([0.3, -0.2]))])
+
+
+def test_seed_iteration_reads_cached_paths(sphere_setup, monkeypatch):
+    _, metric, N, plan = sphere_setup
+    field = fc.NormalShooting(metric, N, plan)
+    integrations, refines = [], []
+
+    def integrate_geodesic(*args, **kwargs):
+        integrations.append(args[2])
+        return fc.integrate_geodesic(*args, **kwargs)
+
+    def refine_arrival(*args, **kwargs):
+        refines.append(args[1])
+        return fc.NormalShooting.refine_arrival(field, *args, **kwargs)
+
+    monkeypatch.setattr(cutlocus, "integrate_geodesic", integrate_geodesic)
+    monkeypatch.setattr(field, "refine_arrival", refine_arrival)
+    # every ray of the point source reconverges at the antipode at t = pi
+    field.distance(field.path(field.rays[0]).position(math.pi))
+    del integrations[:], refines[:]
+    wit = field.distance(field.path(field.rays[5]).position(math.pi))
+    assert len(wit.minimizers) >= 2 and refines
+    # the seed residual and its finite-difference neighbours are cached;
+    # only the arrival after the first Newton step is integrated
+    assert len(integrations) <= len(refines)
 
 
 def test_torus_cut_time_along_axis(small_torus):

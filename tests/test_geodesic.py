@@ -137,6 +137,28 @@ def test_integration_beyond_chart_raises():
         fc.integrate_geodesic(metric, start, 5.0)
 
 
+@pytest.mark.parametrize("atlas", [fc.flat_atlas(2, halfwidth=1.0),
+                                   fc.torus_atlas([0.9, 1.2]),
+                                   fc.sphere_atlas()],
+                         ids=["flat", "torus", "sphere"])
+def test_contains_agrees_with_array_comparison(atlas):
+    nan, inf = math.nan, math.inf
+    for chart, (lo, hi) in enumerate(atlas.boxes):
+        mid = 0.5 * (lo + hi)
+        below, above = np.nextafter(lo, -inf), np.nextafter(hi, inf)
+        points = [lo, hi, mid, [lo[0], hi[1]], [hi[0], mid[1]],
+                  below, above, [below[0], mid[1]], [mid[0], above[1]],
+                  [nan, mid[1]], [mid[0], nan], [nan, nan],
+                  [inf, mid[1]], [mid[0], -inf]]
+        for x in map(np.asarray, points):
+            want = bool(np.all(x >= lo) and np.all(x <= hi))
+            assert atlas.contains(chart, x) is want, x
+        # the box edge is inside, one ulp past it and NaN are outside
+        assert atlas.contains(chart, lo) and atlas.contains(chart, hi)
+        assert not atlas.contains(chart, above)
+        assert not atlas.contains(chart, np.array([nan, mid[1]]))
+
+
 def _run_against_rk45(fun, y0, T, rtol, atol, max_step=np.inf):
     """Step DormandPrince and scipy's RK45 side by side; every accepted t,
     y and dense-output value must be equal.  Returns RK45's rejections."""
