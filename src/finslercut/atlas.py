@@ -67,7 +67,7 @@ class ManifoldAtlas:
     """Boxes-and-transitions chart model with optional lattice periodicity."""
 
     def __init__(self, dim, boxes, transitions=(), periodic_lattice=None,
-                 safe_margin=0.5, switch_rule=None):
+                 switch_rule=None):
         self.dim = dim
         self.boxes = [np.asarray(b, dtype=float) for b in boxes]  # (2, n) rows lo/hi
         self.transitions = {(t.src, t.dst): t for t in transitions}
@@ -76,7 +76,6 @@ class ManifoldAtlas:
             if np.any(periodic_lattice <= 0):
                 raise ValueError("periodic lattice entries must be positive")
         self.periodic_lattice = periodic_lattice
-        self.safe_margin = safe_margin
         self._switch_rule = switch_rule
 
     @property
@@ -170,6 +169,4 @@ def sphere_atlas(switch_radius=1.4, chart_radius=3.0):
             return 1 - chart
         return None
 
-    return ManifoldAtlas(2, [box, box], [t01, t10],
-                         safe_margin=chart_radius - switch_radius,
-                         switch_rule=switch)
+    return ManifoldAtlas(2, [box, box], [t01, t10], switch_rule=switch)

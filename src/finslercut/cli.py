@@ -85,11 +85,12 @@ def _golden_one(sc, args):
         write_golden(summary, sc.name)
         return EXIT_OK, [f"wrote golden summary for {sc.name}"]
     diffs = compare_to_golden(summary, sc.name)
+    wall = f"({bundle.wall_time:.1f} s)"
     if diffs:
         return EXIT_VIOLATION, (
-            [f"{sc.name}: {len(diffs)} difference(s) from golden, first: "
-             f"{diffs[0]}"] + [f"  {d}" for d in diffs[1:20]])
-    return EXIT_OK, [f"{sc.name}: matches golden summary"]
+            [f"{sc.name}: {len(diffs)} difference(s) from golden {wall}, "
+             f"first: {diffs[0]}"] + [f"  {d}" for d in diffs[1:20]])
+    return EXIT_OK, [f"{sc.name}: matches golden summary {wall}"]
 
 
 def _cmd_golden(args):

@@ -7,12 +7,15 @@ and one dense geodesic per fan ray is reused across distance queries:
 closest-approach search over the fan picks candidates, Gauss-Newton on
 (cone parameter, time) polishes each to an exact arrival.  Its first
 iteration reads the session's path cache: the fan ray's own path and the
-cached paths of its memoized finite-difference neighbours.  A point source
-under an x-independent metric on a one-chart atlas of dimension 2 (the flat
-plane or torus) skips the search: its normal geodesics are straight lines,
-so ``distance`` is the least F over the lattice shifts of q - p, in closed
-form.  Cut times come from bisection on the minimality predicate, with the
-first focal time as an upper bracket.
+cached paths of its memoized finite-difference neighbours.  Under an
+x-independent metric on a one-chart atlas (the flat plane or torus) every
+path is one exact straight segment from the geodesic layer
+(``geodesic.straight_geodesics``), while Jacobi flows are still stepped,
+because focal times are read on their knots.  A point source there, in
+dimension 2, skips the search: ``distance`` is the least F over the lattice
+shifts of q - p, in closed form.  Cut times come from bisection on the
+minimality predicate, with the first focal time as an upper bracket; a ray
+that still minimizes at the horizon H is bisected again in (H, 2H].
 
 Every cache of a field follows one rule: a value is keyed by exactly what
 determines it, and it is never replaced or invalidated.  Paths and Jacobi
@@ -34,7 +37,8 @@ import numpy as np
 
 from .atlas import TangentVec
 from .errors import FinslerError, NumericalFailure, UnreachedPointError
-from .geodesic import first_degeneracy, integrate_geodesic
+from .geodesic import (first_degeneracy, integrate_geodesic,
+                       straight_geodesics)
 from .metric import V_FLOOR
 from .submanifold import (NormalJacobiFlow, NormalRay, point_submanifold,
                           sample_unit_cone, unit_normal)
@@ -83,7 +87,6 @@ class DistanceWitness:
 class CutTimeResult:
     rho: float
     lam: float
-    horizon_limited: bool = False
     unbounded: bool = False
     bisection_iters: int = 0
 
@@ -96,29 +99,8 @@ class CutRecord:
     cut_point: tuple = None
     classification: set = dc_field(default_factory=set)
     competitor: tuple = None
-    horizon_limited: bool = False
     unbounded: bool = False
     diagnostics: dict = dc_field(default_factory=dict)
-
-
-class _LinePath:
-    """Straight-line stand-in for a geodesic path when the spray vanishes
-    (x-independent metric in a single chart)."""
-
-    def __init__(self, chart, x0, v, T):
-        self.chart = chart
-        self.x0 = np.asarray(x0, dtype=float)
-        self.v = np.asarray(v, dtype=float)
-        self.t1 = float(T)
-
-    def position(self, t):
-        return (self.chart, self.x0 + t * self.v)
-
-    def velocity(self, t):
-        return self.v.copy()
-
-    def state(self, t):
-        return TangentVec(self.chart, self.x0 + t * self.v, self.v)
 
 
 def _ray_key(ray: NormalRay):
@@ -172,8 +154,7 @@ class NormalShooting:
         # 2-dimensional chart gets distance in closed form (_line_distance);
         # _line_floor > 0 bounds F on unit vectors from below, else None
         self._line_floor = None
-        if (N.k == 0 and metric.x_independent and self.atlas.n_charts == 1
-                and self.atlas.dim == 2):
+        if N.k == 0 and straight_geodesics(metric) and self.atlas.dim == 2:
             self._base = N.point(np.zeros(0))
             floor = _unit_circle_floor(metric, N.chart, self._base)
             if floor > 0.0:
@@ -434,39 +415,37 @@ class NormalShooting:
                 ray = self.ray_at(mu_, template)
             else:
                 ray = template if k == 0 else self._seed_ray(i, k, mu_)
-            path = self._arrival_path(ray, t_, cached=k is not None)
-            pos = path.position(t_)
-            r = -self.atlas.displacement(pos, q)
-            return r, ray, path
+            state = self._arrival_path(ray, t_, cached=k is not None).state(t_)
+            r = -self.atlas.displacement((state.chart, state.x), q)
+            return r, ray, state
 
         try:
-            r, ray, path = residual(mu, t, 0)
+            r, ray, state = residual(mu, t, 0)
         except (FinslerError, np.linalg.LinAlgError):
             return None
-        best = (np.linalg.norm(r), ray, float(t), path)
+        best = (np.linalg.norm(r), ray, float(t), state)
         stalls = 0
         for it in range(max_iter):
             rn = np.linalg.norm(r)
             if rn <= tol:
-                term = path.state(min(t, path.t1))
-                return Minimizer(ray, float(t), term, float(rn))
+                return Minimizer(ray, float(t), state, float(rn))
             if rn < best[0]:
                 if rn > 0.5 * best[0]:
                     stalls += 1
                 else:
                     stalls = 0
-                best = (rn, ray, float(t), path)
+                best = (rn, ray, float(t), state)
             else:
                 stalls += 1
             if stalls >= 3:
                 break
             cols = []
             # time column: velocity expressed in q's chart
-            pos = path.position(t)
-            vel = path.velocity(t)
+            vel = state.v
             qchart = q[0]
-            if pos[0] != qchart:
-                Dt = self.atlas.transition(pos[0], qchart).jacobian(pos[1])
+            if state.chart != qchart:
+                Dt = self.atlas.transition(state.chart,
+                                           qchart).jacobian(state.x)
                 vel = Dt @ vel
             cols.append(vel)
             try:
@@ -489,22 +468,18 @@ class NormalShooting:
             if t < 1e-9:
                 t = 1e-9
             try:
-                r, ray, path = residual(mu, t)
+                r, ray, state = residual(mu, t)
             except (FinslerError, np.linalg.LinAlgError):
                 return None
         if best[0] <= 30.0 * tol:
-            rn, ray, t, path = best
-            term = path.state(min(t, path.t1))
-            return Minimizer(ray, float(t), term, float(rn))
+            rn, ray, t, state = best
+            return Minimizer(ray, float(t), state, float(rn))
         return None
 
     def _arrival_path(self, ray, t, cached=False):
-        """Path of ``ray`` past time t: a straight line when the spray
-        vanishes, else the session's cached path (``cached``) or a fresh
-        integration at query tolerances."""
+        """Path of ``ray`` past time t: the session's cached path
+        (``cached``) or a fresh integration at query tolerances."""
         span = max(t * 1.05, 1e-6)
-        if self.metric.x_independent and self.atlas.n_charts == 1:
-            return _LinePath(ray.chart, ray.x, ray.v, span)
         if cached:
             return self.path(ray, span)
         return integrate_geodesic(self.metric, ray.tangent(), span,
@@ -650,21 +625,16 @@ class NormalShooting:
             if lam <= plan.horizon:
                 # beyond-focal lemma: non-minimizing past lam, so rho = lam
                 return CutTimeResult(float(lam), float(lam))
-            # horizon binds: probe a doubled horizon before declaring
+            # horizon binds: probe a doubled horizon, then bisect (H, hi]
             span2 = 2 * plan.horizon
-            lam2 = self.focal_time(ray, span2)
-            path2 = self.path(ray, span2)
-            if lam2 == np.inf and self.is_minimizing(path2, span2):
+            lam = self.focal_time(ray, span2)
+            hi = min(lam, span2)
+            path = self.path(ray, span2)
+            if self.is_minimizing(path, hi):
+                if lam <= span2:
+                    return CutTimeResult(float(lam), float(lam))
                 return CutTimeResult(np.inf, np.inf, unbounded=True)
-            if lam2 <= span2:
-                hi = lam2
-                path = path2
-                if self.is_minimizing(path, hi):
-                    return CutTimeResult(float(lam2), float(lam2))
-                lam = lam2
-                lo = plan.horizon
-            else:
-                return CutTimeResult(np.inf, np.inf, horizon_limited=True)
+            lo = plan.horizon
         else:
             lo = 0.0
         for use_full in (False, True):
@@ -687,9 +657,7 @@ class NormalShooting:
 
     def record(self, ray: NormalRay, classify=True) -> CutRecord:
         res = self.cut_time(ray)
-        rec = CutRecord(ray, res.rho, res.lam,
-                        horizon_limited=res.horizon_limited,
-                        unbounded=res.unbounded,
+        rec = CutRecord(ray, res.rho, res.lam, unbounded=res.unbounded,
                         diagnostics={"bisection_iters": res.bisection_iters})
         if np.isfinite(res.rho):
             rec.cut_point = self.path(ray, res.rho).position(res.rho)

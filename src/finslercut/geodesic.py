@@ -2,13 +2,17 @@
 
 The geodesic equation x'' + 2G(x, x') = 0 is integrated with an embedded
 Runge-Kutta 5(4) scheme (Dormand-Prince, elementary step control, quartic
-dense output; ``dopri.py``) with chart switching at the atlas safe margin.
-Jacobi fields are obtained by integrating the linearization of the spray
-flow alongside the base geodesic.  The right-hand sides read the spray only
+dense output; ``dopri.py``), switching charts where the atlas asks.  Where
+the spray vanishes on a one-chart atlas (``straight_geodesics``), a geodesic
+is one exact segment: the line x0 + t v on [0, T], with only its endpoint
+checked against the convex chart box.  Jacobi fields come from integrating
+the linearization of the spray flow alongside the base geodesic; these
+flows are always stepped, straight base geodesics included, because focal
+times are read on their knots.  The right-hand sides read the spray only
 through the metric's float oracles: ``metric.spray`` gives 2G and
 ``metric.spray_jvp`` gives 2G together with its directional derivatives
-along the Jacobi columns (closed forms on the round sphere, dual-number
-evaluation by default).
+along the Jacobi columns (closed forms on the round sphere, zeros for an
+x-independent metric, dual-number evaluation by default).
 """
 
 from __future__ import annotations
@@ -57,10 +61,9 @@ class PathSegment:
 class GeodesicPath:
     """Dense-output geodesic with chart-segment bookkeeping."""
 
-    def __init__(self, metric, segments, state_dim):
+    def __init__(self, metric, segments):
         self.metric = metric
         self.segments = segments
-        self.state_dim = state_dim
         self.t0 = segments[0].t0
         self.t1 = segments[-1].t1
 
@@ -68,10 +71,6 @@ class GeodesicPath:
     def knot_speeds(self):
         """(t, F(state)) at every accepted step time."""
         return [(t, self.metric.F(self.state(t))) for t in self.knot_times()]
-
-    @property
-    def t_span(self):
-        return (self.t0, self.t1)
 
     def _segment(self, t):
         for seg in self.segments:
@@ -106,14 +105,15 @@ class GeodesicPath:
         return np.array(ts)
 
 
+def straight_geodesics(metric):
+    """True when every geodesic of ``metric`` is a straight line in its one
+    chart: the metric is x-independent, so the spray vanishes, and there is
+    no other chart to switch to."""
+    return metric.x_independent and metric.atlas.n_charts == 1
+
+
 def _geodesic_rhs(metric, chart):
     n = metric.atlas.dim
-    if metric.x_independent:
-        zero = np.zeros(n)
-
-        def rhs(t, y):
-            return np.concatenate([y[n:], zero])
-        return rhs
 
     def rhs(t, y):
         s = metric.spray(chart, y[:n], y[n:])
@@ -123,15 +123,6 @@ def _geodesic_rhs(metric, chart):
 
 def _linearized_rhs(metric, chart, m):
     n = metric.atlas.dim
-    if metric.x_independent:
-        def rhs(t, y):
-            dy = np.empty_like(y)
-            dy[:n] = y[n:2 * n]
-            dy[n:2 * n] = 0.0
-            dy[2 * n:2 * n + n * m] = y[2 * n + n * m:]
-            dy[2 * n + n * m:] = 0.0
-            return dy
-        return rhs
 
     def rhs(t, y):
         J = y[2 * n:2 * n + n * m].reshape(n, m)
@@ -164,16 +155,30 @@ def _transform_state(metric, tr, y, n, m):
     return np.concatenate(out), sign
 
 
-def _integrate(metric, chart, y0, T, rtol, atol, m=0, max_step=None):
+def _line_segment(atlas, chart, y0, T):
+    """The straight geodesic x0 + t v on [0, T] as one exact segment."""
+    n = atlas.dim
+    x0, v = y0[:n], y0[n:]
+    x1 = x0 + T * v
+    if not atlas.contains(chart, x1):
+        raise AtlasExitError(f"trajectory left the atlas by t={T:.6g}",
+                             t=T, x=x1)
+    Q = np.zeros((1, 2 * n, 4))
+    Q[0, :n, 0] = v
+    return PathSegment(chart, 0.0, T, np.array([0.0, T]), np.array([y0]), Q)
+
+
+def _integrate(metric, chart, y0, T, rtol, atol, m=0):
     atlas = metric.atlas
     n = atlas.dim
-    if max_step is None:
-        max_step = np.inf if atlas.n_charts == 1 else 0.2
+    y = np.asarray(y0, dtype=float)
+    if m == 0 and straight_geodesics(metric):
+        return [_line_segment(atlas, chart, y, T)]
+    max_step = np.inf if atlas.n_charts == 1 else 0.2
     make_rhs = (_geodesic_rhs if m == 0
                 else (lambda met, ch: _linearized_rhs(met, ch, m)))
     segments = []
     t = 0.0
-    y = np.asarray(y0, dtype=float)
     sign = 1.0
     while t < T - 1e-14:
         solver = DormandPrince(make_rhs(metric, chart), t, y, T,
@@ -210,14 +215,13 @@ def _integrate(metric, chart, y0, T, rtol, atol, m=0, max_step=None):
 
 
 def integrate_geodesic(metric, start: TangentVec, T,
-                       rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-                       max_step=None) -> GeodesicPath:
+                       rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> GeodesicPath:
     if np.linalg.norm(start.v) < V_FLOOR:
         raise DegenerateDirectionError("integrate_geodesic needs v != 0")
     metric.atlas.require(start.chart, start.x)
     y0 = np.concatenate([start.x, start.v])
     segs = _integrate(metric, start.chart, y0, float(T), rtol, atol)
-    return GeodesicPath(metric, segs, 2 * metric.atlas.dim)
+    return GeodesicPath(metric, segs)
 
 
 def exp_map(metric, point, v, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
@@ -287,8 +291,8 @@ class LinearizedFrame:
         self.m = m
         n = metric.atlas.dim
         self.n = n
-        self.path = GeodesicPath(metric, segments, 2 * n + 2 * n * m)
-        self.t0, self.t1 = self.path.t_span
+        self.path = GeodesicPath(metric, segments)
+        self.t0, self.t1 = self.path.t0, self.path.t1
 
     def _blocks(self, t):
         n, m = self.n, self.m
@@ -310,8 +314,7 @@ class LinearizedFrame:
 
 
 def linearized_flow(metric, start: TangentVec, T, J0, Jd0,
-                    rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-                    max_step=None) -> LinearizedFrame:
+                    rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> LinearizedFrame:
     """Integrate the variational equation J'' = -d(2G)[J, J'] along the
     geodesic from ``start``; columns are Jacobi fields."""
     J0 = np.atleast_2d(np.asarray(J0, dtype=float))
@@ -320,8 +323,7 @@ def linearized_flow(metric, start: TangentVec, T, J0, Jd0,
         J0, Jd0 = J0.T, Jd0.T
     m = J0.shape[1]
     y0 = np.concatenate([start.x, start.v, J0.ravel(), Jd0.ravel()])
-    segs = _integrate(metric, start.chart, y0, float(T), rtol, atol,
-                      m=m, max_step=max_step)
+    segs = _integrate(metric, start.chart, y0, float(T), rtol, atol, m=m)
     return LinearizedFrame(metric, segs, m)
 
 

@@ -8,9 +8,10 @@ two float oracles, ``spray`` (2G) and ``spray_jvp`` (2G and its directional
 derivative); by default both evaluate ``spray_generic``, the latter on
 dual numbers.  The round sphere overrides them with closed forms that repeat
 the floating-point operations of that default, so its geodesics and Jacobi
-fields are the same to the last bit.  The dual-number oracles stay as the
-fallback for custom metrics and as the reference the closed forms are
-tested against.
+fields are the same to the last bit.  For an x-independent metric the spray
+vanishes: ``spray_generic`` returns zeros and ``spray_jvp`` returns zeros
+without evaluating it.  The dual-number oracles stay as the fallback for
+custom metrics and as the reference the closed forms are tested against.
 """
 
 from __future__ import annotations
@@ -137,10 +138,13 @@ class MetricField:
 
         Returns ``(s, ds)``: ``s`` is ``spray(chart, x, v)`` and ``ds[:, c]``
         is d/dt 2G(x + t dx[:, c], v + t dv[:, c]) at t = 0, from one
-        dual-number evaluation of ``spray_generic`` per column.
+        dual-number evaluation of ``spray_generic`` per column; both are
+        zero for an x-independent metric.
         """
         n = self.atlas.dim
         dx = np.asarray(dx, dtype=float)
+        if self.x_independent:
+            return [0.0] * n, np.zeros(dx.shape)
         dv = np.asarray(dv, dtype=float)
         z = list(x) + list(v)
         ds = np.empty(dx.shape)

@@ -129,7 +129,6 @@ def record_doc(rec):
         "psi": _doc(rec.ray.psi),
         "rho": _num(rec.rho) if not np.isnan(rec.rho) else "nan",
         "lambda": _num(rec.lam) if not np.isnan(rec.lam) else "nan",
-        "horizon_limited": bool(rec.horizon_limited),
         "unbounded": bool(rec.unbounded),
         "cut_point": None, "tangent_cut": None,
         "class": sorted(rec.classification),

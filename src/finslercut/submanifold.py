@@ -17,7 +17,7 @@ import numpy as np
 from . import dual
 from .atlas import TangentVec
 from .errors import FinslerError, ImmersionError, NumericalFailure
-from .geodesic import exp_map, linearized_flow, integrate_geodesic
+from .geodesic import DEFAULT_ATOL, DEFAULT_RTOL, exp_map, linearized_flow
 from .metric import legendre_inverse
 
 ORTH_TOL = 1e-7
@@ -269,16 +269,13 @@ def sample_unit_cone(metric, N: SubmanifoldSpec, grid):
     return rays, failures
 
 
-def normal_exp(metric, N, ray: NormalRay, t, rtol=None, atol=None):
+def normal_exp(metric, N, ray: NormalRay, t, rtol=DEFAULT_RTOL,
+               atol=DEFAULT_ATOL):
     """exp_p(t v) for a unit normal ray; t = 0 returns the base point."""
     if t == 0:
         return (ray.chart, ray.x.copy())
-    kwargs = {}
-    if rtol is not None:
-        kwargs["rtol"] = rtol
-    if atol is not None:
-        kwargs["atol"] = atol
-    return exp_map(metric, (ray.chart, ray.x), t * ray.v, **kwargs)
+    return exp_map(metric, (ray.chart, ray.x), t * ray.v, rtol=rtol,
+                   atol=atol)
 
 
 def cone_variation_data(metric, N, ray: NormalRay, h=1e-6):
@@ -319,19 +316,15 @@ class NormalJacobiFlow:
     direction (the geodesic velocity).
     """
 
-    def __init__(self, metric, N, ray, T, rtol=None, atol=None):
+    def __init__(self, metric, N, ray, T, rtol=DEFAULT_RTOL,
+                 atol=DEFAULT_ATOL):
         self.metric = metric
         self.N = N
         self.ray = ray
         self.T = float(T)
         J0, Jd0 = cone_variation_data(metric, N, ray)
-        kwargs = {}
-        if rtol is not None:
-            kwargs["rtol"] = rtol
-        if atol is not None:
-            kwargs["atol"] = atol
         self.frame = linearized_flow(metric, ray.tangent(), self.T,
-                                     J0, Jd0, **kwargs)
+                                     J0, Jd0, rtol=rtol, atol=atol)
 
     def signed_matrix(self, t):
         """(matrix(t), orientation sign of the chart at t), one path read."""

@@ -215,7 +215,7 @@ def test_torus_cut_time_along_axis(small_torus):
     ray = fc.unit_normal(small_torus.metric, small_torus.N, 0.0, (1.0, 0.0))
     res = small_torus.cut_time(ray)
     assert abs(res.rho - 0.5) < 1e-6
-    assert not res.horizon_limited and not res.unbounded
+    assert not res.unbounded
 
 
 def test_torus_cut_time_along_diagonal(small_torus):
@@ -223,6 +223,25 @@ def test_torus_cut_time_along_diagonal(small_torus):
     ray = fc.unit_normal(small_torus.metric, small_torus.N, 0.0, (s, s))
     res = small_torus.cut_time(ray)
     assert abs(res.rho - s) < 1e-6
+
+
+def test_cut_times_past_the_horizon_are_bisected():
+    # with H = 0.4 every cut time of the unit torus lies in (H, 2H]: each
+    # ray still minimizes at H, meets no focal point and has lost
+    # minimality by 2H, so the doubled-horizon probe must bisect
+    field = fc.NormalShooting(
+        fc.euclidean_metric(fc.torus_atlas([1.0, 1.0])),
+        fc.point_submanifold(0, np.zeros(2)),
+        fc.ShootingPlan(psi_count=16, horizon=0.4, bisect_tol=1e-8,
+                        min_slack=1e-7))
+    plan = field.plan
+    for ray in field.rays:
+        with np.errstate(divide="ignore"):
+            exact = float(np.min(0.5 / np.abs(ray.v)))
+        assert plan.horizon < exact <= 2 * plan.horizon
+        res = field.cut_time(ray)
+        assert math.isinf(res.lam) and not res.unbounded
+        assert abs(res.rho - exact) <= 2 * (plan.min_slack + plan.bisect_tol)
 
 
 def test_torus_focal_time_infinite(torus_records):
@@ -283,7 +302,7 @@ def test_circle_outward_unbounded(circle_field):
     ray = fc.unit_normal(circle_field.metric, circle_field.N, 0.5, -1.0)
     res = circle_field.cut_time(ray)
     assert math.isinf(res.rho)
-    assert res.unbounded and not res.horizon_limited
+    assert res.unbounded
 
 
 def test_unreached_point_raises():
@@ -456,7 +475,7 @@ def test_plane_point_ray_is_unbounded():
     for ray in field.rays[:3]:
         res = field.cut_time(ray)
         assert math.isinf(res.rho)
-        assert res.unbounded and not res.horizon_limited
+        assert res.unbounded
 
 
 def test_line_distance_at_the_source(small_torus):

@@ -137,6 +137,96 @@ def test_integration_beyond_chart_raises():
         fc.integrate_geodesic(metric, start, 5.0)
 
 
+def _line_metric(family, atlas):
+    randers = fc.RandersMetric(atlas, np.array([0.5, 0.2]))
+    return {"euclidean": fc.euclidean_metric(atlas),
+            "quartic": fc.MinkowskiQuarticMetric(atlas, eps=0.1),
+            "randers": randers,
+            "reversed-randers": fc.ReversedMetric(randers)}[family]
+
+
+@pytest.mark.parametrize("family", ["euclidean", "quartic", "randers",
+                                    "reversed-randers"])
+@pytest.mark.parametrize("atlas", [fc.flat_atlas(2),
+                                   fc.torus_atlas([0.9, 1.2])],
+                         ids=["plane", "torus"])
+def test_straight_geodesic_is_one_exact_segment(atlas, family):
+    metric = _line_metric(family, atlas)
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        x0 = rng.uniform(-1.0, 1.0, 2)
+        v = rng.normal(size=2)
+        T = float(rng.uniform(0.5, 4.0))
+        path = fc.integrate_geodesic(metric, TangentVec(0, x0, v), T)
+        (seg,) = path.segments
+        assert seg.chart == 0 and seg.sign == 1.0
+        assert seg.knots.tolist() == [0.0, T] and (seg.t0, seg.t1) == (0.0, T)
+        for t in np.concatenate([[0.0, T], rng.uniform(0.0, T, 7)]):
+            chart, x = path.position(t)
+            line = x0 + t * v
+            ulps = np.spacing(np.maximum(np.abs(line), np.abs(T * v)))
+            assert chart == 0
+            assert np.all(np.abs(x - line) <= 4 * ulps)
+            assert np.array_equal(path.velocity(t), v)
+    # the box is convex: the start and the endpoint decide the whole line
+    hw = atlas.boxes[0][1, 0]
+    start = TangentVec(0, np.array([hw - 1.0, 0.0]), np.array([0.6, 0.8]))
+    fc.integrate_geodesic(metric, start, 1.0 / 0.6)
+    with pytest.raises(fc.AtlasExitError) as err:
+        fc.integrate_geodesic(metric, start, 1.0 / 0.6 + 1e-6)
+    assert err.value.x[0] > hw
+
+
+def _x_independent_linearized_rhs(n, m):
+    """The right-hand side of a Jacobi flow under a vanishing spray, written
+    out: the reference for the generic one with a zero ``spray_jvp``."""
+    def rhs(t, y):
+        dy = np.empty_like(y)
+        dy[:n] = y[n:2 * n]
+        dy[n:2 * n] = 0.0
+        dy[2 * n:2 * n + n * m] = y[2 * n + n * m:]
+        dy[2 * n + n * m:] = 0.0
+        return dy
+    return rhs
+
+
+def test_flows_under_a_vanishing_spray_keep_their_knots():
+    # focal times are read on a flow's knots, so the generic right-hand
+    # side with a zero spray_jvp must step exactly like the written-out one
+    plane = fc.flat_atlas(2)
+    torus = fc.torus_atlas([1.0, 1.0])
+    randers = fc.RandersMetric(plane, np.array([0.5, 0.0]))
+    cases = [
+        (fc.euclidean_metric(plane), fc.ellipse_submanifold(0, a=2.0, b=1.0),
+         [0.7], (-1.0,), 3.0),
+        (fc.MinkowskiQuarticMetric(torus, eps=0.1),
+         fc.point_submanifold(0, np.zeros(2)), [], (0.6, 0.8), 1.5),
+        (randers, fc.axis_line_submanifold(0, (0.0, 0.0), (0.0, 1.0),
+                                           half_extent=4.0),
+         [0.3], (1.0,), 3.0),
+    ]
+    for metric, N, theta, psi, T in cases:
+        ray = fc.unit_normal(metric, N, theta, psi)
+        flow = fc.NormalJacobiFlow(metric, N, ray, T)
+        J0, Jd0 = fc.cone_variation_data(metric, N, ray)
+        n, m = J0.shape
+        y0 = np.concatenate([ray.x, ray.v, J0.ravel(), Jd0.ravel()])
+        ref = DormandPrince(_x_independent_linearized_rhs(n, m), 0.0, y0, T,
+                            fc.geodesic.DEFAULT_RTOL,
+                            fc.geodesic.DEFAULT_ATOL)
+        knots, y_old, Q = [0.0], [], []
+        while ref.status == "running":
+            assert ref.step() is None
+            knots.append(ref.t)
+            y_old.append(ref.y_old)
+            Q.append(ref.dense_Q())
+        (seg,) = flow.frame.path.segments
+        assert len(knots) > 2
+        assert np.array_equal(seg.knots, knots)
+        assert np.array_equal(seg.y_old, y_old)
+        assert np.array_equal(seg.Q, Q)
+
+
 @pytest.mark.parametrize("atlas", [fc.flat_atlas(2, halfwidth=1.0),
                                    fc.torus_atlas([0.9, 1.2]),
                                    fc.sphere_atlas()],

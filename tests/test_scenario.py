@@ -268,9 +268,10 @@ def test_cli_golden_all_reports_each_builtin(monkeypatch, capsys):
     assert cli.main(["golden", "--all"]) == 3
     lines = capsys.readouterr().out.splitlines()
     assert lines == [
-        "torus-point: matches golden summary",
-        "sphere-point: 2 difference(s) from golden, first: /classify: 1 vs 2",
-        "plane-circle: matches golden summary"]
+        "torus-point: matches golden summary (0.0 s)",
+        "sphere-point: 2 difference(s) from golden (0.0 s), first: "
+        "/classify: 1 vs 2",
+        "plane-circle: matches golden summary (0.0 s)"]
     differs.clear()
     assert cli.main(["golden", "--all"]) == 0
     assert cli.main(["golden", "--all", "torus-point"]) == 1
