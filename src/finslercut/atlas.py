@@ -7,7 +7,7 @@ velocity components in the same chart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,15 +64,25 @@ class Transition:
 
 
 class ManifoldAtlas:
-    """Boxes-and-transitions chart model with optional lattice periodicity."""
+    """Boxes-and-transitions chart model with optional lattice periodicity.
 
-    def __init__(self, dim, boxes, transitions=(), periodic_lattice=None,
+    Every chart is 2-dimensional: the constructor checks that once, and the
+    rest of the package relies on it.
+    """
+
+    dim = 2
+
+    def __init__(self, boxes, transitions=(), periodic_lattice=None,
                  switch_rule=None):
-        self.dim = dim
-        self.boxes = [np.asarray(b, dtype=float) for b in boxes]  # (2, n) rows lo/hi
+        self.boxes = [np.asarray(b, dtype=float) for b in boxes]  # rows lo/hi
+        if any(b.shape != (2, 2) for b in self.boxes):
+            raise ValueError("chart boxes must have shape (2, 2): the lo and "
+                             "hi rows of a 2-dimensional chart")
         self.transitions = {(t.src, t.dst): t for t in transitions}
         if periodic_lattice is not None:
             periodic_lattice = np.asarray(periodic_lattice, dtype=float)
+            if periodic_lattice.shape != (2,):
+                raise ValueError("a periodic lattice has 2 entries")
             if np.any(periodic_lattice <= 0):
                 raise ValueError("periodic lattice entries must be positive")
         self.periodic_lattice = periodic_lattice
@@ -131,25 +141,20 @@ class ManifoldAtlas:
 # -- factories -----------------------------------------------------------
 
 
-def flat_atlas(dim=2, halfwidth=100.0):
-    box = np.array([[-halfwidth] * dim, [halfwidth] * dim])
-    return ManifoldAtlas(dim, [box])
+def flat_atlas(*, halfwidth=100.0):
+    return ManifoldAtlas([[[-halfwidth, -halfwidth], [halfwidth, halfwidth]]])
 
 
 def torus_atlas(periods):
     periods = np.asarray(periods, dtype=float)
-    dim = len(periods)
     # integration runs in the universal cover; identification applies on output
     hw = 100.0 * float(np.max(periods))
-    box = np.array([[-hw] * dim, [hw] * dim])
-    return ManifoldAtlas(dim, [box], periodic_lattice=periods)
+    return ManifoldAtlas([[[-hw, -hw], [hw, hw]]], periodic_lattice=periods)
 
 
 def _inversion(x):
-    r2 = x[0] * x[0]
-    for c in x[1:]:
-        r2 = r2 + c * c
-    return [c / r2 for c in x]
+    r2 = x[0] * x[0] + x[1] * x[1]
+    return [x[0] / r2, x[1] / r2]
 
 
 def sphere_atlas(switch_radius=1.4, chart_radius=3.0):
@@ -169,4 +174,4 @@ def sphere_atlas(switch_radius=1.4, chart_radius=3.0):
             return 1 - chart
         return None
 
-    return ManifoldAtlas(2, [box, box], [t01, t10], switch_rule=switch)
+    return ManifoldAtlas([box, box], [t01, t10], switch_rule=switch)

@@ -11,9 +11,9 @@ cached paths of its memoized finite-difference neighbours.  Under an
 x-independent metric on a one-chart atlas (the flat plane or torus) every
 path is one exact straight segment from the geodesic layer
 (``geodesic.straight_geodesics``), while Jacobi flows are still stepped,
-because focal times are read on their knots.  A point source there, in
-dimension 2, skips the search: ``distance`` is the least F over the lattice
-shifts of q - p, in closed form.  Cut times come from bisection on the
+because focal times are read on their knots.  A point source there skips
+the search: ``distance`` is the least F over the lattice shifts of q - p,
+in closed form.  Cut times come from bisection on the
 minimality predicate, with the first focal time as an upper bracket; a ray
 that still minimizes at the horizon H is bisected again in (H, 2H].
 
@@ -146,15 +146,15 @@ class NormalShooting:
         self._classify_cache = {}
         # query point -> InverseExpResult (topology.inverse_normal_exp)
         self._inverse_cache = {}
-        # fan index -> {k: ray}: the first finite-difference neighbours
-        # (k = j + 1) of a Gauss-Newton seed, see _seed_ray
+        # fan index -> {1: ray}: the finite-difference neighbour (k = 1)
+        # of a Gauss-Newton seed, see _seed_ray
         self._seed_rays = {}
         self._build_branches()
         # a point source whose normal geodesics are straight lines in one
-        # 2-dimensional chart gets distance in closed form (_line_distance);
-        # _line_floor > 0 bounds F on unit vectors from below, else None
+        # chart gets distance in closed form (_line_distance); _line_floor
+        # > 0 bounds F on unit vectors from below, else None
         self._line_floor = None
-        if N.k == 0 and straight_geodesics(metric) and self.atlas.dim == 2:
+        if N.k == 0 and straight_geodesics(metric):
             self._base = N.point(np.zeros(0))
             floor = _unit_circle_floor(metric, N.chart, self._base)
             if floor > 0.0:
@@ -163,16 +163,16 @@ class NormalShooting:
     # -- ray bookkeeping -------------------------------------------------
 
     def _build_branches(self):
-        n = self.atlas.dim
-        codim = n - self.N.k
+        """Fan indices in cone order: one psi cycle for a point, one theta
+        run per side for a curve."""
         self.branches = []
-        if codim == 1:
+        if self.N.k:
             by_side = {}
             for i, r in enumerate(self.rays):
                 by_side.setdefault(float(np.sign(r.psi[0])), []).append(i)
+            cyclic = bool(self.N.periodic[0])
             for side in sorted(by_side):
                 idx = sorted(by_side[side], key=lambda i: self.rays[i].theta[0])
-                cyclic = bool(self.N.k and self.N.periodic[0])
                 self.branches.append((np.array(idx), cyclic))
         else:
             idx = sorted(range(len(self.rays)),
@@ -181,32 +181,28 @@ class NormalShooting:
             self.branches.append((np.array(idx), True))
 
     def ray_param(self, ray: NormalRay):
-        """Cone parameters (theta..., psi angle) driving Gauss-Newton."""
-        mu = list(ray.theta)
-        if self.atlas.dim - self.N.k == 2:
-            mu.append(math.atan2(ray.psi[1], ray.psi[0]))
-        return np.array(mu)
+        """The cone parameter driving Gauss-Newton: theta on a curve, the
+        psi angle at a point."""
+        if self.N.k:
+            return np.array(ray.theta)
+        return np.array([math.atan2(ray.psi[1], ray.psi[0])])
 
     def ray_at(self, mu, template: NormalRay) -> NormalRay:
-        k = self.N.k
-        theta = np.asarray(mu[:k], dtype=float)
-        if k:
-            theta = self.N.wrap_theta(theta)
+        if self.N.k:
+            theta = self.N.wrap_theta(mu)
             if not self.N.periodic[0]:
                 theta = np.clip(theta, self.N.theta_box[0], self.N.theta_box[1])
-        if self.atlas.dim - k == 2:
-            a = mu[k]
-            psi = np.array([math.cos(a), math.sin(a)])
-        else:
             psi = template.psi
+        else:
+            theta = np.zeros(0)
+            psi = np.array([math.cos(mu[0]), math.sin(mu[0])])
         return unit_normal(self.metric, self.N, theta, psi)
 
     def _seed_ray(self, i, k, mu):
-        """ray_at(mu) where mu is fan ray i's cone parameters moved along
-        axis k - 1 by the finite-difference step (k >= 1); every
-        Gauss-Newton run seeded at ray i takes its first Jacobian from
-        these same rays and their cached paths.  Failures are not
-        memoized."""
+        """ray_at(mu) where mu is fan ray i's cone parameter moved by the
+        finite-difference step (k = 1); every Gauss-Newton run seeded at
+        ray i takes its first Jacobian from this same ray and its cached
+        path.  Failures are not memoized."""
         got = self._seed_rays.get(i, {}).get(k)
         if got is None:
             got = self.ray_at(mu, self.rays[i])
@@ -234,23 +230,25 @@ class NormalShooting:
 
     def samples(self, i):
         """Fan ray i's one-horizon path, sampled per segment as
-        (chart, ts, xs) blocks."""
+        (chart, ts, xs) blocks, xs of shape (2, len(ts))."""
         path = self.path(self.rays[i])
         dt = self.plan.horizon * SAMPLE_DT_FRAC
-        n = self.atlas.dim
         blocks = []
         for seg in path.segments:
             m = max(2, int(math.ceil((seg.t1 - seg.t0) / dt)) + 1)
             ts = np.linspace(seg.t0, seg.t1, m)
-            xs = np.empty((m, n))
+            xs = np.empty((2, m))
             for j, t in enumerate(ts):
-                xs[j] = seg.eval(t)[:n]
+                xs[:, j] = seg.eval(t)[:2]
             blocks.append((seg.chart, ts, xs))
         return blocks
 
     # -- closest approach ------------------------------------------------
 
     def _block_distances(self, q, chart, xs):
+        """Coordinate distances from q to the (2, m) samples ``xs`` of one
+        chart, each coordinate wrapped by its lattice period; inf where q
+        has no coordinates in that chart."""
         qchart, qx = q
         if chart == qchart:
             target = np.asarray(qx, dtype=float)
@@ -259,17 +257,20 @@ class NormalShooting:
                 with np.errstate(all="ignore"):
                     target = self.atlas.convert(q, chart)
             except (ZeroDivisionError, FloatingPointError):
-                return np.full(len(xs), np.inf)
+                return np.full(xs.shape[1], np.inf)
             if not np.all(np.isfinite(target)):
-                return np.full(len(xs), np.inf)
-        d = xs - target
+                return np.full(xs.shape[1], np.inf)
+        dx = xs[0] - target[0]
+        dy = xs[1] - target[1]
         lat = self.atlas.periodic_lattice
         if lat is not None:
-            d = d - lat * np.round(d / lat)
-        return np.linalg.norm(d, axis=1)
+            dx = dx - lat[0] * np.round(dx / lat[0])
+            dy = dy - lat[1] * np.round(dy / lat[1])
+        return np.sqrt(dx * dx + dy * dy)
 
     def _stacked(self):
-        """Fan samples of every ray stacked per chart for vectorized search."""
+        """Fan samples of every ray stacked per chart for vectorized search,
+        the positions as one (2, m) array per chart."""
         if self._stack is not None:
             return self._stack
         per_chart = {}
@@ -278,7 +279,7 @@ class NormalShooting:
                 per_chart.setdefault(chart, []).append((i, ts, xs))
         stacked = {}
         for chart, blocks in per_chart.items():
-            xs = np.concatenate([b[2] for b in blocks])
+            xs = np.concatenate([b[2] for b in blocks], axis=1)
             ts = np.concatenate([b[1] for b in blocks])
             rid = np.concatenate([np.full(len(b[1]), b[0]) for b in blocks])
             # block boundary flags stop dip detection from crossing rays
@@ -406,11 +407,10 @@ class NormalShooting:
         h = 1e-6
         rtol = plan.query_rtol or plan.ode_rtol
         tol = max(NEWTON_TOL, 10.0 * rtol) * (1.0 + abs(t0))
-        nm = len(mu)
 
         def residual(mu_, t_, k=None):
             # k, first iteration only: the fan ray (k = 0) or its memoized
-            # neighbour (k = j + 1), see _seed_ray
+            # neighbour (k = 1), see _seed_ray
             if k is None:
                 ray = self.ray_at(mu_, template)
             else:
@@ -439,7 +439,6 @@ class NormalShooting:
                 stalls += 1
             if stalls >= 3:
                 break
-            cols = []
             # time column: velocity expressed in q's chart
             vel = state.v
             qchart = q[0]
@@ -447,16 +446,14 @@ class NormalShooting:
                 Dt = self.atlas.transition(state.chart,
                                            qchart).jacobian(state.x)
                 vel = Dt @ vel
-            cols.append(vel)
             try:
-                for j in range(nm):
-                    mu2 = mu.copy()
-                    mu2[j] += h
-                    r2, _, _ = residual(mu2, t, j + 1 if it == 0 else None)
-                    cols.append((r2 - r) / h)
+                r2, _, _ = residual(mu + h, t, 1 if it == 0 else None)
             except (FinslerError, np.linalg.LinAlgError):
                 return None
-            J = np.column_stack(cols)  # d r / d(t, mu)
+            J = np.column_stack([vel, (r2 - r) / h])  # d r / d(t, mu)
+            # the minimum-norm least-squares step, not Cramer's rule: where
+            # ray_at clips theta at the end of an open curve, the mu column
+            # is zero and only this step still converges (randers-plane-axis)
             try:
                 step = np.linalg.lstsq(J, -r, rcond=None)[0]
             except np.linalg.LinAlgError:

@@ -17,7 +17,8 @@ x-independent metric, dual-number evaluation by default).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -137,6 +138,19 @@ def _linearized_rhs(metric, chart, m):
     return rhs
 
 
+def _det_ratio(M):
+    """det M and sigma_min / sigma_max of a 2 x 2 matrix [[a, b], [c, d]]:
+    sigma_min sigma_max = |det M|, and sigma_max^2, the larger eigenvalue
+    of M M^T, is (S + hypot(a^2 + b^2 - c^2 - d^2, 2(ac + bd))) / 2 with S
+    the sum of the four squares."""
+    (a, b), (c, d) = M.tolist()
+    det = a * d - b * c
+    smax2 = 0.5 * (a * a + b * b + c * c + d * d
+                   + math.hypot(a * a + b * b - c * c - d * d,
+                                2.0 * (a * c + b * d)))
+    return det, abs(det) / max(smax2, 1e-300)
+
+
 def _transform_state(metric, tr, y, n, m):
     """Push a (x, v[, J, Jd]) state through a chart transition."""
     x = y[:n]
@@ -151,7 +165,7 @@ def _transform_state(metric, tr, y, n, m):
         for c in range(m):
             Jdn[:, c] += tr.jacobian_directional(x, J[:, c]) @ v
         out.extend([Jn.ravel(), Jdn.ravel()])
-    sign = 1.0 if np.linalg.det(D) > 0 else -1.0
+    sign = 1.0 if _det_ratio(D)[0] > 0 else -1.0
     return np.concatenate(out), sign
 
 
@@ -329,7 +343,7 @@ def linearized_flow(metric, start: TangentVec, T, J0, Jd0,
 
 def first_degeneracy(frame: LinearizedFrame, signed_matrix_fn, t_floor,
                      T_max, sv_rel=1e-7, refine_tol=1e-8):
-    """First t in (t_floor, T_max] where the matrix M(t) degenerates.
+    """First t in (t_floor, T_max] where the 2 x 2 matrix M(t) degenerates.
 
     ``signed_matrix_fn(t)`` returns ``(M(t), sign)``, the sign being the
     orientation of the chart transitions up to t (``frame.signed_J`` or
@@ -344,19 +358,17 @@ def first_degeneracy(frame: LinearizedFrame, signed_matrix_fn, t_floor,
     grid = [t for t in grid if t_floor <= t <= min(T_max, frame.t1)]
 
     def probe(t):
+        """(signed det M(t), sigma_min / sigma_max) from one frame read."""
         M, sign = signed_matrix_fn(t)
-        return sign * float(np.linalg.det(M)), M
-
-    def sv_ratio(M):
-        sv = np.linalg.svd(M, compute_uv=False)
-        return sv[-1] / max(sv[0], 1e-300)
+        det, ratio = _det_ratio(M)
+        return sign * det, ratio
 
     prev_t = grid[0]
-    prev_d, M = probe(prev_t)
-    if sv_ratio(M) < sv_rel:
+    prev_d, ratio = probe(prev_t)
+    if ratio < sv_rel:
         return prev_t
     for t in grid[1:]:
-        d, M = probe(t)
+        d, ratio = probe(t)
         if d == 0.0 or (d < 0) != (prev_d < 0):
             lo, hi = prev_t, t
             while hi - lo > refine_tol:
@@ -369,14 +381,13 @@ def first_degeneracy(frame: LinearizedFrame, signed_matrix_fn, t_floor,
                 else:
                     hi = mid
             return 0.5 * (lo + hi)
-        if sv_ratio(M) < sv_rel:
+        if ratio < sv_rel:
             # even-multiplicity kernel: refine on the singular-value dip
             lo, hi = prev_t, t
             while hi - lo > refine_tol:
                 m1 = lo + (hi - lo) / 3
                 m2 = hi - (hi - lo) / 3
-                if (sv_ratio(signed_matrix_fn(m1)[0])
-                        < sv_ratio(signed_matrix_fn(m2)[0])):
+                if probe(m1)[1] < probe(m2)[1]:
                     hi = m2
                 else:
                     lo = m1

@@ -536,7 +536,13 @@ def legendre_inverse(metric, chart, x, omega, guess=None,
         r = g @ v - omega
         if np.linalg.norm(r) <= tol:
             return p
-        step = np.linalg.solve(g, r)
+        # the 2 x 2 Newton step g^-1 r by Cramer's rule
+        (a, b), (c, d) = g.tolist()
+        det = a * d - b * c
+        if det == 0.0:
+            raise np.linalg.LinAlgError("singular fundamental tensor")
+        r0, r1 = r.tolist()
+        step = np.array([d * r0 - b * r1, a * r1 - c * r0]) / det
         # damped update keeps v away from the slit origin
         vn = v - step
         while np.linalg.norm(vn) < V_FLOOR:

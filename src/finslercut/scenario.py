@@ -42,7 +42,7 @@ SCHEMA_VERSION = "1.0"
 
 # manifold type -> atlas builder(manifold section)
 MANIFOLD_TYPES = {
-    "flat": lambda man: flat_atlas(2),
+    "flat": lambda man: flat_atlas(),
     "torus": lambda man: torus_atlas(man["periods"]),
     "sphere-stereo": lambda man: sphere_atlas(),
 }
@@ -144,13 +144,13 @@ def record_doc(rec):
     return doc
 
 
-def records_csv(records, dim):
+def records_csv(records):
     kmax = max((len(r.ray.theta) for r in records), default=0)
     cmax = max((len(r.ray.psi) for r in records), default=1)
     head = ([f"theta{i+1}" for i in range(kmax)]
             + [f"psi{i+1}" for i in range(cmax)]
             + ["rho", "lambda"]
-            + [f"x{i+1}" for i in range(dim)] + ["class"])
+            + ["x1", "x2", "class"])
     lines = [",".join(head)]
     for r in records:
         row = [f"{v:.12g}" for v in r.ray.theta]
@@ -159,7 +159,7 @@ def records_csv(records, dim):
         if r.cut_point is not None:
             row += [f"{v:.12g}" for v in r.cut_point[1]]
         else:
-            row += [""] * dim
+            row += ["", ""]
         row.append("|".join(sorted(r.classification)))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
@@ -258,7 +258,7 @@ def _task_cutlocus(run):
     records = run.records = cut_locus(run.field, classify=False,
                                       side=run.side)
     atlas, name = run.metric.atlas, run.sc.name
-    run.files[f"{name}_cutlocus.csv"] = records_csv(records, atlas.dim)
+    run.files[f"{name}_cutlocus.csv"] = records_csv(records)
     run.files[f"{name}_cutlocus.svg"] = records_svg(atlas, run.N, records)
     finite = [r.rho for r in records if np.isfinite(r.rho)]
     return {
@@ -367,8 +367,7 @@ def _task_loops(run):
         "loop_csv_rows": len(res.loop),
     }
     if res.loop:
-        lines = ["s,chart," + ",".join(
-            f"x{i+1}" for i in range(field.atlas.dim))]
+        lines = ["s,chart,x1,x2"]
         for t, c, x in res.loop:
             lines.append(f"{t:.12g},{c}," + ",".join(f"{v:.12g}" for v in x))
         run.files[f"{run.sc.name}_loop.csv"] = "\n".join(lines) + "\n"

@@ -1,16 +1,17 @@
 """Immersed submanifolds, normal cones via the Legendre transform, and the
 normal exponential map with its differential.
 
-The normal cone at p is computed through the annihilator of T_pN (a linear
-space, found by robust linear algebra) followed by Legendre inversion, and
-unit rays are indexed by (theta, psi): base parameter plus a unit coordinate
-on the annihilator sphere.  For hypersurfaces the annihilator sphere is the
-two-point set {+1, -1}.
+Sources are points (k = 0) and curves (k = 1) in a surface.  The normal
+cone at p is computed through the annihilator of T_pN followed by Legendre
+inversion, and unit rays are indexed by (theta, psi): base parameter plus a
+unit coordinate on the annihilator sphere.  For a point the annihilator
+sphere is the psi circle; for a curve it is the two-point set {+1, -1}.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,12 +25,16 @@ ORTH_TOL = 1e-7
 
 
 class SubmanifoldSpec:
-    """Immersion of a k-dimensional parameter domain into a chart."""
+    """Immersion of a k-dimensional parameter domain into a chart: a point
+    (k = 0) or a curve (k = 1)."""
 
     family = "custom"
 
     def __init__(self, chart, k, theta_box, immersion_fn, periodic=None,
                  closed=False, jacobian_fn=None):
+        if k not in (0, 1):
+            raise ValueError(f"a source in a surface is a point or a curve "
+                             f"(k = 0 or 1), not k = {k}")
         self.chart = chart
         self.k = k
         self.theta_box = np.asarray(theta_box, dtype=float).reshape(2, -1) \
@@ -45,28 +50,21 @@ class SubmanifoldSpec:
         return np.array([dual.real(c) for c in self.immersion_fn(list(theta))])
 
     def jacobian(self, theta):
-        """n x k Jacobian of the immersion."""
-        theta = np.atleast_1d(np.asarray(theta, dtype=float)) if self.k \
-            else np.zeros(0)
+        """2 x k Jacobian of the immersion."""
         if self.k == 0:
-            return np.zeros((len(self.point(theta)), 0))
+            return np.zeros((2, 0))
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if self._jacobian_fn is not None:
             return np.asarray(self._jacobian_fn(theta), dtype=float)
-        cols = []
-        for a in range(self.k):
-            e = [1.0 if i == a else 0.0 for i in range(self.k)]
-            out = self.immersion_fn(dual.seed(list(theta), [e]))
-            cols.append([dual.extract(c, 1) for c in out])
-        return np.array(cols).T
+        out = self.immersion_fn(dual.seed(list(theta), [[1.0]]))
+        return np.array([[dual.extract(c, 1)] for c in out])
 
     def wrap_theta(self, theta):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float)) if self.k \
-            else np.zeros(0)
-        out = theta.copy()
-        for a in range(self.k):
-            if self.periodic[a]:
-                lo, hi = self.theta_box[0, a], self.theta_box[1, a]
-                out[a] = lo + np.mod(out[a] - lo, hi - lo)
+        """theta of a curve, wrapped into its box when the curve is closed."""
+        out = np.atleast_1d(np.asarray(theta, dtype=float)).copy()
+        if self.periodic[0]:
+            lo, hi = self.theta_box[0, 0], self.theta_box[1, 0]
+            out[0] = lo + np.mod(out[0] - lo, hi - lo)
         return out
 
 
@@ -179,32 +177,30 @@ class NormalRay:
 
 
 def tangent_frame(N: SubmanifoldSpec, theta) -> np.ndarray:
+    """Immersion Jacobian, checked for rank: a curve's speed |c'(theta)|
+    is its one singular value."""
     J = N.jacobian(theta)
     if N.k:
-        sv = np.linalg.svd(J, compute_uv=False)
-        if sv[-1] <= 1e-8:
+        speed = math.hypot(J[0, 0], J[1, 0])
+        if speed <= 1e-8:
             raise ImmersionError(
                 f"immersion rank-deficient at theta={theta} "
-                f"(sigma_min={sv[-1]:.3g})")
+                f"(|c'(theta)|={speed:.3g})")
     return J
 
 
 def annihilator_basis(N: SubmanifoldSpec, theta) -> np.ndarray:
     """Orthonormal (coordinate) basis of covectors annihilating T_pN.
 
-    Returned as an n x (n-k) matrix of column covectors.  For plane curves
-    the basis rotates the unit tangent by +90 degrees, which is smooth in
-    theta; the generic branch uses an SVD null space.
+    Returned as a 2 x (2-k) matrix of column covectors: the identity for a
+    point; for a curve, the unit tangent rotated by +90 degrees, which is
+    smooth in theta.
     """
     J = tangent_frame(N, theta)
-    n = J.shape[0]
     if N.k == 0:
-        return np.eye(n)
-    if n == 2 and N.k == 1:
-        t = J[:, 0] / np.linalg.norm(J[:, 0])
-        return np.array([[-t[1]], [t[0]]])
-    from scipy.linalg import null_space     # only n >= 3 gets here
-    return null_space(J.T)
+        return np.eye(2)
+    t = J[:, 0] / np.linalg.norm(J[:, 0])
+    return np.array([[-t[1]], [t[0]]])
 
 
 def unit_normal(metric, N: SubmanifoldSpec, theta, psi) -> NormalRay:
@@ -234,15 +230,16 @@ def unit_normal(metric, N: SubmanifoldSpec, theta, psi) -> NormalRay:
 def sample_unit_cone(metric, N: SubmanifoldSpec, grid):
     """Deterministic product grid over Theta and the annihilator sphere.
 
-    grid = (theta_count, psi_count).  For hypersurfaces the psi sphere is
+    grid = (theta_count, psi_count).  A point gets psi_count directions on
+    the psi circle; a curve gets theta_count base points and the sides
     {+1, -1}.  Per-ray failures are collected, not fatal; returns
     (rays, failures).
     """
     theta_count, psi_count = grid
-    n = metric.atlas.dim
-    codim = n - N.k
     if N.k == 0:
         thetas = [np.zeros(0)]
+        angles = 2 * np.pi * np.arange(psi_count) / psi_count
+        psis = [np.array([np.cos(a), np.sin(a)]) for a in angles]
     else:
         lo, hi = N.theta_box[0, 0], N.theta_box[1, 0]
         if N.periodic[0]:
@@ -251,13 +248,7 @@ def sample_unit_cone(metric, N: SubmanifoldSpec, grid):
         else:
             thetas = [np.array([t])
                       for t in np.linspace(lo, hi, theta_count)]
-    if codim == 1:
         psis = [np.array([1.0]), np.array([-1.0])]
-    elif codim == 2:
-        angles = 2 * np.pi * np.arange(psi_count) / psi_count
-        psis = [np.array([np.cos(a), np.sin(a)]) for a in angles]
-    else:
-        raise NotImplementedError("cone sampling beyond codimension 2")
     rays = []
     failures = []
     for theta in thetas:
@@ -279,34 +270,24 @@ def normal_exp(metric, N, ray: NormalRay, t, rtol=DEFAULT_RTOL,
 
 
 def cone_variation_data(metric, N, ray: NormalRay, h=1e-6):
-    """Initial data (J0, Jd0) for the n-1 cone directions at a unit ray.
+    """Initial data (J0, Jd0), two 2 x 1 columns, for the one cone
+    direction at a unit ray.
 
-    theta-columns: J0 = immersion Jacobian column, Jd0 = d(unit normal)/d
-    theta; psi-columns: J0 = 0, Jd0 = d(unit normal)/d psi along the
-    annihilator sphere tangent.  Derivatives by central differences on the
-    smooth unit-normal field.
+    A curve varies theta: J0 = immersion Jacobian column, Jd0 = d(unit
+    normal)/d theta.  A point varies psi: J0 = 0, Jd0 = d(unit normal)/d psi
+    along the tangent of the psi circle.  Derivatives by central
+    differences on the smooth unit-normal field.
     """
-    n = metric.atlas.dim
-    cols_J0 = []
-    cols_Jd0 = []
     if N.k:
-        J = tangent_frame(N, ray.theta)
-        for a in range(N.k):
-            e = np.zeros(N.k)
-            e[a] = h
-            vp = unit_normal(metric, N, ray.theta + e, ray.psi).v
-            vm = unit_normal(metric, N, ray.theta - e, ray.psi).v
-            cols_J0.append(J[:, a])
-            cols_Jd0.append((vp - vm) / (2 * h))
-    codim = n - N.k
-    if codim == 2:
-        # tangent to the psi circle
+        J0 = tangent_frame(N, ray.theta)
+        vp = unit_normal(metric, N, ray.theta + h, ray.psi).v
+        vm = unit_normal(metric, N, ray.theta - h, ray.psi).v
+    else:
+        J0 = np.zeros((2, 1))
         tang = np.array([-ray.psi[1], ray.psi[0]])
         vp = unit_normal(metric, N, ray.theta, ray.psi + h * tang).v
         vm = unit_normal(metric, N, ray.theta, ray.psi - h * tang).v
-        cols_J0.append(np.zeros(n))
-        cols_Jd0.append((vp - vm) / (2 * h))
-    return np.array(cols_J0).T, np.array(cols_Jd0).T
+    return J0, ((vp - vm) / (2 * h)).reshape(2, 1)
 
 
 class NormalJacobiFlow:

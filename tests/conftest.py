@@ -66,7 +66,7 @@ def sphere_records(sphere_field):
 
 @pytest.fixture(scope="session")
 def circle_setup():
-    atlas = fc.flat_atlas(2)
+    atlas = fc.flat_atlas()
     metric = fc.euclidean_metric(atlas)
     N = fc.circle_submanifold(0, (0.0, 0.0), 1.0)
     plan = fc.ShootingPlan(theta_count=128, horizon=3.0,
@@ -87,7 +87,7 @@ def circle_records(circle_field):
 
 @pytest.fixture(scope="session")
 def ellipse_setup():
-    atlas = fc.flat_atlas(2)
+    atlas = fc.flat_atlas()
     metric = fc.euclidean_metric(atlas)
     N = fc.ellipse_submanifold(0, a=2.0, b=1.0)
     plan = fc.ShootingPlan(theta_count=256, horizon=3.0)
@@ -107,6 +107,6 @@ def ellipse_records(ellipse_field):
 
 @pytest.fixture(scope="session")
 def randers_setup():
-    atlas = fc.flat_atlas(2)
+    atlas = fc.flat_atlas()
     metric = fc.RandersMetric(atlas, np.array([0.5, 0.0]))
     return atlas, metric

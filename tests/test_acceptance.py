@@ -377,7 +377,7 @@ def test_criterion_9_properties(sphere_setup, sphere_field, sphere_records,
     rng = np.random.default_rng(9)
     metrics = [sphere_setup[1], torus_setup[1], circle_setup[1],
                randers_setup[1],
-               fc.MinkowskiQuarticMetric(fc.flat_atlas(2), eps=0.1)]
+               fc.MinkowskiQuarticMetric(fc.flat_atlas(), eps=0.1)]
     g_worst = leg_worst = 0.0
     for metric in metrics:
         for _ in range(10):

@@ -85,6 +85,46 @@ def test_approach_matches_reference_loop(torus32, sphere_field):
             assert np.array_equal(new, ref), q
 
 
+def _row_major_distances(field, q, chart, xs):
+    """Fan distances from an (m, 2) stack through np.linalg.norm."""
+    try:
+        with np.errstate(all="ignore"):
+            target = field.atlas.convert(q, chart)
+    except ZeroDivisionError:
+        return np.full(xs.shape[1], np.inf)
+    if not np.all(np.isfinite(target)):
+        return np.full(xs.shape[1], np.inf)
+    d = np.array(xs.T) - target
+    lat = field.atlas.periodic_lattice
+    if lat is not None:
+        d = d - lat * np.round(d / lat)
+    return np.linalg.norm(d, axis=1)
+
+
+def test_column_major_fan_distances_equal_row_major_norm(sphere_field):
+    # unequal periods, so a lattice wrap on the wrong axis shows
+    torus = fc.NormalShooting(fc.euclidean_metric(fc.torus_atlas([0.9, 1.2])),
+                              fc.point_submanifold(0, np.zeros(2)),
+                              fc.ShootingPlan(psi_count=16, horizon=1.5))
+    rng = np.random.default_rng(8)
+    torus_queries = [(0, rng.uniform(-3.0, 3.0, 2)) for _ in range(20)]
+    sphere_queries = [(int(rng.integers(2)), rng.uniform(-1.5, 1.5, 2))
+                      for _ in range(20)]
+    # chart origins: neither converts into the other chart
+    sphere_queries += [(0, np.zeros(2)), (1, np.zeros(2))]
+    unconvertible = 0
+    for field, qs in ((torus, torus_queries), (sphere_field, sphere_queries)):
+        for chart, (xs, ts, *_) in field._stacked().items():
+            assert xs.shape == (2, len(ts)) and xs.flags.c_contiguous
+            for q in qs:
+                new = field._block_distances(q, chart, xs)
+                ref = _row_major_distances(field, q, chart, xs)
+                assert np.array_equal(new, ref), (chart, q)
+                if q[0] != chart and np.all(np.isinf(new)):
+                    unconvertible += 1
+    assert unconvertible == 2
+
+
 def _reference_candidates(field, q, limit):
     """The per-ray loop that NormalShooting._candidates replaced."""
     app = field.approach(q)
@@ -111,7 +151,7 @@ def _reference_candidates(field, q, limit):
 
 
 def test_candidates_match_reference_loop(torus32, ellipse_field):
-    plane = fc.flat_atlas(2)
+    plane = fc.flat_atlas()
     axis_field = fc.NormalShooting(
         fc.RandersMetric(plane, np.array([0.5, 0.0])),
         fc.axis_line_submanifold(0, (0.0, 0.0), (0.0, 1.0), half_extent=4.0),
@@ -270,7 +310,7 @@ def test_distance_witness_on_torus(small_torus):
 
 
 def test_point_distance_plane():
-    atlas = fc.flat_atlas(2)
+    atlas = fc.flat_atlas()
     metric = fc.euclidean_metric(atlas)
     wit = fc.point_distance(metric, (0, np.zeros(2)),
                             (0, np.array([0.6, 0.8])),
@@ -306,7 +346,7 @@ def test_circle_outward_unbounded(circle_field):
 
 
 def test_unreached_point_raises():
-    atlas = fc.flat_atlas(2)
+    atlas = fc.flat_atlas()
     metric = fc.euclidean_metric(atlas)
     N = fc.point_submanifold(0, np.zeros(2))
     plan = fc.ShootingPlan(psi_count=16, horizon=1.0)
@@ -375,7 +415,7 @@ def test_answers_do_not_depend_on_call_order():
 
     # cut times over the fan integrate doubled-horizon paths of the rays
     # that still minimize at the horizon; the fan samples stay one horizon
-    plane = fc.flat_atlas(2)
+    plane = fc.flat_atlas()
     field = fc.NormalShooting(
         fc.RandersMetric(plane, np.array([0.5, 0.0])),
         fc.axis_line_submanifold(0, (0.0, 0.0), (0.0, 1.0), half_extent=4.0),
@@ -404,7 +444,7 @@ def test_cut_time_cross_check_repairs_a_quick_miss(monkeypatch):
     # the ray from the minor vertex (0, 1) of a 2x1 ellipse is cut at the
     # center, rho = 1, by the mirror ray from (0, -1); its focal time, the
     # radius of curvature 4, lies beyond the horizon
-    plane = fc.flat_atlas(2)
+    plane = fc.flat_atlas()
     metric = fc.euclidean_metric(plane)
     N = fc.ellipse_submanifold(0, a=2.0, b=1.0)
     plan = fc.ShootingPlan(theta_count=32, horizon=3.0)
@@ -444,7 +484,7 @@ def _line_metrics(atlas):
 @pytest.mark.parametrize("manifold", ["torus", "plane"])
 def test_line_distance_matches_shooting(manifold, family):
     atlas = (fc.torus_atlas([1.0, 1.0]) if manifold == "torus"
-             else fc.flat_atlas(2))
+             else fc.flat_atlas())
     N = fc.point_submanifold(0, np.array([0.1, 0.2]))
     # ode_rtol 1e-10 makes the Gauss-Newton stop tolerance NEWTON_TOL
     plan = fc.ShootingPlan(psi_count=64, horizon=1.5, ode_rtol=1e-10)
@@ -468,7 +508,7 @@ def test_line_distance_is_not_used_off_its_domain(sphere_field, circle_field):
 
 
 def test_plane_point_ray_is_unbounded():
-    atlas = fc.flat_atlas(2)
+    atlas = fc.flat_atlas()
     field = fc.NormalShooting(fc.euclidean_metric(atlas),
                               fc.point_submanifold(0, np.zeros(2)),
                               fc.ShootingPlan(psi_count=16, horizon=1.0))

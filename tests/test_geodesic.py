@@ -6,12 +6,12 @@ import pytest
 import finslercut as fc
 from finslercut.atlas import TangentVec
 from finslercut.dopri import DormandPrince
-from finslercut.geodesic import (PathSegment, _geodesic_rhs, _integrate,
-                                 _linearized_rhs)
+from finslercut.geodesic import (PathSegment, _det_ratio, _geodesic_rhs,
+                                 _integrate, _linearized_rhs)
 
 
 def test_flat_geodesics_are_straight_lines():
-    atlas = fc.flat_atlas(2)
+    atlas = fc.flat_atlas()
     metric = fc.euclidean_metric(atlas)
     start = TangentVec(0, np.array([0.1, -0.3]), np.array([0.6, 0.8]))
     path = fc.integrate_geodesic(metric, start, 2.0)
@@ -52,7 +52,7 @@ def test_sphere_antipode_at_pi():
 
 
 def test_path_length_matches_parameter_for_unit_speed():
-    atlas = fc.flat_atlas(2)
+    atlas = fc.flat_atlas()
     metric = fc.euclidean_metric(atlas)
     start = TangentVec(0, np.zeros(2), np.array([1.0, 0.0]))
     path = fc.integrate_geodesic(metric, start, 1.7)
@@ -64,7 +64,7 @@ def test_path_length_matches_parameter_for_unit_speed():
 def test_path_length_of_sampled_segment():
     # the discrete (chart, ts, xs) form is splined; a straight segment of
     # length L run over unit time has energy L^2 / 2
-    metric = fc.euclidean_metric(fc.flat_atlas(2))
+    metric = fc.euclidean_metric(fc.flat_atlas())
     a, b = np.array([0.1, -0.3]), np.array([1.3, 0.6])
     L = float(np.linalg.norm(b - a))
     ts = np.linspace(0.0, 1.0, 7)
@@ -75,7 +75,7 @@ def test_path_length_of_sampled_segment():
 
 
 def test_exp_map_flat():
-    atlas = fc.flat_atlas(2)
+    atlas = fc.flat_atlas()
     metric = fc.euclidean_metric(atlas)
     chart, x = fc.exp_map(metric, (0, np.zeros(2)), np.array([0.3, 0.4]))
     assert np.allclose(x, [0.3, 0.4], atol=1e-10)
@@ -90,7 +90,7 @@ def test_conjugate_time_on_sphere():
 
 
 def test_conjugate_time_flat_is_infinite():
-    atlas = fc.flat_atlas(2)
+    atlas = fc.flat_atlas()
     metric = fc.euclidean_metric(atlas)
     t = fc.conjugate_time(metric, (0, np.zeros(2)), np.array([1.0, 0.0]),
                           5.0)
@@ -130,11 +130,51 @@ def test_torus_wraps_on_comparison():
 
 
 def test_integration_beyond_chart_raises():
-    atlas = fc.flat_atlas(2, halfwidth=1.0)
+    atlas = fc.flat_atlas(halfwidth=1.0)
     metric = fc.euclidean_metric(atlas)
     start = TangentVec(0, np.zeros(2), np.array([1.0, 0.0]))
     with pytest.raises(fc.AtlasExitError):
         fc.integrate_geodesic(metric, start, 5.0)
+
+
+def test_atlas_rejects_a_three_dimensional_box():
+    box = [[-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]]
+    with pytest.raises(ValueError, match="2, 2"):
+        fc.ManifoldAtlas([box])
+    assert fc.flat_atlas().dim == fc.sphere_atlas().dim == 2
+
+
+def test_torus_atlas_rejects_three_periods():
+    with pytest.raises(ValueError, match="2 entries"):
+        fc.torus_atlas([1.0, 1.0, 1.0])
+
+
+def _random_2x2(rng, count):
+    """count random 2 x 2 matrices, scales 1e-6 to 1e6; the second half are
+    rank one plus a perturbation 1e-16 to 1e-6 of their scale."""
+    scale = 10.0 ** rng.uniform(-6.0, 6.0, count)
+    M = rng.normal(size=(count, 2, 2))
+    half = count // 2
+    u, v = rng.normal(size=(2, count - half, 2))
+    eps = 10.0 ** rng.uniform(-16.0, -6.0, count - half)
+    M[half:] = (u[:, :, None] * v[:, None, :]
+                + eps[:, None, None] * M[half:])
+    return M * scale[:, None, None]
+
+
+def test_closed_form_det_and_singular_value_ratio():
+    rng = np.random.default_rng(2)
+    signs_checked = tiny_ratios = 0
+    for M in _random_2x2(rng, 10_000):
+        det, ratio = _det_ratio(M)
+        ref = np.linalg.det(M)
+        if abs(det) > 1e-10 * np.sum(M * M):
+            assert (det > 0) == (ref > 0), M
+            signs_checked += 1
+        sv = np.linalg.svd(M, compute_uv=False)
+        assert abs(ratio - sv[1] / sv[0]) <= 1e-14, M
+        tiny_ratios += sv[1] / sv[0] < 1e-7
+    assert signs_checked > 5_000 and tiny_ratios > 2_000
 
 
 def _line_metric(family, atlas):
@@ -147,7 +187,7 @@ def _line_metric(family, atlas):
 
 @pytest.mark.parametrize("family", ["euclidean", "quartic", "randers",
                                     "reversed-randers"])
-@pytest.mark.parametrize("atlas", [fc.flat_atlas(2),
+@pytest.mark.parametrize("atlas", [fc.flat_atlas(),
                                    fc.torus_atlas([0.9, 1.2])],
                          ids=["plane", "torus"])
 def test_straight_geodesic_is_one_exact_segment(atlas, family):
@@ -193,7 +233,7 @@ def _x_independent_linearized_rhs(n, m):
 def test_flows_under_a_vanishing_spray_keep_their_knots():
     # focal times are read on a flow's knots, so the generic right-hand
     # side with a zero spray_jvp must step exactly like the written-out one
-    plane = fc.flat_atlas(2)
+    plane = fc.flat_atlas()
     torus = fc.torus_atlas([1.0, 1.0])
     randers = fc.RandersMetric(plane, np.array([0.5, 0.0]))
     cases = [
@@ -227,7 +267,7 @@ def test_flows_under_a_vanishing_spray_keep_their_knots():
         assert np.array_equal(seg.Q, Q)
 
 
-@pytest.mark.parametrize("atlas", [fc.flat_atlas(2, halfwidth=1.0),
+@pytest.mark.parametrize("atlas", [fc.flat_atlas(halfwidth=1.0),
                                    fc.torus_atlas([0.9, 1.2]),
                                    fc.sphere_atlas()],
                          ids=["flat", "torus", "sphere"])
@@ -278,7 +318,7 @@ def _run_against_rk45(fun, y0, T, rtol, atol, max_step=np.inf):
 
 def test_stepper_matches_scipy_rk45():
     sphere = fc.sphere_metric(fc.sphere_atlas())
-    flat = fc.euclidean_metric(fc.flat_atlas(2))
+    flat = fc.euclidean_metric(fc.flat_atlas())
     geo0 = np.array([0.3, -0.2, 0.45, 0.1])
     cases = [(_geodesic_rhs(sphere, chart), geo0) for chart in (0, 1)]
     for m in (1, 2):
@@ -300,8 +340,18 @@ def test_stepper_blow_up_fails_where_rk45_does():
     # y' = y^2, y(0) = 1 blows up at t = 1
     _run_against_rk45(lambda t, y: y * y, np.array([1.0]), 2.0, 1e-9, 1e-11)
 
+    class LineAtlas:        # a 1-D stand-in: every ManifoldAtlas is 2-D
+        dim = 1
+        n_charts = 1
+
+        def contains(self, chart, x):
+            return -100.0 <= x[0] <= 100.0
+
+        def switch_target(self, chart, x):
+            return None
+
     class BlowUpMetric:     # a 1-D "spray" whose velocity obeys v' = v^2
-        atlas = fc.flat_atlas(1)
+        atlas = LineAtlas()
         x_independent = False
 
         def spray(self, chart, x, v):
@@ -333,7 +383,7 @@ def test_stepper_clamps_tiny_rtol_like_rk45():
 
 
 def test_stepper_rejects_bad_input_like_rk45():
-    fun = _geodesic_rhs(fc.euclidean_metric(fc.flat_atlas(2)), 0)
+    fun = _geodesic_rhs(fc.euclidean_metric(fc.flat_atlas()), 0)
     with pytest.raises(ValueError, match="1-dimensional"):
         DormandPrince(fun, 0.0, np.zeros((2, 2)), 1.0, 1e-9, 1e-11)
     with pytest.raises(ValueError, match="finite"):

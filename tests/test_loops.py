@@ -86,7 +86,7 @@ def test_two_geodesics_to_torus(torus_field, torus_records):
 
 
 def test_reversibility_defect_values():
-    atlas = fc.flat_atlas(2)
+    atlas = fc.flat_atlas()
     assert fc.reversibility_defect(fc.euclidean_metric(atlas)) < 1e-14
     randers = fc.RandersMetric(atlas, np.array([0.5, 0.0]))
     assert fc.reversibility_defect(randers) > 0.1

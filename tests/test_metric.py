@@ -15,7 +15,7 @@ unit_dir = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(
 
 
 def _metrics():
-    atlas = fc.flat_atlas(2)
+    atlas = fc.flat_atlas()
     return [
         ("euclidean", fc.euclidean_metric(atlas)),
         ("randers", fc.RandersMetric(atlas, np.array([0.5, 0.0]))),
@@ -60,7 +60,7 @@ def _relative_gap(g, ref):
 def test_quartic_fundamental_matches_dual_oracle(eps):
     # the closed form against the nested-dual Hessian of F^2/2, off-diagonal
     # terms included, over six decades of |v|
-    metric = fc.MinkowskiQuarticMetric(fc.flat_atlas(2), eps=eps)
+    metric = fc.MinkowskiQuarticMetric(fc.flat_atlas(), eps=eps)
     rng = np.random.default_rng(11)
     for _ in range(40):
         v = rng.standard_normal(2)
@@ -72,7 +72,7 @@ def test_quartic_fundamental_matches_dual_oracle(eps):
 
 
 def test_reversed_quartic_fundamental_matches_dual_oracle():
-    rev = fc.reverse_metric(fc.MinkowskiQuarticMetric(fc.flat_atlas(2),
+    rev = fc.reverse_metric(fc.MinkowskiQuarticMetric(fc.flat_atlas(),
                                                       eps=0.3))
     p = TangentVec(0, np.zeros(2), np.array([0.9, -0.35]))
     assert _relative_gap(rev.fundamental(p),
@@ -80,7 +80,7 @@ def test_reversed_quartic_fundamental_matches_dual_oracle():
 
 
 def test_randers_closed_form_values():
-    atlas = fc.flat_atlas(2)
+    atlas = fc.flat_atlas()
     metric = fc.RandersMetric(atlas, np.array([0.5, 0.0]))
     assert math.isclose(
         metric.F(TangentVec(0, np.zeros(2), np.array([1.0, 0.0]))), 1.5)
@@ -91,13 +91,13 @@ def test_randers_closed_form_values():
 
 
 def test_randers_enforce_rejects_large_drift():
-    atlas = fc.flat_atlas(2)
+    atlas = fc.flat_atlas()
     with pytest.raises(fc.ConvexityError):
         fc.RandersMetric(atlas, np.array([1.2, 0.0]))
 
 
 def test_validate_metric_rejects_nonconvex():
-    atlas = fc.flat_atlas(2)
+    atlas = fc.flat_atlas()
     bad = fc.RandersMetric(atlas, np.array([1.2, 0.0]), enforce=False)
     report = fc.validate_metric(bad)
     assert not report.passed
@@ -113,7 +113,7 @@ def test_validate_metric_accepts_standard_families():
 
 
 def test_reversed_metric_flips_argument():
-    atlas = fc.flat_atlas(2)
+    atlas = fc.flat_atlas()
     metric = fc.RandersMetric(atlas, np.array([0.3, 0.1]))
     rev = fc.reverse_metric(metric)
     p = TangentVec(0, np.array([0.2, 0.2]), np.array([1.1, -0.4]))
@@ -124,7 +124,7 @@ def test_reversed_metric_flips_argument():
 @given(v=unit_dir)
 @settings(max_examples=30, deadline=None)
 def test_legendre_roundtrip_euclidean(v):
-    atlas = fc.flat_atlas(2)
+    atlas = fc.flat_atlas()
     metric = fc.euclidean_metric(atlas)
     p = TangentVec(0, np.zeros(2), np.array(v))
     omega = fc.legendre(metric, p).omega
@@ -154,7 +154,7 @@ def test_sphere_metric_conformal_factor():
 
 
 def test_degenerate_direction_rejected():
-    atlas = fc.flat_atlas(2)
+    atlas = fc.flat_atlas()
     metric = fc.euclidean_metric(atlas)
     with pytest.raises(fc.DegenerateDirectionError):
         fc.fundamental_tensor(metric,
@@ -223,7 +223,7 @@ def test_reversed_sphere_geodesic_matches_forward():
 def test_reversed_metric_retraces_geodesics():
     # an irreversible, x-dependent Randers-type metric on the default dual
     # path: the reversed geodesic from (q, -w) runs back to the start
-    atlas = fc.flat_atlas(2)
+    atlas = fc.flat_atlas()
 
     def F(chart, x, v):
         return (dual.sqrt(v[0] * v[0] + v[1] * v[1])

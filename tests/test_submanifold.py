@@ -8,7 +8,7 @@ from finslercut.atlas import TangentVec
 
 
 def _plane():
-    atlas = fc.flat_atlas(2)
+    atlas = fc.flat_atlas()
     return atlas, fc.euclidean_metric(atlas)
 
 
@@ -32,7 +32,7 @@ def test_circle_annihilator_convention_points_inward_for_psi_plus():
 
 
 def test_randers_axis_normals_closed_form():
-    atlas = fc.flat_atlas(2)
+    atlas = fc.flat_atlas()
     metric = fc.RandersMetric(atlas, np.array([0.5, 0.0]))
     N = fc.axis_line_submanifold(0, (0.0, 0.0), (0.0, 1.0))
     plus = fc.unit_normal(metric, N, 0.0, 1.0)
@@ -114,6 +114,12 @@ def test_immersion_rank_check():
                              lambda th: [0.0, 0.0], closed=False)
     with pytest.raises(fc.ImmersionError):
         fc.tangent_frame(bad, np.array([0.5]))
+
+
+def test_submanifold_rejects_a_surface_source():
+    with pytest.raises(ValueError, match="k = 0 or 1"):
+        fc.SubmanifoldSpec(0, 2, [[0.0, 0.0], [1.0, 1.0]],
+                           lambda th: [th[0], th[1]])
 
 
 def test_sampled_curve_matches_circle():
