@@ -10,12 +10,22 @@ iteration reads the session's path cache: the fan ray's own path and the
 cached paths of its memoized finite-difference neighbours.  Under an
 x-independent metric on a one-chart atlas (the flat plane or torus) every
 path is one exact straight segment from the geodesic layer
-(``geodesic.straight_geodesics``), while Jacobi flows are still stepped,
-because focal times are read on their knots.  A point source there skips
-the search: ``distance`` is the least F over the lattice shifts of q - p,
-in closed form.  Cut times come from bisection on the
-minimality predicate, with the first focal time as an upper bracket; a ray
-that still minimizes at the horizon H is bisected again in (H, 2H].
+(``geodesic.straight_geodesics``).
+
+A point source there is answered in closed form throughout.  ``distance``
+is the least F over the lattice shifts of q - p.  Its normal geodesics have
+no focal point (J0 = 0, so det[t Jd0 | v] vanishes only at t = 0), so
+``focal_time`` is inf with no Jacobi flow.  By the Separating/FirstFocal
+dichotomy its cut time is then the first t at which a lattice copy reaches
+p + t v as fast as the ray does: the least root in (0, 2H] of
+F(t v - kL) = t over the shifts k != 0, H the horizon, found by Newton.
+One full ``distance`` query at the cut point confirms it (no shorter path,
+at least two minimizers); if it does not, the ray is bisected.
+
+Every other field (the sphere, curve sources) steps Jacobi flows for its
+focal times and bisects the minimality predicate for its cut times, with
+the first focal time as an upper bracket; a ray that still minimizes at the
+horizon H is bisected again in (H, 2H].
 
 Every cache of a field follows one rule: a value is keyed by exactly what
 determines it, and it is never replaced or invalidated.  Paths and Jacobi
@@ -26,10 +36,8 @@ its one-horizon paths, and stacked once.  Rays off the grid, such as
 ``ray_at(mu, template)``, share the path, flow and cut-time caches but never
 join the fan, so no answer depends on which queries came before.
 """
-
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -53,6 +61,7 @@ MAX_CANDIDATES = 8          # fan rays polished per full distance query
 QUICK_CANDIDATES = 4        # ... per quick (bisection) distance query
 SAMPLE_DT_FRAC = 1.0 / 128.0    # fan sample spacing, as a horizon fraction
 FLOOR_DIRS = 256            # unit directions bounding F from below
+ROOT_ITERS = 60             # Newton cap for a closed-form cut time
 
 
 @dataclass(frozen=True)
@@ -108,6 +117,13 @@ def _ray_key(ray: NormalRay):
     return (tuple(ray.theta), tuple(ray.psi))
 
 
+def _straight_point_source(metric, N):
+    """A point source whose normal geodesics are straight lines in one
+    chart.  Its Jacobi fields start at J0 = 0, so det[t Jd0 | v] vanishes
+    only at t = 0: it has no focal point."""
+    return N.k == 0 and straight_geodesics(metric)
+
+
 def _unit_circle_floor(metric, chart, p):
     """A lower bound of F(p, u) over the Euclidean unit circle.
 
@@ -146,15 +162,16 @@ class NormalShooting:
         self._classify_cache = {}
         # query point -> InverseExpResult (topology.inverse_normal_exp)
         self._inverse_cache = {}
-        # fan index -> {1: ray}: the finite-difference neighbour (k = 1)
-        # of a Gauss-Newton seed, see _seed_ray
+        # fan index -> the finite-difference neighbour of a Gauss-Newton
+        # seed, see _seed_ray
         self._seed_rays = {}
         self._build_branches()
         # a point source whose normal geodesics are straight lines in one
-        # chart gets distance in closed form (_line_distance); _line_floor
-        # > 0 bounds F on unit vectors from below, else None
+        # chart gets distance and cut time in closed form (_line_distance,
+        # _line_cut_time); _line_floor > 0 bounds F on unit vectors from
+        # below, else None
         self._line_floor = None
-        if N.k == 0 and straight_geodesics(metric):
+        if _straight_point_source(metric, N):
             self._base = N.point(np.zeros(0))
             floor = _unit_circle_floor(metric, N.chart, self._base)
             if floor > 0.0:
@@ -198,15 +215,14 @@ class NormalShooting:
             psi = np.array([math.cos(mu[0]), math.sin(mu[0])])
         return unit_normal(self.metric, self.N, theta, psi)
 
-    def _seed_ray(self, i, k, mu):
+    def _seed_ray(self, i, mu):
         """ray_at(mu) where mu is fan ray i's cone parameter moved by the
-        finite-difference step (k = 1); every Gauss-Newton run seeded at
-        ray i takes its first Jacobian from this same ray and its cached
-        path.  Failures are not memoized."""
-        got = self._seed_rays.get(i, {}).get(k)
+        finite-difference step; every Gauss-Newton run seeded at ray i takes
+        its first Jacobian from this same ray and its cached path.  Failures
+        are not memoized."""
+        got = self._seed_rays.get(i)
         if got is None:
-            got = self.ray_at(mu, self.rays[i])
-            self._seed_rays.setdefault(i, {})[k] = got
+            got = self._seed_rays[i] = self.ray_at(mu, self.rays[i])
         return got
 
     # -- cached geodesics ------------------------------------------------
@@ -414,7 +430,7 @@ class NormalShooting:
             if k is None:
                 ray = self.ray_at(mu_, template)
             else:
-                ray = template if k == 0 else self._seed_ray(i, k, mu_)
+                ray = template if k == 0 else self._seed_ray(i, mu_)
             state = self._arrival_path(ray, t_, cached=k is not None).state(t_)
             r = -self.atlas.displacement((state.chart, state.x), q)
             return r, ray, state
@@ -502,6 +518,20 @@ class NormalShooting:
             return self._line_distance(q)
         return self._shoot_distance(q, full)
 
+    def _lattice_shifts(self, w0, reach):
+        """The images w0 + kL of Euclidean length at most ``reach`` as the
+        rows of an array, in lexicographic order of k; w0 alone when there
+        is no lattice."""
+        lat = self.atlas.periodic_lattice
+        if lat is None:
+            return w0[None, :]
+        k = [np.arange(math.ceil((-reach - c) / L),
+                       math.floor((reach - c) / L) + 1)
+             for c, L in zip(w0, lat)]
+        ks = np.stack(np.meshgrid(*k, indexing="ij"), axis=-1).reshape(-1, 2)
+        w = w0 + ks * lat
+        return w[np.sqrt(w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1]) <= reach]
+
     def _line_distance(self, q) -> DistanceWitness:
         """Closed-form distance from a point source along straight lines.
 
@@ -524,16 +554,8 @@ class NormalShooting:
         def length(w):
             return self.metric.F(TangentVec(chart, p, w))
 
-        shifts = [w0]
-        lat = self.atlas.periodic_lattice
-        if lat is not None:
-            reach = (length(w0) + window) / self._line_floor
-            axes = [range(math.ceil((-reach - c) / L),
-                          math.floor((reach - c) / L) + 1)
-                    for c, L in zip(w0, lat)]
-            shifts = [w for w in (w0 + np.array(k) * lat
-                                  for k in itertools.product(*axes))
-                      if np.linalg.norm(w) <= reach]
+        shifts = self._lattice_shifts(
+            w0, (length(w0) + window) / self._line_floor)
         ts = [length(w) for w in shifts]
         d = min(ts)
         if d > 2 * plan.horizon + plan.min_slack:
@@ -601,6 +623,8 @@ class NormalShooting:
         return got
 
     def focal_time(self, ray: NormalRay, T_max=None):
+        if _straight_point_source(self.metric, self.N):
+            return math.inf
         T_max = T_max or self.plan.horizon
         fl = self.flow(ray, T_max)
         return first_degeneracy(fl.frame, fl.signed_matrix, FOCAL_FLOOR, T_max)
@@ -609,8 +633,68 @@ class NormalShooting:
         key = _ray_key(ray)
         got = self._cut_times.get(key)
         if got is None:
-            got = self._cut_times[key] = self._bisect_cut_time(ray)
+            if self._line_floor is not None:
+                got = self._line_cut_time(ray)
+            if got is None:
+                got = self._bisect_cut_time(ray)
+            self._cut_times[key] = got
         return got
+
+    def _line_cut_time(self, ray):
+        """Closed-form cut time of a ray from a straight point source, or
+        None when the confirming distance query rejects it.
+
+        With no focal point the cut is Separating: rho is the least root in
+        (0, 2H] of F(t v - kL) = t over the lattice shifts k != 0.  At a root
+        t, t = F(t v - kL) >= floor (|kL| - t |v|), so the shifts are tried
+        by increasing |kL| until |kL| / (|v| + 1 / floor) passes the best
+        root.  One full distance query at x(rho) must find no shorter path
+        and at least two distinct minimizers.
+        """
+        plan = self.plan
+        span = 2 * plan.horizon
+        pace = np.linalg.norm(ray.v) + 1.0 / self._line_floor
+        shifts = self._lattice_shifts(np.zeros(2), span * pace)
+        size = np.sqrt(shifts[:, 0] ** 2 + shifts[:, 1] ** 2)
+        rho = np.inf
+        for i in np.argsort(size, kind="stable"):
+            if size[i] / pace > rho:
+                break
+            if size[i] > 0.0:
+                rho = min(rho, self._first_root(ray.v, shifts[i], span))
+        if not np.isfinite(rho):
+            return CutTimeResult(np.inf, np.inf, unbounded=True)
+        wit = self.distance(self.path(ray, rho).position(rho), full=True)
+        if wit.d >= rho - 2.0 * plan.min_slack and len(wit.minimizers) >= 2:
+            return CutTimeResult(rho, np.inf)
+        return None
+
+    def _first_root(self, v, w, t_max):
+        """First root in (0, t_max] of g(t) = F(t v + w) - t, else inf.
+
+        g is convex with g(0) = F(w) > 0, so Newton from t = 0 rises
+        monotonically to its first root; g' = (g_u u) . v / F(u) - 1 at
+        u = t v + w.  No root is left once g' >= 0 while g > 0, or once an
+        iterate passes t_max.
+        """
+        chart, p = self.N.chart, self._base
+        t = 0.0
+        for _ in range(ROOT_ITERS):
+            u = TangentVec(chart, p, t * v + w)
+            length = self.metric.F(u)
+            g = length - t
+            if g <= 0.0:
+                break
+            slope = (self.metric.fundamental(u) @ u.v) @ v / length - 1.0
+            if slope >= 0.0:
+                return np.inf
+            step = -g / slope
+            t += step
+            if t > t_max:
+                return np.inf
+            if step <= 4.0 * np.finfo(float).eps * t:
+                break
+        return t
 
     def _bisect_cut_time(self, ray) -> CutTimeResult:
         plan = self.plan
@@ -695,7 +779,10 @@ class NormalShooting:
 
 
 def focal_time(metric, N, ray, T_max, plan=None):
-    """First degeneracy time of the normal exponential along the ray."""
+    """First degeneracy time of the normal exponential along the ray; inf
+    with no flow for a straight point source."""
+    if _straight_point_source(metric, N):
+        return math.inf
     plan = plan or ShootingPlan(horizon=T_max)
     fl = NormalJacobiFlow(metric, N, ray, T_max,
                           rtol=plan.ode_rtol, atol=plan.ode_atol)

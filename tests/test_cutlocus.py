@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import finslercut as fc
-from finslercut import cutlocus
+from finslercut import cutlocus, scenario
 from finslercut.cutlocus import NEWTON_TOL, SAMPLE_DT_FRAC, ShootingPlan
 from finslercut.metric import ReversedMetric
 
@@ -206,8 +206,11 @@ def test_seed_ray_memo_is_bounded_and_order_independent(torus32):
         torus32._shoot_distance(rec.cut_point)
     memo = torus32._seed_rays
     assert 0 < len(memo) <= len(torus32.rays)
-    # the seed residual is the fan ray itself: only neighbours are memoized
-    assert all(set(slots) == {1} for slots in memo.values())
+    # the seed residual is the fan ray itself: only its neighbour, one
+    # finite-difference step along the cone, is memoized
+    for i, ray in memo.items():
+        step = (torus32.ray_param(ray) - torus32.ray_param(torus32.rays[i]))[0]
+        assert abs(math.remainder(step, 2 * math.pi) - 1e-6) < 1e-12
     fresh = fc.NormalShooting(torus32.metric, torus32.N, torus32.plan)
     _assert_same_shooting(torus32, fresh, [(0, np.array([0.27, 0.31])),
                                            (0, np.array([-0.45, 0.12]))])
@@ -268,7 +271,8 @@ def test_torus_cut_time_along_diagonal(small_torus):
 def test_cut_times_past_the_horizon_are_bisected():
     # with H = 0.4 every cut time of the unit torus lies in (H, 2H]: each
     # ray still minimizes at H, meets no focal point and has lost
-    # minimality by 2H, so the doubled-horizon probe must bisect
+    # minimality by 2H, so the doubled-horizon probe must bisect; the
+    # closed form searches the same (0, 2H]
     field = fc.NormalShooting(
         fc.euclidean_metric(fc.torus_atlas([1.0, 1.0])),
         fc.point_submanifold(0, np.zeros(2)),
@@ -279,9 +283,10 @@ def test_cut_times_past_the_horizon_are_bisected():
         with np.errstate(divide="ignore"):
             exact = float(np.min(0.5 / np.abs(ray.v)))
         assert plan.horizon < exact <= 2 * plan.horizon
-        res = field.cut_time(ray)
-        assert math.isinf(res.lam) and not res.unbounded
-        assert abs(res.rho - exact) <= 2 * (plan.min_slack + plan.bisect_tol)
+        for res in (field._bisect_cut_time(ray), field.cut_time(ray)):
+            assert math.isinf(res.lam) and not res.unbounded
+            assert abs(res.rho - exact) <= 2 * (plan.min_slack
+                                                + plan.bisect_tol)
 
 
 def test_torus_focal_time_infinite(torus_records):
@@ -545,3 +550,145 @@ def test_torus_voronoi_vertex_has_four_minimizers(small_torus):
     assert len(near.minimizers) == 4
     assert len(small_torus.distance((0, np.array([0.5 + 1e-3, 0.5])))
                .minimizers) == 2
+
+
+# -- closed-form cut times of straight point sources ---------------------
+
+
+def _exact_torus_rho(ray, periods):
+    """min(a / 2|v1|, b / 2|v2|): the first bisector of a lattice
+    neighbour, for a norm unchanged by flipping a coordinate's sign."""
+    return min(p / (2.0 * abs(c)) if c else math.inf
+               for p, c in zip(periods, ray.v))
+
+
+def _random_torus_fields(count, seed):
+    """Flat tori with periods in [0.8, 1.25], Euclidean or quartic, each
+    with a random source and four random rays."""
+    rng = np.random.default_rng(seed)
+    plan = fc.ShootingPlan(psi_count=8, horizon=1.5, bisect_tol=1e-8,
+                           min_slack=1e-7)
+    for n in range(count):
+        periods = rng.uniform(0.8, 1.25, 2)
+        atlas = fc.torus_atlas(periods)
+        metric = (fc.euclidean_metric(atlas) if n % 2 == 0
+                  else fc.MinkowskiQuarticMetric(atlas, eps=0.1))
+        N = fc.point_submanifold(0, rng.uniform(0.0, periods))
+        field = fc.NormalShooting(metric, N, plan)
+        rays = [field.ray_at(rng.uniform(-math.pi, math.pi, 1), field.rays[0])
+                for _ in range(4)]
+        yield field, periods, rays
+
+
+def _assert_agrees_with_bisection(got, want, plan):
+    # the bisected rho is where d(x(t)) >= t - min_slack fails: up to
+    # min_slack / |d/dt (F(t v - kL) - t)| past the root, and that slope is
+    # below 1 on rays of the quartic and Randers tori
+    assert got.bisection_iters == 0 and want.bisection_iters > 0
+    assert -plan.bisect_tol <= want.rho - got.rho \
+        <= 2 * (plan.bisect_tol + plan.min_slack)
+
+
+def test_closed_form_cut_time_agrees_with_bisection():
+    for field, periods, rays in _random_torus_fields(20, seed=21):
+        for ray in rays:
+            got, want = field.cut_time(ray), field._bisect_cut_time(ray)
+            _assert_agrees_with_bisection(got, want, field.plan)
+            assert math.isinf(got.lam) and math.isinf(want.lam)
+
+
+def test_closed_form_cut_time_is_exact():
+    for field, periods, rays in _random_torus_fields(20, seed=22):
+        for ray in rays + list(field.rays):
+            exact = _exact_torus_rho(ray, periods)
+            assert abs(field.cut_time(ray).rho - exact) <= 1e-12, periods
+
+
+def test_closed_form_cut_time_on_an_irreversible_randers_torus():
+    rng = np.random.default_rng(23)
+    atlas = fc.torus_atlas([1.1, 0.9])
+    metric = fc.RandersMetric(atlas, np.array([0.3, -0.2]))
+    assert not metric.reversible
+    field = fc.NormalShooting(metric, fc.point_submanifold(0, [0.2, 0.3]),
+                              fc.ShootingPlan(psi_count=16, horizon=1.5,
+                                              bisect_tol=1e-8, min_slack=1e-7))
+    rays = list(field.rays) + [
+        field.ray_at(rng.uniform(-math.pi, math.pi, 1), field.rays[0])
+        for _ in range(8)]
+    for ray in rays:
+        got, want = field.cut_time(ray), field._bisect_cut_time(ray)
+        _assert_agrees_with_bisection(got, want, field.plan)
+
+
+def test_closed_form_cut_time_without_a_lattice_is_unbounded():
+    sc = scenario.builtin_scenario("randers-plane-point")
+    field = fc.NormalShooting(*scenario.build_geometry(sc)[1:])
+    assert field._line_floor is not None
+    for ray in field.rays:
+        res = field.cut_time(ray)
+        assert res.unbounded and math.isinf(res.rho) and math.isinf(res.lam)
+        assert res.bisection_iters == 0
+    assert not field._flows
+
+
+def test_rejected_closed_form_cut_time_falls_back_to_bisection(monkeypatch):
+    periods = (1.0, 1.0)
+    field = fc.NormalShooting(
+        fc.euclidean_metric(fc.torus_atlas(periods)),
+        fc.point_submanifold(0, np.zeros(2)),
+        fc.ShootingPlan(psi_count=16, horizon=1.5, bisect_tol=1e-8,
+                        min_slack=1e-7))
+    plan = field.plan
+    ray = field.rays[3]
+    want = field._bisect_cut_time(ray)
+    # plant a confirming query that finds one minimizer only
+    distance = field.distance
+
+    def one_minimizer(q, full=True):
+        wit = distance(q, full)
+        return dataclasses.replace(wit, minimizers=wit.minimizers[:1])
+
+    monkeypatch.setattr(field, "distance", one_minimizer)
+    got = field.cut_time(ray)
+    assert got == want and got.bisection_iters > 0
+    assert abs(got.rho - _exact_torus_rho(ray, periods)) \
+        <= 2 * (plan.min_slack + plan.bisect_tol)
+
+
+def test_flat_point_cut_locus_steps_no_flow_and_bisects_nothing(monkeypatch):
+    field = fc.NormalShooting(
+        fc.MinkowskiQuarticMetric(fc.torus_atlas([0.9, 1.2]), eps=0.1),
+        fc.point_submanifold(0, [0.1, 0.4]),
+        fc.ShootingPlan(psi_count=32, horizon=1.5, bisect_tol=1e-8,
+                        min_slack=1e-7))
+    queries = []
+    distance = field.distance
+
+    def counted(q, full=True):
+        queries.append(q)
+        return distance(q, full)
+
+    monkeypatch.setattr(field, "distance", counted)
+    records = fc.cut_locus(field, classify=False)
+    assert not field._flows
+    assert all(rec.diagnostics["bisection_iters"] == 0 for rec in records)
+    assert all(np.isfinite(rec.rho) for rec in records)
+    # one confirming query per computed cut time
+    assert len(queries) <= len(field._cut_times) == len(records)
+
+
+def test_focal_time_of_field_and_module_agree(torus32, sphere_field,
+                                              monkeypatch):
+    for field in (torus32, sphere_field):
+        ray = field.rays[5]
+        T = field.plan.horizon
+        got = field.focal_time(ray)
+        assert got == cutlocus.focal_time(field.metric, field.N, ray, T,
+                                          plan=field.plan)
+    assert abs(got - math.pi) < 1e-6        # the sphere's antipode
+    # the straight point source steps no flow, in the field or outside it
+    monkeypatch.setattr(cutlocus, "NormalJacobiFlow", None)
+    ray = torus32.rays[5]
+    assert math.isinf(torus32.focal_time(ray))
+    assert math.isinf(cutlocus.focal_time(torus32.metric, torus32.N, ray, 1.5))
+    assert not torus32._flows
