@@ -4,13 +4,17 @@ times, the cut locus, and the numerical checks of the structural theorems.
 A ``NormalShooting`` field is the one owner of shooting state for a
 submanifold under a plan.  Its fan of grid rays is fixed at construction,
 and one dense geodesic per fan ray is reused across distance queries:
-closest-approach search over the fan picks candidates, Gauss-Newton on
-(cone parameter, time) polishes each to an exact arrival.  Its first
-iteration reads the session's path cache: the fan ray's own path and the
-cached paths of its memoized finite-difference neighbours.  Under an
-x-independent metric on a one-chart atlas (the flat plane or torus) every
-path is one exact straight segment from the geodesic layer
-(``geodesic.straight_geodesics``).
+closest-approach search over the fan picks candidates, and each is
+polished to an exact arrival.  A time-only Newton stage comes first: it
+moves along the candidate's cached fan path alone, and where that path
+passes through the query (at a point source's antipode on the round sphere
+every fan path does) the fan ray is the arrival, with no new geodesic.
+Every other candidate gets Gauss-Newton on (cone parameter, time) from the
+approach's starting point.  Its first iteration reads the session's path
+cache: the fan ray's own path and the cached paths of its memoized
+finite-difference neighbours.  Under an x-independent metric on a one-chart
+atlas (the flat plane or torus) every path is one exact straight segment
+from the geodesic layer (``geodesic.straight_geodesics``).
 
 A point source there is answered in closed form throughout.  ``distance``
 is the least F over the lattice shifts of q - p.  Its normal geodesics have
@@ -25,7 +29,9 @@ at least two minimizers); if it does not, the ray is bisected.
 Every other field (the sphere, curve sources) steps Jacobi flows for its
 focal times and bisects the minimality predicate for its cut times, with
 the first focal time as an upper bracket; a ray that still minimizes at the
-horizon H is bisected again in (H, 2H].
+horizon H is bisected again in (H, 2H].  The check at the top of each
+bracket takes the full candidate set, since a ray that passes it is
+returned with no bisection and no later cross-check.
 
 Every cache of a field follows one rule: a value is keyed by exactly what
 determines it, and it is never replaced or invalidated.  Paths and Jacobi
@@ -62,6 +68,7 @@ QUICK_CANDIDATES = 4        # ... per quick (bisection) distance query
 SAMPLE_DT_FRAC = 1.0 / 128.0    # fan sample spacing, as a horizon fraction
 FLOOR_DIRS = 256            # unit directions bounding F from below
 ROOT_ITERS = 60             # Newton cap for a closed-form cut time
+POLISH_STEPS = 4            # time-only Newton steps before Gauss-Newton
 
 
 @dataclass(frozen=True)
@@ -405,11 +412,18 @@ class NormalShooting:
     def refine_arrival(self, q, i, t0, max_iter=25):
         """Solve exp^nu(t, ray(mu)) = q from the grid ray i at time t0.
 
-        The first iteration reads paths the session owns: the seed residual
-        is fan ray i on its cached path, and each finite-difference
-        neighbour is a memoized ray on its cached path, both from ``path``
-        at the plan's ODE tolerances.  Later iterations integrate fresh
-        arrivals at query tolerances.
+        A time-only Newton stage comes first: it moves t along fan ray i's
+        cached path alone, and returns the fan ray itself once the residual
+        is within tolerance.  Where the fan ray passes through q (at a
+        point source's antipode on the round sphere every ray does) the
+        arrival then needs no new geodesic and no seed neighbour.
+        Otherwise Gauss-Newton on (cone parameter, time) runs from the
+        approach's (mu, t0), not from the polished t.  Its first iteration
+        reads paths the session owns: the seed residual is fan ray i on its
+        cached path, and each finite-difference neighbour is a memoized ray
+        on its cached path, both from ``path`` at the plan's ODE
+        tolerances.  Later iterations integrate fresh arrivals at query
+        tolerances.
 
         Convergence bottoms out at the query-integration noise floor, so
         the stop tolerance tracks it; a stalled iteration (rank-deficient
@@ -423,6 +437,7 @@ class NormalShooting:
         h = 1e-6
         rtol = plan.query_rtol or plan.ode_rtol
         tol = max(NEWTON_TOL, 10.0 * rtol) * (1.0 + abs(t0))
+        dt_cap = 0.5 * plan.horizon
 
         def residual(mu_, t_, k=None):
             # k, first iteration only: the fan ray (k = 0) or its memoized
@@ -437,8 +452,11 @@ class NormalShooting:
 
         try:
             r, ray, state = residual(mu, t, 0)
+            polished = self._polish_time(q, template, t, r, state, tol, dt_cap)
         except (FinslerError, np.linalg.LinAlgError):
             return None
+        if polished is not None:
+            return polished
         best = (np.linalg.norm(r), ray, float(t), state)
         stalls = 0
         for it in range(max_iter):
@@ -456,12 +474,7 @@ class NormalShooting:
             if stalls >= 3:
                 break
             # time column: velocity expressed in q's chart
-            vel = state.v
-            qchart = q[0]
-            if state.chart != qchart:
-                Dt = self.atlas.transition(state.chart,
-                                           qchart).jacobian(state.x)
-                vel = Dt @ vel
+            vel = self._velocity_in(state, q[0])
             try:
                 r2, _, _ = residual(mu + h, t, 1 if it == 0 else None)
             except (FinslerError, np.linalg.LinAlgError):
@@ -474,7 +487,6 @@ class NormalShooting:
                 step = np.linalg.lstsq(J, -r, rcond=None)[0]
             except np.linalg.LinAlgError:
                 return None
-            dt_cap = 0.5 * self.plan.horizon
             step[0] = np.clip(step[0], -dt_cap, dt_cap)
             t = t + step[0]
             mu = mu + step[1:]
@@ -487,6 +499,41 @@ class NormalShooting:
         if best[0] <= 30.0 * tol:
             rn, ray, t, state = best
             return Minimizer(ray, float(t), state, float(rn))
+        return None
+
+    def _velocity_in(self, state: TangentVec, chart):
+        """The velocity of ``state`` in ``chart``'s coordinates."""
+        if state.chart == chart:
+            return state.v
+        return self.atlas.transition(state.chart,
+                                     chart).jacobian(state.x) @ state.v
+
+    def _polish_time(self, q, ray, t, r, state, tol, dt_cap):
+        """Time-only Newton for ray's arrival at q along its cached path,
+        from the residual r at (t, state): t -= <vel, r> / <vel, vel>, with
+        vel in q's chart and the step clipped to dt_cap.  It steps while |r|
+        halves, at most POLISH_STEPS times and never past the cached path.
+        The least residual reached is a Minimizer if it is within tol, else
+        None."""
+        path = self._arrival_path(ray, t, cached=True)
+        rn = float(np.linalg.norm(r))
+        for _ in range(POLISH_STEPS):
+            vel = self._velocity_in(state, q[0])
+            step = np.clip(-(vel @ r) / (vel @ vel), -dt_cap, dt_cap)
+            t_new = max(t + step, 1e-9)
+            if t_new > path.t1:
+                break
+            s_new = path.state(t_new)
+            r_new = -self.atlas.displacement((s_new.chart, s_new.x), q)
+            rn_new = float(np.linalg.norm(r_new))
+            if rn_new >= rn:
+                break
+            halved = rn_new <= 0.5 * rn
+            t, r, state, rn = t_new, r_new, s_new, rn_new
+            if not halved:
+                break
+        if rn <= tol:
+            return Minimizer(ray, float(t), state, rn)
         return None
 
     def _arrival_path(self, ray, t, cached=False):
@@ -702,7 +749,9 @@ class NormalShooting:
         hi = min(lam, plan.horizon)
         path = self.path(ray, hi)
         iters = 0
-        if self.is_minimizing(path, hi):
+        # the check at hi takes the full candidate set: when it passes, rho
+        # is returned with no bisection and no later cross-check
+        if self.is_minimizing(path, hi, full=True):
             if lam <= plan.horizon:
                 # beyond-focal lemma: non-minimizing past lam, so rho = lam
                 return CutTimeResult(float(lam), float(lam))
@@ -711,7 +760,7 @@ class NormalShooting:
             lam = self.focal_time(ray, span2)
             hi = min(lam, span2)
             path = self.path(ray, span2)
-            if self.is_minimizing(path, hi):
+            if self.is_minimizing(path, hi, full=True):
                 if lam <= span2:
                     return CutTimeResult(float(lam), float(lam))
                 return CutTimeResult(np.inf, np.inf, unbounded=True)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -218,15 +219,17 @@ def test_seed_ray_memo_is_bounded_and_order_independent(torus32):
 
 def test_cached_seed_paths_are_order_independent(sphere_records,
                                                  sphere_field):
-    # the sphere field shoots: after its cut locus, the first Gauss-Newton
-    # iteration of every query reads paths cached by earlier queries
+    # the sphere field shoots: its cut locus settles every antipode arrival
+    # on a fan path, and these off-path queries then take Gauss-Newton
+    # steps, so later queries read paths cached by earlier ones
     warm = sphere_field
+    off_path = [(1, np.array([0.1, 0.05])), (0, np.array([0.3, -0.2]))]
+    for q in off_path:
+        warm.distance(q)
     assert warm._seed_rays
     fresh = fc.NormalShooting(warm.metric, warm.N, warm.plan)
     antipode = (1, np.zeros(2))
-    _assert_same_shooting(warm, fresh, [antipode,
-                                        (1, np.array([0.1, 0.05])),
-                                        (0, np.array([0.3, -0.2]))])
+    _assert_same_shooting(warm, fresh, [antipode] + off_path)
 
 
 def test_seed_iteration_reads_cached_paths(sphere_setup, monkeypatch):
@@ -246,12 +249,75 @@ def test_seed_iteration_reads_cached_paths(sphere_setup, monkeypatch):
     monkeypatch.setattr(field, "refine_arrival", refine_arrival)
     # every ray of the point source reconverges at the antipode at t = pi
     field.distance(field.path(field.rays[0]).position(math.pi))
+    assert len(integrations) == len(field.rays)     # the fan alone
     del integrations[:], refines[:]
     wit = field.distance(field.path(field.rays[5]).position(math.pi))
     assert len(wit.minimizers) >= 2 and refines
-    # the seed residual and its finite-difference neighbours are cached;
-    # only the arrival after the first Newton step is integrated
-    assert len(integrations) <= len(refines)
+    # each fan ray passes through the antipode, so the time-only stage
+    # settles its arrival on the cached path: no geodesic is integrated
+    assert integrations == []
+    tol = _arrival_tol(plan, math.pi)
+    for m in wit.minimizers:
+        assert any(m.ray is ray for ray in field.rays)
+        assert m.residual <= tol and abs(m.t - math.pi) < 1e-6
+    # nor anywhere in the cut locus, whose cut points are all antipodes
+    records = fc.cut_locus(field)
+    assert integrations == []
+    assert all(r.classification == {cutlocus.SEPARATING, cutlocus.FIRST_FOCAL}
+               for r in records)
+
+
+def _arrival_tol(plan, t0):
+    """The stop tolerance of refine_arrival from time t0."""
+    rtol = plan.query_rtol or plan.ode_rtol
+    return max(NEWTON_TOL, 10.0 * rtol) * (1.0 + abs(t0))
+
+
+def test_time_polish_settles_fan_path_points(sphere_setup, monkeypatch):
+    _, metric, N, plan = sphere_setup
+    field = fc.NormalShooting(metric, N, plan)
+    i, t1 = 5, 1.2
+    path = field.path(field.rays[i])
+    chart, x = path.position(t1)
+    assert chart == 0       # charts switch only past radius 1.4
+    integrations = []
+
+    def integrate_geodesic(*args, **kwargs):
+        integrations.append(args[2])
+        return fc.integrate_geodesic(*args, **kwargs)
+
+    monkeypatch.setattr(cutlocus, "integrate_geodesic", integrate_geodesic)
+    # the same point of fan path i in both charts; chart 1's inversion
+    # reverses the radial velocity, so the time step must be taken in q's
+    # chart
+    t0 = t1 + 1e-3
+    tol = _arrival_tol(plan, t0)
+    for q in [(0, x), (1, field.atlas.convert((0, x), 1))]:
+        got = field.refine_arrival(q, i, t0)
+        assert got.ray is field.rays[i]
+        assert got.residual <= tol and abs(got.t - t1) < 1e-8
+    assert integrations == [] and not field._seed_rays
+
+    # a point a few tolerances off the fan path is not settled by the
+    # time stage: Gauss-Newton moves to an off-grid ray within tol
+    v = path.velocity(t1)
+    off = (0, x + 3.0 * _arrival_tol(plan, t1) * np.array([-v[1], v[0]])
+           / np.linalg.norm(v))
+    got = field.refine_arrival(off, i, t1)
+    assert got.ray is not field.rays[i] and integrations
+    assert got.residual <= _arrival_tol(plan, t1)
+
+
+def test_offset_sphere_source_separates_at_its_antipode():
+    # every normal geodesic from (0.3, -0.2) reaches the antipode at t = pi,
+    # so each cut point there has many distinct minimizers
+    doc = dict(scenario.BUILTINS["sphere-point"])
+    doc["submanifold"] = {"family": "point", "point": [0.3, -0.2]}
+    bundle = scenario.run_scenario(scenario.parse_scenario(json.dumps(doc)))
+    assert bundle.documents["classify"]["histogram"] == \
+        {"FirstFocal+Separating": 64}
+    reports = {r["name"]: r["passed"] for r in bundle.documents["theorems"]}
+    assert reports["se_dense"] and not bundle.violations
 
 
 def test_torus_cut_time_along_axis(small_torus):
@@ -474,6 +540,28 @@ def test_cut_time_cross_check_repairs_a_quick_miss(monkeypatch):
     got = field.cut_time(ray)
     assert any(modes)                   # the full-candidate pass ran
     assert abs(got.rho - want.rho) <= 2 * plan.bisect_tol
+
+
+def test_cut_time_without_bisection_is_cross_checked(monkeypatch):
+    # one quick candidate misses the mirror competitor of the inward rays
+    # of a 2x1 ellipse; a ray that passes the check at min(lam, H) gets
+    # rho = lam with no bisection and no cross-check, so that check must
+    # take every candidate
+    plane = fc.flat_atlas()
+    metric = fc.euclidean_metric(plane)
+    N = fc.ellipse_submanifold(0, a=2.0, b=1.0)
+    plan = fc.ShootingPlan(theta_count=32, horizon=3.0)
+    ref = fc.NormalShooting(metric, N, plan)
+    rays = [r for r in ref.rays
+            if r.psi[0] > 0 and 0.0 <= r.theta[0] <= math.pi + 1e-12]
+    assert len(rays) == 17
+    want = [ref.cut_time(r).rho for r in rays]
+    monkeypatch.setattr(cutlocus, "QUICK_CANDIDATES", 1)
+    field = fc.NormalShooting(metric, N, plan)
+    for ray, rho in zip(rays, want):
+        got = field.cut_time(ray).rho
+        assert abs(got - rho) <= plan.bisect_tol + 2 * plan.min_slack, \
+            ray.theta
 
 
 def _line_metrics(atlas):
