@@ -122,6 +122,12 @@ class ManifoldAtlas:
             return np.asarray(x, dtype=float)
         return self.transition(chart, target_chart).apply(x)
 
+    def velocity_in(self, state: TangentVec, chart):
+        """The velocity of ``state`` in ``chart``'s coordinates."""
+        if state.chart == chart:
+            return state.v
+        return self.transition(state.chart, chart).jacobian(state.x) @ state.v
+
     def displacement(self, point, target):
         """Coordinate difference target - point in the target's chart.
 

@@ -69,6 +69,8 @@ SAMPLE_DT_FRAC = 1.0 / 128.0    # fan sample spacing, as a horizon fraction
 FLOOR_DIRS = 256            # unit directions bounding F from below
 ROOT_ITERS = 60             # Newton cap for a closed-form cut time
 POLISH_STEPS = 4            # time-only Newton steps before Gauss-Newton
+NEWTON_ITERS = 25           # Gauss-Newton iteration cap per arrival
+BLOWUP_FACTOR = 10.0        # quotient growth that rho_continuity flags
 
 
 @dataclass(frozen=True)
@@ -78,8 +80,6 @@ class ShootingPlan:
     horizon: float = 3.0
     ode_rtol: float = 1e-9
     ode_atol: float = 1e-11
-    query_rtol: float = None    # arrival-refinement integrations only
-    query_atol: float = None
     bisect_tol: float = 1e-6
     min_slack: float = 1e-6
 
@@ -354,12 +354,11 @@ class NormalShooting:
             rids.append(rid[j])
             tds.append(np.stack([np.where(ok, t_fit, t),
                                  np.where(ok, d_fit, b)]))
-        out = np.tile([0.0, np.inf, 0.0], (len(self.rays), 1))
+        out = np.tile([0.0, np.inf], (len(self.rays), 1))
         if not rids:
             return out
         rid = np.concatenate(rids)
         t, d = np.concatenate(tds, axis=1)
-        order = np.arange(len(rid))
 
         def first_per_ray(sel):
             """Index of the first dip of each ray in a sorted selection."""
@@ -367,10 +366,9 @@ class NormalShooting:
             head[1:] = rid[sel[1:]] != rid[sel[:-1]]
             return sel[head]
 
-        # deepest dip per ray, the earlier one on ties
-        deep = first_per_ray(np.lexsort((order, d, rid)))
-        deep_d = np.empty(len(self.rays))
-        deep_d[rid[deep]] = d[deep]
+        # depth of the deepest dip per ray
+        deep_d = np.full(len(self.rays), np.inf)
+        np.minimum.at(deep_d, rid, d)
         # among dips within sampling resolution of the deepest one, the
         # earliest (then shallowest) is kept, so later re-arrivals cannot
         # shadow it
@@ -379,7 +377,6 @@ class NormalShooting:
         early = first_per_ray(near[np.lexsort((d[near], t[near], rid[near]))])
         out[rid[early], 0] = t[early]
         out[rid[early], 1] = d[early]
-        out[rid[deep], 2] = t[deep]
         return out
 
     def _candidates(self, q, limit):
@@ -405,11 +402,11 @@ class NormalShooting:
         if best not in picks:
             picks = np.append(picks, best)
         picks = picks[np.argsort(score[picks], kind="stable")]
-        return [(int(i), app[i, 0], app[i, 2]) for i in picks[:limit]], score
+        return [(int(i), app[i, 0]) for i in picks[:limit]], score
 
     # -- Gauss-Newton arrival --------------------------------------------
 
-    def refine_arrival(self, q, i, t0, max_iter=25):
+    def refine_arrival(self, q, i, t0):
         """Solve exp^nu(t, ray(mu)) = q from the grid ray i at time t0.
 
         A time-only Newton stage comes first: it moves t along fan ray i's
@@ -421,22 +418,20 @@ class NormalShooting:
         approach's (mu, t0), not from the polished t.  Its first iteration
         reads paths the session owns: the seed residual is fan ray i on its
         cached path, and each finite-difference neighbour is a memoized ray
-        on its cached path, both from ``path`` at the plan's ODE
-        tolerances.  Later iterations integrate fresh arrivals at query
-        tolerances.
+        on its cached path, both from ``path``.  Later iterations integrate
+        fresh arrivals, at the same ODE tolerances.
 
-        Convergence bottoms out at the query-integration noise floor, so
-        the stop tolerance tracks it; a stalled iteration (rank-deficient
-        Jacobian at a conjugate arrival) accepts the best residual if it
-        is within a modest factor of that floor.
+        Convergence bottoms out at the integration noise floor, so the stop
+        tolerance tracks it; a stalled iteration (rank-deficient Jacobian
+        at a conjugate arrival) accepts the best residual if it is within a
+        modest factor of that floor.
         """
         plan = self.plan
         template = self.rays[i]
         mu = self.ray_param(template).astype(float)
         t = max(float(t0), 1e-9)
         h = 1e-6
-        rtol = plan.query_rtol or plan.ode_rtol
-        tol = max(NEWTON_TOL, 10.0 * rtol) * (1.0 + abs(t0))
+        tol = max(NEWTON_TOL, 10.0 * plan.ode_rtol) * (1.0 + abs(t0))
         dt_cap = 0.5 * plan.horizon
 
         def residual(mu_, t_, k=None):
@@ -459,7 +454,7 @@ class NormalShooting:
             return polished
         best = (np.linalg.norm(r), ray, float(t), state)
         stalls = 0
-        for it in range(max_iter):
+        for it in range(NEWTON_ITERS):
             rn = np.linalg.norm(r)
             if rn <= tol:
                 return Minimizer(ray, float(t), state, float(rn))
@@ -474,7 +469,7 @@ class NormalShooting:
             if stalls >= 3:
                 break
             # time column: velocity expressed in q's chart
-            vel = self._velocity_in(state, q[0])
+            vel = self.atlas.velocity_in(state, q[0])
             try:
                 r2, _, _ = residual(mu + h, t, 1 if it == 0 else None)
             except (FinslerError, np.linalg.LinAlgError):
@@ -501,13 +496,6 @@ class NormalShooting:
             return Minimizer(ray, float(t), state, float(rn))
         return None
 
-    def _velocity_in(self, state: TangentVec, chart):
-        """The velocity of ``state`` in ``chart``'s coordinates."""
-        if state.chart == chart:
-            return state.v
-        return self.atlas.transition(state.chart,
-                                     chart).jacobian(state.x) @ state.v
-
     def _polish_time(self, q, ray, t, r, state, tol, dt_cap):
         """Time-only Newton for ray's arrival at q along its cached path,
         from the residual r at (t, state): t -= <vel, r> / <vel, vel>, with
@@ -518,7 +506,7 @@ class NormalShooting:
         path = self._arrival_path(ray, t, cached=True)
         rn = float(np.linalg.norm(r))
         for _ in range(POLISH_STEPS):
-            vel = self._velocity_in(state, q[0])
+            vel = self.atlas.velocity_in(state, q[0])
             step = np.clip(-(vel @ r) / (vel @ vel), -dt_cap, dt_cap)
             t_new = max(t + step, 1e-9)
             if t_new > path.t1:
@@ -538,13 +526,13 @@ class NormalShooting:
 
     def _arrival_path(self, ray, t, cached=False):
         """Path of ``ray`` past time t: the session's cached path
-        (``cached``) or a fresh integration at query tolerances."""
+        (``cached``) or a fresh integration."""
         span = max(t * 1.05, 1e-6)
         if cached:
             return self.path(ray, span)
         return integrate_geodesic(self.metric, ray.tangent(), span,
-                                  rtol=self.plan.query_rtol or self.plan.ode_rtol,
-                                  atol=self.plan.query_atol or self.plan.ode_atol)
+                                  rtol=self.plan.ode_rtol,
+                                  atol=self.plan.ode_atol)
 
     # -- distances -------------------------------------------------------
 
@@ -632,10 +620,8 @@ class NormalShooting:
         limit = MAX_CANDIDATES if full else QUICK_CANDIDATES
         cands, score = self._candidates(q, limit)
         arrivals = []
-        for i, t_early, t_deep in cands:
-            got = self.refine_arrival(q, i, t_early)
-            if got is None and abs(t_deep - t_early) > 1e-12:
-                got = self.refine_arrival(q, i, t_deep)
+        for i, t in cands:
+            got = self.refine_arrival(q, i, t)
             if got is not None:
                 arrivals.append(got)
         if not arrivals:
@@ -745,28 +731,24 @@ class NormalShooting:
 
     def _bisect_cut_time(self, ray) -> CutTimeResult:
         plan = self.plan
-        lam = self.focal_time(ray)
-        hi = min(lam, plan.horizon)
-        path = self.path(ray, hi)
-        iters = 0
-        # the check at hi takes the full candidate set: when it passes, rho
-        # is returned with no bisection and no later cross-check
-        if self.is_minimizing(path, hi, full=True):
-            if lam <= plan.horizon:
+        lo = 0.0
+        # bracket [lo, hi] in (0, H], else, when the ray still minimizes at
+        # the horizon, in (H, 2H]
+        for span in (plan.horizon, 2 * plan.horizon):
+            lam = self.focal_time(ray, span)
+            hi = min(lam, span)
+            path = self.path(ray, span)
+            # the check at hi takes the full candidate set: when it passes,
+            # rho is returned with no bisection and no later cross-check
+            if not self.is_minimizing(path, hi, full=True):
+                break
+            if lam <= span:
                 # beyond-focal lemma: non-minimizing past lam, so rho = lam
                 return CutTimeResult(float(lam), float(lam))
-            # horizon binds: probe a doubled horizon, then bisect (H, hi]
-            span2 = 2 * plan.horizon
-            lam = self.focal_time(ray, span2)
-            hi = min(lam, span2)
-            path = self.path(ray, span2)
-            if self.is_minimizing(path, hi, full=True):
-                if lam <= span2:
-                    return CutTimeResult(float(lam), float(lam))
-                return CutTimeResult(np.inf, np.inf, unbounded=True)
-            lo = plan.horizon
+            lo = span
         else:
-            lo = 0.0
+            return CutTimeResult(np.inf, np.inf, unbounded=True)
+        iters = 0
         for use_full in (False, True):
             b_lo, b_hi = lo, hi
             while b_hi - b_lo > plan.bisect_tol:
@@ -885,18 +867,14 @@ def check_rho_leq_lambda(records) -> Report:
                   {"violations": violations, "count": len(records)})
 
 
-def check_se_dense(records, delta=None, atlas=None) -> Report:
-    """Every FirstFocal-only cut point has a Separating neighbor within delta."""
+def check_se_dense(records, atlas) -> Report:
+    """Every FirstFocal-only cut point has a Separating neighbor within
+    delta, 3x the sampling pitch along the computed cut locus."""
     recs = [r for r in records if r.cut_point is not None and r.classification]
     seps = [r for r in recs if SEPARATING in r.classification]
-    if atlas is None:
-        raise ValueError("check_se_dense needs the atlas for distances")
-    if delta is None:
-        # 3x the sampling pitch along the computed cut locus
-        gaps = []
-        for a, b in zip(recs[:-1], recs[1:]):
-            gaps.append(atlas.coord_distance(a.cut_point, b.cut_point))
-        delta = 3.0 * (np.median(gaps) if gaps else 0.1)
+    gaps = [atlas.coord_distance(a.cut_point, b.cut_point)
+            for a, b in zip(recs[:-1], recs[1:])]
+    delta = 3.0 * (np.median(gaps) if gaps else 0.1)
     violations = []
     for r in recs:
         if SEPARATING in r.classification:
@@ -913,12 +891,12 @@ def check_se_dense(records, delta=None, atlas=None) -> Report:
                    "n_separating": len(seps), "n_records": len(recs)})
 
 
-def check_rho_continuity(levels, blowup_factor=10.0) -> Report:
+def check_rho_continuity(levels) -> Report:
     """Difference-quotient refinement study for continuity of the cut time.
 
     ``levels`` is a list of record lists from successively doubled grids.
     Flags rays where the local quotient grows faster than refinement by
-    more than ``blowup_factor`` across two levels.
+    more than BLOWUP_FACTOR across two levels.
     """
     quotients = []
     for records in levels:
@@ -932,7 +910,7 @@ def check_rho_continuity(levels, blowup_factor=10.0) -> Report:
         quotients.append(qmax)
     flagged = []
     for a, b in zip(quotients[:-1], quotients[1:]):
-        if a > 0 and b > blowup_factor * a:
+        if a > 0 and b > BLOWUP_FACTOR * a:
             flagged.append((a, b))
     return Report("rho_continuity", not flagged,
                   {"max_quotients": quotients, "flagged": flagged})

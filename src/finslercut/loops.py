@@ -10,6 +10,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .atlas import TangentVec
 from .cutlocus import NormalShooting, Report, cut_locus
 from .errors import FinslerError, NumericalFailure, ReversibilityError
 from .submanifold import point_submanifold
@@ -39,7 +40,6 @@ def reversibility_defect(metric, n_samples=16, seed=0):
     for _ in range(n_samples):
         x = rng.uniform(-0.5, 0.5, n)
         v = rng.standard_normal(n)
-        from .atlas import TangentVec
         a = metric.F(TangentVec(0, x, v))
         b = metric.F(TangentVec(0, x, -v))
         worst = max(worst, abs(a - b) / max(a, b))
@@ -118,19 +118,10 @@ def _g_norm(metric, state, w):
     return math.sqrt(max(float(w @ g @ w), 0.0))
 
 
-def _terminal_in_chart(atlas, m, chart):
-    term = m.terminal
-    if term.chart == chart:
-        return term.v
-    D = atlas.transition(term.chart, chart).jacobian(term.x)
-    return D @ term.v
-
-
 def _sample_segment(field, m, n_samples=64):
     path = field.path(m.ray, max(m.t, 1e-9))
     ts = np.linspace(0.0, m.t, n_samples + 1)
-    return [(float(t),) + tuple([path.position(t)[0],
-                                 path.position(t)[1]]) for t in ts]
+    return [(float(t),) + tuple(path.position(t)) for t in ts]
 
 
 def find_geodesic_loop(field: NormalShooting, records=None) -> LoopResult:
@@ -160,8 +151,8 @@ def find_geodesic_loop(field: NormalShooting, records=None) -> LoopResult:
             continue
         m1, m2 = wit.minimizers[:2]
         chart = x0[0]
-        v1 = _terminal_in_chart(metric.atlas, m1, chart)
-        v2 = _terminal_in_chart(metric.atlas, m2, chart)
+        v1 = metric.atlas.velocity_in(m1.terminal, chart)
+        v2 = metric.atlas.velocity_in(m2.terminal, chart)
         resid = _g_norm(metric, m1.terminal, v1 + v2)
         if resid > SMOOTH_TOL:
             continue
@@ -224,8 +215,8 @@ def two_geodesics_to(field: NormalShooting, q, records=None) -> TwoGeodesics:
         # q is itself the minimizer: second geodesic degenerates to the pair
         # of N-segments meeting at q
         a, b = wit_x0.minimizers[:2]
-        va = _terminal_in_chart(metric.atlas, a, x0[0])
-        vb = _terminal_in_chart(metric.atlas, b, x0[0])
+        va = metric.atlas.velocity_in(a.terminal, x0[0])
+        vb = metric.atlas.velocity_in(b.terminal, x0[0])
         resid = _g_norm(metric, a.terminal, va + vb)
         return TwoGeodesics(q, direct, x0, [a, b], float(resid),
                             (direct.t, a.t + b.t), "at-cut",
@@ -235,7 +226,7 @@ def two_geodesics_to(field: NormalShooting, q, records=None) -> TwoGeodesics:
     best = None
     pairs = []
     for a in wit_x0.minimizers[:2]:
-        va = _terminal_in_chart(metric.atlas, a, x0[0])
+        va = metric.atlas.velocity_in(a.terminal, x0[0])
         for b in wit_q.minimizers[:2]:
             resid = _g_norm(metric, a.terminal, va - b.ray.v)
             pairs.append((float(resid), a, b))

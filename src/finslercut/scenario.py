@@ -35,6 +35,8 @@ from . import loops as loops_mod
 from . import topology as topo_mod
 
 SCHEMA_VERSION = "1.0"
+RETRACT_PROBES = 50         # query points of the retracts task
+DFCHECK_PROBES = 24         # query points of the dfcheck task
 
 
 # -- geometry construction ------------------------------------------------
@@ -86,8 +88,6 @@ def build_geometry(sc: Scenario):
         horizon=g["horizon"],
         ode_rtol=tol["ode_rel"],
         ode_atol=tol["ode_abs"],
-        query_rtol=tol.get("query_rel"),
-        query_atol=tol.get("query_abs"),
         bisect_tol=tol["bisection"],
         min_slack=tol["min_slack"],
     )
@@ -286,7 +286,7 @@ def _task_classify(run):
     return {"histogram": hist, "violations": violations}, bool(violations)
 
 
-def _task_retracts(run, n_probes=50):
+def _task_retracts(run):
     field, records = run.field, run.records
     cut = next((r.cut_point for r in records if r.cut_point is not None),
                None)
@@ -296,7 +296,7 @@ def _task_retracts(run, n_probes=50):
     traces = []
     atlas = field.atlas
     for k, (q, rec, t) in enumerate(
-            _probe_points(field, records, run.rng, n_probes)):
+            _probe_points(field, records, run.rng, RETRACT_PROBES)):
         p0 = topo_mod.retract_to_N(field, q, 0.0)
         worst_n0 = max(worst_n0, atlas.coord_distance(p0, q))
         p1 = topo_mod.retract_to_N(field, q, 1.0)
@@ -313,7 +313,7 @@ def _task_retracts(run, n_probes=50):
     fixed_cut = atlas.coord_distance(
         topo_mod.retract_to_cut(field, cut, 0.7), cut)
     doc = {
-        "n_probes": n_probes,
+        "n_probes": RETRACT_PROBES,
         "retract_to_N_s0_max": _num(worst_n0),
         "retract_to_N_s1_max": _num(worst_n1),
         "retract_to_cut_s0_max": _num(worst_c0),
@@ -325,20 +325,21 @@ def _task_retracts(run, n_probes=50):
     return doc, bad
 
 
-def _task_dfcheck(run, n_probes=24):
+def _task_dfcheck(run):
     field, records, rng = run.field, run.records, run.rng
     if records is None:
         # point sources without a cut-locus task: probe a disk around N
         base = field.rays[0].x
         probes = []
-        for _ in range(n_probes):
+        for _ in range(DFCHECK_PROBES):
             ang = rng.uniform(0, 2 * np.pi)
             rad = rng.uniform(0.2, 1.2)
             probes.append(((0, base + rad * np.array([np.cos(ang),
                                                       np.sin(ang)])),
                            None, rad))
     else:
-        probes = _probe_points(field, records, rng, n_probes, lo=0.1, hi=0.8)
+        probes = _probe_points(field, records, rng, DFCHECK_PROBES,
+                               lo=0.1, hi=0.8)
     worst = 0.0
     rows = []
     for q, _, _ in probes:
@@ -426,7 +427,7 @@ SCHEMA = {
     "additionalProperties": False,
     "required": ["name", "manifold", "metric", "submanifold"],
     "properties": {
-        "schema_version": {"type": "string"},
+        "schema_version": {"const": SCHEMA_VERSION},
         "name": {"type": "string", "minLength": 1},
         "manifold": {
             "type": "object",
@@ -481,8 +482,6 @@ SCHEMA = {
             "properties": {
                 "ode_rel": {"type": "number", "exclusiveMinimum": 0},
                 "ode_abs": {"type": "number", "exclusiveMinimum": 0},
-                "query_rel": {"type": "number", "exclusiveMinimum": 0},
-                "query_abs": {"type": "number", "exclusiveMinimum": 0},
                 "bisection": {"type": "number", "exclusiveMinimum": 0},
                 "min_slack": {"type": "number", "exclusiveMinimum": 0},
             },
@@ -501,7 +500,6 @@ SCHEMA = {
 }
 
 _DEFAULTS = {
-    "schema_version": SCHEMA_VERSION,
     "manifold": {"periods": [1.0, 1.0]},
     "metric": {},
     "submanifold": {"chart": 0},
@@ -589,7 +587,6 @@ BUILTINS = {
         "submanifold": {"family": "point", "point": [0.0, 0.0]},
         "grids": {"psi_count": 64, "horizon": 4.0},
         "tolerances": {"ode_rel": 1e-8, "ode_abs": 1e-10,
-                       "query_rel": 1e-7, "query_abs": 1e-9,
                        "min_slack": 1e-5},
         "tasks": ["validate", "cutlocus", "classify", "theorems"],
         "seed": 11,
@@ -601,7 +598,6 @@ BUILTINS = {
         "submanifold": {"family": "circle", "radius": 1.0},
         "grids": {"theta_count": 32, "horizon": 4.0},
         "tolerances": {"ode_rel": 1e-8, "ode_abs": 1e-10,
-                       "query_rel": 1e-7, "query_abs": 1e-9,
                        "min_slack": 1e-5},
         "tasks": ["cutlocus", "classify", "loops", "theorems"],
         "seed": 12,

@@ -79,19 +79,7 @@ def point_submanifold(chart, x):
 
 
 def circle_submanifold(chart=0, center=(0.0, 0.0), radius=1.0):
-    cx, cy = center
-
-    def imm(th):
-        from math import cos, sin  # only reached with float theta
-        t = th[0]
-        if isinstance(t, dual.Dual):
-            return [cx + radius * _dcos(t), cy + radius * _dsin(t)]
-        return [cx + radius * cos(t), cy + radius * sin(t)]
-
-    N = SubmanifoldSpec(chart, 1, [[0.0], [2 * np.pi]], imm,
-                        periodic=[True], closed=True,
-                        jacobian_fn=lambda th: _ellipse_jacobian(
-                            radius, radius, th[0]))
+    N = ellipse_submanifold(chart, radius, radius, center)
     N.family = "circle"
     return N
 

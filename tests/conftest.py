@@ -48,7 +48,6 @@ def sphere_setup():
     N = fc.point_submanifold(0, np.zeros(2))
     plan = fc.ShootingPlan(psi_count=64, horizon=4.0,
                            ode_rtol=1e-8, ode_atol=1e-10,
-                           query_rtol=1e-7, query_atol=1e-9,
                            min_slack=1e-5)
     return atlas, metric, N, plan
 

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.metadata
 import json
 import os
@@ -129,11 +130,13 @@ def test_cli_validate(tmp_path, capsys):
     ("output", {"formats": ["json"]}, "/output"),
     ("tolerances", {"newton": 1e-9}, "/tolerances"),
     ("tolerances", {"distinct_angle": 1e-3}, "/tolerances"),
+    ("schema_version", "2.0", "/schema_version"),
 ], ids=["dim", "periods", "b", "point", "center", "direction", "formats",
-        "newton", "distinct_angle"])
+        "newton", "distinct_angle", "schema_version"])
 def test_validate_rejects_what_cannot_run(tmp_path, capsys, section, value,
                                           pointer):
-    # every manifold is 2-dimensional; a key that changes no output is gone
+    # every manifold is 2-dimensional; a key that changes no output is gone;
+    # the schema version is the one this program reads
     bad = dict(TINY, **{section: value})
     with pytest.raises(ScenarioError) as err:
         fc.parse_scenario(json.dumps(bad))
@@ -142,6 +145,28 @@ def test_validate_rejects_what_cannot_run(tmp_path, capsys, section, value,
     f.write_text(json.dumps(bad))
     assert cli.main(["validate", str(f)]) == 1
     assert f"invalid scenario at {pointer}:" in capsys.readouterr().err
+
+
+def test_every_plan_key_changes_the_shooting_plan():
+    # each tolerance and grid key that feeds the plan changes it, and
+    # between them they reach every plan field: a key no shooting reads
+    # fails here
+    sc = fc.parse_scenario(dict(TINY, schema_version=scenario.SCHEMA_VERSION))
+    base = scenario.build_geometry(sc)[3]
+    keys = [("tolerances", k) for k in SCHEMA["properties"]["tolerances"]
+            ["properties"]]
+    keys += [("grids", k) for k in ("theta_count", "psi_count", "horizon")]
+    reached = set()
+    for section, key in keys:
+        value = getattr(sc, section)[key]
+        doc = dict(TINY, **{section: dict(TINY.get(section, {}),
+                                          **{key: 2 * value})})
+        plan = scenario.build_geometry(fc.parse_scenario(doc))[3]
+        changed = {f.name for f in dataclasses.fields(plan)
+                   if getattr(plan, f.name) != getattr(base, f.name)}
+        assert len(changed) == 1, (section, key, changed)
+        reached |= changed
+    assert reached == {f.name for f in dataclasses.fields(base)}
 
 
 def test_cli_run_unknown_scenario_is_config_error(capsys):
