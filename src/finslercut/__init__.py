@@ -20,12 +20,14 @@ from .metric import (CustomMetric, MetricField, MetricReport,
                      validate_metric)
 from .geodesic import (GeodesicPath, LinearizedFrame, PathSegment,
                        conjugate_time, exp_map, first_degeneracy,
-                       integrate_geodesic, linearized_flow, path_energy,
+                       integrate_geodesic, integrate_geodesics,
+                       linearized_flow, linearized_flows, path_energy,
                        path_length)
 from .submanifold import (NormalJacobiFlow, NormalRay, SubmanifoldSpec,
                           annihilator_basis, axis_line_submanifold,
                           circle_submanifold, cone_variation_data,
-                          ellipse_submanifold, normal_exp, normal_jacobian,
+                          ellipse_submanifold, normal_exp,
+                          normal_jacobi_flows, normal_jacobian,
                           point_submanifold, sample_unit_cone,
                           sampled_curve_submanifold, tangent_frame,
                           unit_normal)

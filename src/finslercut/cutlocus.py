@@ -41,6 +41,18 @@ many horizons; cut times are keyed by the ray; the fan is sampled once, from
 its one-horizon paths, and stacked once.  Rays off the grid, such as
 ``ray_at(mu, template)``, share the path, flow and cut-time caches but never
 join the fan, so no answer depends on which queries came before.
+
+The fan is integrated as one batch: its one-horizon paths not yet cached
+are stepped together (``geodesic.integrate_geodesics``) the first time the
+fan is stacked, or before, when ``cut_locus`` starts on a shooting field;
+``cut_locus`` also first steps the one-horizon flows of the rays it will
+record together (``submanifold.normal_jacobi_flows``).  A straight point
+source steps no flow.  Each row equals its lone integration to the last bit
+(see ``dopri.py`` for the BLAS and pow conditions this rests on), so a
+batch result is filed under the key ``path(ray)`` or ``flow(ray)`` would
+give it and the cache rule holds.  A row that fails, or every row of a
+batch that raises, is not filed: a later request integrates that ray alone
+and raises as it always did.
 """
 from __future__ import annotations
 
@@ -52,10 +64,10 @@ import numpy as np
 from .atlas import TangentVec
 from .errors import FinslerError, NumericalFailure, UnreachedPointError
 from .geodesic import (first_degeneracy, integrate_geodesic,
-                       straight_geodesics)
+                       integrate_geodesics, straight_geodesics)
 from .metric import V_FLOOR
-from .submanifold import (NormalJacobiFlow, NormalRay, point_submanifold,
-                          sample_unit_cone, unit_normal)
+from .submanifold import (NormalJacobiFlow, NormalRay, normal_jacobi_flows,
+                          point_submanifold, sample_unit_cone, unit_normal)
 
 SEPARATING = "Separating"
 FIRST_FOCAL = "FirstFocal"
@@ -251,6 +263,27 @@ class NormalShooting:
                 rtol=self.plan.ode_rtol, atol=self.plan.ode_atol)
         return got
 
+    def _file(self, cache, rays, integrate):
+        """Integrate the one-horizon values of ``rays`` missing from
+        ``cache`` in one batch, ``integrate(rays, H)``, and file each under
+        the key ``path``/``flow`` give it.  A ray whose integration fails,
+        or every ray when the batch itself raises, is not filed, so a later
+        request integrates it alone and raises as it would have."""
+        todo = {}
+        for ray in rays:
+            key = self._span_key(ray, None)
+            if key not in cache:
+                todo.setdefault(key, ray)
+        if not todo:
+            return
+        try:
+            got = integrate(list(todo.values()), self.plan.horizon)
+        except (FinslerError, np.linalg.LinAlgError):
+            return
+        for key, value in zip(todo, got):
+            if not isinstance(value, Exception):
+                cache[key] = value
+
     def samples(self, i):
         """Fan ray i's one-horizon path, sampled per segment as
         (chart, ts, xs) blocks, xs of shape (2, len(ts))."""
@@ -260,9 +293,7 @@ class NormalShooting:
         for seg in path.segments:
             m = max(2, int(math.ceil((seg.t1 - seg.t0) / dt)) + 1)
             ts = np.linspace(seg.t0, seg.t1, m)
-            xs = np.empty((2, m))
-            for j, t in enumerate(ts):
-                xs[:, j] = seg.eval(t)[:2]
+            xs = seg.eval_many(ts)[:, :2].T.copy()
             blocks.append((seg.chart, ts, xs))
         return blocks
 
@@ -296,6 +327,7 @@ class NormalShooting:
         the positions as one (2, m) array per chart."""
         if self._stack is not None:
             return self._stack
+        self._file_paths()
         per_chart = {}
         for i in range(len(self.rays)):
             for chart, ts, xs in self.samples(i):
@@ -655,6 +687,28 @@ class NormalShooting:
                 atol=self.plan.ode_atol)
         return got
 
+    def file_fan(self, rays):
+        """Integrate, each in one batch, what the cut times of ``rays``
+        will read: the fan's one-horizon paths, which every shooting query
+        samples, and the rays' one-horizon Jacobi flows.  A field with
+        closed-form distances needs no fan path, and a straight point
+        source steps no flow."""
+        if not rays:
+            return
+        if self._line_floor is None:
+            self._file_paths()
+        if not _straight_point_source(self.metric, self.N):
+            plan = self.plan
+            self._file(self._flows, rays, lambda rays, T: normal_jacobi_flows(
+                self.metric, self.N, rays, T, rtol=plan.ode_rtol,
+                atol=plan.ode_atol))
+
+    def _file_paths(self):
+        plan = self.plan
+        self._file(self._paths, self.rays, lambda rays, T: integrate_geodesics(
+            self.metric, [ray.tangent() for ray in rays], T,
+            rtol=plan.ode_rtol, atol=plan.ode_atol))
+
     def focal_time(self, ray: NormalRay, T_max=None):
         if _straight_point_source(self.metric, self.N):
             return math.inf
@@ -830,12 +884,16 @@ def cut_locus(field: NormalShooting, classify=True, side=None):
 
     The fan always covers the whole cone (both sides of a hypersurface),
     since distance queries need every competitor; ``side`` only restricts
-    which rays get records.
+    which rays get records.  When cut times are still to find, the fan's
+    paths and those rays' Jacobi flows are integrated first, in batches
+    (``NormalShooting.file_fan``).
     """
+    rays = [ray for ray in field.rays
+            if side is None or np.sign(ray.psi[0]) == side]
+    field.file_fan([ray for ray in rays
+                    if _ray_key(ray) not in field._cut_times])
     records = []
-    for ray in field.rays:
-        if side is not None and np.sign(ray.psi[0]) != side:
-            continue
+    for ray in rays:
         try:
             records.append(field.record(ray, classify=classify))
         except (FinslerError, np.linalg.LinAlgError) as exc:

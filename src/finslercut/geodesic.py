@@ -2,7 +2,15 @@
 
 The geodesic equation x'' + 2G(x, x') = 0 is integrated with an embedded
 Runge-Kutta 5(4) scheme (Dormand-Prince, elementary step control, quartic
-dense output; ``dopri.py``), switching charts where the atlas asks.  Where
+dense output; ``dopri.py``), switching charts where the atlas asks.  The
+integrator works on rows: ``integrate_geodesics`` and ``linearized_flows``
+step a whole batch of starts (a shooting fan) in one stepper, and
+``integrate_geodesic`` and ``linearized_flow`` are the one-row case.  A
+row's knots, states and dense-output coefficients are bit for bit those of
+its lone integration, so no result depends on whether it came from a batch.
+That rests on the stepper's products and on the right-hand sides computing
+each row alone: ``_by_chart`` hands each chart's rows to the metric's row
+oracles, and a row that enters another chart restarts alone there.  Where
 the spray vanishes on a one-chart atlas (``straight_geodesics``), a geodesic
 is one exact segment: the line x0 + t v on [0, T], with only its endpoint
 checked against the convex chart box.  Jacobi fields come from integrating
@@ -24,8 +32,8 @@ from functools import cached_property
 import numpy as np
 
 from .atlas import TangentVec
-from .dopri import DormandPrince
-from .errors import (AtlasExitError, DegenerateDirectionError,
+from .dopri import TOO_SMALL_STEP, DormandPrince
+from .errors import (AtlasExitError, DegenerateDirectionError, FinslerError,
                      IntegrationError)
 from .metric import V_FLOOR
 
@@ -55,6 +63,22 @@ class PathSegment:
         x3 = x2 * x
         p = [x, x2, x3, x3 * x]
         y = h * np.dot(self.Q[i], p)
+        y += self.y_old[i]
+        return y
+
+    def eval_many(self, ts):
+        """``eval`` at each of the times ``ts`` in one array evaluation, as
+        (len(ts), dim) rows; row j has the bits of ``eval(ts[j])``."""
+        ts = np.asarray(ts, dtype=float)
+        i = np.searchsorted(self.knots, ts, side="right") - 1
+        i = np.clip(i, 0, len(self.Q) - 1)
+        t_old = self.knots[i]
+        h = self.knots[i + 1] - t_old
+        x = (ts - t_old) / h
+        x2 = x * x
+        x3 = x2 * x
+        p = np.stack([x, x2, x3, x3 * x], axis=1)
+        y = h[:, None] * np.matmul(self.Q[i], p[:, :, None])[:, :, 0]
         y += self.y_old[i]
         return y
 
@@ -113,27 +137,47 @@ def straight_geodesics(metric):
     return metric.x_independent and metric.atlas.n_charts == 1
 
 
-def _geodesic_rhs(metric, chart):
+def _by_chart(charts, rows):
+    """(chart, selector) pairs that split ``rows`` by their current chart;
+    one full slice when they share one."""
+    if len(rows) == 1:
+        return [(int(charts[rows[0]]), slice(None))]
+    ch = charts[rows]
+    if (ch == ch[0]).all():
+        return [(int(ch[0]), slice(None))]
+    return [(int(c), ch == c) for c in np.unique(ch)]
+
+
+def _geodesic_rhs(metric, charts):
+    """y' for (x, v) rows, row r in chart ``charts[r]``."""
     n = metric.atlas.dim
 
-    def rhs(t, y):
-        s = metric.spray(chart, y[:n], y[n:])
-        return np.concatenate([y[n:], [-c for c in s]])
+    def rhs(t, y, rows):
+        dy = np.empty_like(y)
+        dy[:, :n] = y[:, n:]
+        for chart, sel in _by_chart(charts, rows):
+            dy[sel, n:] = -metric.spray(chart, y[sel, :n], y[sel, n:])
+        return dy
     return rhs
 
 
-def _linearized_rhs(metric, chart, m):
+def _linearized_rhs(metric, charts, m):
+    """y' for (x, v, J, Jd) rows, J and Jd of shape (n, m) raveled."""
     n = metric.atlas.dim
+    nm = n * m
 
-    def rhs(t, y):
-        J = y[2 * n:2 * n + n * m].reshape(n, m)
-        Jd = y[2 * n + n * m:].reshape(n, m)
-        s, ds = metric.spray_jvp(chart, y[:n], y[n:2 * n], J, Jd)
+    def rhs(t, y, rows):
         dy = np.empty_like(y)
-        dy[:n] = y[n:2 * n]
-        dy[n:2 * n] = [-c for c in s]
-        dy[2 * n:2 * n + n * m] = y[2 * n + n * m:]
-        dy[2 * n + n * m:] = (-ds).ravel()
+        dy[:, :n] = y[:, n:2 * n]
+        dy[:, 2 * n:2 * n + nm] = y[:, 2 * n + nm:]
+        for chart, sel in _by_chart(charts, rows):
+            ys = y[sel]
+            s, ds = metric.spray_jvp(
+                chart, ys[:, :n], ys[:, n:2 * n],
+                ys[:, 2 * n:2 * n + nm].reshape(-1, n, m),
+                ys[:, 2 * n + nm:].reshape(-1, n, m))
+            dy[sel, n:2 * n] = -s
+            dy[sel, 2 * n + nm:] = (-ds).reshape(-1, nm)
         return dy
     return rhs
 
@@ -182,60 +226,128 @@ def _line_segment(atlas, chart, y0, T):
     return PathSegment(chart, 0.0, T, np.array([0.0, T]), np.array([y0]), Q)
 
 
-def _integrate(metric, chart, y0, T, rtol, atol, m=0):
+def _integrate_rows(metric, charts, y0s, T, rtol, atol, m=0):
+    """Integrate the rows ``y0s`` (one start per row, in chart
+    ``charts[r]``) to time T in one stepper.
+
+    Returns, per row, its list of PathSegment or the IntegrationError or
+    AtlasExitError that ends it.  Every row takes exactly the steps of its
+    lone integration (``dopri.py``); a row whose trajectory enters another
+    chart restarts alone there, with a fresh initial step, as a new
+    stepper would.  Any other exception ends the whole batch.
+    """
     atlas = metric.atlas
     n = atlas.dim
-    y = np.asarray(y0, dtype=float)
+    Y = np.array(y0s, dtype=float)
     if m == 0 and straight_geodesics(metric):
-        return [_line_segment(atlas, chart, y, T)]
+        out = []
+        for chart, y in zip(charts, Y):
+            try:
+                out.append([_line_segment(atlas, chart, y, T)])
+            except AtlasExitError as exc:
+                out.append(exc)
+        return out
     max_step = np.inf if atlas.n_charts == 1 else 0.2
-    make_rhs = (_geodesic_rhs if m == 0
-                else (lambda met, ch: _linearized_rhs(met, ch, m)))
-    segments = []
-    t = 0.0
-    sign = 1.0
-    while t < T - 1e-14:
-        solver = DormandPrince(make_rhs(metric, chart), t, y, T,
-                               rtol, atol, max_step)
-        knots, y_old, Q = [t], [], []
-        while solver.status == "running":
-            msg = solver.step()
-            if solver.status == "failed":
-                raise IntegrationError(
-                    f"step-size underflow at t={solver.t:.6g}: {msg}",
-                    t=solver.t, x=solver.y[:n])
-            knots.append(solver.t)
-            y_old.append(solver.y_old)
-            Q.append(solver.dense_Q())
-            x = solver.y[:n]
+    charts = np.array(charts, dtype=int)
+    rhs = (_geodesic_rhs(metric, charts) if m == 0
+           else _linearized_rhs(metric, charts, m))
+    R = len(Y)
+    solver = DormandPrince(rhs, np.zeros(R), Y, T, rtol, atol, max_step)
+    out = [[] for _ in range(R)]
+    signs = [1.0] * R
+    # the open segment of each row: knots, y_old and Q lists
+    open_ = [([0.0], [], []) for _ in range(R)]
+    while any(solver.running):
+        done, failed = solver.step_rows()
+        for r in failed:
+            t = solver.ts[r]
+            out[r] = IntegrationError(
+                f"step-size underflow at t={t:.6g}: {TOO_SMALL_STEP}",
+                t=t, x=solver.ys[r, :n].copy())
+        if not done:
+            continue
+        Q = solver.dense_Q()
+        y_old = solver.ys_old[done]
+        for j, r in enumerate(done):
+            knots, ys, Qs = open_[r]
+            t = solver.ts[r]
+            knots.append(t)
+            ys.append(y_old[j])
+            Qs.append(Q[j])
+            chart = int(charts[r])
+            x = solver.ys[r, :n]
             if not atlas.contains(chart, x):
-                raise AtlasExitError(
-                    f"trajectory left the atlas at t={solver.t:.6g}",
-                    t=solver.t, x=x)
+                out[r] = AtlasExitError(
+                    f"trajectory left the atlas at t={t:.6g}", t=t,
+                    x=x.copy())
+                solver.running[r] = False
+                continue
             target = atlas.switch_target(chart, x)
-            if target is not None:
-                break
-        segments.append(PathSegment(chart, knots[0], solver.t,
-                                    np.array(knots), np.array(y_old),
-                                    np.array(Q), sign))
-        t = solver.t
-        y = solver.y
-        if t < T - 1e-14:
-            tr = atlas.transition(chart, target)
-            y, s = _transform_state(metric, tr, y, n, m)
-            sign *= s
-            chart = target
-    return segments
+            if target is None and solver.running[r]:
+                continue
+            out[r].append(PathSegment(chart, knots[0], t, np.array(knots),
+                                      np.array(ys), np.array(Qs), signs[r]))
+            if t < T - 1e-14:
+                tr = atlas.transition(chart, target)
+                y, s = _transform_state(metric, tr, solver.ys[r], n, m)
+                signs[r] *= s
+                charts[r] = target
+                solver.restart(r, y)
+                open_[r] = ([t], [], [])
+            else:
+                solver.running[r] = False
+    return out
+
+
+def _integrate(metric, chart, y0, T, rtol, atol, m=0):
+    (got,) = _integrate_rows(metric, [chart], [y0], T, rtol, atol, m)
+    if isinstance(got, Exception):
+        raise got
+    return got
+
+
+def _start_row(metric, start):
+    """The (x, v) row of a geodesic start, checked as integrate_geodesic
+    checks it."""
+    if np.linalg.norm(start.v) < V_FLOOR:
+        raise DegenerateDirectionError("integrate_geodesic needs v != 0")
+    metric.atlas.require(start.chart, start.x)
+    return np.concatenate([start.x, start.v])
 
 
 def integrate_geodesic(metric, start: TangentVec, T,
                        rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> GeodesicPath:
-    if np.linalg.norm(start.v) < V_FLOOR:
-        raise DegenerateDirectionError("integrate_geodesic needs v != 0")
-    metric.atlas.require(start.chart, start.x)
-    y0 = np.concatenate([start.x, start.v])
+    y0 = _start_row(metric, start)
     segs = _integrate(metric, start.chart, y0, float(T), rtol, atol)
     return GeodesicPath(metric, segs)
+
+
+def _batch(metric, starts, y0s, T, rtol, atol, m, wrap):
+    """Integrate the rows whose start is not already an exception in one
+    batch; each result is ``wrap(segments)`` or the row's exception."""
+    out = list(y0s)
+    live = [i for i, y in enumerate(y0s) if not isinstance(y, Exception)]
+    if live:
+        got = _integrate_rows(metric, [starts[i].chart for i in live],
+                              [y0s[i] for i in live], float(T), rtol, atol, m)
+        for i, g in zip(live, got):
+            out[i] = g if isinstance(g, Exception) else wrap(g)
+    return out
+
+
+def integrate_geodesics(metric, starts, T, rtol=DEFAULT_RTOL,
+                        atol=DEFAULT_ATOL) -> list:
+    """``integrate_geodesic`` for many starts in one batch.  Entry i is the
+    GeodesicPath of starts[i], equal to its lone integration in every knot,
+    state and coefficient, or the FinslerError that integration raises."""
+    y0s = []
+    for start in starts:
+        try:
+            y0s.append(_start_row(metric, start))
+        except FinslerError as exc:
+            y0s.append(exc)
+    return _batch(metric, starts, y0s, T, rtol, atol, 0,
+                  lambda segs: GeodesicPath(metric, segs))
 
 
 def exp_map(metric, point, v, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
@@ -327,18 +439,39 @@ class LinearizedFrame:
         return self.path.knot_times()
 
 
-def linearized_flow(metric, start: TangentVec, T, J0, Jd0,
-                    rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> LinearizedFrame:
-    """Integrate the variational equation J'' = -d(2G)[J, J'] along the
-    geodesic from ``start``; columns are Jacobi fields."""
+def _flow_row(metric, start, J0, Jd0):
+    """The (x, v, J, Jd) row of a Jacobi flow and its column count m."""
     J0 = np.atleast_2d(np.asarray(J0, dtype=float))
     Jd0 = np.atleast_2d(np.asarray(Jd0, dtype=float))
     if J0.shape[0] != metric.atlas.dim:
         J0, Jd0 = J0.T, Jd0.T
-    m = J0.shape[1]
-    y0 = np.concatenate([start.x, start.v, J0.ravel(), Jd0.ravel()])
+    return (np.concatenate([start.x, start.v, J0.ravel(), Jd0.ravel()]),
+            J0.shape[1])
+
+
+def linearized_flow(metric, start: TangentVec, T, J0, Jd0,
+                    rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> LinearizedFrame:
+    """Integrate the variational equation J'' = -d(2G)[J, J'] along the
+    geodesic from ``start``; columns are Jacobi fields."""
+    y0, m = _flow_row(metric, start, J0, Jd0)
     segs = _integrate(metric, start.chart, y0, float(T), rtol, atol, m=m)
     return LinearizedFrame(metric, segs, m)
+
+
+def linearized_flows(metric, starts, T, J0s, Jd0s, rtol=DEFAULT_RTOL,
+                     atol=DEFAULT_ATOL) -> list:
+    """``linearized_flow`` for many starts with the same number of Jacobi
+    columns, in one batch.  Entry i is the LinearizedFrame of starts[i],
+    equal to its lone integration, or the FinslerError that ends it."""
+    rows = [_flow_row(metric, s, J0, Jd0)
+            for s, J0, Jd0 in zip(starts, J0s, Jd0s)]
+    if not rows:
+        return []
+    m = rows[0][1]
+    if any(k != m for _, k in rows):
+        raise ValueError("linearized_flows needs one column count")
+    return _batch(metric, starts, [y for y, _ in rows], T, rtol, atol, m,
+                  lambda segs: LinearizedFrame(metric, segs, m))
 
 
 def first_degeneracy(frame: LinearizedFrame, signed_matrix_fn, t_floor,

@@ -5,12 +5,15 @@ generic evaluator; families override hot oracles with closed forms where the
 algebra is cheap (Riemannian, Randers, and the fundamental tensor of the
 quartic Minkowski norm).  The geodesic engine reads the spray only through
 two float oracles, ``spray`` (2G) and ``spray_jvp`` (2G and its directional
-derivative); by default both evaluate ``spray_generic``, the latter on
-dual numbers.  The round sphere overrides them with closed forms that repeat
-the floating-point operations of that default, so its geodesics and Jacobi
-fields are the same to the last bit.  For an x-independent metric the spray
-vanishes: ``spray_generic`` returns zeros and ``spray_jvp`` returns zeros
-without evaluating it.  The dual-number oracles stay as the fallback for
+derivative), and both take rows: one (x, v) state per row, so that a batch
+of geodesics is one call.  By default both loop the rows through
+``spray_generic``, the latter on dual numbers.  The round sphere overrides
+them with closed forms that repeat the floating-point operations of that
+default, in order, on arrays, so its geodesics and Jacobi fields are the
+same to the last bit.  For an x-independent metric the spray vanishes:
+``spray_generic``, ``spray`` and ``spray_jvp`` return zeros, the last
+without evaluating anything, and a reversed metric negates the velocity
+rows.  The dual-number oracles stay as the fallback for
 custom metrics and as the reference the closed forms are tested against.
 """
 
@@ -129,29 +132,39 @@ class MetricField:
         return _solve_generic(g, rhs)
 
     def spray(self, chart, x, v):
-        """2G(x, v) as a list of floats."""
-        return [dual.real(c) for c in self.spray_generic(chart, list(x),
-                                                          list(v))]
+        """2G at each row (x[r], v[r]) of the (k, n) arrays x and v, as a
+        (k, n) float array: ``spray_generic`` row by row, or zeros for an
+        x-independent metric."""
+        x = np.asarray(x, dtype=float)
+        if self.x_independent:
+            return np.zeros(x.shape)
+        return np.array([[dual.real(c) for c in
+                          self.spray_generic(chart, list(xr), list(vr))]
+                         for xr, vr in zip(x, np.asarray(v, dtype=float))])
 
     def spray_jvp(self, chart, x, v, dx, dv):
-        """2G(x, v) and its derivative along each column of (dx, dv).
+        """2G at each row and its derivative along each column of (dx, dv).
 
-        Returns ``(s, ds)``: ``s`` is ``spray(chart, x, v)`` and ``ds[:, c]``
-        is d/dt 2G(x + t dx[:, c], v + t dv[:, c]) at t = 0, from one
-        dual-number evaluation of ``spray_generic`` per column; both are
-        zero for an x-independent metric.
+        ``x`` and ``v`` are (k, n) rows and ``dx``, ``dv`` are (k, n, m).
+        Returns ``(s, ds)``: ``s`` is ``spray(chart, x, v)`` and
+        ``ds[r, :, c]`` is d/dt 2G(x[r] + t dx[r, :, c], v[r] + t dv[r, :, c])
+        at t = 0, from one dual-number evaluation of ``spray_generic`` per
+        row and column; both are zero for an x-independent metric.
         """
         n = self.atlas.dim
         dx = np.asarray(dx, dtype=float)
         if self.x_independent:
-            return [0.0] * n, np.zeros(dx.shape)
+            return np.zeros((len(dx), n)), np.zeros(dx.shape)
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
         dv = np.asarray(dv, dtype=float)
-        z = list(x) + list(v)
         ds = np.empty(dx.shape)
-        for c in range(dx.shape[1]):
-            d = list(dx[:, c]) + list(dv[:, c])
-            out = self.spray_generic(chart, *_split_seed(z, d, n))
-            ds[:, c] = [_d1(o) for o in out]
+        for r in range(len(dx)):
+            z = list(x[r]) + list(v[r])
+            for c in range(dx.shape[2]):
+                d = list(dx[r, :, c]) + list(dv[r, :, c])
+                out = self.spray_generic(chart, *_split_seed(z, d, n))
+                ds[r, :, c] = [_d1(o) for o in out]
         return self.spray(chart, x, v), ds
 
     # -- misc ------------------------------------------------------------
@@ -278,6 +291,72 @@ def _round_dmatrix(chart, x):
              for i in range(2)] for j in range(2)]
 
 
+def _round_spray(x0, x1, v0, v1, cube):
+    """2G of the round metric from the coordinates of one state as floats,
+    or of many as arrays; ``cube`` is float pow 3 on the same: numpy's
+    array power can differ from it in the last bit."""
+    r2 = x0 * x0 + x1 * x1
+    phi = 4.0 / ((1.0 + r2) * (1.0 + r2))
+    c = -16.0 / cube(1.0 + r2)
+    d0 = c * x0
+    d1 = c * x1
+    s0 = (0.0 + d0 * v0 * v0 + d1 * v1 * v0
+          - 0.5 * d0 * v0 * v0 - 0.5 * d0 * v1 * v1)
+    s1 = (0.0 + d0 * v0 * v1 + d1 * v1 * v1
+          - 0.5 * d1 * v0 * v0 - 0.5 * d1 * v1 * v1)
+    return s0 / phi, s1 / phi
+
+
+def _cube_rows(b):
+    return np.array([c ** 3 for c in b.tolist()])
+
+
+def _round_spray_d(x0, x1, v0, v1, a0, a1, w0, w1):
+    """Derivative of 2G along (dx, dv) = (a, w), floats or broadcasting
+    arrays: the dual parts of the dual-number evaluation."""
+    # real parts of the dual evaluation; there (1 + r2) ** 3 is
+    # Dual.__pow__'s b * (b * b), not the float pow of ``spray``
+    r2 = x0 * x0 + x1 * x1
+    b = r2 + 1.0
+    bb = b * b
+    phi = 4.0 / bb
+    b3 = b * bb
+    c = -16.0 / b3
+    d0 = c * x0
+    d1 = c * x1
+    h0 = d0 * 0.5
+    h1 = d1 * 0.5
+    p0 = d0 * v0
+    p1 = d1 * v1
+    q00 = h0 * v0
+    q01 = h0 * v1
+    q10 = h1 * v0
+    q11 = h1 * v1
+    s0 = p0 * v0 + 0.0 + p1 * v0 - q00 * v0 - q01 * v1
+    s1 = p0 * v1 + 0.0 + p1 * v1 - q10 * v0 - q11 * v1
+    pp = phi * phi
+    # dual parts, operand for operand as Dual.__mul__/__truediv__
+    bd = (x0 * a0 + a0 * x0) + (x1 * a1 + a1 * x1)
+    bbd = b * bd + bd * b
+    phid = -4.0 * bbd / (bb * bb)
+    cd = 16.0 * (b * bbd + bd * bb) / (b3 * b3)
+    d0d = c * a0 + cd * x0
+    d1d = c * a1 + cd * x1
+    h0d = d0d * 0.5
+    h1d = d1d * 0.5
+    p0d = d0 * w0 + d0d * v0
+    p1d = d1 * w1 + d1d * v1
+    q00d = h0 * w0 + h0d * v0
+    q01d = h0 * w1 + h0d * v1
+    q10d = h1 * w0 + h1d * v0
+    q11d = h1 * w1 + h1d * v1
+    s0d = ((p0 * w0 + p0d * v0) + (p1 * w0 + p1d * v0)
+           - (q00 * w0 + q00d * v0) - (q01 * w1 + q01d * v1))
+    s1d = ((p0 * w1 + p0d * v1) + (p1 * w1 + p1d * v1)
+           - (q10 * w0 + q10d * v0) - (q11 * w1 + q11d * v1))
+    return (s0d * phi - s0 * phid) / pp, (s1d * phi - s1 * phid) / pp
+
+
 class RoundSphereMetric(RiemannianMetric):
     """Round metric 4/(1+|x|^2)^2 dx^2 on the two-chart stereographic atlas.
 
@@ -285,7 +364,9 @@ class RoundSphereMetric(RiemannianMetric):
     branch for a = phi(x) I.  They repeat, in the same order, the
     floating-point operations of its float evaluation (``spray`` and the
     value half of ``spray_jvp``) and of the dual parts of its dual-number
-    evaluation (the derivative half).  The only operations left out are the
+    evaluation (the derivative half): on Python floats for one row, and
+    elementwise on arrays for several, with the one power of ``spray`` a
+    float pow per row either way.  The only operations left out are the
     additions of the exactly-zero off-diagonal terms of d a; for finite
     inputs they change no value, at most the sign of a zero.  The results
     therefore equal the dual-number path's.
@@ -295,70 +376,31 @@ class RoundSphereMetric(RiemannianMetric):
         super().__init__(atlas, _round_matrix, dmatrix_fn=_round_dmatrix)
 
     def spray(self, chart, x, v):
-        x0, x1 = float(x[0]), float(x[1])
-        v0, v1 = float(v[0]), float(v[1])
-        r2 = x0 * x0 + x1 * x1
-        phi = 4.0 / ((1.0 + r2) * (1.0 + r2))
-        c = -16.0 / ((1.0 + r2) ** 3)
-        d0 = c * x0
-        d1 = c * x1
-        s0 = (0.0 + d0 * v0 * v0 + d1 * v1 * v0
-              - 0.5 * d0 * v0 * v0 - 0.5 * d0 * v1 * v1)
-        s1 = (0.0 + d0 * v0 * v1 + d1 * v1 * v1
-              - 0.5 * d1 * v0 * v0 - 0.5 * d1 * v1 * v1)
-        return [s0 / phi, s1 / phi]
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
+        if len(x) == 1:
+            (x0, x1), (v0, v1) = x[0].tolist(), v[0].tolist()
+            return np.array([_round_spray(x0, x1, v0, v1, lambda b: b ** 3)])
+        return np.stack(_round_spray(x[:, 0], x[:, 1], v[:, 0], v[:, 1],
+                                     _cube_rows), axis=1)
 
     def spray_jvp(self, chart, x, v, dx, dv):
-        x0, x1 = float(x[0]), float(x[1])
-        v0, v1 = float(v[0]), float(v[1])
-        # real parts of the dual evaluation; there (1 + r2) ** 3 is
-        # Dual.__pow__'s b * (b * b), not the float pow of ``spray``
-        r2 = x0 * x0 + x1 * x1
-        b = r2 + 1.0
-        bb = b * b
-        phi = 4.0 / bb
-        b3 = b * bb
-        c = -16.0 / b3
-        d0 = c * x0
-        d1 = c * x1
-        h0 = d0 * 0.5
-        h1 = d1 * 0.5
-        p0 = d0 * v0
-        p1 = d1 * v1
-        q00 = h0 * v0
-        q01 = h0 * v1
-        q10 = h1 * v0
-        q11 = h1 * v1
-        s0 = p0 * v0 + 0.0 + p1 * v0 - q00 * v0 - q01 * v1
-        s1 = p0 * v1 + 0.0 + p1 * v1 - q10 * v0 - q11 * v1
-        pp = phi * phi
-        (a0s, a1s), (w0s, w1s) = (np.asarray(dx, dtype=float).tolist(),
-                                  np.asarray(dv, dtype=float).tolist())
-        out0 = []
-        out1 = []
-        for a0, a1, w0, w1 in zip(a0s, a1s, w0s, w1s):
-            # dual parts, operand for operand as Dual.__mul__/__truediv__
-            bd = (x0 * a0 + a0 * x0) + (x1 * a1 + a1 * x1)
-            bbd = b * bd + bd * b
-            phid = -4.0 * bbd / (bb * bb)
-            cd = 16.0 * (b * bbd + bd * bb) / (b3 * b3)
-            d0d = c * a0 + cd * x0
-            d1d = c * a1 + cd * x1
-            h0d = d0d * 0.5
-            h1d = d1d * 0.5
-            p0d = d0 * w0 + d0d * v0
-            p1d = d1 * w1 + d1d * v1
-            q00d = h0 * w0 + h0d * v0
-            q01d = h0 * w1 + h0d * v1
-            q10d = h1 * w0 + h1d * v0
-            q11d = h1 * w1 + h1d * v1
-            s0d = ((p0 * w0 + p0d * v0) + (p1 * w0 + p1d * v0)
-                   - (q00 * w0 + q00d * v0) - (q01 * w1 + q01d * v1))
-            s1d = ((p0 * w1 + p0d * v1) + (p1 * w1 + p1d * v1)
-                   - (q10 * w0 + q10d * v0) - (q11 * w1 + q11d * v1))
-            out0.append((s0d * phi - s0 * phid) / pp)
-            out1.append((s1d * phi - s1 * phid) / pp)
-        return self.spray(chart, x, v), np.array([out0, out1])
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
+        dx = np.asarray(dx, dtype=float)
+        dv = np.asarray(dv, dtype=float)
+        if len(x) == 1:
+            (x0, x1), (v0, v1) = x[0].tolist(), v[0].tolist()
+            (a0s, a1s), (w0s, w1s) = dx[0].tolist(), dv[0].tolist()
+            cols = [_round_spray_d(x0, x1, v0, v1, a0, a1, w0, w1)
+                    for a0, a1, w0, w1 in zip(a0s, a1s, w0s, w1s)]
+            ds = np.array(cols).T[None]
+        else:
+            # per-row values as (k, 1) columns against (k, m) directions
+            ds = np.stack(_round_spray_d(
+                x[:, 0:1], x[:, 1:2], v[:, 0:1], v[:, 1:2],
+                dx[:, 0], dx[:, 1], dv[:, 0], dv[:, 1]), axis=1)
+        return self.spray(chart, x, v), ds
 
 
 def sphere_metric(atlas):
@@ -483,10 +525,10 @@ class ReversedMetric(MetricField):
         return self.base.spray_generic(chart, x, [-c for c in v])
 
     def spray(self, chart, x, v):
-        return self.base.spray(chart, x, [-c for c in v])
+        return self.base.spray(chart, x, -np.asarray(v, dtype=float))
 
     def spray_jvp(self, chart, x, v, dx, dv):
-        return self.base.spray_jvp(chart, x, [-c for c in v], dx,
+        return self.base.spray_jvp(chart, x, -np.asarray(v, dtype=float), dx,
                                    -np.asarray(dv, dtype=float))
 
     def reversed_(self):

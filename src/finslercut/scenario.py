@@ -797,6 +797,10 @@ def run_scenario(sc: Scenario, out_dir=None, refine=None):
 # -- golden summaries -----------------------------------------------------
 
 
+# magnitude a noise-level golden field may always reach, see _compare
+NOISE_FLOOR = 1e-13
+
+
 def golden_dir():
     return Path(__file__).parent / "golden"
 
@@ -806,6 +810,11 @@ def golden_path(name):
 
 
 def _compare(a, b, path, rtol, diffs):
+    """Differences of the summary ``a`` from the golden ``b``.  Numbers
+    must agree to ``rtol``, relative or absolute; a number whose golden
+    magnitude is below ``rtol`` (a residual or a noise-level maximum) must
+    also stay within max(10 |golden|, 1e-13) in magnitude, since the
+    absolute tolerance alone would let it grow by orders of magnitude."""
     if isinstance(a, dict) and isinstance(b, dict):
         for k in sorted(set(a) | set(b)):
             if k not in a or k not in b:
@@ -823,6 +832,9 @@ def _compare(a, b, path, rtol, diffs):
         if not math.isclose(float(a), float(b), rel_tol=rtol,
                             abs_tol=rtol):
             diffs.append(f"{path}: {a} vs {b}")
+        elif abs(b) < rtol and abs(a) > max(10.0 * abs(b), NOISE_FLOOR):
+            diffs.append(f"{path}: {a} vs {b} (noise-level field grew "
+                         f"past 10x its golden)")
     elif a != b:
         diffs.append(f"{path}: {a!r} vs {b!r}")
 

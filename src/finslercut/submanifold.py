@@ -18,7 +18,8 @@ import numpy as np
 from . import dual
 from .atlas import TangentVec
 from .errors import FinslerError, ImmersionError, NumericalFailure
-from .geodesic import DEFAULT_ATOL, DEFAULT_RTOL, exp_map, linearized_flow
+from .geodesic import (DEFAULT_ATOL, DEFAULT_RTOL, exp_map, linearized_flow,
+                       linearized_flows)
 from .metric import legendre_inverse
 
 ORTH_TOL = 1e-7
@@ -286,14 +287,18 @@ class NormalJacobiFlow:
     """
 
     def __init__(self, metric, N, ray, T, rtol=DEFAULT_RTOL,
-                 atol=DEFAULT_ATOL):
+                 atol=DEFAULT_ATOL, frame=None):
+        """``frame``, when given, is the ray's already integrated flow (see
+        ``normal_jacobi_flows``)."""
         self.metric = metric
         self.N = N
         self.ray = ray
         self.T = float(T)
-        J0, Jd0 = cone_variation_data(metric, N, ray)
-        self.frame = linearized_flow(metric, ray.tangent(), self.T,
-                                     J0, Jd0, rtol=rtol, atol=atol)
+        if frame is None:
+            J0, Jd0 = cone_variation_data(metric, N, ray)
+            frame = linearized_flow(metric, ray.tangent(), self.T,
+                                    J0, Jd0, rtol=rtol, atol=atol)
+        self.frame = frame
 
     def signed_matrix(self, t):
         """(matrix(t), orientation sign of the chart at t), one path read."""
@@ -302,6 +307,34 @@ class NormalJacobiFlow:
 
     def matrix(self, t) -> np.ndarray:
         return self.signed_matrix(t)[0]
+
+
+def normal_jacobi_flows(metric, N, rays, T, rtol=DEFAULT_RTOL,
+                        atol=DEFAULT_ATOL) -> list:
+    """``NormalJacobiFlow`` for many rays, the flows stepped in one batch
+    (``geodesic.linearized_flows``).  Entry i is the flow of rays[i], equal
+    to ``NormalJacobiFlow(metric, N, rays[i], T)``, or the exception its
+    construction raises: a FinslerError or LinAlgError from the initial
+    data or the integration."""
+    out, starts, data = [], [], []
+    for ray in rays:
+        try:
+            data.append(cone_variation_data(metric, N, ray))
+        except (FinslerError, np.linalg.LinAlgError) as exc:
+            out.append(exc)
+            continue
+        out.append(None)
+        starts.append(ray)
+    frames = iter(linearized_flows(
+        metric, [ray.tangent() for ray in starts], float(T),
+        [J0 for J0, _ in data], [Jd0 for _, Jd0 in data],
+        rtol=rtol, atol=atol))
+    for i, ray in enumerate(rays):
+        if out[i] is None:
+            frame = next(frames)
+            out[i] = (frame if isinstance(frame, Exception) else
+                      NormalJacobiFlow(metric, N, ray, T, frame=frame))
+    return out
 
 
 def normal_jacobian(metric, N, ray: NormalRay, t) -> np.ndarray:

@@ -239,11 +239,17 @@ def test_seed_iteration_reads_cached_paths(sphere_setup, monkeypatch):
         integrations.append(args[2])
         return fc.integrate_geodesic(*args, **kwargs)
 
+    def integrate_geodesics(metric, starts, T, **kwargs):
+        # the batch entry point: one integration per row
+        integrations.extend([T] * len(starts))
+        return fc.integrate_geodesics(metric, starts, T, **kwargs)
+
     def refine_arrival(*args, **kwargs):
         refines.append(args[1])
         return fc.NormalShooting.refine_arrival(field, *args, **kwargs)
 
     monkeypatch.setattr(cutlocus, "integrate_geodesic", integrate_geodesic)
+    monkeypatch.setattr(cutlocus, "integrate_geodesics", integrate_geodesics)
     monkeypatch.setattr(field, "refine_arrival", refine_arrival)
     # every ray of the point source reconverges at the antipode at t = pi
     field.distance(field.path(field.rays[0]).position(math.pi))

@@ -289,6 +289,14 @@ def test_contains_agrees_with_array_comparison(atlas):
         assert not atlas.contains(chart, np.array([nan, mid[1]]))
 
 
+def _one_row(make_rhs, metric, chart, *args):
+    """A right-hand side on rows as scipy's fun(t, y), for one row in
+    ``chart``."""
+    rhs = make_rhs(metric, np.array([chart]), *args)
+    return lambda t, y: rhs(np.array([t]), np.asarray(y)[None],
+                            np.zeros(1, dtype=int))[0]
+
+
 def _run_against_rk45(fun, y0, T, rtol, atol, max_step=np.inf):
     """Step DormandPrince and scipy's RK45 side by side; every accepted t,
     y and dense-output value must be equal.  Returns RK45's rejections."""
@@ -320,12 +328,13 @@ def test_stepper_matches_scipy_rk45():
     sphere = fc.sphere_metric(fc.sphere_atlas())
     flat = fc.euclidean_metric(fc.flat_atlas())
     geo0 = np.array([0.3, -0.2, 0.45, 0.1])
-    cases = [(_geodesic_rhs(sphere, chart), geo0) for chart in (0, 1)]
+    cases = [(_one_row(_geodesic_rhs, sphere, chart), geo0)
+             for chart in (0, 1)]
     for m in (1, 2):
         jac0 = np.concatenate([np.zeros(2 * m), np.eye(2)[:, :m].ravel()])
-        cases.append((_linearized_rhs(sphere, 0, m),
+        cases.append((_one_row(_linearized_rhs, sphere, 0, m),
                       np.concatenate([geo0, jac0])))
-    cases.append((_geodesic_rhs(flat, 0), geo0))
+    cases.append((_one_row(_geodesic_rhs, flat, 0), geo0))
     rejected = 0
     for fun, y0 in cases:
         for max_step in (0.2, np.inf):
@@ -355,12 +364,12 @@ def test_stepper_blow_up_fails_where_rk45_does():
         x_independent = False
 
         def spray(self, chart, x, v):
-            return [-v[0] ** 2]
+            return -v * v
 
     from scipy.integrate import RK45
     metric = BlowUpMetric()
     y0 = np.array([0.0, 1.0])
-    ref = RK45(_geodesic_rhs(metric, 0), 0.0, y0, 2.0, rtol=1e-9,
+    ref = RK45(_one_row(_geodesic_rhs, metric, 0), 0.0, y0, 2.0, rtol=1e-9,
                atol=1e-11, max_step=np.inf)
     while ref.status == "running":
         ref.step()
@@ -373,7 +382,7 @@ def test_stepper_blow_up_fails_where_rk45_does():
 
 def test_stepper_clamps_tiny_rtol_like_rk45():
     sphere = fc.sphere_metric(fc.sphere_atlas())
-    fun = _geodesic_rhs(sphere, 0)
+    fun = _one_row(_geodesic_rhs, sphere, 0)
     y0 = np.array([0.3, -0.2, 0.45, 0.1])
     with pytest.warns(UserWarning, match="rtol"):
         _run_against_rk45(fun, y0, 0.5, 1e-17, 1e-11)
@@ -383,7 +392,7 @@ def test_stepper_clamps_tiny_rtol_like_rk45():
 
 
 def test_stepper_rejects_bad_input_like_rk45():
-    fun = _geodesic_rhs(fc.euclidean_metric(fc.flat_atlas()), 0)
+    fun = _one_row(_geodesic_rhs, fc.euclidean_metric(fc.flat_atlas()), 0)
     with pytest.raises(ValueError, match="1-dimensional"):
         DormandPrince(fun, 0.0, np.zeros((2, 2)), 1.0, 1e-9, 1e-11)
     with pytest.raises(ValueError, match="finite"):

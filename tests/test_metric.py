@@ -184,28 +184,49 @@ def _round_states(rng, count):
 
 def test_round_sphere_spray_equals_dual_path():
     # the closed forms must give the analytic spray_generic branch's numbers
-    # exactly, both its float evaluation and its dual parts
+    # exactly, both its float evaluation and its dual parts, one row at a
+    # time and on rows
     metric = fc.sphere_metric(fc.sphere_atlas())
     assert isinstance(metric, RiemannianMetric)
     assert metric.spray_generic.__func__ is RiemannianMetric.spray_generic
-    for chart, x, v, dx, dv in _round_states(np.random.default_rng(5), 3000):
+    states = _round_states(np.random.default_rng(5), 3000)
+    refs = []
+    for chart, x, v, dx, dv in states:
         ref = [dual.real(c) for c in metric.spray_generic(chart, x, v)]
         seeded = _split_seed(x + v, list(dx[:, 0]) + list(dv[:, 0]), 2)
         dref = [_d1(o) for o in metric.spray_generic(chart, *seeded)]
-        assert np.array_equal(metric.spray(chart, x, v), ref), (x, v)
+        refs.append((ref, dref))
+        assert np.array_equal(metric.spray(chart, [x], [v])[0], ref), (x, v)
+        s, ds = metric.spray_jvp(chart, [x], [v], dx[None], dv[None])
+        assert np.array_equal(s[0], ref), (x, v)
+        assert ds.shape == (1, 2, 1)
+        assert np.array_equal(ds[0, :, 0], dref), (x, v, dx, dv)
+    # all states of a chart as the rows of one call
+    for chart in (0, 1):
+        idx = [k for k, st in enumerate(states) if st[0] == chart]
+        x = np.array([states[k][1] for k in idx], dtype=float)
+        v = np.array([states[k][2] for k in idx], dtype=float)
+        dx = np.array([states[k][3] for k in idx])
+        dv = np.array([states[k][4] for k in idx])
+        rows = metric.spray(chart, x, v)
         s, ds = metric.spray_jvp(chart, x, v, dx, dv)
-        assert np.array_equal(s, ref), (x, v)
-        assert ds.shape == (2, 1)
-        assert np.array_equal(ds[:, 0], dref), (x, v, dx, dv)
+        assert rows.shape == s.shape == (len(idx), 2)
+        assert ds.shape == (len(idx), 2, 1)
+        for j, k in enumerate(idx):
+            ref, dref = refs[k]
+            assert np.array_equal(rows[j], ref)
+            assert np.array_equal(s[j], ref)
+            assert np.array_equal(ds[j, :, 0], dref)
 
 
 def test_round_sphere_spray_jvp_takes_columns():
     metric = fc.sphere_metric(fc.sphere_atlas())
     rng = np.random.default_rng(8)
-    x, v = rng.uniform(-1.0, 1.0, 2), rng.standard_normal(2)
-    dx, dv = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
+    x, v = rng.uniform(-1.0, 1.0, (4, 2)), rng.standard_normal((4, 2))
+    dx, dv = rng.standard_normal((4, 2, 3)), rng.standard_normal((4, 2, 3))
     s, ds = metric.spray_jvp(0, x, v, dx, dv)
     ref_s, ref_ds = MetricField.spray_jvp(metric, 0, x, v, dx, dv)
+    assert ds.shape == (4, 2, 3)
     assert np.array_equal(s, ref_s)
     assert np.array_equal(ds, ref_ds)
 

@@ -313,7 +313,28 @@ def test_sphere_builtin_matches_golden(name):
 
 
 @pytest.mark.parametrize("name", ["torus-point", "torus-quartic-point",
-                                  "randers-plane-axis"])
+                                  "randers-plane-axis", "plane-circle",
+                                  "randers-plane-point"])
 def test_builtin_matches_golden(name):
     summary = summary_document(run_scenario(builtin_scenario(name)))
     assert scenario.compare_to_golden(summary, name) == []
+
+
+def test_golden_gate_sees_noise_level_fields():
+    golden = json.loads(scenario.golden_path("torus-point").read_text())
+    dev = golden["tasks"]["dfcheck"]["max_deviation"]
+    assert 1e-12 < dev < 1e-11
+    assert scenario.compare_to_golden(golden, "torus-point") == []
+    # a rise far inside the 1e-9 tolerance, to 100 times the golden
+    golden["tasks"]["dfcheck"]["max_deviation"] = 100.0 * dev
+    (diff,) = scenario.compare_to_golden(golden, "torus-point")
+    assert diff.startswith("/tasks/dfcheck/max_deviation: ")
+    # the synthetic case: 1e-12 -> 1e-10 fails, up to 10x passes, and any
+    # noise-level field may reach 1e-13
+    for got, want, ok in [(1e-10, 1e-12, False), (-1e-10, 1e-12, False),
+                          (9e-12, 1e-12, True), (1e-13, 0.0, True),
+                          (2e-13, 0.0, False), (2e-13, 1e-14, False),
+                          (0.0, 5e-10, True), (1.5, 1.5 + 5e-10, True)]:
+        diffs = []
+        scenario._compare({"x": got}, {"x": want}, "", 1e-9, diffs)
+        assert (diffs == []) == ok, (got, want)
