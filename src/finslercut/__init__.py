@@ -14,7 +14,7 @@ from .errors import (AtlasExitError, ConvexityError, CutLocusError,
                      ScenarioError, UnreachedPointError)
 from .metric import (CustomMetric, MetricField, MetricReport,
                      MinkowskiQuarticMetric, RandersMetric, ReversedMetric,
-                     RiemannianMetric, ValidationPlan, cartan_tensor,
+                     RiemannianMetric, cartan_tensor,
                      euclidean_metric, fundamental_tensor, legendre,
                      legendre_inverse, reverse_metric, sphere_metric,
                      validate_metric)

@@ -163,20 +163,24 @@ def _inversion(x):
     return [x[0] / r2, x[1] / r2]
 
 
-def sphere_atlas(switch_radius=1.4, chart_radius=3.0):
+SPHERE_SWITCH_RADIUS = 1.4     # |x| past which a geodesic switches chart
+SPHERE_CHART_RADIUS = 3.0      # half-width of each stereographic chart
+
+
+def sphere_atlas():
     """Unit round sphere as two stereographic charts glued by inversion.
 
     Chart 0 covers the sphere minus the north pole (origin = south pole);
     chart 1 covers the sphere minus the south pole.  The round metric is
     conformal, 4/(1+|x|^2)^2 * dx^2, in both charts.
     """
-    box = np.array([[-chart_radius, -chart_radius],
-                    [chart_radius, chart_radius]])
+    r = SPHERE_CHART_RADIUS
+    box = np.array([[-r, -r], [r, r]])
     t01 = Transition(0, 1, _inversion)
     t10 = Transition(1, 0, _inversion)
 
     def switch(chart, x):
-        if np.dot(x, x) > switch_radius ** 2:
+        if np.dot(x, x) > SPHERE_SWITCH_RADIUS ** 2:
             return 1 - chart
         return None
 

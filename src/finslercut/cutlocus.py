@@ -63,8 +63,9 @@ import numpy as np
 
 from .atlas import TangentVec
 from .errors import FinslerError, NumericalFailure, UnreachedPointError
-from .geodesic import (first_degeneracy, integrate_geodesic,
-                       integrate_geodesics, straight_geodesics)
+from .geodesic import (DEFAULT_ATOL, DEFAULT_RTOL, first_degeneracy,
+                       integrate_geodesic, integrate_geodesics,
+                       straight_geodesics)
 from .metric import V_FLOOR
 from .submanifold import (NormalJacobiFlow, NormalRay, normal_jacobi_flows,
                           point_submanifold, sample_unit_cone, unit_normal)
@@ -90,8 +91,8 @@ class ShootingPlan:
     theta_count: int = 128
     psi_count: int = 64
     horizon: float = 3.0
-    ode_rtol: float = 1e-9
-    ode_atol: float = 1e-11
+    ode_rtol: float = DEFAULT_RTOL
+    ode_atol: float = DEFAULT_ATOL
     bisect_tol: float = 1e-6
     min_slack: float = 1e-6
 

@@ -11,7 +11,7 @@ as the oracle.  The stepper integrates forward in t only.
 One stepper advances R independent rows at once, each under its own step
 control: its own t, step size, error norm, accept/reject decision and
 rejection flag, so a row takes exactly the steps it takes alone; a single
-integration is the case R = 1.  The rows are stacked along the state axis:
+integration is one row.  The rows are stacked along the state axis:
 the stages form one (7, R d) array, and the stage, B, E and P products are
 one ``np.dot`` over it.  That gives every row the bits of its lone (7, d)
 product only because the BLAS kernel computes each output element the same
@@ -76,36 +76,22 @@ def _rms(x):
 class DormandPrince:
     """Integrations of y' = fun(t, y) from t0 toward t_bound > t0, on rows.
 
-    With a scalar ``t0``, one integration: ``y0`` is 1-dimensional,
-    ``fun(t, y)`` returns a float array shaped like ``y``, and ``step``
-    advances one accepted step and returns None, or sets ``status`` to
-    "failed" and returns the reason; ``status`` is "finished" once ``t``
-    reaches ``t_bound``.  After a step, ``t_old``/``y_old`` hold its start
-    and ``dense_Q`` its interpolant coefficients.
-
-    With ``t0`` of length R, R rows: ``y0`` is (R, d), and
+    ``t0`` holds one start time per row and ``y0`` is (R, d);
     ``fun(t, y, rows)`` returns the (k, d) derivatives at the times t and
     states y of the rows with indices ``rows``.  ``step_rows`` makes one
     attempt on every running row.  The per-row lists ``ts``, ``ts_old``,
     ``running`` and ``failed`` and the (R, d) arrays ``ys`` and ``ys_old``
-    hold the result, and ``restart`` starts one row afresh.
+    hold the result, ``dense_Q`` the interpolant coefficients of the last
+    accepted steps, and ``restart`` starts one row afresh.
     """
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol, max_step=np.inf):
+        if np.ndim(t0) != 1:
+            raise ValueError("`t0` must hold one start time per row.")
+        t0 = list(t0)
         y0 = np.asarray(y0, dtype=float)
-        self.single = np.ndim(t0) == 0
-        if self.single:
-            if y0.ndim != 1:
-                raise ValueError("`y0` must be 1-dimensional.")
-            t0, y0 = [t0], y0[None]
-
-            def rows_fun(t, y, rows):
-                return np.asarray(fun(t[0], y[0]), dtype=float)[None]
-        else:
-            t0 = list(t0)
-            if y0.ndim != 2 or len(y0) != len(t0):
-                raise ValueError("`y0` must hold one row per entry of `t0`.")
-            rows_fun = fun
+        if y0.ndim != 2 or len(y0) != len(t0):
+            raise ValueError("`y0` must hold one row per entry of `t0`.")
         if not np.isfinite(y0).all():
             raise ValueError(
                 "All components of the initial state `y0` must be finite.")
@@ -120,7 +106,7 @@ class DormandPrince:
             rtol = np.maximum(rtol, 100 * EPS)
         if np.any(np.asarray(atol) < 0):
             raise ValueError("`atol` must be positive.")
-        self.fun = rows_fun
+        self.fun = fun
         self.rtol, self.atol, self.max_step = rtol, atol, max_step
         self.t_bound = t_bound
         R = len(y0)
@@ -264,35 +250,6 @@ class DormandPrince:
         return done, failed
 
     def dense_Q(self):
-        """Interpolant coefficients Q of the last accepted step: (d, 4) for
-        one integration, else (k, d, 4) for the k rows the last attempt
-        accepted, in order."""
-        Q = self._K.T.dot(P).reshape(-1, self.ys.shape[1], 4)[self._at]
-        return Q[0] if self.single else Q
-
-    # -- one integration -------------------------------------------------
-
-    # the row arrays are updated in place, so states are handed out as copies
-    t = property(lambda self: self.ts[0])
-    y = property(lambda self: self.ys[0].copy())
-    t_old = property(lambda self: self.ts_old[0])
-    y_old = property(lambda self: self.ys_old[0].copy())
-
-    @property
-    def status(self):
-        if self.failed[0]:
-            return "failed"
-        return "running" if self.running[0] else "finished"
-
-    def step(self):
-        """One accepted step of a single integration: None, or the reason
-        it failed."""
-        if self.status != "running":
-            raise RuntimeError("Attempt to step on a failed or finished "
-                               "solver.")
-        while True:
-            done, failed = self.step_rows()
-            if failed:
-                return TOO_SMALL_STEP
-            if done:
-                return None
+        """Interpolant coefficients Q, (k, d, 4), of the last attempt's
+        accepted steps, for its k accepted rows in order."""
+        return self._K.T.dot(P).reshape(-1, self.ys.shape[1], 4)[self._at]

@@ -39,6 +39,8 @@ from .metric import V_FLOOR
 
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11
+DEGENERATE_RATIO = 1e-7     # sigma_min / sigma_max that counts as degenerate
+DEGENERACY_TOL = 1e-8       # bracket width that ends a focal-time refinement
 
 
 @dataclass
@@ -299,13 +301,6 @@ def _integrate_rows(metric, charts, y0s, T, rtol, atol, m=0):
     return out
 
 
-def _integrate(metric, chart, y0, T, rtol, atol, m=0):
-    (got,) = _integrate_rows(metric, [chart], [y0], T, rtol, atol, m)
-    if isinstance(got, Exception):
-        raise got
-    return got
-
-
 def _start_row(metric, start):
     """The (x, v) row of a geodesic start, checked as integrate_geodesic
     checks it."""
@@ -315,11 +310,12 @@ def _start_row(metric, start):
     return np.concatenate([start.x, start.v])
 
 
-def integrate_geodesic(metric, start: TangentVec, T,
-                       rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> GeodesicPath:
-    y0 = _start_row(metric, start)
-    segs = _integrate(metric, start.chart, y0, float(T), rtol, atol)
-    return GeodesicPath(metric, segs)
+def _lone(batch):
+    """The one entry of a one-start batch, raised if it is an exception."""
+    (got,) = batch
+    if isinstance(got, Exception):
+        raise got
+    return got
 
 
 def _batch(metric, starts, y0s, T, rtol, atol, m, wrap):
@@ -348,6 +344,13 @@ def integrate_geodesics(metric, starts, T, rtol=DEFAULT_RTOL,
             y0s.append(exc)
     return _batch(metric, starts, y0s, T, rtol, atol, 0,
                   lambda segs: GeodesicPath(metric, segs))
+
+
+def integrate_geodesic(metric, start: TangentVec, T,
+                       rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> GeodesicPath:
+    """The geodesic from ``start`` on [0, T]: the one-start batch of
+    ``integrate_geodesics``, raising the error that its entry holds."""
+    return _lone(integrate_geodesics(metric, [start], T, rtol, atol))
 
 
 def exp_map(metric, point, v, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
@@ -449,15 +452,6 @@ def _flow_row(metric, start, J0, Jd0):
             J0.shape[1])
 
 
-def linearized_flow(metric, start: TangentVec, T, J0, Jd0,
-                    rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> LinearizedFrame:
-    """Integrate the variational equation J'' = -d(2G)[J, J'] along the
-    geodesic from ``start``; columns are Jacobi fields."""
-    y0, m = _flow_row(metric, start, J0, Jd0)
-    segs = _integrate(metric, start.chart, y0, float(T), rtol, atol, m=m)
-    return LinearizedFrame(metric, segs, m)
-
-
 def linearized_flows(metric, starts, T, J0s, Jd0s, rtol=DEFAULT_RTOL,
                      atol=DEFAULT_ATOL) -> list:
     """``linearized_flow`` for many starts with the same number of Jacobi
@@ -474,8 +468,15 @@ def linearized_flows(metric, starts, T, J0s, Jd0s, rtol=DEFAULT_RTOL,
                   lambda segs: LinearizedFrame(metric, segs, m))
 
 
+def linearized_flow(metric, start: TangentVec, T, J0, Jd0,
+                    rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> LinearizedFrame:
+    """Integrate the variational equation J'' = -d(2G)[J, J'] along the
+    geodesic from ``start``; columns are Jacobi fields."""
+    return _lone(linearized_flows(metric, [start], T, [J0], [Jd0], rtol, atol))
+
+
 def first_degeneracy(frame: LinearizedFrame, signed_matrix_fn, t_floor,
-                     T_max, sv_rel=1e-7, refine_tol=1e-8):
+                     T_max):
     """First t in (t_floor, T_max] where the 2 x 2 matrix M(t) degenerates.
 
     ``signed_matrix_fn(t)`` returns ``(M(t), sign)``, the sign being the
@@ -498,13 +499,13 @@ def first_degeneracy(frame: LinearizedFrame, signed_matrix_fn, t_floor,
 
     prev_t = grid[0]
     prev_d, ratio = probe(prev_t)
-    if ratio < sv_rel:
+    if ratio < DEGENERATE_RATIO:
         return prev_t
     for t in grid[1:]:
         d, ratio = probe(t)
         if d == 0.0 or (d < 0) != (prev_d < 0):
             lo, hi = prev_t, t
-            while hi - lo > refine_tol:
+            while hi - lo > DEGENERACY_TOL:
                 mid = 0.5 * (lo + hi)
                 dm = probe(mid)[0]
                 if dm == 0.0:
@@ -514,10 +515,10 @@ def first_degeneracy(frame: LinearizedFrame, signed_matrix_fn, t_floor,
                 else:
                     hi = mid
             return 0.5 * (lo + hi)
-        if ratio < sv_rel:
+        if ratio < DEGENERATE_RATIO:
             # even-multiplicity kernel: refine on the singular-value dip
             lo, hi = prev_t, t
-            while hi - lo > refine_tol:
+            while hi - lo > DEGENERACY_TOL:
                 m1 = lo + (hi - lo) / 3
                 m2 = hi - (hi - lo) / 3
                 if probe(m1)[1] < probe(m2)[1]:

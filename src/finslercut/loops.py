@@ -17,6 +17,9 @@ from .submanifold import point_submanifold
 
 SMOOTH_TOL = 1e-4
 BROKEN_TOL = 1e-2
+REVERSIBILITY_SAMPLES = 16  # random (x, v) probes of reversibility_defect
+REVERSIBILITY_TOL = 1e-8    # defect above which a metric counts irreversible
+LOOP_SAMPLES = 64           # samples per segment of an exported loop
 
 
 @dataclass
@@ -32,12 +35,12 @@ class LoopResult:
     diagnostics: dict = dc_field(default_factory=dict)
 
 
-def reversibility_defect(metric, n_samples=16, seed=0):
+def reversibility_defect(metric):
     """Max relative |F(x, v) - F(x, -v)| over random unit-box samples."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     n = metric.atlas.dim
     worst = 0.0
-    for _ in range(n_samples):
+    for _ in range(REVERSIBILITY_SAMPLES):
         x = rng.uniform(-0.5, 0.5, n)
         v = rng.standard_normal(n)
         a = metric.F(TangentVec(0, x, v))
@@ -46,9 +49,9 @@ def reversibility_defect(metric, n_samples=16, seed=0):
     return worst
 
 
-def require_reversible(metric, tol=1e-8):
+def require_reversible(metric):
     defect = reversibility_defect(metric)
-    if defect > tol:
+    if defect > REVERSIBILITY_TOL:
         raise ReversibilityError(
             f"metric is irreversible (max relative F(v) vs F(-v) defect "
             f"{defect:.3g}); reversed segments are not geodesics")
@@ -118,9 +121,9 @@ def _g_norm(metric, state, w):
     return math.sqrt(max(float(w @ g @ w), 0.0))
 
 
-def _sample_segment(field, m, n_samples=64):
+def _sample_segment(field, m):
     path = field.path(m.ray, max(m.t, 1e-9))
-    ts = np.linspace(0.0, m.t, n_samples + 1)
+    ts = np.linspace(0.0, m.t, LOOP_SAMPLES + 1)
     return [(float(t),) + tuple(path.position(t)) for t in ts]
 
 

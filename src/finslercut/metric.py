@@ -28,6 +28,11 @@ from .atlas import TangentVec
 from .errors import (ConvexityError, DegenerateDirectionError, InversionError)
 
 V_FLOOR = 1e-12
+INVERSE_TOL = 1e-10         # inversion residual stop, relative to 1 + |omega|
+INVERSE_ITERS = 100         # Newton iteration cap of the Legendre inversion
+VALIDATE_POINTS = 12        # base points sampled by validate_metric
+VALIDATE_DIRS = 16          # unit directions sampled at each base point
+VALIDATE_BOX = ((-0.8, -0.8), (0.8, 0.8))   # chart-0 box of the base points
 
 
 @dataclass
@@ -559,20 +564,17 @@ def legendre(metric, p: TangentVec) -> Covector:
     return Covector(p.chart, np.asarray(p.x, float), g @ p.v)
 
 
-def legendre_inverse(metric, chart, x, omega, guess=None,
-                     tol=None, max_iter=100) -> TangentVec:
-    """Newton inversion of v -> g_v(v, .), Jacobian = fundamental tensor."""
+def legendre_inverse(metric, chart, x, omega) -> TangentVec:
+    """Newton inversion of v -> g_v(v, .) from v = omega, Jacobian =
+    fundamental tensor."""
     omega = np.asarray(omega, dtype=float)
     x = np.asarray(x, dtype=float)
     onorm = float(np.linalg.norm(omega))
     if onorm < V_FLOOR:
         return TangentVec(chart, x, np.zeros_like(omega))
-    if tol is None:
-        tol = 1e-10 * (1.0 + onorm)
-    v = np.array(guess, dtype=float) if guess is not None else omega.copy()
-    if np.linalg.norm(v) < V_FLOOR:
-        v = omega.copy()
-    for _ in range(max_iter):
+    tol = INVERSE_TOL * (1.0 + onorm)
+    v = omega.copy()
+    for _ in range(INVERSE_ITERS):
         p = TangentVec(chart, x, v)
         g = metric.fundamental(p)
         r = g @ v - omega
@@ -601,15 +603,6 @@ def reverse_metric(metric) -> MetricField:
 
 
 @dataclass
-class ValidationPlan:
-    n_points: int = 12
-    n_dirs: int = 16
-    seed: int = 0
-    chart: int = 0
-    box: tuple = ((-0.8, -0.8), (0.8, 0.8))
-
-
-@dataclass
 class MetricReport:
     homogeneity_max: float
     min_eigenvalue: float
@@ -620,12 +613,12 @@ class MetricReport:
     failures: list
 
 
-def validate_metric(metric, plan: ValidationPlan = None) -> MetricReport:
-    """Sample-based check of homogeneity, convexity, Cartan and reversibility."""
-    plan = plan or ValidationPlan()
-    rng = np.random.default_rng(plan.seed)
-    lo = np.asarray(plan.box[0], float)
-    hi = np.asarray(plan.box[1], float)
+def validate_metric(metric, seed=0) -> MetricReport:
+    """Sample-based check of homogeneity, convexity, Cartan and
+    reversibility at random points of chart 0, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    lo = np.asarray(VALIDATE_BOX[0], float)
+    hi = np.asarray(VALIDATE_BOX[1], float)
     n = metric.atlas.dim
     failures = []
     hom_max = 0.0
@@ -633,15 +626,15 @@ def validate_metric(metric, plan: ValidationPlan = None) -> MetricReport:
     cart_max = 0.0
     rev_max = 0.0
     ident_max = 0.0
-    for _ in range(plan.n_points):
+    for _ in range(VALIDATE_POINTS):
         x = rng.uniform(lo, hi)
-        for _ in range(plan.n_dirs):
+        for _ in range(VALIDATE_DIRS):
             v = rng.normal(size=n)
             v /= np.linalg.norm(v)
-            p = TangentVec(plan.chart, x, v)
+            p = TangentVec(0, x, v)
             f = metric.F(p)
             for lam in (0.5, 2.0, 10.0):
-                fl = metric.F(TangentVec(plan.chart, x, lam * v))
+                fl = metric.F(TangentVec(0, x, lam * v))
                 res = abs(fl - lam * f) / (1.0 + lam * f)
                 hom_max = max(hom_max, res)
                 if res > 1e-9:
@@ -659,7 +652,7 @@ def validate_metric(metric, plan: ValidationPlan = None) -> MetricReport:
             except ConvexityError as exc:
                 failures.append(("convexity", x.copy(), v.copy(), str(exc)))
             if metric.reversible:
-                fr = metric.F(TangentVec(plan.chart, x, -v))
+                fr = metric.F(TangentVec(0, x, -v))
                 res = abs(fr - f) / (1.0 + f)
                 rev_max = max(rev_max, res)
                 if res > 1e-10:
@@ -667,7 +660,7 @@ def validate_metric(metric, plan: ValidationPlan = None) -> MetricReport:
         # Cartan contraction on a couple of directions per point
         v = rng.normal(size=n)
         v /= np.linalg.norm(v)
-        p = TangentVec(plan.chart, x, v)
+        p = TangentVec(0, x, v)
         try:
             C = metric.cartan(p)
             contr = float(np.max(np.abs(np.einsum("ijk,i->jk", C, v))))

@@ -27,8 +27,8 @@ from .cutlocus import (NormalShooting, ShootingPlan, check_rho_continuity,
                        check_rho_leq_lambda, check_se_dense, cut_locus)
 from .errors import (FinslerError, RetractionUndefinedError,
                      ReversibilityError, ScenarioError)
-from .metric import (MinkowskiQuarticMetric, RandersMetric, ValidationPlan,
-                     euclidean_metric, sphere_metric, validate_metric)
+from .metric import (MinkowskiQuarticMetric, RandersMetric, euclidean_metric,
+                     sphere_metric, validate_metric)
 from .submanifold import (axis_line_submanifold, circle_submanifold,
                           ellipse_submanifold, point_submanifold)
 from . import loops as loops_mod
@@ -76,21 +76,23 @@ SUBMANIFOLD_FAMILIES = {
 }
 
 
+# scenario section -> {scenario key: ShootingPlan field}
+_PLAN_KEYS = {
+    "grids": {"theta_count": "theta_count", "psi_count": "psi_count",
+              "horizon": "horizon"},
+    "tolerances": {"ode_rel": "ode_rtol", "ode_abs": "ode_atol",
+                   "bisection": "bisect_tol", "min_slack": "min_slack"},
+}
+
+
 def build_geometry(sc: Scenario):
     """Atlas, metric, submanifold, and shooting plan from a scenario."""
     atlas = MANIFOLD_TYPES[sc.manifold["type"]](sc.manifold)
     metric = METRIC_FAMILIES[sc.metric["family"]](sc, atlas)
     N = SUBMANIFOLD_FAMILIES[sc.submanifold["family"]](sc.submanifold)
-    g, tol = sc.grids, sc.tolerances
-    plan = ShootingPlan(
-        theta_count=g["theta_count"],
-        psi_count=g["psi_count"],
-        horizon=g["horizon"],
-        ode_rtol=tol["ode_rel"],
-        ode_atol=tol["ode_abs"],
-        bisect_tol=tol["bisection"],
-        min_slack=tol["min_slack"],
-    )
+    plan = ShootingPlan(**{field: getattr(sc, section)[key]
+                           for section, keys in _PLAN_KEYS.items()
+                           for key, field in keys.items()})
     return atlas, metric, N, plan
 
 
@@ -242,7 +244,7 @@ class TaskRun:
 
 
 def _task_validate(run):
-    rep = validate_metric(run.metric, ValidationPlan(seed=run.sc.seed))
+    rep = validate_metric(run.metric, seed=run.sc.seed)
     return {
         "passed": bool(rep.passed),
         "homogeneity_max": _num(rep.homogeneity_max),
@@ -309,7 +311,7 @@ def _task_retracts(run):
         worst_c1 = max(worst_c1, atlas.coord_distance(c1, rec.cut_point))
         if k < 3:
             traces.append([(s, c, list(x)) for s, c, x in
-                           topo_mod.homotopy_trace(field, q, "N")])
+                           topo_mod.homotopy_trace(field, q)])
     fixed_cut = atlas.coord_distance(
         topo_mod.retract_to_cut(field, cut, 0.7), cut)
     doc = {
@@ -334,8 +336,8 @@ def _task_dfcheck(run):
         for _ in range(DFCHECK_PROBES):
             ang = rng.uniform(0, 2 * np.pi)
             rad = rng.uniform(0.2, 1.2)
-            probes.append(((0, base + rad * np.array([np.cos(ang),
-                                                      np.sin(ang)])),
+            probes.append(((field.N.chart,
+                            base + rad * np.array([np.cos(ang), np.sin(ang)])),
                            None, rad))
     else:
         probes = _probe_points(field, records, rng, DFCHECK_PROBES,
@@ -499,14 +501,20 @@ SCHEMA = {
     },
 }
 
+
+def _plan_defaults(section):
+    """The ShootingPlan defaults of a scenario section, by scenario key."""
+    plan = ShootingPlan()
+    return {key: getattr(plan, field)
+            for key, field in _PLAN_KEYS[section].items()}
+
+
 _DEFAULTS = {
     "manifold": {"periods": [1.0, 1.0]},
     "metric": {},
     "submanifold": {"chart": 0},
-    "grids": {"theta_count": 128, "psi_count": 64, "horizon": 3.0,
-              "refine_levels": 1, "side": None},
-    "tolerances": {"ode_rel": 1e-9, "ode_abs": 1e-11,
-                   "bisection": 1e-6, "min_slack": 1e-6},
+    "grids": {**_plan_defaults("grids"), "refine_levels": 1, "side": None},
+    "tolerances": _plan_defaults("tolerances"),
     "tasks": ["validate", "cutlocus", "classify", "theorems"],
     "seed": 0,
     "output": {"directory": "out"},

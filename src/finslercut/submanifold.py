@@ -23,6 +23,7 @@ from .geodesic import (DEFAULT_ATOL, DEFAULT_RTOL, exp_map, linearized_flow,
 from .metric import legendre_inverse
 
 ORTH_TOL = 1e-7
+CONE_STEP = 1e-6            # central-difference step of cone_variation_data
 
 
 class SubmanifoldSpec:
@@ -32,7 +33,7 @@ class SubmanifoldSpec:
     family = "custom"
 
     def __init__(self, chart, k, theta_box, immersion_fn, periodic=None,
-                 closed=False, jacobian_fn=None):
+                 jacobian_fn=None):
         if k not in (0, 1):
             raise ValueError(f"a source in a surface is a point or a curve "
                              f"(k = 0 or 1), not k = {k}")
@@ -42,7 +43,6 @@ class SubmanifoldSpec:
             if k else np.zeros((2, 0))
         self.immersion_fn = immersion_fn     # dual-safe theta -> coord list
         self.periodic = ([False] * k if periodic is None else list(periodic))
-        self.closed = closed
         self._jacobian_fn = jacobian_fn
 
     def point(self, theta):
@@ -74,7 +74,7 @@ class SubmanifoldSpec:
 
 def point_submanifold(chart, x):
     x = np.asarray(x, dtype=float)
-    N = SubmanifoldSpec(chart, 0, (), lambda th: list(x), closed=True)
+    N = SubmanifoldSpec(chart, 0, (), lambda th: list(x))
     N.family = "point"
     return N
 
@@ -93,7 +93,7 @@ def ellipse_submanifold(chart=0, a=2.0, b=1.0, center=(0.0, 0.0)):
         return [cx + a * _dcos(t), cy + b * _dsin(t)]
 
     N = SubmanifoldSpec(chart, 1, [[0.0], [2 * np.pi]], imm,
-                        periodic=[True], closed=True,
+                        periodic=[True],
                         jacobian_fn=lambda th: _ellipse_jacobian(a, b, th[0]))
     N.family = "ellipse"
     return N
@@ -109,8 +109,7 @@ def axis_line_submanifold(chart=0, point=(0.0, 0.0), direction=(0.0, 1.0),
         t = th[0]
         return [p[i] + d[i] * t for i in range(len(p))]
 
-    N = SubmanifoldSpec(chart, 1, [[-half_extent], [half_extent]], imm,
-                        closed=False)
+    N = SubmanifoldSpec(chart, 1, [[-half_extent], [half_extent]], imm)
     N.family = "axis-line"
     return N
 
@@ -125,7 +124,7 @@ def sampled_curve_submanifold(thetas, points, chart=0, periodic=True):
     dsp = sp.derivative()
     N = SubmanifoldSpec(chart, 1, [[thetas[0]], [thetas[-1]]],
                         lambda th: list(sp(dual.real(th[0]))),
-                        periodic=[periodic], closed=periodic,
+                        periodic=[periodic],
                         jacobian_fn=lambda th: dsp(th[0]).reshape(-1, 1))
     N.family = "sampled-curve"
     return N
@@ -258,7 +257,7 @@ def normal_exp(metric, N, ray: NormalRay, t, rtol=DEFAULT_RTOL,
                    atol=atol)
 
 
-def cone_variation_data(metric, N, ray: NormalRay, h=1e-6):
+def cone_variation_data(metric, N, ray: NormalRay):
     """Initial data (J0, Jd0), two 2 x 1 columns, for the one cone
     direction at a unit ray.
 
@@ -267,6 +266,7 @@ def cone_variation_data(metric, N, ray: NormalRay, h=1e-6):
     along the tangent of the psi circle.  Derivatives by central
     differences on the smooth unit-normal field.
     """
+    h = CONE_STEP
     if N.k:
         J0 = tangent_frame(N, ray.theta)
         vp = unit_normal(metric, N, ray.theta + h, ray.psi).v

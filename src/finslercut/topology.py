@@ -14,6 +14,9 @@ from .errors import (CutLocusError, NondifferentiableError,
                      NumericalFailure, RetractionUndefinedError)
 from .submanifold import NormalRay
 
+VARIATION_STEP = 1e-5       # central-difference step of check_first_variation
+TRACE_STEPS = 11            # values of s on a homotopy trace, 0 to 1
+
 
 @dataclass
 class InverseExpResult:
@@ -115,9 +118,10 @@ class VariationReport:
     rows: list      # (direction, analytic, finite difference)
 
 
-def check_first_variation(field: NormalShooting, q, directions,
-                          h=1e-5) -> VariationReport:
+def check_first_variation(field: NormalShooting, q,
+                          directions) -> VariationReport:
     """Central finite differences of d(N, .)^2 against the analytic df."""
+    h = VARIATION_STEP
     chart, x = q
     x = np.asarray(x, dtype=float)
     rows = []
@@ -147,13 +151,11 @@ def one_sided_spread(field: NormalShooting, q, X, h=1e-5) -> float:
     return abs(fwd - bwd)
 
 
-def homotopy_trace(field: NormalShooting, q, target="N", s_grid=None):
-    """Retraction path of one probe point, rows (s, x1..xn) for export."""
-    if s_grid is None:
-        s_grid = np.linspace(0.0, 1.0, 11)
-    fn = retract_to_N if target == "N" else retract_to_cut
+def homotopy_trace(field: NormalShooting, q):
+    """Path of one probe point under the retraction onto N, rows
+    (s, chart, x) for export."""
     rows = []
-    for s in s_grid:
-        chart, x = fn(field, q, float(s))
+    for s in np.linspace(0.0, 1.0, TRACE_STEPS):
+        chart, x = retract_to_N(field, q, float(s))
         rows.append((float(s), chart, np.asarray(x, dtype=float)))
     return rows

@@ -199,7 +199,7 @@ def test_criterion_6_differential(circle_field, torus_field, randers_setup):
         for q in qs:
             angs = rng.uniform(0, 2 * math.pi, 2)
             dirs = [np.array([math.cos(a), math.sin(a)]) for a in angs]
-            rep = fc.check_first_variation(field, q, dirs, h=1e-5)
+            rep = fc.check_first_variation(field, q, dirs)
             worst = max(worst, rep.max_deviation)
 
     qs = []

@@ -8,7 +8,7 @@ import finslercut as fc
 from finslercut import cutlocus, dual, scenario
 from finslercut.atlas import TangentVec
 from finslercut.errors import FinslerError
-from finslercut.geodesic import _integrate, _integrate_rows
+from finslercut.geodesic import _integrate_rows
 
 
 def _assert_same_segments(got, want):
@@ -114,7 +114,8 @@ def test_rows_with_rejected_steps_and_chart_switches_equal_lone():
             np.concatenate([y, [0.0, 0.0], [1.0, 0.5]]) for y in y0s]
         got = _integrate_rows(metric, charts, rows, 2.5, 1e-3, 1e-6, m)
         for chart, y0, segs in zip(charts, rows, got):
-            lone = _integrate(metric, chart, y0, 2.5, 1e-3, 1e-6, m)
+            (lone,) = _integrate_rows(metric, [chart], [y0], 2.5, 1e-3,
+                                      1e-6, m)
             _assert_same_segments(segs, lone)
         assert any(len(segs) > 1 for segs in got)
 

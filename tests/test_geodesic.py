@@ -5,9 +5,9 @@ import pytest
 
 import finslercut as fc
 from finslercut.atlas import TangentVec
-from finslercut.dopri import DormandPrince
+from finslercut.dopri import TOO_SMALL_STEP, DormandPrince
 from finslercut.geodesic import (PathSegment, _det_ratio, _geodesic_rhs,
-                                 _integrate, _linearized_rhs)
+                                 _integrate_rows, _linearized_rhs)
 
 
 def test_flat_geodesics_are_straight_lines():
@@ -219,13 +219,14 @@ def test_straight_geodesic_is_one_exact_segment(atlas, family):
 
 def _x_independent_linearized_rhs(n, m):
     """The right-hand side of a Jacobi flow under a vanishing spray, written
-    out: the reference for the generic one with a zero ``spray_jvp``."""
-    def rhs(t, y):
+    out on rows: the reference for the generic one with a zero
+    ``spray_jvp``."""
+    def rhs(t, y, rows):
         dy = np.empty_like(y)
-        dy[:n] = y[n:2 * n]
-        dy[n:2 * n] = 0.0
-        dy[2 * n:2 * n + n * m] = y[2 * n + n * m:]
-        dy[2 * n + n * m:] = 0.0
+        dy[:, :n] = y[:, n:2 * n]
+        dy[:, n:2 * n] = 0.0
+        dy[:, 2 * n:2 * n + n * m] = y[:, 2 * n + n * m:]
+        dy[:, 2 * n + n * m:] = 0.0
         return dy
     return rhs
 
@@ -251,15 +252,15 @@ def test_flows_under_a_vanishing_spray_keep_their_knots():
         J0, Jd0 = fc.cone_variation_data(metric, N, ray)
         n, m = J0.shape
         y0 = np.concatenate([ray.x, ray.v, J0.ravel(), Jd0.ravel()])
-        ref = DormandPrince(_x_independent_linearized_rhs(n, m), 0.0, y0, T,
-                            fc.geodesic.DEFAULT_RTOL,
+        ref = DormandPrince(_x_independent_linearized_rhs(n, m), [0.0],
+                            y0[None], T, fc.geodesic.DEFAULT_RTOL,
                             fc.geodesic.DEFAULT_ATOL)
         knots, y_old, Q = [0.0], [], []
-        while ref.status == "running":
-            assert ref.step() is None
-            knots.append(ref.t)
-            y_old.append(ref.y_old)
-            Q.append(ref.dense_Q())
+        while _status(ref) == "running":
+            assert _step(ref) is None
+            knots.append(ref.ts[0])
+            y_old.append(ref.ys_old[0].copy())
+            Q.append(ref.dense_Q()[0])
         (seg,) = flow.frame.path.segments
         assert len(knots) > 2
         assert np.array_equal(seg.knots, knots)
@@ -289,38 +290,61 @@ def test_contains_agrees_with_array_comparison(atlas):
         assert not atlas.contains(chart, np.array([nan, mid[1]]))
 
 
-def _one_row(make_rhs, metric, chart, *args):
-    """A right-hand side on rows as scipy's fun(t, y), for one row in
-    ``chart``."""
-    rhs = make_rhs(metric, np.array([chart]), *args)
-    return lambda t, y: rhs(np.array([t]), np.asarray(y)[None],
-                            np.zeros(1, dtype=int))[0]
+def _status(stepper):
+    """The scipy status of a one-row stepper."""
+    if stepper.failed[0]:
+        return "failed"
+    return "running" if stepper.running[0] else "finished"
 
 
-def _run_against_rk45(fun, y0, T, rtol, atol, max_step=np.inf):
-    """Step DormandPrince and scipy's RK45 side by side; every accepted t,
-    y and dense-output value must be equal.  Returns RK45's rejections."""
+def _step(stepper):
+    """One accepted step of a one-row stepper, as scipy's ``step``: None,
+    or the message of the failure."""
+    while True:
+        done, failed = stepper.step_rows()
+        if failed:
+            return TOO_SMALL_STEP
+        if done:
+            return None
+
+
+def _row_rhs(make_rhs, metric, chart, *args):
+    """A right-hand side on rows for one row in ``chart``."""
+    return make_rhs(metric, np.array([chart]), *args)
+
+
+def _scipy_fun(rows_fun):
+    """A right-hand side on rows as scipy's fun(t, y), for one row."""
+    return lambda t, y: rows_fun(np.array([t]), np.asarray(y)[None],
+                                 np.zeros(1, dtype=int))[0]
+
+
+def _run_against_rk45(rows_fun, y0, T, rtol, atol, max_step=np.inf):
+    """Step one row of DormandPrince and scipy's RK45 side by side; every
+    accepted t, y and dense-output value must be equal.  Returns RK45's
+    rejections."""
     from scipy.integrate import RK45
-    ours = DormandPrince(fun, 0.0, y0, T, rtol, atol, max_step)
-    ref = RK45(fun, 0.0, y0, T, rtol=rtol, atol=atol, max_step=max_step)
+    ours = DormandPrince(rows_fun, [0.0], y0[None], T, rtol, atol, max_step)
+    ref = RK45(_scipy_fun(rows_fun), 0.0, y0, T, rtol=rtol, atol=atol,
+               max_step=max_step)
     steps = 0
     while ref.status == "running":
-        assert ours.status == "running"
-        assert ours.step() == ref.step()
-        assert ours.status == ref.status
+        assert _status(ours) == "running"
+        assert _step(ours) == ref.step()
+        assert _status(ours) == ref.status
         if ref.status == "failed":
             break
         steps += 1
-        assert ours.t == ref.t and ours.t_old == ref.t_old
-        assert np.array_equal(ours.y, ref.y)
-        seg = PathSegment(0, ours.t_old, ours.t,
-                          np.array([ours.t_old, ours.t]),
-                          ours.y_old[None], ours.dense_Q()[None])
+        assert ours.ts[0] == ref.t and ours.ts_old[0] == ref.t_old
+        assert np.array_equal(ours.ys[0], ref.y)
+        seg = PathSegment(0, ours.ts_old[0], ours.ts[0],
+                          np.array([ours.ts_old[0], ours.ts[0]]),
+                          ours.ys_old[:1].copy(), ours.dense_Q())
         dense = ref.dense_output()
         for t in np.linspace(ref.t_old, ref.t, 9)[1:-1]:
             assert np.array_equal(seg.eval(t), dense(t))
-    assert ours.status == ref.status
-    assert ours.t == ref.t and np.array_equal(ours.y, ref.y)
+    assert _status(ours) == ref.status
+    assert ours.ts[0] == ref.t and np.array_equal(ours.ys[0], ref.y)
     return (ref.nfev - 2) // 6 - steps
 
 
@@ -328,13 +352,13 @@ def test_stepper_matches_scipy_rk45():
     sphere = fc.sphere_metric(fc.sphere_atlas())
     flat = fc.euclidean_metric(fc.flat_atlas())
     geo0 = np.array([0.3, -0.2, 0.45, 0.1])
-    cases = [(_one_row(_geodesic_rhs, sphere, chart), geo0)
+    cases = [(_row_rhs(_geodesic_rhs, sphere, chart), geo0)
              for chart in (0, 1)]
     for m in (1, 2):
         jac0 = np.concatenate([np.zeros(2 * m), np.eye(2)[:, :m].ravel()])
-        cases.append((_one_row(_linearized_rhs, sphere, 0, m),
+        cases.append((_row_rhs(_linearized_rhs, sphere, 0, m),
                       np.concatenate([geo0, jac0])))
-    cases.append((_one_row(_geodesic_rhs, flat, 0), geo0))
+    cases.append((_row_rhs(_geodesic_rhs, flat, 0), geo0))
     rejected = 0
     for fun, y0 in cases:
         for max_step in (0.2, np.inf):
@@ -347,7 +371,8 @@ def test_stepper_matches_scipy_rk45():
 
 def test_stepper_blow_up_fails_where_rk45_does():
     # y' = y^2, y(0) = 1 blows up at t = 1
-    _run_against_rk45(lambda t, y: y * y, np.array([1.0]), 2.0, 1e-9, 1e-11)
+    _run_against_rk45(lambda t, y, rows: y * y, np.array([1.0]), 2.0, 1e-9,
+                      1e-11)
 
     class LineAtlas:        # a 1-D stand-in: every ManifoldAtlas is 2-D
         dim = 1
@@ -369,20 +394,20 @@ def test_stepper_blow_up_fails_where_rk45_does():
     from scipy.integrate import RK45
     metric = BlowUpMetric()
     y0 = np.array([0.0, 1.0])
-    ref = RK45(_one_row(_geodesic_rhs, metric, 0), 0.0, y0, 2.0, rtol=1e-9,
-               atol=1e-11, max_step=np.inf)
+    ref = RK45(_scipy_fun(_row_rhs(_geodesic_rhs, metric, 0)), 0.0, y0,
+               2.0, rtol=1e-9, atol=1e-11, max_step=np.inf)
     while ref.status == "running":
         ref.step()
     assert ref.status == "failed" and 0.99 < ref.t < 1.0
-    with pytest.raises(fc.IntegrationError) as err:
-        _integrate(metric, 0, y0, 2.0, 1e-9, 1e-11)
-    assert err.value.t == ref.t
-    assert np.array_equal(err.value.x, ref.y[:1])
+    (err,) = _integrate_rows(metric, [0], [y0], 2.0, 1e-9, 1e-11)
+    assert isinstance(err, fc.IntegrationError)
+    assert err.t == ref.t
+    assert np.array_equal(err.x, ref.y[:1])
 
 
 def test_stepper_clamps_tiny_rtol_like_rk45():
     sphere = fc.sphere_metric(fc.sphere_atlas())
-    fun = _one_row(_geodesic_rhs, sphere, 0)
+    fun = _row_rhs(_geodesic_rhs, sphere, 0)
     y0 = np.array([0.3, -0.2, 0.45, 0.1])
     with pytest.warns(UserWarning, match="rtol"):
         _run_against_rk45(fun, y0, 0.5, 1e-17, 1e-11)
@@ -392,11 +417,16 @@ def test_stepper_clamps_tiny_rtol_like_rk45():
 
 
 def test_stepper_rejects_bad_input_like_rk45():
-    fun = _one_row(_geodesic_rhs, fc.euclidean_metric(fc.flat_atlas()), 0)
-    with pytest.raises(ValueError, match="1-dimensional"):
-        DormandPrince(fun, 0.0, np.zeros((2, 2)), 1.0, 1e-9, 1e-11)
+    fun = _row_rhs(_geodesic_rhs, fc.euclidean_metric(fc.flat_atlas()), 0)
+    # one interface: a scalar t0 is not a row
+    with pytest.raises(ValueError, match="one start time per row"):
+        DormandPrince(fun, 0.0, np.zeros((1, 4)), 1.0, 1e-9, 1e-11)
+    with pytest.raises(ValueError, match="one row per entry"):
+        DormandPrince(fun, [0.0], np.zeros(4), 1.0, 1e-9, 1e-11)
+    with pytest.raises(ValueError, match="one row per entry"):
+        DormandPrince(fun, [0.0], np.zeros((2, 4)), 1.0, 1e-9, 1e-11)
     with pytest.raises(ValueError, match="finite"):
-        DormandPrince(fun, 0.0, np.array([0.0, np.nan, 1.0, 0.0]), 1.0,
+        DormandPrince(fun, [0.0], np.array([[0.0, np.nan, 1.0, 0.0]]), 1.0,
                       1e-9, 1e-11)
     with pytest.raises(ValueError, match="atol"):
-        DormandPrince(fun, 0.0, np.zeros(4), 1.0, 1e-9, -1.0)
+        DormandPrince(fun, [0.0], np.zeros((1, 4)), 1.0, 1e-9, -1.0)

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 import finslercut as fc
 from finslercut import dual
 from finslercut.atlas import TangentVec
-from finslercut.metric import (MetricField, RiemannianMetric, _d1,
-                               _split_seed)
+from finslercut.metric import (INVERSE_ITERS, MetricField, RiemannianMetric,
+                               _d1, _split_seed)
 
 unit_dir = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(
     lambda v: math.hypot(*v) > 0.1)
@@ -143,6 +143,24 @@ def test_legendre_roundtrip_all_families(name, metric):
         omega = fc.legendre(metric, p).omega
         back = fc.legendre_inverse(metric, 0, p.x, omega)
         assert np.allclose(back.v, v, atol=1e-8 * (1 + np.linalg.norm(v)))
+
+
+def test_legendre_inversion_that_stalls_raises():
+    # g_v = I / |v| maps every v to its unit vector, so g_v(v, .) never
+    # reaches omega = (2, 0): each Newton step doubles v at residual 1
+    calls = []
+
+    class Stalling(fc.CustomMetric):
+        def fundamental(self, p):
+            calls.append(p.v)
+            return np.eye(2) / np.linalg.norm(p.v)
+
+    metric = Stalling(fc.flat_atlas(), lambda chart, x, v: dual.sqrt(
+        v[0] * v[0] + v[1] * v[1]))
+    with pytest.raises(fc.InversionError) as err:
+        fc.legendre_inverse(metric, 0, np.zeros(2), np.array([2.0, 0.0]))
+    assert err.value.residual == 1.0
+    assert len(calls) == INVERSE_ITERS
 
 
 def test_sphere_metric_conformal_factor():

@@ -12,6 +12,7 @@ import pytest
 
 import finslercut as fc
 from finslercut import cli, scenario
+from finslercut import topology as topo_mod
 from finslercut.errors import ScenarioError, UnreachedPointError
 from finslercut.scenario import (SCHEMA, builtin_scenario, run_scenario,
                                  summary_document)
@@ -167,6 +168,35 @@ def test_every_plan_key_changes_the_shooting_plan():
         assert len(changed) == 1, (section, key, changed)
         reached |= changed
     assert reached == {f.name for f in dataclasses.fields(base)}
+
+
+def test_a_scenario_without_plan_sections_gets_the_default_plan():
+    doc = {k: v for k, v in TINY.items() if k not in ("grids", "tolerances")}
+    assert scenario.build_geometry(fc.parse_scenario(doc))[3] == \
+        fc.ShootingPlan()
+
+
+def test_dfcheck_probes_the_disk_in_the_source_chart(monkeypatch):
+    # a point source at the chart-1 origin (the north pole): the probes of
+    # the disk around it are chart-1 points, not points near the south pole
+    probes = []
+
+    def record(field, q, directions):
+        probes.append(q)
+        return topo_mod.VariationReport(q, 0.0, [])
+
+    monkeypatch.setattr(topo_mod, "check_first_variation", record)
+    doc = {"name": "north-pole", "manifold": {"type": "sphere-stereo"},
+           "metric": {"family": "sphere-round"},
+           "submanifold": {"family": "point", "chart": 1},
+           "grids": {"psi_count": 32, "horizon": 4.0},
+           "tasks": ["dfcheck"], "seed": 3}
+    bundle = run_scenario(fc.parse_scenario(doc))
+    assert bundle.documents["dfcheck"]["n_probes"] == len(probes) == \
+        scenario.DFCHECK_PROBES
+    for chart, x in probes:
+        assert chart == 1
+        assert 0.2 <= np.linalg.norm(x) <= 1.2
 
 
 def test_cli_run_unknown_scenario_is_config_error(capsys):

@@ -111,7 +111,7 @@ def test_ellipse_focal_times_from_curvature():
 
 def test_immersion_rank_check():
     bad = fc.SubmanifoldSpec(0, 1, [[0.0], [1.0]],
-                             lambda th: [0.0, 0.0], closed=False)
+                             lambda th: [0.0, 0.0])
     with pytest.raises(fc.ImmersionError):
         fc.tangent_frame(bad, np.array([0.5]))
 
@@ -165,7 +165,7 @@ def test_first_degeneracy_reads_the_frame_once_per_time():
 def test_curve_jacobian_equals_dual_path(N):
     # the same immersion without its jacobian_fn differentiates on duals
     dual_N = fc.SubmanifoldSpec(N.chart, N.k, N.theta_box, N.immersion_fn,
-                                periodic=N.periodic, closed=N.closed)
+                                periodic=N.periodic)
     rng = np.random.default_rng(3)
     thetas = np.concatenate([[0.0, -0.0, np.pi / 2, np.pi, 2 * np.pi],
                              rng.uniform(-10.0, 10.0, 1000)])

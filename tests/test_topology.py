@@ -82,7 +82,7 @@ def test_one_sided_spread_small_off_cut(circle_field):
 def test_homotopy_trace_is_monotone_toward_N(torus_field):
     atlas = torus_field.atlas
     q = (0, np.array([0.3, 0.05]))
-    rows = fc.homotopy_trace(torus_field, q, "N")
+    rows = fc.homotopy_trace(torus_field, q)
     dists = [atlas.coord_distance((c, x), (0, np.zeros(2)))
              for _, c, x in rows]
     assert all(b <= a + 1e-9 for a, b in zip(dists[:-1], dists[1:]))
