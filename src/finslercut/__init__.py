@@ -14,27 +14,25 @@ from .errors import (AtlasExitError, ConvexityError, CutLocusError,
                      ScenarioError, UnreachedPointError)
 from .metric import (CustomMetric, MetricField, MetricReport,
                      MinkowskiQuarticMetric, RandersMetric, ReversedMetric,
-                     RiemannianMetric, cartan_tensor,
-                     euclidean_metric, fundamental_tensor, legendre,
-                     legendre_inverse, reverse_metric, sphere_metric,
+                     RiemannianMetric, euclidean_metric, fundamental_tensor,
+                     legendre, legendre_inverse, sphere_metric,
                      validate_metric)
 from .geodesic import (GeodesicPath, LinearizedFrame, PathSegment,
                        conjugate_time, exp_map, first_degeneracy,
                        integrate_geodesic, integrate_geodesics,
                        linearized_flow, linearized_flows, path_energy,
                        path_length)
-from .submanifold import (NormalJacobiFlow, NormalRay, SubmanifoldSpec,
-                          annihilator_basis, axis_line_submanifold,
-                          circle_submanifold, cone_variation_data,
-                          ellipse_submanifold, normal_exp,
-                          normal_jacobi_flows, normal_jacobian,
+from .submanifold import (NormalRay, SubmanifoldSpec, annihilator_basis,
+                          axis_line_submanifold, circle_submanifold,
+                          cone_variation_data, ellipse_submanifold,
+                          normal_jacobi_flow, normal_jacobi_flows,
                           point_submanifold, sample_unit_cone,
                           sampled_curve_submanifold, tangent_frame,
                           unit_normal)
 from .cutlocus import (CutRecord, CutTimeResult, DistanceWitness, Minimizer,
                        NormalShooting, Report, ShootingPlan,
                        check_rho_continuity, check_rho_leq_lambda,
-                       check_se_dense, cut_locus, focal_time, point_distance)
+                       check_se_dense, cut_locus)
 from .topology import (InverseExpResult, VariationReport,
                        check_first_variation, distance_sq_differential,
                        homotopy_trace, inverse_normal_exp, one_sided_spread,

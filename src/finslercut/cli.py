@@ -8,7 +8,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -33,12 +33,21 @@ def _load_scenario(name_or_path):
     return builtin_scenario(name_or_path)
 
 
-def _cmd_run(args):
-    sc = _load_scenario(args.scenario)
+def _overridden(sc, args):
+    """A copy of the scenario ``sc`` with the ``--seed`` and ``--refine``
+    values given on the command line; ``sc`` itself is not modified."""
     if args.seed is not None:
-        sc.seed = args.seed
+        sc = dataclasses.replace(sc, seed=args.seed)
+    if args.refine is not None:
+        sc = dataclasses.replace(
+            sc, grids={**sc.grids, "refine_levels": args.refine})
+    return sc
+
+
+def _cmd_run(args):
+    sc = _overridden(_load_scenario(args.scenario), args)
     out_dir = args.out_dir or sc.output["directory"]
-    bundle = run_scenario(sc, out_dir=out_dir, refine=args.refine)
+    bundle = run_scenario(sc, out_dir=out_dir)
     for task in bundle.documents:
         status = "VIOLATION" if task in bundle.violations else "ok"
         print(f"[{sc.name}] {task}: {status}")
@@ -74,9 +83,8 @@ def _cmd_validate(args):
 def _golden_one(sc, args):
     """Run one scenario against its golden summary (or record it); returns
     the exit code and the lines to print, the first one a summary."""
-    if args.seed is not None:
-        sc.seed = args.seed
-    bundle = run_scenario(sc, refine=args.refine)
+    sc = _overridden(sc, args)
+    bundle = run_scenario(sc)
     if bundle.errors:
         return EXIT_NUMERICAL, [f"{sc.name}: {err['task']}: {err['error']}"
                                 for err in bundle.errors]

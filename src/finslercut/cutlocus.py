@@ -45,14 +45,14 @@ join the fan, so no answer depends on which queries came before.
 The fan is integrated as one batch: its one-horizon paths not yet cached
 are stepped together (``geodesic.integrate_geodesics``) the first time the
 fan is stacked, or before, when ``cut_locus`` starts on a shooting field;
-``cut_locus`` also first steps the one-horizon flows of the rays it will
-record together (``submanifold.normal_jacobi_flows``).  A straight point
-source steps no flow.  Each row equals its lone integration to the last bit
-(see ``dopri.py`` for the BLAS and pow conditions this rests on), so a
-batch result is filed under the key ``path(ray)`` or ``flow(ray)`` would
-give it and the cache rule holds.  A row that fails, or every row of a
-batch that raises, is not filed: a later request integrates that ray alone
-and raises as it always did.
+``cut_locus`` also first steps together the one-horizon flows of the rays
+whose cut times are still to find (``submanifold.normal_jacobi_flows``).
+A straight point source steps no flow.  Each row equals its lone
+integration to the last bit (see ``dopri.py`` for the BLAS and pow
+conditions this rests on), so a batch result is filed under the key
+``path(ray)`` or ``flow(ray)`` would give it and the cache rule holds.  A
+row that fails, or every row of a batch that raises, is not filed: a later
+request integrates that ray alone and raises as it always did.
 """
 from __future__ import annotations
 
@@ -67,8 +67,8 @@ from .geodesic import (DEFAULT_ATOL, DEFAULT_RTOL, first_degeneracy,
                        integrate_geodesic, integrate_geodesics,
                        straight_geodesics)
 from .metric import V_FLOOR
-from .submanifold import (NormalJacobiFlow, NormalRay, normal_jacobi_flows,
-                          point_submanifold, sample_unit_cone, unit_normal)
+from .submanifold import (NormalRay, normal_jacobi_flow, normal_jacobi_flows,
+                          sample_unit_cone, unit_normal)
 
 SEPARATING = "Separating"
 FIRST_FOCAL = "FirstFocal"
@@ -683,17 +683,18 @@ class NormalShooting:
         key = self._span_key(ray, span)
         got = self._flows.get(key)
         if got is None:
-            got = self._flows[key] = NormalJacobiFlow(
+            got = self._flows[key] = normal_jacobi_flow(
                 self.metric, self.N, ray, key[1], rtol=self.plan.ode_rtol,
                 atol=self.plan.ode_atol)
         return got
 
     def file_fan(self, rays):
         """Integrate, each in one batch, what the cut times of ``rays``
-        will read: the fan's one-horizon paths, which every shooting query
-        samples, and the rays' one-horizon Jacobi flows.  A field with
-        closed-form distances needs no fan path, and a straight point
-        source steps no flow."""
+        not yet computed will read: the fan's one-horizon paths, which
+        every shooting query samples, and those rays' one-horizon Jacobi
+        flows.  A field with closed-form distances needs no fan path, and
+        a straight point source steps no flow."""
+        rays = [ray for ray in rays if _ray_key(ray) not in self._cut_times]
         if not rays:
             return
         if self._line_floor is None:
@@ -714,8 +715,7 @@ class NormalShooting:
         if _straight_point_source(self.metric, self.N):
             return math.inf
         T_max = T_max or self.plan.horizon
-        fl = self.flow(ray, T_max)
-        return first_degeneracy(fl.frame, fl.signed_matrix, FOCAL_FLOOR, T_max)
+        return first_degeneracy(self.flow(ray, T_max), FOCAL_FLOOR, T_max)
 
     def cut_time(self, ray: NormalRay) -> CutTimeResult:
         key = _ray_key(ray)
@@ -861,23 +861,7 @@ class NormalShooting:
         return rec.classification
 
 
-# -- module-level operations ---------------------------------------------
-
-
-def focal_time(metric, N, ray, T_max, plan=None):
-    """First degeneracy time of the normal exponential along the ray; inf
-    with no flow for a straight point source."""
-    if _straight_point_source(metric, N):
-        return math.inf
-    plan = plan or ShootingPlan(horizon=T_max)
-    fl = NormalJacobiFlow(metric, N, ray, T_max,
-                          rtol=plan.ode_rtol, atol=plan.ode_atol)
-    return first_degeneracy(fl.frame, fl.signed_matrix, FOCAL_FLOOR, T_max)
-
-
-def point_distance(metric, p, q, plan=None) -> DistanceWitness:
-    """d(p, q) from a one-off shooting field at the point p."""
-    return NormalShooting(metric, point_submanifold(*p), plan).distance(q)
+# -- the cut locus ---------------------------------------------------------
 
 
 def cut_locus(field: NormalShooting, classify=True, side=None):
@@ -891,8 +875,7 @@ def cut_locus(field: NormalShooting, classify=True, side=None):
     """
     rays = [ray for ray in field.rays
             if side is None or np.sign(ray.psi[0]) == side]
-    field.file_fan([ray for ray in rays
-                    if _ray_key(ray) not in field._cut_times])
+    field.file_fan(rays)
     records = []
     for ray in rays:
         try:

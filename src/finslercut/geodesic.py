@@ -418,24 +418,23 @@ class LinearizedFrame:
     def __init__(self, metric, segments, m):
         self.metric = metric
         self.m = m
-        n = metric.atlas.dim
-        self.n = n
+        self.n = metric.atlas.dim
         self.path = GeodesicPath(metric, segments)
         self.t0, self.t1 = self.path.t0, self.path.t1
 
-    def _blocks(self, t):
+    def signed_matrix(self, t):
+        """(M(t), orientation sign of the chart at t) from one path read.
+
+        M holds the m Jacobi columns, completed by the geodesic velocity
+        when m < n: [J | v] for the one cone direction of a normal flow
+        (the differential of the normal exponential), J itself for the n
+        columns of ``conjugate_time``.
+        """
         n, m = self.n, self.m
-        chart, y, sign = self.path.raw(t)
+        _, y, sign = self.path.raw(t)
         J = y[2 * n:2 * n + n * m].reshape(n, m)
-        Jd = y[2 * n + n * m:].reshape(n, m)
-        return chart, y[:n], y[n:2 * n], J, Jd, sign
-
-    def J(self, t):
-        return self._blocks(t)[3]
-
-    def signed_J(self, t):
-        """(J(t), orientation sign of the chart at t) from one path read."""
-        _, _, _, J, _, sign = self._blocks(t)
+        if m < n:
+            return np.column_stack([J, y[n:2 * n]]), sign
         return J, sign
 
     def knot_times(self):
@@ -475,16 +474,14 @@ def linearized_flow(metric, start: TangentVec, T, J0, Jd0,
     return _lone(linearized_flows(metric, [start], T, [J0], [Jd0], rtol, atol))
 
 
-def first_degeneracy(frame: LinearizedFrame, signed_matrix_fn, t_floor,
-                     T_max):
-    """First t in (t_floor, T_max] where the 2 x 2 matrix M(t) degenerates.
+def first_degeneracy(frame: LinearizedFrame, t_floor, T_max):
+    """First t in (t_floor, T_max] where the frame's 2 x 2 matrix M(t)
+    degenerates.
 
-    ``signed_matrix_fn(t)`` returns ``(M(t), sign)``, the sign being the
-    orientation of the chart transitions up to t (``frame.signed_J`` or
-    ``NormalJacobiFlow.signed_matrix``), so each probe reads the frame once.
-    Tracks the sign of the corrected det and a relative smallest-singular-
-    value threshold, then bisection-refines.  Returns +inf when no
-    degeneracy is found.
+    Each probe reads ``frame.signed_matrix(t)`` once: M(t) and the
+    orientation sign of the chart transitions up to t.  Tracks the sign of
+    the corrected det and a relative smallest-singular-value threshold,
+    then bisection-refines.  Returns +inf when no degeneracy is found.
     """
     ts = [t for t in frame.knot_times() if t_floor < t <= T_max]
     grid = sorted(set(np.concatenate([
@@ -493,7 +490,7 @@ def first_degeneracy(frame: LinearizedFrame, signed_matrix_fn, t_floor,
 
     def probe(t):
         """(signed det M(t), sigma_min / sigma_max) from one frame read."""
-        M, sign = signed_matrix_fn(t)
+        M, sign = frame.signed_matrix(t)
         det, ratio = _det_ratio(M)
         return sign * det, ratio
 
@@ -540,4 +537,4 @@ def conjugate_time(metric, point, v, T_max,
                             np.zeros((n, n)), np.eye(n),
                             rtol=rtol, atol=atol)
     t_floor = 1e-3 * T_max
-    return first_degeneracy(frame, frame.signed_J, t_floor, T_max)
+    return first_degeneracy(frame, t_floor, T_max)

@@ -42,12 +42,6 @@ class FundamentalTensor:
 
 
 @dataclass
-class CartanTensor:
-    base: TangentVec
-    C: np.ndarray
-
-
-@dataclass
 class Covector:
     chart: int
     x: np.ndarray
@@ -64,7 +58,6 @@ def _check_dir(v):
 class MetricField:
     """Base class; subclasses provide ``value_generic`` (dual-safe)."""
 
-    family = "custom"
     reversible = False
     x_independent = False
 
@@ -223,7 +216,6 @@ class RiemannianMetric(MetricField):
     analytic spray.
     """
 
-    family = "riemannian"
     reversible = True
 
     def __init__(self, atlas, matrix_fn, dmatrix_fn=None, constant=False):
@@ -277,9 +269,7 @@ class RiemannianMetric(MetricField):
 def euclidean_metric(atlas):
     n = atlas.dim
     eye = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    m = RiemannianMetric(atlas, lambda chart, x: eye, constant=True)
-    m.family = "riemannian"
-    return m
+    return RiemannianMetric(atlas, lambda chart, x: eye, constant=True)
 
 
 def _round_matrix(chart, x):
@@ -416,7 +406,6 @@ def sphere_metric(atlas):
 class RandersMetric(MetricField):
     """F = sqrt(a(v, v)) + b . v with constant a, b and |b|_a < 1."""
 
-    family = "randers"
     reversible = False
     x_independent = True
 
@@ -458,7 +447,6 @@ class RandersMetric(MetricField):
 class MinkowskiQuarticMetric(MetricField):
     """Reversible non-Riemannian norm F^2 = |v|^2 + eps * sum v_i^4 / |v|^2."""
 
-    family = "minkowski-quartic"
     reversible = True
     x_independent = True
 
@@ -494,8 +482,6 @@ class MinkowskiQuarticMetric(MetricField):
 
 
 class CustomMetric(MetricField):
-    family = "custom"
-
     def __init__(self, atlas, fn, reversible=False, x_independent=False):
         super().__init__(atlas)
         self._fn = fn
@@ -512,7 +498,6 @@ class ReversedMetric(MetricField):
     def __init__(self, base):
         super().__init__(base.atlas)
         self.base = base
-        self.family = base.family
         self.reversible = base.reversible
         self.x_independent = base.x_independent
 
@@ -551,10 +536,6 @@ def fundamental_tensor(metric, p: TangentVec) -> FundamentalTensor:
             f"fundamental tensor not positive definite at x={p.x}, v={p.v} "
             f"(min eigenvalue {w[0]:.3g})", x=p.x, v=p.v)
     return FundamentalTensor(p, g)
-
-
-def cartan_tensor(metric, p: TangentVec) -> CartanTensor:
-    return CartanTensor(p, metric.cartan(p))
 
 
 def legendre(metric, p: TangentVec) -> Covector:
@@ -596,10 +577,6 @@ def legendre_inverse(metric, chart, x, omega) -> TangentVec:
     raise InversionError(
         f"Legendre inversion stalled, residual {np.linalg.norm(r):.3g}",
         residual=float(np.linalg.norm(r)))
-
-
-def reverse_metric(metric) -> MetricField:
-    return metric.reversed_()
 
 
 @dataclass

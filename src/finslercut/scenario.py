@@ -49,6 +49,13 @@ MANIFOLD_TYPES = {
     "sphere-stereo": lambda man: sphere_atlas(),
 }
 
+
+def _given(section, **keys):
+    """Keyword arguments {parameter: section[key]} for the scenario keys
+    that the document sets; the builder's own default covers the rest."""
+    return {arg: section[key] for arg, key in keys.items() if key in section}
+
+
 # metric family -> metric builder(scenario, atlas)
 METRIC_FAMILIES = {
     "euclidean": lambda sc, atlas: euclidean_metric(atlas),
@@ -56,7 +63,7 @@ METRIC_FAMILIES = {
     "randers": lambda sc, atlas: RandersMetric(
         atlas, np.asarray(sc.metric.get("b", [0.0, 0.0]))),
     "minkowski-quartic": lambda sc, atlas: MinkowskiQuarticMetric(
-        atlas, eps=sc.metric.get("eps", 0.1)),
+        atlas, **_given(sc.metric, eps="eps")),
 }
 
 # submanifold family -> submanifold builder(submanifold section)
@@ -64,15 +71,12 @@ SUBMANIFOLD_FAMILIES = {
     "point": lambda sub: point_submanifold(
         sub["chart"], np.asarray(sub.get("point", [0.0, 0.0]))),
     "circle": lambda sub: circle_submanifold(
-        sub["chart"], tuple(sub.get("center", (0.0, 0.0))),
-        sub.get("radius", 1.0)),
+        sub["chart"], **_given(sub, center="center", radius="radius")),
     "ellipse": lambda sub: ellipse_submanifold(
-        sub["chart"], a=sub.get("a", 2.0), b=sub.get("b", 1.0),
-        center=tuple(sub.get("center", (0.0, 0.0)))),
+        sub["chart"], **_given(sub, a="a", b="b", center="center")),
     "axis-line": lambda sub: axis_line_submanifold(
-        sub["chart"], tuple(sub.get("point", (0.0, 0.0))),
-        tuple(sub.get("direction", (0.0, 1.0))),
-        half_extent=sub.get("halfwidth", 4.0)),
+        sub["chart"], **_given(sub, point="point", direction="direction",
+                               half_extent="halfwidth")),
 }
 
 
@@ -232,8 +236,6 @@ class TaskRun:
     N: object
     plan: ShootingPlan
     rng: np.random.Generator
-    side: object                # hypersurface side that gets records, or None
-    refine_levels: int          # grid levels of the rho-continuity check
     files: dict                 # output file name -> text payload
     records: list = None        # cut records, once a task has computed them
 
@@ -258,7 +260,7 @@ def _task_validate(run):
 
 def _task_cutlocus(run):
     records = run.records = cut_locus(run.field, classify=False,
-                                      side=run.side)
+                                      side=run.sc.grids["side"])
     atlas, name = run.metric.atlas, run.sc.name
     run.files[f"{name}_cutlocus.csv"] = records_csv(records)
     run.files[f"{name}_cutlocus.svg"] = records_svg(atlas, run.N, records)
@@ -381,22 +383,27 @@ def _task_loops(run):
 
 def _task_theorems(run):
     field = run.field
+    side = run.sc.grids["side"]
     if run.records is None:
-        run.records = cut_locus(field, classify=False, side=run.side)
+        run.records = cut_locus(field, classify=False, side=side)
     records = run.records
-    plan = field.plan
     reports = []
     reports.append(check_rho_leq_lambda(records))
     classified = [r for r in records if r.classification]
     if classified:
         reports.append(check_se_dense(records, atlas=field.atlas))
-    if run.refine_levels > 1:
-        coarse_plan = dataclasses.replace(
+    # the rho-continuity study runs on refine_levels grids, each with half
+    # the rays of the next, coarsest first
+    levels = [records]
+    plan = field.plan
+    for _ in range(run.sc.grids["refine_levels"] - 1):
+        plan = dataclasses.replace(
             plan, theta_count=max(1, plan.theta_count // 2),
             psi_count=max(1, plan.psi_count // 2))
-        coarse = cut_locus(NormalShooting(field.metric, field.N, coarse_plan),
-                           classify=False, side=run.side)
-        reports.append(check_rho_continuity([coarse, records]))
+        levels.insert(0, cut_locus(NormalShooting(field.metric, field.N, plan),
+                                   classify=False, side=side))
+    if len(levels) > 1:
+        reports.append(check_rho_continuity(levels))
     doc = [{"name": r.name, "passed": bool(r.passed),
             "detail": _doc(r.detail)} for r in reports]
     return doc, any(not r.passed for r in reports)
@@ -749,7 +756,7 @@ def summary_document(bundle: OutputBundle) -> dict:
             "tasks": keep}
 
 
-def run_scenario(sc: Scenario, out_dir=None, refine=None):
+def run_scenario(sc: Scenario, out_dir=None):
     """Execute the scenario's tasks in order on one shooting field.
 
     The field is built by the first task that needs it, so a cone-sampling
@@ -761,9 +768,6 @@ def run_scenario(sc: Scenario, out_dir=None, refine=None):
     _, metric, N, plan = build_geometry(sc)
     bundle = OutputBundle(sc)
     run = TaskRun(sc, metric, N, plan, rng=np.random.default_rng(sc.seed),
-                  side=sc.grids["side"],
-                  refine_levels=(sc.grids["refine_levels"] if refine is None
-                                 else refine),
                   files=bundle.files)
     flagged = set()
     for task in sc.tasks:

@@ -1,5 +1,6 @@
 """Immersed submanifolds, normal cones via the Legendre transform, and the
-normal exponential map with its differential.
+N-Jacobi fields, whose matrix is the differential of the normal exponential
+map.
 
 Sources are points (k = 0) and curves (k = 1) in a surface.  The normal
 cone at p is computed through the annihilator of T_pN followed by Legendre
@@ -18,7 +19,7 @@ import numpy as np
 from . import dual
 from .atlas import TangentVec
 from .errors import FinslerError, ImmersionError, NumericalFailure
-from .geodesic import (DEFAULT_ATOL, DEFAULT_RTOL, exp_map, linearized_flow,
+from .geodesic import (DEFAULT_ATOL, DEFAULT_RTOL, linearized_flow,
                        linearized_flows)
 from .metric import legendre_inverse
 
@@ -29,8 +30,6 @@ CONE_STEP = 1e-6            # central-difference step of cone_variation_data
 class SubmanifoldSpec:
     """Immersion of a k-dimensional parameter domain into a chart: a point
     (k = 0) or a curve (k = 1)."""
-
-    family = "custom"
 
     def __init__(self, chart, k, theta_box, immersion_fn, periodic=None,
                  jacobian_fn=None):
@@ -74,15 +73,11 @@ class SubmanifoldSpec:
 
 def point_submanifold(chart, x):
     x = np.asarray(x, dtype=float)
-    N = SubmanifoldSpec(chart, 0, (), lambda th: list(x))
-    N.family = "point"
-    return N
+    return SubmanifoldSpec(chart, 0, (), lambda th: list(x))
 
 
 def circle_submanifold(chart=0, center=(0.0, 0.0), radius=1.0):
-    N = ellipse_submanifold(chart, radius, radius, center)
-    N.family = "circle"
-    return N
+    return ellipse_submanifold(chart, radius, radius, center)
 
 
 def ellipse_submanifold(chart=0, a=2.0, b=1.0, center=(0.0, 0.0)):
@@ -92,15 +87,13 @@ def ellipse_submanifold(chart=0, a=2.0, b=1.0, center=(0.0, 0.0)):
         t = th[0]
         return [cx + a * _dcos(t), cy + b * _dsin(t)]
 
-    N = SubmanifoldSpec(chart, 1, [[0.0], [2 * np.pi]], imm,
-                        periodic=[True],
-                        jacobian_fn=lambda th: _ellipse_jacobian(a, b, th[0]))
-    N.family = "ellipse"
-    return N
+    return SubmanifoldSpec(
+        chart, 1, [[0.0], [2 * np.pi]], imm, periodic=[True],
+        jacobian_fn=lambda th: _ellipse_jacobian(a, b, th[0]))
 
 
 def axis_line_submanifold(chart=0, point=(0.0, 0.0), direction=(0.0, 1.0),
-                          half_extent=5.0):
+                          half_extent=4.0):
     p = np.asarray(point, dtype=float)
     d = np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)
@@ -109,9 +102,7 @@ def axis_line_submanifold(chart=0, point=(0.0, 0.0), direction=(0.0, 1.0),
         t = th[0]
         return [p[i] + d[i] * t for i in range(len(p))]
 
-    N = SubmanifoldSpec(chart, 1, [[-half_extent], [half_extent]], imm)
-    N.family = "axis-line"
-    return N
+    return SubmanifoldSpec(chart, 1, [[-half_extent], [half_extent]], imm)
 
 
 def sampled_curve_submanifold(thetas, points, chart=0, periodic=True):
@@ -122,12 +113,10 @@ def sampled_curve_submanifold(thetas, points, chart=0, periodic=True):
     bc = "periodic" if periodic else "not-a-knot"
     sp = CubicSpline(thetas, points, axis=0, bc_type=bc)
     dsp = sp.derivative()
-    N = SubmanifoldSpec(chart, 1, [[thetas[0]], [thetas[-1]]],
-                        lambda th: list(sp(dual.real(th[0]))),
-                        periodic=[periodic],
-                        jacobian_fn=lambda th: dsp(th[0]).reshape(-1, 1))
-    N.family = "sampled-curve"
-    return N
+    return SubmanifoldSpec(chart, 1, [[thetas[0]], [thetas[-1]]],
+                           lambda th: list(sp(dual.real(th[0]))),
+                           periodic=[periodic],
+                           jacobian_fn=lambda th: dsp(th[0]).reshape(-1, 1))
 
 
 def _ellipse_jacobian(a, b, t):
@@ -248,15 +237,6 @@ def sample_unit_cone(metric, N: SubmanifoldSpec, grid):
     return rays, failures
 
 
-def normal_exp(metric, N, ray: NormalRay, t, rtol=DEFAULT_RTOL,
-               atol=DEFAULT_ATOL):
-    """exp_p(t v) for a unit normal ray; t = 0 returns the base point."""
-    if t == 0:
-        return (ray.chart, ray.x.copy())
-    return exp_map(metric, (ray.chart, ray.x), t * ray.v, rtol=rtol,
-                   atol=atol)
-
-
 def cone_variation_data(metric, N, ray: NormalRay):
     """Initial data (J0, Jd0), two 2 x 1 columns, for the one cone
     direction at a unit ray.
@@ -279,43 +259,22 @@ def cone_variation_data(metric, N, ray: NormalRay):
     return J0, ((vp - vm) / (2 * h)).reshape(2, 1)
 
 
-class NormalJacobiFlow:
-    """Differential of the normal exponential along one unit ray.
-
-    Columns are the N-Jacobi fields of the cone directions plus the radial
-    direction (the geodesic velocity).
-    """
-
-    def __init__(self, metric, N, ray, T, rtol=DEFAULT_RTOL,
-                 atol=DEFAULT_ATOL, frame=None):
-        """``frame``, when given, is the ray's already integrated flow (see
-        ``normal_jacobi_flows``)."""
-        self.metric = metric
-        self.N = N
-        self.ray = ray
-        self.T = float(T)
-        if frame is None:
-            J0, Jd0 = cone_variation_data(metric, N, ray)
-            frame = linearized_flow(metric, ray.tangent(), self.T,
-                                    J0, Jd0, rtol=rtol, atol=atol)
-        self.frame = frame
-
-    def signed_matrix(self, t):
-        """(matrix(t), orientation sign of the chart at t), one path read."""
-        _, _, v, J, _, sign = self.frame._blocks(t)
-        return np.column_stack([J, v]), sign
-
-    def matrix(self, t) -> np.ndarray:
-        return self.signed_matrix(t)[0]
+def normal_jacobi_flow(metric, N, ray: NormalRay, T, rtol=DEFAULT_RTOL,
+                       atol=DEFAULT_ATOL):
+    """The N-Jacobi fields along one unit ray on [0, T]: the flow of its
+    cone direction, whose ``signed_matrix`` is the differential of the
+    normal exponential, [J | v] with v the geodesic velocity."""
+    J0, Jd0 = cone_variation_data(metric, N, ray)
+    return linearized_flow(metric, ray.tangent(), T, J0, Jd0, rtol=rtol,
+                           atol=atol)
 
 
 def normal_jacobi_flows(metric, N, rays, T, rtol=DEFAULT_RTOL,
                         atol=DEFAULT_ATOL) -> list:
-    """``NormalJacobiFlow`` for many rays, the flows stepped in one batch
-    (``geodesic.linearized_flows``).  Entry i is the flow of rays[i], equal
-    to ``NormalJacobiFlow(metric, N, rays[i], T)``, or the exception its
-    construction raises: a FinslerError or LinAlgError from the initial
-    data or the integration."""
+    """``normal_jacobi_flow`` for many rays, the flows stepped in one batch
+    (``geodesic.linearized_flows``).  Entry i is the LinearizedFrame of
+    rays[i], equal to its lone flow, or the FinslerError or LinAlgError
+    that its initial data or its integration raises."""
     out, starts, data = [], [], []
     for ray in rays:
         try:
@@ -329,16 +288,4 @@ def normal_jacobi_flows(metric, N, rays, T, rtol=DEFAULT_RTOL,
         metric, [ray.tangent() for ray in starts], float(T),
         [J0 for J0, _ in data], [Jd0 for _, Jd0 in data],
         rtol=rtol, atol=atol))
-    for i, ray in enumerate(rays):
-        if out[i] is None:
-            frame = next(frames)
-            out[i] = (frame if isinstance(frame, Exception) else
-                      NormalJacobiFlow(metric, N, ray, T, frame=frame))
-    return out
-
-
-def normal_jacobian(metric, N, ray: NormalRay, t) -> np.ndarray:
-    """Differential of exp^nu at t v in the (theta, psi, radial) basis."""
-    if t <= 0:
-        raise ValueError("normal_jacobian requires t > 0")
-    return NormalJacobiFlow(metric, N, ray, t).matrix(t)
+    return [next(frames) if got is None else got for got in out]

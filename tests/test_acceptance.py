@@ -162,10 +162,10 @@ def test_criterion_4_ellipse(ellipse_setup, ellipse_records, timings):
 def test_criterion_5_randers(randers_setup):
     atlas, metric = randers_setup
     plan = fc.ShootingPlan(psi_count=64, horizon=3.0)
-    d_fwd = fc.point_distance(metric, (0, np.zeros(2)),
-                              (0, np.array([1.0, 0.0])), plan).d
-    d_bwd = fc.point_distance(metric, (0, np.array([1.0, 0.0])),
-                              (0, np.zeros(2)), plan).d
+    d_fwd = fc.NormalShooting(metric, fc.point_submanifold(0, np.zeros(2)),
+                              plan).distance((0, np.array([1.0, 0.0]))).d
+    d_bwd = fc.NormalShooting(metric, fc.point_submanifold(0, [1.0, 0.0]),
+                              plan).distance((0, np.zeros(2))).d
     dist_err = max(abs(d_fwd - 1.5), abs(d_bwd - 0.5))
 
     N = fc.axis_line_submanifold(0, (0.0, 0.0), (0.0, 1.0))
@@ -361,7 +361,7 @@ def test_criterion_9_properties(sphere_setup, sphere_field, sphere_records,
     frame = fc.linearized_flow(s_metric, TangentVec(0, x0, v0), 1.1,
                                np.zeros((2, 2)), np.eye(2),
                                rtol=1e-10, atol=1e-12)
-    J = frame.J(1.1)
+    J = frame.signed_matrix(1.1)[0]
     lin_worst = 0.0
     h = 1e-6
     for j in range(2):

@@ -386,9 +386,9 @@ def test_distance_witness_on_torus(small_torus):
 def test_point_distance_plane():
     atlas = fc.flat_atlas()
     metric = fc.euclidean_metric(atlas)
-    wit = fc.point_distance(metric, (0, np.zeros(2)),
-                            (0, np.array([0.6, 0.8])),
-                            fc.ShootingPlan(psi_count=64, horizon=3.0))
+    field = fc.NormalShooting(metric, fc.point_submanifold(0, np.zeros(2)),
+                              fc.ShootingPlan(psi_count=64, horizon=3.0))
+    wit = field.distance((0, np.array([0.6, 0.8])))
     assert abs(wit.d - 1.0) < 1e-7
 
 
@@ -795,16 +795,18 @@ def test_flat_point_cut_locus_steps_no_flow_and_bisects_nothing(monkeypatch):
 
 def test_focal_time_of_field_and_module_agree(torus32, sphere_field,
                                               monkeypatch):
-    for field in (torus32, sphere_field):
-        ray = field.rays[5]
-        T = field.plan.horizon
-        got = field.focal_time(ray)
-        assert got == cutlocus.focal_time(field.metric, field.N, ray, T,
-                                          plan=field.plan)
+    # the field's cached focal time is first_degeneracy over the ray's lone
+    # normal Jacobi flow
+    field = sphere_field
+    ray = field.rays[5]
+    plan = field.plan
+    got = field.focal_time(ray)
+    flow = fc.normal_jacobi_flow(field.metric, field.N, ray, plan.horizon,
+                                 rtol=plan.ode_rtol, atol=plan.ode_atol)
+    assert got == fc.first_degeneracy(flow, cutlocus.FOCAL_FLOOR,
+                                      plan.horizon)
     assert abs(got - math.pi) < 1e-6        # the sphere's antipode
-    # the straight point source steps no flow, in the field or outside it
-    monkeypatch.setattr(cutlocus, "NormalJacobiFlow", None)
-    ray = torus32.rays[5]
-    assert math.isinf(torus32.focal_time(ray))
-    assert math.isinf(cutlocus.focal_time(torus32.metric, torus32.N, ray, 1.5))
+    # the straight point source steps no flow
+    monkeypatch.setattr(cutlocus, "normal_jacobi_flow", None)
+    assert math.isinf(torus32.focal_time(torus32.rays[5]))
     assert not torus32._flows

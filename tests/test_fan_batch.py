@@ -38,10 +38,10 @@ def _assert_fan_matches_lone(field):
         lone = fc.integrate_geodesic(field.metric, ray.tangent(), H,
                                      rtol=plan.ode_rtol, atol=plan.ode_atol)
         _assert_same_segments(field._paths[key].segments, lone.segments)
-        flow = fc.NormalJacobiFlow(field.metric, field.N, ray, H,
-                                   rtol=plan.ode_rtol, atol=plan.ode_atol)
-        _assert_same_segments(field._flows[key].frame.path.segments,
-                              flow.frame.path.segments)
+        flow = fc.normal_jacobi_flow(field.metric, field.N, ray, H,
+                                     rtol=plan.ode_rtol, atol=plan.ode_atol)
+        _assert_same_segments(field._flows[key].path.segments,
+                              flow.path.segments)
         switched += len(lone.segments) > 1
     return switched
 
@@ -71,10 +71,9 @@ def test_flows_under_a_zero_spray_batch_equal_lone_flows():
         flows = fc.normal_jacobi_flows(metric, N, rays, 3.0)
         assert len(flows) == len(rays) == 18
         for ray, flow in zip(rays, flows):
-            lone = fc.NormalJacobiFlow(metric, N, ray, 3.0)
-            assert flow.ray is ray and flow.T == lone.T
-            _assert_same_segments(flow.frame.path.segments,
-                                  lone.frame.path.segments)
+            lone = fc.normal_jacobi_flow(metric, N, ray, 3.0)
+            assert flow.t1 == lone.t1 == 3.0
+            _assert_same_segments(flow.path.segments, lone.path.segments)
 
 
 def _custom_metric(atlas):
@@ -95,9 +94,8 @@ def test_custom_metric_rows_equal_lone_integrations():
     for ray, path, flow in zip(rays, paths, flows):
         lone = fc.integrate_geodesic(metric, ray.tangent(), 1.0)
         _assert_same_segments(path.segments, lone.segments)
-        lone_flow = fc.NormalJacobiFlow(metric, N, ray, 1.0)
-        _assert_same_segments(flow.frame.path.segments,
-                              lone_flow.frame.path.segments)
+        lone_flow = fc.normal_jacobi_flow(metric, N, ray, 1.0)
+        _assert_same_segments(flow.path.segments, lone_flow.path.segments)
 
 
 def test_rows_with_rejected_steps_and_chart_switches_equal_lone():
@@ -136,8 +134,8 @@ def test_fan_flows_do_not_depend_on_earlier_requests(sphere_setup):
     H = plan.horizon
     for ray in fresh.rays:
         key = cutlocus._ray_key(ray), H
-        _assert_same_segments(early._flows[key].frame.path.segments,
-                              fresh._flows[key].frame.path.segments)
+        _assert_same_segments(early._flows[key].path.segments,
+                              fresh._flows[key].path.segments)
 
 
 def test_a_failing_row_leaves_the_other_rows_intact():
@@ -170,7 +168,7 @@ def test_a_failing_row_leaves_the_other_rows_intact():
     for ray in field.rays:
         key = cutlocus._ray_key(ray), 0.5
         try:
-            lone = fc.NormalJacobiFlow(metric, N, ray, 0.5)
+            lone = fc.normal_jacobi_flow(metric, N, ray, 0.5)
         except fc.AtlasExitError:
             left += 1
             assert key not in field._flows and key not in field._paths
@@ -181,8 +179,8 @@ def test_a_failing_row_leaves_the_other_rows_intact():
             continue
         lone_path = fc.integrate_geodesic(metric, ray.tangent(), 0.5)
         _assert_same_segments(field._paths[key].segments, lone_path.segments)
-        _assert_same_segments(field._flows[key].frame.path.segments,
-                              lone.frame.path.segments)
+        _assert_same_segments(field._flows[key].path.segments,
+                              lone.path.segments)
     assert 0 < left < len(field.rays)
 
 

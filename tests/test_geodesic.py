@@ -106,7 +106,7 @@ def test_linearized_flow_matches_finite_differences():
     frame = fc.linearized_flow(metric, TangentVec(0, x0, v0), T,
                                np.zeros((2, 2)), np.eye(2),
                                rtol=1e-10, atol=1e-12)
-    J = frame.J(T)
+    J = frame.signed_matrix(T)[0]
     h = 1e-6
     for j in range(2):
         dv = np.zeros(2)
@@ -248,7 +248,7 @@ def test_flows_under_a_vanishing_spray_keep_their_knots():
     ]
     for metric, N, theta, psi, T in cases:
         ray = fc.unit_normal(metric, N, theta, psi)
-        flow = fc.NormalJacobiFlow(metric, N, ray, T)
+        flow = fc.normal_jacobi_flow(metric, N, ray, T)
         J0, Jd0 = fc.cone_variation_data(metric, N, ray)
         n, m = J0.shape
         y0 = np.concatenate([ray.x, ray.v, J0.ravel(), Jd0.ravel()])
@@ -261,7 +261,7 @@ def test_flows_under_a_vanishing_spray_keep_their_knots():
             knots.append(ref.ts[0])
             y_old.append(ref.ys_old[0].copy())
             Q.append(ref.dense_Q()[0])
-        (seg,) = flow.frame.path.segments
+        (seg,) = flow.path.segments
         assert len(knots) > 2
         assert np.array_equal(seg.knots, knots)
         assert np.array_equal(seg.y_old, y_old)

@@ -235,11 +235,37 @@ def test_running_a_builtin_imports_no_scipy(tmp_path):
 def test_refine_leaves_the_scenario_unchanged():
     sc = fc.parse_scenario(json.dumps(TINY))
     grids = dict(sc.grids)
-    bundle = run_scenario(sc, refine=2)
-    assert sc.grids == grids
+    args = cli.build_parser().parse_args(
+        ["run", "tiny", "--refine", "2", "--seed", "9"])
+    refined = cli._overridden(sc, args)
+    assert sc.grids == grids and sc.seed == 5
+    assert refined.grids == dict(grids, refine_levels=2)
+    assert refined.seed == 9
+    bundle = run_scenario(refined)
     assert not bundle.errors
     names = [r["name"] for r in bundle.documents["theorems"]]
     assert "rho_continuity" in names
+
+
+def test_every_refine_level_reaches_the_continuity_check():
+    # three grids of 4, 8 and 16 rays, one quotient each
+    doc = dict(TINY, tasks=["cutlocus", "theorems"],
+               grids=dict(TINY["grids"], refine_levels=3))
+    bundle = run_scenario(fc.parse_scenario(json.dumps(doc)))
+    assert not bundle.errors
+    (report,) = [r for r in bundle.documents["theorems"]
+                 if r["name"] == "rho_continuity"]
+    assert len(report["detail"]["max_quotients"]) == 3
+
+
+def test_a_scenario_axis_line_gets_the_library_halfwidth():
+    doc = dict(TINY, manifold={"type": "flat"},
+               metric={"family": "randers", "b": [0.5, 0.0]},
+               submanifold={"family": "axis-line"})
+    _, _, N, _ = scenario.build_geometry(fc.parse_scenario(json.dumps(doc)))
+    assert np.array_equal(N.theta_box, fc.axis_line_submanifold().theta_box)
+    assert np.array_equal(N.point([1.5]), fc.axis_line_submanifold().point(
+        [1.5]))
 
 
 def test_cli_run_prints_violation_for_each_flagging_task(tmp_path, capsys,
@@ -315,7 +341,7 @@ def test_cli_golden_all_reports_each_builtin(monkeypatch, capsys):
     monkeypatch.setattr(cli, "list_builtin_scenarios",
                         lambda: [(n, "") for n in names])
     monkeypatch.setattr(cli, "run_scenario",
-                        lambda sc, refine=None: scenario.OutputBundle(sc))
+                        lambda sc: scenario.OutputBundle(sc))
     monkeypatch.setattr(cli, "summary_document", lambda bundle: bundle)
     differs = {"sphere-point": ["/classify: 1 vs 2", "/rho: 3 vs 4"]}
     monkeypatch.setattr(cli, "compare_to_golden",

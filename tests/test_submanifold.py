@@ -5,11 +5,19 @@ import pytest
 
 import finslercut as fc
 from finslercut.atlas import TangentVec
+from finslercut.cutlocus import FOCAL_FLOOR
 
 
 def _plane():
     atlas = fc.flat_atlas()
     return atlas, fc.euclidean_metric(atlas)
+
+
+def _focal_time(metric, N, ray, T):
+    """First focal time along the ray in (FOCAL_FLOOR, T], as a shooting
+    field reads it."""
+    return fc.first_degeneracy(fc.normal_jacobi_flow(metric, N, ray, T),
+                               FOCAL_FLOOR, T)
 
 
 def test_unit_normal_has_unit_norm_and_orthogonality():
@@ -66,7 +74,7 @@ def test_normal_exp_flat_circle():
     atlas, metric = _plane()
     N = fc.circle_submanifold(0, (0.0, 0.0), 1.0)
     ray = fc.unit_normal(metric, N, 0.0, 1.0)
-    chart, x = fc.normal_exp(metric, N, ray, 0.4)
+    chart, x = fc.exp_map(metric, (ray.chart, ray.x), 0.4 * ray.v)
     assert np.allclose(x, [0.6, 0.0], atol=1e-9)
 
 
@@ -74,9 +82,9 @@ def test_normal_jacobian_degenerates_at_circle_center():
     atlas, metric = _plane()
     N = fc.circle_submanifold(0, (0.0, 0.0), 1.0)
     ray = fc.unit_normal(metric, N, 0.3, 1.0)
-    flow = fc.NormalJacobiFlow(metric, N, ray, 1.5)
-    d_half = abs(np.linalg.det(flow.matrix(0.5)))
-    d_one = abs(np.linalg.det(flow.matrix(1.0)))
+    flow = fc.normal_jacobi_flow(metric, N, ray, 1.5)
+    d_half = abs(np.linalg.det(flow.signed_matrix(0.5)[0]))
+    d_one = abs(np.linalg.det(flow.signed_matrix(1.0)[0]))
     assert d_one < 1e-6 * max(d_half, 1e-30)
 
 
@@ -84,7 +92,7 @@ def test_focal_time_circle_is_radius():
     atlas, metric = _plane()
     N = fc.circle_submanifold(0, (0.0, 0.0), 1.0)
     ray = fc.unit_normal(metric, N, 1.1, 1.0)
-    lam = fc.focal_time(metric, N, ray, 2.0)
+    lam = _focal_time(metric, N, ray, 2.0)
     assert abs(lam - 1.0) < 1e-6
 
 
@@ -92,7 +100,7 @@ def test_focal_time_outward_is_infinite():
     atlas, metric = _plane()
     N = fc.circle_submanifold(0, (0.0, 0.0), 1.0)
     ray = fc.unit_normal(metric, N, 1.1, -1.0)
-    lam = fc.focal_time(metric, N, ray, 3.0)
+    lam = _focal_time(metric, N, ray, 3.0)
     assert math.isinf(lam)
 
 
@@ -101,9 +109,9 @@ def test_ellipse_focal_times_from_curvature():
     # kappa = a/b^2 at the major vertex, b/a^2 at the minor vertex
     atlas, metric = _plane()
     N = fc.ellipse_submanifold(0, a=2.0, b=1.0)
-    lam_major = fc.focal_time(
+    lam_major = _focal_time(
         metric, N, fc.unit_normal(metric, N, 0.0, 1.0), 6.0)
-    lam_minor = fc.focal_time(
+    lam_minor = _focal_time(
         metric, N, fc.unit_normal(metric, N, math.pi / 2, 1.0), 6.0)
     assert abs(lam_major - 0.5) < 1e-6
     assert abs(lam_minor - 4.0) < 1e-5
@@ -136,11 +144,12 @@ def test_first_degeneracy_reads_the_frame_once_per_time():
     atlas = fc.sphere_atlas()
     metric = fc.sphere_metric(atlas)
     N = fc.point_submanifold(0, (0.3, -0.2))
-    flow = fc.NormalJacobiFlow(metric, N, fc.unit_normal(metric, N, (),
-                                                      (0.6, 0.8)), 3.5)
-    path = flow.frame.path
+    flow = fc.normal_jacobi_flow(metric, N, fc.unit_normal(metric, N, (),
+                                                         (0.6, 0.8)), 3.5)
+    path = flow.path
     reads, probes = [], []
     raw = path.raw
+    signed_matrix = flow.signed_matrix
 
     def counted_raw(t):
         reads.append(t)
@@ -148,13 +157,32 @@ def test_first_degeneracy_reads_the_frame_once_per_time():
 
     def probe(t):
         probes.append(t)
-        return flow.signed_matrix(t)
+        return signed_matrix(t)
 
     path.raw = counted_raw
-    lam = fc.first_degeneracy(flow.frame, probe, 1e-3, 3.5)
+    flow.signed_matrix = probe
+    lam = fc.first_degeneracy(flow, 1e-3, 3.5)
     assert abs(lam - math.pi) < 1e-6
     assert len(set(probes)) == len(probes)
     assert reads == probes
+
+
+def test_focal_and_conjugate_times_of_a_sphere_point_agree():
+    # a point source's focal points are the conjugate points of its rays:
+    # the normal flow's [J | v] (one cone column) and conjugate_time's J
+    # (two columns) degenerate together, at the antipode
+    metric = fc.sphere_metric(fc.sphere_atlas())
+    N = fc.point_submanifold(0, (0.3, -0.2))
+    T = 3.5
+    for psi in ((0.6, 0.8), (-1.0, 0.0), (0.28, -0.96)):
+        ray = fc.unit_normal(metric, N, (), psi)
+        flow = fc.normal_jacobi_flow(metric, N, ray, T)
+        assert flow.m == 1 and flow.signed_matrix(1.0)[0].shape == (2, 2)
+        focal = fc.first_degeneracy(flow, 1e-3 * T, T)
+        conjugate = fc.conjugate_time(metric, (ray.chart, ray.x), ray.v, T)
+        assert abs(focal - conjugate) < 1e-6, psi
+        assert abs(focal - math.pi) < 1e-6, psi
+        assert abs(conjugate - math.pi) < 1e-6, psi
 
 
 @pytest.mark.parametrize("N", [
