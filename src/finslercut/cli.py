@@ -35,13 +35,16 @@ def _load_scenario(name_or_path):
 
 def _overridden(sc, args):
     """A copy of the scenario ``sc`` with the ``--seed`` and ``--refine``
-    values given on the command line; ``sc`` itself is not modified."""
+    values given on the command line, checked by the schema as if the
+    scenario file held them; ``sc`` itself is not modified."""
+    if args.seed is None and args.refine is None:
+        return sc
+    doc = dataclasses.asdict(sc)
     if args.seed is not None:
-        sc = dataclasses.replace(sc, seed=args.seed)
+        doc["seed"] = args.seed
     if args.refine is not None:
-        sc = dataclasses.replace(
-            sc, grids={**sc.grids, "refine_levels": args.refine})
-    return sc
+        doc["grids"]["refine_levels"] = args.refine
+    return parse_scenario(doc)
 
 
 def _cmd_run(args):

@@ -58,6 +58,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -107,9 +109,26 @@ class Minimizer:
 
 @dataclass
 class DistanceWitness:
+    """d(N, q) and the arrivals that realize it.
+
+    ``arrivals`` are the arrivals within the window of d, sorted by t.
+    ``minimizers``, the distinct ones among them, is computed on first read:
+    each arrival in turn is kept when ``distinct`` tells it apart from every
+    one kept before it.  A caller that reads only ``d`` pays no pairwise
+    test.
+    """
     q: tuple
     d: float
-    minimizers: list
+    arrivals: list
+    distinct: Callable = dc_field(repr=False, compare=False)
+
+    @cached_property
+    def minimizers(self):
+        kept = []
+        for a in self.arrivals:
+            if all(self.distinct(a, b) for b in kept):
+                kept.append(a)
+        return kept
 
 
 @dataclass
@@ -580,7 +599,8 @@ class NormalShooting:
         return math.acos(min(1.0, max(-1.0, c))) > DISTINCT_ANGLE
 
     def distance(self, q, full=True) -> DistanceWitness:
-        """d(N, q) and its distinct minimizers.  ``full`` widens the
+        """d(N, q) and its arrivals, whose distinct minimizers are sorted
+        out on first read (``DistanceWitness``).  ``full`` widens the
         shooting candidate set; the closed form is exact either way."""
         if self._line_floor is not None:
             return self._line_distance(q)
@@ -617,7 +637,8 @@ class NormalShooting:
             ray = self.rays[0]
             term = TangentVec(chart, p + w0, ray.v)
             res = float(np.linalg.norm(w0))
-            return DistanceWitness(q, 0.0, [Minimizer(ray, 0.0, term, res)])
+            return DistanceWitness(q, 0.0, [Minimizer(ray, 0.0, term, res)],
+                                   self.distinct)
 
         def length(w):
             return self.metric.F(TangentVec(chart, p, w))
@@ -631,7 +652,7 @@ class NormalShooting:
             raise UnreachedPointError(
                 f"q={q} lies at distance {d:.6g}, beyond twice the horizon "
                 f"{plan.horizon}")
-        minimizers = []
+        arrivals = []
         for i in sorted(range(len(ts)), key=ts.__getitem__):
             t, w = ts[i], shifts[i]
             if t > d + window:
@@ -642,10 +663,9 @@ class NormalShooting:
                             chart, p, v)
             res = float(np.linalg.norm(
                 self.atlas.displacement((chart, p + t * v), q)))
-            a = Minimizer(ray, t, TangentVec(chart, p + w, v), res)
-            if all(self.distinct(a, b) for b in minimizers):
-                minimizers.append(a)
-        return DistanceWitness(q, float(d), minimizers)
+            arrivals.append(Minimizer(ray, t, TangentVec(chart, p + w, v),
+                                      res))
+        return DistanceWitness(q, float(d), arrivals, self.distinct)
 
     def _shoot_distance(self, q, full=True) -> DistanceWitness:
         """Distance by fan closest approach and Gauss-Newton arrival."""
@@ -666,11 +686,7 @@ class NormalShooting:
         window = max(1e-6, 2 * plan.bisect_tol)
         near = sorted((a for a in arrivals if a.t <= d + window),
                       key=lambda a: a.t)
-        minimizers = []
-        for a in near:
-            if all(self.distinct(a, b) for b in minimizers):
-                minimizers.append(a)
-        return DistanceWitness(q, float(d), minimizers)
+        return DistanceWitness(q, float(d), near, self.distinct)
 
     def is_minimizing(self, path, t, full=False):
         q = path.position(t)

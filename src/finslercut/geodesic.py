@@ -197,6 +197,20 @@ def _det_ratio(M):
     return det, abs(det) / max(smax2, 1e-300)
 
 
+def _det_ratios(a, b, c, d):
+    """``_det_ratio`` over arrays of the four entries: the same float64
+    operations in the same order, and ``math.hypot`` itself, so every entry
+    has the bits of the scalar one."""
+    with np.errstate(all="ignore"):
+        det = a * d - b * c
+        u = a * a + b * b - c * c - d * d
+        w = 2.0 * (a * c + b * d)
+        hyp = np.fromiter(map(math.hypot, u.tolist(), w.tolist()), float,
+                          len(u))
+        smax2 = 0.5 * (a * a + b * b + c * c + d * d + hyp)
+        return det, np.abs(det) / np.maximum(smax2, 1e-300)
+
+
 def _transform_state(metric, tr, y, n, m):
     """Push a (x, v[, J, Jd]) state through a chart transition."""
     x = y[:n]
@@ -437,6 +451,32 @@ class LinearizedFrame:
             return np.column_stack([J, y[n:2 * n]]), sign
         return J, sign
 
+    def signed_dets(self, ts):
+        """The signed det of M(t) and its sigma_min / sigma_max at each of
+        the times ``ts``, as two arrays, from one ``eval_many`` per chart
+        segment; entry j has the bits of ``_det_ratio`` on
+        ``signed_matrix(ts[j])``, the det times the sign."""
+        n, m = self.n, self.m
+        ts = np.asarray(ts, dtype=float)
+        segs = self.path.segments
+        # the segment path.raw reads: the first ending at or after t
+        which = np.minimum(np.searchsorted([s.t1 for s in segs], ts),
+                           len(segs) - 1)
+        y = np.empty((len(ts), 2 * n + 2 * n * m))
+        sign = np.empty(len(ts))
+        for k, seg in enumerate(segs):
+            sel = which == k
+            if sel.any():
+                y[sel] = seg.eval_many(ts[sel])
+                sign[sel] = seg.sign
+        J = y[:, 2 * n:2 * n + n * m]
+        if m < n:
+            # [J | v] for the one Jacobi column
+            det, ratio = _det_ratios(J[:, 0], y[:, n], J[:, 1], y[:, n + 1])
+        else:
+            det, ratio = _det_ratios(J[:, 0], J[:, 1], J[:, 2], J[:, 3])
+        return sign * det, ratio
+
     def knot_times(self):
         return self.path.knot_times()
 
@@ -478,15 +518,27 @@ def first_degeneracy(frame: LinearizedFrame, t_floor, T_max):
     """First t in (t_floor, T_max] where the frame's 2 x 2 matrix M(t)
     degenerates.
 
-    Each probe reads ``frame.signed_matrix(t)`` once: M(t) and the
-    orientation sign of the chart transitions up to t.  Tracks the sign of
-    the corrected det and a relative smallest-singular-value threshold,
-    then bisection-refines.  Returns +inf when no degeneracy is found.
+    The scan grid, the knots and 80 evenly spaced times, is read in one
+    array pass (``frame.signed_dets``): the sign of the corrected det and
+    the relative smallest singular value at each time.  The first sign
+    change is bisection-refined and the first dip below DEGENERATE_RATIO
+    ternary-refined, each probe reading ``frame.signed_matrix(t)`` once.
+    Returns +inf when no degeneracy is found.
     """
-    ts = [t for t in frame.knot_times() if t_floor < t <= T_max]
-    grid = sorted(set(np.concatenate([
-        ts, np.linspace(t_floor, min(T_max, frame.t1), 80)])))
-    grid = [t for t in grid if t_floor <= t <= min(T_max, frame.t1)]
+    top = min(T_max, frame.t1)
+    grid = np.unique(np.concatenate([frame.knot_times(),
+                                     np.linspace(t_floor, top, 80)]))
+    grid = grid[(grid >= t_floor) & (grid <= top)]
+    d, ratio = frame.signed_dets(grid)
+    if ratio[0] < DEGENERATE_RATIO:
+        return grid[0]
+    neg = d < 0
+    changes = (d[1:] == 0.0) | (neg[1:] != neg[:-1])
+    hits = np.flatnonzero(changes | (ratio[1:] < DEGENERATE_RATIO))
+    if not len(hits):
+        return np.inf
+    j = hits[0]
+    lo, hi = grid[j], grid[j + 1]
 
     def probe(t):
         """(signed det M(t), sigma_min / sigma_max) from one frame read."""
@@ -494,37 +546,27 @@ def first_degeneracy(frame: LinearizedFrame, t_floor, T_max):
         det, ratio = _det_ratio(M)
         return sign * det, ratio
 
-    prev_t = grid[0]
-    prev_d, ratio = probe(prev_t)
-    if ratio < DEGENERATE_RATIO:
-        return prev_t
-    for t in grid[1:]:
-        d, ratio = probe(t)
-        if d == 0.0 or (d < 0) != (prev_d < 0):
-            lo, hi = prev_t, t
-            while hi - lo > DEGENERACY_TOL:
-                mid = 0.5 * (lo + hi)
-                dm = probe(mid)[0]
-                if dm == 0.0:
-                    return mid
-                if (dm < 0) == (prev_d < 0):
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-        if ratio < DEGENERATE_RATIO:
-            # even-multiplicity kernel: refine on the singular-value dip
-            lo, hi = prev_t, t
-            while hi - lo > DEGENERACY_TOL:
-                m1 = lo + (hi - lo) / 3
-                m2 = hi - (hi - lo) / 3
-                if probe(m1)[1] < probe(m2)[1]:
-                    hi = m2
-                else:
-                    lo = m1
-            return 0.5 * (lo + hi)
-        prev_t, prev_d = t, d
-    return np.inf
+    if changes[j]:
+        prev_neg = neg[j]
+        while hi - lo > DEGENERACY_TOL:
+            mid = 0.5 * (lo + hi)
+            dm = probe(mid)[0]
+            if dm == 0.0:
+                return mid
+            if (dm < 0) == prev_neg:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+    # even-multiplicity kernel: refine on the singular-value dip
+    while hi - lo > DEGENERACY_TOL:
+        m1 = lo + (hi - lo) / 3
+        m2 = hi - (hi - lo) / 3
+        if probe(m1)[1] < probe(m2)[1]:
+            hi = m2
+        else:
+            lo = m1
+    return 0.5 * (lo + hi)
 
 
 def conjugate_time(metric, point, v, T_max,

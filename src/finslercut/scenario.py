@@ -18,8 +18,9 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from pathlib import Path
 
-import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from . import __version__ as _pkg_version
 from .atlas import flat_atlas, sphere_atlas, torus_atlas
@@ -509,6 +510,11 @@ SCHEMA = {
 }
 
 
+# built once: jsonschema.validate would check SCHEMA against its metaschema
+# on every parse (test_schema_conforms_to_its_metaschema checks it instead)
+_VALIDATOR = validator_for(SCHEMA)(SCHEMA)
+
+
 def _plan_defaults(section):
     """The ShootingPlan defaults of a scenario section, by scenario key."""
     plan = ShootingPlan()
@@ -556,9 +562,9 @@ def parse_scenario(text) -> Scenario:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(data, SCHEMA)
-    except jsonschema.ValidationError as exc:
+    # the error jsonschema.validate would raise
+    exc = best_match(_VALIDATOR.iter_errors(data))
+    if exc is not None:
         pointer = "/" + "/".join(str(p) for p in exc.absolute_path)
         msg = exc.message
         if list(exc.absolute_path)[-1:] == ["family"]:

@@ -762,7 +762,7 @@ def test_rejected_closed_form_cut_time_falls_back_to_bisection(monkeypatch):
 
     def one_minimizer(q, full=True):
         wit = distance(q, full)
-        return dataclasses.replace(wit, minimizers=wit.minimizers[:1])
+        return dataclasses.replace(wit, arrivals=wit.minimizers[:1])
 
     monkeypatch.setattr(field, "distance", one_minimizer)
     got = field.cut_time(ray)
@@ -810,3 +810,47 @@ def test_focal_time_of_field_and_module_agree(torus32, sphere_field,
     monkeypatch.setattr(cutlocus, "normal_jacobi_flow", None)
     assert math.isinf(torus32.focal_time(torus32.rays[5]))
     assert not torus32._flows
+
+
+def _eager_minimizers(field, arrivals):
+    """The greedy filter that distance ran before the witness deferred it."""
+    kept = []
+    for a in arrivals:
+        if all(field.distinct(a, b) for b in kept):
+            kept.append(a)
+    return kept
+
+
+def test_minimizers_are_sorted_out_on_first_read(sphere_field, torus32,
+                                                 circle_field, monkeypatch):
+    calls = []
+    distinct = cutlocus.NormalShooting.distinct
+
+    def counted(self, m1, m2):
+        calls.append(self)
+        return distinct(self, m1, m2)
+
+    monkeypatch.setattr(cutlocus.NormalShooting, "distinct", counted)
+    path = sphere_field.path(sphere_field.rays[5])
+    cases = [
+        (sphere_field, path.position(math.pi)),         # the antipode
+        (torus32, (0, np.array([0.5, 0.5]))),           # a Voronoi vertex
+        (circle_field, (0, np.array([0.0, 0.0]))),      # the centre
+    ]
+    for field, q in cases:
+        wit = field.distance(q)
+        assert not calls and len(wit.arrivals) >= 4
+        got = wit.minimizers
+        assert calls
+        n = len(calls)
+        assert wit.minimizers is got and len(calls) == n
+        want = _eager_minimizers(field, wit.arrivals)
+        assert [id(m) for m in got] == [id(m) for m in want]
+        # an arrival found twice is kept once, in the place it first took
+        twice = dataclasses.replace(
+            wit, arrivals=[wit.arrivals[0], *wit.arrivals])
+        assert [id(m) for m in twice.minimizers] == [id(m) for m in got]
+        calls.clear()
+    # the check at the top of a cut-time bracket reads d alone
+    assert sphere_field.is_minimizing(path, 3.0, full=True)
+    assert not calls

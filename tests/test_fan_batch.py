@@ -199,3 +199,11 @@ def test_fan_samples_equal_per_time_dense_output():
             rows = seg.eval_many(more)
             for j, t in enumerate(more):
                 assert np.array_equal(rows[j], seg.eval(t))
+        # the Jacobi flow's (x, v, J, Jd) rows, as the focal scan reads them
+        for seg in field.flow(field.rays[i]).path.segments:
+            more = np.concatenate([seg.knots, rng.uniform(seg.t0, seg.t1, 50),
+                                   [seg.t0 - 1e-3, seg.t1 + 1e-3]])
+            rows = seg.eval_many(more)
+            assert rows.shape == (len(more), 8)
+            for j, t in enumerate(more):
+                assert np.array_equal(rows[j], seg.eval(t))

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 import finslercut as fc
+from finslercut import cutlocus, scenario
 from finslercut.atlas import TangentVec
 from finslercut.dopri import TOO_SMALL_STEP, DormandPrince
-from finslercut.geodesic import (PathSegment, _det_ratio, _geodesic_rhs,
-                                 _integrate_rows, _linearized_rhs)
+from finslercut.geodesic import (DEGENERACY_TOL, DEGENERATE_RATIO,
+                                 LinearizedFrame, PathSegment, _det_ratio,
+                                 _geodesic_rhs, _integrate_rows,
+                                 _linearized_rhs)
 
 
 def test_flat_geodesics_are_straight_lines():
@@ -430,3 +433,158 @@ def test_stepper_rejects_bad_input_like_rk45():
                       1e-9, 1e-11)
     with pytest.raises(ValueError, match="atol"):
         DormandPrince(fun, [0.0], np.zeros((1, 4)), 1.0, 1e-9, -1.0)
+
+
+def _scalar_first_degeneracy(frame, t_floor, T_max):
+    """The per-probe scan that first_degeneracy's array pass replaced: the
+    same grid, each time read by its own ``signed_matrix`` probe."""
+    ts = [t for t in frame.knot_times() if t_floor < t <= T_max]
+    grid = sorted(set(np.concatenate([
+        ts, np.linspace(t_floor, min(T_max, frame.t1), 80)])))
+    grid = [t for t in grid if t_floor <= t <= min(T_max, frame.t1)]
+
+    def probe(t):
+        M, sign = frame.signed_matrix(t)
+        det, ratio = _det_ratio(M)
+        return sign * det, ratio
+
+    prev_t = grid[0]
+    prev_d, ratio = probe(prev_t)
+    if ratio < DEGENERATE_RATIO:
+        return prev_t
+    for t in grid[1:]:
+        d, ratio = probe(t)
+        if d == 0.0 or (d < 0) != (prev_d < 0):
+            lo, hi = prev_t, t
+            while hi - lo > DEGENERACY_TOL:
+                mid = 0.5 * (lo + hi)
+                dm = probe(mid)[0]
+                if dm == 0.0:
+                    return mid
+                if (dm < 0) == (prev_d < 0):
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+        if ratio < DEGENERATE_RATIO:
+            lo, hi = prev_t, t
+            while hi - lo > DEGENERACY_TOL:
+                m1 = lo + (hi - lo) / 3
+                m2 = hi - (hi - lo) / 3
+                if probe(m1)[1] < probe(m2)[1]:
+                    hi = m2
+                else:
+                    lo = m1
+            return 0.5 * (lo + hi)
+        prev_t, prev_d = t, d
+    return np.inf
+
+
+def _assert_scan_matches_scalar(frame, t_floor, T_max):
+    """first_degeneracy and signed_dets against the scalar probes, bit for
+    bit; returns the focal time."""
+    got = fc.first_degeneracy(frame, t_floor, T_max)
+    want = _scalar_first_degeneracy(frame, t_floor, T_max)
+    assert float(got).hex() == float(want).hex(), (got, want)
+    # every knot, segment end included, and times between them
+    ts = np.union1d(frame.knot_times(),
+                    np.linspace(frame.t0, frame.t1, 101))
+    dets, ratios = frame.signed_dets(ts)
+    for t, det, ratio in zip(ts, dets, ratios):
+        M, sign = frame.signed_matrix(t)
+        det_s, ratio_s = _det_ratio(M)
+        assert float(det).hex() == float(sign * det_s).hex(), t
+        assert float(ratio).hex() == float(ratio_s).hex(), t
+    return got
+
+
+def _builtin_field(name):
+    _, metric, N, plan = scenario.build_geometry(
+        scenario.builtin_scenario(name))
+    return fc.NormalShooting(metric, N, plan)
+
+
+def test_focal_scan_equals_scalar_scan_on_sphere_point_flows():
+    field = _builtin_field("sphere-point")
+    H = field.plan.horizon
+    for ray in field.rays[::8]:
+        for span in (H, 2 * H):
+            flow = field.flow(ray, span)
+            assert flow.m == 1
+            lam = _assert_scan_matches_scalar(flow, cutlocus.FOCAL_FLOOR,
+                                              span)
+            assert abs(lam - math.pi) < 1e-6
+
+
+def test_focal_scan_equals_scalar_scan_for_conjugate_times():
+    # conjugate_time's frame has two Jacobi columns (m = n = 2)
+    metric = fc.sphere_metric(fc.sphere_atlas())
+    T = 3.5
+    for x, v in (((0.3, -0.2), (0.6, 0.8)), ((0.0, 0.0), (-0.5, 0.0)),
+                 ((1.5, 0.4), (0.1, -0.3))):
+        start = TangentVec(0, np.array(x), np.array(v))
+        frame = fc.linearized_flow(metric, start, T, np.zeros((2, 2)),
+                                   np.eye(2))
+        assert frame.m == 2
+        got = _assert_scan_matches_scalar(frame, 1e-3 * T, T)
+        assert got == fc.conjugate_time(metric, (0, start.x), start.v, T)
+
+
+def _diag_frame(knots, j11, q11):
+    """A hand-built one-segment frame with M = J = diag(1, J11(t)): on step
+    i, J11 = j11[i] + h (q11[i] . (x, x^2, x^3, x^4)), x = (t - t_i) / h."""
+    n = 2
+    steps = len(knots) - 1
+    y_old = np.zeros((steps, 2 * n + 2 * n * n))
+    y_old[:, n] = 1.0                    # v = (1, 0)
+    y_old[:, 4] = 1.0                    # J[0, 0] = 1
+    y_old[:, 7] = j11
+    Q = np.zeros((steps, y_old.shape[1], 4))
+    Q[:, 7, :len(q11[0])] = q11
+    seg = PathSegment(0, knots[0], knots[-1], np.array(knots), y_old, Q)
+    return LinearizedFrame(fc.euclidean_metric(fc.flat_atlas()), [seg], 2)
+
+
+def test_focal_scan_finds_a_dip_without_a_sign_change():
+    # J11 = (t - t0)^2 on one step [0, T]: det M touches zero at t0 without
+    # changing sign, so only the singular-value ratio finds it; t0 sits just
+    # before the scan's linspace point 1.2
+    T, t0, t_floor = 2.475, 1.2 - 1e-4, 0.5
+    frame = _diag_frame([0.0, T], [t0 * t0], [[-2.0 * t0, T]])
+    dets, ratios = frame.signed_dets(np.linspace(t_floor, T, 80))
+    assert (dets >= 0.0).all() and (ratios < DEGENERATE_RATIO).sum() == 1
+    got = _assert_scan_matches_scalar(frame, t_floor, T)
+    assert abs(got - t0) < 1e-6
+
+
+def test_focal_scan_bisects_from_a_zero_det_on_the_grid():
+    # J11 = t0 - t over the steps [0, t0] and [t0, T]: det M falls from
+    # positive to exactly 0 at the knot t0, a grid time, and the scan
+    # bisects up to it
+    T, t0 = 3.0, 1.3
+    frame = _diag_frame([0.0, t0, T], [t0, 0.0], [[-1.0], [-1.0]])
+    assert frame.signed_dets([t0])[0][0] == 0.0
+    got = _assert_scan_matches_scalar(frame, 0.02, T)
+    assert t0 - 1e-8 < got < t0
+
+
+def test_focal_scan_equals_scalar_scan_across_a_chart_change():
+    field = _builtin_field("sphere-equator")
+    switched = 0
+    for ray in field.rays[::6]:
+        flow = field.flow(ray)
+        switched += len(flow.path.segments) > 1
+        _assert_scan_matches_scalar(flow, cutlocus.FOCAL_FLOOR,
+                                    field.plan.horizon)
+    assert switched > 0
+
+
+def test_focal_scan_equals_scalar_scan_on_the_ellipse():
+    field = _builtin_field("plane-ellipse")
+    finite = 0
+    for ray in field.rays[::32]:
+        flow = field.flow(ray)
+        lam = _assert_scan_matches_scalar(flow, cutlocus.FOCAL_FLOOR,
+                                          field.plan.horizon)
+        finite += bool(np.isfinite(lam))
+    assert 0 < finite < len(field.rays[::32])

@@ -7,8 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from jsonschema.validators import validator_for
 
 import finslercut as fc
 from finslercut import cli, scenario
@@ -101,6 +103,47 @@ def test_run_is_deterministic():
 
 def test_schema_is_strict():
     assert SCHEMA["additionalProperties"] is False
+
+
+def test_schema_conforms_to_its_metaschema():
+    # parse_scenario reuses one validator and no longer checks the schema
+    validator_for(SCHEMA).check_schema(SCHEMA)
+
+
+@pytest.mark.parametrize("doc", [
+    dict(TINY, metric={"family": "hyperbolic"}),
+    dict(TINY, grids={"psi_count": 0}),
+    dict(TINY, seed=-3, extra=1),
+    {"name": "", "manifold": {"type": "flat"}},
+], ids=["family", "psi_count", "two-errors", "missing"])
+def test_parse_reports_the_error_jsonschema_validate_reports(doc):
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(doc, SCHEMA)
+    with pytest.raises(ScenarioError) as got:
+        fc.parse_scenario(json.dumps(doc))
+    assert got.value.__cause__.message == want.value.message
+    assert got.value.pointer == "/" + "/".join(
+        str(p) for p in want.value.absolute_path)
+
+
+@pytest.mark.parametrize("flags, pointer", [
+    (["--seed", "-1"], "/seed"),
+    (["--seed", str(2 ** 64)], "/seed"),
+    (["--refine", "0"], "/grids/refine_levels"),
+], ids=["negative-seed", "seed-past-2^64-1", "refine-0"])
+def test_cli_overrides_are_checked_by_the_schema(tmp_path, capsys, flags,
+                                                 pointer):
+    f = tmp_path / "sc.json"
+    f.write_text(json.dumps(TINY))
+    args = ["run", str(f), "--out-dir", str(tmp_path / "out"), *flags]
+    assert cli.main(args) == 1
+    assert f"invalid scenario at {pointer}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # the largest seed the schema allows passes
+    sc = fc.parse_scenario(json.dumps(TINY))
+    ok = cli._overridden(sc, cli.build_parser().parse_args(
+        ["run", "tiny", "--seed", str(2 ** 64 - 1), "--refine", "1"]))
+    assert ok.seed == 2 ** 64 - 1 and ok.grids["refine_levels"] == 1
 
 
 def test_cli_list_exit_zero(capsys):
