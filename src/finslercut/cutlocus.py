@@ -37,10 +37,15 @@ Every cache of a field follows one rule: a value is keyed by exactly what
 determines it, and it is never replaced or invalidated.  Paths and Jacobi
 flows are keyed by the ray's exact cone coordinates and the whole number of
 horizons that covers the span asked for, and are integrated to exactly that
-many horizons; cut times are keyed by the ray; the fan is sampled once, from
-its one-horizon paths, and stacked once.  Rays off the grid, such as
+many horizons; cut times are keyed by the ray; the witnesses of full
+distance queries are keyed by the exact query point (a quick query or a
+failed one is not stored); the fan is sampled once, from its one-horizon
+paths, and stacked once.  Rays off the grid, such as
 ``ray_at(mu, template)``, share the path, flow and cut-time caches but never
 join the fan, so no answer depends on which queries came before.
+
+Every finite cut time ends with a full ``distance`` query at exactly the
+cut point, so ``record`` classifies each cut point from that witness.
 
 The fan is integrated as one batch: its one-horizon paths not yet cached
 are stepped together (``geodesic.integrate_geodesics``) the first time the
@@ -58,7 +63,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -111,9 +115,10 @@ class Minimizer:
 class DistanceWitness:
     """d(N, q) and the arrivals that realize it.
 
-    ``arrivals`` are the arrivals within the window of d, sorted by t.
-    ``minimizers``, the distinct ones among them, is computed on first read:
-    each arrival in turn is kept when ``distinct`` tells it apart from every
+    ``arrivals`` are the arrivals within the window of d, sorted by t.  Its
+    distinct ones, the minimizers, are sorted out only as far as a reader
+    needs (``leading(n)``, or ``minimizers`` for all): each arrival in turn,
+    once per witness, is kept when ``distinct`` tells it apart from every
     one kept before it.  A caller that reads only ``d`` pays no pairwise
     test.
     """
@@ -121,14 +126,24 @@ class DistanceWitness:
     d: float
     arrivals: list
     distinct: Callable = dc_field(repr=False, compare=False)
+    _kept: list = dc_field(default_factory=list, init=False, repr=False,
+                           compare=False)
+    _tested: int = dc_field(default=0, init=False, repr=False, compare=False)
 
-    @cached_property
-    def minimizers(self):
-        kept = []
-        for a in self.arrivals:
+    def leading(self, n):
+        """The first n minimizers (all of them when there are fewer)."""
+        kept = self._kept
+        while len(kept) < n and self._tested < len(self.arrivals):
+            a = self.arrivals[self._tested]
+            self._tested += 1
             if all(self.distinct(a, b) for b in kept):
                 kept.append(a)
-        return kept
+        return kept[:n]
+
+    @property
+    def minimizers(self):
+        self.leading(len(self.arrivals))
+        return self._kept
 
 
 @dataclass
@@ -196,11 +211,8 @@ class NormalShooting:
         self._paths = {}
         self._flows = {}
         self._cut_times = {}        # _ray_key -> CutTimeResult
+        self._witnesses = {}        # exact point -> DistanceWitness (full)
         self._stack = None          # fan samples per chart, stacked once
-        # cut point rounded to 1e-6 -> DistanceWitness (classify)
-        self._classify_cache = {}
-        # query point -> InverseExpResult (topology.inverse_normal_exp)
-        self._inverse_cache = {}
         # fan index -> the finite-difference neighbour of a Gauss-Newton
         # seed, see _seed_ray
         self._seed_rays = {}
@@ -600,11 +612,20 @@ class NormalShooting:
 
     def distance(self, q, full=True) -> DistanceWitness:
         """d(N, q) and its arrivals, whose distinct minimizers are sorted
-        out on first read (``DistanceWitness``).  ``full`` widens the
-        shooting candidate set; the closed form is exact either way."""
-        if self._line_floor is not None:
-            return self._line_distance(q)
-        return self._shoot_distance(q, full)
+        out as they are read (``DistanceWitness``).  ``full`` widens the
+        shooting candidate set; the closed form is exact either way.  A
+        full query's witness is memoized under the exact point q; a quick
+        query is answered afresh, and a failure raises again next time."""
+        key = (q[0], np.asarray(q[1], dtype=float).tobytes())
+        got = self._witnesses.get(key) if full else None
+        if got is None:
+            if self._line_floor is not None:
+                got = self._line_distance(q)
+            else:
+                got = self._shoot_distance(q, full)
+            if full:
+                self._witnesses[key] = got
+        return got
 
     def _lattice_shifts(self, w0, reach):
         """The images w0 + kL of Euclidean length at most ``reach`` as the
@@ -838,29 +859,25 @@ class NormalShooting:
             hi = rho
         return CutTimeResult(rho, float(lam), bisection_iters=iters)
 
-    def record(self, ray: NormalRay, classify=True) -> CutRecord:
+    def record(self, ray: NormalRay) -> CutRecord:
         res = self.cut_time(ray)
         rec = CutRecord(ray, res.rho, res.lam, unbounded=res.unbounded,
                         diagnostics={"bisection_iters": res.bisection_iters})
         if np.isfinite(res.rho):
             rec.cut_point = self.path(ray, res.rho).position(res.rho)
-            if classify:
-                self.classify(rec)
+            self.classify(rec)
         return rec
 
     def classify(self, rec: CutRecord):
-        # cut points of nearby rays often coincide (poles, antipodes);
-        # reuse the witness below the classification tolerance scale
-        chart, x = rec.cut_point
-        key = (chart, tuple(np.round(np.asarray(x, float), 6)))
-        wit = self._classify_cache.get(key)
-        if wit is None:
-            wit = self.distance(rec.cut_point, full=True)
-            self._classify_cache[key] = wit
+        """Separating with two distinct minimizers at the cut point (read
+        from the witness its cut time memoized; of these two, at most one is
+        the record's own ray), FirstFocal when rho is the first focal time."""
+        wit = self.distance(rec.cut_point, full=True)
+        first = wit.leading(2)
         cls = set()
-        if len(wit.minimizers) >= 2:
+        if len(first) >= 2:
             cls.add(SEPARATING)
-            others = [m for m in wit.minimizers
+            others = [m for m in first
                       if not np.allclose(m.ray.v, rec.ray.v, atol=1e-6)
                       or np.linalg.norm(m.ray.x - rec.ray.x) > 1e-6]
             if others:
@@ -868,20 +885,19 @@ class NormalShooting:
         if np.isfinite(rec.lam) and abs(rec.rho - rec.lam) <= 1e-5:
             cls.add(FIRST_FOCAL)
         rec.classification = cls
-        rec.diagnostics["n_minimizers"] = len(wit.minimizers)
-        rec.diagnostics["witness_d"] = wit.d
         if not cls:
             rec.diagnostics["violation"] = (
                 f"empty classification: rho={rec.rho:.8g} lam={rec.lam:.8g} "
-                f"minimizers={len(wit.minimizers)} d={wit.d:.8g}")
+                f"minimizers={len(first)} d={wit.d:.8g}")
         return rec.classification
 
 
 # -- the cut locus ---------------------------------------------------------
 
 
-def cut_locus(field: NormalShooting, classify=True, side=None):
-    """Cut records over the field's fan; per-ray failures collected.
+def cut_locus(field: NormalShooting, side=None):
+    """Classified cut records over the field's fan; per-ray failures
+    collected.
 
     The fan always covers the whole cone (both sides of a hypersurface),
     since distance queries need every competitor; ``side`` only restricts
@@ -895,7 +911,7 @@ def cut_locus(field: NormalShooting, classify=True, side=None):
     records = []
     for ray in rays:
         try:
-            records.append(field.record(ray, classify=classify))
+            records.append(field.record(ray))
         except (FinslerError, np.linalg.LinAlgError) as exc:
             rec = CutRecord(ray, np.nan, np.nan)
             rec.diagnostics["error"] = repr(exc)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .atlas import TangentVec
-from .cutlocus import NormalShooting, Report, cut_locus
+from .cutlocus import FIRST_FOCAL, NormalShooting, Report, cut_locus
 from .errors import FinslerError, NumericalFailure, ReversibilityError
 from .submanifold import point_submanifold
 
@@ -134,7 +134,7 @@ def find_geodesic_loop(field: NormalShooting, records=None) -> LoopResult:
     metric = field.metric
     require_reversible(metric)
     if records is None:
-        records = cut_locus(field, classify=False)
+        records = cut_locus(field)
 
     finite = [(i, r) for i, r in enumerate(records)
               if r.cut_point is not None and np.isfinite(r.rho)]
@@ -145,7 +145,7 @@ def find_geodesic_loop(field: NormalShooting, records=None) -> LoopResult:
     focal_minima = []
     for k in order:
         _, rec = finite[k]
-        if np.isfinite(rec.lam) and abs(rec.rho - rec.lam) <= 1e-5:
+        if FIRST_FOCAL in rec.classification:
             focal_minima.append(rec)
             continue
         x0 = rec.cut_point

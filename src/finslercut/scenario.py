@@ -260,8 +260,7 @@ def _task_validate(run):
 
 
 def _task_cutlocus(run):
-    records = run.records = cut_locus(run.field, classify=False,
-                                      side=run.sc.grids["side"])
+    records = run.records = cut_locus(run.field, side=run.sc.grids["side"])
     atlas, name = run.metric.atlas, run.sc.name
     run.files[f"{name}_cutlocus.csv"] = records_csv(records)
     run.files[f"{name}_cutlocus.svg"] = records_svg(atlas, run.N, records)
@@ -276,14 +275,8 @@ def _task_cutlocus(run):
 
 
 def _task_classify(run):
-    field = run.field
-    violations = []
-    for rec in run.records:
-        if rec.cut_point is None:
-            continue
-        field.classify(rec)
-        if not rec.classification:
-            violations.append(rec.diagnostics.get("violation", "empty"))
+    violations = [rec.diagnostics["violation"] for rec in run.records
+                  if rec.cut_point is not None and not rec.classification]
     hist = {}
     for rec in run.records:
         key = "+".join(sorted(rec.classification)) or "(none)"
@@ -386,12 +379,11 @@ def _task_theorems(run):
     field = run.field
     side = run.sc.grids["side"]
     if run.records is None:
-        run.records = cut_locus(field, classify=False, side=side)
+        run.records = cut_locus(field, side=side)
     records = run.records
     reports = []
     reports.append(check_rho_leq_lambda(records))
-    classified = [r for r in records if r.classification]
-    if classified:
+    if any(r.classification for r in records):
         reports.append(check_se_dense(records, atlas=field.atlas))
     # the rho-continuity study runs on refine_levels grids, each with half
     # the rays of the next, coarsest first
@@ -402,7 +394,7 @@ def _task_theorems(run):
             plan, theta_count=max(1, plan.theta_count // 2),
             psi_count=max(1, plan.psi_count // 2))
         levels.insert(0, cut_locus(NormalShooting(field.metric, field.N, plan),
-                                   classify=False, side=side))
+                                   side=side))
     if len(levels) > 1:
         reports.append(check_rho_continuity(levels))
     doc = [{"name": r.name, "passed": bool(r.passed),

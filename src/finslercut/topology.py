@@ -27,22 +27,13 @@ class InverseExpResult:
     rho: float
 
 
-def _q_key(q):
-    chart, x = q
-    return (chart, tuple(np.asarray(x, dtype=float).tolist()))
-
-
 def inverse_normal_exp(field: NormalShooting, q) -> InverseExpResult:
     """Unique (ray, t) with exp^nu(t, ray) = q, for q off the cut locus.
 
     A posteriori check: the minimizer is unique and t stays below the cut
-    time of its ray.
+    time of its ray.  Both parts are memoized by the field: the witness
+    under the exact point q, the cut time under the ray.
     """
-    key = _q_key(q)
-    got = field._inverse_cache.get(key)
-    if got is not None:
-        return got
-
     wit = field.distance(q, full=True)
     if len(wit.minimizers) >= 2:
         raise CutLocusError(
@@ -54,9 +45,7 @@ def inverse_normal_exp(field: NormalShooting, q) -> InverseExpResult:
         raise CutLocusError(
             f"inconsistent inverse at q={q}: minimizer time {m.t:.10g} "
             f"reaches the cut time {rho:.10g} of its ray")
-    res = InverseExpResult(q, m.ray, m.t, m.residual, rho)
-    field._inverse_cache[key] = res
-    return res
+    return InverseExpResult(q, m.ray, m.t, m.residual, rho)
 
 
 def retract_to_N(field: NormalShooting, q, s):

@@ -7,7 +7,8 @@ import pytest
 
 import finslercut as fc
 from finslercut import cutlocus, scenario
-from finslercut.cutlocus import NEWTON_TOL, SAMPLE_DT_FRAC, ShootingPlan
+from finslercut.cutlocus import (NEWTON_TOL, SAMPLE_DT_FRAC, SEPARATING,
+                                 ShootingPlan)
 from finslercut.metric import ReversedMetric
 
 
@@ -201,7 +202,7 @@ def _assert_same_shooting(warm, cold, queries):
 def test_seed_ray_memo_is_bounded_and_order_independent(torus32):
     # the torus field answers distance in closed form, so the shooting
     # path is called directly, at every cut point of the fan
-    for rec in fc.cut_locus(torus32, classify=False):
+    for rec in fc.cut_locus(torus32):
         torus32._shoot_distance(rec.cut_point)
     memo = torus32._seed_rays
     assert 0 < len(memo) <= len(torus32.rays)
@@ -445,8 +446,8 @@ def test_rho_continuity_report(small_torus):
     coarse_plan = dataclasses.replace(small_torus.plan, psi_count=32)
     coarse_field = fc.NormalShooting(small_torus.metric, small_torus.N,
                                      coarse_plan)
-    coarse = fc.cut_locus(coarse_field, classify=False)
-    fine = fc.cut_locus(small_torus, classify=False)
+    coarse = fc.cut_locus(coarse_field)
+    fine = fc.cut_locus(small_torus)
     report = fc.check_rho_continuity([coarse, fine])
     assert report.passed
 
@@ -785,12 +786,14 @@ def test_flat_point_cut_locus_steps_no_flow_and_bisects_nothing(monkeypatch):
         return distance(q, full)
 
     monkeypatch.setattr(field, "distance", counted)
-    records = fc.cut_locus(field, classify=False)
+    records = fc.cut_locus(field)
     assert not field._flows
     assert all(rec.diagnostics["bisection_iters"] == 0 for rec in records)
     assert all(np.isfinite(rec.rho) for rec in records)
-    # one confirming query per computed cut time
-    assert len(queries) <= len(field._cut_times) == len(records)
+    # one confirming query per computed cut time: its witness is computed
+    # once, and classification reads it again at the same point
+    points = {(c, tuple(x)) for c, x in queries}
+    assert len(points) <= len(field._cut_times) == len(records)
 
 
 def test_focal_time_of_field_and_module_agree(torus32, sphere_field,
@@ -854,3 +857,122 @@ def test_minimizers_are_sorted_out_on_first_read(sphere_field, torus32,
     # the check at the top of a cut-time bracket reads d alone
     assert sphere_field.is_minimizing(path, 3.0, full=True)
     assert not calls
+
+
+def _competitor_key(rec):
+    if rec.competitor is None:
+        return None
+    ray, t = rec.competitor
+    return ray.theta.tolist(), ray.psi.tolist(), t
+
+
+def test_classification_does_not_depend_on_record_order(sphere_setup):
+    # every sphere-point cut point is the antipode, reached by all 64 rays,
+    # so a witness shared between nearby cut points would hand each record
+    # the competitor of whichever record was classified first
+    _, metric, N, plan = sphere_setup
+    forward = fc.NormalShooting(metric, N, plan)
+    backward = fc.NormalShooting(metric, N, plan)
+    fwd = [forward.record(ray) for ray in forward.rays]
+    bwd = [backward.record(ray) for ray in reversed(backward.rays)][::-1]
+    for a, b in zip(fwd, bwd):
+        assert a.classification == b.classification
+        assert a.classification == {cutlocus.SEPARATING, cutlocus.FIRST_FOCAL}
+        assert _competitor_key(a) == _competitor_key(b) is not None
+    # classifying again, in the other order, changes nothing
+    want = [(rec.classification, _competitor_key(rec)) for rec in fwd]
+    for rec in reversed(fwd):
+        forward.classify(rec)
+    assert [(rec.classification, _competitor_key(rec)) for rec in fwd] == want
+
+
+def test_cut_locus_outputs_carry_the_classes():
+    name = "sphere-point"
+    bundle = scenario.run_scenario(scenario.builtin_scenario(name))
+    hist = bundle.documents["classify"]["histogram"]
+    lines = bundle.files[f"{name}_cutlocus.csv"].splitlines()
+    col = lines[0].split(",").index("class")
+    tally = {}
+    for line in lines[1:]:
+        key = line.split(",")[col].replace("|", "+") or "(none)"
+        tally[key] = tally.get(key, 0) + 1
+    assert tally == hist == {"FirstFocal+Separating": 64}
+    doc = json.loads(bundle.files[f"{name}_cutlocus.json"])
+    tally = {}
+    for rec in doc["records"]:
+        key = "+".join(rec["class"]) or "(none)"
+        tally[key] = tally.get(key, 0) + 1
+        separating = SEPARATING in rec["class"]
+        assert (rec["competitor"] is not None) == separating
+    assert tally == hist
+
+
+def _count_calls(monkeypatch, name):
+    """Record the query point of every execution of NormalShooting.<name>."""
+    calls = []
+    method = getattr(cutlocus.NormalShooting, name)
+
+    def counted(self, q, *args):
+        calls.append(q)
+        return method(self, q, *args)
+
+    monkeypatch.setattr(cutlocus.NormalShooting, name, counted)
+    return calls
+
+
+def test_full_distance_queries_are_memoized_by_the_exact_point(
+        sphere_setup, monkeypatch):
+    _, metric, N, plan = sphere_setup
+    field = fc.NormalShooting(metric, N, plan)
+    computed = _count_calls(monkeypatch, "_shoot_distance")
+    q = field.path(field.rays[3]).position(1.0)
+    wit = field.distance(q)
+    assert field.distance(q, full=True) is wit and len(computed) == 1
+    # an equal point given as a fresh array is the same key
+    assert field.distance((q[0], np.array(q[1].tolist()))) is wit
+    # a point one ulp away is a new query
+    near = (q[0], np.nextafter(q[1], np.inf))
+    assert field.distance(near) is not wit and len(computed) == 2
+    # a quick query is answered afresh each time and not stored
+    quick = field.distance(q, full=False)
+    assert quick is not wit and field.distance(q, full=False) is not quick
+    assert len(computed) == 4 and field.distance(q) is wit
+
+
+def test_a_failed_distance_query_raises_again():
+    field = fc.NormalShooting(fc.euclidean_metric(fc.flat_atlas()),
+                              fc.point_submanifold(0, np.zeros(2)),
+                              fc.ShootingPlan(psi_count=16, horizon=1.0))
+    q = (0, np.array([5.0, 0.0]))
+    for full in (True, True, False):
+        with pytest.raises(fc.UnreachedPointError):
+            field.distance(q, full=full)
+    assert not field._witnesses
+
+
+@pytest.mark.parametrize("case", ["torus", "quartic-torus", "sphere"])
+def test_cut_locus_computes_one_witness_per_cut_time(case, sphere_setup,
+                                                     monkeypatch):
+    if case == "sphere":
+        _, metric, N, plan = sphere_setup
+        method = "_shoot_distance"
+    else:
+        atlas = fc.torus_atlas([0.9, 1.2])
+        metric = (fc.euclidean_metric(atlas) if case == "torus" else
+                  fc.MinkowskiQuarticMetric(atlas, eps=0.1))
+        N = fc.point_submanifold(0, [0.1, 0.4])
+        plan = fc.ShootingPlan(psi_count=32, horizon=1.5, bisect_tol=1e-8,
+                               min_slack=1e-7)
+        method = "_line_distance"
+    field = fc.NormalShooting(metric, N, plan)
+    computed = _count_calls(monkeypatch, method)
+    records = fc.cut_locus(field)
+    finite = [rec for rec in records if np.isfinite(rec.rho)]
+    assert len(finite) == len(records) == len(field.rays)
+    assert all(SEPARATING in rec.classification for rec in records)
+    # each cut time's one confirming query is at the record's cut point,
+    # and classification read that witness with no query of its own
+    assert len(computed) == len(finite)
+    assert {(c, tuple(x)) for c, x in computed} == \
+        {(rec.cut_point[0], tuple(rec.cut_point[1])) for rec in finite}
+    assert all(rec.competitor is not None for rec in finite)

@@ -127,8 +127,8 @@ def test_fan_flows_do_not_depend_on_earlier_requests(sphere_setup):
     # an off-grid flow and a lone fan flow before the batch
     early.flow(early.ray_at(np.array([0.1]), early.rays[0]))
     early.flow(early.rays[3])
-    got = fc.cut_locus(early, classify=False)
-    want = fc.cut_locus(fresh, classify=False)
+    got = fc.cut_locus(early)
+    want = fc.cut_locus(fresh)
     for a, b in zip(got, want):
         assert (a.rho, a.lam) == (b.rho, b.lam)
     H = plan.horizon

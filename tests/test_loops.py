@@ -51,7 +51,7 @@ def test_min_M_on_cut_torus(torus_field, torus_records):
 
 
 def test_min_M_refuses_unbounded(circle_field):
-    records = fc.cut_locus(circle_field, classify=False)
+    records = fc.cut_locus(circle_field)
     q = (0, np.array([0.2, 0.0]))
     with pytest.raises(fc.NumericalFailure):
         fc.min_M_on_cut(circle_field, q, records)
