@@ -22,9 +22,14 @@ no focal point (J0 = 0, so det[t Jd0 | v] vanishes only at t = 0), so
 ``focal_time`` is inf with no Jacobi flow.  By the Separating/FirstFocal
 dichotomy its cut time is then the first t at which a lattice copy reaches
 p + t v as fast as the ray does: the least root in (0, 2H] of
-F(t v - kL) = t over the shifts k != 0, H the horizon, found by Newton.
-One full ``distance`` query at the cut point confirms it (no shorter path,
-at least two minimizers); if it does not, the ray is bisected.
+F(t v - kL) = t over the shifts k != 0, H the horizon.  The roots of every
+(ray, shift) pair are found by one lockstep Newton over arrays, on the
+metric's row oracles ``F_rows`` and ``legendre_rows``, and ``file_fan``
+files the cut times of all the rays ``cut_locus`` records from one such
+batch; ``cut_time`` on a ray not filed is the one-ray batch.  One full
+``distance`` query at each cut point confirms it (no shorter path, at
+least two minimizers); if it does not, the ray is not filed and is
+bisected.
 
 Every other field (the sphere, curve sources) steps Jacobi flows for its
 focal times and bisects the minimality predicate for its cut times, with
@@ -187,10 +192,49 @@ def _unit_circle_floor(metric, chart, p):
     largest sample.
     """
     angles = 2 * np.pi * np.arange(FLOOR_DIRS) / FLOOR_DIRS
-    vals = [metric.F(TangentVec(chart, p, [math.cos(a), math.sin(a)]))
-            for a in angles]
+    vals = metric.F_rows(chart, p, [[math.cos(a), math.sin(a)]
+                                    for a in angles])
     chord = 2.0 * math.sin(math.pi / (2 * FLOOR_DIRS))
-    return min(vals) - max(vals) * chord / (1.0 - chord)
+    return float(vals.min() - vals.max() * chord / (1.0 - chord))
+
+
+def _least_roots(metric, chart, p, V, W, t_max):
+    """First root in (0, t_max] of g(t) = F(t v + w) - t for each row (v, w)
+    of the (k, 2) arrays V and W, else inf, by Newton on every row in
+    lockstep.
+
+    g is convex with g(0) = F(w) > 0, so Newton from t = 0 rises
+    monotonically to its first root; g' = (g_u u) . v / F(u) - 1 at
+    u = t v + w.  A row stops at its root once g <= 0 or once its step
+    falls below 4 eps t, and has none once g' >= 0 while g > 0, or once an
+    iterate passes t_max; a row still going after ROOT_ITERS steps keeps
+    its last iterate.
+    """
+    t = np.zeros(len(V))
+    roots = np.full(len(V), np.inf)
+    live = np.arange(len(V))        # the rows still stepping
+    for _ in range(ROOT_ITERS):
+        if not live.size:
+            return roots
+        u = t[live, None] * V[live] + W[live]
+        length = metric.F_rows(chart, p, u)
+        g = length - t[live]
+        met = g <= 0.0
+        roots[live[met]] = t[live[met]]
+        live, u, length, g = live[~met], u[~met], length[~met], g[~met]
+        omega = metric.legendre_rows(chart, p, u)
+        v = V[live]
+        slope = (omega[:, 0] * v[:, 0] + omega[:, 1] * v[:, 1]) / length - 1.0
+        falls = slope < 0.0
+        live, g, slope = live[falls], g[falls], slope[falls]
+        step = -g / slope
+        t[live] += step
+        within = t[live] <= t_max
+        settled = within & (step <= 4.0 * np.finfo(float).eps * t[live])
+        roots[live[settled]] = t[live[settled]]
+        live = live[within & ~settled]
+    roots[live] = t[live]
+    return roots
 
 
 class NormalShooting:
@@ -661,25 +705,23 @@ class NormalShooting:
             return DistanceWitness(q, 0.0, [Minimizer(ray, 0.0, term, res)],
                                    self.distinct)
 
-        def length(w):
-            return self.metric.F(TangentVec(chart, p, w))
-
         shifts = self._lattice_shifts(
-            w0, (length(w0) + window) / self._line_floor)
-        ts = [length(w) for w in shifts]
-        d = min(ts)
+            w0, (self.metric.F(TangentVec(chart, p, w0)) + window)
+            / self._line_floor)
+        ts = self.metric.F_rows(chart, p, shifts)
+        d = float(ts.min())
         if d > 2 * plan.horizon + plan.min_slack:
             # beyond the doubled-horizon probe, the longest span integrated
             raise UnreachedPointError(
                 f"q={q} lies at distance {d:.6g}, beyond twice the horizon "
                 f"{plan.horizon}")
+        near = np.argsort(ts, kind="stable")
+        near = near[ts[near] <= d + window]
+        ts, shifts = ts[near], shifts[near]
+        vs = shifts / ts[:, None]
+        omegas = self.metric.legendre_rows(chart, p, vs)
         arrivals = []
-        for i in sorted(range(len(ts)), key=ts.__getitem__):
-            t, w = ts[i], shifts[i]
-            if t > d + window:
-                break
-            v = w / t
-            omega = self.metric.fundamental(TangentVec(chart, p, v)) @ v
+        for t, w, v, omega in zip(ts.tolist(), shifts, vs, omegas):
             ray = NormalRay(np.zeros(0), omega / np.linalg.norm(omega),
                             chart, p, v)
             res = float(np.linalg.norm(
@@ -726,16 +768,27 @@ class NormalShooting:
         return got
 
     def file_fan(self, rays):
-        """Integrate, each in one batch, what the cut times of ``rays``
-        not yet computed will read: the fan's one-horizon paths, which
-        every shooting query samples, and those rays' one-horizon Jacobi
-        flows.  A field with closed-form distances needs no fan path, and
-        a straight point source steps no flow."""
+        """Compute, each in one batch, what the cut times of ``rays`` not
+        yet computed will read: the fan's one-horizon paths, which every
+        shooting query samples, and those rays' one-horizon Jacobi flows.
+        A field with closed-form distances needs no fan path, and a
+        straight point source steps no flow: its cut times are found in one
+        batch (``_line_roots``) and each is filed once its own confirming
+        query accepts it.  A ray whose query rejects its root, or raises,
+        is not filed, so ``cut_time`` answers it alone as it would have."""
         rays = [ray for ray in rays if _ray_key(ray) not in self._cut_times]
         if not rays:
             return
-        if self._line_floor is None:
-            self._file_paths()
+        if self._line_floor is not None:
+            for ray, rho in zip(rays, self._line_roots(rays)):
+                try:
+                    got = self._line_cut_time(ray, rho)
+                except (FinslerError, np.linalg.LinAlgError):
+                    continue
+                if got is not None:
+                    self._cut_times.setdefault(_ray_key(ray), got)
+            return
+        self._file_paths()
         if not _straight_point_source(self.metric, self.N):
             plan = self.plan
             self._file(self._flows, rays, lambda rays, T: normal_jacobi_flows(
@@ -759,67 +812,50 @@ class NormalShooting:
         got = self._cut_times.get(key)
         if got is None:
             if self._line_floor is not None:
-                got = self._line_cut_time(ray)
+                got = self._line_cut_time(ray, self._line_roots([ray])[0])
             if got is None:
                 got = self._bisect_cut_time(ray)
             self._cut_times[key] = got
         return got
 
-    def _line_cut_time(self, ray):
-        """Closed-form cut time of a ray from a straight point source, or
-        None when the confirming distance query rejects it.
+    def _line_roots(self, rays):
+        """Separating times of rays from a straight point source: for each
+        ray, the least root in (0, 2H] of F(t v + kL) = t over the lattice
+        shifts k != 0 (a set closed under k -> -k), else inf.
 
-        With no focal point the cut is Separating: rho is the least root in
-        (0, 2H] of F(t v - kL) = t over the lattice shifts k != 0.  At a root
-        t, t = F(t v - kL) >= floor (|kL| - t |v|), so the shifts are tried
-        by increasing |kL| until |kL| / (|v| + 1 / floor) passes the best
-        root.  One full distance query at x(rho) must find no shorter path
-        and at least two distinct minimizers.
+        At a root t, t = F(t v + kL) >= floor (|kL| - t |v|), so only the
+        shifts with |kL| <= 2H (|v| + 1 / floor) can have one.  Every such
+        (ray, shift) pair is one row of ``_least_roots``.
         """
-        plan = self.plan
-        span = 2 * plan.horizon
-        pace = np.linalg.norm(ray.v) + 1.0 / self._line_floor
-        shifts = self._lattice_shifts(np.zeros(2), span * pace)
+        span = 2 * self.plan.horizon
+        vs = np.array([ray.v for ray in rays], dtype=float).reshape(-1, 2)
+        reach = span * (np.linalg.norm(vs, axis=1) + 1.0 / self._line_floor)
+        shifts = self._lattice_shifts(np.zeros(2), reach.max())
         size = np.sqrt(shifts[:, 0] ** 2 + shifts[:, 1] ** 2)
-        rho = np.inf
-        for i in np.argsort(size, kind="stable"):
-            if size[i] / pace > rho:
-                break
-            if size[i] > 0.0:
-                rho = min(rho, self._first_root(ray.v, shifts[i], span))
+        ray_of, shift_of = np.nonzero((size > 0.0) & (size <= reach[:, None]))
+        roots = _least_roots(self.metric, self.N.chart, self._base,
+                             vs[ray_of], shifts[shift_of], span)
+        rho = np.full(len(vs), np.inf)
+        np.minimum.at(rho, ray_of, roots)
+        return rho
+
+    def _line_cut_time(self, ray, rho):
+        """The closed-form cut time ``rho`` of a ray from a straight point
+        source (``_line_roots``), or None when the confirming distance query
+        rejects it.
+
+        With no focal point the cut is Separating, at the first lattice
+        copy of the ray that reaches it.  One full distance query at x(rho)
+        must find no shorter path and at least two distinct minimizers.
+        """
         if not np.isfinite(rho):
             return CutTimeResult(np.inf, np.inf, unbounded=True)
+        rho = float(rho)
         wit = self.distance(self.path(ray, rho).position(rho), full=True)
-        if wit.d >= rho - 2.0 * plan.min_slack and len(wit.minimizers) >= 2:
+        if (wit.d >= rho - 2.0 * self.plan.min_slack
+                and len(wit.minimizers) >= 2):
             return CutTimeResult(rho, np.inf)
         return None
-
-    def _first_root(self, v, w, t_max):
-        """First root in (0, t_max] of g(t) = F(t v + w) - t, else inf.
-
-        g is convex with g(0) = F(w) > 0, so Newton from t = 0 rises
-        monotonically to its first root; g' = (g_u u) . v / F(u) - 1 at
-        u = t v + w.  No root is left once g' >= 0 while g > 0, or once an
-        iterate passes t_max.
-        """
-        chart, p = self.N.chart, self._base
-        t = 0.0
-        for _ in range(ROOT_ITERS):
-            u = TangentVec(chart, p, t * v + w)
-            length = self.metric.F(u)
-            g = length - t
-            if g <= 0.0:
-                break
-            slope = (self.metric.fundamental(u) @ u.v) @ v / length - 1.0
-            if slope >= 0.0:
-                return np.inf
-            step = -g / slope
-            t += step
-            if t > t_max:
-                return np.inf
-            if step <= 4.0 * np.finfo(float).eps * t:
-                break
-        return t
 
     def _bisect_cut_time(self, ray) -> CutTimeResult:
         plan = self.plan
@@ -941,14 +977,24 @@ def check_rho_leq_lambda(records) -> Report:
                   {"violations": violations, "count": len(records)})
 
 
+def _middle(ordered):
+    """The median of a nonempty sorted list, as ``np.median`` takes it (the
+    mean of the two middle values of an even count), with no ``numpy.ma``
+    import."""
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2.0
+
+
 def check_se_dense(records, atlas) -> Report:
     """Every FirstFocal-only cut point has a Separating neighbor within
     delta, 3x the sampling pitch along the computed cut locus."""
     recs = [r for r in records if r.cut_point is not None and r.classification]
     seps = [r for r in recs if SEPARATING in r.classification]
-    gaps = [atlas.coord_distance(a.cut_point, b.cut_point)
-            for a, b in zip(recs[:-1], recs[1:])]
-    delta = 3.0 * (np.median(gaps) if gaps else 0.1)
+    gaps = sorted(atlas.coord_distance(a.cut_point, b.cut_point)
+                  for a, b in zip(recs[:-1], recs[1:]))
+    delta = 3.0 * (_middle(gaps) if gaps else 0.1)
     violations = []
     for r in recs:
         if SEPARATING in r.classification:

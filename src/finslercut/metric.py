@@ -15,6 +15,16 @@ same to the last bit.  For an x-independent metric the spray vanishes:
 without evaluating anything, and a reversed metric negates the velocity
 rows.  The dual-number oracles stay as the fallback for
 custom metrics and as the reference the closed forms are tested against.
+
+Two row oracles evaluate many tangent vectors at one base point:
+``F_rows`` (F of each row) and ``legendre_rows`` (the covector g_v v of
+each row), both 0 on a row shorter than V_FLOOR.  By default they loop the
+scalar ``F`` and ``fundamental``.  Constant Riemannian metrics, Randers
+metrics, the quartic Minkowski norm and the reverses of these evaluate
+them on arrays: ``F_rows`` repeats the operations of ``value_generic`` in
+order, so it equals the scalar ``F`` to the bit, and ``legendre_rows`` is
+the v-gradient of F^2 / 2 in closed form.  The scalar ``F`` stays the
+dual-safe evaluator.
 """
 
 from __future__ import annotations
@@ -75,6 +85,25 @@ class MetricField:
         if np.linalg.norm(p.v) < V_FLOOR:
             return 0.0
         return float(dual.real(self.value_generic(p.chart, list(p.x), list(p.v))))
+
+    # -- row oracles at one base point ----------------------------------
+
+    def F_rows(self, chart, x, V) -> np.ndarray:
+        """F(chart, x, v) of each row v of the (k, n) array V, as a (k,)
+        array: 0 on a row shorter than V_FLOOR, as ``F`` gives.  By default
+        ``F`` row by row."""
+        x = np.asarray(x, dtype=float)
+        return np.array([self.F(TangentVec(chart, x, v))
+                         for v in np.asarray(V, dtype=float)], dtype=float)
+
+    def legendre_rows(self, chart, x, V) -> np.ndarray:
+        """The covector g_v v of each row v of the (k, n) array V, as a
+        (k, n) array: 0 on a row shorter than V_FLOOR, as ``legendre``
+        gives.  By default ``fundamental`` row by row."""
+        x = np.asarray(x, dtype=float)
+        return _on_live_rows(V, lambda W: np.array(
+            [self.fundamental(TangentVec(chart, x, v)) @ v for v in W]
+        ).reshape(W.shape))
 
     # -- derivative oracles ---------------------------------------------
 
@@ -171,6 +200,28 @@ class MetricField:
         return ReversedMetric(self)
 
 
+def _on_live_rows(V, rows_fn):
+    """``rows_fn`` of the rows of the (k, n) array V not shorter than
+    V_FLOOR, with zeros for the short rows, which ``rows_fn`` never sees."""
+    V = np.asarray(V, dtype=float)
+    live = np.linalg.norm(V, axis=1) >= V_FLOOR
+    got = rows_fn(V[live])
+    out = np.zeros((len(V),) + got.shape[1:])
+    out[live] = got
+    return out
+
+
+def _quadratic_rows(a, V):
+    """sum_ij a_ij v_i v_j of each row v of V, summed as ``value_generic``
+    of the Riemannian and Randers families sums it."""
+    q = 0.0
+    n = V.shape[1]
+    for i in range(n):
+        for j in range(n):
+            q = q + a[i][j] * V[:, i] * V[:, j]
+    return q
+
+
 def _split_seed(z, d, n):
     """(x, v) halves of the point z lifted to duals along the direction d."""
     zz = dual.seed(z, [d])
@@ -243,6 +294,20 @@ class RiemannianMetric(MetricField):
         _check_dir(p.v)
         n = self.atlas.dim
         return np.zeros((n, n, n))
+
+    # a constant a(x) gets closed-form rows; any other the default loop
+    def F_rows(self, chart, x, V):
+        if not self.x_independent:
+            return super().F_rows(chart, x, V)
+        self.atlas.require(chart, x)
+        a = self.matrix_fn(chart, [float(c) for c in x])
+        return _on_live_rows(V, lambda W: np.sqrt(_quadratic_rows(a, W)))
+
+    def legendre_rows(self, chart, x, V):
+        if not self.x_independent:
+            return super().legendre_rows(chart, x, V)
+        a = self.matrix_fn(chart, [float(c) for c in x])
+        return _on_live_rows(V, lambda W: W @ np.array(a, dtype=float).T)
 
     def spray_generic(self, chart, x, v):
         n = self.atlas.dim
@@ -440,6 +505,26 @@ class RandersMetric(MetricField):
         return np.outer(lb, lb) + f * (self.a / alpha
                                        - np.outer(av, av) / alpha ** 3)
 
+    def F_rows(self, chart, x, V):
+        self.atlas.require(chart, x)
+
+        def rows(W):
+            lin = 0.0
+            for i in range(W.shape[1]):
+                lin = lin + self.b[i] * W[:, i]
+            return np.sqrt(_quadratic_rows(self.a, W)) + lin
+        return _on_live_rows(V, rows)
+
+    def legendre_rows(self, chart, x, V):
+        """g_v v = F(v) (a v / alpha + b), alpha = sqrt(a(v, v)): the
+        v-gradient of F^2 / 2."""
+        def rows(W):
+            av = W @ self.a.T
+            alpha = np.sqrt(np.einsum("ri,ri->r", W, av))[:, None]
+            f = alpha + (W @ self.b)[:, None]
+            return f * (av / alpha + self.b)
+        return _on_live_rows(V, rows)
+
     def reversed_(self):
         return RandersMetric(self.atlas, -self.b, self.a)
 
@@ -480,6 +565,29 @@ class MinkowskiQuarticMetric(MetricField):
         g -= vw.T
         return g
 
+    def F_rows(self, chart, x, V):
+        self.atlas.require(chart, x)
+
+        def rows(W):
+            q = 0.0
+            s = 0.0
+            for c in W.T:
+                c2 = c * c
+                q = q + c2
+                s = s + c2 * c2
+            return np.sqrt(q + self.eps * s / q)
+        return _on_live_rows(V, rows)
+
+    def legendre_rows(self, chart, x, V):
+        """g_v v = v + (2 eps / q)(v^2 - s / 2q) v, the v-gradient of
+        F^2 / 2 with q and s as in ``fundamental``."""
+        def rows(W):
+            W2 = W * W
+            q = W2.sum(axis=1)[:, None]
+            s = np.einsum("ri,ri->r", W2, W2)[:, None]
+            return W + (2.0 * self.eps / q) * (W2 - 0.5 * s / q) * W
+        return _on_live_rows(V, rows)
+
 
 class CustomMetric(MetricField):
     def __init__(self, atlas, fn, reversible=False, x_independent=False):
@@ -509,6 +617,13 @@ class ReversedMetric(MetricField):
 
     def cartan(self, p):
         return -self.base.cartan(TangentVec(p.chart, p.x, -p.v))
+
+    def F_rows(self, chart, x, V):
+        return self.base.F_rows(chart, x, -np.asarray(V, dtype=float))
+
+    def legendre_rows(self, chart, x, V):
+        V = np.asarray(V, dtype=float)
+        return -self.base.legendre_rows(chart, x, -V)
 
     # a reversed F-geodesic c(t) = gamma(-t) solves c'' + 2G(c, -c') = 0
     def spray_generic(self, chart, x, v):
@@ -603,15 +718,22 @@ def validate_metric(metric, seed=0) -> MetricReport:
     cart_max = 0.0
     rev_max = 0.0
     ident_max = 0.0
+    scales = (1.0, 0.5, 2.0, 10.0) + ((-1.0,) if metric.reversible else ())
     for _ in range(VALIDATE_POINTS):
         x = rng.uniform(lo, hi)
+        dirs = []
         for _ in range(VALIDATE_DIRS):
             v = rng.normal(size=n)
             v /= np.linalg.norm(v)
+            dirs.append(v)
+        # F of each direction times each scale, from one call: row 0 the
+        # direction, rows 1-3 its homogeneity multiples, row 4 its reverse
+        fs = metric.F_rows(0, x, [lam * v for lam in scales for v in dirs])
+        fs = fs.reshape(len(scales), VALIDATE_DIRS).T.tolist()
+        for v, f_v in zip(dirs, fs):
+            f = f_v[0]
             p = TangentVec(0, x, v)
-            f = metric.F(p)
-            for lam in (0.5, 2.0, 10.0):
-                fl = metric.F(TangentVec(0, x, lam * v))
+            for lam, fl in zip(scales[1:4], f_v[1:4]):
                 res = abs(fl - lam * f) / (1.0 + lam * f)
                 hom_max = max(hom_max, res)
                 if res > 1e-9:
@@ -629,8 +751,7 @@ def validate_metric(metric, seed=0) -> MetricReport:
             except ConvexityError as exc:
                 failures.append(("convexity", x.copy(), v.copy(), str(exc)))
             if metric.reversible:
-                fr = metric.F(TangentVec(0, x, -v))
-                res = abs(fr - f) / (1.0 + f)
+                res = abs(f_v[4] - f) / (1.0 + f)
                 rev_max = max(rev_max, res)
                 if res > 1e-10:
                     failures.append(("reversibility", x.copy(), v.copy(), res))

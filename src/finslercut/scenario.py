@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import importlib.metadata
 import json
 import math
 import platform
+import sys
 import time
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -792,8 +792,8 @@ def run_scenario(sc: Scenario, out_dir=None):
         "schema_version": SCHEMA_VERSION,
         "package_version": _pkg_version,
         "numpy": np.__version__,
-        # read from package metadata: running a scenario imports no scipy
-        "scipy": importlib.metadata.version("scipy"),
+        # the scipy the run loaded, if any: a builtin run imports none
+        "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
         "python": platform.python_version(),
         "wall_time_s": round(bundle.wall_time, 3),
         "errors": bundle.errors,

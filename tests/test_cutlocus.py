@@ -796,6 +796,140 @@ def test_flat_point_cut_locus_steps_no_flow_and_bisects_nothing(monkeypatch):
     assert len(points) <= len(field._cut_times) == len(records)
 
 
+# -- the same cut times from the batch that file_fan files ---------------
+
+
+def _randers_torus_field():
+    """The irreversible Randers torus of the closed-form test above, with
+    its eight random off-grid rays."""
+    rng = np.random.default_rng(23)
+    atlas = fc.torus_atlas([1.1, 0.9])
+    field = fc.NormalShooting(
+        fc.RandersMetric(atlas, np.array([0.3, -0.2])),
+        fc.point_submanifold(0, [0.2, 0.3]),
+        fc.ShootingPlan(psi_count=16, horizon=1.5, bisect_tol=1e-8,
+                        min_slack=1e-7))
+    rays = [field.ray_at(rng.uniform(-math.pi, math.pi, 1), field.rays[0])
+            for _ in range(8)]
+    return field, list(field.rays) + rays
+
+
+def _scalar_first_root(field, v, w, t_max):
+    """The per-shift Newton loop that ``_least_roots`` replaced: the first
+    root in (0, t_max] of F(t v + w) - t, else inf, one scalar F and one
+    fundamental tensor per iterate."""
+    chart, p = field.N.chart, field._base
+    t = 0.0
+    for _ in range(cutlocus.ROOT_ITERS):
+        u = fc.TangentVec(chart, p, t * v + w)
+        length = field.metric.F(u)
+        g = length - t
+        if g <= 0.0:
+            break
+        slope = (field.metric.fundamental(u) @ u.v) @ v / length - 1.0
+        if slope >= 0.0:
+            return math.inf
+        step = -g / slope
+        t += step
+        if t > t_max:
+            return math.inf
+        if step <= 4.0 * np.finfo(float).eps * t:
+            break
+    return t
+
+
+def test_lockstep_roots_match_the_scalar_newton_loop():
+    for field, rays in _flat_point_fields(25):
+        span = 2 * field.plan.horizon
+        shifts = field._lattice_shifts(np.zeros(2), 2.0)
+        shifts = shifts[np.abs(shifts).sum(axis=1) > 0.0]
+        V = np.repeat([ray.v for ray in rays], len(shifts), axis=0)
+        W = np.tile(shifts, (len(rays), 1))
+        got = cutlocus._least_roots(field.metric, field.N.chart, field._base,
+                                    V, W, span)
+        for t, v, w in zip(got, V, W):
+            want = _scalar_first_root(field, v, w, span)
+            if t == want:
+                continue
+            # the two differ only in the last bits of g'; a root then moves
+            # by the rounding of g = F(u) - t, a few eps t, over |g'| there
+            u = fc.TangentVec(field.N.chart, field._base, want * v + w)
+            slope = (field.metric.fundamental(u) @ u.v) @ v / want - 1.0
+            assert abs(t - want) <= 8 * np.finfo(float).eps * want / -slope
+
+
+def _filed(field, rays):
+    """Cut times of ``rays`` as ``file_fan`` files them in one batch; each
+    one must be filed there, not computed later by ``cut_time``."""
+    field.file_fan(rays)
+    assert all(cutlocus._ray_key(ray) in field._cut_times for ray in rays)
+    return [field.cut_time(ray) for ray in rays]
+
+
+def _flat_point_fields(seed):
+    """The ``_random_torus_fields`` fields, then the Randers torus, each
+    with its random off-grid rays."""
+    for field, _, rays in _random_torus_fields(20, seed):
+        yield field, rays
+    yield _randers_torus_field()
+
+
+def test_filed_cut_times_equal_lone_cut_times_to_the_bit():
+    for (field, rays), (fresh, fresh_rays) in zip(_flat_point_fields(24),
+                                                  _flat_point_fields(24)):
+        filed = [rec.rho for rec in fc.cut_locus(field)] + [
+            res.rho for res in _filed(field, rays)]
+        alone = [fresh.cut_time(ray).rho
+                 for ray in list(fresh.rays) + fresh_rays]
+        assert [float.hex(r) for r in filed] == [float.hex(r) for r in alone]
+
+
+def test_filed_closed_form_cut_times_agree_with_bisection():
+    for field, rays in _flat_point_fields(21):
+        for got, ray in zip(_filed(field, rays), rays):
+            want = field._bisect_cut_time(ray)
+            _assert_agrees_with_bisection(got, want, field.plan)
+            assert math.isinf(got.lam) and math.isinf(want.lam)
+
+
+def test_filed_closed_form_cut_times_are_exact():
+    for field, periods, rays in _random_torus_fields(20, seed=22):
+        rays = rays + list(field.rays)
+        for got, ray in zip(_filed(field, rays), rays):
+            assert abs(got.rho - _exact_torus_rho(ray, periods)) <= 1e-12
+
+
+def test_filed_cut_times_without_a_lattice_are_unbounded():
+    sc = scenario.builtin_scenario("randers-plane-point")
+    field = fc.NormalShooting(*scenario.build_geometry(sc)[1:])
+    for res in _filed(field, list(field.rays)):
+        assert res.unbounded and math.isinf(res.rho) and math.isinf(res.lam)
+        assert res.bisection_iters == 0
+    assert not field._flows
+
+
+def test_a_rejected_filed_cut_time_falls_back_to_bisection(monkeypatch):
+    periods = (1.0, 1.0)
+    field = fc.NormalShooting(
+        fc.euclidean_metric(fc.torus_atlas(periods)),
+        fc.point_submanifold(0, np.zeros(2)),
+        fc.ShootingPlan(psi_count=16, horizon=1.5, bisect_tol=1e-8,
+                        min_slack=1e-7))
+    ray = field.rays[3]
+    want = field._bisect_cut_time(ray)
+    distance = field.distance
+
+    def one_minimizer(q, full=True):
+        wit = distance(q, full)
+        return dataclasses.replace(wit, arrivals=wit.minimizers[:1])
+
+    monkeypatch.setattr(field, "distance", one_minimizer)
+    field.file_fan(field.rays)
+    assert not field._cut_times             # every confirmation rejected
+    got = field.cut_time(ray)
+    assert got == want and got.bisection_iters > 0
+
+
 def test_focal_time_of_field_and_module_agree(torus32, sphere_field,
                                               monkeypatch):
     # the field's cached focal time is first_degeneracy over the ray's lone

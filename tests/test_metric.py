@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -274,3 +275,97 @@ def test_reversed_metric_retraces_geodesics():
                                  TangentVec(0, end.x, -end.v), 1.0)
     assert np.allclose(back.position(1.0)[1], start.x, atol=1e-8)
     assert np.allclose(back.velocity(1.0), -start.v, atol=1e-8)
+
+
+# -- row oracles ----------------------------------------------------------
+
+
+def _row_metrics():
+    """The closed-form row families, and two that loop the scalar oracles:
+    the round sphere and a custom metric."""
+    atlas = fc.torus_atlas([1.0, 1.1])
+    randers = fc.RandersMetric(atlas, np.array([0.5, -0.3]),
+                               a=np.array([[1.2, 0.3], [0.3, 0.8]]))
+    custom = fc.CustomMetric(
+        fc.flat_atlas(),
+        lambda chart, x, v: dual.sqrt((1.0 + 0.1 * x[0] * x[0]) * v[0] * v[0]
+                                      + v[1] * v[1]) + 0.2 * v[1])
+    return {"euclidean": fc.euclidean_metric(atlas),
+            "quartic": fc.MinkowskiQuarticMetric(atlas, eps=0.1),
+            "randers": randers,
+            "reversed-randers": fc.metric.ReversedMetric(randers),
+            "sphere": fc.sphere_metric(fc.sphere_atlas()),
+            "custom": custom}
+
+
+def _random_rows(seed, count=64):
+    """Random rows over six decades of length, with a row below V_FLOOR and
+    a zero row at the end."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(count, 2)) * 10.0 ** rng.uniform(-3, 3, (count, 1))
+    return np.vstack([rows, [[1e-13, 0.0], [0.0, 0.0]]])
+
+
+def _ulps(got, want):
+    """|got - want| of each row in units in the last place of the row's
+    largest entry of ``want``."""
+    unit = np.spacing(np.abs(want).max(axis=1, keepdims=True))
+    return (np.abs(got - want) / unit).max(axis=1)
+
+
+def _exact_randers_covector(b, a, v):
+    """g_v v = F(v) (a v / alpha + b) to 60 digits, alpha = sqrt(a(v, v))."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        D = decimal.Decimal
+        v = [D(float(c)) for c in v]
+        av = [sum(D(float(a[i][j])) * v[j] for j in range(2))
+              for i in range(2)]
+        alpha = sum(vi * avi for vi, avi in zip(v, av)).sqrt()
+        f = alpha + sum(D(float(bi)) * vi for bi, vi in zip(b, v))
+        return [float(f * (avi / alpha + D(float(bi))))
+                for avi, bi in zip(av, b)]
+
+
+@pytest.mark.parametrize("family", list(_row_metrics()))
+def test_F_rows_equal_F_to_the_bit(family):
+    metric = _row_metrics()[family]
+    x = np.array([0.2, 0.3])
+    rows = _random_rows(5)
+    got = metric.F_rows(0, x, rows)
+    want = [metric.F(TangentVec(0, x, v)) for v in rows]
+    assert got.shape == (len(rows),)
+    assert [float.hex(float(f)) for f in got] == [float.hex(f) for f in want]
+    assert got[-2] == got[-1] == 0.0        # rows below V_FLOOR
+    assert metric.F_rows(0, x, np.zeros((0, 2))).shape == (0,)
+
+
+# ulps of legendre_rows from fundamental(p) @ v.  The Randers reference
+# sums f (a / alpha - a v v^T a / alpha^3) v, which vanishes exactly, so it
+# carries the rounding of terms larger than the result: on 20000 rows of
+# this metric it was up to 19 ulp from the closed form F(v)(a v / alpha + b).
+# That closed form is checked against its 60-digit value instead, to
+# RANDERS_EXACT_ULPS: its sum a v / alpha + b cancels by up to |b|_a = 0.68,
+# which can triple the ulps of its few roundings.
+LEGENDRE_ULPS = {"randers": 24, "reversed-randers": 24}
+RANDERS_EXACT_ULPS = 8
+
+
+@pytest.mark.parametrize("family", list(_row_metrics()))
+def test_legendre_rows_match_the_fundamental_tensor(family):
+    metric = _row_metrics()[family]
+    x = np.array([0.2, 0.3])
+    rows = _random_rows(6)
+    got = metric.legendre_rows(0, x, rows)
+    assert got.shape == rows.shape
+    assert not got[-2:].any()               # rows below V_FLOOR
+    live = rows[:-2]
+    want = np.array([metric.fundamental(TangentVec(0, x, v)) @ v
+                     for v in live])
+    assert _ulps(got[:-2], want).max() <= LEGENDRE_ULPS.get(family, 4)
+    if family.endswith("randers"):
+        b = metric.b if family == "randers" else -metric.base.b
+        a = metric.a if family == "randers" else metric.base.a
+        exact = np.array([_exact_randers_covector(b, a, v) for v in live])
+        assert _ulps(got[:-2], exact).max() <= RANDERS_EXACT_ULPS
+    assert metric.legendre_rows(0, x, np.zeros((0, 2))).shape == (0, 2)

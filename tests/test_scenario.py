@@ -1,5 +1,4 @@
 import dataclasses
-import importlib.metadata
 import json
 import os
 import platform
@@ -89,7 +88,8 @@ def test_run_tiny_scenario(tmp_path):
     assert manifest["seed"] == 5
     assert "tiny_summary.json" in manifest["files"]
     assert manifest["numpy"] == np.__version__
-    assert manifest["scipy"] == importlib.metadata.version("scipy")
+    assert manifest["scipy"] == getattr(sys.modules.get("scipy"),
+                                        "__version__", None)
     assert manifest["python"] == platform.python_version()
 
 
@@ -273,6 +273,26 @@ def test_running_a_builtin_imports_no_scipy(tmp_path):
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "manifest.json").exists()
+
+
+def test_running_a_builtin_imports_no_numpy_ma(tmp_path):
+    # numpy.ma is numpy's largest lazy import; a builtin run needs none
+    code = (
+        "import sys\n"
+        "import finslercut, finslercut.cli, finslercut.scenario\n"
+        "assert finslercut.cli.main(['run', 'torus-point', "
+        f"'--out-dir', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules"
+        " if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n")
+    src = str(Path(fc.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(
+        os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "[]"
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["scipy"] is None
 
 
 def test_refine_leaves_the_scenario_unchanged():
