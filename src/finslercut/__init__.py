@@ -14,9 +14,8 @@ from .errors import (AtlasExitError, ConvexityError, CutLocusError,
                      ScenarioError, UnreachedPointError)
 from .metric import (CustomMetric, MetricField, MetricReport,
                      MinkowskiQuarticMetric, RandersMetric, ReversedMetric,
-                     RiemannianMetric, euclidean_metric, fundamental_tensor,
-                     legendre, legendre_inverse, sphere_metric,
-                     validate_metric)
+                     RiemannianMetric, euclidean_metric, legendre_inverse,
+                     sphere_metric, validate_metric)
 from .geodesic import (GeodesicPath, LinearizedFrame, PathSegment,
                        conjugate_time, exp_map, first_degeneracy,
                        integrate_geodesic, integrate_geodesics,

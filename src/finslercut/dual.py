@@ -4,11 +4,15 @@ A ``Dual`` carries a value and one derivative coefficient.  Coefficients may
 themselves be duals, so nesting k levels yields exact mixed partials of order
 k.  All metric-family evaluators in this package are written against plain
 arithmetic plus :func:`sqrt`, which makes them differentiable by evaluation.
+They take floats, nested duals or float arrays: :func:`sqrt` is elementwise
+on an array, so one evaluation on arrays gives the value of each entry.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 class Dual:
@@ -96,10 +100,13 @@ def _div(a, b):
 
 
 def sqrt(z):
-    """Square root, differentiable through nested duals."""
+    """Square root, differentiable through nested duals and elementwise
+    on a float array; ``np.sqrt`` and ``math.sqrt`` both round correctly."""
     if isinstance(z, Dual):
         r = sqrt(z.re)
         return Dual(r, _div(z.du, 2.0 * r))
+    if isinstance(z, np.ndarray):
+        return np.sqrt(z)
     return math.sqrt(z)
 
 

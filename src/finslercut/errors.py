@@ -14,12 +14,8 @@ class DegenerateDirectionError(FinslerError):
 
 
 class ConvexityError(FinslerError):
-    """The fundamental tensor failed to be positive definite."""
-
-    def __init__(self, msg, x=None, v=None):
-        super().__init__(msg)
-        self.x = x
-        self.v = v
+    """A metric's parameters break strong convexity: its fundamental tensor
+    is not positive definite everywhere."""
 
 
 class InversionError(FinslerError):

@@ -18,13 +18,14 @@ custom metrics and as the reference the closed forms are tested against.
 
 Two row oracles evaluate many tangent vectors at one base point:
 ``F_rows`` (F of each row) and ``legendre_rows`` (the covector g_v v of
-each row), both 0 on a row shorter than V_FLOOR.  By default they loop the
-scalar ``F`` and ``fundamental``.  Constant Riemannian metrics, Randers
-metrics, the quartic Minkowski norm and the reverses of these evaluate
-them on arrays: ``F_rows`` repeats the operations of ``value_generic`` in
-order, so it equals the scalar ``F`` to the bit, and ``legendre_rows`` is
-the v-gradient of F^2 / 2 in closed form.  The scalar ``F`` stays the
-dual-safe evaluator.
+each row), both 0 on a row shorter than V_FLOOR.  ``value_generic`` is the
+one place a family writes F.  It uses arithmetic and ``dual.sqrt`` only,
+with no branch on v, so it runs on floats, on nested duals and on the
+columns of a block of rows: ``F_rows`` is one ``value_generic`` call on
+arrays, elementwise the float operations of the scalar ``F``, and equals
+it to the bit.  ``legendre_rows`` loops ``fundamental`` by default; the
+Riemannian, Randers and quartic Minkowski families and their reverses
+write it as the v-gradient of F^2 / 2 in closed form on arrays.
 """
 
 from __future__ import annotations
@@ -45,19 +46,6 @@ VALIDATE_DIRS = 16          # unit directions sampled at each base point
 VALIDATE_BOX = ((-0.8, -0.8), (0.8, 0.8))   # chart-0 box of the base points
 
 
-@dataclass
-class FundamentalTensor:
-    base: TangentVec
-    g: np.ndarray
-
-
-@dataclass
-class Covector:
-    chart: int
-    x: np.ndarray
-    omega: np.ndarray
-
-
 def _check_dir(v):
     v = np.asarray(v, dtype=float)
     if np.linalg.norm(v) < V_FLOOR:
@@ -66,7 +54,10 @@ def _check_dir(v):
 
 
 class MetricField:
-    """Base class; subclasses provide ``value_generic`` (dual-safe)."""
+    """Base class; subclasses provide ``value_generic``, dual- and
+    array-safe: arithmetic and ``dual.sqrt`` only, with no branch on v.
+    One that branches on v fails loudly in ``F_rows`` (numpy's
+    ambiguous-truth error on an array of rows)."""
 
     reversible = False
     x_independent = False
@@ -77,7 +68,8 @@ class MetricField:
     # -- core evaluator --------------------------------------------------
 
     def value_generic(self, chart, x, v):
-        """F(chart, x, v) over generic (possibly dual) scalars."""
+        """F(chart, x, v) over generic scalars: floats, possibly nested
+        duals, or float arrays of equal shape, one entry per vector."""
         raise NotImplementedError
 
     def F(self, p: TangentVec) -> float:
@@ -90,16 +82,17 @@ class MetricField:
 
     def F_rows(self, chart, x, V) -> np.ndarray:
         """F(chart, x, v) of each row v of the (k, n) array V, as a (k,)
-        array: 0 on a row shorter than V_FLOOR, as ``F`` gives.  By default
-        ``F`` row by row."""
-        x = np.asarray(x, dtype=float)
-        return np.array([self.F(TangentVec(chart, x, v))
-                         for v in np.asarray(V, dtype=float)], dtype=float)
+        array: 0 on a row shorter than V_FLOOR, as ``F`` gives.  One
+        ``value_generic`` call on the columns of the live rows."""
+        self.atlas.require(chart, x)
+        x = [float(c) for c in x]
+        return _on_live_rows(
+            V, lambda W: self.value_generic(chart, x, list(W.T)))
 
     def legendre_rows(self, chart, x, V) -> np.ndarray:
         """The covector g_v v of each row v of the (k, n) array V, as a
-        (k, n) array: 0 on a row shorter than V_FLOOR, as ``legendre``
-        gives.  By default ``fundamental`` row by row."""
+        (k, n) array, 0 on a row shorter than V_FLOOR.  By default
+        ``fundamental`` row by row."""
         x = np.asarray(x, dtype=float)
         return _on_live_rows(V, lambda W: np.array(
             [self.fundamental(TangentVec(chart, x, v)) @ v for v in W]
@@ -108,7 +101,8 @@ class MetricField:
     # -- derivative oracles ---------------------------------------------
 
     def fundamental(self, p: TangentVec) -> np.ndarray:
-        """v-Hessian of F^2/2 at (x, v)."""
+        """v-Hessian of F^2/2 at (x, v); DegenerateDirectionError on a
+        vector shorter than V_FLOOR."""
         v = _check_dir(p.v)
         x = [float(c) for c in p.x]
 
@@ -211,14 +205,13 @@ def _on_live_rows(V, rows_fn):
     return out
 
 
-def _quadratic_rows(a, V):
-    """sum_ij a_ij v_i v_j of each row v of V, summed as ``value_generic``
-    of the Riemannian and Randers families sums it."""
+def _quadratic(a, v):
+    """sum_ij a_ij v_i v_j over generic scalars, in one fixed order."""
     q = 0.0
-    n = V.shape[1]
+    n = len(v)
     for i in range(n):
         for j in range(n):
-            q = q + a[i][j] * V[:, i] * V[:, j]
+            q = q + a[i][j] * v[i] * v[j]
     return q
 
 
@@ -276,13 +269,7 @@ class RiemannianMetric(MetricField):
         self.x_independent = constant
 
     def value_generic(self, chart, x, v):
-        a = self.matrix_fn(chart, x)
-        n = len(v)
-        q = 0.0
-        for i in range(n):
-            for j in range(n):
-                q = q + a[i][j] * v[i] * v[j]
-        return dual.sqrt(q)
+        return dual.sqrt(_quadratic(self.matrix_fn(chart, x), v))
 
     def fundamental(self, p):
         _check_dir(p.v)
@@ -295,17 +282,8 @@ class RiemannianMetric(MetricField):
         n = self.atlas.dim
         return np.zeros((n, n, n))
 
-    # a constant a(x) gets closed-form rows; any other the default loop
-    def F_rows(self, chart, x, V):
-        if not self.x_independent:
-            return super().F_rows(chart, x, V)
-        self.atlas.require(chart, x)
-        a = self.matrix_fn(chart, [float(c) for c in x])
-        return _on_live_rows(V, lambda W: np.sqrt(_quadratic_rows(a, W)))
-
+    # g_v = a(x) for every v at one base point
     def legendre_rows(self, chart, x, V):
-        if not self.x_independent:
-            return super().legendre_rows(chart, x, V)
         a = self.matrix_fn(chart, [float(c) for c in x])
         return _on_live_rows(V, lambda W: W @ np.array(a, dtype=float).T)
 
@@ -474,26 +452,21 @@ class RandersMetric(MetricField):
     reversible = False
     x_independent = True
 
-    def __init__(self, atlas, b, a=None, enforce=True):
+    def __init__(self, atlas, b, a=None):
         super().__init__(atlas)
         n = atlas.dim
         self.a = np.eye(n) if a is None else np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
         bnorm = float(np.sqrt(self.b @ np.linalg.solve(self.a, self.b)))
-        if enforce and bnorm >= 1.0:
+        if bnorm >= 1.0:
             raise ConvexityError(
                 f"Randers drift |b|_a = {bnorm:.4g} >= 1 breaks strong convexity")
 
     def value_generic(self, chart, x, v):
-        n = len(v)
-        q = 0.0
-        for i in range(n):
-            for j in range(n):
-                q = q + self.a[i, j] * v[i] * v[j]
         lin = 0.0
-        for i in range(n):
+        for i in range(len(v)):
             lin = lin + self.b[i] * v[i]
-        return dual.sqrt(q) + lin
+        return dual.sqrt(_quadratic(self.a, v)) + lin
 
     def fundamental(self, p):
         v = _check_dir(p.v)
@@ -504,16 +477,6 @@ class RandersMetric(MetricField):
         lb = ell + self.b
         return np.outer(lb, lb) + f * (self.a / alpha
                                        - np.outer(av, av) / alpha ** 3)
-
-    def F_rows(self, chart, x, V):
-        self.atlas.require(chart, x)
-
-        def rows(W):
-            lin = 0.0
-            for i in range(W.shape[1]):
-                lin = lin + self.b[i] * W[:, i]
-            return np.sqrt(_quadratic_rows(self.a, W)) + lin
-        return _on_live_rows(V, rows)
 
     def legendre_rows(self, chart, x, V):
         """g_v v = F(v) (a v / alpha + b), alpha = sqrt(a(v, v)): the
@@ -530,7 +493,9 @@ class RandersMetric(MetricField):
 
 
 class MinkowskiQuarticMetric(MetricField):
-    """Reversible non-Riemannian norm F^2 = |v|^2 + eps * sum v_i^4 / |v|^2."""
+    """Reversible non-Riemannian norm F^2 = |v|^2 + eps * sum v_i^4 / |v|^2
+    with 0 <= eps < 1: the least eigenvalue of g on unit vectors is
+    1 - eps, reached on the axes."""
 
     reversible = True
     x_independent = True
@@ -538,6 +503,10 @@ class MinkowskiQuarticMetric(MetricField):
     def __init__(self, atlas, eps=0.1):
         super().__init__(atlas)
         self.eps = float(eps)
+        if not 0.0 <= self.eps < 1.0:
+            raise ConvexityError(
+                f"quartic eps = {self.eps:.4g} outside [0, 1) breaks strong "
+                "convexity")
 
     def value_generic(self, chart, x, v):
         q = 0.0
@@ -564,19 +533,6 @@ class MinkowskiQuarticMetric(MetricField):
         g -= vw
         g -= vw.T
         return g
-
-    def F_rows(self, chart, x, V):
-        self.atlas.require(chart, x)
-
-        def rows(W):
-            q = 0.0
-            s = 0.0
-            for c in W.T:
-                c2 = c * c
-                q = q + c2
-                s = s + c2 * c2
-            return np.sqrt(q + self.eps * s / q)
-        return _on_live_rows(V, rows)
 
     def legendre_rows(self, chart, x, V):
         """g_v v = v + (2 eps / q)(v^2 - s / 2q) v, the v-gradient of
@@ -618,9 +574,6 @@ class ReversedMetric(MetricField):
     def cartan(self, p):
         return -self.base.cartan(TangentVec(p.chart, p.x, -p.v))
 
-    def F_rows(self, chart, x, V):
-        return self.base.F_rows(chart, x, -np.asarray(V, dtype=float))
-
     def legendre_rows(self, chart, x, V):
         V = np.asarray(V, dtype=float)
         return -self.base.legendre_rows(chart, x, -V)
@@ -641,23 +594,6 @@ class ReversedMetric(MetricField):
 
 
 # -- module-level operations ---------------------------------------------
-
-
-def fundamental_tensor(metric, p: TangentVec) -> FundamentalTensor:
-    g = metric.fundamental(p)
-    w = np.linalg.eigvalsh(0.5 * (g + g.T))
-    if w[0] <= 0:
-        raise ConvexityError(
-            f"fundamental tensor not positive definite at x={p.x}, v={p.v} "
-            f"(min eigenvalue {w[0]:.3g})", x=p.x, v=p.v)
-    return FundamentalTensor(p, g)
-
-
-def legendre(metric, p: TangentVec) -> Covector:
-    if np.linalg.norm(p.v) < V_FLOOR:
-        return Covector(p.chart, np.asarray(p.x, float), np.zeros(len(p.x)))
-    g = metric.fundamental(p)
-    return Covector(p.chart, np.asarray(p.x, float), g @ p.v)
 
 
 def legendre_inverse(metric, chart, x, omega) -> TangentVec:

@@ -448,7 +448,8 @@ SCHEMA = {
             "properties": {
                 "family": {"enum": list(METRIC_FAMILIES)},
                 "b": _VECTOR,
-                "eps": {"type": "number", "exclusiveMinimum": 0},
+                "eps": {"type": "number", "exclusiveMinimum": 0,
+                        "exclusiveMaximum": 1},
             },
         },
         "submanifold": {

@@ -174,7 +174,8 @@ def test_criterion_5_randers(randers_setup):
                 key=lambda v: v[0])
     normal_err = max(np.max(np.abs(vs[0] - [-2.0, 0.0])),
                      np.max(np.abs(vs[1] - [2.0 / 3.0, 0.0])))
-    bad = fc.RandersMetric(atlas, np.array([1.2, 0.0]), enforce=False)
+    bad = fc.CustomMetric(atlas, lambda c, x, v: fc.dual.sqrt(
+        v[0] * v[0] + v[1] * v[1]) + 1.2 * v[0])
     rejected = not fc.validate_metric(bad).passed
     try:
         fc.RandersMetric(atlas, np.array([1.2, 0.0]))
@@ -388,7 +389,7 @@ def test_criterion_9_properties(sphere_setup, sphere_field, sphere_records,
             g = metric.fundamental(p)
             g_worst = max(g_worst, abs(float(v @ g @ v) - metric.F(p) ** 2)
                           / max(metric.F(p) ** 2, 1.0))
-            omega = fc.legendre(metric, p).omega
+            omega = metric.legendre_rows(0, p.x, [p.v])[0]
             back = fc.legendre_inverse(metric, 0, p.x, omega)
             leg_worst = max(leg_worst, float(np.max(np.abs(back.v - v)))
                             / max(1.0, float(np.linalg.norm(v))))

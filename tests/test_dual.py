@@ -60,3 +60,19 @@ def test_nested_power_derivatives(x, k):
     d2 = dual.nested_directional(f, [x], [[1.0], [1.0]])
     assert math.isclose(d2, k * (k - 1) * x ** (k - 2),
                         rel_tol=1e-10, abs_tol=1e-10)
+
+
+def test_sqrt_on_arrays_is_math_sqrt_of_each_entry():
+    rng = np.random.default_rng(2)
+    z = np.concatenate([10.0 ** rng.uniform(-30, 30, 500), [0.0, 1.0, 2.0]])
+    got = dual.sqrt(z)
+    assert isinstance(got, np.ndarray) and got.shape == z.shape
+    assert [float.hex(float(r)) for r in got] == \
+        [float.hex(math.sqrt(c)) for c in z.tolist()]
+
+
+def test_sqrt_still_differentiates_duals():
+    r = dual.sqrt(dual.Dual(dual.Dual(4.0, 1.0), 1.0))
+    assert dual.real(r) == 2.0
+    assert dual.real(dual.dpart(r)) == 0.25
+    assert dual.extract(r, 2) == -1.0 / 32.0

@@ -39,7 +39,7 @@ def test_fundamental_reproduces_F_squared(name, metric):
     for _ in range(10):
         v = rng.standard_normal(2)
         p = TangentVec(0, rng.uniform(-0.5, 0.5, 2), v)
-        g = fc.fundamental_tensor(metric, p).g
+        g = metric.fundamental(p)
         assert math.isclose(float(v @ g @ v), metric.F(p) ** 2,
                             rel_tol=1e-10)
 
@@ -96,9 +96,16 @@ def test_randers_enforce_rejects_large_drift():
         fc.RandersMetric(atlas, np.array([1.2, 0.0]))
 
 
+@pytest.mark.parametrize("eps", [1.0, 2.0, -0.5])
+def test_quartic_rejects_eps_outside_unit_interval(eps):
+    with pytest.raises(fc.ConvexityError):
+        fc.MinkowskiQuarticMetric(fc.flat_atlas(), eps=eps)
+
+
 def test_validate_metric_rejects_nonconvex():
     atlas = fc.flat_atlas()
-    bad = fc.RandersMetric(atlas, np.array([1.2, 0.0]), enforce=False)
+    bad = fc.CustomMetric(atlas, lambda c, x, v: dual.sqrt(
+        v[0] * v[0] + v[1] * v[1]) + 1.2 * v[0])
     report = fc.validate_metric(bad)
     assert not report.passed
     assert report.failures
@@ -127,7 +134,7 @@ def test_legendre_roundtrip_euclidean(v):
     atlas = fc.flat_atlas()
     metric = fc.euclidean_metric(atlas)
     p = TangentVec(0, np.zeros(2), np.array(v))
-    omega = fc.legendre(metric, p).omega
+    omega = metric.legendre_rows(0, p.x, [p.v])[0]
     back = fc.legendre_inverse(metric, 0, p.x, omega)
     assert np.allclose(back.v, p.v, atol=1e-9)
 
@@ -140,7 +147,7 @@ def test_legendre_roundtrip_all_families(name, metric):
         if np.linalg.norm(v) < 0.2:
             continue
         p = TangentVec(0, rng.uniform(-0.3, 0.3, 2), v)
-        omega = fc.legendre(metric, p).omega
+        omega = metric.legendre_rows(0, p.x, [p.v])[0]
         back = fc.legendre_inverse(metric, 0, p.x, omega)
         assert np.allclose(back.v, v, atol=1e-8 * (1 + np.linalg.norm(v)))
 
@@ -175,8 +182,7 @@ def test_degenerate_direction_rejected():
     atlas = fc.flat_atlas()
     metric = fc.euclidean_metric(atlas)
     with pytest.raises(fc.DegenerateDirectionError):
-        fc.fundamental_tensor(metric,
-                              TangentVec(0, np.zeros(2), np.zeros(2)))
+        metric.fundamental(TangentVec(0, np.zeros(2), np.zeros(2)))
 
 
 def _round_states(rng, count):
@@ -281,8 +287,8 @@ def test_reversed_metric_retraces_geodesics():
 
 
 def _row_metrics():
-    """The closed-form row families, and two that loop the scalar oracles:
-    the round sphere and a custom metric."""
+    """The families with closed-form ``legendre_rows``, the round sphere,
+    and a custom metric whose ``legendre_rows`` loops ``fundamental``."""
     atlas = fc.torus_atlas([1.0, 1.1])
     randers = fc.RandersMetric(atlas, np.array([0.5, -0.3]),
                                a=np.array([[1.2, 0.3], [0.3, 0.8]]))
@@ -369,3 +375,38 @@ def test_legendre_rows_match_the_fundamental_tensor(family):
         exact = np.array([_exact_randers_covector(b, a, v) for v in live])
         assert _ulps(got[:-2], exact).max() <= RANDERS_EXACT_ULPS
     assert metric.legendre_rows(0, x, np.zeros((0, 2))).shape == (0, 2)
+
+
+def test_F_rows_evaluates_value_generic_once_on_arrays():
+    calls = []
+
+    def F(chart, x, v):
+        calls.append(v)
+        return dual.sqrt((1.0 + 0.1 * x[0] * x[0]) * v[0] * v[0]
+                         + v[1] * v[1]) + 0.2 * v[1]
+
+    metric = fc.CustomMetric(fc.flat_atlas(), F)
+    x = np.array([0.2, 0.3])
+    rows = _random_rows(8)[:64]
+    got = metric.F_rows(0, x, rows)
+    assert len(calls) == 1
+    want = [metric.F(TangentVec(0, x, v)) for v in rows]
+    assert [float.hex(float(f)) for f in got] == [float.hex(f) for f in want]
+
+
+def test_value_generic_that_branches_on_v_fails_in_F_rows():
+    # a branch on v has no meaning for a block of rows; it is not caught
+    metric = fc.CustomMetric(fc.flat_atlas(), lambda chart, x, v: dual.sqrt(
+        v[0] * v[0] + v[1] * v[1]) * (2.0 if v[0] > 0 else 1.0))
+    assert metric.F(TangentVec(0, np.zeros(2), np.array([1.0, 0.0]))) == 2.0
+    with pytest.raises(ValueError, match="ambiguous"):
+        metric.F_rows(0, np.zeros(2), [[1.0, 0.0], [-1.0, 0.0]])
+
+
+def test_no_family_overrides_F_rows():
+    # value_generic is the one place a family writes F
+    families = [c for c in vars(fc.metric).values()
+                if isinstance(c, type) and issubclass(c, MetricField)
+                and c is not MetricField]
+    assert len(families) >= 6
+    assert [c.__name__ for c in families if "F_rows" in vars(c)] == []

@@ -165,6 +165,7 @@ def test_cli_validate(tmp_path, capsys):
     ("manifold", {"type": "torus", "periods": [1.0, 1.0, 1.0]},
      "/manifold/periods"),
     ("metric", {"family": "randers", "b": [0.5]}, "/metric/b"),
+    ("metric", {"family": "minkowski-quartic", "eps": 1.0}, "/metric/eps"),
     ("submanifold", {"family": "point", "point": [0.0, 0.0, 0.0]},
      "/submanifold/point"),
     ("submanifold", {"family": "circle", "center": [0.0]},
@@ -175,7 +176,7 @@ def test_cli_validate(tmp_path, capsys):
     ("tolerances", {"newton": 1e-9}, "/tolerances"),
     ("tolerances", {"distinct_angle": 1e-3}, "/tolerances"),
     ("schema_version", "2.0", "/schema_version"),
-], ids=["dim", "periods", "b", "point", "center", "direction", "formats",
+], ids=["dim", "periods", "b", "eps", "point", "center", "direction", "formats",
         "newton", "distinct_angle", "schema_version"])
 def test_validate_rejects_what_cannot_run(tmp_path, capsys, section, value,
                                           pointer):
