@@ -21,14 +21,14 @@ from .geodesic import (GeodesicPath, LinearizedFrame, PathSegment,
                        integrate_geodesic, integrate_geodesics,
                        linearized_flow, linearized_flows, path_energy,
                        path_length)
-from .submanifold import (NormalRay, SubmanifoldSpec, annihilator_basis,
-                          axis_line_submanifold, circle_submanifold,
-                          cone_variation_data, ellipse_submanifold,
-                          normal_jacobi_flow, normal_jacobi_flows,
-                          point_submanifold, sample_unit_cone,
-                          sampled_curve_submanifold, tangent_frame,
-                          unit_normal)
-from .cutlocus import (CutRecord, CutTimeResult, DistanceWitness, Minimizer,
+from .submanifold import (Minimizer, NormalRay, SubmanifoldSpec,
+                          annihilator_basis, axis_line_submanifold,
+                          circle_submanifold, cone_variation_data,
+                          ellipse_submanifold, normal_jacobi_flow,
+                          normal_jacobi_flows, point_submanifold,
+                          sample_unit_cone, sampled_curve_submanifold,
+                          tangent_frame, unit_normal)
+from .cutlocus import (CutRecord, CutTimeResult, DistanceWitness,
                        NormalShooting, Report, ShootingPlan,
                        check_rho_continuity, check_rho_leq_lambda,
                        check_se_dense, cut_locus)

@@ -16,27 +16,15 @@ finite-difference neighbours.  Under an x-independent metric on a one-chart
 atlas (the flat plane or torus) every path is one exact straight segment
 from the geodesic layer (``geodesic.straight_geodesics``).
 
-A point source there is answered in closed form throughout.  ``distance``
-is the least F over the lattice shifts of q - p.  Its normal geodesics have
-no focal point (J0 = 0, so det[t Jd0 | v] vanishes only at t = 0), so
-``focal_time`` is inf with no Jacobi flow.  By the Separating/FirstFocal
-dichotomy its cut time is then the first t at which a lattice copy reaches
-p + t v as fast as the ray does: the least root in (0, 2H] of
-F(t v - kL) = t over the shifts k != 0, H the horizon.  The roots of every
-(ray, shift) pair are found by one lockstep Newton over arrays, on the
-metric's row oracles ``F_rows`` and ``legendre_rows``, and ``file_fan``
-files the cut times of all the rays ``cut_locus`` records from one such
-batch; ``cut_time`` on a ray not filed is the one-ray batch.  One full
-``distance`` query at each cut point confirms it (no shorter path, at
-least two minimizers); if it does not, the ray is not filed and is
-bisected.
-
-Every other field (the sphere, curve sources) steps Jacobi flows for its
-focal times and bisects the minimality predicate for its cut times, with
-the first focal time as an upper bracket; a ray that still minimizes at the
-horizon H is bisected again in (H, 2H].  The check at the top of each
-bracket takes the full candidate set, since a ray that passes it is
-returned with no bisection and no later cross-check.
+A point source there is answered in closed form by the solver of
+``straight.py``, which ``__init__`` picks once (``straight``); each of its
+cut times is confirmed by one full ``distance`` query at the cut point.
+Every other field steps Jacobi flows for its focal times and bisects the
+minimality predicate for its cut times, with the first focal time as an
+upper bracket; a ray that still minimizes at the horizon H is bisected
+again in (H, 2H].  The check at the top of each bracket takes the full
+candidate set, since a ray that passes it is returned with no bisection
+and no later cross-check.
 
 Every cache of a field follows one rule: a value is keyed by exactly what
 determines it, and it is never replaced or invalidated.  Paths and Jacobi
@@ -72,14 +60,12 @@ from typing import Callable
 
 import numpy as np
 
-from .atlas import TangentVec
 from .errors import FinslerError, NumericalFailure, UnreachedPointError
 from .geodesic import (DEFAULT_ATOL, DEFAULT_RTOL, first_degeneracy,
-                       integrate_geodesic, integrate_geodesics,
-                       straight_geodesics)
-from .metric import V_FLOOR
-from .submanifold import (NormalRay, normal_jacobi_flow, normal_jacobi_flows,
-                          sample_unit_cone, unit_normal)
+                       integrate_geodesic, integrate_geodesics)
+from .straight import straight_point_source
+from .submanifold import (Minimizer, NormalRay, normal_jacobi_flow,
+                          normal_jacobi_flows, sample_unit_cone, unit_normal)
 
 SEPARATING = "Separating"
 FIRST_FOCAL = "FirstFocal"
@@ -90,8 +76,6 @@ DISTINCT_ANGLE = 1e-3       # g-angle that tells two minimizers at one base apar
 MAX_CANDIDATES = 8          # fan rays polished per full distance query
 QUICK_CANDIDATES = 4        # ... per quick (bisection) distance query
 SAMPLE_DT_FRAC = 1.0 / 128.0    # fan sample spacing, as a horizon fraction
-FLOOR_DIRS = 256            # unit directions bounding F from below
-ROOT_ITERS = 60             # Newton cap for a closed-form cut time
 POLISH_STEPS = 4            # time-only Newton steps before Gauss-Newton
 NEWTON_ITERS = 25           # Gauss-Newton iteration cap per arrival
 BLOWUP_FACTOR = 10.0        # quotient growth that rho_continuity flags
@@ -106,14 +90,6 @@ class ShootingPlan:
     ode_atol: float = DEFAULT_ATOL
     bisect_tol: float = 1e-6
     min_slack: float = 1e-6
-
-
-@dataclass
-class Minimizer:
-    ray: NormalRay
-    t: float
-    terminal: TangentVec
-    residual: float
 
 
 @dataclass
@@ -176,67 +152,6 @@ def _ray_key(ray: NormalRay):
     return (tuple(ray.theta), tuple(ray.psi))
 
 
-def _straight_point_source(metric, N):
-    """A point source whose normal geodesics are straight lines in one
-    chart.  Its Jacobi fields start at J0 = 0, so det[t Jd0 | v] vanishes
-    only at t = 0: it has no focal point."""
-    return N.k == 0 and straight_geodesics(metric)
-
-
-def _unit_circle_floor(metric, chart, p):
-    """A lower bound of F(p, u) over the Euclidean unit circle.
-
-    F is subadditive, so F(u) >= F(u_j) - F_max |u - u_j| for the nearest
-    of FLOOR_DIRS equally spaced unit vectors u_j, which lies within the
-    chord 2 sin(pi / 2 FLOOR_DIRS); the same inequality bounds F_max by the
-    largest sample.
-    """
-    angles = 2 * np.pi * np.arange(FLOOR_DIRS) / FLOOR_DIRS
-    vals = metric.F_rows(chart, p, [[math.cos(a), math.sin(a)]
-                                    for a in angles])
-    chord = 2.0 * math.sin(math.pi / (2 * FLOOR_DIRS))
-    return float(vals.min() - vals.max() * chord / (1.0 - chord))
-
-
-def _least_roots(metric, chart, p, V, W, t_max):
-    """First root in (0, t_max] of g(t) = F(t v + w) - t for each row (v, w)
-    of the (k, 2) arrays V and W, else inf, by Newton on every row in
-    lockstep.
-
-    g is convex with g(0) = F(w) > 0, so Newton from t = 0 rises
-    monotonically to its first root; g' = (g_u u) . v / F(u) - 1 at
-    u = t v + w.  A row stops at its root once g <= 0 or once its step
-    falls below 4 eps t, and has none once g' >= 0 while g > 0, or once an
-    iterate passes t_max; a row still going after ROOT_ITERS steps keeps
-    its last iterate.
-    """
-    t = np.zeros(len(V))
-    roots = np.full(len(V), np.inf)
-    live = np.arange(len(V))        # the rows still stepping
-    for _ in range(ROOT_ITERS):
-        if not live.size:
-            return roots
-        u = t[live, None] * V[live] + W[live]
-        length = metric.F_rows(chart, p, u)
-        g = length - t[live]
-        met = g <= 0.0
-        roots[live[met]] = t[live[met]]
-        live, u, length, g = live[~met], u[~met], length[~met], g[~met]
-        omega = metric.legendre_rows(chart, p, u)
-        v = V[live]
-        slope = (omega[:, 0] * v[:, 0] + omega[:, 1] * v[:, 1]) / length - 1.0
-        falls = slope < 0.0
-        live, g, slope = live[falls], g[falls], slope[falls]
-        step = -g / slope
-        t[live] += step
-        within = t[live] <= t_max
-        settled = within & (step <= 4.0 * np.finfo(float).eps * t[live])
-        roots[live[settled]] = t[live[settled]]
-        live = live[within & ~settled]
-    roots[live] = t[live]
-    return roots
-
-
 class NormalShooting:
     """Shooting session from a submanifold under one sampling plan."""
 
@@ -261,16 +176,9 @@ class NormalShooting:
         # seed, see _seed_ray
         self._seed_rays = {}
         self._build_branches()
-        # a point source whose normal geodesics are straight lines in one
-        # chart gets distance and cut time in closed form (_line_distance,
-        # _line_cut_time); _line_floor > 0 bounds F on unit vectors from
-        # below, else None
-        self._line_floor = None
-        if _straight_point_source(metric, N):
-            self._base = N.point(np.zeros(0))
-            floor = _unit_circle_floor(metric, N.chart, self._base)
-            if floor > 0.0:
-                self._line_floor = floor
+        # the closed-form solver of distances and cut times, else None and
+        # the field shoots; no other method tests for straightness
+        self.straight = straight_point_source(metric, N, plan, self.rays[0])
 
     # -- ray bookkeeping -------------------------------------------------
 
@@ -663,72 +571,14 @@ class NormalShooting:
         key = (q[0], np.asarray(q[1], dtype=float).tobytes())
         got = self._witnesses.get(key) if full else None
         if got is None:
-            if self._line_floor is not None:
-                got = self._line_distance(q)
+            if self.straight is not None:
+                got = DistanceWitness(q, *self.straight.distance(q),
+                                      self.distinct)
             else:
                 got = self._shoot_distance(q, full)
             if full:
                 self._witnesses[key] = got
         return got
-
-    def _lattice_shifts(self, w0, reach):
-        """The images w0 + kL of Euclidean length at most ``reach`` as the
-        rows of an array, in lexicographic order of k; w0 alone when there
-        is no lattice."""
-        lat = self.atlas.periodic_lattice
-        if lat is None:
-            return w0[None, :]
-        k = [np.arange(math.ceil((-reach - c) / L),
-                       math.floor((reach - c) / L) + 1)
-             for c, L in zip(w0, lat)]
-        ks = np.stack(np.meshgrid(*k, indexing="ij"), axis=-1).reshape(-1, 2)
-        w = w0 + ks * lat
-        return w[np.sqrt(w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1]) <= reach]
-
-    def _line_distance(self, q) -> DistanceWitness:
-        """Closed-form distance from a point source along straight lines.
-
-        Every lattice shift w = q - p - kL whose Euclidean length allows
-        F(w) <= F(w0) + window, w0 the minimum image, is evaluated; each
-        shift within the window of the least F gives a minimizer with
-        direction w / F(w) and covector g_v(v).
-        """
-        plan = self.plan
-        chart, p = self.N.chart, self._base
-        window = max(1e-6, 2 * plan.bisect_tol)
-        w0 = self.atlas.displacement((chart, p), q)
-        if np.linalg.norm(w0) < V_FLOOR:
-            # q is the source: the zero-length segment along fan ray 0
-            ray = self.rays[0]
-            term = TangentVec(chart, p + w0, ray.v)
-            res = float(np.linalg.norm(w0))
-            return DistanceWitness(q, 0.0, [Minimizer(ray, 0.0, term, res)],
-                                   self.distinct)
-
-        shifts = self._lattice_shifts(
-            w0, (self.metric.F(TangentVec(chart, p, w0)) + window)
-            / self._line_floor)
-        ts = self.metric.F_rows(chart, p, shifts)
-        d = float(ts.min())
-        if d > 2 * plan.horizon + plan.min_slack:
-            # beyond the doubled-horizon probe, the longest span integrated
-            raise UnreachedPointError(
-                f"q={q} lies at distance {d:.6g}, beyond twice the horizon "
-                f"{plan.horizon}")
-        near = np.argsort(ts, kind="stable")
-        near = near[ts[near] <= d + window]
-        ts, shifts = ts[near], shifts[near]
-        vs = shifts / ts[:, None]
-        omegas = self.metric.legendre_rows(chart, p, vs)
-        arrivals = []
-        for t, w, v, omega in zip(ts.tolist(), shifts, vs, omegas):
-            ray = NormalRay(np.zeros(0), omega / np.linalg.norm(omega),
-                            chart, p, v)
-            res = float(np.linalg.norm(
-                self.atlas.displacement((chart, p + t * v), q)))
-            arrivals.append(Minimizer(ray, t, TangentVec(chart, p + w, v),
-                                      res))
-        return DistanceWitness(q, float(d), arrivals, self.distinct)
 
     def _shoot_distance(self, q, full=True) -> DistanceWitness:
         """Distance by fan closest approach and Gauss-Newton arrival."""
@@ -771,29 +621,28 @@ class NormalShooting:
         """Compute, each in one batch, what the cut times of ``rays`` not
         yet computed will read: the fan's one-horizon paths, which every
         shooting query samples, and those rays' one-horizon Jacobi flows.
-        A field with closed-form distances needs no fan path, and a
-        straight point source steps no flow: its cut times are found in one
-        batch (``_line_roots``) and each is filed once its own confirming
-        query accepts it.  A ray whose query rejects its root, or raises,
-        is not filed, so ``cut_time`` answers it alone as it would have."""
+        A closed-form field steps neither: its cut times are found in one
+        batch (``straight.cut_times``) and each is filed once its own
+        confirming query accepts it.  A ray whose query rejects its root, or
+        raises, is not filed, so ``cut_time`` answers it alone as it would
+        have."""
         rays = [ray for ray in rays if _ray_key(ray) not in self._cut_times]
         if not rays:
             return
-        if self._line_floor is not None:
-            for ray, rho in zip(rays, self._line_roots(rays)):
+        if self.straight is not None:
+            for ray, rho in zip(rays, self.straight.cut_times(rays)):
                 try:
-                    got = self._line_cut_time(ray, rho)
+                    got = self._confirmed_cut_time(ray, rho)
                 except (FinslerError, np.linalg.LinAlgError):
                     continue
                 if got is not None:
                     self._cut_times.setdefault(_ray_key(ray), got)
             return
         self._file_paths()
-        if not _straight_point_source(self.metric, self.N):
-            plan = self.plan
-            self._file(self._flows, rays, lambda rays, T: normal_jacobi_flows(
-                self.metric, self.N, rays, T, rtol=plan.ode_rtol,
-                atol=plan.ode_atol))
+        plan = self.plan
+        self._file(self._flows, rays, lambda rays, T: normal_jacobi_flows(
+            self.metric, self.N, rays, T, rtol=plan.ode_rtol,
+            atol=plan.ode_atol))
 
     def _file_paths(self):
         plan = self.plan
@@ -802,7 +651,8 @@ class NormalShooting:
             rtol=plan.ode_rtol, atol=plan.ode_atol))
 
     def focal_time(self, ray: NormalRay, T_max=None):
-        if _straight_point_source(self.metric, self.N):
+        if self.straight is not None:
+            # J0 = 0 and straight lines: det[t Jd0 | v] vanishes only at 0
             return math.inf
         T_max = T_max or self.plan.horizon
         return first_degeneracy(self.flow(ray, T_max), FOCAL_FLOOR, T_max)
@@ -811,38 +661,17 @@ class NormalShooting:
         key = _ray_key(ray)
         got = self._cut_times.get(key)
         if got is None:
-            if self._line_floor is not None:
-                got = self._line_cut_time(ray, self._line_roots([ray])[0])
+            if self.straight is not None:
+                got = self._confirmed_cut_time(
+                    ray, self.straight.cut_times([ray])[0])
             if got is None:
                 got = self._bisect_cut_time(ray)
             self._cut_times[key] = got
         return got
 
-    def _line_roots(self, rays):
-        """Separating times of rays from a straight point source: for each
-        ray, the least root in (0, 2H] of F(t v + kL) = t over the lattice
-        shifts k != 0 (a set closed under k -> -k), else inf.
-
-        At a root t, t = F(t v + kL) >= floor (|kL| - t |v|), so only the
-        shifts with |kL| <= 2H (|v| + 1 / floor) can have one.  Every such
-        (ray, shift) pair is one row of ``_least_roots``.
-        """
-        span = 2 * self.plan.horizon
-        vs = np.array([ray.v for ray in rays], dtype=float).reshape(-1, 2)
-        reach = span * (np.linalg.norm(vs, axis=1) + 1.0 / self._line_floor)
-        shifts = self._lattice_shifts(np.zeros(2), reach.max())
-        size = np.sqrt(shifts[:, 0] ** 2 + shifts[:, 1] ** 2)
-        ray_of, shift_of = np.nonzero((size > 0.0) & (size <= reach[:, None]))
-        roots = _least_roots(self.metric, self.N.chart, self._base,
-                             vs[ray_of], shifts[shift_of], span)
-        rho = np.full(len(vs), np.inf)
-        np.minimum.at(rho, ray_of, roots)
-        return rho
-
-    def _line_cut_time(self, ray, rho):
-        """The closed-form cut time ``rho`` of a ray from a straight point
-        source (``_line_roots``), or None when the confirming distance query
-        rejects it.
+    def _confirmed_cut_time(self, ray, rho):
+        """The closed-form cut time ``rho`` of a ray (``straight.cut_times``),
+        or None when the confirming distance query rejects it.
 
         With no focal point the cut is Separating, at the first lattice
         copy of the ray that reaches it.  One full distance query at x(rho)

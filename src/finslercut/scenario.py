@@ -26,7 +26,7 @@ from . import __version__ as _pkg_version
 from .atlas import flat_atlas, sphere_atlas, torus_atlas
 from .cutlocus import (NormalShooting, ShootingPlan, check_rho_continuity,
                        check_rho_leq_lambda, check_se_dense, cut_locus)
-from .errors import (FinslerError, RetractionUndefinedError,
+from .errors import (ConvexityError, FinslerError, RetractionUndefinedError,
                      ReversibilityError, ScenarioError)
 from .metric import (MinkowskiQuarticMetric, RandersMetric, euclidean_metric,
                      sphere_metric, validate_metric)
@@ -578,7 +578,7 @@ def parse_scenario(text) -> Scenario:
         raise ScenarioError(
             "invalid scenario at /metric/family: sphere-round metric needs "
             "a sphere-stereo manifold", pointer="/metric/family")
-    return Scenario(
+    sc = Scenario(
         name=data["name"],
         manifold=_merged("manifold", data),
         metric=_merged("metric", data),
@@ -589,6 +589,15 @@ def parse_scenario(text) -> Scenario:
         seed=int(data.get("seed", _DEFAULTS["seed"])),
         output=_merged("output", data),
     )
+    # the schema cannot state |b|_a < 1 (the schema bounds the quartic eps),
+    # so the metric's own constructor checks the Randers drift
+    try:
+        METRIC_FAMILIES[sc.metric["family"]](
+            sc, MANIFOLD_TYPES[sc.manifold["type"]](sc.manifold))
+    except ConvexityError as exc:
+        raise ScenarioError(f"invalid scenario at /metric/b: {exc}",
+                            pointer="/metric/b") from exc
+    return sc
 
 
 # -- builtin registry -----------------------------------------------------

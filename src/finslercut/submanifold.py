@@ -153,6 +153,14 @@ class NormalRay:
         return TangentVec(self.chart, self.x, self.v)
 
 
+@dataclass
+class Minimizer:
+    ray: NormalRay
+    t: float
+    terminal: TangentVec
+    residual: float
+
+
 def tangent_frame(N: SubmanifoldSpec, theta) -> np.ndarray:
     """Immersion Jacobian, checked for rank: a curve's speed |c'(theta)|
     is its one singular value."""

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import finslercut as fc
-from finslercut import cutlocus, scenario
+from finslercut import cutlocus, scenario, straight
 from finslercut.cutlocus import (NEWTON_TOL, SAMPLE_DT_FRAC, SEPARATING,
                                  ShootingPlan)
 from finslercut.metric import ReversedMetric
@@ -611,7 +611,7 @@ def test_line_distance_matches_shooting(manifold, family):
     # ode_rtol 1e-10 makes the Gauss-Newton stop tolerance NEWTON_TOL
     plan = fc.ShootingPlan(psi_count=64, horizon=1.5, ode_rtol=1e-10)
     field = fc.NormalShooting(_line_metrics(atlas)[family], N, plan)
-    assert field._line_floor is not None
+    assert field.straight is not None
     rng = np.random.default_rng(11)
     for _ in range(25):
         q = (0, rng.uniform(-1.0, 1.0, 2))
@@ -625,8 +625,8 @@ def test_line_distance_matches_shooting(manifold, family):
 
 
 def test_line_distance_is_not_used_off_its_domain(sphere_field, circle_field):
-    assert sphere_field._line_floor is None     # two charts
-    assert circle_field._line_floor is None     # curve source
+    assert sphere_field.straight is None        # two charts
+    assert circle_field.straight is None        # curve source
 
 
 def test_plane_point_ray_is_unbounded():
@@ -714,11 +714,21 @@ def test_closed_form_cut_time_agrees_with_bisection():
             assert math.isinf(got.lam) and math.isinf(want.lam)
 
 
-def test_closed_form_cut_time_is_exact():
+def _cut_times(field, rays, how):
+    """Cut times of ``rays``, each its own one-ray batch (``lone``) or all
+    of them from the one batch ``file_fan`` files (``filed``)."""
+    if how == "filed":
+        return _filed(field, rays)
+    return [field.cut_time(ray) for ray in rays]
+
+
+@pytest.mark.parametrize("how", ["lone", "filed"])
+def test_closed_form_cut_times_are_exact(how):
     for field, periods, rays in _random_torus_fields(20, seed=22):
-        for ray in rays + list(field.rays):
+        rays = rays + list(field.rays)
+        for got, ray in zip(_cut_times(field, rays, how), rays):
             exact = _exact_torus_rho(ray, periods)
-            assert abs(field.cut_time(ray).rho - exact) <= 1e-12, periods
+            assert abs(got.rho - exact) <= 1e-12, periods
 
 
 def test_closed_form_cut_time_on_an_irreversible_randers_torus():
@@ -737,18 +747,20 @@ def test_closed_form_cut_time_on_an_irreversible_randers_torus():
         _assert_agrees_with_bisection(got, want, field.plan)
 
 
-def test_closed_form_cut_time_without_a_lattice_is_unbounded():
+@pytest.mark.parametrize("how", ["lone", "filed"])
+def test_closed_form_cut_times_without_a_lattice_are_unbounded(how):
     sc = scenario.builtin_scenario("randers-plane-point")
     field = fc.NormalShooting(*scenario.build_geometry(sc)[1:])
-    assert field._line_floor is not None
-    for ray in field.rays:
-        res = field.cut_time(ray)
+    assert field.straight is not None
+    for res in _cut_times(field, list(field.rays), how):
         assert res.unbounded and math.isinf(res.rho) and math.isinf(res.lam)
         assert res.bisection_iters == 0
     assert not field._flows
 
 
-def test_rejected_closed_form_cut_time_falls_back_to_bisection(monkeypatch):
+@pytest.mark.parametrize("how", ["lone", "filed"])
+def test_a_rejected_closed_form_cut_time_falls_back_to_bisection(
+        how, monkeypatch):
     periods = (1.0, 1.0)
     field = fc.NormalShooting(
         fc.euclidean_metric(fc.torus_atlas(periods)),
@@ -766,6 +778,9 @@ def test_rejected_closed_form_cut_time_falls_back_to_bisection(monkeypatch):
         return dataclasses.replace(wit, arrivals=wit.minimizers[:1])
 
     monkeypatch.setattr(field, "distance", one_minimizer)
+    if how == "filed":
+        field.file_fan(field.rays)
+        assert not field._cut_times         # every confirmation rejected
     got = field.cut_time(ray)
     assert got == want and got.bisection_iters > 0
     assert abs(got.rho - _exact_torus_rho(ray, periods)) \
@@ -818,9 +833,9 @@ def _scalar_first_root(field, v, w, t_max):
     """The per-shift Newton loop that ``_least_roots`` replaced: the first
     root in (0, t_max] of F(t v + w) - t, else inf, one scalar F and one
     fundamental tensor per iterate."""
-    chart, p = field.N.chart, field._base
+    chart, p = field.N.chart, field.straight.base
     t = 0.0
-    for _ in range(cutlocus.ROOT_ITERS):
+    for _ in range(straight.ROOT_ITERS):
         u = fc.TangentVec(chart, p, t * v + w)
         length = field.metric.F(u)
         g = length - t
@@ -841,19 +856,20 @@ def _scalar_first_root(field, v, w, t_max):
 def test_lockstep_roots_match_the_scalar_newton_loop():
     for field, rays in _flat_point_fields(25):
         span = 2 * field.plan.horizon
-        shifts = field._lattice_shifts(np.zeros(2), 2.0)
+        shifts = field.straight.lattice_shifts(np.zeros(2), 2.0)
         shifts = shifts[np.abs(shifts).sum(axis=1) > 0.0]
         V = np.repeat([ray.v for ray in rays], len(shifts), axis=0)
         W = np.tile(shifts, (len(rays), 1))
-        got = cutlocus._least_roots(field.metric, field.N.chart, field._base,
-                                    V, W, span)
+        got = straight._least_roots(field.metric, field.N.chart,
+                                    field.straight.base, V, W, span)
         for t, v, w in zip(got, V, W):
             want = _scalar_first_root(field, v, w, span)
             if t == want:
                 continue
             # the two differ only in the last bits of g'; a root then moves
             # by the rounding of g = F(u) - t, a few eps t, over |g'| there
-            u = fc.TangentVec(field.N.chart, field._base, want * v + w)
+            u = fc.TangentVec(field.N.chart, field.straight.base,
+                              want * v + w)
             slope = (field.metric.fundamental(u) @ u.v) @ v / want - 1.0
             assert abs(t - want) <= 8 * np.finfo(float).eps * want / -slope
 
@@ -890,44 +906,6 @@ def test_filed_closed_form_cut_times_agree_with_bisection():
             want = field._bisect_cut_time(ray)
             _assert_agrees_with_bisection(got, want, field.plan)
             assert math.isinf(got.lam) and math.isinf(want.lam)
-
-
-def test_filed_closed_form_cut_times_are_exact():
-    for field, periods, rays in _random_torus_fields(20, seed=22):
-        rays = rays + list(field.rays)
-        for got, ray in zip(_filed(field, rays), rays):
-            assert abs(got.rho - _exact_torus_rho(ray, periods)) <= 1e-12
-
-
-def test_filed_cut_times_without_a_lattice_are_unbounded():
-    sc = scenario.builtin_scenario("randers-plane-point")
-    field = fc.NormalShooting(*scenario.build_geometry(sc)[1:])
-    for res in _filed(field, list(field.rays)):
-        assert res.unbounded and math.isinf(res.rho) and math.isinf(res.lam)
-        assert res.bisection_iters == 0
-    assert not field._flows
-
-
-def test_a_rejected_filed_cut_time_falls_back_to_bisection(monkeypatch):
-    periods = (1.0, 1.0)
-    field = fc.NormalShooting(
-        fc.euclidean_metric(fc.torus_atlas(periods)),
-        fc.point_submanifold(0, np.zeros(2)),
-        fc.ShootingPlan(psi_count=16, horizon=1.5, bisect_tol=1e-8,
-                        min_slack=1e-7))
-    ray = field.rays[3]
-    want = field._bisect_cut_time(ray)
-    distance = field.distance
-
-    def one_minimizer(q, full=True):
-        wit = distance(q, full)
-        return dataclasses.replace(wit, arrivals=wit.minimizers[:1])
-
-    monkeypatch.setattr(field, "distance", one_minimizer)
-    field.file_fan(field.rays)
-    assert not field._cut_times             # every confirmation rejected
-    got = field.cut_time(ray)
-    assert got == want and got.bisection_iters > 0
 
 
 def test_focal_time_of_field_and_module_agree(torus32, sphere_field,
@@ -1041,16 +1019,16 @@ def test_cut_locus_outputs_carry_the_classes():
     assert tally == hist
 
 
-def _count_calls(monkeypatch, name):
-    """Record the query point of every execution of NormalShooting.<name>."""
+def _count_calls(monkeypatch, owner, name):
+    """Record the query point of every execution of owner.<name>."""
     calls = []
-    method = getattr(cutlocus.NormalShooting, name)
+    method = getattr(owner, name)
 
     def counted(self, q, *args):
         calls.append(q)
         return method(self, q, *args)
 
-    monkeypatch.setattr(cutlocus.NormalShooting, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -1058,7 +1036,8 @@ def test_full_distance_queries_are_memoized_by_the_exact_point(
         sphere_setup, monkeypatch):
     _, metric, N, plan = sphere_setup
     field = fc.NormalShooting(metric, N, plan)
-    computed = _count_calls(monkeypatch, "_shoot_distance")
+    computed = _count_calls(monkeypatch, cutlocus.NormalShooting,
+                            "_shoot_distance")
     q = field.path(field.rays[3]).position(1.0)
     wit = field.distance(q)
     assert field.distance(q, full=True) is wit and len(computed) == 1
@@ -1089,7 +1068,7 @@ def test_cut_locus_computes_one_witness_per_cut_time(case, sphere_setup,
                                                      monkeypatch):
     if case == "sphere":
         _, metric, N, plan = sphere_setup
-        method = "_shoot_distance"
+        owner, method = cutlocus.NormalShooting, "_shoot_distance"
     else:
         atlas = fc.torus_atlas([0.9, 1.2])
         metric = (fc.euclidean_metric(atlas) if case == "torus" else
@@ -1097,9 +1076,9 @@ def test_cut_locus_computes_one_witness_per_cut_time(case, sphere_setup,
         N = fc.point_submanifold(0, [0.1, 0.4])
         plan = fc.ShootingPlan(psi_count=32, horizon=1.5, bisect_tol=1e-8,
                                min_slack=1e-7)
-        method = "_line_distance"
+        owner, method = straight.StraightPointSource, "distance"
     field = fc.NormalShooting(metric, N, plan)
-    computed = _count_calls(monkeypatch, method)
+    computed = _count_calls(monkeypatch, owner, method)
     records = fc.cut_locus(field)
     finite = [rec for rec in records if np.isfinite(rec.rho)]
     assert len(finite) == len(records) == len(field.rays)
