@@ -33,24 +33,26 @@ horizons that covers the span asked for, and are integrated to exactly that
 many horizons; cut times are keyed by the ray; the witnesses of full
 distance queries are keyed by the exact query point (a quick query or a
 failed one is not stored); the fan is sampled once, from its one-horizon
-paths, and stacked once.  Rays off the grid, such as
+paths, and stacked once.  Where geodesics are stepped (``stepped``) a path
+is its Jacobi flow's base, so each is stepped once and ``_paths`` holds
+only flat fields' exact lines.  Rays off the grid, such as
 ``ray_at(mu, template)``, share the path, flow and cut-time caches but never
 join the fan, so no answer depends on which queries came before.
 
 Every finite cut time ends with a full ``distance`` query at exactly the
 cut point, so ``record`` classifies each cut point from that witness.
 
-The fan is integrated as one batch: its one-horizon paths not yet cached
-are stepped together (``geodesic.integrate_geodesics``) the first time the
-fan is stacked, or before, when ``cut_locus`` starts on a shooting field;
-``cut_locus`` also first steps together the one-horizon flows of the rays
-whose cut times are still to find (``submanifold.normal_jacobi_flows``).
-A straight point source steps no flow.  Each row equals its lone
-integration to the last bit (see ``dopri.py`` for the BLAS and pow
-conditions this rests on), so a batch result is filed under the key
-``path(ray)`` or ``flow(ray)`` would give it and the cache rule holds.  A
-row that fails, or every row of a batch that raises, is not filed: a later
-request integrates that ray alone and raises as it always did.
+The fan is integrated as one batch the first time it is stacked, or
+before, when ``cut_locus`` starts on a shooting field, which also steps the
+one-horizon flows of the rays whose cut times are still to find
+(``submanifold.normal_jacobi_flows``).  On a stepped field that is one flow
+batch; on a flat one the fan's exact lines are their own batch
+(``geodesic.integrate_geodesics``).  A straight point source steps no flow.
+Each row equals its lone integration to the last bit (see ``dopri.py`` for
+the BLAS and pow conditions this rests on), so a batch result is filed under
+the key ``path(ray)`` or ``flow(ray)`` would give it and the cache rule
+holds.  A row that fails, or every row of a batch that raises, is not filed:
+a later request integrates that ray alone and raises as it always did.
 """
 from __future__ import annotations
 
@@ -62,7 +64,8 @@ import numpy as np
 
 from .errors import FinslerError, NumericalFailure, UnreachedPointError
 from .geodesic import (DEFAULT_ATOL, DEFAULT_RTOL, first_degeneracy,
-                       integrate_geodesic, integrate_geodesics)
+                       integrate_geodesic, integrate_geodesics,
+                       straight_geodesics)
 from .straight import straight_point_source
 from .submanifold import (Minimizer, NormalRay, normal_jacobi_flow,
                           normal_jacobi_flows, sample_unit_cone, unit_normal)
@@ -152,6 +155,19 @@ def _ray_key(ray: NormalRay):
     return (tuple(ray.theta), tuple(ray.psi))
 
 
+def _side(ray: NormalRay):
+    """The side a ray leaves N on: 0 at a point, sign(psi) on a curve."""
+    return float(np.sign(ray.psi[0])) if ray.theta.size else 0.0
+
+
+def _by_side(rays):
+    """Indices of ``rays`` on each side of N (``_side``), sides in order."""
+    sides = {}
+    for i, ray in enumerate(rays):
+        sides.setdefault(_side(ray), []).append(i)
+    return [sides[side] for side in sorted(sides)]
+
+
 class NormalShooting:
     """Shooting session from a submanifold under one sampling plan."""
 
@@ -179,26 +195,17 @@ class NormalShooting:
         # the closed-form solver of distances and cut times, else None and
         # the field shoots; no other method tests for straightness
         self.straight = straight_point_source(metric, N, plan, self.rays[0])
+        self.stepped = not straight_geodesics(metric)   # see path
 
     # -- ray bookkeeping -------------------------------------------------
 
     def _build_branches(self):
-        """Fan indices in cone order: one psi cycle for a point, one theta
-        run per side for a curve."""
-        self.branches = []
-        if self.N.k:
-            by_side = {}
-            for i, r in enumerate(self.rays):
-                by_side.setdefault(float(np.sign(r.psi[0])), []).append(i)
-            cyclic = bool(self.N.periodic[0])
-            for side in sorted(by_side):
-                idx = sorted(by_side[side], key=lambda i: self.rays[i].theta[0])
-                self.branches.append((np.array(idx), cyclic))
-        else:
-            idx = sorted(range(len(self.rays)),
-                         key=lambda i: math.atan2(self.rays[i].psi[1],
-                                                  self.rays[i].psi[0]))
-            self.branches.append((np.array(idx), True))
+        """Fan indices in cone order, one branch per side (``_side``): one
+        psi cycle for a point, one theta run per side for a curve."""
+        param = [self.ray_param(ray)[0] for ray in self.rays]
+        cyclic = not self.N.k or bool(self.N.periodic[0])
+        self.branches = [(np.array(sorted(i, key=param.__getitem__)), cyclic)
+                         for i in _by_side(self.rays)]
 
     def ray_param(self, ray: NormalRay):
         """The cone parameter driving Gauss-Newton: theta on a curve, the
@@ -239,6 +246,9 @@ class NormalShooting:
         return _ray_key(ray), whole
 
     def path(self, ray: NormalRay, span=None):
+        """The ray's geodesic; on a stepped field, its Jacobi flow's base."""
+        if self.stepped:
+            return self.flow(ray, span).path
         key = self._span_key(ray, span)
         got = self._paths.get(key)
         if got is None:
@@ -247,26 +257,35 @@ class NormalShooting:
                 rtol=self.plan.ode_rtol, atol=self.plan.ode_atol)
         return got
 
-    def _file(self, cache, rays, integrate):
-        """Integrate the one-horizon values of ``rays`` missing from
-        ``cache`` in one batch, ``integrate(rays, H)``, and file each under
-        the key ``path``/``flow`` give it.  A ray whose integration fails,
-        or every ray when the batch itself raises, is not filed, so a later
-        request integrates it alone and raises as it would have."""
-        todo = {}
-        for ray in rays:
-            key = self._span_key(ray, None)
-            if key not in cache:
-                todo.setdefault(key, ray)
-        if not todo:
-            return
-        try:
-            got = integrate(list(todo.values()), self.plan.horizon)
-        except (FinslerError, np.linalg.LinAlgError):
-            return
-        for key, value in zip(todo, got):
-            if not isinstance(value, Exception):
-                cache[key] = value
+    def _file(self, rays=()):
+        """Integrate the fan's one-horizon paths and the one-horizon flows
+        of ``rays`` not yet cached, one batch per cache (on a stepped field
+        one flow batch), each filed under the key ``path``/``flow`` give it.
+        A ray whose integration fails, or every ray of a batch that raises,
+        is not filed: a later request integrates it alone and raises."""
+        plan = self.plan
+        batches = ([(self._flows, (*self.rays, *rays))] if self.stepped
+                   else [(self._paths, self.rays), (self._flows, rays)])
+        for cache, batch in batches:
+            todo = {}
+            for ray in batch:
+                key = self._span_key(ray, None)
+                if key not in cache:
+                    todo.setdefault(key, ray)
+            try:
+                if cache is self._flows:
+                    got = normal_jacobi_flows(
+                        self.metric, self.N, list(todo.values()), plan.horizon,
+                        rtol=plan.ode_rtol, atol=plan.ode_atol)
+                else:
+                    got = integrate_geodesics(
+                        self.metric, [ray.tangent() for ray in todo.values()],
+                        plan.horizon, rtol=plan.ode_rtol, atol=plan.ode_atol)
+            except (FinslerError, np.linalg.LinAlgError):
+                continue
+            for key, value in zip(todo, got):
+                if not isinstance(value, Exception):
+                    cache[key] = value
 
     def samples(self, i):
         """Fan ray i's one-horizon path, sampled per segment as
@@ -311,7 +330,7 @@ class NormalShooting:
         the positions as one (2, m) array per chart."""
         if self._stack is not None:
             return self._stack
-        self._file_paths()
+        self._file()
         per_chart = {}
         for i in range(len(self.rays)):
             for chart, ts, xs in self.samples(i):
@@ -618,8 +637,8 @@ class NormalShooting:
         return got
 
     def file_fan(self, rays):
-        """Compute, each in one batch, what the cut times of ``rays`` not
-        yet computed will read: the fan's one-horizon paths, which every
+        """Compute in batches what the cut times of ``rays`` not yet
+        computed will read: the fan's one-horizon paths, which every
         shooting query samples, and those rays' one-horizon Jacobi flows.
         A closed-form field steps neither: its cut times are found in one
         batch (``straight.cut_times``) and each is filed once its own
@@ -638,17 +657,7 @@ class NormalShooting:
                 if got is not None:
                     self._cut_times.setdefault(_ray_key(ray), got)
             return
-        self._file_paths()
-        plan = self.plan
-        self._file(self._flows, rays, lambda rays, T: normal_jacobi_flows(
-            self.metric, self.N, rays, T, rtol=plan.ode_rtol,
-            atol=plan.ode_atol))
-
-    def _file_paths(self):
-        plan = self.plan
-        self._file(self._paths, self.rays, lambda rays, T: integrate_geodesics(
-            self.metric, [ray.tangent() for ray in rays], T,
-            rtol=plan.ode_rtol, atol=plan.ode_atol))
+        self._file(rays)
 
     def focal_time(self, ray: NormalRay, T_max=None):
         if self.straight is not None:
@@ -760,9 +769,9 @@ class NormalShooting:
 # -- the cut locus ---------------------------------------------------------
 
 
-def cut_locus(field: NormalShooting, side=None):
-    """Classified cut records over the field's fan; per-ray failures
-    collected.
+def cut_locus(field: NormalShooting, side=None, rays=None):
+    """Classified cut records over ``rays`` (default: the field's fan);
+    per-ray failures collected.
 
     The fan always covers the whole cone (both sides of a hypersurface),
     since distance queries need every competitor; ``side`` only restricts
@@ -770,7 +779,7 @@ def cut_locus(field: NormalShooting, side=None):
     paths and those rays' Jacobi flows are integrated first, in batches
     (``NormalShooting.file_fan``).
     """
-    rays = [ray for ray in field.rays
+    rays = [ray for ray in (field.rays if rays is None else rays)
             if side is None or np.sign(ray.psi[0]) == side]
     field.file_fan(rays)
     records = []
@@ -818,11 +827,12 @@ def _middle(ordered):
 
 def check_se_dense(records, atlas) -> Report:
     """Every FirstFocal-only cut point has a Separating neighbor within
-    delta, 3x the sampling pitch along the computed cut locus."""
+    delta, 3x the median gap between consecutive records of one side."""
     recs = [r for r in records if r.cut_point is not None and r.classification]
     seps = [r for r in recs if SEPARATING in r.classification]
-    gaps = sorted(atlas.coord_distance(a.cut_point, b.cut_point)
-                  for a, b in zip(recs[:-1], recs[1:]))
+    gaps = sorted(atlas.coord_distance(recs[i].cut_point, recs[j].cut_point)
+                  for idx in _by_side([r.ray for r in recs])
+                  for i, j in zip(idx[:-1], idx[1:]))
     delta = 3.0 * (_middle(gaps) if gaps else 0.1)
     violations = []
     for r in recs:
@@ -844,18 +854,19 @@ def check_rho_continuity(levels) -> Report:
     """Difference-quotient refinement study for continuity of the cut time.
 
     ``levels`` is a list of record lists from successively doubled grids.
-    Flags rays where the local quotient grows faster than refinement by
-    more than BLOWUP_FACTOR across two levels.
+    Quotients are taken between neighbours on one side of N, at that side's
+    pitch.  Flags rays where the local quotient grows faster than refinement
+    by more than BLOWUP_FACTOR across two levels.
     """
     quotients = []
     for records in levels:
-        finite = [(i, r.rho) for i, r in enumerate(records)
-                  if np.isfinite(r.rho)]
         qmax = 0.0
-        pitch = 1.0 / max(len(records), 1)
-        for (i1, r1), (i2, r2) in zip(finite[:-1], finite[1:]):
-            if i2 - i1 == 1:
-                qmax = max(qmax, abs(r2 - r1) / pitch)
+        for idx in _by_side([r.ray for r in records]):
+            pitch = 1.0 / len(idx)
+            for i, j in zip(idx[:-1], idx[1:]):
+                r1, r2 = records[i].rho, records[j].rho
+                if np.isfinite(r1) and np.isfinite(r2):
+                    qmax = max(qmax, abs(r2 - r1) / pitch)
         quotients.append(qmax)
     flagged = []
     for a, b in zip(quotients[:-1], quotients[1:]):

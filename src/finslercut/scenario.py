@@ -7,13 +7,13 @@ by the names a scenario document uses; the schema's enums come from them.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
 import platform
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from pathlib import Path
@@ -31,7 +31,8 @@ from .errors import (ConvexityError, FinslerError, RetractionUndefinedError,
 from .metric import (MinkowskiQuarticMetric, RandersMetric, euclidean_metric,
                      sphere_metric, validate_metric)
 from .submanifold import (axis_line_submanifold, circle_submanifold,
-                          ellipse_submanifold, point_submanifold)
+                          ellipse_submanifold, point_submanifold,
+                          sample_unit_cone)
 from . import loops as loops_mod
 from . import topology as topo_mod
 
@@ -385,16 +386,13 @@ def _task_theorems(run):
     reports.append(check_rho_leq_lambda(records))
     if any(r.classification for r in records):
         reports.append(check_se_dense(records, atlas=field.atlas))
-    # the rho-continuity study runs on refine_levels grids, each with half
-    # the rays of the next, coarsest first
-    levels = [records]
-    plan = field.plan
-    for _ in range(run.sc.grids["refine_levels"] - 1):
-        plan = dataclasses.replace(
-            plan, theta_count=max(1, plan.theta_count // 2),
-            psi_count=max(1, plan.psi_count // 2))
-        levels.insert(0, cut_locus(NormalShooting(field.metric, field.N, plan),
-                                   side=side))
+    # the rho-continuity study records refine_levels nested grids on the
+    # run's one field, coarsest first, each with half the rays of the next
+    levels, plan = [records], run.plan
+    for k in range(1, run.sc.grids["refine_levels"]):
+        coarse, _ = sample_unit_cone(run.metric, run.N, (
+            max(1, plan.theta_count >> k), max(1, plan.psi_count >> k)))
+        levels.insert(0, cut_locus(field, side=side, rays=coarse))
     if len(levels) > 1:
         reports.append(check_rho_continuity(levels))
     doc = [{"name": r.name, "passed": bool(r.passed),
@@ -808,6 +806,9 @@ def run_scenario(sc: Scenario, out_dir=None):
         "wall_time_s": round(bundle.wall_time, 3),
         "errors": bundle.errors,
         "violations": bundle.violations,
+        "sample_failures": dict(Counter(
+            type(exc).__name__ for *_, exc in
+            (run.field.sample_failures if "field" in vars(run) else ()))),
     }
     if out_dir is not None:
         bundle.write(out_dir)

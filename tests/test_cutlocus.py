@@ -241,9 +241,17 @@ def test_seed_iteration_reads_cached_paths(sphere_setup, monkeypatch):
         return fc.integrate_geodesic(*args, **kwargs)
 
     def integrate_geodesics(metric, starts, T, **kwargs):
-        # the batch entry point: one integration per row
+        # the batch entry points: one integration per row
         integrations.extend([T] * len(starts))
         return fc.integrate_geodesics(metric, starts, T, **kwargs)
+
+    def normal_jacobi_flow(metric, N, ray, T, **kwargs):
+        integrations.append(T)
+        return fc.normal_jacobi_flow(metric, N, ray, T, **kwargs)
+
+    def normal_jacobi_flows(metric, N, rays, T, **kwargs):
+        integrations.extend([T] * len(rays))
+        return fc.normal_jacobi_flows(metric, N, rays, T, **kwargs)
 
     def refine_arrival(*args, **kwargs):
         refines.append(args[1])
@@ -251,8 +259,11 @@ def test_seed_iteration_reads_cached_paths(sphere_setup, monkeypatch):
 
     monkeypatch.setattr(cutlocus, "integrate_geodesic", integrate_geodesic)
     monkeypatch.setattr(cutlocus, "integrate_geodesics", integrate_geodesics)
+    monkeypatch.setattr(cutlocus, "normal_jacobi_flow", normal_jacobi_flow)
+    monkeypatch.setattr(cutlocus, "normal_jacobi_flows", normal_jacobi_flows)
     monkeypatch.setattr(field, "refine_arrival", refine_arrival)
-    # every ray of the point source reconverges at the antipode at t = pi
+    # every ray of the point source reconverges at the antipode at t = pi;
+    # on the sphere a path is its Jacobi flow's base
     field.distance(field.path(field.rays[0]).position(math.pi))
     assert len(integrations) == len(field.rays)     # the fan alone
     del integrations[:], refines[:]
@@ -450,6 +461,44 @@ def test_rho_continuity_report(small_torus):
     fine = fc.cut_locus(small_torus)
     report = fc.check_rho_continuity([coarse, fine])
     assert report.passed
+
+
+def _two_sided_records(thetas, rho_plus, rho_minus):
+    """Records of a closed curve in cone order, each base point's + ray
+    then its - ray, with one cut time per side."""
+    records = []
+    for theta in 2 * np.pi * np.arange(thetas) / thetas:
+        for psi, rho in ((1.0, rho_plus), (-1.0, rho_minus)):
+            ray = fc.NormalRay(np.array([theta]), np.array([psi]), 0,
+                               np.zeros(2), np.zeros(2))
+            records.append(cutlocus.CutRecord(ray, rho, np.inf))
+    return records
+
+
+def test_rho_continuity_compares_neighbours_along_each_side():
+    # rho is constant along each side; only a + ray against a - ray would
+    # see the jump between the sides
+    levels = [_two_sided_records(n, 1.0, 1.5) for n in (16, 32)]
+    report = fc.check_rho_continuity(levels)
+    assert report.detail["max_quotients"] == [0.0, 0.0]
+    assert report.passed
+
+
+def test_se_dense_flags_a_focal_point_off_its_pole():
+    # every normal ray of the equator focuses at the pole of its side, so
+    # delta comes from the gaps between records of one side, not from the
+    # gaps between the two poles
+    _, metric, N, plan = scenario.build_geometry(
+        scenario.builtin_scenario("sphere-equator"))
+    records = fc.cut_locus(fc.NormalShooting(metric, N, plan))
+    assert fc.check_se_dense(records, metric.atlas).passed
+    rec = records[5]
+    chart, x = rec.cut_point
+    rec.cut_point = (chart, x + np.array([1e-6, 0.0]))
+    rec.classification = {cutlocus.FIRST_FOCAL}
+    report = fc.check_se_dense(records, metric.atlas)
+    assert len(report.detail["violations"]) == 1 and not report.passed
+    assert report.detail["delta"] < 1e-7
 
 
 def test_cut_record_has_competitor(torus_records):

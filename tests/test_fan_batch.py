@@ -27,22 +27,22 @@ def _builtin_field(name):
 
 
 def _assert_fan_matches_lone(field):
-    """The field's batched one-horizon paths and flows against lone ones;
-    returns how many fan paths switch charts."""
+    """The field's batched one-horizon flows against lone ones, each fan
+    path being its flow's base on a stepped field; returns how many fan
+    paths switch charts."""
     plan = field.plan
     H = plan.horizon
     field.file_fan(field.rays)
+    assert field.stepped and not field._paths
     switched = 0
     for ray in field.rays:
         key = cutlocus._ray_key(ray), H
-        lone = fc.integrate_geodesic(field.metric, ray.tangent(), H,
-                                     rtol=plan.ode_rtol, atol=plan.ode_atol)
-        _assert_same_segments(field._paths[key].segments, lone.segments)
         flow = fc.normal_jacobi_flow(field.metric, field.N, ray, H,
                                      rtol=plan.ode_rtol, atol=plan.ode_atol)
         _assert_same_segments(field._flows[key].path.segments,
                               flow.path.segments)
-        switched += len(lone.segments) > 1
+        assert field.path(ray) is field._flows[key].path
+        switched += len(flow.path.segments) > 1
     return switched
 
 
@@ -56,6 +56,33 @@ def test_sphere_equator_fan_batch_equals_lone_integrations():
     field = _builtin_field("sphere-equator")
     assert field.N.k == 1 and len(field.rays) == 64
     assert _assert_fan_matches_lone(field) > 0
+
+
+def test_a_stepped_field_steps_each_geodesic_once():
+    field = _builtin_field("sphere-point")
+    fc.cut_locus(field)
+    assert not field._paths
+    H = field.plan.horizon
+    for ray in field.rays:
+        assert field.path(ray) is field._flows[cutlocus._ray_key(ray), H].path
+    # one flow per fan ray and no lone path: 3228 steps, not 2 x 3228
+    steps = sum(len(seg.knots) - 1 for flow in field._flows.values()
+                for seg in flow.path.segments)
+    assert len(field._flows) == len(field.rays) and steps == 3228
+
+
+def test_a_query_before_the_cut_locus_changes_no_record():
+    early, fresh = _builtin_field("sphere-point"), _builtin_field("sphere-point")
+    # a lone flow, then the fan stacked, before cut_locus files anything
+    early.distance(early.path(early.rays[3]).position(1.0))
+    for a, b in zip(fc.cut_locus(early), fc.cut_locus(fresh), strict=True):
+        assert (a.rho, a.lam, a.classification) == (b.rho, b.lam,
+                                                    b.classification)
+        assert a.cut_point[0] == b.cut_point[0]
+        assert np.array_equal(a.cut_point[1], b.cut_point[1])
+        assert a.competitor[1] == b.competitor[1]
+        assert cutlocus._ray_key(a.competitor[0]) == cutlocus._ray_key(
+            b.competitor[0])
 
 
 def test_flows_under_a_zero_spray_batch_equal_lone_flows():
@@ -159,7 +186,8 @@ def test_a_failing_row_leaves_the_other_rows_intact():
     assert failures == 2 and isinstance(got[1], fc.AtlasExitError)
 
     # in a shooting field, the rays that leave the box are not filed: a
-    # later request integrates them alone and raises as before
+    # later request integrates them alone and raises as before; the metric
+    # is curved, so a path is its flow's base and is never filed apart
     N = fc.point_submanifold(0, np.array([0.7, 0.0]))
     field = fc.NormalShooting(metric, N, fc.ShootingPlan(psi_count=8,
                                                          horizon=0.5))
@@ -171,17 +199,16 @@ def test_a_failing_row_leaves_the_other_rows_intact():
             lone = fc.normal_jacobi_flow(metric, N, ray, 0.5)
         except fc.AtlasExitError:
             left += 1
-            assert key not in field._flows and key not in field._paths
+            assert key not in field._flows
             with pytest.raises(fc.AtlasExitError):
                 field.flow(ray)
             with pytest.raises(fc.AtlasExitError):
                 field.path(ray)
             continue
-        lone_path = fc.integrate_geodesic(metric, ray.tangent(), 0.5)
-        _assert_same_segments(field._paths[key].segments, lone_path.segments)
         _assert_same_segments(field._flows[key].path.segments,
                               lone.path.segments)
-    assert 0 < left < len(field.rays)
+        assert field.path(ray) is field._flows[key].path
+    assert 0 < left < len(field.rays) and not field._paths
 
 
 def test_fan_samples_equal_per_time_dense_output():

@@ -12,9 +12,10 @@ import pytest
 from jsonschema.validators import validator_for
 
 import finslercut as fc
-from finslercut import cli, scenario
+from finslercut import cli, scenario, submanifold
 from finslercut import topology as topo_mod
-from finslercut.errors import ScenarioError, UnreachedPointError
+from finslercut.errors import (NumericalFailure, ScenarioError,
+                               UnreachedPointError)
 from finslercut.scenario import (SCHEMA, builtin_scenario, run_scenario,
                                  summary_document)
 
@@ -321,6 +322,51 @@ def test_every_refine_level_reaches_the_continuity_check():
     (report,) = [r for r in bundle.documents["theorems"]
                  if r["name"] == "rho_continuity"]
     assert len(report["detail"]["max_quotients"]) == 3
+
+
+def test_refinement_records_every_level_on_the_one_field(monkeypatch):
+    built = []
+    init = fc.NormalShooting.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    doc = dict(TINY, tasks=["cutlocus", "theorems"],
+               grids=dict(TINY["grids"], refine_levels=2))
+    sc = fc.parse_scenario(json.dumps(doc))
+    with monkeypatch.context() as m:
+        m.setattr(fc.NormalShooting, "__init__", counting_init)
+        bundle = run_scenario(sc)
+    assert len(built) == 1 and not bundle.errors
+    (report,) = [r for r in bundle.documents["theorems"]
+                 if r["name"] == "rho_continuity"]
+    _, metric, N, plan = scenario.build_geometry(sc)
+    coarse_plan = dataclasses.replace(plan, theta_count=plan.theta_count // 2,
+                                      psi_count=plan.psi_count // 2)
+    want = fc.check_rho_continuity([
+        fc.cut_locus(fc.NormalShooting(metric, N, coarse_plan)),
+        fc.cut_locus(fc.NormalShooting(metric, N, plan))])
+    assert report["detail"] == scenario._doc(want.detail)
+
+
+def test_the_manifest_counts_sample_failures(tmp_path, monkeypatch):
+    unit_normal = submanifold.unit_normal
+
+    def failing(metric, N, theta, psi):
+        if np.array_equal(psi, [1.0, 0.0]):
+            raise NumericalFailure("planted")
+        return unit_normal(metric, N, theta, psi)
+
+    monkeypatch.setattr(submanifold, "unit_normal", failing)
+    run_scenario(fc.parse_scenario(json.dumps(TINY)), out_dir=tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["sample_failures"] == {"NumericalFailure": 1}
+    # no task built the field
+    doc = dict(TINY, tasks=["validate"])
+    run_scenario(fc.parse_scenario(json.dumps(doc)), out_dir=tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["sample_failures"] == {}
 
 
 def test_a_scenario_axis_line_gets_the_library_halfwidth():
