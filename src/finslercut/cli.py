@@ -130,8 +130,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="override the scenario seed")
-    common.add_argument("--out-dir", default=None,
-                        help="output directory (run command)")
     common.add_argument("--refine", type=int, default=None,
                         help="override the grid refinement level count")
     sub = p.add_subparsers(dest="command", required=True)
@@ -139,6 +137,7 @@ def build_parser():
     pr = sub.add_parser("run", parents=[common],
                         help="run a builtin or scenario file")
     pr.add_argument("scenario", help="builtin name or path to a JSON file")
+    pr.add_argument("--out-dir", default=None, help="output directory")
     pr.set_defaults(fn=_cmd_run)
 
     pl = sub.add_parser("list", help="list builtin scenarios")

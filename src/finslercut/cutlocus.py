@@ -42,17 +42,19 @@ join the fan, so no answer depends on which queries came before.
 Every finite cut time ends with a full ``distance`` query at exactly the
 cut point, so ``record`` classifies each cut point from that witness.
 
-The fan is integrated as one batch the first time it is stacked, or
-before, when ``cut_locus`` starts on a shooting field, which also steps the
-one-horizon flows of the rays whose cut times are still to find
-(``submanifold.normal_jacobi_flows``).  On a stepped field that is one flow
-batch; on a flat one the fan's exact lines are their own batch
-(``geodesic.integrate_geodesics``).  A straight point source steps no flow.
-Each row equals its lone integration to the last bit (see ``dopri.py`` for
-the BLAS and pow conditions this rests on), so a batch result is filed under
-the key ``path(ray)`` or ``flow(ray)`` would give it and the cache rule
-holds.  A row that fails, or every row of a batch that raises, is not filed:
-a later request integrates that ray alone and raises as it always did.
+``file_fan`` is the one batch step; ``cut_time`` of an unfiled ray is its
+one-ray case.  On a closed-form field it finds the cut times of the rays
+asked for at once and files each one its confirming query accepts.  On a
+shooting field it steps one Jacobi flow batch
+(``submanifold.normal_jacobi_flows``): the one-horizon flows of the rays
+whose cut times are still to find and, on a stepped field, the fan's, when
+``cut_locus`` starts or the fan is first stacked.  A flat field's exact
+lines are built one by one on request.  Each row equals its lone integration
+to the last bit (see ``dopri.py`` for the BLAS and pow conditions this
+rests on), so a batch result is filed under the key ``flow(ray)`` would
+give it and the cache rule holds.  A row that fails, or every row of a batch
+that raises, is not filed: a later request integrates that ray alone and
+raises as it always did.
 """
 from __future__ import annotations
 
@@ -64,8 +66,7 @@ import numpy as np
 
 from .errors import FinslerError, NumericalFailure, UnreachedPointError
 from .geodesic import (DEFAULT_ATOL, DEFAULT_RTOL, first_degeneracy,
-                       integrate_geodesic, integrate_geodesics,
-                       straight_geodesics)
+                       integrate_geodesic, straight_geodesics)
 from .straight import straight_point_source
 from .submanifold import (Minimizer, NormalRay, normal_jacobi_flow,
                           normal_jacobi_flows, sample_unit_cone, unit_normal)
@@ -257,36 +258,6 @@ class NormalShooting:
                 rtol=self.plan.ode_rtol, atol=self.plan.ode_atol)
         return got
 
-    def _file(self, rays=()):
-        """Integrate the fan's one-horizon paths and the one-horizon flows
-        of ``rays`` not yet cached, one batch per cache (on a stepped field
-        one flow batch), each filed under the key ``path``/``flow`` give it.
-        A ray whose integration fails, or every ray of a batch that raises,
-        is not filed: a later request integrates it alone and raises."""
-        plan = self.plan
-        batches = ([(self._flows, (*self.rays, *rays))] if self.stepped
-                   else [(self._paths, self.rays), (self._flows, rays)])
-        for cache, batch in batches:
-            todo = {}
-            for ray in batch:
-                key = self._span_key(ray, None)
-                if key not in cache:
-                    todo.setdefault(key, ray)
-            try:
-                if cache is self._flows:
-                    got = normal_jacobi_flows(
-                        self.metric, self.N, list(todo.values()), plan.horizon,
-                        rtol=plan.ode_rtol, atol=plan.ode_atol)
-                else:
-                    got = integrate_geodesics(
-                        self.metric, [ray.tangent() for ray in todo.values()],
-                        plan.horizon, rtol=plan.ode_rtol, atol=plan.ode_atol)
-            except (FinslerError, np.linalg.LinAlgError):
-                continue
-            for key, value in zip(todo, got):
-                if not isinstance(value, Exception):
-                    cache[key] = value
-
     def samples(self, i):
         """Fan ray i's one-horizon path, sampled per segment as
         (chart, ts, xs) blocks, xs of shape (2, len(ts))."""
@@ -330,7 +301,7 @@ class NormalShooting:
         the positions as one (2, m) array per chart."""
         if self._stack is not None:
             return self._stack
-        self._file()
+        self.file_fan()
         per_chart = {}
         for i in range(len(self.rays)):
             for chart, ts, xs in self.samples(i):
@@ -636,20 +607,18 @@ class NormalShooting:
                 atol=self.plan.ode_atol)
         return got
 
-    def file_fan(self, rays):
-        """Compute in batches what the cut times of ``rays`` not yet
-        computed will read: the fan's one-horizon paths, which every
-        shooting query samples, and those rays' one-horizon Jacobi flows.
-        A closed-form field steps neither: its cut times are found in one
-        batch (``straight.cut_times``) and each is filed once its own
-        confirming query accepts it.  A ray whose query rejects its root, or
-        raises, is not filed, so ``cut_time`` answers it alone as it would
-        have."""
+    def file_fan(self, rays=()):
+        """Compute in one batch what the cut times of ``rays`` not yet
+        computed will read: on a closed-form field those cut times, each
+        filed once its confirming query accepts it; on a shooting field one
+        ``normal_jacobi_flows`` batch of their one-horizon flows and, on a
+        stepped field whose fan is not yet stacked, the fan's, whose bases
+        are the fan paths.  What is rejected, fails or raises is not filed;
+        a later request computes it alone as it always did."""
         rays = [ray for ray in rays if _ray_key(ray) not in self._cut_times]
-        if not rays:
-            return
         if self.straight is not None:
-            for ray, rho in zip(rays, self.straight.cut_times(rays)):
+            rhos = self.straight.cut_times(rays) if rays else ()
+            for ray, rho in zip(rays, rhos):
                 try:
                     got = self._confirmed_cut_time(ray, rho)
                 except (FinslerError, np.linalg.LinAlgError):
@@ -657,7 +626,21 @@ class NormalShooting:
                 if got is not None:
                     self._cut_times.setdefault(_ray_key(ray), got)
             return
-        self._file(rays)
+        todo = {}
+        fan = self.rays if self.stepped and self._stack is None else ()
+        for ray in (*fan, *rays):
+            key = self._span_key(ray, None)
+            if key not in self._flows:
+                todo.setdefault(key, ray)
+        try:
+            got = normal_jacobi_flows(
+                self.metric, self.N, list(todo.values()), self.plan.horizon,
+                rtol=self.plan.ode_rtol, atol=self.plan.ode_atol)
+        except (FinslerError, np.linalg.LinAlgError):
+            return
+        for key, flow in zip(todo, got):
+            if not isinstance(flow, Exception):
+                self._flows[key] = flow
 
     def focal_time(self, ray: NormalRay, T_max=None):
         if self.straight is not None:
@@ -670,12 +653,10 @@ class NormalShooting:
         key = _ray_key(ray)
         got = self._cut_times.get(key)
         if got is None:
-            if self.straight is not None:
-                got = self._confirmed_cut_time(
-                    ray, self.straight.cut_times([ray])[0])
-            if got is None:
-                got = self._bisect_cut_time(ray)
-            self._cut_times[key] = got
+            self.file_fan([ray])
+            got = self._cut_times.get(key)
+        if got is None:
+            got = self._cut_times[key] = self._bisect_cut_time(ray)
         return got
 
     def _confirmed_cut_time(self, ray, rho):
@@ -684,14 +665,14 @@ class NormalShooting:
 
         With no focal point the cut is Separating, at the first lattice
         copy of the ray that reaches it.  One full distance query at x(rho)
-        must find no shorter path and at least two distinct minimizers.
+        must find no shorter path and two distinct minimizers (``leading``).
         """
         if not np.isfinite(rho):
             return CutTimeResult(np.inf, np.inf, unbounded=True)
         rho = float(rho)
         wit = self.distance(self.path(ray, rho).position(rho), full=True)
         if (wit.d >= rho - 2.0 * self.plan.min_slack
-                and len(wit.minimizers) >= 2):
+                and len(wit.leading(2)) >= 2):
             return CutTimeResult(rho, np.inf)
         return None
 
@@ -775,9 +756,9 @@ def cut_locus(field: NormalShooting, side=None, rays=None):
 
     The fan always covers the whole cone (both sides of a hypersurface),
     since distance queries need every competitor; ``side`` only restricts
-    which rays get records.  When cut times are still to find, the fan's
-    paths and those rays' Jacobi flows are integrated first, in batches
-    (``NormalShooting.file_fan``).
+    which rays get records.  The cut times still to find are prepared in
+    one batch first (``NormalShooting.file_fan``): found and confirmed on a
+    closed-form field, their Jacobi flows stepped on a shooting one.
     """
     rays = [ray for ray in (field.rays if rays is None else rays)
             if side is None or np.sign(ray.psi[0]) == side]

@@ -16,6 +16,7 @@ from .submanifold import NormalRay
 
 VARIATION_STEP = 1e-5       # central-difference step of check_first_variation
 TRACE_STEPS = 11            # values of s on a homotopy trace, 0 to 1
+ROUNDING = 1e-12            # max |dx|, |dv| of a ray equal to a fan ray
 
 
 @dataclass
@@ -32,7 +33,8 @@ def inverse_normal_exp(field: NormalShooting, q) -> InverseExpResult:
 
     A posteriori check: the minimizer is unique and t stays below the cut
     time of its ray.  Both parts are memoized by the field: the witness
-    under the exact point q, the cut time under the ray.
+    under the exact point q, the cut time under the ray, or under the fan
+    ray it equals to rounding (``_fan_twin``).
     """
     wit = field.distance(q, full=True)
     if len(wit.minimizers) >= 2:
@@ -40,12 +42,26 @@ def inverse_normal_exp(field: NormalShooting, q) -> InverseExpResult:
             f"q={q} lies on the cut locus: {len(wit.minimizers)} distinct "
             f"minimizers at distance {wit.d:.10g}")
     m = wit.minimizers[0]
-    rho = field.cut_time(m.ray).rho
+    rho = field.cut_time(_fan_twin(field, m.ray)).rho
     if m.t >= rho - 1e-6 and m.t > 1e-9:
         raise CutLocusError(
             f"inconsistent inverse at q={q}: minimizer time {m.t:.10g} "
             f"reaches the cut time {rho:.10g} of its ray")
     return InverseExpResult(q, m.ray, m.t, m.residual, rho)
+
+
+def _fan_twin(field: NormalShooting, ray):
+    """The fan ray equal to ``ray`` to rounding (the same chart, base point
+    and direction within ROUNDING per coordinate), else ``ray``: a closed-form
+    direction w / F(w) can differ from its fan ray's in the last bits."""
+    v0, v1 = ray.v.tolist()
+    for fan in field.rays:
+        a, b = fan.v.tolist()
+        if (abs(a - v0) <= ROUNDING and abs(b - v1) <= ROUNDING
+                and fan.chart == ray.chart
+                and np.max(np.abs(fan.x - ray.x)) <= ROUNDING):
+            return fan
+    return ray
 
 
 def retract_to_N(field: NormalShooting, q, s):

@@ -240,11 +240,6 @@ def test_seed_iteration_reads_cached_paths(sphere_setup, monkeypatch):
         integrations.append(args[2])
         return fc.integrate_geodesic(*args, **kwargs)
 
-    def integrate_geodesics(metric, starts, T, **kwargs):
-        # the batch entry points: one integration per row
-        integrations.extend([T] * len(starts))
-        return fc.integrate_geodesics(metric, starts, T, **kwargs)
-
     def normal_jacobi_flow(metric, N, ray, T, **kwargs):
         integrations.append(T)
         return fc.normal_jacobi_flow(metric, N, ray, T, **kwargs)
@@ -258,7 +253,6 @@ def test_seed_iteration_reads_cached_paths(sphere_setup, monkeypatch):
         return fc.NormalShooting.refine_arrival(field, *args, **kwargs)
 
     monkeypatch.setattr(cutlocus, "integrate_geodesic", integrate_geodesic)
-    monkeypatch.setattr(cutlocus, "integrate_geodesics", integrate_geodesics)
     monkeypatch.setattr(cutlocus, "normal_jacobi_flow", normal_jacobi_flow)
     monkeypatch.setattr(cutlocus, "normal_jacobi_flows", normal_jacobi_flows)
     monkeypatch.setattr(field, "refine_arrival", refine_arrival)
@@ -807,9 +801,11 @@ def test_closed_form_cut_times_without_a_lattice_are_unbounded(how):
     assert not field._flows
 
 
-@pytest.mark.parametrize("how", ["lone", "filed"])
+@pytest.mark.parametrize("how, raised", [
+    ("lone", False), ("filed", False), ("lone", True), ("filed", True),
+], ids=["lone", "filed", "lone-raised", "filed-raised"])
 def test_a_rejected_closed_form_cut_time_falls_back_to_bisection(
-        how, monkeypatch):
+        how, raised, monkeypatch):
     periods = (1.0, 1.0)
     field = fc.NormalShooting(
         fc.euclidean_metric(fc.torus_atlas(periods)),
@@ -819,14 +815,22 @@ def test_a_rejected_closed_form_cut_time_falls_back_to_bisection(
     plan = field.plan
     ray = field.rays[3]
     want = field._bisect_cut_time(ray)
-    # plant a confirming query that finds one minimizer only
+    # plant a confirming query that finds one minimizer only, or one that
+    # raises at every closed-form cut point and answers elsewhere
     distance = field.distance
+    confirming = {
+        field.path(r, rho).position(rho)[1].tobytes()
+        for r, rho in zip(field.rays, field.straight.cut_times(field.rays))}
 
-    def one_minimizer(q, full=True):
+    def planted(q, full=True):
+        if raised and q[1].tobytes() in confirming:
+            raise fc.NumericalFailure("planted confirming query")
         wit = distance(q, full)
+        if raised:
+            return wit
         return dataclasses.replace(wit, arrivals=wit.minimizers[:1])
 
-    monkeypatch.setattr(field, "distance", one_minimizer)
+    monkeypatch.setattr(field, "distance", planted)
     if how == "filed":
         field.file_fan(field.rays)
         assert not field._cut_times         # every confirmation rejected

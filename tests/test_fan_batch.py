@@ -85,6 +85,27 @@ def test_a_query_before_the_cut_locus_changes_no_record():
             b.competitor[0])
 
 
+def test_a_flat_field_files_flows_only_for_uncut_rays():
+    field = _builtin_field("plane-circle")
+    assert field.straight is None and not field.stepped
+    H = field.plan.horizon
+    keys = [cutlocus._ray_key(ray) for ray in field.rays]
+    for key in keys[::5]:
+        field._cut_times[key] = cutlocus.CutTimeResult(1.0, 1.0)
+    field.file_fan(field.rays)
+    assert set(field._flows) == {(key, H) for key in keys
+                                 if key not in field._cut_times}
+    assert not field._paths
+    # the fan's exact lines are built one by one on request, each equal to
+    # its row of a batch integration
+    field._stacked()
+    rows = fc.integrate_geodesics(field.metric,
+                                  [ray.tangent() for ray in field.rays], H)
+    for ray, row in zip(field.rays, rows):
+        _assert_same_segments(
+            field._paths[cutlocus._ray_key(ray), H].segments, row.segments)
+
+
 def test_flows_under_a_zero_spray_batch_equal_lone_flows():
     plane = fc.flat_atlas()
     randers = fc.RandersMetric(plane, np.array([0.5, 0.0]))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import finslercut as fc
+from finslercut import scenario, topology
 
 
 def test_inverse_normal_exp_torus(torus_field):
@@ -87,3 +88,28 @@ def test_homotopy_trace_is_monotone_toward_N(torus_field):
              for _, c, x in rows]
     assert all(b <= a + 1e-9 for a, b in zip(dists[:-1], dists[1:]))
     assert dists[-1] < 1e-9
+
+
+def test_retract_probes_reuse_the_fan_cut_times():
+    # a closed-form minimizer's direction w / F(w) can differ from its fan
+    # ray's in the last bits; the probes of a torus-point run then read the
+    # fan ray's cut time rather than computing one more (151 cut times for
+    # 128 fan rays before)
+    sc = scenario.builtin_scenario("torus-point")
+    field = fc.NormalShooting(*scenario.build_geometry(sc)[1:])
+    records = fc.cut_locus(field)
+    probes = scenario._probe_points(field, records,
+                                    np.random.default_rng(sc.seed),
+                                    scenario.RETRACT_PROBES)
+    moved = 0
+    for q, rec, t in probes:
+        inv = fc.inverse_normal_exp(field, q)
+        assert inv.rho == rec.rho and abs(inv.t - t) < 1e-12
+        moved += not np.array_equal(inv.ray.v, rec.ray.v)
+        fc.retract_to_cut(field, q, 1.0)
+    assert moved and len(field._cut_times) == len(field.rays)
+    # a ray a visible angle off the fan keeps its own cut time
+    ray = field.rays[5]
+    off = field.ray_at(field.ray_param(ray) + 1e-3, ray)
+    assert topology._fan_twin(field, off) is off
+    assert topology._fan_twin(field, ray) is ray
