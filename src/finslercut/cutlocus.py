@@ -617,7 +617,7 @@ class NormalShooting:
         a later request computes it alone as it always did."""
         rays = [ray for ray in rays if _ray_key(ray) not in self._cut_times]
         if self.straight is not None:
-            rhos = self.straight.cut_times(rays) if rays else ()
+            rhos = self.straight.cut_times(rays)
             for ray, rho in zip(rays, rhos):
                 try:
                     got = self._confirmed_cut_time(ray, rho)

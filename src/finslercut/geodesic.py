@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -147,7 +147,7 @@ def _by_chart(charts, rows):
     ch = charts[rows]
     if (ch == ch[0]).all():
         return [(int(ch[0]), slice(None))]
-    return [(int(c), ch == c) for c in np.unique(ch)]
+    return [(c, ch == c) for c in sorted(set(ch.tolist()))]
 
 
 def _geodesic_rhs(metric, charts):
@@ -378,14 +378,18 @@ def exp_map(metric, point, v, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     return path.position(1.0)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+@cache
+def _gauss_legendre():
+    """10-point Gauss-Legendre nodes and weights, built on first use:
+    numpy.polynomial is an import no builtin run needs."""
+    return np.polynomial.legendre.leggauss(10)
 
 
 def _quadrature(fn, a, b):
     h = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     return h * sum(w * fn(mid + h * xi)
-                   for xi, w in zip(_GL_NODES, _GL_WEIGHTS))
+                   for xi, w in zip(*_gauss_legendre()))
 
 
 def _as_curve(metric, path):
@@ -526,8 +530,10 @@ def first_degeneracy(frame: LinearizedFrame, t_floor, T_max):
     Returns +inf when no degeneracy is found.
     """
     top = min(T_max, frame.t1)
-    grid = np.unique(np.concatenate([frame.knot_times(),
-                                     np.linspace(t_floor, top, 80)]))
+    # the distinct times, sorted: np.unique would import numpy.ma
+    grid = np.sort(np.concatenate([frame.knot_times(),
+                                   np.linspace(t_floor, top, 80)]))
+    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
     grid = grid[(grid >= t_floor) & (grid <= top)]
     d, ratio = frame.signed_dets(grid)
     if ratio[0] < DEGENERATE_RATIO:

@@ -1,5 +1,6 @@
-"""Scenario configuration, the builtin registry, task orchestration, and
-output emission (JSON, CSV, SVG, run manifest, golden summaries).
+"""Scenario configuration and its schema check, the builtin registry, task
+orchestration, and output emission (JSON, CSV, SVG, run manifest, golden
+summaries).
 
 Manifold types, metric and submanifold families, and tasks are tables keyed
 by the names a scenario document uses; the schema's enums come from them.
@@ -16,11 +17,10 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from numbers import Number
 from pathlib import Path
 
 import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from . import __version__ as _pkg_version
 from .atlas import flat_atlas, sphere_atlas, torus_atlas
@@ -501,9 +501,115 @@ SCHEMA = {
 }
 
 
-# built once: jsonschema.validate would check SCHEMA against its metaschema
-# on every parse (test_schema_conforms_to_its_metaschema checks it instead)
-_VALIDATOR = validator_for(SCHEMA)(SCHEMA)
+# -- schema checking ------------------------------------------------------
+# The keywords SCHEMA uses, checked as jsonschema 4.26 checks them: its JSON
+# types, its message for each keyword, and the error its best_match picks
+# (tests/test_scenario.py compares against jsonschema).  A keyword missing
+# from _KEYWORDS raises KeyError instead of passing unchecked.
+
+_JSON_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    # a bool is no number, and an integral float is an integer
+    "number": lambda x: isinstance(x, Number) and not isinstance(x, bool),
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                          or isinstance(x, float) and x.is_integer()),
+}
+
+
+def _same(x, value):
+    """JSON equality of ``x`` and a scalar schema value: True is not 1."""
+    return x == value and isinstance(x, bool) == isinstance(value, bool)
+
+
+def _rule(kind, fails, message):
+    """Keyword that checks ``x`` of JSON type ``kind`` (None: any type)."""
+    def keyword(value, x, schema, path):
+        if (kind is None or _JSON_TYPES[kind](x)) and fails(x, value):
+            yield path, message(x, value)
+    return keyword
+
+
+def _required(names, x, schema, path):
+    if isinstance(x, dict):
+        for name in names:
+            if name not in x:
+                yield path, f"{name!r} is a required property"
+
+
+def _no_additional(_false, x, schema, path):
+    """additionalProperties: false"""
+    if isinstance(x, dict):
+        extras = sorted((k for k in x if k not in schema["properties"]),
+                        key=str)
+        if extras:
+            verb = "was" if len(extras) == 1 else "were"
+            yield path, (f"Additional properties are not allowed "
+                         f"({', '.join(map(repr, extras))} {verb} unexpected)")
+
+
+def _properties(subschemas, x, schema, path):
+    if isinstance(x, dict):
+        for key, sub in subschemas.items():
+            if key in x:
+                yield from _errors(sub, x[key], path + (key,))
+
+
+def _items(sub, x, schema, path):
+    if isinstance(x, list):
+        for i, item in enumerate(x):
+            yield from _errors(sub, item, path + (i,))
+
+
+_KEYWORDS = {
+    "type": _rule(None, lambda x, t: not _JSON_TYPES[t](x),
+                  lambda x, t: f"{x!r} is not of type {t!r}"),
+    "const": _rule(None, lambda x, c: not _same(x, c),
+                   lambda x, c: f"{c!r} was expected"),
+    "enum": _rule(None, lambda x, e: not any(_same(x, v) for v in e),
+                  lambda x, e: f"{x!r} is not one of {e!r}"),
+    "required": _required,
+    "additionalProperties": _no_additional,
+    "properties": _properties,
+    "items": _items,
+    "minItems": _rule("array", lambda x, n: len(x) < n, lambda x, n: (
+        f"{x!r} should be non-empty" if n == 1 else f"{x!r} is too short")),
+    "maxItems": _rule("array", lambda x, n: len(x) > n, lambda x, n: (
+        f"{x!r} is expected to be empty" if n == 0 else f"{x!r} is too long")),
+    "minLength": _rule("string", lambda x, n: len(x) < n, lambda x, n: (
+        f"{x!r} should be non-empty" if n == 1 else f"{x!r} is too short")),
+    "minimum": _rule("number", lambda x, m: x < m, lambda x, m: (
+        f"{x!r} is less than the minimum of {m!r}")),
+    "maximum": _rule("number", lambda x, m: x > m, lambda x, m: (
+        f"{x!r} is greater than the maximum of {m!r}")),
+    "exclusiveMinimum": _rule("number", lambda x, m: x <= m, lambda x, m: (
+        f"{x!r} is less than or equal to the minimum of {m!r}")),
+    "exclusiveMaximum": _rule("number", lambda x, m: x >= m, lambda x, m: (
+        f"{x!r} is greater than or equal to the maximum of {m!r}")),
+}
+_ANNOTATIONS = ("$schema", "title")
+
+
+def _errors(schema, x, path=()):
+    """(path, message) of each way ``x`` breaks ``schema``, in jsonschema's
+    order: keyword by keyword, as the schema lists them."""
+    for keyword, value in schema.items():
+        if keyword not in _ANNOTATIONS:
+            yield from _KEYWORDS[keyword](value, x, schema, path)
+
+
+def schema_error(data):
+    """(path, message) of the error ``jsonschema.validate(data, SCHEMA)``
+    raises, or None when ``data`` conforms.
+
+    best_match takes the largest key: the shallowest error, then the
+    greatest path.  Its other terms only split errors of one schema node,
+    which share a path here (the schema has no anyOf or oneOf), so the first
+    error found wins a tie.
+    """
+    return max(_errors(SCHEMA, data), key=lambda e: (-len(e[0]), e[0]),
+               default=None)
 
 
 def _plan_defaults(section):
@@ -553,18 +659,17 @@ def parse_scenario(text) -> Scenario:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
-    # the error jsonschema.validate would raise
-    exc = best_match(_VALIDATOR.iter_errors(data))
-    if exc is not None:
-        pointer = "/" + "/".join(str(p) for p in exc.absolute_path)
-        msg = exc.message
-        if list(exc.absolute_path)[-1:] == ["family"]:
-            opts = (METRIC_FAMILIES
-                    if "metric" in list(exc.absolute_path)
+    err = schema_error(data)
+    if err is not None:
+        path, msg = err
+        pointer = "/" + "/".join(map(str, path))
+        if path[1:] == ("family",):
+            opts = (METRIC_FAMILIES if path[0] == "metric"
                     else SUBMANIFOLD_FAMILIES)
-            msg = f"unknown family {exc.instance!r}; valid: {', '.join(opts)}"
+            msg = (f"unknown family {data[path[0]]['family']!r}; "
+                   f"valid: {', '.join(opts)}")
         raise ScenarioError(f"invalid scenario at {pointer}: {msg}",
-                            pointer=pointer) from exc
+                            pointer=pointer)
     tasks = list(data.get("tasks", _DEFAULTS["tasks"]))
     for i, task in enumerate(tasks):
         if task in _NEEDS_CUTLOCUS and "cutlocus" not in tasks[:i]:

@@ -190,7 +190,8 @@ class StraightPointSource:
         span = 2 * self.plan.horizon
         vs = np.array([ray.v for ray in rays], dtype=float).reshape(-1, 2)
         reach = span * (np.linalg.norm(vs, axis=1) + 1.0 / self.floor)
-        shifts = self.lattice_shifts(np.zeros(2), reach.max())
+        # no rays search no shift: an empty batch gives an empty array
+        shifts = self.lattice_shifts(np.zeros(2), reach.max(initial=0.0))
         size = np.sqrt(shifts[:, 0] ** 2 + shifts[:, 1] ** 2)
         ray_of, shift_of = np.nonzero((size > 0.0) & (size <= reach[:, None]))
         roots = _least_roots(self.metric, self.chart, self.base,

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import os
@@ -6,9 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
 import finslercut as fc
@@ -16,8 +18,8 @@ from finslercut import cli, scenario, submanifold
 from finslercut import topology as topo_mod
 from finslercut.errors import (NumericalFailure, ScenarioError,
                                UnreachedPointError)
-from finslercut.scenario import (SCHEMA, builtin_scenario, run_scenario,
-                                 summary_document)
+from finslercut.scenario import (BUILTINS, SCHEMA, builtin_scenario,
+                                 run_scenario, schema_error, summary_document)
 
 TINY = {
     "name": "tiny",
@@ -111,20 +113,133 @@ def test_schema_conforms_to_its_metaschema():
     validator_for(SCHEMA).check_schema(SCHEMA)
 
 
+def _subschemas(schema=SCHEMA):
+    """``schema`` and every schema nested in it."""
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _subschemas(sub)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+
+
+def test_schema_uses_only_the_keywords_the_checker_reads():
+    # a keyword the checker does not implement (pattern, oneOf, ...) would
+    # otherwise be ignored by parse_scenario, or crash it on first use
+    known = set(scenario._KEYWORDS) | set(scenario._ANNOTATIONS)
+    for node in _subschemas():
+        assert set(node) <= known, sorted(set(node) - known)
+        if "additionalProperties" in node:
+            assert node["additionalProperties"] is False
+            assert "properties" in node
+
+
+def _jsonschema_error(doc):
+    """The error jsonschema.validate(doc, SCHEMA) raises, or None."""
+    return best_match(validator_for(SCHEMA)(SCHEMA).iter_errors(doc))
+
+
+def _assert_reported_as_jsonschema_would(doc):
+    want = _jsonschema_error(doc)
+    if want is None:
+        assert schema_error(doc) is None
+        return
+    path = tuple(want.absolute_path)
+    assert schema_error(doc) == (path, want.message)
+    with pytest.raises(ScenarioError) as got:
+        fc.parse_scenario(json.dumps(doc))
+    assert got.value.__cause__ is None
+    pointer = "/" + "/".join(map(str, path))
+    assert got.value.pointer == pointer
+    if path[-1:] == ("family",):
+        assert f"{pointer}: unknown family {want.instance!r}; valid: " in \
+            str(got.value)
+    else:
+        assert str(got.value) == \
+            f"invalid scenario at {pointer}: {want.message}"
+
+
+# (section, value, pointer): documents that are valid JSON but cannot run
+_CANNOT_RUN = {
+    "dim": ("manifold", {"type": "flat", "dim": 3}, "/manifold"),
+    "periods": ("manifold", {"type": "torus", "periods": [1.0, 1.0, 1.0]},
+                "/manifold/periods"),
+    "b": ("metric", {"family": "randers", "b": [0.5]}, "/metric/b"),
+    "b-convexity": ("metric", {"family": "randers", "b": [1.2, 0.0]},
+                    "/metric/b"),
+    "eps": ("metric", {"family": "minkowski-quartic", "eps": 1.0},
+            "/metric/eps"),
+    "point": ("submanifold", {"family": "point", "point": [0.0, 0.0, 0.0]},
+              "/submanifold/point"),
+    "center": ("submanifold", {"family": "circle", "center": [0.0]},
+               "/submanifold/center"),
+    "direction": ("submanifold",
+                  {"family": "axis-line", "direction": [0.0, 1.0, 0.0]},
+                  "/submanifold/direction"),
+    "formats": ("output", {"formats": ["json"]}, "/output"),
+    "newton": ("tolerances", {"newton": 1e-9}, "/tolerances"),
+    "distinct_angle": ("tolerances", {"distinct_angle": 1e-3},
+                       "/tolerances"),
+    "schema_version": ("schema_version", "2.0", "/schema_version"),
+}
+
+
 @pytest.mark.parametrize("doc", [
     dict(TINY, metric={"family": "hyperbolic"}),
     dict(TINY, grids={"psi_count": 0}),
     dict(TINY, seed=-3, extra=1),
     {"name": "", "manifold": {"type": "flat"}},
-], ids=["family", "psi_count", "two-errors", "missing"])
+    # JSON types: an integral float is an integer, a bool is no number,
+    # and True is not the enum value 1
+    dict(TINY, seed=16.0, grids={"theta_count": 2.5}),
+    dict(TINY, seed=True),
+    dict(TINY, grids={"side": True}),
+] + [dict(TINY, **{section: value})
+     for section, value, _ in _CANNOT_RUN.values()],
+    ids=["family", "psi_count", "two-errors", "missing", "integral-float",
+         "bool-seed", "bool-side"]
+    + [f"cannot-run-{name}" for name in _CANNOT_RUN])
 def test_parse_reports_the_error_jsonschema_validate_reports(doc):
-    with pytest.raises(jsonschema.ValidationError) as want:
-        jsonschema.validate(doc, SCHEMA)
-    with pytest.raises(ScenarioError) as got:
-        fc.parse_scenario(json.dumps(doc))
-    assert got.value.__cause__.message == want.value.message
-    assert got.value.pointer == "/" + "/".join(
-        str(p) for p in want.value.absolute_path)
+    _assert_reported_as_jsonschema_would(doc)
+
+
+# every property name of SCHEMA, and one it lacks
+_KEYS = sorted({"extra"} | {key for node in _subschemas()
+                            for key in node.get("properties", {})})
+_SCALARS = (st.none() | st.booleans() | st.integers(-2, 2 ** 64)
+            | st.floats() | st.text(max_size=2)
+            | st.sampled_from(["1.0", "flat", "torus", "point", "cutlocus",
+                               16.0, 0.5, -1.0]))
+_JSON = st.recursive(_SCALARS, lambda kids: st.lists(kids, max_size=3)
+                     | st.dictionaries(st.sampled_from(_KEYS), kids,
+                                       max_size=2), max_leaves=4)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          database=None)
+@given(name=st.sampled_from(sorted(BUILTINS)), data=st.data())
+def test_mutated_builtins_are_checked_as_jsonschema_checks_them(name, data):
+    doc = copy.deepcopy(BUILTINS[name])
+    for _ in range(data.draw(st.integers(1, 3))):
+        containers, stack = [], [doc]
+        while stack:
+            c = stack.pop()
+            containers.append(c)
+            stack.extend(v for v in (c.values() if isinstance(c, dict)
+                                     else c) if isinstance(v, (dict, list)))
+        c = data.draw(st.sampled_from(containers))
+        keys = list(c) if isinstance(c, dict) else list(range(len(c)))
+        op = data.draw(st.sampled_from(["set", "delete", "add"]))
+        if op == "add" or not keys:
+            value = data.draw(_JSON)
+            if isinstance(c, dict):
+                c[data.draw(st.sampled_from(_KEYS))] = value
+            else:
+                c.append(value)
+        elif op == "set":
+            c[data.draw(st.sampled_from(keys))] = data.draw(_JSON)
+        else:
+            del c[data.draw(st.sampled_from(keys))]
+    _assert_reported_as_jsonschema_would(doc)
 
 
 @pytest.mark.parametrize("flags, pointer", [
@@ -172,25 +287,8 @@ def test_cli_validate(tmp_path, capsys):
     assert cli.main(["validate", str(f)]) == 1
 
 
-@pytest.mark.parametrize("section, value, pointer", [
-    ("manifold", {"type": "flat", "dim": 3}, "/manifold"),
-    ("manifold", {"type": "torus", "periods": [1.0, 1.0, 1.0]},
-     "/manifold/periods"),
-    ("metric", {"family": "randers", "b": [0.5]}, "/metric/b"),
-    ("metric", {"family": "randers", "b": [1.2, 0.0]}, "/metric/b"),
-    ("metric", {"family": "minkowski-quartic", "eps": 1.0}, "/metric/eps"),
-    ("submanifold", {"family": "point", "point": [0.0, 0.0, 0.0]},
-     "/submanifold/point"),
-    ("submanifold", {"family": "circle", "center": [0.0]},
-     "/submanifold/center"),
-    ("submanifold", {"family": "axis-line", "direction": [0.0, 1.0, 0.0]},
-     "/submanifold/direction"),
-    ("output", {"formats": ["json"]}, "/output"),
-    ("tolerances", {"newton": 1e-9}, "/tolerances"),
-    ("tolerances", {"distinct_angle": 1e-3}, "/tolerances"),
-    ("schema_version", "2.0", "/schema_version"),
-], ids=["dim", "periods", "b", "b-convexity", "eps", "point", "center",
-        "direction", "formats", "newton", "distinct_angle", "schema_version"])
+@pytest.mark.parametrize("section, value, pointer",
+                         list(_CANNOT_RUN.values()), ids=list(_CANNOT_RUN))
 def test_validate_rejects_what_cannot_run(tmp_path, capsys, section, value,
                                           pointer):
     # every manifold is 2-dimensional; a key that changes no output is gone;
@@ -289,15 +387,20 @@ def test_running_a_builtin_imports_no_scipy(tmp_path):
     assert (tmp_path / "manifest.json").exists()
 
 
-def test_running_a_builtin_imports_no_numpy_ma(tmp_path):
-    # numpy.ma is numpy's largest lazy import; a builtin run needs none
+def test_running_builtins_imports_only_what_they_use(tmp_path):
+    # sphere-point reaches the geodesic layer's degeneracy scan, torus-point
+    # the closed-form solver; neither needs the scenario schema's reference
+    # checker, numpy's masked arrays or polynomials, or scipy
+    unused = ("jsonschema", "numpy.ma", "numpy.polynomial", "scipy")
     code = (
         "import sys\n"
-        "import finslercut, finslercut.cli, finslercut.scenario\n"
-        "assert finslercut.cli.main(['run', 'torus-point', "
-        f"'--out-dir', {str(tmp_path)!r}]) == 0\n"
+        "import finslercut.cli\n"
+        "for name in ('sphere-point', 'torus-point'):\n"
+        "    assert finslercut.cli.main(['run', name, '--out-dir', "
+        f"{str(tmp_path)!r} + '/' + name]) == 0\n"
         "print(sorted(m for m in sys.modules"
-        " if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n")
+        f" if m.startswith(tuple(p + '.' for p in {unused!r}))"
+        f" or m in {unused!r}))\n")
     src = str(Path(fc.__file__).resolve().parents[1])
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(
         os.pathsep) if p]
@@ -305,8 +408,9 @@ def test_running_a_builtin_imports_no_numpy_ma(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.splitlines()[-1] == "[]"
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["scipy"] is None
+    for name in ("sphere-point", "torus-point"):
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["scipy"] is None
 
 
 def test_refine_leaves_the_scenario_unchanged():

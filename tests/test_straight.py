@@ -51,3 +51,15 @@ def test_straight_imports_no_session_layer():
             imported.update(alias.name for alias in node.names)
     banned = {"cutlocus", "topology", "loops", "scenario"}
     assert not {name.rpartition(".")[2] for name in imported} & banned
+
+
+def test_no_rays_have_no_cut_times():
+    # a torus (lattice shifts) and a plane (none): an empty batch of rays
+    # is an empty array, so no caller guards an empty ray list
+    for name in ("torus-point", "randers-plane-point"):
+        sc = scenario.builtin_scenario(name)
+        field = fc.NormalShooting(*scenario.build_geometry(sc)[1:])
+        rhos = field.straight.cut_times([])
+        assert rhos.shape == (0,) and rhos.dtype == float
+        field.file_fan([])
+        assert not field._cut_times
