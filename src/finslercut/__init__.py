@@ -17,10 +17,10 @@ from .metric import (CustomMetric, MetricField, MetricReport,
                      RiemannianMetric, euclidean_metric, legendre_inverse,
                      sphere_metric, validate_metric)
 from .geodesic import (GeodesicPath, LinearizedFrame, PathSegment,
-                       conjugate_time, exp_map, first_degeneracy,
-                       integrate_geodesic, integrate_geodesics,
-                       linearized_flow, linearized_flows, path_energy,
-                       path_length)
+                       conjugate_time, exp_map, first_degeneracies,
+                       first_degeneracy, integrate_geodesic,
+                       integrate_geodesics, linearized_flow,
+                       linearized_flows, path_energy, path_length)
 from .submanifold import (Minimizer, NormalRay, SubmanifoldSpec,
                           annihilator_basis, axis_line_submanifold,
                           circle_submanifold, cone_variation_data,

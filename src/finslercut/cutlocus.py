@@ -5,12 +5,15 @@ A ``NormalShooting`` field is the one owner of shooting state for a
 submanifold under a plan.  Its fan of grid rays is fixed at construction,
 and one dense geodesic per fan ray is reused across distance queries:
 closest-approach search over the fan picks candidates, and each is
-polished to an exact arrival.  A time-only Newton stage comes first: it
-moves along the candidate's cached fan path alone, and where that path
-passes through the query (at a point source's antipode on the round sphere
-every fan path does) the fan ray is the arrival, with no new geodesic.
-Every other candidate gets Gauss-Newton on (cone parameter, time) from the
-approach's starting point.  Its first iteration reads the session's path
+polished to an exact arrival.  ``distances`` answers many queries in one
+batch, and ``distance`` is its one-query case.  The approach and the
+candidates are found query by query; then a time-only Newton stage runs on
+every (query, candidate) pair of the batch in lockstep: it moves along the
+candidate's cached fan path alone, and where that path passes through the
+query (at a point source's antipode on the round sphere every fan path
+does) the fan ray is the arrival, with no new geodesic.  Every other
+candidate gets Gauss-Newton on (cone parameter, time) from the approach's
+starting point.  Its first iteration reads the session's path
 cache: the fan ray's own path and the cached paths of its memoized
 finite-difference neighbours.  Under an x-independent metric on a one-chart
 atlas (the flat plane or torus) every path is one exact straight segment
@@ -30,31 +33,36 @@ Every cache of a field follows one rule: a value is keyed by exactly what
 determines it, and it is never replaced or invalidated.  Paths and Jacobi
 flows are keyed by the ray's exact cone coordinates and the whole number of
 horizons that covers the span asked for, and are integrated to exactly that
-many horizons; cut times are keyed by the ray; the witnesses of full
-distance queries are keyed by the exact query point (a quick query or a
-failed one is not stored); the fan is sampled once, from its one-horizon
-paths, and stacked once.  Where geodesics are stepped (``stepped``) a path
-is its Jacobi flow's base, so each is stepped once and ``_paths`` holds
-only flat fields' exact lines.  Rays off the grid, such as
-``ray_at(mu, template)``, share the path, flow and cut-time caches but never
-join the fan, so no answer depends on which queries came before.
+many horizons; focal times by the ray and the span searched; cut times by
+the ray; the witnesses of full distance queries are keyed by the exact
+query point (a quick query or a failed one is not stored); the fan is
+sampled once, from its one-horizon paths, and stacked once.  Where
+geodesics are stepped (``stepped``) a path is its Jacobi flow's base, so
+each is stepped once and ``_paths`` holds only flat fields' exact lines.
+Rays off the grid, such as ``ray_at(mu, template)``, share the path, flow
+and cut-time caches but never join the fan, so no answer depends on which
+queries came before.
 
 Every finite cut time ends with a full ``distance`` query at exactly the
 cut point, so ``record`` classifies each cut point from that witness.
 
 ``file_fan`` is the one batch step; ``cut_time`` of an unfiled ray is its
 one-ray case.  On a closed-form field it finds the cut times of the rays
-asked for at once and files each one its confirming query accepts.  On a
-shooting field it steps one Jacobi flow batch
-(``submanifold.normal_jacobi_flows``): the one-horizon flows of the rays
-whose cut times are still to find and, on a stepped field, the fan's, when
-``cut_locus`` starts or the fan is first stacked.  A flat field's exact
-lines are built one by one on request.  Each row equals its lone integration
-to the last bit (see ``dopri.py`` for the BLAS and pow conditions this
-rests on), so a batch result is filed under the key ``flow(ray)`` would
-give it and the cache rule holds.  A row that fails, or every row of a batch
-that raises, is not filed: a later request integrates that ray alone and
-raises as it always did.
+asked for at once, answers their confirming queries in one ``distances``
+batch, and files each one its query accepts.  On a shooting field it steps
+one Jacobi flow batch (``submanifold.normal_jacobi_flows``): the
+one-horizon flows of the rays whose focal times are still to find and, on
+a stepped field, the fan's, when ``cut_locus`` starts or the fan is first
+stacked.  It then refines those rays' focal times in one lockstep
+(``geodesic.first_degeneracies``) and answers the full query at the top of
+each one's first bracket in one ``distances`` batch, so the bisection of
+each ray reads its first focal time and its first query from the caches.
+A flat field's exact lines are built one by one on request.  Each row
+equals its lone integration to the last bit (see ``dopri.py`` for the BLAS
+and pow conditions this rests on), so a batch result is filed under the
+key ``flow(ray)`` would give it and the cache rule holds.  A row that
+fails, or every row of a batch that raises, is not filed: a later request
+integrates that ray alone and raises as it always did.
 """
 from __future__ import annotations
 
@@ -65,8 +73,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import FinslerError, NumericalFailure, UnreachedPointError
-from .geodesic import (DEFAULT_ATOL, DEFAULT_RTOL, first_degeneracy,
-                       integrate_geodesic, straight_geodesics)
+from .atlas import TangentVec
+from .geodesic import (DEFAULT_ATOL, DEFAULT_RTOL, first_degeneracies,
+                       first_degeneracy, integrate_geodesic, path_states,
+                       straight_geodesics)
 from .straight import straight_point_source
 from .submanifold import (Minimizer, NormalRay, normal_jacobi_flow,
                           normal_jacobi_flows, sample_unit_cone, unit_normal)
@@ -151,6 +161,20 @@ class CutRecord:
     diagnostics: dict = dc_field(default_factory=dict)
 
 
+def _row_norms(R):
+    """``np.linalg.norm`` of each row of R, to the last bit: the row's dot
+    with itself by ``np.matmul`` on (k, 1, d) @ (k, d, 1), as ``dopri``'s
+    ``_rms`` takes it."""
+    return np.sqrt(np.matmul(R[:, None, :], R[:, :, None])[:, 0, 0])
+
+
+def _close(u, w):
+    """``np.allclose(u, w, atol=1e-6)`` on finite vectors, entry by entry:
+    |a - b| <= 1e-6 + 1e-5 |b|."""
+    return all(abs(a - b) <= 1e-6 + 1e-5 * abs(b)
+               for a, b in zip(u.tolist(), w.tolist()))
+
+
 def _ray_key(ray: NormalRay):
     """Exact cone coordinates of a ray, the key of every per-ray cache."""
     return (tuple(ray.theta), tuple(ray.psi))
@@ -183,10 +207,16 @@ class NormalShooting:
         if not rays:
             raise NumericalFailure("unit cone sampling produced no rays")
         self.rays = tuple(rays)
+        # each fan ray's direction and base point as one row, and its chart,
+        # stacked once for lookups by ray (topology._fan_twin)
+        self.fan_rows = np.array([np.concatenate([ray.v, ray.x])
+                                  for ray in self.rays])
+        self.fan_charts = np.array([ray.chart for ray in self.rays])
         # (_ray_key, whole-horizon span) -> path or flow, see _span_key
         self._paths = {}
         self._flows = {}
         self._cut_times = {}        # _ray_key -> CutTimeResult
+        self._focal = {}            # (_ray_key, span) -> first focal time
         self._witnesses = {}        # exact point -> DistanceWitness (full)
         self._stack = None          # fan samples per chart, stacked once
         # fan index -> the finite-difference neighbour of a Gauss-Newton
@@ -410,22 +440,153 @@ class NormalShooting:
         picks = picks[np.argsort(score[picks], kind="stable")]
         return [(int(i), app[i, 0]) for i in picks[:limit]], score
 
-    # -- Gauss-Newton arrival --------------------------------------------
+    # -- arrivals --------------------------------------------------------
 
     def refine_arrival(self, q, i, t0):
-        """Solve exp^nu(t, ray(mu)) = q from the grid ray i at time t0.
+        """Solve exp^nu(t, ray(mu)) = q from the grid ray i at time t0: the
+        one-pair case of ``_arrivals``, raising the error its entry holds."""
+        (got,) = self._arrivals([(q, i, t0)])
+        if isinstance(got, Exception):
+            raise got
+        return got
 
-        A time-only Newton stage comes first: it moves t along fan ray i's
-        cached path alone, and returns the fan ray itself once the residual
-        is within tolerance.  Where the fan ray passes through q (at a
-        point source's antipode on the round sphere every ray does) the
-        arrival then needs no new geodesic and no seed neighbour.
-        Otherwise Gauss-Newton on (cone parameter, time) runs from the
-        approach's (mu, t0), not from the polished t.  Its first iteration
-        reads paths the session owns: the seed residual is fan ray i on its
-        cached path, and each finite-difference neighbour is a memoized ray
-        on its cached path, both from ``path``.  Later iterations integrate
-        fresh arrivals, at the same ODE tolerances.
+    def _arrivals(self, pairs):
+        """The arrival of each (q, i, t0) pair, a Minimizer, or None.
+
+        A time-only Newton stage comes first, on every pair in lockstep: it
+        moves t along fan ray i's cached path alone, and returns the fan ray
+        itself once the residual is within tolerance.  Where the fan ray
+        passes through q (at a point source's antipode on the round sphere
+        every ray does) the arrival then needs no new geodesic and no seed
+        neighbour.  Each pair it leaves unsettled goes to ``_gauss_newton``
+        from the approach's (mu, t0), not from the polished t.
+
+        The time stage steps t -= <vel, r> / <vel, vel>, with vel in q's
+        chart and the step clipped to half a horizon, while |r| halves, at
+        most POLISH_STEPS times and never past the cached path; the least
+        residual reached settles the pair if it is within the stop
+        tolerance.  States are read by ``geodesic.path_states`` and the dot
+        products are ``np.matmul`` on (k, 1, 2) @ (k, 2, 1), so each pair
+        has the bits it has alone.  A pair whose seed residual or time
+        stage raises a FinslerError or LinAlgError has no arrival; a
+        FinslerError that Gauss-Newton lets through is held in its pair's
+        place.
+        """
+        plan = self.plan
+        dt_cap = 0.5 * plan.horizon
+        out = [None] * len(pairs)
+        live, paths, starts = [], [], []
+        for k, (_, i, t0) in enumerate(pairs):
+            t = max(float(t0), 1e-9)
+            try:
+                paths.append(self._arrival_path(self.rays[i], t, cached=True))
+            except (FinslerError, np.linalg.LinAlgError):
+                continue
+            live.append(k)
+            starts.append(t)
+        if not live:
+            return out
+        qs = [pairs[k][0] for k in live]
+        t = np.array(starts)
+        t1 = np.array([path.t1 for path in paths])
+        charts, X, V = path_states(paths, t)
+        R, failed = self._residuals(charts, X, qs)
+        seed = (list(charts), X.copy(), V.copy(), R.copy())
+        rn = _row_norms(R)
+        act = np.flatnonzero(~failed)
+        for _ in range(POLISH_STEPS):
+            if not act.size:
+                break
+            vel, bad = self._velocities(charts, X, V, qs, act)
+            failed[act[bad]] = True
+            act, vel = act[~bad], vel[~bad]
+            r = R[act]
+            num = np.matmul(vel[:, None, :], r[:, :, None])[:, 0, 0]
+            den = np.matmul(vel[:, None, :], vel[:, :, None])[:, 0, 0]
+            t_new = np.maximum(t[act] + np.clip(-num / den, -dt_cap, dt_cap),
+                               1e-9)
+            # negated tests, so that NaN steps on as the scalar stage's did
+            within = ~(t_new > t1[act])
+            act, t_new = act[within], t_new[within]
+            c_new, x_new, v_new = path_states([paths[j] for j in act], t_new)
+            r_new, bad = self._residuals(c_new, x_new, [qs[j] for j in act])
+            failed[act[bad]] = True
+            rn_new = _row_norms(r_new)
+            better = ~bad & ~(rn_new >= rn[act])
+            halved = rn_new <= 0.5 * rn[act]
+            go = act[better]
+            t[go], rn[go] = t_new[better], rn_new[better]
+            X[go], V[go], R[go] = x_new[better], v_new[better], r_new[better]
+            for j, c, keep in zip(act.tolist(), c_new, better.tolist()):
+                if keep:
+                    charts[j] = c
+            act = act[better & halved]
+        tols = np.array([max(NEWTON_TOL, 10.0 * plan.ode_rtol)
+                         * (1.0 + abs(pairs[k][2])) for k in live])
+        settled = ~failed & (rn <= tols)
+        for j, k in enumerate(live):
+            q, i, t0 = pairs[k]
+            if settled[j]:
+                state = TangentVec(charts[j], X[j].copy(), V[j].copy())
+                out[k] = Minimizer(self.rays[i], float(t[j]), state,
+                                   float(rn[j]))
+            elif not failed[j]:
+                c, x, v, r = (part[j] for part in seed)
+                try:
+                    out[k] = self._gauss_newton(
+                        q, i, t0, starts[j], r.copy(),
+                        TangentVec(c, x.copy(), v.copy()))
+                except FinslerError as exc:
+                    out[k] = exc
+        return out
+
+    def _residuals(self, charts, X, qs):
+        """(R, bad): the rows -displacement((charts[j], X[j]), qs[j]), each
+        with the bits of its lone ``atlas.displacement``, and a mask of the
+        rows whose displacement raises a FinslerError or LinAlgError."""
+        R = np.zeros_like(X)
+        bad = np.zeros(len(qs), dtype=bool)
+        same = [j for j, (c, q) in enumerate(zip(charts, qs)) if c == q[0]]
+        if same:
+            d = (np.array([np.asarray(qs[j][1], dtype=float) for j in same])
+                 - X[same])
+            lat = self.atlas.periodic_lattice
+            if lat is not None:
+                d = d - lat * np.round(d / lat)
+            R[same] = -d
+        for j, (c, q) in enumerate(zip(charts, qs)):
+            if c != q[0]:
+                try:
+                    R[j] = -self.atlas.displacement((c, X[j]), q)
+                except (FinslerError, np.linalg.LinAlgError):
+                    bad[j] = True
+        return R, bad
+
+    def _velocities(self, charts, X, V, qs, rows):
+        """(vel, bad) over ``rows``: each velocity V[j] in the chart of qs[j]
+        (``atlas.velocity_in``, row by row where the charts differ), and a
+        mask of the rows where that raises a FinslerError or LinAlgError."""
+        vel = V[rows]
+        bad = np.zeros(len(rows), dtype=bool)
+        for a, j in enumerate(rows.tolist()):
+            if charts[j] != qs[j][0]:
+                try:
+                    vel[a] = self.atlas.velocity_in(
+                        TangentVec(charts[j], X[j], V[j]), qs[j][0])
+                except (FinslerError, np.linalg.LinAlgError):
+                    bad[a] = True
+        return vel, bad
+
+    def _gauss_newton(self, q, i, t0, t, r, state):
+        """Gauss-Newton on (cone parameter, time) for q from the grid ray i,
+        starting at time t with the seed residual r and state of fan ray i
+        on its cached path (``_arrivals``).
+
+        Its first iteration reads paths the session owns: the seed residual
+        is fan ray i on its cached path, and each finite-difference
+        neighbour is a memoized ray on its cached path, both from ``path``.
+        Later iterations integrate fresh arrivals, at the same ODE
+        tolerances.
 
         Convergence bottoms out at the integration noise floor, so the stop
         tolerance tracks it; a stalled iteration (rank-deficient Jacobian
@@ -435,29 +596,22 @@ class NormalShooting:
         plan = self.plan
         template = self.rays[i]
         mu = self.ray_param(template).astype(float)
-        t = max(float(t0), 1e-9)
         h = 1e-6
         tol = max(NEWTON_TOL, 10.0 * plan.ode_rtol) * (1.0 + abs(t0))
         dt_cap = 0.5 * plan.horizon
 
         def residual(mu_, t_, k=None):
-            # k, first iteration only: the fan ray (k = 0) or its memoized
-            # neighbour (k = 1), see _seed_ray
+            # k, first iteration only: the memoized neighbour (k = 1), see
+            # _seed_ray
             if k is None:
                 ray = self.ray_at(mu_, template)
             else:
-                ray = template if k == 0 else self._seed_ray(i, mu_)
+                ray = self._seed_ray(i, mu_)
             state = self._arrival_path(ray, t_, cached=k is not None).state(t_)
             r = -self.atlas.displacement((state.chart, state.x), q)
             return r, ray, state
 
-        try:
-            r, ray, state = residual(mu, t, 0)
-            polished = self._polish_time(q, template, t, r, state, tol, dt_cap)
-        except (FinslerError, np.linalg.LinAlgError):
-            return None
-        if polished is not None:
-            return polished
+        ray = template
         best = (np.linalg.norm(r), ray, float(t), state)
         stalls = 0
         for it in range(NEWTON_ITERS):
@@ -502,34 +656,6 @@ class NormalShooting:
             return Minimizer(ray, float(t), state, float(rn))
         return None
 
-    def _polish_time(self, q, ray, t, r, state, tol, dt_cap):
-        """Time-only Newton for ray's arrival at q along its cached path,
-        from the residual r at (t, state): t -= <vel, r> / <vel, vel>, with
-        vel in q's chart and the step clipped to dt_cap.  It steps while |r|
-        halves, at most POLISH_STEPS times and never past the cached path.
-        The least residual reached is a Minimizer if it is within tol, else
-        None."""
-        path = self._arrival_path(ray, t, cached=True)
-        rn = float(np.linalg.norm(r))
-        for _ in range(POLISH_STEPS):
-            vel = self.atlas.velocity_in(state, q[0])
-            step = np.clip(-(vel @ r) / (vel @ vel), -dt_cap, dt_cap)
-            t_new = max(t + step, 1e-9)
-            if t_new > path.t1:
-                break
-            s_new = path.state(t_new)
-            r_new = -self.atlas.displacement((s_new.chart, s_new.x), q)
-            rn_new = float(np.linalg.norm(r_new))
-            if rn_new >= rn:
-                break
-            halved = rn_new <= 0.5 * rn
-            t, r, state, rn = t_new, r_new, s_new, rn_new
-            if not halved:
-                break
-        if rn <= tol:
-            return Minimizer(ray, float(t), state, rn)
-        return None
-
     def _arrival_path(self, ray, t, cached=False):
         """Path of ``ray`` past time t: the session's cached path
         (``cached``) or a fresh integration."""
@@ -552,44 +678,95 @@ class NormalShooting:
         c = (v1 @ g @ v2) / math.sqrt((v1 @ g @ v1) * (v2 @ g @ v2))
         return math.acos(min(1.0, max(-1.0, c))) > DISTINCT_ANGLE
 
+    def distances(self, qs, full=True) -> list:
+        """d(N, q) and its arrivals for each of the points ``qs``, in one
+        batch: entry j is the witness of ``qs[j]``, whose distinct
+        minimizers are sorted out as they are read (``DistanceWitness``), or
+        the FinslerError that the lone query raises.  ``full`` widens the
+        shooting candidate set; the closed form is exact either way.  A full
+        query's witness is memoized under the exact point q, and a batch
+        computes each such point once; a quick query is answered afresh,
+        and a failure is not stored, so it raises again next time."""
+        keys = [(q[0], np.asarray(q[1], dtype=float).tobytes()) for q in qs]
+        out = [self._witnesses.get(key) if full else None for key in keys]
+        todo = {}
+        for j, got in enumerate(out):
+            if got is None:
+                todo.setdefault(keys[j] if full else j, j)
+        if not todo:
+            return out
+        new = [qs[j] for j in todo.values()]
+        if self.straight is not None:
+            got = [g if isinstance(g, Exception)
+                   else DistanceWitness(q, *g, self.distinct)
+                   for q, g in zip(new, self.straight.distances(new))]
+        else:
+            got = self._shoot_distances(new, full)
+        computed = dict(zip(todo, got))
+        for j, key in enumerate(keys):
+            if out[j] is None:
+                out[j] = computed[key if full else j]
+        if full:
+            for key, g in computed.items():
+                if not isinstance(g, Exception):
+                    self._witnesses[key] = g
+        return out
+
     def distance(self, q, full=True) -> DistanceWitness:
-        """d(N, q) and its arrivals, whose distinct minimizers are sorted
-        out as they are read (``DistanceWitness``).  ``full`` widens the
-        shooting candidate set; the closed form is exact either way.  A
-        full query's witness is memoized under the exact point q; a quick
-        query is answered afresh, and a failure raises again next time."""
-        key = (q[0], np.asarray(q[1], dtype=float).tobytes())
-        got = self._witnesses.get(key) if full else None
-        if got is None:
-            if self.straight is not None:
-                got = DistanceWitness(q, *self.straight.distance(q),
-                                      self.distinct)
-            else:
-                got = self._shoot_distance(q, full)
-            if full:
-                self._witnesses[key] = got
+        """d(N, q) and its arrivals: the one-query case of ``distances``,
+        raising the error that its entry holds."""
+        (got,) = self.distances([q], full)
+        if isinstance(got, Exception):
+            raise got
         return got
 
-    def _shoot_distance(self, q, full=True) -> DistanceWitness:
-        """Distance by fan closest approach and Gauss-Newton arrival."""
+    def _shoot_distances(self, qs, full=True) -> list:
+        """Distances by fan closest approach and arrival refinement: the
+        candidates of each query in turn (``_candidates``), then every
+        (query, candidate) pair in one ``_arrivals`` batch.  Entry j is the
+        witness of qs[j] or the FinslerError its lone query raises."""
         plan = self.plan
         limit = MAX_CANDIDATES if full else QUICK_CANDIDATES
-        cands, score = self._candidates(q, limit)
-        arrivals = []
-        for i, t in cands:
-            got = self.refine_arrival(q, i, t)
-            if got is not None:
-                arrivals.append(got)
-        if not arrivals:
-            raise UnreachedPointError(
-                f"no shooting root reached q={q}; horizon {plan.horizon} too "
-                f"small or cone grid too coarse "
-                f"(best approach score {float(np.min(score)):.4g})")
-        d = min(a.t for a in arrivals)
+        out = [None] * len(qs)
+        pairs, owner, scores, errors = [], [], {}, {}
+        for k, q in enumerate(qs):
+            try:
+                cands, scores[k] = self._candidates(q, limit)
+            except FinslerError as exc:
+                out[k] = exc
+                continue
+            pairs.extend((q, i, t) for i, t in cands)
+            owner.extend([k] * len(cands))
+        arrivals = {k: [] for k in scores}
+        for k, got in zip(owner, self._arrivals(pairs)):
+            if isinstance(got, Exception):
+                # the first candidate whose refinement raises ends the query
+                errors.setdefault(k, got)
+            elif got is not None:
+                arrivals[k].append(got)
         window = max(1e-6, 2 * plan.bisect_tol)
-        near = sorted((a for a in arrivals if a.t <= d + window),
-                      key=lambda a: a.t)
-        return DistanceWitness(q, float(d), near, self.distinct)
+        for k, found in arrivals.items():
+            q = qs[k]
+            if k in errors:
+                out[k] = errors[k]
+            elif not found:
+                out[k] = UnreachedPointError(
+                    f"no shooting root reached q={q}; horizon {plan.horizon} "
+                    f"too small or cone grid too coarse (best approach score "
+                    f"{float(np.min(scores[k])):.4g})")
+            else:
+                d = min(a.t for a in found)
+                near = sorted((a for a in found if a.t <= d + window),
+                              key=lambda a: a.t)
+                out[k] = DistanceWitness(q, float(d), near, self.distinct)
+        return out
+
+    def _shoot_distance(self, q, full=True) -> DistanceWitness:
+        """The one-query case of ``_shoot_distances``, raising its error."""
+        (got,) = self._shoot_distances([q], full)
+        if isinstance(got, Exception):
+            raise got
+        return got
 
     def is_minimizing(self, path, t, full=False):
         q = path.position(t)
@@ -609,23 +786,24 @@ class NormalShooting:
 
     def file_fan(self, rays=()):
         """Compute in one batch what the cut times of ``rays`` not yet
-        computed will read: on a closed-form field those cut times, each
-        filed once its confirming query accepts it; on a shooting field one
-        ``normal_jacobi_flows`` batch of their one-horizon flows and, on a
-        stepped field whose fan is not yet stacked, the fan's, whose bases
-        are the fan paths.  What is rejected, fails or raises is not filed;
-        a later request computes it alone as it always did."""
+        computed will read.
+
+        On a closed-form field: those cut times, each filed once its
+        confirming query, one of a single ``distances`` batch, accepts it.
+        On a shooting field, for the rays whose focal time is not yet
+        filed: one ``normal_jacobi_flows`` batch of their one-horizon flows
+        and, on a stepped field whose fan is not yet stacked, the fan's,
+        whose bases are the fan paths; then their focal times in one
+        ``first_degeneracies`` lockstep; then the full distance query at the
+        top of each one's first bracket, x(min(lambda, H)), in one
+        ``distances`` batch.  What is rejected, fails or raises is not
+        filed; a later request computes it alone as it always did."""
         rays = [ray for ray in rays if _ray_key(ray) not in self._cut_times]
         if self.straight is not None:
-            rhos = self.straight.cut_times(rays)
-            for ray, rho in zip(rays, rhos):
-                try:
-                    got = self._confirmed_cut_time(ray, rho)
-                except (FinslerError, np.linalg.LinAlgError):
-                    continue
-                if got is not None:
-                    self._cut_times.setdefault(_ray_key(ray), got)
+            self._file_closed_form(rays)
             return
+        H = self.plan.horizon
+        rays = [ray for ray in rays if (_ray_key(ray), H) not in self._focal]
         todo = {}
         fan = self.rays if self.stepped and self._stack is None else ()
         for ray in (*fan, *rays):
@@ -634,20 +812,65 @@ class NormalShooting:
                 todo.setdefault(key, ray)
         try:
             got = normal_jacobi_flows(
-                self.metric, self.N, list(todo.values()), self.plan.horizon,
+                self.metric, self.N, list(todo.values()), H,
                 rtol=self.plan.ode_rtol, atol=self.plan.ode_atol)
         except (FinslerError, np.linalg.LinAlgError):
             return
         for key, flow in zip(todo, got):
             if not isinstance(flow, Exception):
                 self._flows[key] = flow
+        filed = {}
+        for ray in rays:
+            key = self._span_key(ray, None)
+            if key in self._flows:
+                filed.setdefault(key, ray)
+        lams = first_degeneracies([self._flows[key] for key in filed],
+                                  FOCAL_FLOOR, H)
+        tops = []
+        for (key, ray), lam in zip(filed.items(), lams):
+            self._focal[key] = lam
+            try:
+                tops.append(self.path(ray, H).position(min(lam, H)))
+            except (FinslerError, np.linalg.LinAlgError):
+                continue
+        self.distances(tops)
+
+    def _file_closed_form(self, rays):
+        """File the closed-form cut time of each of ``rays`` that its
+        confirming query accepts (``_confirmed_cut_time``), once all of
+        those queries are answered in one ``distances`` batch."""
+        rhos = self.straight.cut_times(rays).tolist()
+        tops = {}
+        for k, (ray, rho) in enumerate(zip(rays, rhos)):
+            if np.isfinite(rho):
+                try:
+                    tops[k] = self.path(ray, rho).position(rho)
+                except (FinslerError, np.linalg.LinAlgError):
+                    continue
+        wits = dict(zip(tops, self.distances(list(tops.values()))))
+        for k, (ray, rho) in enumerate(zip(rays, rhos)):
+            if isinstance(wits.get(k), Exception):
+                continue
+            try:
+                got = self._confirmed_cut_time(ray, rho)
+            except (FinslerError, np.linalg.LinAlgError):
+                continue
+            if got is not None:
+                self._cut_times.setdefault(_ray_key(ray), got)
 
     def focal_time(self, ray: NormalRay, T_max=None):
+        """The first focal time of ``ray`` in (FOCAL_FLOOR, T_max], T_max
+        one horizon by default, memoized by the ray and T_max."""
         if self.straight is not None:
             # J0 = 0 and straight lines: det[t Jd0 | v] vanishes only at 0
             return math.inf
         T_max = T_max or self.plan.horizon
-        return first_degeneracy(self.flow(ray, T_max), FOCAL_FLOOR, T_max)
+        key = _ray_key(ray), T_max
+        got = self._focal.get(key)
+        if got is None:
+            got = self._focal[key] = first_degeneracy(
+                self.flow(ray, T_max), FOCAL_FLOOR, T_max)
+        return got
 
     def cut_time(self, ray: NormalRay) -> CutTimeResult:
         key = _ray_key(ray)
@@ -664,8 +887,9 @@ class NormalShooting:
         or None when the confirming distance query rejects it.
 
         With no focal point the cut is Separating, at the first lattice
-        copy of the ray that reaches it.  One full distance query at x(rho)
-        must find no shorter path and two distinct minimizers (``leading``).
+        copy of the ray that reaches it.  One full distance query at x(rho),
+        filed by ``_file_closed_form``'s batch, must find no shorter path
+        and two distinct minimizers (``leading``).
         """
         if not np.isfinite(rho):
             return CutTimeResult(np.inf, np.inf, unbounded=True)
@@ -733,7 +957,7 @@ class NormalShooting:
         if len(first) >= 2:
             cls.add(SEPARATING)
             others = [m for m in first
-                      if not np.allclose(m.ray.v, rec.ray.v, atol=1e-6)
+                      if not _close(m.ray.v, rec.ray.v)
                       or np.linalg.norm(m.ray.x - rec.ray.x) > 1e-6]
             if others:
                 rec.competitor = (others[0].ray, others[0].t)

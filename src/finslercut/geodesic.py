@@ -75,14 +75,27 @@ class PathSegment:
         i = np.searchsorted(self.knots, ts, side="right") - 1
         i = np.clip(i, 0, len(self.Q) - 1)
         t_old = self.knots[i]
-        h = self.knots[i + 1] - t_old
-        x = (ts - t_old) / h
-        x2 = x * x
-        x3 = x2 * x
-        p = np.stack([x, x2, x3, x3 * x], axis=1)
-        y = h[:, None] * np.matmul(self.Q[i], p[:, :, None])[:, :, 0]
-        y += self.y_old[i]
-        return y
+        return _eval_steps(self.Q[i], self.y_old[i], t_old,
+                           self.knots[i + 1] - t_old, ts)
+
+    def step_at(self, t):
+        """Index of the dense-output step that ``eval(t)`` reads."""
+        i = int(np.searchsorted(self.knots, t, side="right")) - 1
+        return min(max(i, 0), len(self.Q) - 1)
+
+
+def _eval_steps(Q, y_old, t_old, h, ts):
+    """Row j: the dense-output step (Q[j], y_old[j]) that starts at
+    t_old[j] and spans h[j], evaluated at ts[j] with the bits of
+    ``PathSegment.eval``: the one array evaluation of ``eval_many``, over
+    steps stacked from any segments of one state width."""
+    x = (ts - t_old) / h
+    x2 = x * x
+    x3 = x2 * x
+    p = np.stack([x, x2, x3, x3 * x], axis=1)
+    y = h[:, None] * np.matmul(Q, p[:, :, None])[:, :, 0]
+    y += y_old
+    return y
 
 
 class GeodesicPath:
@@ -130,6 +143,35 @@ class GeodesicPath:
             ts.extend(seg.knots[:-1])
         ts.append(self.segments[-1].knots[-1])
         return np.array(ts)
+
+
+def path_states(paths, ts):
+    """(charts, X, V): the chart, position and velocity of ``paths[j]`` at
+    ``ts[j]``, with the bits of ``paths[j].state(ts[j])``.  The times of
+    each path are read together, one ``eval_many`` per chart segment, each
+    time from the segment ``raw`` reads."""
+    ts = np.asarray(ts, dtype=float)
+    n = paths[0].metric.atlas.dim if paths else 0
+    X = np.empty((len(ts), n))
+    V = np.empty((len(ts), n))
+    charts = np.empty(len(ts), dtype=int)
+    rows_of = {}
+    for j, path in enumerate(paths):
+        rows_of.setdefault(id(path), (path, []))[1].append(j)
+    for path, rows in rows_of.values():
+        rows = np.array(rows)
+        segs = path.segments
+        # the segment raw reads: the first ending at or after t
+        which = np.minimum(np.searchsorted([s.t1 for s in segs], ts[rows]),
+                           len(segs) - 1)
+        for k, seg in enumerate(segs):
+            sel = rows[which == k]
+            if sel.size:
+                y = seg.eval_many(ts[sel])
+                X[sel] = y[:, :n]
+                V[sel] = y[:, n:2 * n]
+                charts[sel] = seg.chart
+    return charts.tolist(), X, V
 
 
 def straight_geodesics(metric):
@@ -518,17 +560,15 @@ def linearized_flow(metric, start: TangentVec, T, J0, Jd0,
     return _lone(linearized_flows(metric, [start], T, [J0], [Jd0], rtol, atol))
 
 
-def first_degeneracy(frame: LinearizedFrame, t_floor, T_max):
-    """First t in (t_floor, T_max] where the frame's 2 x 2 matrix M(t)
-    degenerates.
+def _scan_bracket(frame, t_floor, T_max):
+    """The scan of ``first_degeneracy``: (t, None) when the frame
+    degenerates at the first grid time t or nowhere (t = inf), else
+    (None, (lo, hi, sign change, det sign at lo)), the first grid interval
+    holding a sign change of the corrected det or a dip of sigma_min /
+    sigma_max below DEGENERATE_RATIO.
 
     The scan grid, the knots and 80 evenly spaced times, is read in one
-    array pass (``frame.signed_dets``): the sign of the corrected det and
-    the relative smallest singular value at each time.  The first sign
-    change is bisection-refined and the first dip below DEGENERATE_RATIO
-    ternary-refined, each probe reading ``frame.signed_matrix(t)`` once.
-    Returns +inf when no degeneracy is found.
-    """
+    array pass (``frame.signed_dets``)."""
     top = min(T_max, frame.t1)
     # the distinct times, sorted: np.unique would import numpy.ma
     grid = np.sort(np.concatenate([frame.knot_times(),
@@ -537,42 +577,106 @@ def first_degeneracy(frame: LinearizedFrame, t_floor, T_max):
     grid = grid[(grid >= t_floor) & (grid <= top)]
     d, ratio = frame.signed_dets(grid)
     if ratio[0] < DEGENERATE_RATIO:
-        return grid[0]
+        return grid[0], None
     neg = d < 0
     changes = (d[1:] == 0.0) | (neg[1:] != neg[:-1])
     hits = np.flatnonzero(changes | (ratio[1:] < DEGENERATE_RATIO))
     if not len(hits):
-        return np.inf
+        return np.inf, None
     j = hits[0]
-    lo, hi = grid[j], grid[j + 1]
+    return None, (grid[j], grid[j + 1], bool(changes[j]), bool(neg[j]))
 
-    def probe(t):
-        """(signed det M(t), sigma_min / sigma_max) from one frame read."""
-        M, sign = frame.signed_matrix(t)
-        det, ratio = _det_ratio(M)
-        return sign * det, ratio
 
-    if changes[j]:
-        prev_neg = neg[j]
-        while hi - lo > DEGENERACY_TOL:
-            mid = 0.5 * (lo + hi)
-            dm = probe(mid)[0]
-            if dm == 0.0:
-                return mid
-            if (dm < 0) == prev_neg:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-    # even-multiplicity kernel: refine on the singular-value dip
-    while hi - lo > DEGENERACY_TOL:
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if probe(m1)[1] < probe(m2)[1]:
-            hi = m2
+def first_degeneracies(frames, t_floor, T_max):
+    """``first_degeneracy`` of each of ``frames`` (one column count
+    throughout), as a list of floats.
+
+    Each frame's scan grid is read alone (``_scan_bracket``); then every
+    bracket is refined in lockstep, with one array evaluation of all the
+    brackets' probe times per round.  A bracket is a scan interval, which
+    no knot splits, so each one reads one fixed dense-output step, its
+    midpoint's, for its whole refinement.  The evaluation is
+    ``PathSegment.eval_many``'s arithmetic on the stacked steps and the
+    ratios are ``_det_ratios``, so every probe, and every focal time, has
+    the bits of the scalar probe ``_det_ratio(frame.signed_matrix(t))``.
+    """
+    out = [None] * len(frames)
+    owner, brackets, steps = [], [], []
+    for k, frame in enumerate(frames):
+        t, bracket = _scan_bracket(frame, t_floor, T_max)
+        if bracket is None:
+            out[k] = float(t)
+            continue
+        owner.append(k)
+        brackets.append(bracket)
+        mid = 0.5 * (bracket[0] + bracket[1])
+        seg = frame.path._segment(mid)
+        steps.append((seg, seg.step_at(mid)))
+    if not owner:
+        return out
+    if len({frames[k].m for k in owner}) > 1:
+        raise ValueError("first_degeneracies needs one column count")
+    n, m = frames[owner[0]].n, frames[owner[0]].m
+    t_old = np.array([seg.knots[i] for seg, i in steps])
+    h = np.array([seg.knots[i + 1] for seg, i in steps]) - t_old
+    Q = np.array([seg.Q[i] for seg, i in steps])
+    y_old = np.array([seg.y_old[i] for seg, i in steps])
+    sign = np.array([seg.sign for seg, _ in steps])
+    lo, hi, bisect, prev_neg = (np.array(c) for c in zip(*brackets))
+
+    def probe(b, ts):
+        """(signed det, sigma_min / sigma_max) of brackets b at times ts."""
+        y = _eval_steps(Q[b], y_old[b], t_old[b], h[b], ts)
+        if m < n:
+            # [J | v] for the one Jacobi column
+            det, ratio = _det_ratios(y[:, 2 * n], y[:, n], y[:, 2 * n + 1],
+                                     y[:, n + 1])
         else:
-            lo = m1
-    return 0.5 * (lo + hi)
+            det, ratio = _det_ratios(y[:, 2 * n], y[:, 2 * n + 1],
+                                     y[:, 2 * n + 2], y[:, 2 * n + 3])
+        return sign[b] * det, ratio
+
+    live = np.arange(len(owner))
+    while True:
+        done = hi[live] - lo[live] <= DEGENERACY_TOL
+        for b in live[done].tolist():
+            out[owner[b]] = float(0.5 * (lo[b] + hi[b]))
+        live = live[~done]
+        if not live.size:
+            return out
+        # sign changes bisect on the det; even-multiplicity kernels take a
+        # ternary step on the singular-value dip, two probes each
+        bis, ter = live[bisect[live]], live[~bisect[live]]
+        width = (hi[ter] - lo[ter]) / 3
+        mid = 0.5 * (lo[bis] + hi[bis])
+        m1, m2 = lo[ter] + width, hi[ter] - width
+        dets, ratios = probe(np.concatenate([bis, ter, ter]),
+                             np.concatenate([mid, m1, m2]))
+        dm = dets[:len(bis)]
+        zero = dm == 0.0
+        for b, t in zip(bis[zero].tolist(), mid[zero].tolist()):
+            out[owner[b]] = t
+        below = (dm < 0) == prev_neg[bis]
+        lo[bis] = np.where(below, mid, lo[bis])
+        hi[bis] = np.where(below, hi[bis], mid)
+        r1, r2 = np.split(ratios[len(bis):], 2)
+        left = r1 < r2
+        hi[ter] = np.where(left, m2, hi[ter])
+        lo[ter] = np.where(left, lo[ter], m1)
+        live = np.sort(np.concatenate([bis[~zero], ter]))
+
+
+def first_degeneracy(frame: LinearizedFrame, t_floor, T_max):
+    """First t in (t_floor, T_max] where the frame's 2 x 2 matrix M(t)
+    degenerates: the one-frame case of ``first_degeneracies``.
+
+    The scan grid, the knots and 80 evenly spaced times, is read in one
+    array pass (``frame.signed_dets``): the sign of the corrected det and
+    the relative smallest singular value at each time.  The first sign
+    change is bisection-refined and the first dip below DEGENERATE_RATIO
+    ternary-refined.  Returns +inf when no degeneracy is found.
+    """
+    return first_degeneracies([frame], t_floor, T_max)[0]
 
 
 def conjugate_time(metric, point, v, T_max,

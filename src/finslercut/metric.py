@@ -480,11 +480,15 @@ class RandersMetric(MetricField):
 
     def legendre_rows(self, chart, x, V):
         """g_v v = F(v) (a v / alpha + b), alpha = sqrt(a(v, v)): the
-        v-gradient of F^2 / 2."""
+        v-gradient of F^2 / 2.  The products with a and b are taken row by
+        row, a v elementwise and b . v as one dot per row (``np.matmul`` on
+        (k, 1, 2) rows), so each row has the bits of its one-row call
+        whatever rows share the batch; a (k, 2) BLAS product does not
+        promise that."""
         def rows(W):
-            av = W @ self.a.T
+            av = W[:, :1] * self.a[:, 0] + W[:, 1:] * self.a[:, 1]
             alpha = np.sqrt(np.einsum("ri,ri->r", W, av))[:, None]
-            f = alpha + (W @ self.b)[:, None]
+            f = alpha + np.matmul(W[:, None, :], self.b[:, None])[:, 0, :]
             return f * (av / alpha + self.b)
         return _on_live_rows(V, rows)
 

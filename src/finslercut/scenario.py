@@ -294,8 +294,10 @@ def _task_retracts(run):
     worst_n0 = worst_n1 = worst_c0 = worst_c1 = 0.0
     traces = []
     atlas = field.atlas
-    for k, (q, rec, t) in enumerate(
-            _probe_points(field, records, run.rng, RETRACT_PROBES)):
+    probes = _probe_points(field, records, run.rng, RETRACT_PROBES)
+    # every probe's witness, filed in one batch before the loop reads it
+    field.distances([q for q, _, _ in probes])
+    for k, (q, rec, t) in enumerate(probes):
         p0 = topo_mod.retract_to_N(field, q, 0.0)
         worst_n0 = max(worst_n0, atlas.coord_distance(p0, q))
         p1 = topo_mod.retract_to_N(field, q, 1.0)
@@ -693,13 +695,20 @@ def parse_scenario(text) -> Scenario:
         output=_merged("output", data),
     )
     # the schema cannot state |b|_a < 1 (the schema bounds the quartic eps),
-    # so the metric's own constructor checks the Randers drift
+    # so the metric's own constructor checks the Randers drift; nor can it
+    # name the charts of the atlas
+    atlas = MANIFOLD_TYPES[sc.manifold["type"]](sc.manifold)
     try:
-        METRIC_FAMILIES[sc.metric["family"]](
-            sc, MANIFOLD_TYPES[sc.manifold["type"]](sc.manifold))
+        METRIC_FAMILIES[sc.metric["family"]](sc, atlas)
     except ConvexityError as exc:
         raise ScenarioError(f"invalid scenario at /metric/b: {exc}",
                             pointer="/metric/b") from exc
+    if not sc.submanifold["chart"] < atlas.n_charts:
+        raise ScenarioError(
+            f"invalid scenario at /submanifold/chart: chart "
+            f"{sc.submanifold['chart']} is not one of the {atlas.n_charts} "
+            f"charts of a {sc.manifold['type']} manifold",
+            pointer="/submanifold/chart")
     return sc
 
 

@@ -2,7 +2,9 @@
 geodesics are straight lines in one chart (``geodesic.straight_geodesics``:
 an x-independent metric on the flat plane or torus).
 
-``distance`` is the least F over the lattice shifts of q - p.  The normal
+``distances`` gives, for each of many points q, the least F over the
+lattice shifts of q - p, all the queries' shifts evaluated together;
+``distance`` is its one-query case.  The normal
 geodesics have no focal point (J0 = 0, so det[t Jd0 | v] vanishes only at
 t = 0), so by the Separating/FirstFocal dichotomy the cut time is the first
 t at which a lattice copy reaches p + t v as fast as the ray does: the
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atlas import TangentVec
-from .errors import UnreachedPointError
+from .errors import FinslerError, UnreachedPointError
 from .geodesic import straight_geodesics
 from .metric import V_FLOOR, MetricField
 from .submanifold import Minimizer, NormalRay
@@ -124,59 +126,117 @@ class StraightPointSource:
     def lattice_shifts(self, w0, reach):
         """The images w0 + kL of Euclidean length at most ``reach`` as the
         rows of an array, in lexicographic order of k; w0 alone when there
-        is no lattice."""
+        is no lattice.  Row by row, ``W0`` and ``reach`` may also hold
+        several (w0, reach): the rows of each are then stacked in turn, and
+        the second result gives the row count of each."""
+        W0 = np.atleast_2d(w0)
+        reach = np.atleast_1d(np.asarray(reach, dtype=float))
         lat = self.metric.atlas.periodic_lattice
         if lat is None:
-            return w0[None, :]
-        k = [np.arange(math.ceil((-reach - c) / L),
-                       math.floor((reach - c) / L) + 1)
-             for c, L in zip(w0, lat)]
-        ks = np.stack(np.meshgrid(*k, indexing="ij"), axis=-1).reshape(-1, 2)
-        w = w0 + ks * lat
-        return w[np.sqrt(w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1]) <= reach]
+            W = W0.copy()
+            counts = np.ones(len(W0), dtype=int)
+        else:
+            # each w0's box of k, as the per-axis bounds of one shared table
+            lo = np.ceil((-reach[:, None] - W0) / lat)
+            hi = np.floor((reach[:, None] - W0) / lat)
+            k = [np.arange(a, b + 1) for a, b in zip(lo.min(axis=0),
+                                                     hi.max(axis=0))]
+            ks = np.stack(np.meshgrid(*k, indexing="ij"),
+                          axis=-1).reshape(-1, 2)
+            W = W0[:, None, :] + ks * lat
+            x, y = W[:, :, 0], W[:, :, 1]
+            keep = (np.all((ks >= lo[:, None, :]) & (ks <= hi[:, None, :]),
+                           axis=2)
+                    & (np.sqrt(x * x + y * y) <= reach[:, None]))
+            W, counts = W[keep], keep.sum(axis=1)
+        return (W, counts) if np.ndim(w0) == 2 else W
 
-    def distance(self, q):
-        """d(N, q) and its arrivals, sorted by t.
+    def distances(self, qs):
+        """d(N, q) and its arrivals, sorted by t, for each of the points
+        ``qs``: entry j is (d, arrivals) or the FinslerError that the lone
+        query raises.
 
         Every lattice shift w = q - p - kL whose Euclidean length allows
         F(w) <= F(w0) + window, w0 the minimum image, is evaluated; each
         shift within the window of the least F gives an arrival with
-        direction w / F(w) and covector g_v(v).
+        direction w / F(w) and covector g_v(v).  The shifts of all queries
+        are one ``lattice_shifts`` table, their lengths one ``F_rows`` call
+        and their covectors one ``legendre_rows`` call; each row has the
+        bits of its lone query.
         """
         plan, metric = self.plan, self.metric
         chart, p = self.chart, self.base
         window = max(1e-6, 2 * plan.bisect_tol)
-        w0 = metric.atlas.displacement((chart, p), q)
-        if np.linalg.norm(w0) < V_FLOOR:
-            # q is the source: the zero-length segment along the source ray
-            ray = self.source_ray
-            term = TangentVec(chart, p + w0, ray.v)
-            return 0.0, [Minimizer(ray, 0.0, term,
-                                   float(np.linalg.norm(w0)))]
-
-        shifts = self.lattice_shifts(
-            w0, (metric.F(TangentVec(chart, p, w0)) + window) / self.floor)
+        out = [None] * len(qs)
+        live, w0s, reach = [], [], []
+        for j, q in enumerate(qs):
+            try:
+                w0 = metric.atlas.displacement((chart, p), q)
+                if np.linalg.norm(w0) < V_FLOOR:
+                    # q is the source: the zero-length segment along the
+                    # source ray
+                    ray = self.source_ray
+                    term = TangentVec(chart, p + w0, ray.v)
+                    out[j] = 0.0, [Minimizer(ray, 0.0, term,
+                                             float(np.linalg.norm(w0)))]
+                    continue
+                reach.append((metric.F(TangentVec(chart, p, w0)) + window)
+                             / self.floor)
+            except FinslerError as exc:
+                out[j] = exc
+                continue
+            live.append(j)
+            w0s.append(w0)
+        if not live:
+            return out
+        shifts, counts = self.lattice_shifts(np.array(w0s), reach)
         ts = metric.F_rows(chart, p, shifts)
-        d = float(ts.min())
-        if d > 2 * plan.horizon + plan.min_slack:
-            # beyond the doubled-horizon probe, the longest span integrated
-            raise UnreachedPointError(
-                f"q={q} lies at distance {d:.6g}, beyond twice the horizon "
-                f"{plan.horizon}")
-        near = np.argsort(ts, kind="stable")
-        near = near[ts[near] <= d + window]
-        ts, shifts = ts[near], shifts[near]
+        near_rows, found = [], []      # (query, d, arrival count)
+        for j, lo, hi in zip(live, np.cumsum(counts) - counts,
+                             np.cumsum(counts)):
+            t = ts[lo:hi]
+            d = float(t.min())
+            if d > 2 * plan.horizon + plan.min_slack:
+                # beyond the doubled-horizon probe, the longest span
+                # integrated
+                out[j] = UnreachedPointError(
+                    f"q={qs[j]} lies at distance {d:.6g}, beyond twice the "
+                    f"horizon {plan.horizon}")
+                continue
+            near = np.argsort(t, kind="stable")
+            near = near[t[near] <= d + window]
+            near_rows.append(lo + near)
+            found.append((j, d, len(near)))
+        if not found:
+            return out
+        rows = np.concatenate(near_rows)
+        ts, shifts = ts[rows], shifts[rows]
         vs = shifts / ts[:, None]
         omegas = metric.legendre_rows(chart, p, vs)
-        arrivals = []
-        for t, w, v, omega in zip(ts.tolist(), shifts, vs, omegas):
-            ray = NormalRay(np.zeros(0), omega / np.linalg.norm(omega),
-                            chart, p, v)
-            res = float(np.linalg.norm(
-                metric.atlas.displacement((chart, p + t * v), q)))
-            arrivals.append(Minimizer(ray, t, TangentVec(chart, p + w, v),
-                                      res))
-        return d, arrivals
+        at = 0
+        for j, d, n in found:
+            q = qs[j]
+            arrivals = []
+            part = slice(at, at + n)
+            for t, w, v, omega in zip(ts[part].tolist(), shifts[part],
+                                      vs[part], omegas[part]):
+                ray = NormalRay(np.zeros(0), omega / np.linalg.norm(omega),
+                                chart, p, v)
+                res = float(np.linalg.norm(
+                    metric.atlas.displacement((chart, p + t * v), q)))
+                arrivals.append(Minimizer(ray, t, TangentVec(chart, p + w, v),
+                                          res))
+            out[j] = d, arrivals
+            at += n
+        return out
+
+    def distance(self, q):
+        """d(N, q) and its arrivals, sorted by t: the one-query case of
+        ``distances``, raising the error that its entry holds."""
+        (got,) = self.distances([q])
+        if isinstance(got, Exception):
+            raise got
+        return got
 
     def cut_times(self, rays):
         """Separating times of ``rays``: for each ray, the least root in

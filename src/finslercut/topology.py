@@ -51,17 +51,14 @@ def inverse_normal_exp(field: NormalShooting, q) -> InverseExpResult:
 
 
 def _fan_twin(field: NormalShooting, ray):
-    """The fan ray equal to ``ray`` to rounding (the same chart, base point
-    and direction within ROUNDING per coordinate), else ``ray``: a closed-form
-    direction w / F(w) can differ from its fan ray's in the last bits."""
-    v0, v1 = ray.v.tolist()
-    for fan in field.rays:
-        a, b = fan.v.tolist()
-        if (abs(a - v0) <= ROUNDING and abs(b - v1) <= ROUNDING
-                and fan.chart == ray.chart
-                and np.max(np.abs(fan.x - ray.x)) <= ROUNDING):
-            return fan
-    return ray
+    """The first fan ray equal to ``ray`` to rounding (the same chart, base
+    point and direction within ROUNDING per coordinate), else ``ray``: a
+    closed-form direction w / F(w) can differ from its fan ray's in the
+    last bits.  The fan is compared as the field's stacked rows."""
+    gap = np.abs(field.fan_rows - np.concatenate([ray.v, ray.x]))
+    hits = np.flatnonzero((gap.max(axis=1) <= ROUNDING)
+                          & (field.fan_charts == ray.chart))
+    return field.rays[hits[0]] if hits.size else ray
 
 
 def retract_to_N(field: NormalShooting, q, s):
@@ -125,21 +122,32 @@ class VariationReport:
 
 def check_first_variation(field: NormalShooting, q,
                           directions) -> VariationReport:
-    """Central finite differences of d(N, .)^2 against the analytic df."""
+    """Central finite differences of d(N, .)^2 against the analytic df.
+    Every probe point is asked in one ``distances`` batch; the errors they
+    hold are raised in the order of the loop over ``directions``."""
     h = VARIATION_STEP
     chart, x = q
     x = np.asarray(x, dtype=float)
+    directions = [np.asarray(X, dtype=float) for X in directions]
+    probes = field.distances([p for X in directions
+                              for p in ((chart, x + h * X),
+                                        (chart, x - h * X))], full=False)
     rows = []
     worst = 0.0
-    for X in directions:
-        X = np.asarray(X, dtype=float)
+    for k, X in enumerate(directions):
         analytic = distance_sq_differential(field, q, X)
-        dp = field.distance((chart, x + h * X), full=False).d
-        dm = field.distance((chart, x - h * X), full=False).d
+        dp, dm = (_value(wit).d for wit in probes[2 * k:2 * k + 2])
         fd = (dp * dp - dm * dm) / (2.0 * h)
         rows.append((X, analytic, fd))
         worst = max(worst, abs(analytic - fd))
     return VariationReport(q, worst, rows)
+
+
+def _value(entry):
+    """A ``distances`` entry, raised when it holds an error."""
+    if isinstance(entry, Exception):
+        raise entry
+    return entry
 
 
 def one_sided_spread(field: NormalShooting, q, X, h=1e-5) -> float:

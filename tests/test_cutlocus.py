@@ -248,14 +248,14 @@ def test_seed_iteration_reads_cached_paths(sphere_setup, monkeypatch):
         integrations.extend([T] * len(rays))
         return fc.normal_jacobi_flows(metric, N, rays, T, **kwargs)
 
-    def refine_arrival(*args, **kwargs):
-        refines.append(args[1])
-        return fc.NormalShooting.refine_arrival(field, *args, **kwargs)
+    def arrivals(pairs):
+        refines.extend(i for _, i, _ in pairs)
+        return fc.NormalShooting._arrivals(field, pairs)
 
     monkeypatch.setattr(cutlocus, "integrate_geodesic", integrate_geodesic)
     monkeypatch.setattr(cutlocus, "normal_jacobi_flow", normal_jacobi_flow)
     monkeypatch.setattr(cutlocus, "normal_jacobi_flows", normal_jacobi_flows)
-    monkeypatch.setattr(field, "refine_arrival", refine_arrival)
+    monkeypatch.setattr(field, "_arrivals", arrivals)
     # every ray of the point source reconverges at the antipode at t = pi;
     # on the sphere a path is its Jacobi flow's base
     field.distance(field.path(field.rays[0]).position(math.pi))
@@ -817,20 +817,23 @@ def test_a_rejected_closed_form_cut_time_falls_back_to_bisection(
     want = field._bisect_cut_time(ray)
     # plant a confirming query that finds one minimizer only, or one that
     # raises at every closed-form cut point and answers elsewhere
-    distance = field.distance
+    distances = field.distances
     confirming = {
         field.path(r, rho).position(rho)[1].tobytes()
         for r, rho in zip(field.rays, field.straight.cut_times(field.rays))}
 
-    def planted(q, full=True):
-        if raised and q[1].tobytes() in confirming:
-            raise fc.NumericalFailure("planted confirming query")
-        wit = distance(q, full)
-        if raised:
-            return wit
-        return dataclasses.replace(wit, arrivals=wit.minimizers[:1])
+    def planted(qs, full=True):
+        # every query, lone or batched, is an entry of a distances batch
+        out = []
+        for q, wit in zip(qs, distances(qs, full)):
+            if raised and q[1].tobytes() in confirming:
+                wit = fc.NumericalFailure("planted confirming query")
+            elif not raised:
+                wit = dataclasses.replace(wit, arrivals=wit.minimizers[:1])
+            out.append(wit)
+        return out
 
-    monkeypatch.setattr(field, "distance", planted)
+    monkeypatch.setattr(field, "distances", planted)
     if how == "filed":
         field.file_fan(field.rays)
         assert not field._cut_times         # every confirmation rejected
@@ -847,13 +850,13 @@ def test_flat_point_cut_locus_steps_no_flow_and_bisects_nothing(monkeypatch):
         fc.ShootingPlan(psi_count=32, horizon=1.5, bisect_tol=1e-8,
                         min_slack=1e-7))
     queries = []
-    distance = field.distance
+    distances = field.distances
 
-    def counted(q, full=True):
-        queries.append(q)
-        return distance(q, full)
+    def counted(qs, full=True):
+        queries.extend(qs)
+        return distances(qs, full)
 
-    monkeypatch.setattr(field, "distance", counted)
+    monkeypatch.setattr(field, "distances", counted)
     records = fc.cut_locus(field)
     assert not field._flows
     assert all(rec.diagnostics["bisection_iters"] == 0 for rec in records)
@@ -1073,13 +1076,14 @@ def test_cut_locus_outputs_carry_the_classes():
 
 
 def _count_calls(monkeypatch, owner, name):
-    """Record the query point of every execution of owner.<name>."""
+    """Record every query point that the batch method owner.<name> computes,
+    in order."""
     calls = []
     method = getattr(owner, name)
 
-    def counted(self, q, *args):
-        calls.append(q)
-        return method(self, q, *args)
+    def counted(self, qs, *args):
+        calls.extend(qs)
+        return method(self, qs, *args)
 
     monkeypatch.setattr(owner, name, counted)
     return calls
@@ -1090,7 +1094,7 @@ def test_full_distance_queries_are_memoized_by_the_exact_point(
     _, metric, N, plan = sphere_setup
     field = fc.NormalShooting(metric, N, plan)
     computed = _count_calls(monkeypatch, cutlocus.NormalShooting,
-                            "_shoot_distance")
+                            "_shoot_distances")
     q = field.path(field.rays[3]).position(1.0)
     wit = field.distance(q)
     assert field.distance(q, full=True) is wit and len(computed) == 1
@@ -1121,7 +1125,7 @@ def test_cut_locus_computes_one_witness_per_cut_time(case, sphere_setup,
                                                      monkeypatch):
     if case == "sphere":
         _, metric, N, plan = sphere_setup
-        owner, method = cutlocus.NormalShooting, "_shoot_distance"
+        owner, method = cutlocus.NormalShooting, "_shoot_distances"
     else:
         atlas = fc.torus_atlas([0.9, 1.2])
         metric = (fc.euclidean_metric(atlas) if case == "torus" else
@@ -1129,7 +1133,7 @@ def test_cut_locus_computes_one_witness_per_cut_time(case, sphere_setup,
         N = fc.point_submanifold(0, [0.1, 0.4])
         plan = fc.ShootingPlan(psi_count=32, horizon=1.5, bisect_tol=1e-8,
                                min_slack=1e-7)
-        owner, method = straight.StraightPointSource, "distance"
+        owner, method = straight.StraightPointSource, "distances"
     field = fc.NormalShooting(metric, N, plan)
     computed = _count_calls(monkeypatch, owner, method)
     records = fc.cut_locus(field)

@@ -95,10 +95,10 @@ def test_a_flat_field_files_flows_only_for_uncut_rays():
     field.file_fan(field.rays)
     assert set(field._flows) == {(key, H) for key in keys
                                  if key not in field._cut_times}
-    assert not field._paths
-    # the fan's exact lines are built one by one on request, each equal to
-    # its row of a batch integration
-    field._stacked()
+    # the first distance queries read the stacked fan, whose exact lines
+    # are built one by one on request, each equal to its row of a batch
+    # integration
+    assert field._stack is not None
     rows = fc.integrate_geodesics(field.metric,
                                   [ray.tangent() for ray in field.rays], H)
     for ray, row in zip(field.rays, rows):

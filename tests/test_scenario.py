@@ -175,6 +175,9 @@ _CANNOT_RUN = {
     "direction": ("submanifold",
                   {"family": "axis-line", "direction": [0.0, 1.0, 0.0]},
                   "/submanifold/direction"),
+    # the schema accepts it: it cannot name the charts of an atlas
+    "chart": ("submanifold", {"family": "point", "chart": 1},
+              "/submanifold/chart"),
     "formats": ("output", {"formats": ["json"]}, "/output"),
     "newton": ("tolerances", {"newton": 1e-9}, "/tolerances"),
     "distinct_angle": ("tolerances", {"distinct_angle": 1e-3},
