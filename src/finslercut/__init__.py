@@ -15,7 +15,7 @@ from .errors import (AtlasExitError, ConvexityError, CutLocusError,
 from .metric import (CustomMetric, MetricField, MetricReport,
                      MinkowskiQuarticMetric, RandersMetric, ReversedMetric,
                      RiemannianMetric, euclidean_metric, legendre_inverse,
-                     sphere_metric, validate_metric)
+                     legendre_inverses, sphere_metric, validate_metric)
 from .geodesic import (GeodesicPath, LinearizedFrame, PathSegment,
                        conjugate_time, exp_map, first_degeneracies,
                        first_degeneracy, integrate_geodesic,
@@ -27,7 +27,7 @@ from .submanifold import (Minimizer, NormalRay, SubmanifoldSpec,
                           ellipse_submanifold, normal_jacobi_flow,
                           normal_jacobi_flows, point_submanifold,
                           sample_unit_cone, sampled_curve_submanifold,
-                          tangent_frame, unit_normal)
+                          tangent_frame, unit_normal, unit_normals)
 from .cutlocus import (CutRecord, CutTimeResult, DistanceWitness,
                        NormalShooting, Report, ShootingPlan,
                        check_rho_continuity, check_rho_leq_lambda,

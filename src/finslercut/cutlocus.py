@@ -77,6 +77,7 @@ from .atlas import TangentVec
 from .geodesic import (DEFAULT_ATOL, DEFAULT_RTOL, first_degeneracies,
                        first_degeneracy, integrate_geodesic, path_states,
                        straight_geodesics)
+from .metric import _row_dots, _row_norms
 from .straight import straight_point_source
 from .submanifold import (Minimizer, NormalRay, normal_jacobi_flow,
                           normal_jacobi_flows, sample_unit_cone, unit_normal)
@@ -159,13 +160,6 @@ class CutRecord:
     competitor: tuple = None
     unbounded: bool = False
     diagnostics: dict = dc_field(default_factory=dict)
-
-
-def _row_norms(R):
-    """``np.linalg.norm`` of each row of R, to the last bit: the row's dot
-    with itself by ``np.matmul`` on (k, 1, d) @ (k, d, 1), as ``dopri``'s
-    ``_rms`` takes it."""
-    return np.sqrt(np.matmul(R[:, None, :], R[:, :, None])[:, 0, 0])
 
 
 def _close(u, w):
@@ -501,8 +495,8 @@ class NormalShooting:
             failed[act[bad]] = True
             act, vel = act[~bad], vel[~bad]
             r = R[act]
-            num = np.matmul(vel[:, None, :], r[:, :, None])[:, 0, 0]
-            den = np.matmul(vel[:, None, :], vel[:, :, None])[:, 0, 0]
+            num = _row_dots(vel, r)
+            den = _row_dots(vel, vel)
             t_new = np.maximum(t[act] + np.clip(-num / den, -dt_cap, dt_cap),
                                1e-9)
             # negated tests, so that NaN steps on as the scalar stage's did

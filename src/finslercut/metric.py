@@ -16,16 +16,24 @@ without evaluating anything, and a reversed metric negates the velocity
 rows.  The dual-number oracles stay as the fallback for
 custom metrics and as the reference the closed forms are tested against.
 
-Two row oracles evaluate many tangent vectors at one base point:
+Three row oracles evaluate many tangent vectors at one base point:
 ``F_rows`` (F of each row) and ``legendre_rows`` (the covector g_v v of
-each row), both 0 on a row shorter than V_FLOOR.  ``value_generic`` is the
-one place a family writes F.  It uses arithmetic and ``dual.sqrt`` only,
-with no branch on v, so it runs on floats, on nested duals and on the
-columns of a block of rows: ``F_rows`` is one ``value_generic`` call on
-arrays, elementwise the float operations of the scalar ``F``, and equals
-it to the bit.  ``legendre_rows`` loops ``fundamental`` by default; the
-Riemannian, Randers and quartic Minkowski families and their reverses
-write it as the v-gradient of F^2 / 2 in closed form on arrays.
+each row), both 0 on a row shorter than V_FLOOR, and ``fundamental_rows``
+(the tensor g_v of each row).  ``value_generic`` is the one place a family
+writes F.  It uses arithmetic and ``dual.sqrt`` only, with no branch on v,
+so it runs on floats, on nested duals and on the columns of a block of
+rows: ``F_rows`` is one ``value_generic`` call on arrays, elementwise the
+float operations of the scalar ``F``, and equals it to the bit.
+``legendre_rows`` and ``fundamental_rows`` loop ``fundamental`` by default;
+the Riemannian, Randers and quartic Minkowski families and their reverses
+write them in closed form on arrays, ``fundamental_rows`` operation by
+operation as the scalar ``fundamental``, so each row keeps its bits.  The
+products of rows with vectors and matrices go through ``np.matmul`` on
+stacked (k, 1, n), (k, n, n) and (k, n, 1) operands, which calls the
+routine the 1-D product calls; ``einsum`` and ``np.linalg.norm(axis=1)``
+round differently.  ``legendre_inverses`` runs the Newton of the scalar
+``legendre_inverse`` on many covectors in lockstep, one
+``fundamental_rows`` call per iteration, and equals it row by row.
 """
 
 from __future__ import annotations
@@ -36,7 +44,8 @@ import numpy as np
 
 from . import dual
 from .atlas import TangentVec
-from .errors import (ConvexityError, DegenerateDirectionError, InversionError)
+from .errors import (ConvexityError, DegenerateDirectionError, FinslerError,
+                     InversionError)
 
 V_FLOOR = 1e-12
 INVERSE_TOL = 1e-10         # inversion residual stop, relative to 1 + |omega|
@@ -51,6 +60,39 @@ def _check_dir(v):
     if np.linalg.norm(v) < V_FLOOR:
         raise DegenerateDirectionError("operation requires |v| > 1e-12")
     return v
+
+
+def _check_dirs(V):
+    """The (k, n) array of rows V, each checked as ``_check_dir`` checks."""
+    V = np.asarray(V, dtype=float)
+    if (_row_norms(V) < V_FLOOR).any():
+        raise DegenerateDirectionError("operation requires |v| > 1e-12")
+    return V
+
+
+def _row_dots(A, B):
+    """``A[r] @ B[r]`` of each row pair of the (k, n) arrays, to the bit."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+
+
+def _row_norms(A):
+    """``np.linalg.norm(A[r])`` of each row of the (k, n) array, to the
+    bit."""
+    return np.sqrt(_row_dots(A, A))
+
+
+def _mat_rows(M, V):
+    """``M[r] @ V[r]`` of each row of the (k, n) array V, for a (k, n, n)
+    stack M or one (n, n) matrix, to the bit."""
+    return np.matmul(M, V[:, :, None])[:, :, 0]
+
+
+def _held(errors, fn, *args):
+    """fn(*args), or the exception of a type in ``errors`` that it raises."""
+    try:
+        return fn(*args)
+    except errors as exc:
+        return exc
 
 
 class MetricField:
@@ -97,6 +139,16 @@ class MetricField:
         return _on_live_rows(V, lambda W: np.array(
             [self.fundamental(TangentVec(chart, x, v)) @ v for v in W]
         ).reshape(W.shape))
+
+    def fundamental_rows(self, chart, x, V) -> np.ndarray:
+        """``fundamental`` at each row v of the (k, n) array V, as a
+        (k, n, n) array; by default row by row.  A row shorter than V_FLOOR
+        raises DegenerateDirectionError."""
+        x = np.asarray(x, dtype=float)
+        V = np.asarray(V, dtype=float)
+        n = self.atlas.dim
+        return np.array([self.fundamental(TangentVec(chart, x, v))
+                         for v in V]).reshape(len(V), n, n)
 
     # -- derivative oracles ---------------------------------------------
 
@@ -271,11 +323,19 @@ class RiemannianMetric(MetricField):
     def value_generic(self, chart, x, v):
         return dual.sqrt(_quadratic(self.matrix_fn(chart, x), v))
 
-    def fundamental(self, p):
-        _check_dir(p.v)
-        a = self.matrix_fn(p.chart, [float(c) for c in p.x])
+    def _a(self, chart, x):
+        a = self.matrix_fn(chart, [float(c) for c in x])
         return np.array([[dual.real(a[i][j]) for j in range(self.atlas.dim)]
                          for i in range(self.atlas.dim)])
+
+    def fundamental(self, p):
+        _check_dir(p.v)
+        return self._a(p.chart, p.x)
+
+    # a(x) once for every row
+    def fundamental_rows(self, chart, x, V):
+        V = _check_dirs(V)
+        return np.repeat(self._a(chart, x)[None], len(V), axis=0)
 
     def cartan(self, p):
         _check_dir(p.v)
@@ -478,6 +538,19 @@ class RandersMetric(MetricField):
         return np.outer(lb, lb) + f * (self.a / alpha
                                        - np.outer(av, av) / alpha ** 3)
 
+    def fundamental_rows(self, chart, x, V):
+        """``fundamental`` on rows, operation by operation; alpha ** 3 is a
+        float pow per row, as there."""
+        V = _check_dirs(V)
+        av = _mat_rows(self.a, V)
+        alpha = np.sqrt(_row_dots(V, av))
+        f = alpha + _row_dots(np.broadcast_to(self.b, V.shape), V)
+        lb = av / alpha[:, None] + self.b
+        alpha, f = alpha[:, None, None], f[:, None, None]
+        return lb[:, :, None] * lb[:, None, :] + f * (
+            self.a / alpha - av[:, :, None] * av[:, None, :]
+            / _cube_rows(alpha.ravel())[:, None, None])
+
     def legendre_rows(self, chart, x, V):
         """g_v v = F(v) (a v / alpha + b), alpha = sqrt(a(v, v)): the
         v-gradient of F^2 / 2.  The products with a and b are taken row by
@@ -538,6 +611,23 @@ class MinkowskiQuarticMetric(MetricField):
         g -= vw.T
         return g
 
+    def fundamental_rows(self, chart, x, V):
+        """``fundamental`` on rows, operation by operation."""
+        V = _check_dirs(V)
+        eps = self.eps
+        V2 = V * V
+        q = V2.sum(axis=1)
+        s = _row_dots(V2, V2)
+        W = (4.0 * eps / (q * q))[:, None] * (V2 - (0.5 * s / q)[:, None]) * V
+        VW = V[:, :, None] * W[:, None, :]
+        n = V.shape[1]
+        g = np.zeros((len(V), n, n))
+        g[:, range(n), range(n)] = ((1.0 - eps * s / (q * q))[:, None]
+                                    + (6.0 * eps / q)[:, None] * V2)
+        g -= VW
+        g -= VW.transpose(0, 2, 1)
+        return g
+
     def legendre_rows(self, chart, x, V):
         """g_v v = v + (2 eps / q)(v^2 - s / 2q) v, the v-gradient of
         F^2 / 2 with q and s as in ``fundamental``."""
@@ -574,6 +664,10 @@ class ReversedMetric(MetricField):
 
     def fundamental(self, p):
         return self.base.fundamental(TangentVec(p.chart, p.x, -p.v))
+
+    def fundamental_rows(self, chart, x, V):
+        return self.base.fundamental_rows(chart, x,
+                                          -np.asarray(V, dtype=float))
 
     def cartan(self, p):
         return -self.base.cartan(TangentVec(p.chart, p.x, -p.v))
@@ -634,6 +728,65 @@ def legendre_inverse(metric, chart, x, omega) -> TangentVec:
         residual=float(np.linalg.norm(r)))
 
 
+def legendre_inverses(metric, chart, x, Omega) -> list:
+    """``legendre_inverse`` of each row omega of the (k, n) array Omega at
+    one base point, the Newton of every row in lockstep: one
+    ``fundamental_rows`` call per iteration on the rows still running, and
+    the lone inversion's stop, Cramer step and damping on each.
+
+    Entry i is the TangentVec of Omega[i], equal to its lone inversion to
+    the last bit, or the InversionError or LinAlgError that the lone
+    inversion raises, held in place.  Should a tensor call raise, every row
+    still running is inverted alone."""
+    x = np.asarray(x, dtype=float)
+    Omega = np.asarray(Omega, dtype=float)
+    onorm = _row_norms(Omega)
+    out = [TangentVec(chart, x, np.zeros_like(omega)) if short else None
+           for omega, short in zip(Omega, (onorm < V_FLOOR).tolist())]
+    rows = np.flatnonzero(~(onorm < V_FLOOR))
+    tol = INVERSE_TOL * (1.0 + onorm[rows])
+    W = Omega[rows]
+    V = W.copy()
+    for _ in range(INVERSE_ITERS):
+        if not rows.size:
+            return out
+        try:
+            G = metric.fundamental_rows(chart, x, V)
+        except (FinslerError, np.linalg.LinAlgError):
+            for i in rows.tolist():
+                out[i] = _held((FinslerError, np.linalg.LinAlgError),
+                               legendre_inverse, metric, chart, x, Omega[i])
+            return out
+        R = _mat_rows(G, V) - W
+        rnorm = _row_norms(R)
+        a, b, c, d = G[:, 0, 0], G[:, 0, 1], G[:, 1, 0], G[:, 1, 1]
+        det = a * d - b * c
+        done = rnorm <= tol
+        for j in np.flatnonzero(done | (det == 0.0)).tolist():
+            out[rows[j]] = (TangentVec(chart, x, V[j].copy()) if done[j]
+                            else np.linalg.LinAlgError(
+                                "singular fundamental tensor"))
+        go = ~done & (det != 0.0)
+        rows, tol, W, V, R, rnorm = (rows[go], tol[go], W[go], V[go], R[go],
+                                     rnorm[go])
+        a, b, c, d, det = a[go], b[go], c[go], d[go], det[go]
+        r0, r1 = R[:, 0], R[:, 1]
+        step = np.stack([d * r0 - b * r1, a * r1 - c * r0], axis=1) \
+            / det[:, None]
+        # damped update keeps each v away from the slit origin
+        vn = V - step
+        short = _row_norms(vn) < V_FLOOR
+        while short.any():
+            step[short] *= 0.5
+            vn[short] = V[short] - step[short]
+            short = _row_norms(vn) < V_FLOOR
+        V = vn
+    for i, res in zip(rows.tolist(), rnorm.tolist()):
+        out[i] = InversionError(
+            f"Legendre inversion stalled, residual {res:.3g}", residual=res)
+    return out
+
+
 @dataclass
 class MetricReport:
     homogeneity_max: float
@@ -661,35 +814,45 @@ def validate_metric(metric, seed=0) -> MetricReport:
     scales = (1.0, 0.5, 2.0, 10.0) + ((-1.0,) if metric.reversible else ())
     for _ in range(VALIDATE_POINTS):
         x = rng.uniform(lo, hi)
-        dirs = []
-        for _ in range(VALIDATE_DIRS):
-            v = rng.normal(size=n)
-            v /= np.linalg.norm(v)
-            dirs.append(v)
+        # the stream of VALIDATE_DIRS draws of size n, in one draw
+        dirs = rng.normal(size=(VALIDATE_DIRS, n))
+        dirs /= _row_norms(dirs)[:, None]
         # F of each direction times each scale, from one call: row 0 the
         # direction, rows 1-3 its homogeneity multiples, row 4 its reverse
-        fs = metric.F_rows(0, x, [lam * v for lam in scales for v in dirs])
+        fs = metric.F_rows(0, x, (np.array(scales)[:, None, None]
+                                  * dirs).reshape(-1, n))
         fs = fs.reshape(len(scales), VALIDATE_DIRS).T.tolist()
-        for v, f_v in zip(dirs, fs):
+        # the tensors of every direction from one call or, should it raise,
+        # each direction's own tensor or ConvexityError (its row then I)
+        errs = [None] * VALIDATE_DIRS
+        try:
+            gs = metric.fundamental_rows(0, x, dirs)
+        except ConvexityError:
+            gs = [_held(ConvexityError, metric.fundamental,
+                        TangentVec(0, x, v)) for v in dirs]
+            errs = [g if isinstance(g, ConvexityError) else None for g in gs]
+            gs = np.array([g if e is None else np.eye(n)
+                           for g, e in zip(gs, errs)])
+        eigs = np.linalg.eigvalsh(0.5 * (gs + gs.transpose(0, 2, 1)))
+        vgvs = np.matmul(np.matmul(dirs[:, None, :], gs), dirs[:, :, None])
+        for v, f_v, w, vgv, err in zip(dirs, fs, eigs[:, 0].tolist(),
+                                       vgvs[:, 0, 0].tolist(), errs):
             f = f_v[0]
-            p = TangentVec(0, x, v)
             for lam, fl in zip(scales[1:4], f_v[1:4]):
                 res = abs(fl - lam * f) / (1.0 + lam * f)
                 hom_max = max(hom_max, res)
                 if res > 1e-9:
                     failures.append(("homogeneity", x.copy(), v.copy(), res))
-            try:
-                g = metric.fundamental(p)
-                w = float(np.linalg.eigvalsh(0.5 * (g + g.T))[0])
+            if err is not None:
+                failures.append(("convexity", x.copy(), v.copy(), str(err)))
+            else:
                 eig_min = min(eig_min, w)
                 if w <= 0:
                     failures.append(("convexity", x.copy(), v.copy(), w))
-                ident = abs(v @ g @ v - f * f) / max(f * f, 1.0)
+                ident = abs(vgv - f * f) / max(f * f, 1.0)
                 ident_max = max(ident_max, ident)
                 if ident > 1e-9:
                     failures.append(("gvv-identity", x.copy(), v.copy(), ident))
-            except ConvexityError as exc:
-                failures.append(("convexity", x.copy(), v.copy(), str(exc)))
             if metric.reversible:
                 res = abs(f_v[4] - f) / (1.0 + f)
                 rev_max = max(rev_max, res)

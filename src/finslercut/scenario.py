@@ -614,6 +614,34 @@ def schema_error(data):
                default=None)
 
 
+def _integers(schema, x):
+    """``x``, conforming to ``schema``, with each value the schema types
+    ``integer`` made an int: the type admits integral floats such as 16.0,
+    and the program indexes and shifts with these values."""
+    if schema.get("type") == "integer":
+        return int(x)
+    if isinstance(x, dict) and "properties" in schema:
+        return {key: _integers(schema["properties"][key], value)
+                for key, value in x.items()}
+    if isinstance(x, list) and "items" in schema:
+        return [_integers(schema["items"], item) for item in x]
+    return x
+
+
+def _non_finite(x, path=()):
+    """The path of the first number in ``x`` that is NaN or infinite, which
+    Python's JSON reader admits and JSON does not, else None."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return path
+    items = x.items() if isinstance(x, dict) else \
+        enumerate(x) if isinstance(x, list) else ()
+    for key, value in items:
+        got = _non_finite(value, path + (key,))
+        if got is not None:
+            return got
+    return None
+
+
 def _plan_defaults(section):
     """The ShootingPlan defaults of a scenario section, by scenario key."""
     plan = ShootingPlan()
@@ -672,6 +700,12 @@ def parse_scenario(text) -> Scenario:
                    f"valid: {', '.join(opts)}")
         raise ScenarioError(f"invalid scenario at {pointer}: {msg}",
                             pointer=pointer)
+    path = _non_finite(data)
+    if path is not None:
+        pointer = "/" + "/".join(map(str, path))
+        raise ScenarioError(f"invalid scenario at {pointer}: a number must "
+                            f"be finite", pointer=pointer)
+    data = _integers(SCHEMA, data)
     tasks = list(data.get("tasks", _DEFAULTS["tasks"]))
     for i, task in enumerate(tasks):
         if task in _NEEDS_CUTLOCUS and "cutlocus" not in tasks[:i]:
@@ -691,12 +725,13 @@ def parse_scenario(text) -> Scenario:
         grids=_merged("grids", data),
         tolerances=_merged("tolerances", data),
         tasks=tasks,
-        seed=int(data.get("seed", _DEFAULTS["seed"])),
+        seed=data.get("seed", _DEFAULTS["seed"]),
         output=_merged("output", data),
     )
     # the schema cannot state |b|_a < 1 (the schema bounds the quartic eps),
     # so the metric's own constructor checks the Randers drift; nor can it
-    # name the charts of the atlas
+    # name the charts of the atlas, nor refuse a zero axis-line direction,
+    # which the submanifold's constructor refuses
     atlas = MANIFOLD_TYPES[sc.manifold["type"]](sc.manifold)
     try:
         METRIC_FAMILIES[sc.metric["family"]](sc, atlas)
@@ -709,6 +744,12 @@ def parse_scenario(text) -> Scenario:
             f"{sc.submanifold['chart']} is not one of the {atlas.n_charts} "
             f"charts of a {sc.manifold['type']} manifold",
             pointer="/submanifold/chart")
+    try:
+        SUBMANIFOLD_FAMILIES[sc.submanifold["family"]](sc.submanifold)
+    except ValueError as exc:
+        raise ScenarioError(f"invalid scenario at /submanifold/direction: "
+                            f"{exc}", pointer="/submanifold/direction") \
+            from exc
     return sc
 
 

@@ -7,6 +7,17 @@ cone at p is computed through the annihilator of T_pN followed by Legendre
 inversion, and unit rays are indexed by (theta, psi): base parameter plus a
 unit coordinate on the annihilator sphere.  For a point the annihilator
 sphere is the psi circle; for a curve it is the two-point set {+1, -1}.
+
+``unit_normals`` computes the unit normals of many psi at one base
+parameter on rows: one lockstep Legendre inversion
+(``metric.legendre_inverses``), one ``F_rows`` call and, on a curve, one
+``fundamental_rows`` call, each row equal to its lone ``unit_normal`` to
+the last bit.  A point source's fan is one such call, and so are the
+cone neighbours psi +- h of every ray of a ``normal_jacobi_flows`` batch
+from a point.  A curve has two rays per base point, and a curve ray's
+neighbours lie over other base points, so these, like the off-grid rays
+of a shooting session, are found one by one: a batch of one or two rows is
+slower than as many lone ``unit_normal`` calls.
 """
 
 from __future__ import annotations
@@ -21,7 +32,8 @@ from .atlas import TangentVec
 from .errors import FinslerError, ImmersionError, NumericalFailure
 from .geodesic import (DEFAULT_ATOL, DEFAULT_RTOL, linearized_flow,
                        linearized_flows)
-from .metric import legendre_inverse
+from .metric import (_held, _mat_rows, _row_norms, legendre_inverse,
+                     legendre_inverses)
 
 ORTH_TOL = 1e-7
 CONE_STEP = 1e-6            # central-difference step of cone_variation_data
@@ -96,7 +108,11 @@ def axis_line_submanifold(chart=0, point=(0.0, 0.0), direction=(0.0, 1.0),
                           half_extent=4.0):
     p = np.asarray(point, dtype=float)
     d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
+    length = float(np.linalg.norm(d))
+    if not 0.0 < length < math.inf:
+        raise ValueError(f"an axis line needs a nonzero finite direction, "
+                         f"not {d.tolist()}")
+    d = d / length
 
     def imm(th):
         t = th[0]
@@ -212,19 +228,64 @@ def unit_normal(metric, N: SubmanifoldSpec, theta, psi) -> NormalRay:
     return ray
 
 
+def unit_normals(metric, N: SubmanifoldSpec, theta, psis) -> list:
+    """``unit_normal`` at the base parameter ``theta`` of each of ``psis``,
+    on rows.  Entry i is the NormalRay of psis[i], equal to its lone
+    ``unit_normal`` to the last bit, or the FinslerError or LinAlgError
+    that that call raises, held in place.  Should a step shared by the rows
+    raise, each psi is solved alone."""
+    errors = (FinslerError, np.linalg.LinAlgError)
+    try:
+        return _unit_normals(metric, N, theta, psis)
+    except errors:
+        return [_held(errors, unit_normal, metric, N, theta, psi)
+                for psi in psis]
+
+
+def _unit_normals(metric, N, theta, psis):
+    theta = np.atleast_1d(np.asarray(theta, dtype=float)) if N.k \
+        else np.zeros(0)
+    psis = np.array([np.atleast_1d(np.asarray(psi, dtype=float))
+                     for psi in psis]).reshape(len(psis), 2 - N.k)
+    psis = psis / _row_norms(psis)[:, None]
+    p = N.point(theta)
+    got = legendre_inverses(metric, N.chart, p,
+                            _mat_rows(annihilator_basis(N, theta), psis))
+    live = [i for i, tv in enumerate(got) if not isinstance(tv, Exception)]
+    V = np.array([got[i].v for i in live]).reshape(len(live), 2)
+    V = V / metric.F_rows(N.chart, p, V)[:, None]
+    if N.k:
+        G = metric.fundamental_rows(N.chart, p, V)
+        vg = np.matmul(V[:, None, :], G)
+        res = np.abs(np.matmul(vg, N.jacobian(theta))).max(axis=(1, 2))
+    for j, i in enumerate(live):
+        ray = got[i] = NormalRay(theta.copy(), psis[i].copy(), N.chart,
+                                 p.copy(), V[j].copy())
+        if N.k:
+            ray.orth_residual = float(res[j])
+            if ray.orth_residual > ORTH_TOL:
+                got[i] = NumericalFailure(
+                    f"normal ray fails g-orthogonality at theta={theta}: "
+                    f"{ray.orth_residual:.3g}")
+    return got
+
+
 def sample_unit_cone(metric, N: SubmanifoldSpec, grid):
     """Deterministic product grid over Theta and the annihilator sphere.
 
     grid = (theta_count, psi_count).  A point gets psi_count directions on
     the psi circle; a curve gets theta_count base points and the sides
-    {+1, -1}.  Per-ray failures are collected, not fatal; returns
-    (rays, failures).
+    {+1, -1}.  A point's fan is one ``unit_normals`` call; a curve's two
+    rays per base point are lone ``unit_normal`` calls, which a two-row
+    batch is slower than.  Per-ray failures are collected, not fatal;
+    returns (rays, failures).
     """
     theta_count, psi_count = grid
     if N.k == 0:
-        thetas = [np.zeros(0)]
         angles = 2 * np.pi * np.arange(psi_count) / psi_count
         psis = [np.array([np.cos(a), np.sin(a)]) for a in angles]
+        cone = [(np.zeros(0), psi) for psi in psis]
+        got = unit_normals(metric, N, np.zeros(0), psis)
     else:
         lo, hi = N.theta_box[0, 0], N.theta_box[1, 0]
         if N.periodic[0]:
@@ -233,15 +294,17 @@ def sample_unit_cone(metric, N: SubmanifoldSpec, grid):
         else:
             thetas = [np.array([t])
                       for t in np.linspace(lo, hi, theta_count)]
-        psis = [np.array([1.0]), np.array([-1.0])]
+        cone = [(theta, np.array([side])) for theta in thetas
+                for side in (1.0, -1.0)]
+        got = [_held((FinslerError, np.linalg.LinAlgError), unit_normal,
+                     metric, N, theta, psi) for theta, psi in cone]
     rays = []
     failures = []
-    for theta in thetas:
-        for psi in psis:
-            try:
-                rays.append(unit_normal(metric, N, theta, psi))
-            except (FinslerError, np.linalg.LinAlgError) as exc:
-                failures.append((theta, psi, exc))
+    for (theta, psi), ray in zip(cone, got):
+        if isinstance(ray, Exception):
+            failures.append((theta, psi, ray))
+        else:
+            rays.append(ray)
     return rays, failures
 
 
@@ -267,6 +330,31 @@ def cone_variation_data(metric, N, ray: NormalRay):
     return J0, ((vp - vm) / (2 * h)).reshape(2, 1)
 
 
+def _cone_variations(metric, N, rays) -> list:
+    """``cone_variation_data`` of each of ``rays``: entry i its (J0, Jd0)
+    or the FinslerError or LinAlgError it raises.  From a point, the
+    neighbours psi +- h tangent of every ray are one ``unit_normals``
+    call."""
+    errors = (FinslerError, np.linalg.LinAlgError)
+    if N.k or not rays:
+        return [_held(errors, cone_variation_data, metric, N, ray)
+                for ray in rays]
+    h = CONE_STEP
+    psis = []
+    for ray in rays:
+        tang = np.array([-ray.psi[1], ray.psi[0]])
+        psis += [ray.psi + h * tang, ray.psi - h * tang]
+    got = unit_normals(metric, N, np.zeros(0), psis)
+    out = []
+    for vp, vm in zip(got[0::2], got[1::2]):
+        if isinstance(vp, Exception) or isinstance(vm, Exception):
+            out.append(vp if isinstance(vp, Exception) else vm)
+        else:
+            out.append((np.zeros((2, 1)),
+                        ((vp.v - vm.v) / (2 * h)).reshape(2, 1)))
+    return out
+
+
 def normal_jacobi_flow(metric, N, ray: NormalRay, T, rtol=DEFAULT_RTOL,
                        atol=DEFAULT_ATOL):
     """The N-Jacobi fields along one unit ray on [0, T]: the flow of its
@@ -284,14 +372,13 @@ def normal_jacobi_flows(metric, N, rays, T, rtol=DEFAULT_RTOL,
     rays[i], equal to its lone flow, or the FinslerError or LinAlgError
     that its initial data or its integration raises."""
     out, starts, data = [], [], []
-    for ray in rays:
-        try:
-            data.append(cone_variation_data(metric, N, ray))
-        except (FinslerError, np.linalg.LinAlgError) as exc:
-            out.append(exc)
+    for ray, got in zip(rays, _cone_variations(metric, N, rays)):
+        if isinstance(got, Exception):
+            out.append(got)
             continue
         out.append(None)
         starts.append(ray)
+        data.append(got)
     frames = iter(linearized_flows(
         metric, [ray.tangent() for ray in starts], float(T),
         [J0 for J0, _ in data], [Jd0 for _, Jd0 in data],

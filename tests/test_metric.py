@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import math
 
@@ -410,3 +411,232 @@ def test_no_family_overrides_F_rows():
                 and c is not MetricField]
     assert len(families) >= 6
     assert [c.__name__ for c in families if "F_rows" in vars(c)] == []
+
+
+# -- fundamental tensors and Legendre inverses on rows -------------------
+
+
+def _hexes(a):
+    return [float.hex(float(c)) for c in np.ravel(a)]
+
+
+def _tensor_cases():
+    """(metric, chart, x) of every family with a closed-form
+    ``fundamental_rows``, the round sphere in both charts, and the custom
+    metric on the default loop."""
+    metrics = _row_metrics()
+    cases = {name: (m, 0, np.array([0.2, 0.3])) for name, m in metrics.items()}
+    cases["sphere-chart-1"] = (metrics["sphere"], 1, np.array([-0.7, 0.45]))
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_tensor_cases()))
+def test_fundamental_rows_equal_fundamental_to_the_bit(case):
+    metric, chart, x = _tensor_cases()[case]
+    rows = _random_rows(9)[:-2]
+    got = metric.fundamental_rows(chart, x, rows)
+    assert got.shape == (len(rows), 2, 2)
+    for g, v in zip(got, rows):
+        assert _hexes(g) == _hexes(metric.fundamental(TangentVec(chart, x, v)))
+    assert metric.fundamental_rows(chart, x, np.zeros((0, 2))).shape == \
+        (0, 2, 2)
+    with pytest.raises(fc.DegenerateDirectionError):
+        metric.fundamental_rows(chart, x, _random_rows(9)[-3:])
+
+
+def _lone_inverse(metric, chart, x, omega):
+    try:
+        return fc.legendre_inverse(metric, chart, x, omega)
+    except (fc.FinslerError, np.linalg.LinAlgError) as exc:
+        return exc
+
+
+def _assert_same_inverses(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        if isinstance(w, Exception):
+            assert str(g) == str(w)
+            assert getattr(g, "residual", None) == getattr(w, "residual", None)
+        else:
+            assert g.chart == w.chart
+            assert _hexes(g.x) == _hexes(w.x) and _hexes(g.v) == _hexes(w.v)
+
+
+@pytest.mark.parametrize("case", list(_tensor_cases()))
+def test_legendre_inverses_equal_legendre_inverse_to_the_bit(case):
+    metric, chart, x = _tensor_cases()[case]
+    rows = _random_rows(10)
+    omegas = np.vstack([metric.legendre_rows(chart, x, rows[:-2]),
+                        rows[-2:]])          # and two rows below V_FLOOR
+    got = fc.legendre_inverses(metric, chart, x, omegas)
+    _assert_same_inverses(
+        got, [_lone_inverse(metric, chart, x, om) for om in omegas])
+    assert not got[-1].v.any() and not got[-2].v.any()
+    assert fc.legendre_inverses(metric, chart, x, np.zeros((0, 2))) == []
+
+
+class _Planted(fc.CustomMetric):
+    """g_v = I / |v|, so the inversion of omega stops at once when
+    |omega| = 1 and stalls otherwise, and g_v = 0, singular, when v[1] < 0;
+    with ``convexity_at`` set, a row whose v[0] equals it raises
+    ConvexityError."""
+
+    convexity_at = None
+
+    def fundamental(self, p):
+        if p.v[0] == self.convexity_at:
+            raise fc.ConvexityError("planted")
+        if p.v[1] < 0:
+            return np.zeros((2, 2))
+        return np.eye(2) / np.linalg.norm(p.v)
+
+
+def _planted(convexity_at=None):
+    metric = _Planted(fc.flat_atlas(), lambda chart, x, v: dual.sqrt(
+        v[0] * v[0] + v[1] * v[1]))
+    metric.convexity_at = convexity_at
+    return metric
+
+
+_PLANTED_OMEGAS = np.array([[0.6, 0.8], [1.2, 1.6], [0.8, -0.6],
+                            [0.0, 1.0], [3.0, 0.0]])
+
+
+def test_legendre_inverses_hold_each_failing_row_in_place():
+    metric = _planted()
+    x = np.zeros(2)
+    got = fc.legendre_inverses(metric, 0, x, _PLANTED_OMEGAS)
+    assert [type(g).__name__ for g in got] == [
+        "TangentVec", "InversionError", "LinAlgError", "TangentVec",
+        "InversionError"]
+    _assert_same_inverses(
+        got, [_lone_inverse(metric, 0, x, om) for om in _PLANTED_OMEGAS])
+
+
+def test_legendre_inverses_invert_alone_when_a_tensor_call_raises():
+    # the batch's tensor call raises for the row at v[0] = 3: every row
+    # still running is then inverted alone, and each keeps its own result
+    metric = _planted(convexity_at=3.0)
+    x = np.zeros(2)
+    got = fc.legendre_inverses(metric, 0, x, _PLANTED_OMEGAS)
+    assert [type(g).__name__ for g in got] == [
+        "TangentVec", "InversionError", "LinAlgError", "TangentVec",
+        "ConvexityError"]
+    _assert_same_inverses(
+        got, [_lone_inverse(metric, 0, x, om) for om in _PLANTED_OMEGAS])
+
+
+def _reference_validate(metric, seed=0):
+    """``validate_metric`` as it was written before its tensors were taken
+    on rows: one direction draw, ``fundamental`` and ``eigvalsh`` call at a
+    time."""
+    from finslercut.metric import (VALIDATE_BOX, VALIDATE_DIRS,
+                                   VALIDATE_POINTS)
+    rng = np.random.default_rng(seed)
+    lo = np.asarray(VALIDATE_BOX[0], float)
+    hi = np.asarray(VALIDATE_BOX[1], float)
+    n = metric.atlas.dim
+    failures = []
+    hom_max = 0.0
+    eig_min = np.inf
+    cart_max = 0.0
+    rev_max = 0.0
+    ident_max = 0.0
+    scales = (1.0, 0.5, 2.0, 10.0) + ((-1.0,) if metric.reversible else ())
+    for _ in range(VALIDATE_POINTS):
+        x = rng.uniform(lo, hi)
+        dirs = []
+        for _ in range(VALIDATE_DIRS):
+            v = rng.normal(size=n)
+            v /= np.linalg.norm(v)
+            dirs.append(v)
+        fs = metric.F_rows(0, x, [lam * v for lam in scales for v in dirs])
+        fs = fs.reshape(len(scales), VALIDATE_DIRS).T.tolist()
+        for v, f_v in zip(dirs, fs):
+            f = f_v[0]
+            p = TangentVec(0, x, v)
+            for lam, fl in zip(scales[1:4], f_v[1:4]):
+                res = abs(fl - lam * f) / (1.0 + lam * f)
+                hom_max = max(hom_max, res)
+                if res > 1e-9:
+                    failures.append(("homogeneity", x.copy(), v.copy(), res))
+            try:
+                g = metric.fundamental(p)
+                w = float(np.linalg.eigvalsh(0.5 * (g + g.T))[0])
+                eig_min = min(eig_min, w)
+                if w <= 0:
+                    failures.append(("convexity", x.copy(), v.copy(), w))
+                ident = abs(v @ g @ v - f * f) / max(f * f, 1.0)
+                ident_max = max(ident_max, ident)
+                if ident > 1e-9:
+                    failures.append(("gvv-identity", x.copy(), v.copy(),
+                                     ident))
+            except fc.ConvexityError as exc:
+                failures.append(("convexity", x.copy(), v.copy(), str(exc)))
+            if metric.reversible:
+                res = abs(f_v[4] - f) / (1.0 + f)
+                rev_max = max(rev_max, res)
+                if res > 1e-10:
+                    failures.append(("reversibility", x.copy(), v.copy(),
+                                     res))
+        v = rng.normal(size=n)
+        v /= np.linalg.norm(v)
+        p = TangentVec(0, x, v)
+        try:
+            C = metric.cartan(p)
+            contr = float(np.max(np.abs(np.einsum("ijk,i->jk", C, v))))
+            cart_max = max(cart_max, contr)
+            if contr > 1e-9:
+                failures.append(("cartan-contraction", x.copy(), v.copy(),
+                                 contr))
+        except fc.ConvexityError:
+            pass
+    return fc.MetricReport(hom_max, float(eig_min), cart_max, rev_max,
+                           ident_max, not failures, failures)
+
+
+def _report_key(report):
+    """Every value of a MetricReport, floats as their hex strings."""
+    def norm(value):
+        if isinstance(value, np.ndarray):
+            return tuple(_hexes(value))
+        if isinstance(value, float):
+            return float.hex(value)
+        return value
+    fields = dataclasses.astuple(report)
+    return ([norm(float(f)) for f in fields[:5]], fields[5],
+            [tuple(norm(c) for c in failure) for failure in fields[6]])
+
+
+class _NotConvexEverywhere(fc.CustomMetric):
+    """A Euclidean norm whose tensor raises ConvexityError in the left half
+    plane of directions."""
+
+    def fundamental(self, p):
+        if p.v[0] < 0:
+            raise fc.ConvexityError("planted")
+        return super().fundamental(p)
+
+
+def _validate_cases():
+    atlas = fc.flat_atlas()
+    cases = dict(_metrics())
+    cases.update({name: m for name, m in _row_metrics().items()
+                  if name != "euclidean"})
+    cases["nonconvex"] = fc.CustomMetric(atlas, lambda c, x, v: dual.sqrt(
+        v[0] * v[0] + v[1] * v[1]) + 1.2 * v[0])
+    cases["planted-convexity"] = _NotConvexEverywhere(
+        atlas, lambda c, x, v: dual.sqrt(v[0] * v[0] + v[1] * v[1]))
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_validate_cases()))
+@pytest.mark.parametrize("seed", [0, 11, 14])
+def test_validate_metric_reports_as_the_direction_by_direction_loop(case,
+                                                                    seed):
+    metric = _validate_cases()[case]
+    got = fc.validate_metric(metric, seed=seed)
+    assert _report_key(got) == _report_key(_reference_validate(metric, seed))
+    if case in ("nonconvex", "planted-convexity"):
+        assert got.failures

@@ -1,10 +1,12 @@
 import copy
 import dataclasses
 import json
+import math
 import os
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -175,9 +177,18 @@ _CANNOT_RUN = {
     "direction": ("submanifold",
                   {"family": "axis-line", "direction": [0.0, 1.0, 0.0]},
                   "/submanifold/direction"),
-    # the schema accepts it: it cannot name the charts of an atlas
+    # the schema accepts these: it cannot name the charts of an atlas, nor
+    # refuse a zero vector
     "chart": ("submanifold", {"family": "point", "chart": 1},
               "/submanifold/chart"),
+    "zero-direction": ("submanifold",
+                       {"family": "axis-line", "direction": [0.0, 0.0]},
+                       "/submanifold/direction"),
+    # JSON has no NaN or infinity; Python's reader admits them
+    "nan": ("submanifold", {"family": "circle", "radius": float("nan")},
+            "/submanifold/radius"),
+    "infinity": ("metric", {"family": "randers", "b": [0.0, float("inf")]},
+                 "/metric/b/1"),
     "formats": ("output", {"formats": ["json"]}, "/output"),
     "newton": ("tolerances", {"newton": 1e-9}, "/tolerances"),
     "distinct_angle": ("tolerances", {"distinct_angle": 1e-3},
@@ -245,6 +256,54 @@ def test_mutated_builtins_are_checked_as_jsonschema_checks_them(name, data):
     _assert_reported_as_jsonschema_would(doc)
 
 
+def _typed(schema):
+    """Values of the JSON type ``schema`` names, with the integral floats
+    that an integer may be and the zeros that a number may be."""
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    if schema["type"] == "array":
+        return (st.lists(_typed(schema["items"]), min_size=2, max_size=2)
+                | st.sampled_from([(0.0, 0.0), (-0.0, 0.0)]).map(list))
+    if schema["type"] == "integer":
+        return st.integers(0, 64) | st.sampled_from([0.0, 1.0, 16.0, 1e12])
+    return st.floats(-10.0, 10.0) | st.sampled_from(
+        [0.0, -0.0, 1.0, 1e12, math.nan, math.inf, -math.inf])
+
+
+# (section, key, subschema) of every key a scenario section can set
+_FIELDS = [(section, key, sub) for section in ("manifold", "metric",
+                                               "submanifold", "grids",
+                                               "tolerances")
+           for key, sub in SCHEMA["properties"][section]["properties"].items()]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          database=None)
+@given(name=st.sampled_from(sorted(BUILTINS)), data=st.data())
+def test_accepted_mutated_builtins_build_and_sample_a_cone(name, data):
+    # a builtin with 1-3 of its fields set to values of their schema type:
+    # parse_scenario raises no error but ScenarioError, and what it accepts
+    # builds its geometry and samples a 4 x 4 unit cone with no exception
+    # but a FinslerError, and no warning
+    doc = copy.deepcopy(BUILTINS[name])
+    for _ in range(data.draw(st.integers(1, 3))):
+        section, key, sub = data.draw(st.sampled_from(_FIELDS))
+        if isinstance(doc.get(section), dict):
+            doc[section][key] = data.draw(_typed(sub))
+    text = json.dumps(doc)
+    try:
+        sc = fc.parse_scenario(text)
+    except ScenarioError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            _, metric, N, _ = scenario.build_geometry(sc)
+            fc.sample_unit_cone(metric, N, (4, 4))
+        except fc.FinslerError:
+            pass
+
+
 @pytest.mark.parametrize("flags, pointer", [
     (["--seed", "-1"], "/seed"),
     (["--seed", str(2 ** 64)], "/seed"),
@@ -304,6 +363,37 @@ def test_validate_rejects_what_cannot_run(tmp_path, capsys, section, value,
     f.write_text(json.dumps(bad))
     assert cli.main(["validate", str(f)]) == 1
     assert f"invalid scenario at {pointer}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("floats", [
+    {"grids": {"psi_count": 16.0}},
+    {"submanifold": {"chart": 0.0}},
+    {"grids": {"psi_count": 16.0, "refine_levels": 2.0},
+     "submanifold": {"chart": 0.0}, "seed": 13.0},
+], ids=["psi_count", "chart", "all"])
+def test_integral_floats_run_as_the_integers_they_equal(floats):
+    # the schema types these keys integer, which admits 16.0; parse_scenario
+    # turns each into the int it equals, so the run is the int document's
+    def doc(cast):
+        out = copy.deepcopy(BUILTINS["torus-point"])
+        out["grids"]["psi_count"] = 16
+        for section, value in floats.items():
+            if isinstance(value, dict):
+                out.setdefault(section, {}).update(
+                    {k: cast(v) for k, v in value.items()})
+            else:
+                out[section] = cast(value)
+        return out
+
+    sc = fc.parse_scenario(json.dumps(doc(float)))
+    assert sc == fc.parse_scenario(json.dumps(doc(int)))
+    assert type(sc.grids["psi_count"]) is int
+    assert type(sc.submanifold["chart"]) is int and type(sc.seed) is int
+    bundle = run_scenario(sc)
+    assert not bundle.errors
+    want = summary_document(run_scenario(fc.parse_scenario(
+        json.dumps(doc(int)))))
+    assert summary_document(bundle) == want
 
 
 def test_every_plan_key_changes_the_shooting_plan():
@@ -469,14 +559,14 @@ def test_refinement_records_every_level_on_the_one_field(monkeypatch):
 
 
 def test_the_manifest_counts_sample_failures(tmp_path, monkeypatch):
-    unit_normal = submanifold.unit_normal
+    unit_normals = submanifold.unit_normals
 
-    def failing(metric, N, theta, psi):
-        if np.array_equal(psi, [1.0, 0.0]):
-            raise NumericalFailure("planted")
-        return unit_normal(metric, N, theta, psi)
+    def failing(metric, N, theta, psis):
+        return [NumericalFailure("planted") if np.array_equal(psi, [1.0, 0.0])
+                else ray for psi, ray in
+                zip(psis, unit_normals(metric, N, theta, psis))]
 
-    monkeypatch.setattr(submanifold, "unit_normal", failing)
+    monkeypatch.setattr(submanifold, "unit_normals", failing)
     run_scenario(fc.parse_scenario(json.dumps(TINY)), out_dir=tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["sample_failures"] == {"NumericalFailure": 1}

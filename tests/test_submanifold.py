@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import finslercut as fc
+from finslercut import dual
 from finslercut.atlas import TangentVec
 from finslercut.cutlocus import FOCAL_FLOOR
 
@@ -203,3 +204,143 @@ def test_curve_jacobian_equals_dual_path(N):
         closed, dual = N.jacobian(theta), dual_N.jacobian(theta)
         assert np.array_equal(closed, dual), theta
         assert np.array_equal(np.signbit(closed), np.signbit(dual)), theta
+
+
+# -- unit normals on rows -------------------------------------------------
+
+
+def _hexes(a):
+    return [float.hex(float(c)) for c in np.ravel(a)]
+
+
+def _lone_normal(metric, N, theta, psi):
+    try:
+        return fc.unit_normal(metric, N, theta, psi)
+    except (fc.FinslerError, np.linalg.LinAlgError) as exc:
+        return exc
+
+
+def _assert_same_normals(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        if isinstance(w, Exception):
+            assert str(g) == str(w)
+            continue
+        assert g.chart == w.chart
+        for field in ("theta", "psi", "x", "v"):
+            assert _hexes(getattr(g, field)) == _hexes(getattr(w, field)), \
+                field
+        assert float.hex(g.orth_residual) == float.hex(w.orth_residual)
+
+
+def _fan_psis(count):
+    """The psi of a point fan, as ``sample_unit_cone`` lays them out."""
+    angles = 2 * np.pi * np.arange(count) / count
+    return [np.array([np.cos(a), np.sin(a)]) for a in angles]
+
+
+def _sphere_point():
+    metric = fc.sphere_metric(fc.sphere_atlas())
+    return metric, fc.point_submanifold(0, (0.3, -0.2))
+
+
+def test_unit_normals_equal_unit_normal_on_the_sphere_point_fan():
+    metric, N = _sphere_point()
+    psis = _fan_psis(64)
+    _assert_same_normals(fc.unit_normals(metric, N, (), psis),
+                         [_lone_normal(metric, N, (), psi) for psi in psis])
+
+
+def test_cone_neighbours_of_a_point_batch_equal_lone_cone_data():
+    # the +-h neighbours of every ray of a point fan are one unit_normals
+    # call; each ray's (J0, Jd0) equals cone_variation_data's to the bit
+    from finslercut.submanifold import CONE_STEP, _cone_variations
+    metric, N = _sphere_point()
+    rays, _ = fc.sample_unit_cone(metric, N, (1, 64))
+    h = CONE_STEP
+    neighbours = []
+    for ray in rays:
+        tang = np.array([-ray.psi[1], ray.psi[0]])
+        neighbours += [ray.psi + h * tang, ray.psi - h * tang]
+    _assert_same_normals(
+        fc.unit_normals(metric, N, (), neighbours),
+        [_lone_normal(metric, N, (), psi) for psi in neighbours])
+    for ray, (J0, Jd0) in zip(rays, _cone_variations(metric, N, rays)):
+        lone = fc.cone_variation_data(metric, N, ray)
+        assert _hexes(J0) == _hexes(lone[0])
+        assert _hexes(Jd0) == _hexes(lone[1])
+
+
+@pytest.mark.parametrize("metric, N", [
+    (fc.euclidean_metric(fc.flat_atlas()),
+     fc.ellipse_submanifold(0, a=2.0, b=1.0, center=(0.5, 0.2))),
+    (fc.RandersMetric(fc.flat_atlas(), np.array([0.5, 0.0])),
+     fc.axis_line_submanifold(0, (0.0, 0.0), (0.0, 1.0))),
+    (fc.sphere_metric(fc.sphere_atlas()), fc.circle_submanifold(0, radius=1.0)),
+], ids=["ellipse", "randers-axis", "sphere-equator"])
+def test_unit_normals_equal_unit_normal_on_a_curve(metric, N):
+    for theta in (0.0, 0.3, 2.0):
+        psis = [np.array([1.0]), np.array([-1.0])]
+        _assert_same_normals(
+            fc.unit_normals(metric, N, theta, psis),
+            [_lone_normal(metric, N, theta, psi) for psi in psis])
+
+
+class _FailingInversion(fc.CustomMetric):
+    """Euclidean, but the tensor of a direction in the open lower half
+    plane is singular, so those rays fail with LinAlgError."""
+
+    def fundamental(self, p):
+        return np.zeros((2, 2)) if p.v[1] < 0 else np.eye(2)
+
+
+def _reference_cone(metric, N, grid):
+    """``sample_unit_cone`` as it was written before its fan was taken on
+    rows: one lone ``unit_normal`` per ray."""
+    rays, failures = [], []
+    for psi in _fan_psis(grid[1]):
+        try:
+            rays.append(fc.unit_normal(metric, N, np.zeros(0), psi))
+        except (fc.FinslerError, np.linalg.LinAlgError) as exc:
+            failures.append((np.zeros(0), psi, exc))
+    return rays, failures
+
+
+def test_planted_failing_rays_leave_the_fan_intact_and_in_order():
+    metric = _FailingInversion(fc.flat_atlas(), lambda c, x, v: dual.sqrt(
+        v[0] * v[0] + v[1] * v[1]))
+    N = fc.point_submanifold(0, (0.1, 0.2))
+    rays, failures = fc.sample_unit_cone(metric, N, (1, 16))
+    want_rays, want_failures = _reference_cone(metric, N, (1, 16))
+    assert len(rays) == 9 and len(failures) == 7
+    _assert_same_normals(rays, want_rays)
+    assert [(_hexes(psi), type(exc), str(exc)) for _, psi, exc in failures] \
+        == [(_hexes(psi), type(exc), str(exc))
+            for _, psi, exc in want_failures]
+
+
+def test_a_point_fan_is_one_lockstep_inversion(monkeypatch):
+    from finslercut import metric as metric_mod, submanifold
+    calls = {"rows": [], "lone": 0}
+    rows_fn = submanifold.legendre_inverses
+
+    def counted_rows(metric, chart, x, Omega):
+        calls["rows"].append(len(Omega))
+        return rows_fn(metric, chart, x, Omega)
+
+    def lone(*args):
+        calls["lone"] += 1
+        raise AssertionError("no lone inversion expected")
+
+    monkeypatch.setattr(submanifold, "legendre_inverses", counted_rows)
+    monkeypatch.setattr(submanifold, "legendre_inverse", lone)
+    monkeypatch.setattr(metric_mod, "legendre_inverse", lone)
+    metric, N = _sphere_point()
+    rays, failures = fc.sample_unit_cone(metric, N, (1, 64))
+    assert len(rays) == 64 and not failures
+    assert calls == {"rows": [64], "lone": 0}
+    # the cone neighbours of a whole batch of flows are one more call
+    flows = fc.normal_jacobi_flows(metric, N, rays[:8], 0.5)
+    assert not [f for f in flows if isinstance(f, Exception)]
+    assert calls == {"rows": [64, 16], "lone": 0}
