@@ -31,8 +31,13 @@ class TangentVec:
 class Transition:
     """Smooth transition map between two chart overlap regions.
 
-    ``fn`` maps a list of scalars to a list of scalars and must be written
-    with generic arithmetic so duals pass through (used for Jacobians).
+    ``fn`` maps a list of coordinates to a list of coordinates and must be
+    written with generic arithmetic, so that duals pass through (used for
+    Jacobians) and float arrays too.  Each method takes one point x of
+    shape (n,) or rows x of shape (k, n), and the results gain that leading
+    row axis.  Several rows are evaluated once, on the coordinate columns;
+    one point or one row is evaluated on floats.  Every row has the bits of
+    its own float evaluation.
     """
 
     def __init__(self, src, dst, fn):
@@ -40,27 +45,43 @@ class Transition:
         self.dst = dst
         self.fn = fn
 
+    def _eval(self, x, dirs, order):
+        """The order-``order`` dual part of each coordinate of ``fn`` at x
+        lifted into ``len(dirs)`` levels of duals (as ``dual.seed``), as an
+        array of x's shape.  A direction is one vector, as floats, or one
+        per row; only the innermost may vary by row, since an array
+        multiplying a dual from the left would make an object array."""
+        x = np.asarray(x, dtype=float)
+        zs = _coords(x)
+        for d in dirs:
+            zs = [dual.Dual(z, dz) for z, dz in zip(zs, _coords(d))]
+        y = np.empty(x.shape)
+        for i, c in enumerate(self.fn(zs)):
+            # a constant float among columns is broadcast down them
+            y[..., i] = dual.extract(c, order)
+        return y
+
     def apply(self, x):
-        return np.array([dual.real(c) for c in self.fn(list(x))])
+        return self._eval(x, [], 0)
 
     def jacobian(self, x):
-        n = len(x)
-        J = np.empty((n, n))
-        for j in range(n):
-            e = [1.0 if i == j else 0.0 for i in range(n)]
-            out = self.fn(dual.seed([float(c) for c in x], [e]))
-            J[:, j] = [dual.extract(c, 1) for c in out]
-        return J
+        eye = np.eye(np.shape(x)[-1])
+        return np.stack([self._eval(x, [e], 1) for e in eye], axis=-1)
 
     def jacobian_directional(self, x, dx):
-        """Directional derivative of the Jacobian along dx (an n x n matrix)."""
-        n = len(x)
-        H = np.empty((n, n))
-        for j in range(n):
-            e = [1.0 if i == j else 0.0 for i in range(n)]
-            out = self.fn(dual.seed([float(c) for c in x], [list(dx), e]))
-            H[:, j] = [dual.extract(c, 2) for c in out]
-        return H
+        """Directional derivative of the Jacobian along dx (an n x n matrix,
+        or one per row of x and dx)."""
+        eye = np.eye(np.shape(x)[-1])
+        return np.stack([self._eval(x, [dx, e], 2) for e in eye], axis=-1)
+
+
+def _coords(x):
+    """The coordinates of a point, or the coordinate columns of rows; one
+    row as floats."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1 or len(x) == 1:
+        return x.reshape(-1).tolist()
+    return list(x.T)
 
 
 class ManifoldAtlas:
@@ -86,28 +107,40 @@ class ManifoldAtlas:
             if np.any(periodic_lattice <= 0):
                 raise ValueError("periodic lattice entries must be positive")
         self.periodic_lattice = periodic_lattice
+        self._boxes = np.array(self.boxes)
         self._switch_rule = switch_rule
 
     @property
     def n_charts(self):
         return len(self.boxes)
 
+    def contains_rows(self, charts, X):
+        """Whether each row X[r] lies in the box of chart ``charts[r]``, as
+        a (k,) bool array; NaN compares false, so it stays outside."""
+        X = np.asarray(X, dtype=float)
+        box = self._boxes[charts]
+        return ((box[:, 0] <= X) & (X <= box[:, 1])).all(axis=1)
+
     def contains(self, chart, x):
-        lo, hi = self.boxes[chart]
-        # scalar comparisons: NaN compares false, so it stays outside
+        """``contains_rows`` of the one row x, on Python floats: through
+        the row form, one row costs about three times as much, and ``F``
+        asks on every call."""
+        lo, hi = self.boxes[chart].tolist()
         return all(a <= c <= b for a, c, b in
-                   zip(lo.tolist(), np.asarray(x).tolist(), hi.tolist()))
+                   zip(lo, np.asarray(x).tolist(), hi))
 
     def require(self, chart, x):
         if not self.contains(chart, x):
             raise DomainError(
                 f"point {np.asarray(x)} outside chart {chart} box")
 
-    def switch_target(self, chart, x):
-        """Chart to switch to when (chart, x) leaves the safe interior, else None."""
+    def switch_targets(self, charts, X):
+        """The chart each row (charts[r], X[r]) switches to, as a (k,) int
+        array: -1 while it stays in its chart's safe interior."""
+        charts = np.asarray(charts)
         if self._switch_rule is None:
-            return None
-        return self._switch_rule(chart, x)
+            return np.full(len(charts), -1)
+        return self._switch_rule(charts, np.asarray(X, dtype=float))
 
     def transition(self, src, dst):
         try:
@@ -179,9 +212,10 @@ def sphere_atlas():
     t01 = Transition(0, 1, _inversion)
     t10 = Transition(1, 0, _inversion)
 
-    def switch(chart, x):
-        if np.dot(x, x) > SPHERE_SWITCH_RADIUS ** 2:
-            return 1 - chart
-        return None
+    def switch(charts, X):
+        # |x|^2 as np.dot(x, x) forms it for one row: matmul on (k, 1, 2)
+        # @ (k, 2, 1) gives each row those bits
+        r2 = np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
+        return np.where(r2 > SPHERE_SWITCH_RADIUS ** 2, 1 - charts, -1)
 
     return ManifoldAtlas([box, box], [t01, t10], switch_rule=switch)

@@ -11,7 +11,10 @@ as the oracle.  The stepper integrates forward in t only.
 One stepper advances R independent rows at once, each under its own step
 control: its own t, step size, error norm, accept/reject decision and
 rejection flag, so a row takes exactly the steps it takes alone; a single
-integration is one row.  The rows are stacked along the state axis:
+integration is one row.  ``restart_rows`` starts rows afresh, as new
+steppers would, from one right-hand-side call and one initial-step
+estimate over all of them; each row gets the bits of its one-row
+restart.  The rows are stacked along the state axis:
 the stages form one (7, R d) array, and the stage, B, E and P products are
 one ``np.dot`` over it.  That gives every row the bits of its lone (7, d)
 product only because the BLAS kernel computes each output element the same
@@ -82,7 +85,7 @@ class DormandPrince:
     attempt on every running row.  The per-row lists ``ts``, ``ts_old``,
     ``running`` and ``failed`` and the (R, d) arrays ``ys`` and ``ys_old``
     hold the result, ``dense_Q`` the interpolant coefficients of the last
-    accepted steps, and ``restart`` starts one row afresh.
+    accepted steps, and ``restart_rows`` starts rows afresh.
     """
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol, max_step=np.inf):
@@ -124,19 +127,22 @@ class DormandPrince:
         self._K = None              # stages of the last attempt
         self._at = []               # places in _K of the rows it accepted
 
-    def restart(self, row, y):
-        """Start row ``row`` afresh at its current t from state ``y``, as a
-        new stepper would: new f and a new initial step."""
-        y = np.asarray(y, dtype=float)
-        if not np.isfinite(y).all():
+    def restart_rows(self, rows, Y):
+        """Start the rows ``rows`` afresh at their current t from the states
+        ``Y``, as new steppers would: new f and a new initial step for each,
+        from one call of ``fun`` and one ``_initial_steps`` over them, so
+        every row gets the bits of its own one-row restart."""
+        Y = np.asarray(Y, dtype=float)
+        if not np.isfinite(Y).all():
             raise ValueError(
                 "All components of the initial state `y0` must be finite.")
-        rows = np.array([row])
-        self.ys[row] = y
-        self.fs[row] = self.fun(np.array([self.ts[row]]), y[None], rows)[0]
-        (self.h_abs[row],) = self._initial_steps(rows)
-        self.running[row] = True
-        self.rejected[row] = False
+        rows = np.asarray(rows)
+        self.ys[rows] = Y
+        self.fs[rows] = self.fun(np.take(self.ts, rows), Y, rows)
+        for r, h in zip(rows.tolist(), self._initial_steps(rows)):
+            self.h_abs[r] = h
+            self.running[r] = True
+            self.rejected[r] = False
 
     def _initial_steps(self, rows):
         t0 = np.array([self.ts[r] for r in rows], dtype=float)
@@ -169,13 +175,13 @@ class DormandPrince:
         K[0] = self.fs[rows].ravel()
         # each row's h on each of its d entries, and the stage times
         # t + c h, row by row; the last is t + h (c = 1)
-        h_entries = np.repeat(h, d)
+        h_entries = h.repeat(d)
         tc = t + C[1:, None] * h
         yf = y.ravel()
         for s, a in enumerate(_STAGES, start=1):
-            dy = np.dot(K[:s].T, a) * h_entries
+            dy = K[:s].T.dot(a) * h_entries
             K[s] = self.fun(tc[s - 1], (yf + dy).reshape(k, d), rows).ravel()
-        y_new = (yf + h_entries * np.dot(K[:-1].T, B)).reshape(k, d)
+        y_new = (yf + h_entries * K[:-1].T.dot(B)).reshape(k, d)
         f_new = self.fun(tc[-1], y_new, rows)
         K[-1] = f_new.ravel()
         return y_new, f_new, K, h_entries
@@ -215,7 +221,7 @@ class DormandPrince:
         y = self.ys[idx]
         y_new, f_new, K, h_entries = self._rk_step(idx, t, y, h)
         scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-        errors = _rms((np.dot(K.T, E) * h_entries).reshape(y.shape) / scale)
+        errors = _rms((K.T.dot(E) * h_entries).reshape(y.shape) / scale)
         done = []
         for j, (r, step, error_norm) in enumerate(
                 zip(rows, hs, errors.tolist())):
@@ -242,14 +248,15 @@ class DormandPrince:
         if len(done) < len(rows):
             at = self._at
             y, y_new, f_new = y[at], y_new[at], f_new[at]
-        if done:
-            self.ys_old[done] = y
-            self.ys[done] = y_new
-            self.fs[done] = f_new
+            idx = np.array(done, dtype=int)
+        self.ys_old[idx] = y
+        self.ys[idx] = y_new
+        self.fs[idx] = f_new
         self._K = K
         return done, failed
 
     def dense_Q(self):
         """Interpolant coefficients Q, (k, d, 4), of the last attempt's
         accepted steps, for its k accepted rows in order."""
-        return self._K.T.dot(P).reshape(-1, self.ys.shape[1], 4)[self._at]
+        Q = self._K.T.dot(P).reshape(-1, self.ys.shape[1], 4)
+        return Q if len(self._at) == len(Q) else Q[self._at]

@@ -10,17 +10,26 @@ row's knots, states and dense-output coefficients are bit for bit those of
 its lone integration, so no result depends on whether it came from a batch.
 That rests on the stepper's products and on the right-hand sides computing
 each row alone: ``_by_chart`` hands each chart's rows to the metric's row
-oracles, and a row that enters another chart restarts alone there.  Where
-the spray vanishes on a one-chart atlas (``straight_geodesics``), a geodesic
-is one exact segment: the line x0 + t v on [0, T], with only its endpoint
-checked against the convex chart box.  Jacobi fields come from integrating
-the linearization of the spray flow alongside the base geodesic; these
-flows are always stepped, straight base geodesics included, because focal
-times are read on their knots.  The right-hand sides read the spray only
-through the metric's float oracles: ``metric.spray`` gives 2G and
-``metric.spray_jvp`` gives 2G together with its directional derivatives
-along the Jacobi columns (closed forms on the round sphere, zeros for an
-x-independent metric, dual-number evaluation by default).
+oracles.  The bookkeeping around the stepper works on rows too: each
+accepted step is logged once as arrays, one ``contains_rows`` and one
+``switch_targets`` call check all of its rows, and only rows that leave the
+atlas, switch charts or finish reach Python.  The rows that enter another
+chart in one step are pushed through the transition and restarted together
+(``_transform_states``, ``DormandPrince.restart_rows``), each with the bits
+of its own restart, and each row's segments are cut from the log when the
+batch ends.  Where the spray vanishes on a one-chart atlas
+(``straight_geodesics``), a geodesic is one exact segment: the line
+x0 + t v on [0, T], with only its endpoint checked against the convex chart
+box.  Jacobi fields come from integrating the linearization of the spray
+flow alongside the base geodesic; these flows are always stepped, straight
+base geodesics included, because focal times are read on their knots.
+The right-hand sides read the spray only through the metric's float
+oracles: ``metric.spray`` gives 2G and ``metric.spray_jvp`` gives 2G
+together with its directional derivatives along the Jacobi columns (closed
+forms on the round sphere, zeros for an x-independent metric, dual-number
+evaluation by default).  The focal scan reads many flows at once:
+``first_degeneracies`` stacks every flow's dense-output steps and scans
+and refines all of them in array passes.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11
 DEGENERATE_RATIO = 1e-7     # sigma_min / sigma_max that counts as degenerate
 DEGENERACY_TOL = 1e-8       # bracket width that ends a focal-time refinement
+SCAN_BLOCK = 1024           # scan times evaluated per stacked array pass
 
 
 @dataclass
@@ -77,11 +87,6 @@ class PathSegment:
         t_old = self.knots[i]
         return _eval_steps(self.Q[i], self.y_old[i], t_old,
                            self.knots[i + 1] - t_old, ts)
-
-    def step_at(self, t):
-        """Index of the dense-output step that ``eval(t)`` reads."""
-        i = int(np.searchsorted(self.knots, t, side="right")) - 1
-        return min(max(i, 0), len(self.Q) - 1)
 
 
 def _eval_steps(Q, y_old, t_old, h, ts):
@@ -226,23 +231,13 @@ def _linearized_rhs(metric, charts, m):
     return rhs
 
 
-def _det_ratio(M):
-    """det M and sigma_min / sigma_max of a 2 x 2 matrix [[a, b], [c, d]]:
-    sigma_min sigma_max = |det M|, and sigma_max^2, the larger eigenvalue
-    of M M^T, is (S + hypot(a^2 + b^2 - c^2 - d^2, 2(ac + bd))) / 2 with S
-    the sum of the four squares."""
-    (a, b), (c, d) = M.tolist()
-    det = a * d - b * c
-    smax2 = 0.5 * (a * a + b * b + c * c + d * d
-                   + math.hypot(a * a + b * b - c * c - d * d,
-                                2.0 * (a * c + b * d)))
-    return det, abs(det) / max(smax2, 1e-300)
-
-
 def _det_ratios(a, b, c, d):
-    """``_det_ratio`` over arrays of the four entries: the same float64
-    operations in the same order, and ``math.hypot`` itself, so every entry
-    has the bits of the scalar one."""
+    """det M and sigma_min / sigma_max of the 2 x 2 matrices M = [[a, b],
+    [c, d]] given by arrays of their four entries: sigma_min sigma_max =
+    |det M|, and sigma_max^2, the larger eigenvalue of M M^T, is (S +
+    hypot(a^2 + b^2 - c^2 - d^2, 2(ac + bd))) / 2 with S the sum of the
+    four squares.  The hypot is ``math.hypot`` itself, entry by entry, so
+    each entry has the bits of the same formula on Python floats."""
     with np.errstate(all="ignore"):
         det = a * d - b * c
         u = a * a + b * b - c * c - d * d
@@ -253,35 +248,43 @@ def _det_ratios(a, b, c, d):
         return det, np.abs(det) / np.maximum(smax2, 1e-300)
 
 
-def _transform_state(metric, tr, y, n, m):
-    """Push a (x, v[, J, Jd]) state through a chart transition."""
-    x = y[:n]
-    v = y[n:2 * n]
-    D = tr.jacobian(x)
-    out = [tr.apply(x), D @ v]
-    if len(y) > 2 * n:
-        J = y[2 * n:2 * n + n * m].reshape(n, m)
-        Jd = y[2 * n + n * m:].reshape(n, m)
-        Jn = D @ J
-        Jdn = D @ Jd
+def _transform_states(tr, Y, n, m):
+    """Push (x, v[, J, Jd]) rows through a chart transition: the new rows
+    and each row's orientation sign, from one row evaluation of the
+    transition's map, Jacobian and directional Jacobians."""
+    X = Y[:, :n]
+    V = Y[:, n:2 * n, None]
+    D = tr.jacobian(X)
+    out = [tr.apply(X), np.matmul(D, V)[:, :, 0]]
+    if Y.shape[1] > 2 * n:
+        J = Y[:, 2 * n:2 * n + n * m].reshape(-1, n, m)
+        Jd = Y[:, 2 * n + n * m:].reshape(-1, n, m)
+        Jdn = np.matmul(D, Jd)
         for c in range(m):
-            Jdn[:, c] += tr.jacobian_directional(x, J[:, c]) @ v
-        out.extend([Jn.ravel(), Jdn.ravel()])
-    sign = 1.0 if _det_ratio(D)[0] > 0 else -1.0
-    return np.concatenate(out), sign
+            Jdn[:, :, c] += np.matmul(tr.jacobian_directional(X, J[:, :, c]),
+                                      V)[:, :, 0]
+        out.extend([np.matmul(D, J).reshape(len(Y), -1),
+                    Jdn.reshape(len(Y), -1)])
+    det = D[:, 0, 0] * D[:, 1, 1] - D[:, 0, 1] * D[:, 1, 0]
+    return np.concatenate(out, axis=1), np.where(det > 0, 1.0, -1.0)
 
 
-def _line_segment(atlas, chart, y0, T):
-    """The straight geodesic x0 + t v on [0, T] as one exact segment."""
+def _line_segments(atlas, charts, Y, T):
+    """The straight geodesics x0 + t v on [0, T], one exact segment per
+    row, or the AtlasExitError of a row whose endpoint leaves its box."""
     n = atlas.dim
-    x0, v = y0[:n], y0[n:]
-    x1 = x0 + T * v
-    if not atlas.contains(chart, x1):
-        raise AtlasExitError(f"trajectory left the atlas by t={T:.6g}",
-                             t=T, x=x1)
-    Q = np.zeros((1, 2 * n, 4))
-    Q[0, :n, 0] = v
-    return PathSegment(chart, 0.0, T, np.array([0.0, T]), np.array([y0]), Q)
+    X1 = Y[:, :n] + T * Y[:, n:]
+    out = []
+    for chart, y, x1 in zip(charts.tolist(), Y, X1):
+        if not atlas.contains(chart, x1):
+            out.append(AtlasExitError(
+                f"trajectory left the atlas by t={T:.6g}", t=T, x=x1))
+            continue
+        Q = np.zeros((1, 2 * n, 4))
+        Q[0, :n, 0] = y[n:]
+        out.append([PathSegment(chart, 0.0, T, np.array([0.0, T]),
+                                np.array([y]), Q)])
+    return out
 
 
 def _integrate_rows(metric, charts, y0s, T, rtol, atol, m=0):
@@ -290,31 +293,34 @@ def _integrate_rows(metric, charts, y0s, T, rtol, atol, m=0):
 
     Returns, per row, its list of PathSegment or the IntegrationError or
     AtlasExitError that ends it.  Every row takes exactly the steps of its
-    lone integration (``dopri.py``); a row whose trajectory enters another
-    chart restarts alone there, with a fresh initial step, as a new
-    stepper would.  Any other exception ends the whole batch.
+    lone integration (``dopri.py``).  Each accepted step is logged once, as
+    arrays over its rows, and checked against the atlas with one
+    ``contains_rows`` and one ``switch_targets`` call; only the rows that
+    leave the atlas, switch charts or finish reach Python.  The rows that
+    enter another chart in one step are transformed and restarted there
+    together, each with a fresh initial step, as a new stepper would.  Each
+    row's segments are cut from the log once the batch ends.  Any other
+    exception ends the whole batch.
     """
     atlas = metric.atlas
     n = atlas.dim
     Y = np.array(y0s, dtype=float)
-    if m == 0 and straight_geodesics(metric):
-        out = []
-        for chart, y in zip(charts, Y):
-            try:
-                out.append([_line_segment(atlas, chart, y, T)])
-            except AtlasExitError as exc:
-                out.append(exc)
-        return out
-    max_step = np.inf if atlas.n_charts == 1 else 0.2
     charts = np.array(charts, dtype=int)
+    if m == 0 and straight_geodesics(metric):
+        return _line_segments(atlas, charts, Y, T)
+    max_step = np.inf if atlas.n_charts == 1 else 0.2
     rhs = (_geodesic_rhs(metric, charts) if m == 0
            else _linearized_rhs(metric, charts, m))
     R = len(Y)
     solver = DormandPrince(rhs, np.zeros(R), Y, T, rtol, atol, max_step)
-    out = [[] for _ in range(R)]
-    signs = [1.0] * R
-    # the open segment of each row: knots, y_old and Q lists
-    open_ = [([0.0], [], []) for _ in range(R)]
+    out = [None] * R
+    # the closed segments of each row, (chart, t0, t1, sign), and the start
+    # time and orientation sign of its open one
+    closed = [[] for _ in range(R)]
+    t0s = np.zeros(R)
+    signs = np.ones(R)
+    # rows, t, y_old and Q of each step's accepted rows, field by field
+    rows_log, t_log, y_log, Q_log = log = ([], [], [], [])
     while any(solver.running):
         done, failed = solver.step_rows()
         for r in failed:
@@ -324,36 +330,80 @@ def _integrate_rows(metric, charts, y0s, T, rtol, atol, m=0):
                 t=t, x=solver.ys[r, :n].copy())
         if not done:
             continue
-        Q = solver.dense_Q()
-        y_old = solver.ys_old[done]
-        for j, r in enumerate(done):
-            knots, ys, Qs = open_[r]
-            t = solver.ts[r]
-            knots.append(t)
-            ys.append(y_old[j])
-            Qs.append(Q[j])
-            chart = int(charts[r])
-            x = solver.ys[r, :n]
-            if not atlas.contains(chart, x):
+        rows = np.array(done)
+        t = np.array(solver.ts)[rows]
+        rows_log.append(rows)
+        t_log.append(t)
+        y_log.append(solver.ys_old[rows])
+        Q_log.append(solver.dense_Q())
+        X = solver.ys[rows, :n]
+        ch = charts[rows]
+        inside = atlas.contains_rows(ch, X)
+        target = atlas.switch_targets(ch, X)
+        if inside.all() and target.max() < 0 and t.max() < T:
+            continue
+        ends = ~inside | (target >= 0) | (t >= T)
+        moved = []
+        for j in np.flatnonzero(ends).tolist():
+            r = done[j]
+            if not inside[j]:
                 out[r] = AtlasExitError(
-                    f"trajectory left the atlas at t={t:.6g}", t=t,
-                    x=x.copy())
+                    f"trajectory left the atlas at t={solver.ts[r]:.6g}",
+                    t=solver.ts[r], x=X[j].copy())
                 solver.running[r] = False
                 continue
-            target = atlas.switch_target(chart, x)
-            if target is None and solver.running[r]:
-                continue
-            out[r].append(PathSegment(chart, knots[0], t, np.array(knots),
-                                      np.array(ys), np.array(Qs), signs[r]))
-            if t < T - 1e-14:
-                tr = atlas.transition(chart, target)
-                y, s = _transform_state(metric, tr, solver.ys[r], n, m)
-                signs[r] *= s
-                charts[r] = target
-                solver.restart(r, y)
-                open_[r] = ([t], [], [])
+            closed[r].append((int(ch[j]), float(t0s[r]), solver.ts[r],
+                              float(signs[r])))
+            if t[j] < T - 1e-14:
+                moved.append(j)
             else:
                 solver.running[r] = False
+        for src, dst in sorted({(int(ch[j]), int(target[j]))
+                                for j in moved}):
+            sel = [done[j] for j in moved
+                   if (ch[j], target[j]) == (src, dst)]
+            y, s = _transform_states(atlas.transition(src, dst),
+                                     solver.ys[sel], n, m)
+            signs[sel] *= s
+            charts[sel] = dst
+            t0s[sel] = np.take(solver.ts, sel)
+            solver.restart_rows(sel, y)
+    return _cut_segments(out, closed, log)
+
+
+def _cut_segments(out, closed, log):
+    """Each row's segments, cut from the step log: those rows of ``out``
+    that hold no error get the list of their ``closed`` segments, whose
+    knots are the segment's start and its logged step ends.  The logged
+    states and coefficients are gathered segment by segment, each field's
+    steps released once they are joined, so the log is copied about once."""
+    rows_log, t_log, y_log, Q_log = log
+    if not rows_log:
+        return out
+    rows = np.concatenate(rows_log)
+    # each row's logged steps, in time order
+    order = np.argsort(rows, kind="stable")
+    first = np.searchsorted(rows[order], np.arange(len(out) + 1))
+    t = np.concatenate(t_log)[order]
+    cuts = []           # (row, chart, t0, t1, sign, knots, steps)
+    for r, segs in enumerate(closed):
+        if out[r] is not None:
+            continue
+        a = first[r]
+        for chart, t0, t1, sign in segs:
+            b = a + int(np.searchsorted(t[a:first[r + 1]], t1, side="right"))
+            cuts.append((r, chart, t0, t1, sign,
+                         np.concatenate(([t0], t[a:b])), order[a:b]))
+            a = b
+    parts = []
+    for field in (y_log, Q_log):
+        joined = np.concatenate(field)
+        field.clear()
+        parts.append([joined[cut[-1]] for cut in cuts])
+    for r, *_ in cuts:
+        out[r] = []
+    for (r, chart, t0, t1, sign, knots, _), y_old, Q in zip(cuts, *parts):
+        out[r].append(PathSegment(chart, t0, t1, knots, y_old, Q, sign))
     return out
 
 
@@ -499,29 +549,13 @@ class LinearizedFrame:
 
     def signed_dets(self, ts):
         """The signed det of M(t) and its sigma_min / sigma_max at each of
-        the times ``ts``, as two arrays, from one ``eval_many`` per chart
-        segment; entry j has the bits of ``_det_ratio`` on
-        ``signed_matrix(ts[j])``, the det times the sign."""
-        n, m = self.n, self.m
+        the times ``ts``, as two arrays: the one-frame case of the stacked
+        evaluation of ``first_degeneracies`` (``_FrameSteps``); entry j has
+        the bits of ``_det_ratios`` on ``signed_matrix(ts[j])``, the det
+        times the sign."""
         ts = np.asarray(ts, dtype=float)
-        segs = self.path.segments
-        # the segment path.raw reads: the first ending at or after t
-        which = np.minimum(np.searchsorted([s.t1 for s in segs], ts),
-                           len(segs) - 1)
-        y = np.empty((len(ts), 2 * n + 2 * n * m))
-        sign = np.empty(len(ts))
-        for k, seg in enumerate(segs):
-            sel = which == k
-            if sel.any():
-                y[sel] = seg.eval_many(ts[sel])
-                sign[sel] = seg.sign
-        J = y[:, 2 * n:2 * n + n * m]
-        if m < n:
-            # [J | v] for the one Jacobi column
-            det, ratio = _det_ratios(J[:, 0], y[:, n], J[:, 1], y[:, n + 1])
-        else:
-            det, ratio = _det_ratios(J[:, 0], J[:, 1], J[:, 2], J[:, 3])
-        return sign * det, ratio
+        steps = _FrameSteps([self])
+        return steps.dets(steps.locate(np.zeros(len(ts), dtype=int), ts), ts)
 
     def knot_times(self):
         return self.path.knot_times()
@@ -560,102 +594,167 @@ def linearized_flow(metric, start: TangentVec, T, J0, Jd0,
     return _lone(linearized_flows(metric, [start], T, [J0], [Jd0], rtol, atol))
 
 
-def _scan_bracket(frame, t_floor, T_max):
-    """The scan of ``first_degeneracy``: (t, None) when the frame
-    degenerates at the first grid time t or nowhere (t = inf), else
-    (None, (lo, hi, sign change, det sign at lo)), the first grid interval
-    holding a sign change of the corrected det or a dip of sigma_min /
-    sigma_max below DEGENERATE_RATIO.
+def _keys(major, t):
+    """(major, t) pairs as complex numbers, which numpy orders
+    lexicographically: real part first, then imaginary part."""
+    z = np.empty(len(t), dtype=complex)
+    z.real = major
+    z.imag = t
+    return z
 
-    The scan grid, the knots and 80 evenly spaced times, is read in one
-    array pass (``frame.signed_dets``)."""
-    top = min(T_max, frame.t1)
-    # the distinct times, sorted: np.unique would import numpy.ma
-    grid = np.sort(np.concatenate([frame.knot_times(),
-                                   np.linspace(t_floor, top, 80)]))
-    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
-    grid = grid[(grid >= t_floor) & (grid <= top)]
-    d, ratio = frame.signed_dets(grid)
-    if ratio[0] < DEGENERATE_RATIO:
-        return grid[0], None
+
+class _FrameSteps:
+    """Every dense-output step of ``frames`` (one column count), stacked
+    in (frame, segment, time) order, with only the state columns M(t)
+    reads: [v | J] for one Jacobi column, J for n of them.
+
+    ``locate`` finds the step that ``frame.path.raw(t)`` reads, for many
+    (frame, t) pairs in two ``np.searchsorted`` calls on (frame, segment
+    end) and (segment, step start) keys; ``dets`` evaluates those steps
+    with ``_eval_steps`` and takes ``_det_ratios``, so every entry has the
+    bits of ``_det_ratios`` on ``signed_matrix(t)``.
+    """
+
+    def __init__(self, frames):
+        n, m = frames[0].n, frames[0].m
+        if any(frame.m != m for frame in frames):
+            raise ValueError("first_degeneracies needs one column count")
+        self.one_column = m < n
+        cols = slice(n, 2 * n + n * m) if m < n else slice(2 * n,
+                                                           2 * n + n * m)
+        segs = [(k, seg) for k, frame in enumerate(frames)
+                for seg in frame.path.segments]
+        counts = np.array([len(seg.Q) for _, seg in segs])
+        self.t_old = np.concatenate([seg.knots[:-1] for _, seg in segs])
+        self.h = (np.concatenate([seg.knots[1:] for _, seg in segs])
+                  - self.t_old)
+        self.Q = np.concatenate([seg.Q[:, cols] for _, seg in segs])
+        self.y_old = np.concatenate([seg.y_old[:, cols] for _, seg in segs])
+        self.sign = np.repeat([seg.sign for _, seg in segs], counts)
+        seg_frame = np.array([k for k, _ in segs])
+        self.frame = np.repeat(seg_frame, counts)
+        self._seg_keys = _keys(seg_frame, [seg.t1 for _, seg in segs])
+        self._last_seg = np.searchsorted(seg_frame, np.arange(len(frames)),
+                                         side="right") - 1
+        self._step_keys = _keys(np.repeat(np.arange(len(segs)), counts),
+                                self.t_old)
+        self._last_step = np.cumsum(counts) - 1
+        self._first_step = self._last_step + 1 - counts
+
+    def locate(self, frames, ts):
+        """The step that frame ``frames[j]`` reads at ``ts[j]``: in the
+        first of its segments ending at or after t (else its last), the
+        last step starting at or before t (else the first)."""
+        seg = np.minimum(np.searchsorted(self._seg_keys, _keys(frames, ts)),
+                         self._last_seg[frames])
+        i = np.searchsorted(self._step_keys, _keys(seg, ts), side="right") - 1
+        return np.clip(i, self._first_step[seg], self._last_step[seg])
+
+    def dets(self, steps, ts):
+        """(signed det, sigma_min / sigma_max) of M at ``ts[j]`` on step
+        ``steps[j]``, evaluated SCAN_BLOCK rows at a time, which bounds the
+        gathered steps and the temporaries."""
+        det = np.empty(len(ts))
+        ratio = np.empty(len(ts))
+        for i in range(0, len(ts), SCAN_BLOCK):
+            at, block = steps[i:i + SCAN_BLOCK], slice(i, i + SCAN_BLOCK)
+            y = _eval_steps(self.Q[at], self.y_old[at], self.t_old[at],
+                            self.h[at], ts[block])
+            if self.one_column:
+                # [J | v]: y holds v, then the Jacobi column
+                d, ratio[block] = _det_ratios(y[:, 2], y[:, 0], y[:, 3],
+                                              y[:, 1])
+            else:
+                d, ratio[block] = _det_ratios(y[:, 0], y[:, 1], y[:, 2],
+                                              y[:, 3])
+            det[block] = self.sign[at] * d
+        return det, ratio
+
+
+def _scan(steps, frames, t_floor, T_max):
+    """The scan of ``first_degeneracies``: (out, brackets).  ``out[k]`` is
+    the first grid time of frame k when M degenerates there, else inf;
+    ``brackets`` is (frame, lo, hi, sign change, det sign at lo) as arrays
+    over the frames not degenerate at their first grid time that have a hit
+    in a later grid interval, their first such interval.
+
+    Every frame's grid, its knots and 80 evenly spaced times, distinct,
+    sorted and kept within [t_floor, min(T_max, t1)], is built in one
+    ``np.lexsort`` over (frame, time) and read by ``steps.dets`` in
+    stacked array passes; the hits are found by array comparisons."""
+    F = len(frames)
+    top = np.minimum(T_max, [frame.t1 for frame in frames])
+    # one np.linspace per distinct top keeps each frame's linspace bits
+    lin = np.empty((F, 80))
+    for t in set(top.tolist()):
+        lin[top == t] = np.linspace(t_floor, t, 80)
+    ts = np.concatenate([steps.t_old, [frame.t1 for frame in frames],
+                         lin.ravel()])
+    owner = np.concatenate([steps.frame, np.arange(F),
+                            np.repeat(np.arange(F), 80)])
+    order = np.lexsort((ts, owner))
+    ts, owner = ts[order], owner[order]
+    keep = (ts >= t_floor) & (ts <= top[owner])
+    keep[1:] &= (ts[1:] != ts[:-1]) | (owner[1:] != owner[:-1])
+    ts, owner = ts[keep], owner[keep]
+    d, ratio = steps.dets(steps.locate(owner, ts), ts)
+
+    out = np.full(F, np.inf)
+    first = np.searchsorted(owner, np.arange(F))
+    has = first < np.searchsorted(owner, np.arange(F), side="right")
+    at_first = np.zeros(F, dtype=bool)
+    at_first[has] = ratio[first[has]] < DEGENERATE_RATIO
+    out[at_first] = ts[first[at_first]]
     neg = d < 0
     changes = (d[1:] == 0.0) | (neg[1:] != neg[:-1])
-    hits = np.flatnonzero(changes | (ratio[1:] < DEGENERATE_RATIO))
-    if not len(hits):
-        return np.inf, None
-    j = hits[0]
-    return None, (grid[j], grid[j + 1], bool(changes[j]), bool(neg[j]))
+    hit = (owner[1:] == owner[:-1]) & (changes
+                                       | (ratio[1:] < DEGENERATE_RATIO))
+    j = np.flatnonzero(hit)
+    j = j[~at_first[owner[j]]]
+    # each frame's first hit
+    j = j[np.concatenate(([True], owner[j][1:] != owner[j][:-1]))[:len(j)]]
+    return out, (owner[j], ts[j], ts[j + 1], changes[j], neg[j])
 
 
 def first_degeneracies(frames, t_floor, T_max):
     """``first_degeneracy`` of each of ``frames`` (one column count
     throughout), as a list of floats.
 
-    Each frame's scan grid is read alone (``_scan_bracket``); then every
-    bracket is refined in lockstep, with one array evaluation of all the
-    brackets' probe times per round.  A bracket is a scan interval, which
-    no knot splits, so each one reads one fixed dense-output step, its
-    midpoint's, for its whole refinement.  The evaluation is
-    ``PathSegment.eval_many``'s arithmetic on the stacked steps and the
-    ratios are ``_det_ratios``, so every probe, and every focal time, has
-    the bits of the scalar probe ``_det_ratio(frame.signed_matrix(t))``.
+    Every frame is scanned at once (``_scan``), over the frames' stacked
+    dense-output steps (``_FrameSteps``).  Then every bracket is refined in
+    lockstep, with one array evaluation of all the brackets' probe times
+    per round.  A bracket is a scan interval, which no knot splits, so each
+    one reads one fixed dense-output step, its midpoint's, for its whole
+    refinement.  Every scan value and probe, and so every focal time, has
+    the bits of the scalar probe ``_det_ratios`` on
+    ``frame.signed_matrix(t)``.
     """
-    out = [None] * len(frames)
-    owner, brackets, steps = [], [], []
-    for k, frame in enumerate(frames):
-        t, bracket = _scan_bracket(frame, t_floor, T_max)
-        if bracket is None:
-            out[k] = float(t)
-            continue
-        owner.append(k)
-        brackets.append(bracket)
-        mid = 0.5 * (bracket[0] + bracket[1])
-        seg = frame.path._segment(mid)
-        steps.append((seg, seg.step_at(mid)))
-    if not owner:
-        return out
-    if len({frames[k].m for k in owner}) > 1:
-        raise ValueError("first_degeneracies needs one column count")
-    n, m = frames[owner[0]].n, frames[owner[0]].m
-    t_old = np.array([seg.knots[i] for seg, i in steps])
-    h = np.array([seg.knots[i + 1] for seg, i in steps]) - t_old
-    Q = np.array([seg.Q[i] for seg, i in steps])
-    y_old = np.array([seg.y_old[i] for seg, i in steps])
-    sign = np.array([seg.sign for seg, _ in steps])
-    lo, hi, bisect, prev_neg = (np.array(c) for c in zip(*brackets))
+    if not frames:
+        return []
+    steps = _FrameSteps(frames)
+    out, (who, lo, hi, bisect, prev_neg) = _scan(steps, frames, t_floor,
+                                                 T_max)
+    at = steps.locate(who, 0.5 * (lo + hi))
 
-    def probe(b, ts):
-        """(signed det, sigma_min / sigma_max) of brackets b at times ts."""
-        y = _eval_steps(Q[b], y_old[b], t_old[b], h[b], ts)
-        if m < n:
-            # [J | v] for the one Jacobi column
-            det, ratio = _det_ratios(y[:, 2 * n], y[:, n], y[:, 2 * n + 1],
-                                     y[:, n + 1])
-        else:
-            det, ratio = _det_ratios(y[:, 2 * n], y[:, 2 * n + 1],
-                                     y[:, 2 * n + 2], y[:, 2 * n + 3])
-        return sign[b] * det, ratio
-
-    live = np.arange(len(owner))
+    live = np.arange(len(who))
     while True:
         done = hi[live] - lo[live] <= DEGENERACY_TOL
-        for b in live[done].tolist():
-            out[owner[b]] = float(0.5 * (lo[b] + hi[b]))
+        b = live[done]
+        out[who[b]] = 0.5 * (lo[b] + hi[b])
         live = live[~done]
         if not live.size:
-            return out
+            return out.tolist()
         # sign changes bisect on the det; even-multiplicity kernels take a
         # ternary step on the singular-value dip, two probes each
         bis, ter = live[bisect[live]], live[~bisect[live]]
         width = (hi[ter] - lo[ter]) / 3
         mid = 0.5 * (lo[bis] + hi[bis])
         m1, m2 = lo[ter] + width, hi[ter] - width
-        dets, ratios = probe(np.concatenate([bis, ter, ter]),
-                             np.concatenate([mid, m1, m2]))
+        probes = np.concatenate([bis, ter, ter])
+        dets, ratios = steps.dets(at[probes], np.concatenate([mid, m1, m2]))
         dm = dets[:len(bis)]
         zero = dm == 0.0
-        for b, t in zip(bis[zero].tolist(), mid[zero].tolist()):
-            out[owner[b]] = t
+        out[who[bis[zero]]] = mid[zero]
         below = (dm < 0) == prev_neg[bis]
         lo[bis] = np.where(below, mid, lo[bis])
         hi[bis] = np.where(below, hi[bis], mid)

@@ -389,37 +389,10 @@ def _round_dmatrix(chart, x):
              for i in range(2)] for j in range(2)]
 
 
-def _round_spray(x0, x1, v0, v1, cube):
-    """2G of the round metric from the coordinates of one state as floats,
-    or of many as arrays; ``cube`` is float pow 3 on the same: numpy's
-    array power can differ from it in the last bit."""
-    r2 = x0 * x0 + x1 * x1
-    phi = 4.0 / ((1.0 + r2) * (1.0 + r2))
-    c = -16.0 / cube(1.0 + r2)
-    d0 = c * x0
-    d1 = c * x1
-    s0 = (0.0 + d0 * v0 * v0 + d1 * v1 * v0
-          - 0.5 * d0 * v0 * v0 - 0.5 * d0 * v1 * v1)
-    s1 = (0.0 + d0 * v0 * v1 + d1 * v1 * v1
-          - 0.5 * d1 * v0 * v0 - 0.5 * d1 * v1 * v1)
-    return s0 / phi, s1 / phi
-
-
-def _cube_rows(b):
-    return np.array([c ** 3 for c in b.tolist()])
-
-
-def _round_spray_d(x0, x1, v0, v1, a0, a1, w0, w1):
-    """Derivative of 2G along (dx, dv) = (a, w), floats or broadcasting
-    arrays: the dual parts of the dual-number evaluation."""
-    # real parts of the dual evaluation; there (1 + r2) ** 3 is
-    # Dual.__pow__'s b * (b * b), not the float pow of ``spray``
-    r2 = x0 * x0 + x1 * x1
-    b = r2 + 1.0
-    bb = b * b
-    phi = 4.0 / bb
-    b3 = b * bb
-    c = -16.0 / b3
+def _round_reals(x0, x1, v0, v1, c):
+    """The real terms of 2G phi from c = -16 / (1 + r2)^3: d = c x, h = d / 2,
+    p = d v, q = h v and the two brackets s, in the order of the dual-number
+    evaluation, on floats or broadcasting arrays."""
     d0 = c * x0
     d1 = c * x1
     h0 = d0 * 0.5
@@ -432,6 +405,32 @@ def _round_spray_d(x0, x1, v0, v1, a0, a1, w0, w1):
     q11 = h1 * v1
     s0 = p0 * v0 + 0.0 + p1 * v0 - q00 * v0 - q01 * v1
     s1 = p0 * v1 + 0.0 + p1 * v1 - q10 * v0 - q11 * v1
+    return d0, d1, h0, h1, p0, p1, q00, q01, q10, q11, s0, s1
+
+
+def _round_spray(x0, x1, v0, v1, cube):
+    """2G of the round metric from the coordinates of one state as floats,
+    or of many as arrays; ``cube`` is float pow 3 on the same: numpy's
+    array power can differ from it in the last bit."""
+    b = x0 * x0 + x1 * x1 + 1.0
+    phi = 4.0 / (b * b)
+    *_, s0, s1 = _round_reals(x0, x1, v0, v1, -16.0 / cube(b))
+    return s0 / phi, s1 / phi
+
+
+def _cube_rows(b):
+    return np.array([c ** 3 for c in b.tolist()])
+
+
+def _round_spray_d(x0, x1, v0, v1, a0, a1, w0, w1, b, phi, reals):
+    """Derivative of 2G along (dx, dv) = (a, w), floats or broadcasting
+    arrays: the dual parts of the dual-number evaluation, given b = 1 + r2,
+    phi and the dual evaluation's ``_round_reals``, whose c has the cube
+    b * (b * b) of Dual.__pow__, not the float pow of ``spray``."""
+    d0, d1, h0, h1, p0, p1, q00, q01, q10, q11, s0, s1 = reals
+    bb = b * b
+    b3 = b * bb
+    c = -16.0 / b3
     pp = phi * phi
     # dual parts, operand for operand as Dual.__mul__/__truediv__
     bd = (x0 * a0 + a0 * x0) + (x1 * a1 + a1 * x1)
@@ -461,13 +460,16 @@ class RoundSphereMetric(RiemannianMetric):
     ``spray`` and ``spray_jvp`` write out the analytic ``spray_generic``
     branch for a = phi(x) I.  They repeat, in the same order, the
     floating-point operations of its float evaluation (``spray`` and the
-    value half of ``spray_jvp``) and of the dual parts of its dual-number
-    evaluation (the derivative half): on Python floats for one row, and
-    elementwise on arrays for several, with the one power of ``spray`` a
-    float pow per row either way.  The only operations left out are the
-    additions of the exactly-zero off-diagonal terms of d a; for finite
-    inputs they change no value, at most the sign of a zero.  The results
-    therefore equal the dual-number path's.
+    value half of ``spray_jvp``) and of its dual-number evaluation (the
+    derivative half): on Python floats for one row, and elementwise on
+    arrays for several, with the one power of ``spray`` a float pow per row
+    either way.  On several rows ``spray_jvp`` is one fused kernel: b =
+    1 + r2 and phi are formed once, and the value's terms (from the float
+    pow cube) and the dual evaluation's real terms (from b * (b * b)) are
+    one ``_round_reals`` evaluation on the two stacked c rows.  The only
+    operations left out are the additions of the exactly-zero off-diagonal
+    terms of d a; for finite inputs they change no value, at most the sign
+    of a zero.  The results therefore equal the dual-number path's.
     """
 
     def __init__(self, atlas):
@@ -490,15 +492,29 @@ class RoundSphereMetric(RiemannianMetric):
         if len(x) == 1:
             (x0, x1), (v0, v1) = x[0].tolist(), v[0].tolist()
             (a0s, a1s), (w0s, w1s) = dx[0].tolist(), dv[0].tolist()
-            cols = [_round_spray_d(x0, x1, v0, v1, a0, a1, w0, w1)
+            b = x0 * x0 + x1 * x1 + 1.0
+            phi = 4.0 / (b * b)
+            *_, s0, s1 = _round_reals(x0, x1, v0, v1, -16.0 / b ** 3)
+            reals = _round_reals(x0, x1, v0, v1, -16.0 / (b * (b * b)))
+            cols = [_round_spray_d(x0, x1, v0, v1, a0, a1, w0, w1, b, phi,
+                                   reals)
                     for a0, a1, w0, w1 in zip(a0s, a1s, w0s, w1s)]
-            ds = np.array(cols).T[None]
-        else:
-            # per-row values as (k, 1) columns against (k, m) directions
-            ds = np.stack(_round_spray_d(
-                x[:, 0:1], x[:, 1:2], v[:, 0:1], v[:, 1:2],
-                dx[:, 0], dx[:, 1], dv[:, 0], dv[:, 1]), axis=1)
-        return self.spray(chart, x, v), ds
+            return np.array([[s0 / phi, s1 / phi]]), np.array(cols).T[None]
+        x0, x1, v0, v1 = x[:, 0], x[:, 1], v[:, 0], v[:, 1]
+        b = x0 * x0 + x1 * x1 + 1.0
+        phi = 4.0 / (b * b)
+        # row 0: the value's c, from the float pow cube; row 1: the dual
+        # evaluation's, from b * (b * b)
+        c = -16.0 / np.stack([_cube_rows(b), b * (b * b)])
+        reals = _round_reals(x0, x1, v0, v1, c)
+        s = np.stack([reals[-2][0] / phi, reals[-1][0] / phi], axis=1)
+        # per-row values as (k, 1) columns against (k, m) directions
+        col = [t[1][:, None] for t in reals]
+        ds = np.stack(_round_spray_d(
+            x0[:, None], x1[:, None], v0[:, None], v1[:, None],
+            dx[:, 0], dx[:, 1], dv[:, 0], dv[:, 1], b[:, None],
+            phi[:, None], col), axis=1)
+        return s, ds
 
 
 def sphere_metric(atlas):

@@ -8,9 +8,20 @@ from finslercut import cutlocus, scenario
 from finslercut.atlas import TangentVec
 from finslercut.dopri import TOO_SMALL_STEP, DormandPrince
 from finslercut.geodesic import (DEGENERACY_TOL, DEGENERATE_RATIO,
-                                 LinearizedFrame, PathSegment, _det_ratio,
+                                 LinearizedFrame, PathSegment, _det_ratios,
                                  _geodesic_rhs, _integrate_rows,
                                  _linearized_rhs)
+
+
+def _det_ratio(M):
+    """The scalar reference of ``_det_ratios``: det M and sigma_min /
+    sigma_max of one 2 x 2 matrix on Python floats."""
+    (a, b), (c, d) = np.asarray(M).tolist()
+    det = a * d - b * c
+    smax2 = 0.5 * (a * a + b * b + c * c + d * d
+                   + math.hypot(a * a + b * b - c * c - d * d,
+                                2.0 * (a * c + b * d)))
+    return det, abs(det) / max(smax2, 1e-300)
 
 
 def test_flat_geodesics_are_straight_lines():
@@ -168,8 +179,13 @@ def _random_2x2(rng, count):
 def test_closed_form_det_and_singular_value_ratio():
     rng = np.random.default_rng(2)
     signs_checked = tiny_ratios = 0
-    for M in _random_2x2(rng, 10_000):
-        det, ratio = _det_ratio(M)
+    Ms = _random_2x2(rng, 10_000)
+    dets, ratios = _det_ratios(Ms[:, 0, 0], Ms[:, 0, 1], Ms[:, 1, 0],
+                               Ms[:, 1, 1])
+    for M, det, ratio in zip(Ms, dets, ratios):
+        # every entry has the bits of the scalar formula
+        assert (det.hex(), ratio.hex()) == tuple(
+            float(v).hex() for v in _det_ratio(M))
         ref = np.linalg.det(M)
         if abs(det) > 1e-10 * np.sum(M * M):
             assert (det > 0) == (ref > 0), M
@@ -381,11 +397,11 @@ def test_stepper_blow_up_fails_where_rk45_does():
         dim = 1
         n_charts = 1
 
-        def contains(self, chart, x):
-            return -100.0 <= x[0] <= 100.0
+        def contains_rows(self, charts, X):
+            return (-100.0 <= X[:, 0]) & (X[:, 0] <= 100.0)
 
-        def switch_target(self, chart, x):
-            return None
+        def switch_targets(self, charts, X):
+            return np.full(len(charts), -1)
 
     class BlowUpMetric:     # a 1-D "spray" whose velocity obeys v' = v^2
         atlas = LineAtlas()
