@@ -49,8 +49,8 @@ class Transition:
         """The order-``order`` dual part of each coordinate of ``fn`` at x
         lifted into ``len(dirs)`` levels of duals (as ``dual.seed``), as an
         array of x's shape.  A direction is one vector, as floats, or one
-        per row; only the innermost may vary by row, since an array
-        multiplying a dual from the left would make an object array."""
+        per row, at any level: an array on the left of a dual defers to
+        the dual's operator."""
         x = np.asarray(x, dtype=float)
         zs = _coords(x)
         for d in dirs:

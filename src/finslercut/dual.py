@@ -5,7 +5,10 @@ themselves be duals, so nesting k levels yields exact mixed partials of order
 k.  All metric-family evaluators in this package are written against plain
 arithmetic plus :func:`sqrt`, which makes them differentiable by evaluation.
 They take floats, nested duals or float arrays: :func:`sqrt` is elementwise
-on an array, so one evaluation on arrays gives the value of each entry.
+on an array, so one evaluation on arrays gives the value of each entry, and
+a ``Dual`` may carry arrays as its parts, one entry per row.  An array on
+the left of a ``Dual`` defers to the ``Dual``'s reflected operator
+(``__array_ufunc__ = None``), so it never makes an object array of duals.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import numpy as np
 
 class Dual:
     __slots__ = ("re", "du")
+    # ndarray and numpy-scalar operators return NotImplemented on a Dual
+    __array_ufunc__ = None
 
     def __init__(self, re, du):
         self.re = re
@@ -125,12 +130,14 @@ def dpart(z):
 def seed(x, dirs):
     """Lift point ``x`` into ``len(dirs)`` levels of duals.
 
-    ``dirs[j][i]`` is the i-th component of the j-th perturbation direction.
-    Returns a list of nested duals representing x + sum_j t_j * dirs[j].
+    ``dirs[j][i]`` is the i-th component of the j-th perturbation direction,
+    a float or, on columns, an array of one per row.  Returns a list of
+    nested duals representing x + sum_j t_j * dirs[j].
     """
     xs = list(x)
     for d in dirs:
-        xs = [Dual(xi, float(di)) for xi, di in zip(xs, d)]
+        xs = [Dual(xi, di if isinstance(di, np.ndarray) else float(di))
+              for xi, di in zip(xs, d)]
     return xs
 
 
@@ -182,3 +189,27 @@ def third_tensor(f, x):
                                 (j, k, i), (k, i, j), (k, j, i)):
                     t[a][b][c] = val
     return t
+
+
+def take(z, rows):
+    """The entries ``rows`` of every array in the dual structure of z;
+    floats, constant down the rows, stay as they are."""
+    if isinstance(z, Dual):
+        return Dual(take(z.re, rows), take(z.du, rows))
+    return z[rows] if isinstance(z, np.ndarray) else z
+
+
+def merge(mask, a, b):
+    """The k rows whose entries are those of a where the (k,) bool array
+    ``mask`` holds and those of b elsewhere, through the dual structure: a
+    and b hold the rows of their side only, as ``take`` gives them.  Where
+    one side is a Dual and the other not, the other is read as
+    Dual(c, 0.0); the values are unchanged, so merge the results of an
+    evaluation, not its operands."""
+    if isinstance(a, Dual) or isinstance(b, Dual):
+        a, b = (c if isinstance(c, Dual) else Dual(c, 0.0) for c in (a, b))
+        return Dual(merge(mask, a.re, b.re), merge(mask, a.du, b.du))
+    out = np.empty(mask.shape)
+    out[mask] = a
+    out[~mask] = b
+    return out

@@ -6,34 +6,44 @@ algebra is cheap (Riemannian, Randers, and the fundamental tensor of the
 quartic Minkowski norm).  The geodesic engine reads the spray only through
 two float oracles, ``spray`` (2G) and ``spray_jvp`` (2G and its directional
 derivative), and both take rows: one (x, v) state per row, so that a batch
-of geodesics is one call.  By default both loop the rows through
-``spray_generic``, the latter on dual numbers.  The round sphere overrides
-them with closed forms that repeat the floating-point operations of that
-default, in order, on arrays, so its geodesics and Jacobi fields are the
-same to the last bit.  For an x-independent metric the spray vanishes:
-``spray_generic``, ``spray`` and ``spray_jvp`` return zeros, the last
-without evaluating anything, and a reversed metric negates the velocity
-rows.  The dual-number oracles stay as the fallback for
-custom metrics and as the reference the closed forms are tested against.
+of geodesics is one call.  By default each is one ``spray_generic``
+evaluation on the columns of the rows, the latter on duals whose parts are
+the columns of every (row, Jacobi column) pair; its 2 x 2 solve pivots
+each row on its own, so each row has the bits of its lone evaluation.  The
+round sphere overrides them with closed forms that repeat the
+floating-point operations of its analytic ``spray_generic``, in order, on
+arrays, so its geodesics and Jacobi fields are the same to the last bit.
+For an x-independent metric the spray vanishes: ``spray_generic``,
+``spray`` and ``spray_jvp`` return zeros, the last without evaluating
+anything, and a reversed metric negates the velocity rows.  The
+dual-number oracles stay as the fallback for custom metrics and as the
+reference the closed forms are tested against.
 
-Three row oracles evaluate many tangent vectors at one base point:
-``F_rows`` (F of each row) and ``legendre_rows`` (the covector g_v v of
-each row), both 0 on a row shorter than V_FLOOR, and ``fundamental_rows``
-(the tensor g_v of each row).  ``value_generic`` is the one place a family
-writes F.  It uses arithmetic and ``dual.sqrt`` only, with no branch on v,
-so it runs on floats, on nested duals and on the columns of a block of
-rows: ``F_rows`` is one ``value_generic`` call on arrays, elementwise the
-float operations of the scalar ``F``, and equals it to the bit.
-``legendre_rows`` and ``fundamental_rows`` loop ``fundamental`` by default;
-the Riemannian, Randers and quartic Minkowski families and their reverses
-write them in closed form on arrays, ``fundamental_rows`` operation by
-operation as the scalar ``fundamental``, so each row keeps its bits.  The
-products of rows with vectors and matrices go through ``np.matmul`` on
-stacked (k, 1, n), (k, n, n) and (k, n, 1) operands, which calls the
-routine the 1-D product calls; ``einsum`` and ``np.linalg.norm(axis=1)``
-round differently.  ``legendre_inverses`` runs the Newton of the scalar
-``legendre_inverse`` on many covectors in lockstep, one
-``fundamental_rows`` call per iteration, and equals it row by row.
+The row oracles evaluate many tangent vectors: ``F_rows`` (F of each row)
+and ``legendre_rows`` (the covector g_v v of each row), both 0 on a row
+shorter than V_FLOOR, ``fundamental_rows`` (the tensor g_v of each row)
+and ``cartan_rows`` (the Cartan tensor of each row).  All but
+``legendre_rows`` take one base point or one per row.  ``value_generic``
+is the one place a family writes F.  It uses arithmetic and ``dual.sqrt``
+only, with no branch on v, so it runs on floats, on nested duals, on the
+columns of a block of rows and on duals whose parts are columns:
+``F_rows`` is one ``value_generic`` call on arrays, elementwise the float
+operations of the scalar ``F``, and equals it to the bit.  By default
+``fundamental_rows`` and ``cartan_rows`` are one ``dual.hessian`` or
+``dual.third_tensor`` pass on the columns, and ``legendre_rows`` is
+``fundamental_rows`` times each row; a subclass that overrides the scalar
+``fundamental`` or ``cartan`` is called row by row instead.  One row is
+evaluated on floats, which is about three times faster than on one-entry
+arrays.  The Riemannian, Randers and quartic Minkowski families and their
+reverses write ``legendre_rows`` and ``fundamental_rows`` in closed form
+on arrays, ``fundamental_rows`` operation by operation as the scalar
+``fundamental``, so each row keeps its bits.  The products of rows with
+vectors and matrices go through ``np.matmul`` on stacked (k, 1, n),
+(k, n, n) and (k, n, 1) operands, which calls the routine the 1-D product
+calls; ``einsum`` and ``np.linalg.norm(axis=1)`` round differently.
+``legendre_inverses`` runs the Newton of the scalar ``legendre_inverse``
+on many covectors in lockstep, one ``fundamental_rows`` call per
+iteration, and equals it row by row.
 """
 
 from __future__ import annotations
@@ -124,63 +134,89 @@ class MetricField:
 
     def F_rows(self, chart, x, V) -> np.ndarray:
         """F(chart, x, v) of each row v of the (k, n) array V, as a (k,)
-        array: 0 on a row shorter than V_FLOOR, as ``F`` gives.  One
+        array: 0 on a row shorter than V_FLOOR, as ``F`` gives.  ``x`` is
+        one base point, or one per row as a (k, n) array.  One
         ``value_generic`` call on the columns of the live rows."""
-        self.atlas.require(chart, x)
-        x = [float(c) for c in x]
-        return _on_live_rows(
-            V, lambda W: self.value_generic(chart, x, list(W.T)))
+        x = self._base_points(chart, x)
+        V = np.asarray(V, dtype=float)
+        live = np.linalg.norm(V, axis=1) >= V_FLOOR
+        out = np.zeros(len(V))
+        out[live] = self.value_generic(
+            chart, _cols(x if x.ndim == 1 else x[live]), _cols(V[live]))
+        return out
 
     def legendre_rows(self, chart, x, V) -> np.ndarray:
-        """The covector g_v v of each row v of the (k, n) array V, as a
-        (k, n) array, 0 on a row shorter than V_FLOOR.  By default
-        ``fundamental`` row by row."""
-        x = np.asarray(x, dtype=float)
-        return _on_live_rows(V, lambda W: np.array(
-            [self.fundamental(TangentVec(chart, x, v)) @ v for v in W]
-        ).reshape(W.shape))
+        """The covector g_v v of each row v of the (k, n) array V at the
+        one base point x, as a (k, n) array, 0 on a row shorter than
+        V_FLOOR: ``fundamental_rows`` times each row."""
+        return _on_live_rows(V, lambda W: _mat_rows(
+            self.fundamental_rows(chart, x, W), W))
 
     def fundamental_rows(self, chart, x, V) -> np.ndarray:
         """``fundamental`` at each row v of the (k, n) array V, as a
-        (k, n, n) array; by default row by row.  A row shorter than V_FLOOR
-        raises DegenerateDirectionError."""
+        (k, n, n) array; ``x`` is one base point, or one per row.  One
+        ``dual.hessian`` on the columns of the rows, or a family's
+        ``fundamental`` row by row where it overrides it.  A row shorter
+        than V_FLOOR raises DegenerateDirectionError."""
+        V = _check_dirs(V)
+        if _overrides(self, "fundamental"):
+            return _row_by_row(self.fundamental, chart, x, V, 2)
+        return 0.5 * self._v_tensor_rows(dual.hessian, chart, x, V)
+
+    def cartan_rows(self, chart, X, V) -> np.ndarray:
+        """``cartan`` at each row v of the (k, n) array V, as a (k, n, n, n)
+        array; ``X`` is one base point, or one per row.  One
+        ``dual.third_tensor`` on the columns of the rows, or a family's
+        ``cartan`` row by row where it overrides it."""
+        V = _check_dirs(V)
+        if _overrides(self, "cartan"):
+            return _row_by_row(self.cartan, chart, X, V, 3)
+        return 0.25 * self._v_tensor_rows(dual.third_tensor, chart, X, V)
+
+    def _v_tensor_rows(self, derivative, chart, x, V):
+        """``derivative`` (``dual.hessian`` or ``dual.third_tensor``) of
+        F^2 in v at each row, as a (k, n, ...) array: the nested-dual
+        evaluation of the scalar oracles, once on columns; one row on
+        floats."""
+        xs = _cols(x)
+
+        def f2(vv):
+            val = self.value_generic(chart, xs, vv)
+            return val * val
+
+        return _rows_of(derivative(f2, _cols(V)), len(V))
+
+    def _base_points(self, chart, x):
+        """x as a float array, one point or one per row, each checked to
+        lie in the chart's box (DomainError naming the first outside)."""
         x = np.asarray(x, dtype=float)
-        V = np.asarray(V, dtype=float)
-        n = self.atlas.dim
-        return np.array([self.fundamental(TangentVec(chart, x, v))
-                         for v in V]).reshape(len(V), n, n)
+        if x.ndim == 1:
+            self.atlas.require(chart, x)
+            return x
+        inside = self.atlas.contains_rows(np.full(len(x), chart), x)
+        if not inside.all():
+            self.atlas.require(chart, x[np.argmin(inside)])
+        return x
 
     # -- derivative oracles ---------------------------------------------
 
     def fundamental(self, p: TangentVec) -> np.ndarray:
         """v-Hessian of F^2/2 at (x, v); DegenerateDirectionError on a
         vector shorter than V_FLOOR."""
-        v = _check_dir(p.v)
-        x = [float(c) for c in p.x]
-
-        def f2(vv):
-            val = self.value_generic(p.chart, x, vv)
-            return val * val
-
-        h = dual.hessian(f2, [float(c) for c in v])
-        return 0.5 * np.array(h)
+        v = _check_dir(p.v)[None]
+        return 0.5 * self._v_tensor_rows(dual.hessian, p.chart, p.x, v)[0]
 
     def cartan(self, p: TangentVec) -> np.ndarray:
         """Third v-derivative tensor of F^2/4."""
-        _check_dir(p.v)
-        x = [float(c) for c in p.x]
-
-        def f2(vv):
-            val = self.value_generic(p.chart, x, vv)
-            return val * val
-
-        t = dual.third_tensor(f2, [float(c) for c in p.v])
-        return 0.25 * np.array(t)
+        v = _check_dir(p.v)[None]
+        return 0.25 * self._v_tensor_rows(dual.third_tensor, p.chart, p.x,
+                                          v)[0]
 
     # -- spray (consumed by the geodesic engine) -------------------------
 
     def spray_generic(self, chart, x, v):
-        """2G(x, v) with generic scalars; geodesic equation x'' + 2G = 0."""
+        """2G(x, v) with generic scalars, or with columns of rows;
+        geodesic equation x'' + 2G = 0."""
         n = self.atlas.dim
         if self.x_independent:
             return [0.0] * n
@@ -202,18 +238,18 @@ class MetricField:
         M = [[0.5 * dual.nested_directional(f2, z, [ev[i], ex[j]])
               for j in range(n)] for i in range(n)]
         rhs = [sum(M[i][j] * v[j] for j in range(n)) - Lx[i] for i in range(n)]
-        return _solve_generic(g, rhs)
+        return _solve2(g, rhs)
 
     def spray(self, chart, x, v):
         """2G at each row (x[r], v[r]) of the (k, n) arrays x and v, as a
-        (k, n) float array: ``spray_generic`` row by row, or zeros for an
-        x-independent metric."""
+        (k, n) float array: one ``spray_generic`` evaluation on the columns
+        of the rows (one row on floats), or zeros for an x-independent
+        metric."""
         x = np.asarray(x, dtype=float)
         if self.x_independent:
             return np.zeros(x.shape)
-        return np.array([[dual.real(c) for c in
-                          self.spray_generic(chart, list(xr), list(vr))]
-                         for xr, vr in zip(x, np.asarray(v, dtype=float))])
+        out = self.spray_generic(chart, _cols(x), _cols(v))
+        return _rows_of([dual.real(c) for c in out], len(x))
 
     def spray_jvp(self, chart, x, v, dx, dv):
         """2G at each row and its derivative along each column of (dx, dv).
@@ -221,24 +257,30 @@ class MetricField:
         ``x`` and ``v`` are (k, n) rows and ``dx``, ``dv`` are (k, n, m).
         Returns ``(s, ds)``: ``s`` is ``spray(chart, x, v)`` and
         ``ds[r, :, c]`` is d/dt 2G(x[r] + t dx[r, :, c], v[r] + t dv[r, :, c])
-        at t = 0, from one dual-number evaluation of ``spray_generic`` per
-        row and column; both are zero for an x-independent metric.
+        at t = 0, the dual parts of one ``spray_generic`` evaluation whose
+        rows are the k m (row, column) pairs; both are zero for an
+        x-independent metric.
         """
         n = self.atlas.dim
         dx = np.asarray(dx, dtype=float)
         if self.x_independent:
             return np.zeros((len(dx), n)), np.zeros(dx.shape)
+        k, m = len(dx), dx.shape[2]
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        dv = np.asarray(dv, dtype=float)
-        ds = np.empty(dx.shape)
-        for r in range(len(dx)):
-            z = list(x[r]) + list(v[r])
-            for c in range(dx.shape[2]):
-                d = list(dx[r, :, c]) + list(dv[r, :, c])
-                out = self.spray_generic(chart, *_split_seed(z, d, n))
-                ds[r, :, c] = [_d1(o) for o in out]
-        return self.spray(chart, x, v), ds
+        # pair r * m + c: row r's state and its column c
+        z = np.repeat(np.hstack([x, v]), m, axis=0)
+        d = np.concatenate([dx, np.asarray(dv, dtype=float)],
+                           axis=1).transpose(0, 2, 1).reshape(k * m, 2 * n)
+        out = self.spray_generic(chart, *_split_seed(_cols(z), _cols(d), n))
+        ds = _rows_of([_d1(o) for o in out], k * m)
+        if m and not _overrides(self, "spray_generic"):
+            # the default's value operations on duals keep the real parts
+            # of its float evaluation: read s there
+            s = _rows_of([dual.real(o) for o in out], k * m)[::m]
+        else:
+            s = self.spray(chart, x, v)
+        return s, ds.reshape(k, m, n).transpose(0, 2, 1)
 
     # -- misc ------------------------------------------------------------
 
@@ -255,6 +297,48 @@ def _on_live_rows(V, rows_fn):
     out = np.zeros((len(V),) + got.shape[1:])
     out[live] = got
     return out
+
+
+def _cols(A):
+    """The generic scalars of one point (n,) or of one row (1, n), as
+    floats, or the columns of the (k, n) rows A, as arrays."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim == 1 or len(A) == 1:
+        return A.reshape(-1).tolist()
+    return list(A.T)
+
+
+def _rows_of(t, k):
+    """Nested lists of floats or (k,) columns, the output of an evaluation
+    on ``_cols``, as one (k, ...) array; a float is constant down its
+    column."""
+    shape = ()
+    c = t
+    while isinstance(c, list):
+        shape += (len(c),)
+        c = c[0]
+    out = np.empty((k,) + shape)
+    for idx in np.ndindex(*shape):
+        c = t
+        for i in idx:
+            c = c[i]
+        out[(slice(None),) + idx] = c
+    return out
+
+
+def _overrides(metric, name):
+    """Whether the metric's class replaces MetricField's ``name``, read at
+    call time, so that a method patched on MetricField still counts as
+    MetricField's."""
+    return getattr(type(metric), name) is not getattr(MetricField, name)
+
+
+def _row_by_row(fn, chart, x, V, order):
+    """The order-``order`` tensor ``fn(TangentVec)`` at each row of the
+    (k, n) array V, x one point or one per row, as a (k, n, ...) array."""
+    X = np.broadcast_to(np.asarray(x, dtype=float), V.shape)
+    return np.array([fn(TangentVec(chart, xr, v)) for xr, v in zip(X, V)]
+                    ).reshape(V.shape[:1] + V.shape[1:] * order)
 
 
 def _quadratic(a, v):
@@ -277,28 +361,35 @@ def _d1(o):
     return dual.real(dual.dpart(o))
 
 
-def _solve_generic(A, b):
-    """Gaussian elimination with partial pivoting over generic scalars."""
-    n = len(b)
-    A = [row[:] for row in A]
-    b = list(b)
-    for k in range(n):
-        piv = max(range(k, n), key=lambda r: abs(dual.real(A[r][k])))
-        if piv != k:
-            A[k], A[piv] = A[piv], A[k]
-            b[k], b[piv] = b[piv], b[k]
-        for r in range(k + 1, n):
-            m = A[r][k] / A[k][k]
-            for c in range(k + 1, n):
-                A[r][c] = A[r][c] - m * A[k][c]
-            b[r] = b[r] - m * b[k]
-    x = [0.0] * n
-    for k in range(n - 1, -1, -1):
-        s = b[k]
-        for c in range(k + 1, n):
-            s = s - A[k][c] * x[c]
-        x[k] = s / A[k][k]
-    return x
+def _solve2(A, b):
+    """The 2 x 2 system A x = b over generic scalars, or over columns of
+    rows, by Gaussian elimination with partial pivoting: the pivot is the
+    entry of larger magnitude in column 0, the first on a tie.  Each row
+    pivots on its own and takes the operations of its own one-row solve;
+    when the rows disagree, each group is solved on its own rows."""
+    swap = abs(dual.real(A[1][0])) > abs(dual.real(A[0][0]))
+    if not np.any(swap):
+        return _eliminate2(A, b)
+    if np.all(swap):
+        return _eliminate2(A[::-1], b[::-1])
+    keep, flip = np.flatnonzero(~swap), np.flatnonzero(swap)
+    lo = _eliminate2([_take(row, keep) for row in A], _take(b, keep))
+    hi = _eliminate2([_take(row, flip) for row in A[::-1]],
+                     _take(b[::-1], flip))
+    return [dual.merge(swap, h, l) for h, l in zip(hi, lo)]
+
+
+def _take(seq, rows):
+    return [dual.take(c, rows) for c in seq]
+
+
+def _eliminate2(A, b):
+    """The 2 x 2 solve of A x = b with A[0][0] as pivot."""
+    m = A[1][0] / A[0][0]
+    a11 = A[1][1] - m * A[0][1]
+    b1 = b[1] - m * b[0]
+    x1 = b1 / a11
+    return [(b[0] - A[0][1] * x1) / A[0][0], x1]
 
 
 # -- families ------------------------------------------------------------
@@ -323,29 +414,35 @@ class RiemannianMetric(MetricField):
     def value_generic(self, chart, x, v):
         return dual.sqrt(_quadratic(self.matrix_fn(chart, x), v))
 
-    def _a(self, chart, x):
-        a = self.matrix_fn(chart, [float(c) for c in x])
-        return np.array([[dual.real(a[i][j]) for j in range(self.atlas.dim)]
-                         for i in range(self.atlas.dim)])
+    def _a_rows(self, chart, x, k):
+        """a(x) at one base point x, for each of k rows, or at each row of
+        the (k, n) array x, as a (k, n, n) array."""
+        n = self.atlas.dim
+        a = self.matrix_fn(chart, _cols(x))
+        return _rows_of([[a[i][j] for j in range(n)] for i in range(n)], k)
 
     def fundamental(self, p):
         _check_dir(p.v)
-        return self._a(p.chart, p.x)
+        return self._a_rows(p.chart, p.x, 1)[0]
 
     # a(x) once for every row
     def fundamental_rows(self, chart, x, V):
         V = _check_dirs(V)
-        return np.repeat(self._a(chart, x)[None], len(V), axis=0)
+        return self._a_rows(chart, x, len(V))
 
     def cartan(self, p):
         _check_dir(p.v)
         n = self.atlas.dim
         return np.zeros((n, n, n))
 
+    def cartan_rows(self, chart, X, V):
+        V = _check_dirs(V)
+        return np.zeros(V.shape + V.shape[1:] * 2)
+
     # g_v = a(x) for every v at one base point
     def legendre_rows(self, chart, x, V):
-        a = self.matrix_fn(chart, [float(c) for c in x])
-        return _on_live_rows(V, lambda W: W @ np.array(a, dtype=float).T)
+        a = self._a_rows(chart, x, 1)[0]
+        return _on_live_rows(V, lambda W: W @ a.T)
 
     def spray_generic(self, chart, x, v):
         n = self.atlas.dim
@@ -365,8 +462,7 @@ class RiemannianMetric(MetricField):
                 for l in range(n):
                     s = s - 0.5 * da[i][k][l] * v[k] * v[l]
             rhs.append(s)
-        return _solve_generic([[a[i][j] for j in range(n)] for i in range(n)],
-                              rhs)
+        return _solve2(a, rhs)
 
 
 def euclidean_metric(atlas):
@@ -688,6 +784,9 @@ class ReversedMetric(MetricField):
     def cartan(self, p):
         return -self.base.cartan(TangentVec(p.chart, p.x, -p.v))
 
+    def cartan_rows(self, chart, X, V):
+        return -self.base.cartan_rows(chart, X, -np.asarray(V, dtype=float))
+
     def legendre_rows(self, chart, x, V):
         V = np.asarray(V, dtype=float)
         return -self.base.legendre_rows(chart, x, -V)
@@ -816,76 +915,90 @@ class MetricReport:
 
 def validate_metric(metric, seed=0) -> MetricReport:
     """Sample-based check of homogeneity, convexity, Cartan and
-    reversibility at random points of chart 0, drawn from ``seed``."""
+    reversibility at random points of chart 0, drawn from ``seed``.
+
+    Each point draws its x, its VALIDATE_DIRS directions and its Cartan
+    direction in turn; then every (point, direction) row is checked at
+    once: one ``F_rows`` call, one ``fundamental_rows`` call and one
+    ``eigvalsh`` call over all rows, and one ``cartan_rows`` call over the
+    points.  The maxima are the folds of the point-by-point loop (NaN
+    skipped, as Python's ``max`` skips it there) and the failures keep its
+    order: by point, then by direction, then by check."""
     rng = np.random.default_rng(seed)
     lo = np.asarray(VALIDATE_BOX[0], float)
     hi = np.asarray(VALIDATE_BOX[1], float)
     n = metric.atlas.dim
-    failures = []
-    hom_max = 0.0
-    eig_min = np.inf
-    cart_max = 0.0
-    rev_max = 0.0
-    ident_max = 0.0
+    P, K = VALIDATE_POINTS, VALIDATE_DIRS
+    xs, dirs, cdirs = np.empty((P, n)), np.empty((P, K, n)), np.empty((P, n))
+    for i in range(P):
+        xs[i] = rng.uniform(lo, hi)
+        dirs[i] = rng.normal(size=(K, n))
+        cdirs[i] = rng.normal(size=n)
+    X, V = np.repeat(xs, K, axis=0), dirs.reshape(P * K, n)
+    V /= _row_norms(V)[:, None]
+    cdirs /= _row_norms(cdirs)[:, None]
     scales = (1.0, 0.5, 2.0, 10.0) + ((-1.0,) if metric.reversible else ())
-    for _ in range(VALIDATE_POINTS):
-        x = rng.uniform(lo, hi)
-        # the stream of VALIDATE_DIRS draws of size n, in one draw
-        dirs = rng.normal(size=(VALIDATE_DIRS, n))
-        dirs /= _row_norms(dirs)[:, None]
-        # F of each direction times each scale, from one call: row 0 the
-        # direction, rows 1-3 its homogeneity multiples, row 4 its reverse
-        fs = metric.F_rows(0, x, (np.array(scales)[:, None, None]
-                                  * dirs).reshape(-1, n))
-        fs = fs.reshape(len(scales), VALIDATE_DIRS).T.tolist()
-        # the tensors of every direction from one call or, should it raise,
-        # each direction's own tensor or ConvexityError (its row then I)
-        errs = [None] * VALIDATE_DIRS
-        try:
-            gs = metric.fundamental_rows(0, x, dirs)
-        except ConvexityError:
-            gs = [_held(ConvexityError, metric.fundamental,
-                        TangentVec(0, x, v)) for v in dirs]
-            errs = [g if isinstance(g, ConvexityError) else None for g in gs]
-            gs = np.array([g if e is None else np.eye(n)
-                           for g, e in zip(gs, errs)])
-        eigs = np.linalg.eigvalsh(0.5 * (gs + gs.transpose(0, 2, 1)))
-        vgvs = np.matmul(np.matmul(dirs[:, None, :], gs), dirs[:, :, None])
-        for v, f_v, w, vgv, err in zip(dirs, fs, eigs[:, 0].tolist(),
-                                       vgvs[:, 0, 0].tolist(), errs):
-            f = f_v[0]
-            for lam, fl in zip(scales[1:4], f_v[1:4]):
-                res = abs(fl - lam * f) / (1.0 + lam * f)
-                hom_max = max(hom_max, res)
-                if res > 1e-9:
-                    failures.append(("homogeneity", x.copy(), v.copy(), res))
-            if err is not None:
-                failures.append(("convexity", x.copy(), v.copy(), str(err)))
+    # F of each direction times each scale: row block 0 the directions,
+    # 1-3 their homogeneity multiples, 4 their reverses
+    fs = metric.F_rows(0, np.tile(X, (len(scales), 1)),
+                       (np.array(scales)[:, None, None] * V).reshape(-1, n))
+    f, fs = fs[:P * K], fs.reshape(len(scales), P * K)
+    hom = np.stack([abs(fl - lam * f) / (1.0 + lam * f)
+                    for lam, fl in zip(scales[1:4], fs[1:4])], axis=1)
+    # the tensors of every row, and the Cartan tensor of every point
+    gs, errs = _held_rows(metric.fundamental_rows, metric.fundamental, X, V,
+                          2)
+    C, c_errs = _held_rows(metric.cartan_rows, metric.cartan, xs, cdirs, 3)
+    ok = np.array([e is None for e in errs])
+    has_c = np.array([e is None for e in c_errs])
+    eig = np.linalg.eigvalsh(0.5 * (gs + gs.transpose(0, 2, 1)))[:, 0]
+    vgv = np.matmul(np.matmul(V[:, None, :], gs), V[:, :, None])[:, 0, 0]
+    ident = abs(vgv - f * f) / np.maximum(f * f, 1.0)
+    rev = (abs(fs[4] - f) / (1.0 + f) if metric.reversible
+           else np.zeros(P * K))
+    contr = np.abs(np.einsum("rijk,ri->rjk", C, cdirs)).max(axis=(1, 2))
+    failures = []
+    bad = ((hom > 1e-9).any(axis=1) | ~ok | (eig <= 0) | (ident > 1e-9)
+           | (rev > 1e-10))
+    for i in range(P):
+        for r in (i * K + np.flatnonzero(bad[i * K:(i + 1) * K])).tolist():
+            found = [("homogeneity", res) for res in hom[r].tolist()
+                     if res > 1e-9]
+            if errs[r] is not None:
+                found.append(("convexity", str(errs[r])))
             else:
-                eig_min = min(eig_min, w)
-                if w <= 0:
-                    failures.append(("convexity", x.copy(), v.copy(), w))
-                ident = abs(vgv - f * f) / max(f * f, 1.0)
-                ident_max = max(ident_max, ident)
-                if ident > 1e-9:
-                    failures.append(("gvv-identity", x.copy(), v.copy(), ident))
-            if metric.reversible:
-                res = abs(f_v[4] - f) / (1.0 + f)
-                rev_max = max(rev_max, res)
-                if res > 1e-10:
-                    failures.append(("reversibility", x.copy(), v.copy(), res))
-        # Cartan contraction on a couple of directions per point
-        v = rng.normal(size=n)
-        v /= np.linalg.norm(v)
-        p = TangentVec(0, x, v)
-        try:
-            C = metric.cartan(p)
-            contr = float(np.max(np.abs(np.einsum("ijk,i->jk", C, v))))
-            cart_max = max(cart_max, contr)
-            if contr > 1e-9:
-                failures.append(("cartan-contraction", x.copy(), v.copy(), contr))
-        except ConvexityError:
-            pass
-    passed = not failures
-    return MetricReport(hom_max, float(eig_min), cart_max, rev_max,
-                        ident_max, passed, failures)
+                found += [(kind, float(val)) for kind, val, fails in (
+                    ("convexity", eig[r], eig[r] <= 0),
+                    ("gvv-identity", ident[r], ident[r] > 1e-9)) if fails]
+            if rev[r] > 1e-10:
+                found.append(("reversibility", float(rev[r])))
+            failures += [(kind, xs[i].copy(), V[r].copy(), val)
+                         for kind, val in found]
+        if has_c[i] and contr[i] > 1e-9:
+            failures.append(("cartan-contraction", xs[i].copy(),
+                             cdirs[i].copy(), float(contr[i])))
+    return MetricReport(
+        _fold(np.fmax, hom, 0.0), _fold(np.fmin, eig[ok], np.inf),
+        _fold(np.fmax, contr[has_c], 0.0), _fold(np.fmax, rev, 0.0),
+        _fold(np.fmax, ident[ok], 0.0), not failures, failures)
+
+
+def _held_rows(rows_fn, fn, X, V, order):
+    """``rows_fn(0, X, V)`` and no errors or, should it raise
+    ConvexityError, the order-``order`` tensor ``fn`` at each row: a
+    raising row is held in the list of errors, in its place, and is zero
+    among the tensors."""
+    try:
+        return rows_fn(0, X, V), [None] * len(V)
+    except ConvexityError:
+        X = np.broadcast_to(X, V.shape)
+        got = [_held(ConvexityError, fn, TangentVec(0, x, v))
+               for x, v in zip(X, V)]
+    errs = [g if isinstance(g, ConvexityError) else None for g in got]
+    return np.array([g if e is None else np.zeros(V.shape[1:] * order)
+                     for g, e in zip(got, errs)]), errs
+
+
+def _fold(op, values, start):
+    """``start`` folded with ``op`` over ``values``, as a float."""
+    return float(op.reduce(np.ravel(values), initial=start))

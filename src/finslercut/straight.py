@@ -168,28 +168,28 @@ class StraightPointSource:
         chart, p = self.chart, self.base
         window = max(1e-6, 2 * plan.bisect_tol)
         out = [None] * len(qs)
-        live, w0s, reach = [], [], []
+        live, w0s = [], []
         for j, q in enumerate(qs):
             try:
                 w0 = metric.atlas.displacement((chart, p), q)
-                if np.linalg.norm(w0) < V_FLOOR:
-                    # q is the source: the zero-length segment along the
-                    # source ray
-                    ray = self.source_ray
-                    term = TangentVec(chart, p + w0, ray.v)
-                    out[j] = 0.0, [Minimizer(ray, 0.0, term,
-                                             float(np.linalg.norm(w0)))]
-                    continue
-                reach.append((metric.F(TangentVec(chart, p, w0)) + window)
-                             / self.floor)
             except FinslerError as exc:
                 out[j] = exc
+                continue
+            if np.linalg.norm(w0) < V_FLOOR:
+                # q is the source: the zero-length segment along the source
+                # ray
+                ray = self.source_ray
+                term = TangentVec(chart, p + w0, ray.v)
+                out[j] = 0.0, [Minimizer(ray, 0.0, term,
+                                         float(np.linalg.norm(w0)))]
                 continue
             live.append(j)
             w0s.append(w0)
         if not live:
             return out
-        shifts, counts = self.lattice_shifts(np.array(w0s), reach)
+        w0s = np.array(w0s)
+        reach = (metric.F_rows(chart, p, w0s) + window) / self.floor
+        shifts, counts = self.lattice_shifts(w0s, reach)
         ts = metric.F_rows(chart, p, shifts)
         near_rows, found = [], []      # (query, d, arrival count)
         for j, lo, hi in zip(live, np.cumsum(counts) - counts,

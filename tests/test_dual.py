@@ -76,3 +76,19 @@ def test_sqrt_still_differentiates_duals():
     assert dual.real(r) == 2.0
     assert dual.real(dual.dpart(r)) == 0.25
     assert dual.extract(r, 2) == -1.0 / 32.0
+
+
+def test_array_on_the_left_of_a_dual_gives_a_dual_of_arrays():
+    a = np.array([1.0, 2.0])
+    d = dual.Dual(np.array([3.0, 4.0]), dual.Dual(1.0, 0.5))
+    for got, re, du in ((a * d, [3.0, 8.0], [1.0, 2.0]),
+                        (a + d, [4.0, 6.0], [1.0, 1.0]),
+                        (a - d, [-2.0, -2.0], [-1.0, -1.0]),
+                        (np.float64(2.0) * d, [6.0, 8.0], [2.0, 2.0])):
+        assert isinstance(got, dual.Dual)
+        assert isinstance(got.re, np.ndarray) and got.re.dtype == float
+        assert got.re.tolist() == re
+        assert np.broadcast_to(dual.real(got.du), (2,)).tolist() == du
+    q = a / dual.Dual(np.array([2.0, 4.0]), 1.0)
+    assert isinstance(q, dual.Dual)
+    assert q.re.tolist() == [0.5, 0.5] and q.du.tolist() == [-0.25, -0.125]

@@ -640,3 +640,24 @@ def test_validate_metric_reports_as_the_direction_by_direction_loop(case,
     assert _report_key(got) == _report_key(_reference_validate(metric, seed))
     if case in ("nonconvex", "planted-convexity"):
         assert got.failures
+
+
+class _CartanRaisesLeft(fc.CustomMetric):
+    """The quartic norm whose Cartan tensor raises ConvexityError on
+    directions of the left half plane."""
+
+    def cartan(self, p):
+        if p.v[0] < 0:
+            raise fc.ConvexityError("planted")
+        return super().cartan(p)
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_validate_metric_holds_a_raising_cartan_row_in_place(seed):
+    # the batched Cartan call raises for some point: each point then takes
+    # its own tensor, and a raising one is skipped as the loop skipped it
+    quartic = fc.MinkowskiQuarticMetric(fc.flat_atlas(), eps=0.1)
+    metric = _CartanRaisesLeft(fc.flat_atlas(), quartic.value_generic)
+    got = fc.validate_metric(metric, seed=seed)
+    assert _report_key(got) == _report_key(_reference_validate(metric, seed))
+    assert 0.0 < got.cartan_contraction_max < 1e-9
