@@ -973,13 +973,16 @@ def cut_locus(field: NormalShooting, side=None, rays=None):
     per-ray failures collected.
 
     The fan always covers the whole cone (both sides of a hypersurface),
-    since distance queries need every competitor; ``side`` only restricts
-    which rays get records.  The cut times still to find are prepared in
-    one batch first (``NormalShooting.file_fan``): found and confirmed on a
+    since distance queries need every competitor; ``side`` (1 or -1, of a
+    curve source only: a point has one side) only restricts which rays get
+    records (``_side``).  The cut times still to find are prepared in one
+    batch first (``NormalShooting.file_fan``): found and confirmed on a
     closed-form field, their Jacobi flows stepped on a shooting one.
     """
+    if side is not None and not field.N.k:
+        raise ValueError("a point source has one side: side must be None")
     rays = [ray for ray in (field.rays if rays is None else rays)
-            if side is None or np.sign(ray.psi[0]) == side]
+            if side is None or _side(ray) == side]
     field.file_fan(rays)
     records = []
     for ray in rays:

@@ -23,11 +23,12 @@ x0 + t v on [0, T], with only its endpoint checked against the convex chart
 box.  Jacobi fields come from integrating the linearization of the spray
 flow alongside the base geodesic; these flows are always stepped, straight
 base geodesics included, because focal times are read on their knots.
-The right-hand sides read the spray only through the metric's float
-oracles: ``metric.spray`` gives 2G and ``metric.spray_jvp`` gives 2G
-together with its directional derivatives along the Jacobi columns (closed
-forms on the round sphere, zeros for an x-independent metric, dual-number
-evaluation by default).  The focal scan reads many flows at once:
+A geodesic is the flow with no Jacobi column: one right-hand side steps
+every row and reads the spray only through ``metric.spray_jvp``, 2G and
+its derivatives along the m >= 0 columns (a closed form on the round
+sphere, zeros for an x-independent metric, dual numbers by default).
+Every start passes one check, |v| >= V_FLOOR and x in its chart's box
+(``_start_rows``).  The focal scan reads many flows at once:
 ``first_degeneracies`` stacks every flow's dense-output steps and scans
 and refines all of them in array passes.
 """
@@ -197,21 +198,9 @@ def _by_chart(charts, rows):
     return [(c, ch == c) for c in sorted(set(ch.tolist()))]
 
 
-def _geodesic_rhs(metric, charts):
-    """y' for (x, v) rows, row r in chart ``charts[r]``."""
-    n = metric.atlas.dim
-
-    def rhs(t, y, rows):
-        dy = np.empty_like(y)
-        dy[:, :n] = y[:, n:]
-        for chart, sel in _by_chart(charts, rows):
-            dy[sel, n:] = -metric.spray(chart, y[sel, :n], y[sel, n:])
-        return dy
-    return rhs
-
-
 def _linearized_rhs(metric, charts, m):
-    """y' for (x, v, J, Jd) rows, J and Jd of shape (n, m) raveled."""
+    """y' for (x, v, J, Jd) rows, J and Jd of shape (n, m) raveled, with
+    m >= 0 Jacobi columns: a geodesic is the flow with none."""
     n = metric.atlas.dim
     nm = n * m
 
@@ -221,12 +210,13 @@ def _linearized_rhs(metric, charts, m):
         dy[:, 2 * n:2 * n + nm] = y[:, 2 * n + nm:]
         for chart, sel in _by_chart(charts, rows):
             ys = y[sel]
+            k = len(ys)
             s, ds = metric.spray_jvp(
                 chart, ys[:, :n], ys[:, n:2 * n],
-                ys[:, 2 * n:2 * n + nm].reshape(-1, n, m),
-                ys[:, 2 * n + nm:].reshape(-1, n, m))
+                ys[:, 2 * n:2 * n + nm].reshape(k, n, m),
+                ys[:, 2 * n + nm:].reshape(k, n, m))
             dy[sel, n:2 * n] = -s
-            dy[sel, 2 * n + nm:] = (-ds).reshape(-1, nm)
+            dy[sel, 2 * n + nm:] = (-ds).reshape(k, nm)
         return dy
     return rhs
 
@@ -309,10 +299,9 @@ def _integrate_rows(metric, charts, y0s, T, rtol, atol, m=0):
     if m == 0 and straight_geodesics(metric):
         return _line_segments(atlas, charts, Y, T)
     max_step = np.inf if atlas.n_charts == 1 else 0.2
-    rhs = (_geodesic_rhs(metric, charts) if m == 0
-           else _linearized_rhs(metric, charts, m))
     R = len(Y)
-    solver = DormandPrince(rhs, np.zeros(R), Y, T, rtol, atol, max_step)
+    solver = DormandPrince(_linearized_rhs(metric, charts, m), np.zeros(R),
+                           Y, T, rtol, atol, max_step)
     out = [None] * R
     # the closed segments of each row, (chart, t0, t1, sign), and the start
     # time and orientation sign of its open one
@@ -407,13 +396,20 @@ def _cut_segments(out, closed, log):
     return out
 
 
-def _start_row(metric, start):
-    """The (x, v) row of a geodesic start, checked as integrate_geodesic
-    checks it."""
-    if np.linalg.norm(start.v) < V_FLOOR:
-        raise DegenerateDirectionError("integrate_geodesic needs v != 0")
-    metric.atlas.require(start.chart, start.x)
-    return np.concatenate([start.x, start.v])
+def _start_rows(metric, starts):
+    """The (x, v) row of each start, checked as every geodesic and flow
+    start is checked, |v| >= V_FLOOR and x in its chart's box, or the
+    FinslerError of a bad start, held in its place."""
+    rows = []
+    for start in starts:
+        try:
+            if np.linalg.norm(start.v) < V_FLOOR:
+                raise DegenerateDirectionError("a geodesic needs v != 0")
+            metric.atlas.require(start.chart, start.x)
+            rows.append(np.concatenate([start.x, start.v]))
+        except FinslerError as exc:
+            rows.append(exc)
+    return rows
 
 
 def _lone(batch):
@@ -442,14 +438,8 @@ def integrate_geodesics(metric, starts, T, rtol=DEFAULT_RTOL,
     """``integrate_geodesic`` for many starts in one batch.  Entry i is the
     GeodesicPath of starts[i], equal to its lone integration in every knot,
     state and coefficient, or the FinslerError that integration raises."""
-    y0s = []
-    for start in starts:
-        try:
-            y0s.append(_start_row(metric, start))
-        except FinslerError as exc:
-            y0s.append(exc)
-    return _batch(metric, starts, y0s, T, rtol, atol, 0,
-                  lambda segs: GeodesicPath(metric, segs))
+    return _batch(metric, starts, _start_rows(metric, starts), T, rtol, atol,
+                  0, lambda segs: GeodesicPath(metric, segs))
 
 
 def integrate_geodesic(metric, start: TangentVec, T,
@@ -462,9 +452,11 @@ def integrate_geodesic(metric, start: TangentVec, T,
 def exp_map(metric, point, v, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     """Endpoint of the geodesic with initial velocity v after unit time."""
     chart, x = point
+    x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if np.linalg.norm(v) < V_FLOOR:
-        return (chart, np.asarray(x, dtype=float).copy())
+        metric.atlas.require(chart, x)
+        return (chart, x.copy())
     path = integrate_geodesic(metric, TangentVec(chart, x, v), 1.0,
                               rtol=rtol, atol=atol)
     return path.position(1.0)
@@ -561,29 +553,30 @@ class LinearizedFrame:
         return self.path.knot_times()
 
 
-def _flow_row(metric, start, J0, Jd0):
-    """The (x, v, J, Jd) row of a Jacobi flow and its column count m."""
+def _flow_cols(metric, J0, Jd0):
+    """The raveled (J, Jd) of a Jacobi flow's row and its column count m."""
     J0 = np.atleast_2d(np.asarray(J0, dtype=float))
     Jd0 = np.atleast_2d(np.asarray(Jd0, dtype=float))
     if J0.shape[0] != metric.atlas.dim:
         J0, Jd0 = J0.T, Jd0.T
-    return (np.concatenate([start.x, start.v, J0.ravel(), Jd0.ravel()]),
-            J0.shape[1])
+    return (J0.ravel(), Jd0.ravel()), J0.shape[1]
 
 
 def linearized_flows(metric, starts, T, J0s, Jd0s, rtol=DEFAULT_RTOL,
                      atol=DEFAULT_ATOL) -> list:
     """``linearized_flow`` for many starts with the same number of Jacobi
     columns, in one batch.  Entry i is the LinearizedFrame of starts[i],
-    equal to its lone integration, or the FinslerError that ends it."""
-    rows = [_flow_row(metric, s, J0, Jd0)
-            for s, J0, Jd0 in zip(starts, J0s, Jd0s)]
-    if not rows:
+    equal to its lone integration, or the FinslerError that refuses its
+    start or ends it."""
+    cols = [_flow_cols(metric, J0, Jd0) for J0, Jd0 in zip(J0s, Jd0s)]
+    if not cols:
         return []
-    m = rows[0][1]
-    if any(k != m for _, k in rows):
+    m = cols[0][1]
+    if any(k != m for _, k in cols):
         raise ValueError("linearized_flows needs one column count")
-    return _batch(metric, starts, [y for y, _ in rows], T, rtol, atol, m,
+    y0s = [y if isinstance(y, Exception) else np.concatenate([y, *c])
+           for y, (c, _) in zip(_start_rows(metric, starts), cols)]
+    return _batch(metric, starts, y0s, T, rtol, atol, m,
                   lambda segs: LinearizedFrame(metric, segs, m))
 
 

@@ -4,20 +4,20 @@ Derivatives of F^2 come from nested dual-number evaluation of the metric's
 generic evaluator; families override hot oracles with closed forms where the
 algebra is cheap (Riemannian, Randers, and the fundamental tensor of the
 quartic Minkowski norm).  The geodesic engine reads the spray only through
-two float oracles, ``spray`` (2G) and ``spray_jvp`` (2G and its directional
-derivative), and both take rows: one (x, v) state per row, so that a batch
-of geodesics is one call.  By default each is one ``spray_generic``
-evaluation on the columns of the rows, the latter on duals whose parts are
-the columns of every (row, Jacobi column) pair; its 2 x 2 solve pivots
-each row on its own, so each row has the bits of its lone evaluation.  The
-round sphere overrides them with closed forms that repeat the
-floating-point operations of its analytic ``spray_generic``, in order, on
-arrays, so its geodesics and Jacobi fields are the same to the last bit.
-For an x-independent metric the spray vanishes: ``spray_generic``,
-``spray`` and ``spray_jvp`` return zeros, the last without evaluating
-anything, and a reversed metric negates the velocity rows.  The
-dual-number oracles stay as the fallback for custom metrics and as the
-reference the closed forms are tested against.
+one float oracle on rows, ``spray_jvp``: 2G at each (x, v) row and its
+derivatives along m >= 0 Jacobi columns, so that a batch of geodesics
+(m = 0) or flows is one call; ``spray`` is ``spray_jvp`` with no column.
+By default it is one ``spray_generic`` evaluation on the columns of the
+rows, on duals whose parts are the columns of every (row, column) pair
+when m > 0; its 2 x 2 solve pivots each row on its own, so each row has
+the bits of its lone evaluation.  The round sphere overrides it with a
+closed form that repeats the floating-point operations of its analytic
+``spray_generic``, in order, on arrays, so its geodesics and Jacobi
+fields are the same to the last bit.  For an x-independent metric
+``spray_generic`` and ``spray_jvp`` return zeros, the latter without
+evaluating anything, and a reversed metric negates the velocity rows.
+The dual-number oracles stay as the fallback for custom metrics and as
+the reference the closed forms are tested against.
 
 The row oracles evaluate many tangent vectors: ``F_rows`` (F of each row)
 and ``legendre_rows`` (the covector g_v v of each row), both 0 on a row
@@ -242,44 +242,46 @@ class MetricField:
 
     def spray(self, chart, x, v):
         """2G at each row (x[r], v[r]) of the (k, n) arrays x and v, as a
-        (k, n) float array: one ``spray_generic`` evaluation on the columns
-        of the rows (one row on floats), or zeros for an x-independent
-        metric."""
+        (k, n) float array: ``spray_jvp`` with no column."""
         x = np.asarray(x, dtype=float)
-        if self.x_independent:
-            return np.zeros(x.shape)
-        out = self.spray_generic(chart, _cols(x), _cols(v))
-        return _rows_of([dual.real(c) for c in out], len(x))
+        none = np.zeros(x.shape + (0,))
+        return self.spray_jvp(chart, x, v, none, none)[0]
 
     def spray_jvp(self, chart, x, v, dx, dv):
         """2G at each row and its derivative along each column of (dx, dv).
 
-        ``x`` and ``v`` are (k, n) rows and ``dx``, ``dv`` are (k, n, m).
-        Returns ``(s, ds)``: ``s`` is ``spray(chart, x, v)`` and
+        ``x`` and ``v`` are (k, n) rows and ``dx``, ``dv`` are (k, n, m),
+        m >= 0.  Returns ``(s, ds)``: ``s`` is 2G at each row and
         ``ds[r, :, c]`` is d/dt 2G(x[r] + t dx[r, :, c], v[r] + t dv[r, :, c])
         at t = 0, the dual parts of one ``spray_generic`` evaluation whose
         rows are the k m (row, column) pairs; both are zero for an
-        x-independent metric.
+        x-independent metric.  With no column, or where a family overrides
+        ``spray_generic``, ``s`` is one float ``spray_generic`` evaluation
+        on the columns of the rows (one row on floats).
         """
         n = self.atlas.dim
         dx = np.asarray(dx, dtype=float)
-        if self.x_independent:
-            return np.zeros((len(dx), n)), np.zeros(dx.shape)
         k, m = len(dx), dx.shape[2]
+        if self.x_independent:
+            return np.zeros((k, n)), np.zeros(dx.shape)
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
+        s = None
+        if not m or _overrides(self, "spray_generic"):
+            out = self.spray_generic(chart, _cols(x), _cols(v))
+            s = _rows_of([dual.real(c) for c in out], k)
+            if not m:
+                return s, np.zeros(dx.shape)
         # pair r * m + c: row r's state and its column c
         z = np.repeat(np.hstack([x, v]), m, axis=0)
         d = np.concatenate([dx, np.asarray(dv, dtype=float)],
                            axis=1).transpose(0, 2, 1).reshape(k * m, 2 * n)
         out = self.spray_generic(chart, *_split_seed(_cols(z), _cols(d), n))
         ds = _rows_of([_d1(o) for o in out], k * m)
-        if m and not _overrides(self, "spray_generic"):
+        if s is None:
             # the default's value operations on duals keep the real parts
             # of its float evaluation: read s there
             s = _rows_of([dual.real(o) for o in out], k * m)[::m]
-        else:
-            s = self.spray(chart, x, v)
         return s, ds.reshape(k, m, n).transpose(0, 2, 1)
 
     # -- misc ------------------------------------------------------------
@@ -504,17 +506,9 @@ def _round_reals(x0, x1, v0, v1, c):
     return d0, d1, h0, h1, p0, p1, q00, q01, q10, q11, s0, s1
 
 
-def _round_spray(x0, x1, v0, v1, cube):
-    """2G of the round metric from the coordinates of one state as floats,
-    or of many as arrays; ``cube`` is float pow 3 on the same: numpy's
-    array power can differ from it in the last bit."""
-    b = x0 * x0 + x1 * x1 + 1.0
-    phi = 4.0 / (b * b)
-    *_, s0, s1 = _round_reals(x0, x1, v0, v1, -16.0 / cube(b))
-    return s0 / phi, s1 / phi
-
-
 def _cube_rows(b):
+    """Float pow 3 of each entry: numpy's array power can differ from it
+    in the last bit."""
     return np.array([c ** 3 for c in b.tolist()])
 
 
@@ -522,7 +516,7 @@ def _round_spray_d(x0, x1, v0, v1, a0, a1, w0, w1, b, phi, reals):
     """Derivative of 2G along (dx, dv) = (a, w), floats or broadcasting
     arrays: the dual parts of the dual-number evaluation, given b = 1 + r2,
     phi and the dual evaluation's ``_round_reals``, whose c has the cube
-    b * (b * b) of Dual.__pow__, not the float pow of ``spray``."""
+    b * (b * b) of Dual.__pow__, not the float pow of the value."""
     d0, d1, h0, h1, p0, p1, q00, q01, q10, q11, s0, s1 = reals
     bb = b * b
     b3 = b * bb
@@ -553,32 +547,24 @@ def _round_spray_d(x0, x1, v0, v1, a0, a1, w0, w1, b, phi, reals):
 class RoundSphereMetric(RiemannianMetric):
     """Round metric 4/(1+|x|^2)^2 dx^2 on the two-chart stereographic atlas.
 
-    ``spray`` and ``spray_jvp`` write out the analytic ``spray_generic``
-    branch for a = phi(x) I.  They repeat, in the same order, the
-    floating-point operations of its float evaluation (``spray`` and the
-    value half of ``spray_jvp``) and of its dual-number evaluation (the
-    derivative half): on Python floats for one row, and elementwise on
-    arrays for several, with the one power of ``spray`` a float pow per row
-    either way.  On several rows ``spray_jvp`` is one fused kernel: b =
-    1 + r2 and phi are formed once, and the value's terms (from the float
-    pow cube) and the dual evaluation's real terms (from b * (b * b)) are
-    one ``_round_reals`` evaluation on the two stacked c rows.  The only
-    operations left out are the additions of the exactly-zero off-diagonal
-    terms of d a; for finite inputs they change no value, at most the sign
-    of a zero.  The results therefore equal the dual-number path's.
+    ``spray_jvp`` writes out the analytic ``spray_generic`` branch for
+    a = phi(x) I.  It repeats, in the same order, the floating-point
+    operations of its float evaluation (the value half) and of its
+    dual-number evaluation (the derivative half): on Python floats for one
+    row, and elementwise on arrays for several, with the one power of the
+    value a float pow per row either way.  With no column it forms the
+    value half alone.  On several rows and columns it is one fused kernel:
+    b = 1 + r2 and phi are formed once, and the value's terms (from the
+    float pow cube) and the dual evaluation's real terms (from b * (b * b))
+    are one ``_round_reals`` evaluation on the two stacked c rows.  The
+    only operations left out are the additions of the exactly-zero
+    off-diagonal terms of d a; for finite inputs they change no value, at
+    most the sign of a zero.  The results therefore equal the dual-number
+    path's.
     """
 
     def __init__(self, atlas):
         super().__init__(atlas, _round_matrix, dmatrix_fn=_round_dmatrix)
-
-    def spray(self, chart, x, v):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if len(x) == 1:
-            (x0, x1), (v0, v1) = x[0].tolist(), v[0].tolist()
-            return np.array([_round_spray(x0, x1, v0, v1, lambda b: b ** 3)])
-        return np.stack(_round_spray(x[:, 0], x[:, 1], v[:, 0], v[:, 1],
-                                     _cube_rows), axis=1)
 
     def spray_jvp(self, chart, x, v, dx, dv):
         x = np.asarray(x, dtype=float)
@@ -587,18 +573,24 @@ class RoundSphereMetric(RiemannianMetric):
         dv = np.asarray(dv, dtype=float)
         if len(x) == 1:
             (x0, x1), (v0, v1) = x[0].tolist(), v[0].tolist()
-            (a0s, a1s), (w0s, w1s) = dx[0].tolist(), dv[0].tolist()
             b = x0 * x0 + x1 * x1 + 1.0
             phi = 4.0 / (b * b)
             *_, s0, s1 = _round_reals(x0, x1, v0, v1, -16.0 / b ** 3)
+            s = np.array([[s0 / phi, s1 / phi]])
+            if not dx.shape[2]:
+                return s, np.zeros(dx.shape)
+            (a0s, a1s), (w0s, w1s) = dx[0].tolist(), dv[0].tolist()
             reals = _round_reals(x0, x1, v0, v1, -16.0 / (b * (b * b)))
             cols = [_round_spray_d(x0, x1, v0, v1, a0, a1, w0, w1, b, phi,
                                    reals)
                     for a0, a1, w0, w1 in zip(a0s, a1s, w0s, w1s)]
-            return np.array([[s0 / phi, s1 / phi]]), np.array(cols).T[None]
+            return s, np.array(cols).T[None]
         x0, x1, v0, v1 = x[:, 0], x[:, 1], v[:, 0], v[:, 1]
         b = x0 * x0 + x1 * x1 + 1.0
         phi = 4.0 / (b * b)
+        if not dx.shape[2]:
+            *_, s0, s1 = _round_reals(x0, x1, v0, v1, -16.0 / _cube_rows(b))
+            return np.stack([s0 / phi, s1 / phi], axis=1), np.zeros(dx.shape)
         # row 0: the value's c, from the float pow cube; row 1: the dual
         # evaluation's, from b * (b * b)
         c = -16.0 / np.stack([_cube_rows(b), b * (b * b)])
@@ -794,9 +786,6 @@ class ReversedMetric(MetricField):
     # a reversed F-geodesic c(t) = gamma(-t) solves c'' + 2G(c, -c') = 0
     def spray_generic(self, chart, x, v):
         return self.base.spray_generic(chart, x, [-c for c in v])
-
-    def spray(self, chart, x, v):
-        return self.base.spray(chart, x, -np.asarray(v, dtype=float))
 
     def spray_jvp(self, chart, x, v, dx, dv):
         return self.base.spray_jvp(chart, x, -np.asarray(v, dtype=float), dx,

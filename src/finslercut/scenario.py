@@ -728,6 +728,10 @@ def parse_scenario(text) -> Scenario:
         seed=data.get("seed", _DEFAULTS["seed"]),
         output=_merged("output", data),
     )
+    if sc.submanifold["family"] == "point" and sc.grids["side"] is not None:
+        raise ScenarioError(
+            "invalid scenario at /grids/side: a point source has one side, "
+            "so side must be null", pointer="/grids/side")
     # the schema cannot state |b|_a < 1 (the schema bounds the quartic eps),
     # so the metric's own constructor checks the Randers drift; nor can it
     # name the charts of the atlas, nor refuse a zero axis-line direction,

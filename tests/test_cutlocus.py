@@ -418,6 +418,20 @@ def test_circle_center_is_both_classes(circle_records):
     assert rec.classification == {"Separating", "FirstFocal"}
 
 
+def test_a_side_selects_one_side_of_a_curve(circle_field, circle_records):
+    inward = [ray for ray in circle_field.rays if ray.psi[0] > 0]
+    assert 0 < len(inward) < len(circle_field.rays)
+    assert [cutlocus._ray_key(rec.ray) for rec in circle_records] == [
+        cutlocus._ray_key(ray) for ray in inward]
+
+
+def test_a_point_source_refuses_a_side(torus32):
+    # a point's rays have psi = (cos, sin): a side would keep half the fan
+    for side in (1, -1):
+        with pytest.raises(ValueError, match="one side"):
+            fc.cut_locus(torus32, side=side)
+
+
 def test_circle_outward_unbounded(circle_field):
     ray = fc.unit_normal(circle_field.metric, circle_field.N, 0.5, -1.0)
     res = circle_field.cut_time(ray)

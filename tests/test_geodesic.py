@@ -9,8 +9,7 @@ from finslercut.atlas import TangentVec
 from finslercut.dopri import TOO_SMALL_STEP, DormandPrince
 from finslercut.geodesic import (DEGENERACY_TOL, DEGENERATE_RATIO,
                                  LinearizedFrame, PathSegment, _det_ratios,
-                                 _geodesic_rhs, _integrate_rows,
-                                 _linearized_rhs)
+                                 _integrate_rows, _linearized_rhs)
 
 
 def _det_ratio(M):
@@ -93,6 +92,33 @@ def test_exp_map_flat():
     metric = fc.euclidean_metric(atlas)
     chart, x = fc.exp_map(metric, (0, np.zeros(2)), np.array([0.3, 0.4]))
     assert np.allclose(x, [0.3, 0.4], atol=1e-10)
+
+
+def test_exp_map_of_a_zero_vector_checks_its_point():
+    metric = fc.sphere_metric(fc.sphere_atlas())
+    chart, x = fc.exp_map(metric, (0, [0.5, 0.0]), [0.0, 0.0])
+    assert chart == 0 and x.tolist() == [0.5, 0.0]
+    # the point is checked as a nonzero v checks it
+    for v in ([0.0, 0.0], [0.1, 0.0]):
+        with pytest.raises(fc.DomainError):
+            fc.exp_map(metric, (0, [5.0, 0.0]), v)
+
+
+def test_flows_refuse_the_starts_integrate_geodesic_refuses():
+    metric = fc.sphere_metric(fc.sphere_atlas())
+    bad = {fc.DegenerateDirectionError: ([0.1, 0.0], [0.0, 0.0]),
+           fc.DomainError: ([5.0, 0.0], [0.5, 0.0])}
+    for error, (x, v) in bad.items():
+        start = TangentVec(0, x, v)
+        for run in (
+                lambda: fc.integrate_geodesic(metric, start, 4.0),
+                lambda: fc.linearized_flow(metric, start, 4.0,
+                                           np.zeros((2, 2)), np.eye(2)),
+                lambda: fc.linearized_flow(metric, start, 4.0, np.zeros(2),
+                                           np.ones(2)),
+                lambda: fc.conjugate_time(metric, (0, x), v, 4.0)):
+            with pytest.raises(error):
+                run()
 
 
 def test_conjugate_time_on_sphere():
@@ -371,13 +397,14 @@ def test_stepper_matches_scipy_rk45():
     sphere = fc.sphere_metric(fc.sphere_atlas())
     flat = fc.euclidean_metric(fc.flat_atlas())
     geo0 = np.array([0.3, -0.2, 0.45, 0.1])
-    cases = [(_row_rhs(_geodesic_rhs, sphere, chart), geo0)
+    # a geodesic is the flow with no Jacobi column
+    cases = [(_row_rhs(_linearized_rhs, sphere, chart, 0), geo0)
              for chart in (0, 1)]
     for m in (1, 2):
         jac0 = np.concatenate([np.zeros(2 * m), np.eye(2)[:, :m].ravel()])
         cases.append((_row_rhs(_linearized_rhs, sphere, 0, m),
                       np.concatenate([geo0, jac0])))
-    cases.append((_row_rhs(_geodesic_rhs, flat, 0), geo0))
+    cases.append((_row_rhs(_linearized_rhs, flat, 0, 0), geo0))
     rejected = 0
     for fun, y0 in cases:
         for max_step in (0.2, np.inf):
@@ -407,13 +434,13 @@ def test_stepper_blow_up_fails_where_rk45_does():
         atlas = LineAtlas()
         x_independent = False
 
-        def spray(self, chart, x, v):
-            return -v * v
+        def spray_jvp(self, chart, x, v, dx, dv):
+            return -v * v, np.zeros(dx.shape)
 
     from scipy.integrate import RK45
     metric = BlowUpMetric()
     y0 = np.array([0.0, 1.0])
-    ref = RK45(_scipy_fun(_row_rhs(_geodesic_rhs, metric, 0)), 0.0, y0,
+    ref = RK45(_scipy_fun(_row_rhs(_linearized_rhs, metric, 0, 0)), 0.0, y0,
                2.0, rtol=1e-9, atol=1e-11, max_step=np.inf)
     while ref.status == "running":
         ref.step()
@@ -426,7 +453,7 @@ def test_stepper_blow_up_fails_where_rk45_does():
 
 def test_stepper_clamps_tiny_rtol_like_rk45():
     sphere = fc.sphere_metric(fc.sphere_atlas())
-    fun = _row_rhs(_geodesic_rhs, sphere, 0)
+    fun = _row_rhs(_linearized_rhs, sphere, 0, 0)
     y0 = np.array([0.3, -0.2, 0.45, 0.1])
     with pytest.warns(UserWarning, match="rtol"):
         _run_against_rk45(fun, y0, 0.5, 1e-17, 1e-11)
@@ -436,7 +463,8 @@ def test_stepper_clamps_tiny_rtol_like_rk45():
 
 
 def test_stepper_rejects_bad_input_like_rk45():
-    fun = _row_rhs(_geodesic_rhs, fc.euclidean_metric(fc.flat_atlas()), 0)
+    fun = _row_rhs(_linearized_rhs, fc.euclidean_metric(fc.flat_atlas()), 0,
+                   0)
     # one interface: a scalar t0 is not a row
     with pytest.raises(ValueError, match="one start time per row"):
         DormandPrince(fun, 0.0, np.zeros((1, 4)), 1.0, 1e-9, 1e-11)

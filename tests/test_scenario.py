@@ -60,6 +60,17 @@ def test_parse_rejects_unknown_key():
         fc.parse_scenario(json.dumps(bad))
 
 
+def test_a_point_source_takes_no_side():
+    doc = copy.deepcopy(BUILTINS["torus-quartic-point"])
+    for side in (1, -1):
+        doc["grids"] = dict(doc.get("grids", {}), side=side)
+        with pytest.raises(ScenarioError) as err:
+            fc.parse_scenario(json.dumps(doc))
+        assert err.value.pointer == "/grids/side"
+    doc["grids"]["side"] = None
+    assert fc.parse_scenario(json.dumps(doc)).grids["side"] is None
+
+
 def test_parse_rejects_bad_task():
     bad = dict(TINY, tasks=["cutlocus", "frobnicate"])
     with pytest.raises(ScenarioError) as err:
