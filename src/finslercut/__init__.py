@@ -33,9 +33,10 @@ from .cutlocus import (CutRecord, CutTimeResult, DistanceWitness,
                        check_rho_continuity, check_rho_leq_lambda,
                        check_se_dense, cut_locus)
 from .topology import (InverseExpResult, VariationReport,
-                       check_first_variation, distance_sq_differential,
-                       homotopy_trace, inverse_normal_exp, one_sided_spread,
-                       retract_to_N, retract_to_cut)
+                       check_first_variation, check_first_variations,
+                       distance_sq_differential, homotopy_trace,
+                       inverse_normal_exp, one_sided_spread, retract_to_N,
+                       retract_to_cut, retractions_to_cut, retractions_to_N)
 from .loops import (LoopResult, TwoGeodesics, find_geodesic_loop,
                     min_M_on_cut, require_reversible, reversibility_defect,
                     two_geodesics_to, verify_two_segments)

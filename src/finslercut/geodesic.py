@@ -200,23 +200,28 @@ def _by_chart(charts, rows):
 
 def _linearized_rhs(metric, charts, m):
     """y' for (x, v, J, Jd) rows, J and Jd of shape (n, m) raveled, with
-    m >= 0 Jacobi columns: a geodesic is the flow with none."""
+    m >= 0 Jacobi columns: a geodesic is the flow with none, whose
+    right-hand side copies and reshapes no column."""
     n = metric.atlas.dim
     nm = n * m
 
     def rhs(t, y, rows):
         dy = np.empty_like(y)
         dy[:, :n] = y[:, n:2 * n]
-        dy[:, 2 * n:2 * n + nm] = y[:, 2 * n + nm:]
+        if m:
+            dy[:, 2 * n:2 * n + nm] = y[:, 2 * n + nm:]
         for chart, sel in _by_chart(charts, rows):
             ys = y[sel]
             k = len(ys)
-            s, ds = metric.spray_jvp(
-                chart, ys[:, :n], ys[:, n:2 * n],
-                ys[:, 2 * n:2 * n + nm].reshape(k, n, m),
-                ys[:, 2 * n + nm:].reshape(k, n, m))
+            if m:
+                J = ys[:, 2 * n:2 * n + nm].reshape(k, n, m)
+                Jd = ys[:, 2 * n + nm:].reshape(k, n, m)
+            else:
+                J = Jd = np.empty((k, n, 0))
+            s, ds = metric.spray_jvp(chart, ys[:, :n], ys[:, n:2 * n], J, Jd)
             dy[sel, n:2 * n] = -s
-            dy[sel, 2 * n + nm:] = (-ds).reshape(k, nm)
+            if m:
+                dy[sel, 2 * n + nm:] = (-ds).reshape(k, nm)
         return dy
     return rhs
 

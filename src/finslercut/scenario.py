@@ -298,19 +298,18 @@ def _task_retracts(run):
     # every probe's witness, filed in one batch before the loop reads it
     field.distances([q for q, _, _ in probes])
     for k, (q, rec, t) in enumerate(probes):
-        p0 = topo_mod.retract_to_N(field, q, 0.0)
-        worst_n0 = max(worst_n0, atlas.coord_distance(p0, q))
-        p1 = topo_mod.retract_to_N(field, q, 1.0)
+        # one inverse per probe, read by both retractions and the trace
         inv = topo_mod.inverse_normal_exp(field, q)
+        p0, p1 = topo_mod.retractions_to_N(field, inv, (0.0, 1.0))
+        worst_n0 = max(worst_n0, atlas.coord_distance(p0, q))
         base = (inv.ray.chart, inv.ray.x)
         worst_n1 = max(worst_n1, atlas.coord_distance(p1, base))
-        c0 = topo_mod.retract_to_cut(field, q, 0.0)
+        c0, c1 = topo_mod.retractions_to_cut(field, inv, (0.0, 1.0))
         worst_c0 = max(worst_c0, atlas.coord_distance(c0, q))
-        c1 = topo_mod.retract_to_cut(field, q, 1.0)
         worst_c1 = max(worst_c1, atlas.coord_distance(c1, rec.cut_point))
         if k < 3:
             traces.append([(s, c, list(x)) for s, c, x in
-                           topo_mod.homotopy_trace(field, q)])
+                           topo_mod.homotopy_trace(field, q, inv)])
     fixed_cut = atlas.coord_distance(
         topo_mod.retract_to_cut(field, cut, 0.7), cut)
     doc = {
@@ -341,14 +340,15 @@ def _task_dfcheck(run):
     else:
         probes = _probe_points(field, records, rng, DFCHECK_PROBES,
                                lo=0.1, hi=0.8)
-    worst = 0.0
-    rows = []
+    items = []
     for q, _, _ in probes:
         angs = rng.uniform(0, 2 * np.pi, 3)
-        dirs = [np.array([np.cos(a), np.sin(a)]) for a in angs]
-        rep = topo_mod.check_first_variation(field, q, dirs)
+        items.append((q, [np.array([np.cos(a), np.sin(a)]) for a in angs]))
+    worst = 0.0
+    rows = []
+    for rep in topo_mod.check_first_variations(field, items):
         worst = max(worst, rep.max_deviation)
-        rows.append({"q": _doc(q[1]), "max_dev": _num(rep.max_deviation)})
+        rows.append({"q": _doc(rep.q[1]), "max_dev": _num(rep.max_deviation)})
     return ({"n_probes": len(probes), "max_deviation": _num(worst),
              "probes": rows}, worst > 1e-4)
 

@@ -9,8 +9,10 @@ geodesics have no focal point (J0 = 0, so det[t Jd0 | v] vanishes only at
 t = 0), so by the Separating/FirstFocal dichotomy the cut time is the first
 t at which a lattice copy reaches p + t v as fast as the ray does: the
 least root in (0, 2H] of F(t v - kL) = t over the shifts k != 0, H the
-horizon.  The roots of every (ray, shift) pair are found by one lockstep
-Newton on the metric's row oracles ``F_rows`` and ``legendre_rows``.  The
+horizon.  The roots of the (ray, shift) pairs are found by a lockstep
+Newton on the metric's row oracles ``F_rows`` and ``legendre_rows``, first
+on each ray's nearest shell of shifts and then only on the shifts that can
+still beat that shell's least root (``cut_times``).  The
 solver holds no session state: its caller owns every cache and confirms
 each cut time.
 """
@@ -244,16 +246,39 @@ class StraightPointSource:
         closed under k -> -k), else inf.
 
         At a root t, t = F(t v + kL) >= floor (|kL| - t |v|), so only the
-        shifts with |kL| <= 2H (|v| + 1 / floor) can have one.  Every such
-        (ray, shift) pair is one row of ``_least_roots``.
+        shifts with |kL| <= t (|v| + 1 / floor) can have one, and none
+        beyond 2H (|v| + 1 / floor).  Each ray's shifts of the nearest shell
+        (every |k_i| <= 1) are solved first, every (ray, shift) pair one row
+        of ``_least_roots``; their least root rho_1 then bounds the rest,
+        and only the shifts with |kL| <= rho_1 (|v| + 1 / floor), widened
+        by a relative 1e-9 for rounding, are solved in a second batch.  A
+        dropped shift's root exceeds rho_1, and each row keeps its bits
+        whatever rows share its batch, so each rho is the least root over
+        every shift within 2H (|v| + 1 / floor), to the bit.
         """
         span = 2 * self.plan.horizon
         vs = np.array([ray.v for ray in rays], dtype=float).reshape(-1, 2)
-        reach = span * (np.linalg.norm(vs, axis=1) + 1.0 / self.floor)
+        lat = self.metric.atlas.periodic_lattice
+        if lat is None:
+            # no lattice copy of the source
+            return np.full(len(vs), np.inf)
+        slope = np.linalg.norm(vs, axis=1) + 1.0 / self.floor
+        reach = span * slope
         # no rays search no shift: an empty batch gives an empty array
         shifts = self.lattice_shifts(np.zeros(2), reach.max(initial=0.0))
         size = np.sqrt(shifts[:, 0] ** 2 + shifts[:, 1] ** 2)
-        ray_of, shift_of = np.nonzero((size > 0.0) & (size <= reach[:, None]))
+        within = (size > 0.0) & (size <= reach[:, None])
+        shell = np.abs(np.rint(shifts / lat)).max(axis=1) <= 1.0
+        rho = self._least_per_ray(vs, shifts, within & shell, span)
+        bound = rho * slope * (1.0 + 1e-9)
+        rest = self._least_per_ray(
+            vs, shifts, within & ~shell & (size <= bound[:, None]), span)
+        return np.minimum(rho, rest)
+
+    def _least_per_ray(self, vs, shifts, pairs, span):
+        """The least root in (0, span] of each ray's (ray, shift) pairs,
+        the True entries of the (rays, shifts) mask ``pairs``, else inf."""
+        ray_of, shift_of = np.nonzero(pairs)
         roots = _least_roots(self.metric, self.chart, self.base,
                              vs[ray_of], shifts[shift_of], span)
         rho = np.full(len(vs), np.inf)

@@ -65,41 +65,68 @@ def retract_to_N(field: NormalShooting, q, s):
     """Deformation retraction of the cut-locus complement onto N.
 
     h(s, q) = exp^nu((1-s) t v); s=0 is the identity, s=1 projects to the
-    base point on N.
+    base point on N.  The one-s case of ``retractions_to_N``.
     """
-    inv = inverse_normal_exp(field, q)
-    t = (1.0 - s) * inv.t
-    if t <= 0.0:
-        return (inv.ray.chart, inv.ray.x.copy())
-    return field.path(inv.ray, max(inv.t, 1e-9)).position(t)
+    (got,) = retractions_to_N(field, inverse_normal_exp(field, q), [s])
+    return got
+
+
+def retractions_to_N(field: NormalShooting, inv: InverseExpResult, ss):
+    """h(s, q) of ``retract_to_N`` at each s of ``ss``, all read from
+    ``inv``, the ``inverse_normal_exp`` (ray, t) of q."""
+    out = []
+    for s in ss:
+        t = (1.0 - s) * inv.t
+        if t <= 0.0:
+            out.append((inv.ray.chart, inv.ray.x.copy()))
+        else:
+            out.append(field.path(inv.ray, max(inv.t, 1e-9)).position(t))
+    return out
 
 
 def retract_to_cut(field: NormalShooting, q, s):
     """Deformation retraction of the complement of N onto the cut locus.
 
     H(s, q) = exp^nu((s rho + (1-s) t) v); cut points stay fixed, and a ray
-    with infinite cut time has no retraction target.
+    with infinite cut time has no retraction target.  The one-s case of
+    ``retractions_to_cut``.
     """
     try:
         inv = inverse_normal_exp(field, q)
     except CutLocusError:
         # q already on the cut locus: fixed for all s
         return q
+    (got,) = retractions_to_cut(field, inv, [s])
+    return got
+
+
+def retractions_to_cut(field: NormalShooting, inv: InverseExpResult, ss):
+    """H(s, q) of ``retract_to_cut`` at each s of ``ss``, all read from
+    ``inv``, the ``inverse_normal_exp`` (ray, t, rho) of q, which puts q
+    off the cut locus."""
     if not np.isfinite(inv.rho):
         raise RetractionUndefinedError(
-            f"cut time is unbounded along the ray through q={q}; "
+            f"cut time is unbounded along the ray through q={inv.q}; "
             "no cut point to retract onto")
     if inv.t <= 1e-12:
-        raise NumericalFailure(f"q={q} lies on N; the retraction onto the "
-                               "cut locus is undefined there")
-    t = s * inv.rho + (1.0 - s) * inv.t
-    return field.path(inv.ray, t).position(t)
+        raise NumericalFailure(f"q={inv.q} lies on N; the retraction onto "
+                               "the cut locus is undefined there")
+    out = []
+    for s in ss:
+        t = s * inv.rho + (1.0 - s) * inv.t
+        out.append(field.path(inv.ray, t).position(t))
+    return out
 
 
 def distance_sq_differential(field: NormalShooting, q, X) -> float:
     """df(X) for f = d(N, .)^2: equals 2 l g_{v}(v, X) at the terminal
     velocity v of the unique minimizing segment of length l."""
-    wit = field.distance(q, full=True)
+    return _differential(field, q, field.distance(q, full=True), X)
+
+
+def _differential(field: NormalShooting, q, wit, X) -> float:
+    """``distance_sq_differential`` at q, read from its full witness
+    ``wit``."""
     values = []
     for m in wit.minimizers:
         term = m.terminal
@@ -122,25 +149,43 @@ class VariationReport:
 
 def check_first_variation(field: NormalShooting, q,
                           directions) -> VariationReport:
-    """Central finite differences of d(N, .)^2 against the analytic df.
-    Every probe point is asked in one ``distances`` batch; the errors they
-    hold are raised in the order of the loop over ``directions``."""
+    """Central finite differences of d(N, .)^2 at q, with step
+    VARIATION_STEP along each of ``directions``, against the analytic df
+    (``distance_sq_differential``): the report's rows are (X, df(X),
+    difference quotient) and ``max_deviation`` the largest gap.  The
+    one-item case of ``check_first_variations``."""
+    (rep,) = check_first_variations(field, [(q, directions)])
+    return rep
+
+
+def check_first_variations(field: NormalShooting, items) -> list:
+    """``check_first_variation`` of each (q, directions) of ``items``: every
+    difference point is asked in one quick ``distances`` batch and every q
+    in one full batch, and each report has the bits of its lone call.  The
+    errors the entries hold are raised in the order of the loop over the
+    items and their directions."""
     h = VARIATION_STEP
-    chart, x = q
-    x = np.asarray(x, dtype=float)
-    directions = [np.asarray(X, dtype=float) for X in directions]
-    probes = field.distances([p for X in directions
-                              for p in ((chart, x + h * X),
-                                        (chart, x - h * X))], full=False)
-    rows = []
-    worst = 0.0
-    for k, X in enumerate(directions):
-        analytic = distance_sq_differential(field, q, X)
-        dp, dm = (_value(wit).d for wit in probes[2 * k:2 * k + 2])
-        fd = (dp * dp - dm * dm) / (2.0 * h)
-        rows.append((X, analytic, fd))
-        worst = max(worst, abs(analytic - fd))
-    return VariationReport(q, worst, rows)
+    items = [(q, [np.asarray(X, dtype=float) for X in directions])
+             for q, directions in items]
+    points = []
+    for (chart, x), directions in items:
+        x = np.asarray(x, dtype=float)
+        points.extend(p for X in directions
+                      for p in ((chart, x + h * X), (chart, x - h * X)))
+    probes = iter(field.distances(points, full=False))
+    centres = field.distances([q for q, _ in items], full=True)
+    reports = []
+    for (q, directions), centre in zip(items, centres):
+        rows = []
+        worst = 0.0
+        for X in directions:
+            analytic = _differential(field, q, _value(centre), X)
+            dp, dm = (_value(next(probes)).d for _ in range(2))
+            fd = (dp * dp - dm * dm) / (2.0 * h)
+            rows.append((X, analytic, fd))
+            worst = max(worst, abs(analytic - fd))
+        reports.append(VariationReport(q, worst, rows))
+    return reports
 
 
 def _value(entry):
@@ -164,11 +209,12 @@ def one_sided_spread(field: NormalShooting, q, X, h=1e-5) -> float:
     return abs(fwd - bwd)
 
 
-def homotopy_trace(field: NormalShooting, q):
+def homotopy_trace(field: NormalShooting, q, inv=None):
     """Path of one probe point under the retraction onto N, rows
-    (s, chart, x) for export."""
-    rows = []
-    for s in np.linspace(0.0, 1.0, TRACE_STEPS):
-        chart, x = retract_to_N(field, q, float(s))
-        rows.append((float(s), chart, np.asarray(x, dtype=float)))
-    return rows
+    (s, chart, x) for export; ``inv`` is q's ``inverse_normal_exp`` when
+    the caller already has it."""
+    if inv is None:
+        inv = inverse_normal_exp(field, q)
+    ss = np.linspace(0.0, 1.0, TRACE_STEPS).tolist()
+    return [(s, chart, np.asarray(x, dtype=float))
+            for s, (chart, x) in zip(ss, retractions_to_N(field, inv, ss))]

@@ -944,6 +944,100 @@ def test_lockstep_roots_match_the_scalar_newton_loop():
             assert abs(t - want) <= 8 * np.finfo(float).eps * want / -slope
 
 
+def _exhaustive_cut_times(solver, rays, shell=None):
+    """``StraightPointSource.cut_times`` without its pruning, kept as the
+    reference: every (ray, shift) pair with 0 < |kL| <= 2H (|v| + 1 /
+    floor), or only those with every |k_i| <= ``shell`` when it is given,
+    one row of one ``_least_roots`` batch, then each ray's least root."""
+    span = 2 * solver.plan.horizon
+    vs = np.array([ray.v for ray in rays], dtype=float).reshape(-1, 2)
+    reach = span * (np.linalg.norm(vs, axis=1) + 1.0 / solver.floor)
+    shifts = solver.lattice_shifts(np.zeros(2), reach.max(initial=0.0))
+    size = np.sqrt(shifts[:, 0] ** 2 + shifts[:, 1] ** 2)
+    pairs = (size > 0.0) & (size <= reach[:, None])
+    if shell is not None:
+        lat = solver.metric.atlas.periodic_lattice
+        pairs &= np.abs(np.rint(shifts / lat)).max(axis=1) <= shell
+    ray_of, shift_of = np.nonzero(pairs)
+    roots = straight._least_roots(solver.metric, solver.chart, solver.base,
+                                  vs[ray_of], shifts[shift_of], span)
+    rho = np.full(len(vs), np.inf)
+    np.minimum.at(rho, ray_of, roots)
+    return rho
+
+
+def _sheared_torus_field():
+    """The unit torus under the constant norm |(v1 + 3 v2, v2)|: its
+    nearest lattice copies are k = (1, 0) and (-3, 1), so some rays are cut
+    by a shift beyond the nearest shell."""
+    def F(chart, x, v):
+        u = v[0] + 3.0 * v[1]
+        return fc.dual.sqrt(u * u + v[1] * v[1])
+
+    atlas = fc.torus_atlas([1.0, 1.0])
+    return fc.NormalShooting(
+        fc.CustomMetric(atlas, F, reversible=True, x_independent=True),
+        fc.point_submanifold(0, [0.3, 0.1]),
+        fc.ShootingPlan(psi_count=16, horizon=1.5, bisect_tol=1e-8,
+                        min_slack=1e-7))
+
+
+def test_pruned_cut_times_equal_the_exhaustive_search_to_the_bit():
+    rng = np.random.default_rng(27)
+    fields = list(_flat_point_fields(26))
+    # a Randers torus whose drift puts the unit-circle floor near 0.3: its
+    # shifts reach far (1 / floor) and its rays run at very unequal speeds
+    atlas = fc.torus_atlas(rng.uniform(0.8, 1.25, 2))
+    field = fc.NormalShooting(
+        fc.RandersMetric(atlas, np.array([0.55, -0.4])),
+        fc.point_submanifold(0, [0.3, 0.1]),
+        fc.ShootingPlan(psi_count=32, horizon=1.5, bisect_tol=1e-8,
+                        min_slack=1e-7))
+    assert 0.2 < field.straight.floor < 0.4
+    fields.append((field, [
+        field.ray_at(rng.uniform(-math.pi, math.pi, 1), field.rays[0])
+        for _ in range(8)]))
+    sheared = _sheared_torus_field()
+    fields.append((sheared, []))
+    checked = 0
+    for field, rays in fields:
+        rays = list(field.rays) + list(rays)
+        got = field.straight.cut_times(rays)
+        want = _exhaustive_cut_times(field.straight, rays)
+        assert [float.hex(r) for r in got] == [float.hex(r) for r in want]
+        checked += int(np.isfinite(got).sum())
+    assert checked > 250
+    # the nearest shell alone misses the sheared torus's shorter copies
+    shell = _exhaustive_cut_times(sheared.straight, sheared.rays, shell=1)
+    assert (shell > sheared.straight.cut_times(sheared.rays)).any()
+    # the lattice-free plane: no copy of the source, every rho inf
+    sc = scenario.builtin_scenario("randers-plane-point")
+    plane = fc.NormalShooting(*scenario.build_geometry(sc)[1:])
+    got = plane.straight.cut_times(plane.rays)
+    assert np.isinf(got).all()
+    assert np.isinf(_exhaustive_cut_times(plane.straight, plane.rays)).all()
+
+
+def test_torus_point_cut_times_solve_only_the_shifts_that_can_win(
+        monkeypatch):
+    # the 128-ray fan searches about 112 shifts per ray, 14336 rows; all
+    # but its nearest shell of 8 are pruned
+    rows = []
+    least_roots = straight._least_roots
+
+    def counted(metric, chart, p, V, W, t_max):
+        rows.append(len(V))
+        return least_roots(metric, chart, p, V, W, t_max)
+
+    monkeypatch.setattr(straight, "_least_roots", counted)
+    sc = scenario.builtin_scenario("torus-point")
+    field = fc.NormalShooting(*scenario.build_geometry(sc)[1:])
+    assert len(field.rays) == 128
+    rho = field.straight.cut_times(field.rays)
+    assert np.isfinite(rho).all()
+    assert 0 < sum(rows) <= 2048
+
+
 def _filed(field, rays):
     """Cut times of ``rays`` as ``file_fan`` files them in one batch; each
     one must be filed there, not computed later by ``cut_time``."""

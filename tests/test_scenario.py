@@ -440,11 +440,11 @@ def test_dfcheck_probes_the_disk_in_the_source_chart(monkeypatch):
     # the disk around it are chart-1 points, not points near the south pole
     probes = []
 
-    def record(field, q, directions):
-        probes.append(q)
-        return topo_mod.VariationReport(q, 0.0, [])
+    def record(field, items):
+        probes.extend(q for q, _ in items)
+        return [topo_mod.VariationReport(q, 0.0, []) for q, _ in items]
 
-    monkeypatch.setattr(topo_mod, "check_first_variation", record)
+    monkeypatch.setattr(topo_mod, "check_first_variations", record)
     doc = {"name": "north-pole", "manifold": {"type": "sphere-stereo"},
            "metric": {"family": "sphere-round"},
            "submanifold": {"family": "point", "chart": 1},

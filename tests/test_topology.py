@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import finslercut as fc
-from finslercut import scenario, topology
+from finslercut import scenario, straight, topology
 
 
 def test_inverse_normal_exp_torus(torus_field):
@@ -113,3 +114,90 @@ def test_retract_probes_reuse_the_fan_cut_times():
     off = field.ray_at(field.ray_param(ray) + 1e-3, ray)
     assert topology._fan_twin(field, off) is off
     assert topology._fan_twin(field, ray) is ray
+
+
+def _variation_items(rng, qs):
+    """Each point of ``qs`` with three random unit directions."""
+    items = []
+    for q in qs:
+        angs = rng.uniform(0, 2 * math.pi, 3)
+        items.append((q, [np.array([math.cos(a), math.sin(a)])
+                          for a in angs]))
+    return items
+
+
+def _report_bits(rep):
+    return (float.hex(rep.max_deviation),
+            [(X.tobytes(), float.hex(a), float.hex(fd))
+             for X, a, fd in rep.rows])
+
+
+def test_batched_first_variations_equal_the_lone_checks_to_the_bit(
+        torus_field, circle_field):
+    rng = np.random.default_rng(31)
+    for field, radius in ((torus_field, 0.4), (circle_field, 0.8)):
+        qs = [(0, rng.uniform(-radius, radius, 2)) for _ in range(12)]
+        items = _variation_items(rng, qs)
+        reps = fc.check_first_variations(field, items)
+        assert [rep.q for rep in reps] == qs
+        for rep, (q, dirs) in zip(reps, items):
+            assert _report_bits(rep) == _report_bits(
+                fc.check_first_variation(field, q, dirs))
+
+
+def test_batched_first_variations_raise_the_first_lone_error():
+    # the lattice-free plane: points beyond twice the horizon are unreached
+    sc = scenario.builtin_scenario("randers-plane-point")
+    field = fc.NormalShooting(*scenario.build_geometry(sc)[1:])
+    far = 2 * field.plan.horizon + 1.0
+    qs = [(0, np.array([0.3, 0.2])), (0, np.array([0.0, far])),
+          (0, np.array([far, -0.5])), (0, np.array([0.1, -0.4]))]
+    items = _variation_items(np.random.default_rng(32), qs)
+    lone = []
+    for q, dirs in items:
+        try:
+            fc.check_first_variation(field, q, dirs)
+        except fc.UnreachedPointError as exc:
+            lone.append(exc)
+        else:
+            lone.append(None)
+    assert [exc is None for exc in lone] == [True, False, False, True]
+    lone = lone[1]
+    with pytest.raises(fc.UnreachedPointError) as got:
+        fc.check_first_variations(field, items)
+    assert str(got.value) == str(lone)
+
+
+def test_retracts_computes_one_inverse_per_probe(monkeypatch):
+    calls = []
+    inverse = topology.inverse_normal_exp
+
+    def counted(field, q):
+        calls.append(q)
+        return inverse(field, q)
+
+    monkeypatch.setattr(topology, "inverse_normal_exp", counted)
+    sc = dataclasses.replace(scenario.builtin_scenario("torus-point"),
+                             tasks=["cutlocus", "retracts"])
+    bundle = fc.run_scenario(sc)
+    assert bundle.documents["retracts"]["n_probes"] == scenario.RETRACT_PROBES
+    # one per probe, and one for the cut point that stays fixed
+    assert len(calls) == scenario.RETRACT_PROBES + 1
+
+
+def test_dfcheck_asks_its_probes_in_two_distance_batches(monkeypatch):
+    calls = []
+    distances = straight.StraightPointSource.distances
+
+    def counted(self, qs):
+        calls.append(len(qs))
+        return distances(self, qs)
+
+    monkeypatch.setattr(straight.StraightPointSource, "distances", counted)
+    sc = dataclasses.replace(scenario.builtin_scenario("torus-point"),
+                             tasks=["dfcheck"])
+    bundle = fc.run_scenario(sc)
+    n = scenario.DFCHECK_PROBES
+    assert bundle.documents["dfcheck"]["n_probes"] == n
+    # every difference point in one quick batch, then every centre
+    assert calls == [6 * n, n]
