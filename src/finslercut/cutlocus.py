@@ -57,12 +57,14 @@ stacked.  It then refines those rays' focal times in one lockstep
 (``geodesic.first_degeneracies``) and answers the full query at the top of
 each one's first bracket in one ``distances`` batch, so the bisection of
 each ray reads its first focal time and its first query from the caches.
-A flat field's exact lines are built one by one on request.  Each row
-equals its lone integration to the last bit (see ``dopri.py`` for the BLAS
-and pow conditions this rests on), so a batch result is filed under the
-key ``flow(ray)`` would give it and the cache rule holds.  A row that
-fails, or every row of a batch that raises, is not filed: a later request
-integrates that ray alone and raises as it always did.
+A closed-form field builds the exact lines of the cut times it files in
+one ``integrate_geodesics`` batch per whole-horizon span; any other flat
+field's lines are built one by one on request.  Each row equals its lone
+integration to the last bit (see ``dopri.py`` for the BLAS and pow
+conditions this rests on), so a batch result is filed under the key
+``path(ray)`` or ``flow(ray)`` would give it and the cache rule holds.
+A row that fails, or every row of a batch that raises, is not filed: a
+later request integrates that ray alone and raises as it always did.
 """
 from __future__ import annotations
 
@@ -75,8 +77,8 @@ import numpy as np
 from .errors import FinslerError, NumericalFailure, UnreachedPointError
 from .atlas import TangentVec
 from .geodesic import (DEFAULT_ATOL, DEFAULT_RTOL, first_degeneracies,
-                       first_degeneracy, integrate_geodesic, path_states,
-                       straight_geodesics)
+                       first_degeneracy, integrate_geodesic,
+                       integrate_geodesics, path_states, straight_geodesics)
 from .metric import _row_dots, _row_norms
 from .straight import straight_point_source
 from .submanifold import (Minimizer, NormalRay, normal_jacobi_flow,
@@ -832,25 +834,53 @@ class NormalShooting:
     def _file_closed_form(self, rays):
         """File the closed-form cut time of each of ``rays`` that its
         confirming query accepts (``_confirmed_cut_time``), once all of
-        those queries are answered in one ``distances`` batch."""
+        those queries are answered in one ``distances`` batch.
+
+        The finite rays' lines are built in one batch per whole-horizon
+        span (``_file_paths``), and each cut point x(rho) is evaluated
+        once for its query.
+        """
         rhos = self.straight.cut_times(rays).tolist()
+        finite = [k for k, rho in enumerate(rhos) if math.isfinite(rho)]
+        self._file_paths([rays[k] for k in finite], [rhos[k] for k in finite])
         tops = {}
-        for k, (ray, rho) in enumerate(zip(rays, rhos)):
-            if np.isfinite(rho):
-                try:
-                    tops[k] = self.path(ray, rho).position(rho)
-                except (FinslerError, np.linalg.LinAlgError):
-                    continue
+        for k in finite:
+            try:
+                tops[k] = self.path(rays[k], rhos[k]).position(rhos[k])
+            except (FinslerError, np.linalg.LinAlgError):
+                continue
         wits = dict(zip(tops, self.distances(list(tops.values()))))
         for k, (ray, rho) in enumerate(zip(rays, rhos)):
-            if isinstance(wits.get(k), Exception):
+            if math.isfinite(rho) and (k not in tops
+                                       or isinstance(wits[k], Exception)):
+                # its path or its confirming query raised
                 continue
             try:
-                got = self._confirmed_cut_time(ray, rho)
+                got = self._confirmed_cut_time(rho, tops.get(k))
             except (FinslerError, np.linalg.LinAlgError):
                 continue
             if got is not None:
                 self._cut_times.setdefault(_ray_key(ray), got)
+
+    def _file_paths(self, rays, spans):
+        """File the paths ``path(ray, span)`` would build for the rays and
+        spans not yet filed, one ``integrate_geodesics`` batch per
+        whole-horizon span; a row that fails, or a batch that raises, is
+        not filed."""
+        todo = {}
+        for ray, span in zip(rays, spans):
+            key = self._span_key(ray, span)
+            if key not in self._paths:
+                todo.setdefault(key[1], {}).setdefault(key, ray)
+        for whole, batch in todo.items():
+            try:
+                got = integrate_geodesics(
+                    self.metric, [ray.tangent() for ray in batch.values()],
+                    whole, rtol=self.plan.ode_rtol, atol=self.plan.ode_atol)
+            except (FinslerError, np.linalg.LinAlgError):
+                continue
+            self._paths.update((key, path) for key, path in zip(batch, got)
+                               if not isinstance(path, Exception))
 
     def focal_time(self, ray: NormalRay, T_max=None):
         """The first focal time of ``ray`` in (FOCAL_FLOOR, T_max], T_max
@@ -876,19 +906,20 @@ class NormalShooting:
             got = self._cut_times[key] = self._bisect_cut_time(ray)
         return got
 
-    def _confirmed_cut_time(self, ray, rho):
-        """The closed-form cut time ``rho`` of a ray (``straight.cut_times``),
-        or None when the confirming distance query rejects it.
+    def _confirmed_cut_time(self, rho, top):
+        """The closed-form cut time ``rho`` of a ray (``straight.cut_times``)
+        with its cut point ``top`` = x(rho), or None when the confirming
+        distance query rejects it.
 
         With no focal point the cut is Separating, at the first lattice
-        copy of the ray that reaches it.  One full distance query at x(rho),
-        filed by ``_file_closed_form``'s batch, must find no shorter path
-        and two distinct minimizers (``leading``).
+        copy of the ray that reaches it.  One full distance query at
+        ``top``, filed by ``_file_closed_form``'s batch, must find no
+        shorter path and two distinct minimizers (``leading``).
         """
         if not np.isfinite(rho):
             return CutTimeResult(np.inf, np.inf, unbounded=True)
         rho = float(rho)
-        wit = self.distance(self.path(ray, rho).position(rho), full=True)
+        wit = self.distance(top, full=True)
         if (wit.d >= rho - 2.0 * self.plan.min_slack
                 and len(wit.leading(2)) >= 2):
             return CutTimeResult(rho, np.inf)

@@ -131,6 +131,57 @@ def _doc(obj):
     return str(obj)
 
 
+def _render(obj):
+    """The text of every JSON document a run or ``write_golden`` writes:
+    ``json.dumps(_doc(obj), indent=2, sort_keys=True) + "\\n"``, byte for
+    byte, normalized and written in one recursive pass (``_emit``)."""
+    out = []
+    _emit(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _emit(obj, nl, out):
+    """Append the JSON text of ``_doc(obj)`` to ``out``, as ``json.dumps``
+    indents it at the level whose newline and indent are ``nl``: keys and
+    strings through json's ASCII encoder, numbers through ``_num`` and
+    ``float.__repr__``, and a set's sorted items as json writes them."""
+    if isinstance(obj, dict):
+        inner = nl + "  "
+        items = {str(k): v for k, v in obj.items()}
+        sep = "{"
+        for k in sorted(items):
+            out.append(f"{sep}{inner}{_quote(k)}: ")
+            _emit(items[k], inner, out)
+            sep = ","
+        out.append("{}" if sep == "{" else nl + "}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        inner = nl + "  "
+        sep = "["
+        for v in obj.tolist() if isinstance(obj, np.ndarray) else obj:
+            out.append(sep + inner)
+            _emit(v, inner, out)
+            sep = ","
+        out.append("[]" if sep == "[" else nl + "]")
+    elif isinstance(obj, (float, np.floating)):
+        x = _num(obj)
+        out.append(repr(x) if isinstance(x, float) else _quote(x))
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None or isinstance(obj, bool):
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        # json refuses a numpy integer, and so does int.__repr__
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (set, frozenset)):
+        out.append(json.dumps(sorted(obj), indent=2).replace("\n", nl))
+    else:
+        out.append(_quote(str(obj)))
+
+
 def record_doc(rec):
     doc = {
         "theta": _doc(rec.ray.theta),
@@ -948,11 +999,9 @@ def run_scenario(sc: Scenario, out_dir=None):
 
     bundle.wall_time = time.perf_counter() - t_start
     summary = summary_document(bundle)
-    bundle.files[f"{sc.name}_summary.json"] = (
-        json.dumps(_doc(summary), indent=2, sort_keys=True) + "\n")
+    bundle.files[f"{sc.name}_summary.json"] = _render(summary)
     for task, doc in bundle.documents.items():
-        bundle.files[f"{sc.name}_{task}.json"] = (
-            json.dumps(_doc(doc), indent=2, sort_keys=True) + "\n")
+        bundle.files[f"{sc.name}_{task}.json"] = _render(doc)
     bundle.manifest = {
         "scenario": sc.name,
         "seed": sc.seed,
@@ -1031,5 +1080,4 @@ def compare_to_golden(summary, name, rtol=1e-9):
 
 def write_golden(summary, name):
     golden_dir().mkdir(exist_ok=True)
-    golden_path(name).write_text(
-        json.dumps(_doc(summary), indent=2, sort_keys=True) + "\n")
+    golden_path(name).write_text(_render(summary))

@@ -3,8 +3,8 @@ geodesics are straight lines in one chart (``geodesic.straight_geodesics``:
 an x-independent metric on the flat plane or torus).
 
 ``distances`` gives, for each of many points q, the least F over the
-lattice shifts of q - p, all the queries' shifts evaluated together;
-``distance`` is its one-query case.  The normal
+lattice shifts of q - p and the arrivals that realize it, every query's
+shifts and arrivals evaluated together as rows.  The normal
 geodesics have no focal point (J0 = 0, so det[t Jd0 | v] vanishes only at
 t = 0), so by the Separating/FirstFocal dichotomy the cut time is the first
 t at which a lattice copy reaches p + t v as fast as the ray does: the
@@ -26,7 +26,7 @@ import numpy as np
 from .atlas import TangentVec
 from .errors import FinslerError, UnreachedPointError
 from .geodesic import straight_geodesics
-from .metric import V_FLOOR, MetricField
+from .metric import V_FLOOR, MetricField, _row_norms
 from .submanifold import Minimizer, NormalRay
 
 FLOOR_DIRS = 256            # unit directions bounding F from below
@@ -72,6 +72,12 @@ def _unit_circle_floor(metric, chart, p):
                                     for a in angles])
     chord = 2.0 * math.sin(math.pi / (2 * FLOOR_DIRS))
     return float(vals.min() - vals.max() * chord / (1.0 - chord))
+
+
+def _minimum_images(D, lat):
+    """The rows of D wrapped to their minimum images under the lattice
+    ``lat`` (None: none), as ``ManifoldAtlas.displacement`` wraps one."""
+    return D if lat is None else D - lat * np.round(D / lat)
 
 
 def _least_roots(metric, chart, p, V, W, t_max):
@@ -161,84 +167,76 @@ class StraightPointSource:
         Every lattice shift w = q - p - kL whose Euclidean length allows
         F(w) <= F(w0) + window, w0 the minimum image, is evaluated; each
         shift within the window of the least F gives an arrival with
-        direction w / F(w) and covector g_v(v).  The shifts of all queries
-        are one ``lattice_shifts`` table, their lengths one ``F_rows`` call
-        and their covectors one ``legendre_rows`` call; each row has the
-        bits of its lone query.
+        direction w / F(w) and covector g_v(v).  Every step works on rows,
+        each with the bits of its lone query: the minimum images of all
+        queries, one ``lattice_shifts`` table of their shifts, one
+        ``F_rows`` call for the lengths, one ``legendre_rows`` call for the
+        covectors, and each arrival's end point and residual.
         """
         plan, metric = self.plan, self.metric
         chart, p = self.chart, self.base
+        lat = metric.atlas.periodic_lattice
         window = max(1e-6, 2 * plan.bisect_tol)
         out = [None] * len(qs)
-        live, w0s = [], []
+        own = []
         for j, q in enumerate(qs):
+            if q[0] == chart:
+                own.append(j)
+                continue
+            # the atlas has this one chart (straight_geodesics), so the
+            # displacement to a point of another refuses it
             try:
-                w0 = metric.atlas.displacement((chart, p), q)
+                metric.atlas.displacement((chart, p), q)
             except FinslerError as exc:
                 out[j] = exc
-                continue
-            if np.linalg.norm(w0) < V_FLOOR:
-                # q is the source: the zero-length segment along the source
-                # ray
-                ray = self.source_ray
-                term = TangentVec(chart, p + w0, ray.v)
-                out[j] = 0.0, [Minimizer(ray, 0.0, term,
-                                         float(np.linalg.norm(w0)))]
-                continue
-            live.append(j)
-            w0s.append(w0)
-        if not live:
+        if not own:
             return out
-        w0s = np.array(w0s)
-        reach = (metric.F_rows(chart, p, w0s) + window) / self.floor
-        shifts, counts = self.lattice_shifts(w0s, reach)
+        X = np.array([qs[j][1] for j in own], dtype=float)
+        W0 = _minimum_images(X - p, lat)
+        size = _row_norms(W0)
+        # a query at the source: the zero-length segment along the source ray
+        source, ray = size < V_FLOOR, self.source_ray
+        for j, w0, r in zip(np.compress(source, own).tolist(), W0[source],
+                            size[source].tolist()):
+            out[j] = 0.0, [Minimizer(ray, 0.0, TangentVec(chart, p + w0,
+                                                          ray.v), r)]
+        if source.all():
+            return out
+        live = np.flatnonzero(~source)
+        reach = (metric.F_rows(chart, p, W0[live]) + window) / self.floor
+        shifts, counts = self.lattice_shifts(W0[live], reach)
         ts = metric.F_rows(chart, p, shifts)
-        near_rows, found = [], []      # (query, d, arrival count)
-        for j, lo, hi in zip(live, np.cumsum(counts) - counts,
-                             np.cumsum(counts)):
-            t = ts[lo:hi]
-            d = float(t.min())
-            if d > 2 * plan.horizon + plan.min_slack:
-                # beyond the doubled-horizon probe, the longest span
-                # integrated
-                out[j] = UnreachedPointError(
-                    f"q={qs[j]} lies at distance {d:.6g}, beyond twice the "
-                    f"horizon {plan.horizon}")
-                continue
-            near = np.argsort(t, kind="stable")
-            near = near[t[near] <= d + window]
-            near_rows.append(lo + near)
-            found.append((j, d, len(near)))
-        if not found:
+        d = np.minimum.reduceat(ts, np.cumsum(counts) - counts)
+        # beyond the doubled-horizon probe, the longest span integrated
+        far = d > 2 * plan.horizon + plan.min_slack
+        for i in np.flatnonzero(far).tolist():
+            j = own[live[i]]
+            out[j] = UnreachedPointError(
+                f"q={qs[j]} lies at distance {float(d[i]):.6g}, beyond "
+                f"twice the horizon {plan.horizon}")
+        if far.all():
             return out
-        rows = np.concatenate(near_rows)
-        ts, shifts = ts[rows], shifts[rows]
+        # each query's near shifts in t order, ties in table order
+        query = np.repeat(np.arange(len(live)), counts)
+        rows = np.flatnonzero((ts <= np.repeat(d + window, counts))
+                              & ~far[query])
+        rows = rows[np.lexsort((ts[rows], query[rows]))]
+        ts, shifts, query = ts[rows], shifts[rows], query[rows]
         vs = shifts / ts[:, None]
         omegas = metric.legendre_rows(chart, p, vs)
+        psis = omegas / _row_norms(omegas)[:, None]
+        res = _row_norms(_minimum_images(X[live[query]]
+                                         - (p + ts[:, None] * vs), lat))
+        arrivals = [Minimizer(NormalRay(np.zeros(0), psi, chart, p, v), t,
+                              TangentVec(chart, term, v), r)
+                    for t, v, psi, term, r in zip(ts.tolist(), vs, psis,
+                                                  p + shifts, res.tolist())]
+        near = np.bincount(query, minlength=len(live)).tolist()
         at = 0
-        for j, d, n in found:
-            q = qs[j]
-            arrivals = []
-            part = slice(at, at + n)
-            for t, w, v, omega in zip(ts[part].tolist(), shifts[part],
-                                      vs[part], omegas[part]):
-                ray = NormalRay(np.zeros(0), omega / np.linalg.norm(omega),
-                                chart, p, v)
-                res = float(np.linalg.norm(
-                    metric.atlas.displacement((chart, p + t * v), q)))
-                arrivals.append(Minimizer(ray, t, TangentVec(chart, p + w, v),
-                                          res))
-            out[j] = d, arrivals
-            at += n
+        for i in np.flatnonzero(~far).tolist():
+            out[own[live[i]]] = float(d[i]), arrivals[at:at + near[i]]
+            at += near[i]
         return out
-
-    def distance(self, q):
-        """d(N, q) and its arrivals, sorted by t: the one-query case of
-        ``distances``, raising the error that its entry holds."""
-        (got,) = self.distances([q])
-        if isinstance(got, Exception):
-            raise got
-        return got
 
     def cut_times(self, rays):
         """Separating times of ``rays``: for each ray, the least root in

@@ -10,6 +10,7 @@ from finslercut import cutlocus, scenario, straight
 from finslercut.cutlocus import (NEWTON_TOL, SAMPLE_DT_FRAC, SEPARATING,
                                  ShootingPlan)
 from finslercut.metric import ReversedMetric
+from test_fan_batch import _assert_same_segments
 
 
 @pytest.fixture(scope="module")
@@ -22,13 +23,17 @@ def small_torus():
     return fc.NormalShooting(metric, N, plan)
 
 
-@pytest.fixture(scope="module")
-def torus32():
+def _torus32_field():
     atlas = fc.torus_atlas([1.0, 1.0])
     metric = fc.euclidean_metric(atlas)
     N = fc.point_submanifold(0, np.zeros(2))
     return fc.NormalShooting(metric, N, fc.ShootingPlan(
         psi_count=32, horizon=1.5, bisect_tol=1e-8, min_slack=1e-7))
+
+
+@pytest.fixture(scope="module")
+def torus32():
+    return _torus32_field()
 
 
 def _reference_approach(field, q):
@@ -1072,6 +1077,172 @@ def test_filed_closed_form_cut_times_agree_with_bisection():
             assert math.isinf(got.lam) and math.isinf(want.lam)
 
 
+def _reference_distances(solver, qs):
+    """``StraightPointSource.distances`` as a loop over queries and their
+    arrivals, kept as the reference for the row-built witnesses: one
+    ``atlas.displacement`` per query and per arrival, one stable argsort
+    per query."""
+    plan, metric = solver.plan, solver.metric
+    chart, p = solver.chart, solver.base
+    window = max(1e-6, 2 * plan.bisect_tol)
+    out = [None] * len(qs)
+    live, w0s = [], []
+    for j, q in enumerate(qs):
+        try:
+            w0 = metric.atlas.displacement((chart, p), q)
+        except fc.FinslerError as exc:
+            out[j] = exc
+            continue
+        if np.linalg.norm(w0) < fc.metric.V_FLOOR:
+            ray = solver.source_ray
+            term = fc.TangentVec(chart, p + w0, ray.v)
+            out[j] = 0.0, [fc.Minimizer(ray, 0.0, term,
+                                        float(np.linalg.norm(w0)))]
+            continue
+        live.append(j)
+        w0s.append(w0)
+    if not live:
+        return out
+    w0s = np.array(w0s)
+    reach = (metric.F_rows(chart, p, w0s) + window) / solver.floor
+    shifts, counts = solver.lattice_shifts(w0s, reach)
+    ts = metric.F_rows(chart, p, shifts)
+    near_rows, found = [], []
+    for j, lo, hi in zip(live, np.cumsum(counts) - counts,
+                         np.cumsum(counts)):
+        t = ts[lo:hi]
+        d = float(t.min())
+        if d > 2 * plan.horizon + plan.min_slack:
+            out[j] = fc.UnreachedPointError(
+                f"q={qs[j]} lies at distance {d:.6g}, beyond twice the "
+                f"horizon {plan.horizon}")
+            continue
+        near = np.argsort(t, kind="stable")
+        near = near[t[near] <= d + window]
+        near_rows.append(lo + near)
+        found.append((j, d, len(near)))
+    if not found:
+        return out
+    rows = np.concatenate(near_rows)
+    ts, shifts = ts[rows], shifts[rows]
+    vs = shifts / ts[:, None]
+    omegas = metric.legendre_rows(chart, p, vs)
+    at = 0
+    for j, d, n in found:
+        q = qs[j]
+        arrivals = []
+        part = slice(at, at + n)
+        for t, w, v, omega in zip(ts[part].tolist(), shifts[part],
+                                  vs[part], omegas[part]):
+            ray = fc.NormalRay(np.zeros(0), omega / np.linalg.norm(omega),
+                               chart, p, v)
+            res = float(np.linalg.norm(
+                metric.atlas.displacement((chart, p + t * v), q)))
+            arrivals.append(fc.Minimizer(ray, t, fc.TangentVec(chart, p + w,
+                                                               v), res))
+        out[j] = d, arrivals
+        at += n
+    return out
+
+
+def _hexes(x):
+    return [float.hex(float(c)) for c in np.ravel(x)]
+
+
+def _assert_same_witnesses(got, want):
+    """Equal entries of two ``distances`` results, each float by its hex."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(b, Exception):
+            assert type(a) is type(b) and str(a) == str(b)
+            continue
+        (d, arrivals), (d_want, arrivals_want) = a, b
+        assert float.hex(d) == float.hex(d_want)
+        assert len(arrivals) == len(arrivals_want)
+        for m, w in zip(arrivals, arrivals_want):
+            assert _hexes([m.t, m.residual]) == _hexes([w.t, w.residual])
+            assert _hexes(m.ray.v) == _hexes(w.ray.v)
+            assert _hexes(m.ray.psi) == _hexes(w.ray.psi)
+            assert m.terminal.chart == w.terminal.chart
+            assert _hexes(m.terminal.x) == _hexes(w.terminal.x)
+            assert _hexes(m.terminal.v) == _hexes(w.terminal.v)
+
+
+def test_row_built_witnesses_equal_the_per_query_loop_to_the_bit():
+    rng = np.random.default_rng(40)
+    sc = scenario.builtin_scenario("randers-plane-point")
+    plane = fc.NormalShooting(*scenario.build_geometry(sc)[1:])
+    fields = [*_flat_point_fields(40), (_torus32_field(), []), (plane, [])]
+    for field, rays in fields:
+        solver = field.straight
+        p, H = solver.base, field.plan.horizon
+        lat = field.metric.atlas.periodic_lattice
+        rays = list(field.rays) + rays
+        # the cut points, where two or more arrivals tie, and random points
+        qs = [field.path(ray, rho).position(rho) for ray, rho in
+              zip(rays, solver.cut_times(rays).tolist()) if rho < math.inf]
+        qs += [(0, p + rng.uniform(-1.5, 1.5, 2)) for _ in range(16)]
+        # the source, a point of another chart, one beyond 2H on the plane,
+        # and a Voronoi vertex of the lattice
+        k = len(qs)
+        qs += [(0, p.copy()), (1, p.copy()), (0, p + [2.5 * H, 2.5 * H])]
+        if lat is not None:
+            qs.append((0, p + 0.5 * lat))
+        got = solver.distances(qs)
+        _assert_same_witnesses(got, _reference_distances(solver, qs))
+        assert got[k][0] == 0.0
+        assert isinstance(got[k + 1], fc.DomainError)
+        if lat is None:
+            assert isinstance(got[k + 2], fc.UnreachedPointError)
+    # the unit torus's Voronoi vertex: four shifts of exactly one length,
+    # in the order the stable sort gives them
+    (d, arrivals), = _torus32_field().straight.distances(
+        [(0, np.array([0.5, 0.5]))])
+    assert len(arrivals) == 4 and all(m.t == d for m in arrivals)
+
+
+def test_closed_form_fan_builds_its_lines_in_one_batch_per_span(
+        monkeypatch):
+    sc = scenario.builtin_scenario("torus-point")
+    field = fc.NormalShooting(*scenario.build_geometry(sc)[1:])
+    plan = field.plan
+    spans, lone = [], []
+    batch = cutlocus.integrate_geodesics
+
+    def batched(metric, starts, T, **tols):
+        spans.append(T)
+        return batch(metric, starts, T, **tols)
+
+    monkeypatch.setattr(cutlocus, "integrate_geodesics", batched)
+    monkeypatch.setattr(cutlocus, "integrate_geodesic",
+                        lambda *args, **kw: lone.append(args))
+    records = fc.cut_locus(field)
+    monkeypatch.undo()
+    # one batch per whole-horizon span, and no lone path
+    assert spans and len(spans) == len(set(spans)) and not lone
+    assert all(np.isfinite(rec.rho) for rec in records)
+    for ray, rec in zip(field.rays, records):
+        path = field._paths[field._span_key(ray, rec.rho)]
+        alone = fc.integrate_geodesic(field.metric, ray.tangent(),
+                                      path.t1, rtol=plan.ode_rtol,
+                                      atol=plan.ode_atol)
+        _assert_same_segments(path.segments, alone.segments)
+        chart, x = path.position(rec.rho)
+        assert rec.cut_point[0] == chart
+        assert rec.cut_point[1].tobytes() == x.tobytes()
+    # no record or witness shares its cut point's array
+    ray = field.rays[5]
+    first = field.record(ray)
+    wit = field.distance(first.cut_point)
+    want = first.cut_point[1].copy()
+    assert not np.shares_memory(first.cut_point[1], wit.q[1])
+    first.cut_point[1][:] = 0.25
+    again = field.record(ray)
+    assert again.cut_point[1].tobytes() == want.tobytes()
+    assert wit.q[1].tobytes() == want.tobytes()
+    assert field.distance(again.cut_point) is wit
+
+
 def test_focal_time_of_field_and_module_agree(torus32, sphere_field,
                                               monkeypatch):
     # the field's cached focal time is first_degeneracy over the ray's lone
@@ -1100,8 +1271,13 @@ def _eager_minimizers(field, arrivals):
     return kept
 
 
-def test_minimizers_are_sorted_out_on_first_read(sphere_field, torus32,
-                                                 circle_field, monkeypatch):
+def test_minimizers_are_sorted_out_on_first_read(sphere_setup, circle_setup,
+                                                 monkeypatch):
+    # fresh fields: a shared fixture's field may already hold these
+    # witnesses, read by an earlier test
+    sphere_field = fc.NormalShooting(*sphere_setup[1:])
+    circle_field = fc.NormalShooting(*circle_setup[1:])
+    torus32 = _torus32_field()
     calls = []
     distinct = cutlocus.NormalShooting.distinct
 

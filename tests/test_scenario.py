@@ -706,6 +706,47 @@ def test_builtin_matches_golden(name):
     assert scenario.compare_to_golden(summary, name) == []
 
 
+def _dumps(obj):
+    """The two-pass writer ``scenario._render`` replaces."""
+    return json.dumps(scenario._doc(obj), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(set(BUILTINS) - {"plane-ellipse"}))
+def test_render_writes_every_builtin_document_as_json_dumps(name):
+    bundle = run_scenario(builtin_scenario(name))
+    docs = {f"{name}_summary.json": summary_document(bundle)}
+    docs.update((f"{name}_{task}.json", doc)
+                for task, doc in bundle.documents.items())
+    for file, doc in docs.items():
+        assert bundle.files[file] == scenario._render(doc) == _dumps(doc)
+
+
+def test_render_matches_json_dumps_on_every_kind_of_value():
+    doc = {
+        "floats": [math.nan, math.inf, -math.inf, 0.1 + 0.2, -0.0, 1e-300,
+                   np.float64(2.0 / 3.0), np.float32(0.1), 123456789.0],
+        "ints": [0, -7, 2 ** 70, np.array([1, 2], dtype=np.int64)],
+        "flags": [True, False, np.bool_(True), np.bool_(False), None],
+        "sets": [{"b", "a"}, frozenset({2.5, 1.0, math.nan}), set(),
+                 {(1, "x"), (0, "y")}],
+        "empty": [{}, [], (), np.zeros(0), np.zeros((0, 2))],
+        "nested": ({"z": [[]], "a": ({},)}, np.eye(2)),
+        1: "int key", np.int64(2): "numpy key", 2.5: "float key",
+        None: "none key", (1, 2): "tuple key",
+        "strings": ["h\u00e9 \u2603", "tab\t\"quote\"\n", "\U0001f600", ""],
+        "other": [1 + 2j, Path("a/b")],
+    }
+    assert scenario._render(doc) == _dumps(doc)
+    assert scenario._render([]) == _dumps([]) and \
+        scenario._render(0.5) == _dumps(0.5)
+    # json refuses a numpy integer outside an array, and so does _render
+    for bad in (np.int64(3), {"k": [np.int32(1)]}):
+        with pytest.raises(TypeError):
+            _dumps(bad)
+        with pytest.raises(TypeError):
+            scenario._render(bad)
+
+
 def test_golden_gate_sees_noise_level_fields():
     golden = json.loads(scenario.golden_path("torus-point").read_text())
     dev = golden["tasks"]["dfcheck"]["max_deviation"]
