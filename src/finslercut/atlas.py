@@ -36,8 +36,10 @@ class Transition:
     Jacobians) and float arrays too.  Each method takes one point x of
     shape (n,) or rows x of shape (k, n), and the results gain that leading
     row axis.  Several rows are evaluated once, on the coordinate columns;
-    one point or one row is evaluated on floats.  Every row has the bits of
-    its own float evaluation.
+    one point or one row is evaluated on floats.  A Jacobian is one more
+    evaluation, on the coordinates lifted along every unit vector at once
+    (``dual.lift``), on top of the direction dx for the directional one.
+    Every row has the bits of its own float evaluation.
     """
 
     def __init__(self, src, dst, fn):
@@ -45,34 +47,36 @@ class Transition:
         self.dst = dst
         self.fn = fn
 
-    def _eval(self, x, dirs, order):
-        """The order-``order`` dual part of each coordinate of ``fn`` at x
-        lifted into ``len(dirs)`` levels of duals (as ``dual.seed``), as an
-        array of x's shape.  A direction is one vector, as floats, or one
-        per row, at any level: an array on the left of a dual defers to
-        the dual's operator."""
+    def apply(self, x):
         x = np.asarray(x, dtype=float)
-        zs = _coords(x)
-        for d in dirs:
-            zs = [dual.Dual(z, dz) for z, dz in zip(zs, _coords(d))]
         y = np.empty(x.shape)
-        for i, c in enumerate(self.fn(zs)):
+        for i, c in enumerate(self.fn(_coords(x))):
             # a constant float among columns is broadcast down them
-            y[..., i] = dual.extract(c, order)
+            y[..., i] = c
         return y
 
-    def apply(self, x):
-        return self._eval(x, [], 0)
-
     def jacobian(self, x):
-        eye = np.eye(np.shape(x)[-1])
-        return np.stack([self._eval(x, [e], 1) for e in eye], axis=-1)
+        return self._jacobian(x, _coords(x), 1)
 
     def jacobian_directional(self, x, dx):
         """Directional derivative of the Jacobian along dx (an n x n matrix,
         or one per row of x and dx)."""
-        eye = np.eye(np.shape(x)[-1])
-        return np.stack([self._eval(x, [dx, e], 2) for e in eye], axis=-1)
+        return self._jacobian(x, [dual.Dual(z, dz) for z, dz in
+                                  zip(_coords(x), _coords(dx))], 2)
+
+    def _jacobian(self, x, zs, order):
+        """The order-``order`` part of ``fn`` on the coordinates zs of x
+        (floats or columns, or duals of them along dx) lifted along every
+        unit vector: the Jacobian (order 1) or the directional Jacobian
+        (order 2), as an array of shape x.shape + (n,)."""
+        shape = np.shape(x)
+        J = np.empty(shape + shape[-1:])
+        for i, c in enumerate(self.fn(dual.lift(zs, 1))):
+            for _ in range(order):
+                c = dual.dpart(c)
+            # the unit vectors on axis 0 of the parts, the rows after it
+            J[..., i, :] = np.asarray(dual.real(c)).T
+        return J
 
 
 def _coords(x):

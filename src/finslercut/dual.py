@@ -9,7 +9,14 @@ on an array, so one evaluation on arrays gives the value of each entry, and
 a ``Dual`` may carry arrays as its parts, one entry per row.  An array on
 the left of a ``Dual`` defers to the ``Dual``'s reflected operator
 (``__array_ufunc__ = None``), so it never makes an object array of duals.
-"""
+
+Every derivative is seeded in one place, :func:`lift`: it lifts p
+coordinates into k nested levels along all p unit vectors at once, each
+level's direction index on its own leading array axis, so one evaluation
+carries every mixed partial of order k, each entry with the bits of a lift
+along its unit vectors alone.  :func:`tensor` reads a symmetric derivative
+tensor from that evaluation at sorted indices, and :func:`hessian` is its
+order-2 case."""
 
 from __future__ import annotations
 
@@ -127,73 +134,52 @@ def dpart(z):
     return z.du if isinstance(z, Dual) else 0.0
 
 
-def seed(x, dirs):
-    """Lift point ``x`` into ``len(dirs)`` levels of duals.
+def lift(x, order):
+    """The p generic scalars x lifted into ``order`` nested dual levels along
+    every coordinate at once: level l (1 the innermost) adds to coordinate a
+    the a-th unit vector of length p, held on leading axis l - 1 of the
+    part, in front of x's row axis.  x holds floats, float arrays of rows
+    or duals of them, a derivative taken on top of another, which stays the
+    innermost level.
 
-    ``dirs[j][i]`` is the i-th component of the j-th perturbation direction,
-    a float or, on columns, an array of one per row.  Returns a list of
-    nested duals representing x + sum_j t_j * dirs[j].
-    """
-    xs = list(x)
-    for d in dirs:
-        xs = [Dual(xi, di if isinstance(di, np.ndarray) else float(di))
-              for xi, di in zip(xs, d)]
-    return xs
+    One evaluation of f on the lift carries every mixed partial: the
+    order-``order`` part of its output (``dpart`` taken ``order`` times)
+    holds at index (i_1, ..., i_order) the derivative along x_{i_1} at
+    level 1, ..., x_{i_order} at level ``order``, elementwise the
+    floating-point operations of a lift along those unit vectors alone,
+    whose zero components are explicit 0.0 parts too.  A lower part keeps
+    only the axes of its levels: ``dpart`` once, then ``.re`` through each
+    level below, is the first-order part along the outermost level, its
+    index on axis 0."""
+    p = len(x)
+    rows = max((np.ndim(real(c)) for c in x), default=0)
+    eye = np.eye(p)
+    for level in range(order):
+        shape = (p,) + (1,) * (order - 1 - level + rows)
+        x = [Dual(c, e.reshape(shape)) for c, e in zip(x, eye)]
+    return x
 
 
-def extract(out, order):
-    """Mixed partial of ``order`` seeded directions from a nested-dual output."""
+def tensor(f, x, order):
+    """The order-``order`` derivative tensor of the scalar function f at
+    the p floats or row arrays x, as an array of shape (p,) * order + the
+    rows' shape: one evaluation of f on ``lift(x, order)``, each entry read
+    at its sorted index i <= j <= ... and mirrored to its permutations."""
+    out = f(lift(x, order))
     for _ in range(order):
         out = dpart(out)
-    return real(out)
-
-
-def nested_directional(f, x, dirs):
-    """Mixed partial d^k/dt_1..dt_k of f(x + sum t_j dirs[j]) at t = 0.
-
-    f maps a list of scalars to a scalar.  x may itself hold duals (a
-    derivative taken on top of another); the result keeps their structure.
-    """
-    out = f(seed(x, dirs))
-    for _ in dirs:
-        out = dpart(out)
-    return out
-
-
-def gradient(f, x):
-    n = len(x)
-    basis = [[1.0 if i == j else 0.0 for i in range(n)] for j in range(n)]
-    return [nested_directional(f, x, [e]) for e in basis]
+    rows = np.broadcast_shapes(*(np.shape(c) for c in x))
+    full = np.broadcast_to(real(out), (len(x),) * order + rows)
+    return full[tuple(np.sort(np.indices(full.shape[:order]), axis=0))]
 
 
 def hessian(f, x):
-    n = len(x)
-    basis = [[1.0 if i == j else 0.0 for i in range(n)] for j in range(n)]
-    h = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            val = nested_directional(f, x, [basis[i], basis[j]])
-            h[i][j] = h[j][i] = val
-    return h
-
-
-def third_tensor(f, x):
-    n = len(x)
-    basis = [[1.0 if i == j else 0.0 for i in range(n)] for j in range(n)]
-    t = [[[0.0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                val = nested_directional(f, x, [basis[i], basis[j], basis[k]])
-                for a, b, c in ((i, j, k), (i, k, j), (j, i, k),
-                                (j, k, i), (k, i, j), (k, j, i)):
-                    t[a][b][c] = val
-    return t
+    return tensor(f, x, 2)
 
 
 def take(z, rows):
-    """The entries ``rows`` of every array in the dual structure of z;
-    floats, constant down the rows, stay as they are."""
+    """The entries ``rows`` (any numpy index) of every array in the dual
+    structure of z; floats, constant down the rows, stay as they are."""
     if isinstance(z, Dual):
         return Dual(take(z.re, rows), take(z.du, rows))
     return z[rows] if isinstance(z, np.ndarray) else z

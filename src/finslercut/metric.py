@@ -1,23 +1,26 @@
 """Finsler metric families with derivative oracles and the Legendre transform.
 
 Derivatives of F^2 come from nested dual-number evaluation of the metric's
-generic evaluator; families override hot oracles with closed forms where the
-algebra is cheap (Riemannian, Randers, and the fundamental tensor of the
-quartic Minkowski norm).  The geodesic engine reads the spray only through
-one float oracle on rows, ``spray_jvp``: 2G at each (x, v) row and its
-derivatives along m >= 0 Jacobi columns, so that a batch of geodesics
-(m = 0) or flows is one call; ``spray`` is ``spray_jvp`` with no column.
-By default it is one ``spray_generic`` evaluation on the columns of the
-rows, on duals whose parts are the columns of every (row, column) pair
-when m > 0; its 2 x 2 solve pivots each row on its own, so each row has
-the bits of its lone evaluation.  The round sphere overrides it with a
-closed form that repeats the floating-point operations of its analytic
-``spray_generic``, in order, on arrays, so its geodesics and Jacobi
-fields are the same to the last bit.  For an x-independent metric
-``spray_generic`` and ``spray_jvp`` return zeros, the latter without
-evaluating anything, and a reversed metric negates the velocity rows.
-The dual-number oracles stay as the fallback for custom metrics and as
-the reference the closed forms are tested against.
+generic evaluator, each oracle one evaluation on its inputs lifted along
+every coordinate at once (``dual.lift``); families override hot oracles
+with closed forms where the algebra is cheap (Riemannian, Randers, and the
+fundamental tensor of the quartic Minkowski norm).  The geodesic engine
+reads the spray only through one float oracle on rows, ``spray_jvp``: 2G
+at each (x, v) row and its derivatives along m >= 0 Jacobi columns, so
+that a batch of geodesics (m = 0) or flows is one call; ``spray`` is
+``spray_jvp`` with no column.  By default it is one ``spray_generic``
+evaluation on the columns of the rows, on duals whose parts are the
+columns of every (row, column) pair when m > 0, and ``spray_generic`` is
+one ``value_generic`` evaluation lifted into two more levels; its 2 x 2
+solve pivots each row on its own, so each row has the bits of its lone
+evaluation.  The round sphere overrides it with a closed form that repeats
+the floating-point operations of its analytic ``spray_generic``, in order,
+on arrays, so its geodesics and Jacobi fields are the same to the last
+bit.  For an x-independent metric ``spray_generic`` and ``spray_jvp``
+return zeros, the latter without evaluating anything, and a reversed
+metric negates the velocity rows.  The dual-number oracles stay as the
+fallback for custom metrics and as the reference the closed forms are
+tested against.
 
 The row oracles evaluate many tangent vectors: ``F_rows`` (F of each row)
 and ``legendre_rows`` (the covector g_v v of each row), both 0 on a row
@@ -29,12 +32,13 @@ only, with no branch on v, so it runs on floats, on nested duals, on the
 columns of a block of rows and on duals whose parts are columns:
 ``F_rows`` is one ``value_generic`` call on arrays, elementwise the float
 operations of the scalar ``F``, and equals it to the bit.  By default
-``fundamental_rows`` and ``cartan_rows`` are one ``dual.hessian`` or
-``dual.third_tensor`` pass on the columns, and ``legendre_rows`` is
-``fundamental_rows`` times each row; a subclass that overrides the scalar
-``fundamental`` or ``cartan`` is called row by row instead.  One row is
-evaluated on floats, which is about three times faster than on one-entry
-arrays.  The Riemannian, Randers and quartic Minkowski families and their
+``fundamental_rows`` and ``cartan_rows`` are one ``value_generic``
+evaluation on the columns lifted into two or three dual levels
+(``dual.hessian``, ``dual.tensor``), each entry read at its sorted index,
+and ``legendre_rows`` is ``fundamental_rows`` times each row; a subclass
+that overrides the scalar ``fundamental`` or ``cartan`` is called row by
+row instead.  The values of one row are floats, 1.2-1.5 times faster
+than one-entry arrays; the seeded parts are arrays at every row count.  The Riemannian, Randers and quartic Minkowski families and their
 reverses write ``legendre_rows`` and ``fundamental_rows`` in closed form
 on arrays, ``fundamental_rows`` operation by operation as the scalar
 ``fundamental``, so each row keeps its bits.  The products of rows with
@@ -155,36 +159,41 @@ class MetricField:
     def fundamental_rows(self, chart, x, V) -> np.ndarray:
         """``fundamental`` at each row v of the (k, n) array V, as a
         (k, n, n) array; ``x`` is one base point, or one per row.  One
-        ``dual.hessian`` on the columns of the rows, or a family's
-        ``fundamental`` row by row where it overrides it.  A row shorter
-        than V_FLOOR raises DegenerateDirectionError."""
+        ``dual.hessian`` evaluation on the columns of the rows, or a
+        family's ``fundamental`` row by row where it overrides it.  A row
+        shorter than V_FLOOR raises DegenerateDirectionError."""
         V = _check_dirs(V)
         if _overrides(self, "fundamental"):
             return _row_by_row(self.fundamental, chart, x, V, 2)
-        return 0.5 * self._v_tensor_rows(dual.hessian, chart, x, V)
+        return 0.5 * self._v_tensor_rows(2, chart, x, V)
 
     def cartan_rows(self, chart, X, V) -> np.ndarray:
         """``cartan`` at each row v of the (k, n) array V, as a (k, n, n, n)
         array; ``X`` is one base point, or one per row.  One
-        ``dual.third_tensor`` on the columns of the rows, or a family's
-        ``cartan`` row by row where it overrides it."""
+        ``dual.tensor`` evaluation on the columns of the rows, or a
+        family's ``cartan`` row by row where it overrides it."""
         V = _check_dirs(V)
         if _overrides(self, "cartan"):
             return _row_by_row(self.cartan, chart, X, V, 3)
-        return 0.25 * self._v_tensor_rows(dual.third_tensor, chart, X, V)
+        return 0.25 * self._v_tensor_rows(3, chart, X, V)
 
-    def _v_tensor_rows(self, derivative, chart, x, V):
-        """``derivative`` (``dual.hessian`` or ``dual.third_tensor``) of
-        F^2 in v at each row, as a (k, n, ...) array: the nested-dual
-        evaluation of the scalar oracles, once on columns; one row on
-        floats."""
+    def _v_tensor_rows(self, order, chart, x, V):
+        """The order-``order`` v-derivative tensor of F^2 at each row, as a
+        (k, n, ...) array: one ``value_generic`` evaluation on the columns
+        of the rows (one row on floats) lifted into ``order`` dual levels,
+        order 2 through ``dual.hessian``, whose calls perfbench counts."""
         xs = _cols(x)
 
         def f2(vv):
             val = self.value_generic(chart, xs, vv)
             return val * val
 
-        return _rows_of(derivative(f2, _cols(V)), len(V))
+        vs = _cols(V)
+        t = (dual.hessian(f2, vs) if order == 2
+             else dual.tensor(f2, vs, order))
+        # the row axis (one entry on floats) first, in C order
+        return np.ascontiguousarray(np.moveaxis(
+            t.reshape(t.shape[:order] + (-1,)), -1, 0))
 
     def _base_points(self, chart, x):
         """x as a float array, one point or one per row, each checked to
@@ -204,39 +213,34 @@ class MetricField:
         """v-Hessian of F^2/2 at (x, v); DegenerateDirectionError on a
         vector shorter than V_FLOOR."""
         v = _check_dir(p.v)[None]
-        return 0.5 * self._v_tensor_rows(dual.hessian, p.chart, p.x, v)[0]
+        return 0.5 * self._v_tensor_rows(2, p.chart, p.x, v)[0]
 
     def cartan(self, p: TangentVec) -> np.ndarray:
         """Third v-derivative tensor of F^2/4."""
         v = _check_dir(p.v)[None]
-        return 0.25 * self._v_tensor_rows(dual.third_tensor, p.chart, p.x,
-                                          v)[0]
+        return 0.25 * self._v_tensor_rows(3, p.chart, p.x, v)[0]
 
     # -- spray (consumed by the geodesic engine) -------------------------
 
     def spray_generic(self, chart, x, v):
         """2G(x, v) with generic scalars, or with columns of rows;
-        geodesic equation x'' + 2G = 0."""
+        geodesic equation x'' + 2G = 0.  One ``value_generic`` evaluation
+        on (x, v) lifted into two dual levels above the caller's (possibly
+        dual) inputs: L = F^2 / 2 gives Lx from its first-order parts along
+        the outer level, and g = L_vv and M = L_vx from its mixed parts."""
         n = self.atlas.dim
         if self.x_independent:
             return [0.0] * n
-
-        def f2(z):
-            val = self.value_generic(chart, z[:n], z[n:])
-            return val * val
-
-        z = list(x) + list(v)
-        # gradient in x and Hessian blocks via nested duals on top of the
-        # caller's (possibly dual) inputs
-        ex = [[1.0 if a == j else 0.0 for a in range(2 * n)] for j in range(n)]
-        ev = [[1.0 if a == n + i else 0.0 for a in range(2 * n)]
-              for i in range(n)]
-        Lx = [0.5 * dual.nested_directional(f2, z, [ex[j]])
-              for j in range(n)]
-        g = [[0.5 * dual.nested_directional(f2, z, [ev[i], ev[j]])
-              for j in range(n)] for i in range(n)]
-        M = [[0.5 * dual.nested_directional(f2, z, [ev[i], ex[j]])
-              for j in range(n)] for i in range(n)]
+        z = dual.lift(list(x) + list(v), 2)
+        val = self.value_generic(chart, z[:n], z[n:])
+        # the outer level's parts: a dual along level 1, as g is not zero
+        d1 = dual.dpart(val * val)
+        d2 = d1.du
+        Lx = [0.5 * dual.take(d1.re, j) for j in range(n)]
+        g = [[0.5 * dual.take(d2, (n + i, n + j)) for j in range(n)]
+             for i in range(n)]
+        M = [[0.5 * dual.take(d2, (n + i, j)) for j in range(n)]
+             for i in range(n)]
         rhs = [sum(M[i][j] * v[j] for j in range(n)) - Lx[i] for i in range(n)]
         return _solve2(g, rhs)
 
@@ -276,8 +280,9 @@ class MetricField:
         z = np.repeat(np.hstack([x, v]), m, axis=0)
         d = np.concatenate([dx, np.asarray(dv, dtype=float)],
                            axis=1).transpose(0, 2, 1).reshape(k * m, 2 * n)
-        out = self.spray_generic(chart, *_split_seed(_cols(z), _cols(d), n))
-        ds = _rows_of([_d1(o) for o in out], k * m)
+        zz = [dual.Dual(a, b) for a, b in zip(_cols(z), _cols(d))]
+        out = self.spray_generic(chart, zz[:n], zz[n:])
+        ds = _rows_of([dual.real(dual.dpart(o)) for o in out], k * m)
         if s is None:
             # the default's value operations on duals keep the real parts
             # of its float evaluation: read s there
@@ -351,16 +356,6 @@ def _quadratic(a, v):
         for j in range(n):
             q = q + a[i][j] * v[i] * v[j]
     return q
-
-
-def _split_seed(z, d, n):
-    """(x, v) halves of the point z lifted to duals along the direction d."""
-    zz = dual.seed(z, [d])
-    return zz[:n], zz[n:]
-
-
-def _d1(o):
-    return dual.real(dual.dpart(o))
 
 
 def _solve2(A, b):

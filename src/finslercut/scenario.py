@@ -183,23 +183,27 @@ def _emit(obj, nl, out):
 
 
 def record_doc(rec):
+    """The document of one cut record, from its raw values as Python
+    numbers: ``_render`` normalizes each number once, NaN and the
+    infinities as strings."""
     doc = {
-        "theta": _doc(rec.ray.theta),
-        "psi": _doc(rec.ray.psi),
-        "rho": _num(rec.rho) if not np.isnan(rec.rho) else "nan",
-        "lambda": _num(rec.lam) if not np.isnan(rec.lam) else "nan",
+        "theta": rec.ray.theta.tolist(),
+        "psi": rec.ray.psi.tolist(),
+        "rho": float(rec.rho),
+        "lambda": float(rec.lam),
         "unbounded": bool(rec.unbounded),
         "cut_point": None, "tangent_cut": None,
         "class": sorted(rec.classification),
         "competitor": None,
     }
     if rec.cut_point is not None:
-        doc["cut_point"] = [rec.cut_point[0]] + _doc(rec.cut_point[1])
-        doc["tangent_cut"] = _doc(rec.rho * rec.ray.v)
+        chart, x = rec.cut_point
+        doc["cut_point"] = [int(chart), *x.tolist()]
+        doc["tangent_cut"] = (rec.rho * rec.ray.v).tolist()
     if rec.competitor is not None:
         ray, t = rec.competitor
-        doc["competitor"] = {"theta": _doc(ray.theta), "psi": _doc(ray.psi),
-                             "t": _num(t)}
+        doc["competitor"] = {"theta": ray.theta.tolist(),
+                             "psi": ray.psi.tolist(), "t": float(t)}
     return doc
 
 

@@ -68,8 +68,9 @@ class SubmanifoldSpec:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if self._jacobian_fn is not None:
             return np.asarray(self._jacobian_fn(theta), dtype=float)
-        out = self.immersion_fn(dual.seed(list(theta), [[1.0]]))
-        return np.array([[dual.extract(c, 1)] for c in out])
+        out = self.immersion_fn(dual.lift(list(theta), 1))
+        return np.array([np.broadcast_to(dual.real(dual.dpart(c)), self.k)
+                         for c in out])
 
     def wrap_theta(self, theta):
         """theta of a curve, wrapped into its box when the curve is closed."""

@@ -187,8 +187,13 @@ def _ref_jacobian(tr, x, dirs, order):
     J = np.empty((n, n))
     for j in range(n):
         e = [1.0 if i == j else 0.0 for i in range(n)]
-        out = tr.fn(dual.seed([float(c) for c in x], [*dirs, e]))
-        J[:, j] = [dual.extract(c, order) for c in out]
+        z = [float(c) for c in x]
+        for d in [*dirs, e]:
+            z = [dual.Dual(c, float(dc)) for c, dc in zip(z, d)]
+        out = tr.fn(z)
+        for _ in range(order):
+            out = [dual.dpart(c) for c in out]
+        J[:, j] = [dual.real(c) for c in out]
     return J
 
 

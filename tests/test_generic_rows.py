@@ -3,6 +3,7 @@ Legendre rows from one nested-dual evaluation on columns, and the spray and
 its Jacobi derivative from one ``spray_generic`` evaluation, each row equal
 to its lone scalar evaluation."""
 
+import itertools
 import time
 
 import numpy as np
@@ -10,9 +11,9 @@ import pytest
 
 import finslercut as fc
 from finslercut import dual
-from finslercut.atlas import TangentVec
-from finslercut.metric import (MetricField, ReversedMetric, _d1, _round_reals,
-                               _solve2, _split_seed)
+from finslercut.atlas import TangentVec, _coords
+from finslercut.metric import (MetricField, ReversedMetric, _cols, _round_reals,
+                               _solve2)
 
 KATOK_EPS = 0.3
 
@@ -138,16 +139,18 @@ def _spray_rows(atlas_charts, seed, count=40):
     return out
 
 
+def _d1(o):
+    return dual.real(dual.dpart(o))
+
+
 def _lone_spray(metric, chart, x, v):
     return [dual.real(c) for c in metric.spray_generic(chart, list(x),
                                                         list(v))]
 
 
 def _lone_jvp(metric, chart, x, v, dx, dv):
-    z = list(x) + list(v)
-    d = list(dx) + list(dv)
-    return [_d1(o) for o in metric.spray_generic(chart,
-                                                 *_split_seed(z, d, 2))]
+    z = [dual.Dual(c, float(dc)) for c, dc in zip([*x, *v], [*dx, *dv])]
+    return [_d1(o) for o in metric.spray_generic(chart, z[:2], z[2:])]
 
 
 @pytest.mark.parametrize("family", ["quartic-generic", "randers-generic",
@@ -297,9 +300,149 @@ def test_generic_oracles_are_one_evaluation_on_columns():
     metric.fundamental_rows(0, X, V)
     metric.cartan_rows(0, X, V)
     metric.spray(0, X, V)
-    # F, 3 Hessian entries, 4 third derivatives and the spray's 2 + 4 + 4
-    # nested evaluations, each on all 7 rows at once
-    assert seen == [(7,)] * (1 + 3 + 4 + 10)
+    # F, the Hessian, the third derivatives and the spray: one evaluation
+    # each, on all 7 rows at once
+    assert seen == [(7,)] * 4
+    # the spray and its derivative along 3 Jacobi columns: one evaluation
+    # on the 21 (row, column) pairs; one evaluation on floats for a point
+    seen.clear()
+    metric.spray_jvp(0, X, V, np.ones((7, 2, 3)), np.ones((7, 2, 3)))
+    metric.fundamental(TangentVec(0, X[0], V[0]))
+    metric.cartan(TangentVec(0, X[0], V[0]))
+    metric.spray_generic(0, list(X[0]), list(V[0]))
+    assert seen == [(21,), (), (), ()]
+
+
+# -- the one-pass lift against the per-entry passes it replaced -----------
+
+
+def _ref_directional(f, x, dirs):
+    """d^k/dt_1..dt_k of f(x + sum_j t_j dirs[j]) at t = 0, one nested-dual
+    pass along the k directions: the per-entry loop that ``dual.lift``
+    replaced, kept as its reference."""
+    for d in dirs:
+        x = [dual.Dual(c, float(e)) for c, e in zip(x, d)]
+    out = f(x)
+    for _ in dirs:
+        out = dual.dpart(out)
+    return out
+
+
+def _ref_v_tensor_rows(metric, x, V, order):
+    """``fundamental_rows`` (order 2) or ``cartan_rows`` (order 3) as the
+    per-entry loops built them: one pass per sorted index, mirrored."""
+    xs = _cols(x)
+
+    def f2(vv):
+        val = metric.value_generic(0, xs, vv)
+        return val * val
+
+    eye = np.eye(2).tolist()
+    out = np.empty((len(V),) + (2,) * order)
+    for idx in itertools.combinations_with_replacement(range(2), order):
+        val = _ref_directional(f2, _cols(V), [eye[i] for i in idx])
+        for perm in itertools.permutations(idx):
+            out[(slice(None),) + perm] = val
+    return {2: 0.5, 3: 0.25}[order] * out
+
+
+def _ref_spray_generic(metric, chart, x, v):
+    """``MetricField.spray_generic`` as ten passes: Lx, g and M entry by
+    entry."""
+    def f2(z):
+        val = metric.value_generic(chart, z[:2], z[2:])
+        return val * val
+
+    z = list(x) + list(v)
+    e = np.eye(4).tolist()
+    Lx = [0.5 * _ref_directional(f2, z, [e[j]]) for j in range(2)]
+    g = [[0.5 * _ref_directional(f2, z, [e[2 + i], e[2 + j]])
+          for j in range(2)] for i in range(2)]
+    M = [[0.5 * _ref_directional(f2, z, [e[2 + i], e[j]]) for j in range(2)]
+         for i in range(2)]
+    rhs = [sum(M[i][j] * v[j] for j in range(2)) - Lx[i] for i in range(2)]
+    return _solve2(g, rhs)
+
+
+ROW_COUNTS = (1, 2, 64, 512)
+
+
+@pytest.mark.parametrize("family", ["quartic-generic", "zermelo-randers",
+                                    "katok"])
+def test_one_pass_tensor_rows_equal_the_per_entry_passes(family):
+    metric = _families()[family]
+    X, V = _rows(12, count=max(ROW_COUNTS))
+    for k in ROW_COUNTS:
+        for order, rows in ((2, metric.fundamental_rows),
+                            (3, metric.cartan_rows)):
+            assert _hexes(rows(0, X[:k], V[:k])) == _hexes(
+                _ref_v_tensor_rows(metric, X[:k], V[:k], order)), (k, order)
+    # one float point
+    p = TangentVec(0, X[0], V[0])
+    assert _hexes(metric.fundamental(p)) == _hexes(
+        _ref_v_tensor_rows(metric, X[0], V[:1], 2))
+    assert _hexes(metric.cartan(p)) == _hexes(
+        _ref_v_tensor_rows(metric, X[0], V[:1], 3))
+
+
+@pytest.mark.parametrize("family", ["quartic-generic", "zermelo-randers",
+                                    "katok"])
+def test_one_pass_spray_equals_the_per_entry_passes(family, monkeypatch):
+    metric = _families()[family]
+    rng = np.random.default_rng(13)
+    n = max(ROW_COUNTS)
+    X = rng.uniform(-0.9, 0.9, (n, 2))
+    V = rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-2, 1, (n, 1))
+    DX, DV = rng.normal(size=(2, n, 2, 3))
+    cases = [(k, m) for k in ROW_COUNTS for m in (0, 1, 3)]
+
+    def jvps():
+        return [metric.spray_jvp(0, X[:k], V[:k], DX[:k, :, :m],
+                                 DV[:k, :, :m]) for k, m in cases]
+
+    got = jvps()
+    point = metric.spray_generic(0, X[0].tolist(), V[0].tolist())
+    # the reference spray stands in for MetricField's, which spray_jvp
+    # still reads as its own
+    monkeypatch.setattr(MetricField, "spray_generic", _ref_spray_generic)
+    want = jvps()
+    assert _hexes(point) == _hexes(
+        _ref_spray_generic(metric, 0, X[0].tolist(), V[0].tolist()))
+    for (k, m), (s, ds), (ws, wds) in zip(cases, got, want):
+        assert _hexes(s) == _hexes(ws), (k, m)
+        assert _hexes(ds) == _hexes(wds), (k, m)
+
+
+def _ref_transition(tr, x, dirs, order):
+    """The order-``order`` part of the transition on x lifted along dirs,
+    one direction per level: the per-basis pass the Jacobians made."""
+    x = np.asarray(x, dtype=float)
+    zs = _coords(x)
+    for d in dirs:
+        zs = [dual.Dual(z, dz) for z, dz in zip(zs, _coords(d))]
+    y = np.empty(x.shape)
+    for i, c in enumerate(tr.fn(zs)):
+        for _ in range(order):
+            c = dual.dpart(c)
+        y[..., i] = dual.real(c)
+    return y
+
+
+def test_one_pass_transition_jacobians_equal_the_per_basis_passes():
+    atlas = fc.sphere_atlas()
+    rng = np.random.default_rng(14)
+    n = max(ROW_COUNTS)
+    X = rng.uniform(-2.5, 2.5, (n, 2))
+    DX = rng.normal(size=(n, 2))
+    eye = np.eye(2)
+    for tr in (atlas.transition(0, 1), atlas.transition(1, 0)):
+        for x, dx in [(X[0], DX[0])] + [(X[:k], DX[:k]) for k in ROW_COUNTS]:
+            want = np.stack([_ref_transition(tr, x, [e], 1) for e in eye],
+                            axis=-1)
+            assert _hexes(tr.jacobian(x)) == _hexes(want), x.shape
+            want = np.stack([_ref_transition(tr, x, [dx, e], 2)
+                             for e in eye], axis=-1)
+            assert _hexes(tr.jacobian_directional(x, dx)) == _hexes(want)
 
 
 def test_F_rows_take_one_base_point_per_row():
